@@ -19,14 +19,14 @@ from .transforms import (
 from .eigenfaces import EigenBasis, RankError, attainable_rank, project, train_eigenbasis
 from .stats import ClassFeatureStats, class_stats, discriminability, rank_features
 from .classifiers import (
-    DivergenceError, Gallery, MLPConfig, MLPModel, PNNModel, RBFModel, ScoreSet,
-    load_model, mad, mlp_scores, mlp_train, mse_dist, nn_classify,
+    DivergenceError, Gallery, MLPConfig, MLPModel, PNNModel, RBFModel,
+    load_model, mad, mlp_scores, mlp_train, mse_dist, nn_scores,
     pnn_classify, pnn_train, rbf_scores, rbf_train, save_model,
 )
-from .fusion import NormalizedScoreSet, fuse_mean, normalize_scores
+from .fusion import fuse_mean, normalize_scores
 from .evaluation import (
     EvalConfig, ExperimentResult, HistogramPair,
-    distance_histograms, identification_rate, run_experiment,
+    distance_histograms, identification_rate, identify, run_experiment,
     sweep_dimension, sweep_spread, table1_report,
 )
 

@@ -1,19 +1,22 @@
-"""Identification back ends: nearest neighbor, MLP, PNN, and incremental RBF."""
+"""Identification back ends: nearest neighbor, MLP, PNN, and incremental RBF.
+
+Each back end scores a (k, d) probe block into a (k, S) score matrix plus
+its polarity; ``faceid.fusion`` turns one or more such matrices into
+decisions.
+"""
 
 from .common import (
     Gallery,
-    ScoreSet,
     HIGHER,
     LOWER,
     STD_FLOOR,
     make_targets,
 )
-from .nearest import MAD, MSE, METRICS, mad, mse_dist, nn_classify, nn_classify_batch, nn_scores
+from .nearest import MAD, MSE, METRICS, mad, mse_dist, nn_scores
 from .mlp import (
     DivergenceError,
     MLPConfig,
     MLPModel,
-    mlp_classify,
     mlp_gradient,
     mlp_scores,
     mlp_train,
@@ -24,18 +27,17 @@ from .mlp import (
     write_training_log,
 )
 from .pnn import PNNModel, pnn_classify, pnn_train, radbas_bias
-from .rbf import RBFModel, rbf_classify, rbf_scores, rbf_train
+from .rbf import RBFModel, rbf_scores, rbf_train
 from .store import load_model, save_model
 
 __all__ = [
-    "Gallery", "ScoreSet", "HIGHER", "LOWER", "STD_FLOOR", "make_targets",
-    "MAD", "MSE", "METRICS", "mad", "mse_dist",
-    "nn_classify", "nn_classify_batch", "nn_scores",
+    "Gallery", "HIGHER", "LOWER", "STD_FLOOR", "make_targets",
+    "MAD", "MSE", "METRICS", "mad", "mse_dist", "nn_scores",
     "DivergenceError", "MLPConfig", "MLPModel",
-    "mlp_classify", "mlp_gradient", "mlp_scores", "mlp_train",
+    "mlp_gradient", "mlp_scores", "mlp_train",
     "msereg_gradient", "msereg_loss", "pack_params", "unpack_params",
     "write_training_log",
     "PNNModel", "pnn_classify", "pnn_train", "radbas_bias",
-    "RBFModel", "rbf_classify", "rbf_scores", "rbf_train",
+    "RBFModel", "rbf_scores", "rbf_train",
     "load_model", "save_model",
 ]

@@ -1,4 +1,10 @@
-"""Shared classifier types: the training gallery and per-class score sets."""
+"""Shared classifier types: the training gallery and the score-matrix contract.
+
+Every classifier scores a whole probe block ``P[k, d]`` at once and returns a
+``(k, S)`` score matrix plus its polarity (``HIGHER`` or ``LOWER`` is better).
+Column j belongs to ``subject_ids[j]``, which are ascending, so the first
+best column of a row is the lowest subject id among tied subjects.
+"""
 
 from __future__ import annotations
 
@@ -87,28 +93,25 @@ def make_targets(gallery: Gallery) -> np.ndarray:
     return t
 
 
-@dataclass(eq=False)
-class ScoreSet:
-    """One similarity score per subject from a single classifier for one probe."""
+def probe_block(probes: np.ndarray, dim: int) -> np.ndarray:
+    """The (k, d) float64 probe matrix every scorer takes; d must equal ``dim``."""
+    block = np.asarray(probes, dtype=np.float64)
+    if block.ndim != 2 or block.shape[0] == 0:
+        raise ValueError(f"probes must form a nonempty (k, d) matrix, got shape {block.shape}")
+    if block.shape[1] != dim:
+        raise ValueError(f"probe dim {block.shape[1]} != gallery dim {dim}")
+    return block
 
-    scores: np.ndarray
-    subject_ids: np.ndarray
-    polarity: str
-    classifier_id: str
 
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.subject_ids = np.asarray(self.subject_ids, dtype=np.int64)
-        if self.scores.shape != self.subject_ids.shape or self.scores.ndim != 1:
-            raise ValueError("scores and subject_ids must be matching 1-D arrays")
-        if self.polarity not in (HIGHER, LOWER):
-            raise ValueError(f"polarity must be {HIGHER!r} or {LOWER!r}")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("scores must all be finite")
+def finite_scores(scores: np.ndarray, polarity: str) -> tuple[np.ndarray, str]:
+    """A scorer's (k, S) result, refused if any score is NaN or infinite."""
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must all be finite")
+    return scores, polarity
 
-    def best_subject(self) -> int:
-        """Winning subject; ties resolve to the lowest subject id."""
-        order = np.argsort(self.subject_ids, kind="stable")
-        scores = self.scores[order]
-        idx = np.argmax(scores) if self.polarity == HIGHER else np.argmin(scores)
-        return int(self.subject_ids[order][idx])
+
+def per_subject(values: np.ndarray, labels: np.ndarray, subject_ids: np.ndarray,
+                reduce) -> np.ndarray:
+    """(k, n) values, one column per gallery row, reduced to (k, S) by subject."""
+    return np.stack([reduce(values[:, labels == sid], axis=1)
+                     for sid in subject_ids], axis=1)

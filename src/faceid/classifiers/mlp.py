@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..transforms import FeatureVector
-from .common import Gallery, ScoreSet, HIGHER, as_vector, make_targets
+from .common import Gallery, HIGHER, finite_scores, make_targets, probe_block
 
 SCG_SIGMA = 5e-5
 SCG_LAMBDA_INIT = 5e-7
@@ -250,20 +249,13 @@ def mlp_train(gallery: Gallery, config: MLPConfig | None = None) -> MLPModel:
                     config=cfg, curve=curve)
 
 
-def mlp_scores(model: MLPModel, probe: FeatureVector | np.ndarray) -> ScoreSet:
-    """tanh outputs in (-1, 1), one per subject; the probe is z-scored here."""
-    vec = as_vector(probe)
-    if vec.size != model.dim:
-        raise ValueError(f"probe dim {vec.size} != model dim {model.dim}")
-    z = (vec - model.norm_mean) / model.norm_std
-    a1 = np.tanh(model.w1 @ z + model.b1)
-    a2 = np.tanh(model.w2 @ a1 + model.b2)
-    return ScoreSet(a2, model.subject_ids, HIGHER, "mlp")
-
-
-def mlp_classify(model: MLPModel, probe: FeatureVector | np.ndarray) -> tuple[int, ScoreSet]:
-    scores = mlp_scores(model, probe)
-    return scores.best_subject(), scores
+def mlp_scores(model: MLPModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
+    """(k, S) tanh outputs in (-1, 1); the probes are z-scored here."""
+    z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
+    # one mat-vec per probe keeps the bits of a row-by-row `w @ a`
+    a1 = np.tanh(np.matmul(model.w1, z[..., None])[..., 0] + model.b1)
+    a2 = np.tanh(np.matmul(model.w2, a1[..., None])[..., 0] + model.b2)
+    return finite_scores(a2, HIGHER)
 
 
 def write_training_log(curve: np.ndarray, path: str | Path) -> None:

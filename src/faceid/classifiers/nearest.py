@@ -6,7 +6,7 @@ import numpy as np
 from scipy.spatial import distance as _sdist
 
 from ..transforms import FeatureVector
-from .common import Gallery, ScoreSet, LOWER, as_vector
+from .common import Gallery, LOWER, as_vector, finite_scores, per_subject, probe_block
 
 MAD = "mad"
 MSE = "mse"
@@ -31,48 +31,13 @@ def mse_dist(x: FeatureVector | np.ndarray, y: FeatureVector | np.ndarray) -> fl
     return float(d @ d)
 
 
-def _probe_distances(gallery: Gallery, probe: np.ndarray, metric: str) -> np.ndarray:
-    if metric == MAD:
-        return np.abs(gallery.matrix - probe).sum(axis=1)
-    if metric == MSE:
-        d = gallery.matrix - probe
-        return np.einsum("ij,ij->i", d, d)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def nn_scores(probe: FeatureVector | np.ndarray, gallery: Gallery,
-              metric: str = MAD) -> ScoreSet:
-    """Per-subject minimum distance to the probe, over raw (unnormalized) rows."""
-    vec = as_vector(probe)
-    if vec.size != gallery.dim:
-        raise ValueError(f"probe dim {vec.size} != gallery dim {gallery.dim}")
-    dists = _probe_distances(gallery, vec, metric)
-    per_subject = np.array([
-        dists[gallery.labels == sid].min() for sid in gallery.subject_ids
-    ])
-    return ScoreSet(per_subject, gallery.subject_ids, LOWER, f"nn:{metric}")
-
-
-def nn_classify(probe: FeatureVector | np.ndarray, gallery: Gallery,
-                metric: str = MAD) -> tuple[int, ScoreSet]:
-    scores = nn_scores(probe, gallery, metric)
-    return scores.best_subject(), scores
-
-
-def nn_classify_batch(probes: np.ndarray, gallery: Gallery,
-                      metric: str = MAD) -> np.ndarray:
-    """Vectorized labels for a (k, d) probe block; ties go to the lowest id."""
-    probes = np.asarray(probes, dtype=np.float64)
-    if probes.ndim != 2 or probes.shape[1] != gallery.dim:
-        raise ValueError("probes must be (k, d) with d matching the gallery")
+def nn_scores(probes: np.ndarray, gallery: Gallery,
+              metric: str = MAD) -> tuple[np.ndarray, str]:
+    """(k, S) per-subject minimum distances over raw (unnormalized) rows."""
+    probes = probe_block(probes, gallery.dim)
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    sp_metric = "cityblock" if metric == MAD else "sqeuclidean"
-    dists = _sdist.cdist(probes, gallery.matrix, metric=sp_metric)
-    # Reduce to per-subject minima with subjects in ascending-id order so the
-    # first argmin hit is the lowest id.
-    sids = gallery.subject_ids
-    per_subject = np.stack([
-        dists[:, gallery.labels == sid].min(axis=1) for sid in sids
-    ], axis=1)
-    return sids[np.argmin(per_subject, axis=1)]
+    dists = _sdist.cdist(probes, gallery.matrix,
+                         metric="cityblock" if metric == MAD else "sqeuclidean")
+    return finite_scores(per_subject(dists, gallery.labels, gallery.subject_ids,
+                                     np.min), LOWER)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import distance as _sdist
 
-from ..transforms import FeatureVector
-from .common import Gallery, ScoreSet, HIGHER, as_vector
+from .common import Gallery, HIGHER, finite_scores, per_subject, probe_block
 
 
 def radbas_bias(spread: float) -> float:
@@ -52,30 +52,20 @@ def pnn_train(gallery: Gallery, spread: float) -> PNNModel:
                     norm_mean=gallery.mean.copy(), norm_std=gallery.std.copy())
 
 
-def pnn_classify(model: PNNModel, probe: FeatureVector | np.ndarray) -> tuple[int, ScoreSet]:
-    """Class probabilities (summing to 1), argmax prediction, lowest id on ties.
+def pnn_classify(model: PNNModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
+    """(k, S) class probabilities, each row summing to 1.
 
-    If every activation underflows to zero the network degrades to a nearest
-    neighbor decision on the unsquashed distances, reported as a one-hot
-    score set.
+    A probe whose activations all underflow to zero degrades to a nearest
+    neighbor decision on the unsquashed distances, reported as a one-hot row.
     """
-    vec = as_vector(probe)
-    if vec.size != model.dim:
-        raise ValueError(f"probe dim {vec.size} != model dim {model.dim}")
-    z = (vec - model.norm_mean) / model.norm_std
-    dists = np.sqrt(((model.centers - z) ** 2).sum(axis=1))
+    z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
+    dists = np.sqrt(_sdist.cdist(z, model.centers, metric="sqeuclidean"))
     acts = np.exp(-(dists * radbas_bias(model.spread)) ** 2)
-    class_sums = np.array([
-        acts[model.labels == sid].sum() for sid in model.subject_ids
-    ])
-    total = class_sums.sum()
-    if total > 0.0:
-        probs = class_sums / total
-    else:
-        per_subject = np.array([
-            dists[model.labels == sid].min() for sid in model.subject_ids
-        ])
-        winner = model.subject_ids[np.argmin(per_subject)]
-        probs = (model.subject_ids == winner).astype(np.float64)
-    scores = ScoreSet(probs, model.subject_ids, HIGHER, "pnn")
-    return scores.best_subject(), scores
+    class_sums = per_subject(acts, model.labels, model.subject_ids, np.sum)
+    total = class_sums.sum(axis=1, keepdims=True)
+    underflow = total[:, 0] == 0.0
+    probs = class_sums / np.where(underflow[:, None], 1.0, total)
+    if underflow.any():
+        nearest = per_subject(dists[underflow], model.labels, model.subject_ids, np.min)
+        probs[underflow] = np.eye(model.subject_ids.size)[np.argmin(nearest, axis=1)]
+    return finite_scores(probs, HIGHER)

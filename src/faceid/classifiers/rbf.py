@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..transforms import FeatureVector
-from .common import Gallery, ScoreSet, HIGHER, as_vector, make_targets
+from .common import Gallery, HIGHER, finite_scores, make_targets, probe_block
 from .pnn import radbas_bias
 
 
@@ -95,17 +94,14 @@ def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFMod
                     residuals=np.array(residuals))
 
 
-def rbf_scores(model: RBFModel, probe: FeatureVector | np.ndarray) -> ScoreSet:
-    """Linear-layer outputs, one per subject; the probe is z-scored here."""
-    vec = as_vector(probe)
-    if vec.size != model.dim:
-        raise ValueError(f"probe dim {vec.size} != model dim {model.dim}")
-    z = (vec - model.norm_mean) / model.norm_std
-    acts = _activations(z[None, :], model.centers, model.spread)[0]
-    outputs = model.weights @ acts + model.biases
-    return ScoreSet(outputs, model.subject_ids, HIGHER, "rbf")
-
-
-def rbf_classify(model: RBFModel, probe: FeatureVector | np.ndarray) -> tuple[int, ScoreSet]:
-    scores = rbf_scores(model, probe)
-    return scores.best_subject(), scores
+def rbf_scores(model: RBFModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
+    """(k, S) linear-layer outputs; the probes are z-scored here."""
+    z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
+    # blocks of n_centers probes keep the (rows, centers, d) temporary within
+    # the (n, n, d) one rbf_train builds
+    step = model.n_centers
+    acts = np.vstack([_activations(z[i:i + step], model.centers, model.spread)
+                      for i in range(0, z.shape[0], step)])
+    # one mat-vec per probe keeps the bits of a row-by-row `weights @ a`
+    outputs = np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
+    return finite_scores(outputs, HIGHER)

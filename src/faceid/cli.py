@@ -62,8 +62,12 @@ _CONFIG_KEYS = {
 }
 
 
-def read_config_file(path: str) -> dict:
-    """Lines of `key = value` (or `key value`); # starts a comment."""
+def read_config_file(path: str, choices: dict | None = None) -> dict:
+    """Lines of `key = value` (or `key value`); # starts a comment.
+
+    ``choices`` maps an option to its allowed values (see ``option_choices``);
+    a file value outside them is refused just as the flag would be.
+    """
     values = {}
     try:
         text = Path(path).read_text()
@@ -84,12 +88,26 @@ def read_config_file(path: str) -> dict:
             values[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"config file line {lineno}: {exc}") from exc
+        allowed = (choices or {}).get(key)
+        if allowed is not None and values[key] not in allowed:
+            raise ConfigError(f"config file line {lineno}: {key} must be one of "
+                              f"{', '.join(allowed)}, not {value!r}")
     return values
 
 
-def apply_config(args: argparse.Namespace, defaults: dict) -> None:
+def option_choices(parser: argparse.ArgumentParser) -> dict:
+    """Option name -> allowed values, from every subcommand's own arguments."""
+    subcommands = next(action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    return {action.dest: action.choices
+            for sub in subcommands.choices.values() for action in sub._actions
+            if action.choices is not None}
+
+
+def apply_config(args: argparse.Namespace, defaults: dict,
+                 choices: dict | None = None) -> None:
     """Fill unset options from --config file values, then built-in defaults."""
-    file_values = read_config_file(args.config) if args.config else {}
+    file_values = read_config_file(args.config, choices) if args.config else {}
     for key, default in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, default))
@@ -276,8 +294,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = parse_int_grid(args.grid) if args.grid else None
         if grid is not None and len(grid) == 0:
             raise ConfigError("sweep grid is empty")
-        shape = {"rect": RECTANGULAR, "sector": SECTORIAL}.get(
-            args.mask_shape, args.mask_shape)
+        shape = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
         points = sweep_dimension(split, args.transform, shape, grid,
                                  args.metric, complex_mode=args.complex_mode,
                                  r_low=args.r_low, log_offset=args.log_offset)
@@ -399,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        apply_config(args, _DEFAULTS)
+        apply_config(args, _DEFAULTS, option_choices(parser))
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,26 +11,26 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Corpus, Split, split_first_k
 from .transforms import (
-    DCT, DFT, LOGDFT, KLT,
+    DCT, LOGDFT, KLT, TRANSFORMS,
     MODULUS, RECTANGULAR, SECTORIAL,
     CoeffMatrix, FeatureVector, ZonalMask,
-    dct2, dft2, log_dft2, extract_features,
+    extract_features,
 )
 from .eigenfaces import attainable_rank, train_eigenbasis, project
 from .classifiers import (
-    Gallery, ScoreSet, MAD, MSE,
+    Gallery, MAD, MSE,
     MLPConfig, mlp_train, mlp_scores,
     pnn_train, pnn_classify,
     rbf_train, rbf_scores,
-    nn_scores, nn_classify_batch,
+    nn_scores,
 )
 from .fusion import MINMAX, fuse_mean, normalize_scores
 
@@ -72,16 +72,13 @@ def identification_rate(pairs: Sequence[tuple[int, int]]) -> float:
 # feature extraction pipelines
 # ---------------------------------------------------------------------------
 
-_TRANSFORM_FN = {DCT: dct2, DFT: dft2, LOGDFT: log_dft2}
-
-
 def transform_corpus(images: Sequence, kind: str, log_offset: float = 1e-4) -> list[CoeffMatrix]:
     """Full (unmasked) transform of every image, cached for re-masking."""
-    if kind not in _TRANSFORM_FN:
+    if kind not in TRANSFORMS:
         raise ValueError(f"unknown transform kind {kind!r}")
+    fn = TRANSFORMS[kind]
     if kind == LOGDFT:
-        return [log_dft2(img, offset=log_offset) for img in images]
-    fn = _TRANSFORM_FN[kind]
+        return [fn(img, offset=log_offset) for img in images]
     return [fn(img) for img in images]
 
 
@@ -156,24 +153,41 @@ class EvalConfig:
     fusion_mode: str = MINMAX
 
 
-def _make_scorer(name: str, gallery: Gallery, cfg: EvalConfig,
-                 ) -> tuple[Callable[[np.ndarray], ScoreSet], object]:
-    """Train (if needed) and return a per-probe ScoreSet producer + its model."""
+def _member_scores(name: str, gallery: Gallery, probes: np.ndarray,
+                   cfg: EvalConfig, models: dict) -> tuple[np.ndarray, str]:
+    """Train one base classifier (if it learns) into ``models``, then score."""
     if name in (NN_MAD, NN_MSE):
-        metric = MAD if name == NN_MAD else MSE
-        return (lambda vec: nn_scores(vec, gallery, metric)), None
+        return nn_scores(probes, gallery, MAD if name == NN_MAD else MSE)
     if name == MLP_NAME:
         model = mlp_train(gallery, MLPConfig(hidden=cfg.hidden, epochs=cfg.epochs,
                                              gamma=cfg.gamma, seed=cfg.seed))
-        return (lambda vec: mlp_scores(model, vec)), model
+        models[name] = model
+        return mlp_scores(model, probes)
     if name == PNN_NAME:
         model = pnn_train(gallery, cfg.spread)
-        return (lambda vec: pnn_classify(model, vec)[1]), model
+        models[name] = model
+        return pnn_classify(model, probes)
     if name == RBF_NAME:
-        model = rbf_train(gallery, cfg.spread,
-                          min(cfg.max_centers, gallery.size))
-        return (lambda vec: rbf_scores(model, vec)), model
+        model = rbf_train(gallery, cfg.spread, min(cfg.max_centers, gallery.size))
+        models[name] = model
+        return rbf_scores(model, probes)
     raise ValueError(f"unknown classifier spec {name!r}")
+
+
+def identify(parts: Sequence[str], gallery: Gallery, probes: np.ndarray,
+             cfg: EvalConfig | None = None, models: dict | None = None,
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The one decision rule: normalize each member's (k, S) scores row-wise,
+    take their mean, and answer each probe's arg-max subject (lowest id on
+    ties). Returns (predicted ids, fused matrix); trained models land in
+    ``models`` when given.
+    """
+    cfg = cfg if cfg is not None else EvalConfig()
+    models = models if models is not None else {}
+    opinions = [normalize_scores(*_member_scores(name, gallery, probes, cfg, models),
+                                 cfg.fusion_mode)
+                for name in parts]
+    return fuse_mean(opinions, gallery.subject_ids)
 
 
 def run_experiment(spec: str, gallery_feats: Sequence[FeatureVector],
@@ -194,27 +208,17 @@ def run_experiment(spec: str, gallery_feats: Sequence[FeatureVector],
     start = time.perf_counter()
     probes = np.stack([fv.coeffs for fv in probe_feats])
     tags = [_probe_tag(fv, i) for i, fv in enumerate(probe_feats)]
-    if len(parts) == 1 and parts[0] in (NN_MAD, NN_MSE):
-        metric = MAD if parts[0] == NN_MAD else MSE
-        preds = nn_classify_batch(probes, gallery, metric)
-    else:
-        scorers, models = zip(*[_make_scorer(p, gallery, cfg) for p in parts])
-        if artifacts is not None:
-            artifacts["models"] = {p: m for p, m in zip(parts, models)
-                                   if m is not None}
-        preds = []
-        fusion_rows = []
-        for i, vec in enumerate(probes):
-            opinions = [normalize_scores(score(vec), cfg.fusion_mode)
-                        for score in scorers]
-            pred, fused = fuse_mean(opinions)
-            preds.append(pred)
-            fusion_rows.append((tags[i], int(probe_feats[i].label), pred,
-                                float(fused.scores.max())))
-        if artifacts is not None and len(parts) > 1:
-            artifacts["fusion_rows"] = fusion_rows
+    models: dict = {}
+    preds, fused = identify(parts, gallery, probes, cfg, models)
+    truth = [int(fv.label) for fv in probe_feats]
+    if artifacts is not None:
+        artifacts["models"] = models
+        if len(parts) > 1:
+            artifacts["fusion_rows"] = [
+                (tag, true_id, int(pred), float(top))
+                for tag, true_id, pred, top in zip(tags, truth, preds, fused.max(axis=1))]
     runtime = time.perf_counter() - start
-    pairs = [(int(fv.label), int(p)) for fv, p in zip(probe_feats, preds)]
+    pairs = [(true_id, int(p)) for true_id, p in zip(truth, preds)]
     config = {"classifier": spec, "dim": gallery.dim,
               "n_gallery": gallery.size, "n_probes": len(probe_feats)}
     if extra_config:
@@ -234,8 +238,7 @@ class SweepPoint:
     rate: float
 
 
-def default_dim_grid(kind: str, mask_shape: str, rows: int, cols: int,
-                     n_gallery: int) -> list:
+def default_dim_grid(kind: str, rows: int, cols: int, n_gallery: int) -> list:
     """Mask sides / radii / component counts covering the interesting range."""
     if kind == KLT:
         top = min(n_gallery - 1, 200)
@@ -249,7 +252,8 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
                     grid: Sequence | None = None, metric: str = MAD, *,
                     complex_mode: str = MODULUS, r_low: float = 0.0,
                     log_offset: float = 1e-4) -> list[SweepPoint]:
-    """Identification rate as the retained-coefficient count grows.
+    """Nearest-neighbor identification rate as the retained-coefficient
+    count grows.
 
     One point per grid entry, grid sorted ascending. Transform-domain kinds
     interpret the grid as mask sides (rectangular) or radii (sectorial);
@@ -258,7 +262,7 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     """
     rows, cols = split.gallery[0].shape
     if grid is None:
-        grid = default_dim_grid(kind, mask_shape, rows, cols, len(split.gallery))
+        grid = default_dim_grid(kind, rows, cols, len(split.gallery))
     grid = sorted(grid)
     if len(grid) == 0:
         raise ValueError("sweep grid is empty")
@@ -276,7 +280,7 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
         for d in grid:
             d = int(d)
             gallery = Gallery(gal_full[:, :d], gal_labels)
-            preds = nn_classify_batch(probe_full[:, :d], gallery, metric)
+            preds, _ = identify([f"nn:{metric}"], gallery, probe_full[:, :d])
             rate = identification_rate(list(zip(probe_labels, preds)))
             points.append(SweepPoint(param=float(d), dim=d, rate=rate))
         return points
@@ -294,8 +298,8 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
         gal = mask_features(gal_coeffs, mask, complex_mode, r_low)
         probes = mask_features(probe_coeffs, mask, complex_mode, r_low)
         gallery = Gallery(np.stack([fv.coeffs for fv in gal]), gal_labels)
-        preds = nn_classify_batch(np.stack([fv.coeffs for fv in probes]),
-                                  gallery, metric)
+        preds, _ = identify([f"nn:{metric}"], gallery,
+                            np.stack([fv.coeffs for fv in probes]))
         rate = identification_rate(list(zip(probe_labels, preds)))
         points.append(SweepPoint(param=float(value), dim=gal[0].dim, rate=rate))
     return points
@@ -316,10 +320,7 @@ def sweep_spread(gallery_feats: Sequence[FeatureVector],
     base = cfg if cfg is not None else EvalConfig()
     points = []
     for spread in spreads:
-        run_cfg = EvalConfig(seed=base.seed, epochs=base.epochs,
-                             hidden=base.hidden, gamma=base.gamma,
-                             spread=float(spread), max_centers=base.max_centers,
-                             fusion_mode=base.fusion_mode)
+        run_cfg = replace(base, spread=float(spread))
         result = run_experiment(classifier, gallery_feats, probe_feats, run_cfg)
         points.append(SweepPoint(param=float(spread),
                                  dim=len(gallery_feats[0].coeffs),
@@ -455,11 +456,7 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
             if key in (PNN_NAME, RBF_NAME):
                 rate = best_spread[key][1]
             elif key.startswith("fusion:"):
-                run_cfg = EvalConfig(seed=cfg.seed, epochs=cfg.epochs,
-                                     hidden=cfg.hidden, gamma=cfg.gamma,
-                                     spread=best_spread[RBF_NAME][0],
-                                     max_centers=cfg.max_centers,
-                                     fusion_mode=cfg.fusion_mode)
+                run_cfg = replace(cfg, spread=best_spread[RBF_NAME][0])
                 rate = run_experiment(key, dct_gal, dct_probes, run_cfg).rate
             else:
                 rate = run_experiment(key, dct_gal, dct_probes, cfg).rate

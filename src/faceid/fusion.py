@@ -1,23 +1,24 @@
-"""Opinion fusion: rescale per-classifier score sets and average them.
+"""Opinion fusion: rescale each classifier's score matrix and average them.
 
-Distances and network outputs live on incommensurable scales, so each score
-set is first mapped to a common [0,1] similarity scale (min-max over the
-probe's own scores, after negating lower-is-better sets). The fused opinion
-is the element-wise mean. A z-score mode is kept for sensitivity checks; its
-outputs are deliberately left unclamped since min-max applied after a z-score
-would reproduce plain min-max exactly.
+Distances and network outputs live on incommensurable scales, so each
+classifier's (k, S) score matrix is first mapped, row by row, to a common
+similarity scale: min-max over the probe's own scores, after negating
+lower-is-better matrices. The fused opinion is the element-wise mean, and
+each probe's answer is its arg-max column, the lowest subject id on ties.
+A single classifier goes through the same rule. A z-score mode is kept for
+sensitivity checks; its outputs are deliberately left unclamped since
+min-max applied after a z-score would reproduce plain min-max exactly.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .classifiers.common import ScoreSet, LOWER
+from .classifiers.common import HIGHER, LOWER
 
 MINMAX = "minmax"
 ZSCORE = "zscore"
@@ -25,84 +26,54 @@ ZSCORE = "zscore"
 MODES = (MINMAX, ZSCORE)
 
 
-@dataclass(eq=False)
-class NormalizedScoreSet:
-    """Higher-is-better similarity scores on a shared scale, ids ascending."""
+def normalize_scores(scores: np.ndarray, polarity: str,
+                     mode: str = MINMAX) -> np.ndarray:
+    """Map one classifier's (k, S) scores onto the fusion scale, row by row.
 
-    scores: np.ndarray
-    subject_ids: np.ndarray
-    classifier_id: str
-    mode: str = MINMAX
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.subject_ids = np.asarray(self.subject_ids, dtype=np.int64)
-        if self.scores.shape != self.subject_ids.shape or self.scores.ndim != 1:
-            raise ValueError("scores and subject_ids must be matching 1-D arrays")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("scores must all be finite")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.mode == MINMAX and (self.scores.min() < 0 or self.scores.max() > 1):
-            raise ValueError("min-max normalized scores must lie in [0, 1]")
-        if np.any(np.diff(self.subject_ids) < 0):
-            raise ValueError("subject_ids must be ascending")
-
-    def best_subject(self) -> int:
-        """Argmax subject; ties resolve to the lowest subject id."""
-        return int(self.subject_ids[np.argmax(self.scores)])
-
-
-def normalize_scores(raw: ScoreSet, mode: str = MINMAX) -> NormalizedScoreSet:
-    """Map one classifier's scores onto the fusion scale.
-
-    Lower-is-better sets are negated first. Min-max sends the probe's worst
-    subject to 0 and best to 1; a constant set carries no opinion and maps
-    to all 0.5.
+    Lower-is-better matrices are negated first. Min-max sends each probe's
+    worst subject to 0 and best to 1; a constant row carries no opinion and
+    maps to all 0.5 in either mode.
     """
-    if raw.subject_ids.size < 2:
-        raise ValueError("normalization needs at least 2 subjects")
-    if not np.all(np.isfinite(raw.scores)):
+    vals = np.array(scores, dtype=np.float64)
+    if vals.ndim != 2 or vals.shape[1] < 2:
+        raise ValueError("normalization needs a (k, S) matrix of at least 2 subjects")
+    if not np.all(np.isfinite(vals)):
         raise ValueError("raw scores must all be finite")
-    order = np.argsort(raw.subject_ids, kind="stable")
-    vals = raw.scores[order].astype(np.float64)
-    if raw.polarity == LOWER:
+    if polarity == LOWER:
         vals = -vals
+    elif polarity != HIGHER:
+        raise ValueError(f"polarity must be {HIGHER!r} or {LOWER!r}")
     if mode == MINMAX:
-        span = vals.max() - vals.min()
-        if span == 0.0:
-            scaled = np.full_like(vals, 0.5)
-        else:
-            scaled = (vals - vals.min()) / span
+        center = vals.min(axis=1, keepdims=True)
+        scale = vals.max(axis=1, keepdims=True) - center
     elif mode == ZSCORE:
-        std = vals.std()
-        if std == 0.0:
-            scaled = np.full_like(vals, 0.5)
-        else:
-            scaled = (vals - vals.mean()) / std
+        center = vals.mean(axis=1, keepdims=True)
+        scale = vals.std(axis=1, keepdims=True)
     else:
         raise ValueError(f"mode must be one of {MODES}")
-    return NormalizedScoreSet(scaled, raw.subject_ids[order],
-                              raw.classifier_id, mode)
+    flat = scale[:, 0] == 0.0
+    scaled = (vals - center) / np.where(flat[:, None], 1.0, scale)
+    scaled[flat] = 0.5
+    return scaled
 
 
-def fuse_mean(sets: Sequence[NormalizedScoreSet]) -> tuple[int, NormalizedScoreSet]:
-    """Element-wise mean opinion; prediction = argmax, lowest id on ties."""
-    if not sets:
-        raise ValueError("fusion needs at least one score set")
-    first = sets[0]
-    for s in sets[1:]:
-        if s.scores.size != first.scores.size:
-            raise ValueError("score sets have mismatched lengths")
-        if not np.array_equal(s.subject_ids, first.subject_ids):
-            raise ValueError("score sets cover different subjects")
-        if s.mode != first.mode:
-            raise ValueError("score sets use different normalization modes")
-    fused_scores = np.mean([s.scores for s in sets], axis=0)
-    fused = NormalizedScoreSet(fused_scores, first.subject_ids.copy(),
-                               "fusion:" + "+".join(s.classifier_id for s in sets),
-                               first.mode)
-    return fused.best_subject(), fused
+def fuse_mean(opinions: Sequence[np.ndarray],
+              subject_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Element-wise mean of normalized (k, S) opinions, and each row's winner.
+
+    Columns are ``subject_ids``, ascending, so the first maximal column (the
+    lowest subject id) wins a tie. Returns (predicted ids, fused matrix).
+    """
+    if not opinions:
+        raise ValueError("fusion needs at least one score matrix")
+    shape = opinions[0].shape
+    if any(op.shape != shape for op in opinions):
+        raise ValueError("score matrices have mismatched shapes")
+    subject_ids = np.asarray(subject_ids)
+    if subject_ids.shape != shape[1:] or np.any(np.diff(subject_ids) <= 0):
+        raise ValueError("subject_ids must be ascending, one per score column")
+    fused = np.mean(opinions, axis=0)
+    return subject_ids[np.argmax(fused, axis=1)], fused
 
 
 def write_fusion_report(rows: Sequence[tuple[str, int, int, float]],

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .dataset import Image, write_pgm
+from .dataset import Image
 
 DCT = "dct"
 DFT = "dft"
@@ -256,14 +256,6 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
     if not features:
         raise ValueError(f"{path}: no feature rows")
     return features
-
-
-def coeffs_to_pgm(coeffs: CoeffMatrix, path: str | Path) -> None:
-    """Diagnostic dump of a coefficient matrix as PGM (lossy linear rescale)."""
-    values = np.abs(coeffs.values) if np.iscomplexobj(coeffs.values) else coeffs.values
-    lo, hi = values.min(), values.max()
-    scaled = np.zeros_like(values, dtype=np.float64) if hi == lo else (values - lo) / (hi - lo)
-    write_pgm(scaled, path)
 
 
 def relative_l2_error(original: Image | np.ndarray, reconstructed: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from faceid.classifiers import (
-    HIGHER, Gallery, MLPConfig, ScoreSet, mlp_train, msereg_gradient,
+    HIGHER, Gallery, MLPConfig, mlp_train, msereg_gradient,
     msereg_loss, pnn_classify, pnn_train, rbf_train,
 )
 from faceid.dataset import split_first_k, synth_corpus
@@ -144,12 +144,6 @@ def _clustered_gallery(rng, n_subjects=4, per_class=3, dim=6):
     return Gallery(matrix=np.stack(rows), labels=np.array(labels))
 
 
-def _scoreset(scores, cid):
-    return ScoreSet(scores=np.asarray(scores, dtype=float),
-                    subject_ids=np.arange(1, len(scores) + 1),
-                    polarity=HIGHER, classifier_id=cid)
-
-
 def test_criterion_8_property_battery():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
@@ -213,9 +207,11 @@ def test_criterion_8_property_battery():
     z_rows = gallery.normalized_matrix()
     for spread in (0.2, 1e-6):
         model = pnn_train(gallery, spread=spread)
-        for j in (0, 4, 7, 11):
-            probe = gallery.matrix[j] + rng.normal(scale=0.05, size=gallery.dim)
-            pred, _ = pnn_classify(model, probe)
+        probes = np.stack([gallery.matrix[j] + rng.normal(scale=0.05, size=gallery.dim)
+                           for j in (0, 4, 7, 11)])
+        preds, _ = fuse_mean([normalize_scores(*pnn_classify(model, probes))],
+                             model.subject_ids)
+        for probe, pred in zip(probes, preds):
             z = gallery.normalize(probe)
             nearest = int(np.argmin(np.linalg.norm(z_rows - z, axis=1)))
             assert pred == gallery.labels[nearest]
@@ -228,9 +224,9 @@ def test_criterion_8_property_battery():
     for _ in range(10):
         mats = rng.random((3, 5))
         mats[:, 2] = 2.0  # subject 3 dominates every opinion
-        raws = [normalize_scores(_scoreset(s, f"c{i}")) for i, s in enumerate(mats)]
-        pred, _ = fuse_mean(raws)
-        assert pred == 3
+        opinions = [normalize_scores(s[None, :], HIGHER) for s in mats]
+        preds, _ = fuse_mean(opinions, np.arange(1, 6))
+        assert preds.tolist() == [3]
 
     # seeded runs are bit-reproducible
     cfg = MLPConfig(hidden=4, epochs=40, seed=9)

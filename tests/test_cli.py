@@ -210,6 +210,23 @@ def test_config_file_precedence(tmp_path):
     assert manifest["config"]["spread"] == 2.0  # file still fills the rest
 
 
+def test_config_file_values_obey_flag_choices(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for line in ("complex_mode = bogus", "fusion_mode = nope", "transform = wavelet",
+                 "metric = cosine", "mask_shape = oval"):
+        cfg.write_text(f"seed = 1\n{line}\n")
+        out = tmp_path / "out"
+        assert run(["evaluate", "--synth", SYNTH, "--train-k", "3",
+                    "--config", str(cfg), "--out", str(out)]) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+    cfg.write_text("complex_mode = interleave\nfusion_mode = zscore\nmask_shape = sector\n")
+    assert run(["evaluate", "--synth", SYNTH, "--train-k", "3", "--config", str(cfg),
+                "--out", str(tmp_path / "ok")]) == 0
+    manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    assert manifest["config"]["fusion_mode"] == "zscore"
+
+
 # ---------------------------------------------------------------------------
 # sweep and table1
 

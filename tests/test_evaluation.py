@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from faceid.classifiers import Gallery, MLPModel, nn_classify
+from faceid.classifiers import (
+    HIGHER, Gallery, MLPModel, mlp_scores, mse_dist, nn_scores, pnn_classify,
+    rbf_scores,
+)
 from faceid.dataset import synth_corpus
 from faceid.evaluation import (
     DCT, KLT, RECTANGULAR, SECTORIAL, EvalConfig, GaussianFit, SweepPoint,
     TABLE_TARGETS, default_dim_grid, distance_histograms,
-    extract_split_features, format_table, identification_rate,
+    extract_split_features, format_table, identification_rate, identify,
     parse_classifier_spec, run_experiment, sweep_dimension, sweep_spread,
     table1_report, write_curve_csv, write_histogram_csv, write_manifest,
     write_result_csv, write_table_csv,
@@ -74,14 +77,48 @@ def test_nn_experiment_structure(dct_features):
     assert result.probe_tags[0] == f"s{probes[0].label}_{probes[0].sample_id}"
 
 
-def test_nn_fast_path_matches_per_probe_loop(dct_features):
+def test_nn_experiment_matches_per_probe_loop(dct_features):
     gal, probes = dct_features
     result = run_experiment("nn:mse", gal, probes)
-    gallery = Gallery.from_features(gal)
     for (true_id, pred_id), fv in zip(result.pairs, probes):
-        want, _ = nn_classify(fv.coeffs, gallery, "mse")
+        # exhaustive search; scanning ids in ascending order keeps the lowest on ties
+        best = {}
+        for g in gal:
+            d = mse_dist(fv, g)
+            best[g.label] = min(d, best.get(g.label, np.inf))
+        want = min(sorted(best), key=lambda sid: best[sid])
         assert pred_id == want
         assert true_id == fv.label
+
+
+def test_single_member_decision_matches_raw_arg_best(dct_features):
+    # normalizing one member's scores before the arg-max changes no decision
+    gal, probes = dct_features
+    gallery = Gallery.from_features(gal)
+    block = np.stack([fv.coeffs for fv in probes])
+    cfg = EvalConfig(spread=2.0, max_centers=12, epochs=30, hidden=5)
+    scorers = {"mlp": mlp_scores, "pnn": pnn_classify, "rbf": rbf_scores}
+    for spec in ("nn:mad", "nn:mse", "mlp", "pnn", "rbf"):
+        models = {}
+        preds, _ = identify([spec], gallery, block, cfg, models)
+        if spec in scorers:
+            scores, polarity = scorers[spec](models[spec], block)
+        else:
+            scores, polarity = nn_scores(block, gallery, spec[len("nn:"):])
+        best = np.argmax(scores, axis=1) if polarity == HIGHER else np.argmin(scores, axis=1)
+        assert preds.tolist() == gallery.subject_ids[best].tolist()
+        result = run_experiment(spec, gal, probes, cfg)
+        assert [p for _, p in result.pairs] == preds.tolist()
+
+
+def test_nonfinite_scores_fail_the_experiment(dct_features):
+    gal, probes = dct_features
+    from faceid.transforms import FeatureVector
+    bad = [FeatureVector(coeffs=np.full(fv.dim, np.nan), source=fv.source,
+                         label=fv.label, sample_id=fv.sample_id) for fv in probes]
+    for spec in ("nn:mad", "pnn", "fusion:rbf+nn:mse"):
+        with pytest.raises(ValueError, match="finite"):
+            run_experiment(spec, gal, bad, EvalConfig(max_centers=5))
 
 
 def test_fusion_experiment_artifacts(dct_features):
@@ -152,10 +189,10 @@ def test_dimension_sweep_empty_grid(small_split):
 
 
 def test_default_dim_grid():
-    assert default_dim_grid(DCT, RECTANGULAR, 24, 20, 24) == list(range(1, 21))
-    assert default_dim_grid(DCT, RECTANGULAR, 112, 92, 200) == list(range(1, 31))
-    assert default_dim_grid(KLT, RECTANGULAR, 24, 20, 24) == [5, 10, 20]
-    assert default_dim_grid(KLT, RECTANGULAR, 24, 20, 3) == [2]
+    assert default_dim_grid(DCT, 24, 20, 24) == list(range(1, 21))
+    assert default_dim_grid(DCT, 112, 92, 200) == list(range(1, 31))
+    assert default_dim_grid(KLT, 24, 20, 24) == [5, 10, 20]
+    assert default_dim_grid(KLT, 24, 20, 3) == [2]
 
 
 def test_spread_sweep(dct_features):

@@ -1,46 +1,69 @@
-"""Score normalization and mean-rule opinion fusion."""
+"""Score normalization and mean-rule opinion fusion on (k, S) score matrices."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faceid.classifiers import HIGHER, LOWER, ScoreSet
+from faceid.classifiers import HIGHER, LOWER
 from faceid.fusion import (
-    MINMAX, ZSCORE, NormalizedScoreSet, fuse_mean, normalize_scores,
-    write_fusion_report,
+    MINMAX, ZSCORE, fuse_mean, normalize_scores, write_fusion_report,
 )
 
 
-def raw(scores, polarity=HIGHER, ids=None, cid="mlp"):
-    scores = np.asarray(scores, dtype=float)
-    if ids is None:
-        ids = np.arange(1, scores.size + 1)
-    return ScoreSet(scores=scores, subject_ids=np.asarray(ids), polarity=polarity,
-                    classifier_id=cid)
+def ids(n):
+    return np.arange(1, n + 1)
+
+
+def row(scores, polarity=HIGHER, mode=MINMAX):
+    """One probe's scores, normalized as a 1-row matrix."""
+    return normalize_scores(np.array([scores], dtype=float), polarity, mode)
+
+
+def winner(opinions):
+    preds, _ = fuse_mean(opinions, ids(opinions[0].shape[1]))
+    return preds.tolist()
 
 
 def test_lower_is_better_flips_to_higher():
-    norm = normalize_scores(raw([0.0, 10.0], polarity=LOWER, cid="nn:mad"))
-    assert norm.scores == pytest.approx([1.0, 0.0])
-    assert norm.best_subject() == 1
+    norm = row([0.0, 10.0], polarity=LOWER)
+    assert norm[0] == pytest.approx([1.0, 0.0])
+    assert winner([norm]) == [1]
 
 
 def test_constant_scores_become_half():
-    norm = normalize_scores(raw([0.2, 0.2, 0.2]))
-    assert np.array_equal(norm.scores, [0.5, 0.5, 0.5])
+    norm = normalize_scores(np.array([[0.2, 0.2, 0.2], [0.0, 1.0, 0.5]]), HIGHER)
+    assert np.array_equal(norm[0], [0.5, 0.5, 0.5])  # only the flat row
+    assert np.array_equal(norm[1], [0.0, 1.0, 0.5])
 
 
 def test_minmax_three_point_example():
-    norm = normalize_scores(raw([-0.9, 0.1, -0.4]))
-    assert norm.scores == pytest.approx([0.0, 1.0, 0.5])
+    assert row([-0.9, 0.1, -0.4])[0] == pytest.approx([0.0, 1.0, 0.5])
 
 
-def test_normalization_reorders_by_subject_id():
-    norm = normalize_scores(raw([1.0, 0.0], ids=[5, 2]))
-    assert norm.subject_ids.tolist() == [2, 5]
-    assert norm.scores == pytest.approx([0.0, 1.0])
-    assert norm.best_subject() == 5
+def test_rowwise_normalization_matches_per_row_loop():
+    # the batch result equals normalizing every probe on its own, bit for bit,
+    # and a naive per-row formula
+    rng = np.random.default_rng(4)
+    scores = rng.normal(size=(9, 7))
+    scores[3] = 1.25  # a flat row
+    for polarity in (HIGHER, LOWER):
+        vals = scores if polarity == HIGHER else -scores
+        for mode in (MINMAX, ZSCORE):
+            batch = normalize_scores(scores, polarity, mode)
+            singles = np.vstack([normalize_scores(r[None, :], polarity, mode)
+                                 for r in scores])
+            assert np.array_equal(batch, singles)
+            for got, v in zip(batch, vals):
+                if v.max() == v.min():
+                    want = [0.5] * v.size
+                elif mode == MINMAX:
+                    want = [(x - min(v)) / (max(v) - min(v)) for x in v]
+                else:
+                    mean = sum(v) / v.size
+                    std = (sum((x - mean) ** 2 for x in v) / v.size) ** 0.5
+                    want = [(x - mean) / std for x in v]
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60)
@@ -48,109 +71,115 @@ def test_normalization_reorders_by_subject_id():
        st.sampled_from([HIGHER, LOWER]))
 def test_normalization_preserves_the_winner(values, polarity):
     # integer grid: gaps stay resolvable after the affine rescale
-    scores = raw([v * 0.25 for v in values], polarity=polarity)
-    norm = normalize_scores(scores)
-    assert norm.best_subject() == scores.best_subject()
-    assert norm.scores.min() == 0.0 and norm.scores.max() == 1.0
+    scores = np.array([v * 0.25 for v in values])
+    raw_best = np.argmax(scores) if polarity == HIGHER else np.argmin(scores)
+    norm = row(scores, polarity)
+    assert winner([norm]) == [raw_best + 1]
+    assert norm.min() == 0.0 and norm.max() == 1.0
+
+
+def test_exact_ties_go_to_lowest_subject_id():
+    subject_ids = np.array([3, 5, 8, 13])
+    raw = np.array([[0.5, 0.9, 0.9, 0.1],    # tie between columns 1 and 2
+                    [0.7, 0.2, 0.7, 0.7],    # three-way tie including column 0
+                    [0.4, 0.4, 0.4, 0.4],    # flat: every subject tied
+                    [0.1, 0.2, 0.3, 0.3]])   # tie in the last two columns
+    preds, _ = fuse_mean([normalize_scores(raw, HIGHER)], subject_ids)
+    assert preds.tolist() == [5, 3, 3, 8]
+    preds, _ = fuse_mean([normalize_scores(-raw, LOWER)], subject_ids)
+    assert preds.tolist() == [5, 3, 3, 8]
+
+
+def test_nonfinite_scores_are_refused():
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = np.array([[0.1, 0.2, 0.3], [0.4, bad, 0.6]])
+        for mode in (MINMAX, ZSCORE):
+            with pytest.raises(ValueError, match="finite"):
+                normalize_scores(scores, HIGHER, mode)
 
 
 def test_zscore_mode_is_unbounded():
-    norm = normalize_scores(raw([0.0, 0.0, 100.0]), mode=ZSCORE)
-    assert norm.mode == ZSCORE
-    assert norm.scores.max() > 1.0  # z units, deliberately unclamped
-    assert norm.best_subject() == 3
-    constant = normalize_scores(raw([3.0, 3.0]), mode=ZSCORE)
-    assert np.array_equal(constant.scores, [0.5, 0.5])
+    norm = row([0.0, 0.0, 100.0], mode=ZSCORE)
+    assert norm.max() > 1.0  # z units, deliberately unclamped
+    assert winner([norm]) == [3]
+    constant = row([3.0, 3.0], mode=ZSCORE)
+    assert np.array_equal(constant, [[0.5, 0.5]])
 
 
 def test_normalize_validation():
     with pytest.raises(ValueError, match="2 subjects"):
-        normalize_scores(raw([1.0], ids=[1]))
+        normalize_scores(np.array([[1.0]]), HIGHER)
     with pytest.raises(ValueError, match="mode"):
-        normalize_scores(raw([1.0, 2.0]), mode="rank")
+        row([1.0, 2.0], mode="rank")
 
 
 def test_fuse_mean_is_elementwise_average():
-    a = normalize_scores(raw([0.0, 1.0, 0.5], cid="rbf"))
-    b = normalize_scores(raw([1.0, 0.0, 0.5], cid="nn:mad", polarity=LOWER))
-    pred, fused = fuse_mean([a, b])
-    # nn:mad flips: (1, 0, 0.5) -> lower is better became higher is better
-    assert fused.scores == pytest.approx((a.scores + b.scores) / 2)
-    assert fused.classifier_id == "fusion:rbf+nn:mad"
-    assert fused.mode == MINMAX
-    assert pred == fused.best_subject()
+    a = normalize_scores(np.array([[0.0, 1.0, 0.5], [2.0, 1.0, 0.0]]), HIGHER)
+    # lower is better: (1, 0, 0.5) flips to (0, 1, 0.5)
+    b = normalize_scores(np.array([[1.0, 0.0, 0.5], [0.0, 3.0, 1.0]]), LOWER)
+    preds, fused = fuse_mean([a, b], ids(3))
+    assert fused == pytest.approx((a + b) / 2)
+    assert preds.tolist() == (np.argmax(fused, axis=1) + 1).tolist()
 
 
 def test_fused_scores_stay_in_unit_interval():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        sets = [normalize_scores(raw(rng.normal(size=6), cid=f"c{i}"))
-                for i in range(3)]
-        _, fused = fuse_mean(sets)
-        assert np.all(fused.scores >= 0.0) and np.all(fused.scores <= 1.0)
+    opinions = [normalize_scores(rng.normal(size=(20, 6)), HIGHER) for _ in range(3)]
+    _, fused = fuse_mean(opinions, ids(6))
+    assert np.all(fused >= 0.0) and np.all(fused <= 1.0)
 
 
 def test_fusion_single_set_is_identity():
-    a = normalize_scores(raw([0.3, 0.9, 0.1]))
-    pred, fused = fuse_mean([a])
-    assert np.array_equal(fused.scores, a.scores)
-    assert pred == a.best_subject()
-    assert fused.classifier_id == "fusion:mlp"
+    a = normalize_scores(np.array([[0.3, 0.9, 0.1], [0.8, 0.2, 0.5]]), HIGHER)
+    preds, fused = fuse_mean([a], ids(3))
+    assert np.array_equal(fused, a)
+    assert preds.tolist() == [2, 1]
 
 
 def test_fusion_respects_unanimous_winner():
-    a = normalize_scores(raw([0.0, 2.0, 1.0], cid="a"))
-    b = normalize_scores(raw([0.1, 5.0, 0.2], cid="b"))
-    pred, _ = fuse_mean([a, b])
-    assert pred == 2
+    a = row([0.0, 2.0, 1.0])
+    b = row([0.1, 5.0, 0.2])
+    assert winner([a, b]) == [2]
 
 
 def test_fusion_order_changes_only_the_id():
-    a = normalize_scores(raw([0.0, 2.0, 1.0], cid="a"))
-    b = normalize_scores(raw([3.0, 1.0, 2.0], cid="b"))
-    pred_ab, fused_ab = fuse_mean([a, b])
-    pred_ba, fused_ba = fuse_mean([b, a])
-    assert pred_ab == pred_ba
-    assert np.array_equal(fused_ab.scores, fused_ba.scores)
-    assert fused_ab.classifier_id == "fusion:a+b"
-    assert fused_ba.classifier_id == "fusion:b+a"
+    # member order changes nothing in the fused opinion or the decision
+    a = row([0.0, 2.0, 1.0])
+    b = row([3.0, 1.0, 2.0])
+    preds_ab, fused_ab = fuse_mean([a, b], ids(3))
+    preds_ba, fused_ba = fuse_mean([b, a], ids(3))
+    assert preds_ab.tolist() == preds_ba.tolist()
+    assert np.array_equal(fused_ab, fused_ba)
 
 
 def test_fusion_can_overturn_a_single_vote():
     # classifier a narrowly prefers subject 1; b strongly prefers subject 2
-    a = NormalizedScoreSet(scores=np.array([0.55, 0.45]),
-                           subject_ids=np.array([1, 2]), classifier_id="a", mode=MINMAX)
-    b = NormalizedScoreSet(scores=np.array([0.0, 1.0]),
-                           subject_ids=np.array([1, 2]), classifier_id="b", mode=MINMAX)
-    pred, _ = fuse_mean([a, b])
-    assert pred == 2
+    a = np.array([[0.55, 0.45]])
+    b = np.array([[0.0, 1.0]])
+    assert winner([a, b]) == [2]
 
 
 def test_fusion_mismatch_errors():
-    a = normalize_scores(raw([0.0, 1.0]))
-    short = normalize_scores(raw([0.0, 1.0, 0.5]))
-    other_ids = normalize_scores(raw([0.0, 1.0], ids=[7, 8]))
-    zmode = normalize_scores(raw([0.0, 1.0]), mode=ZSCORE)
-    with pytest.raises(ValueError, match="lengths"):
-        fuse_mean([a, short])
-    with pytest.raises(ValueError, match="subjects"):
-        fuse_mean([a, other_ids])
-    with pytest.raises(ValueError, match="modes"):
-        fuse_mean([a, zmode])
-    with pytest.raises(ValueError, match="one score set"):
-        fuse_mean([])
+    a = row([0.0, 1.0])
+    short = row([0.0, 1.0, 0.5])
+    with pytest.raises(ValueError, match="shapes"):
+        fuse_mean([a, short], ids(2))
+    with pytest.raises(ValueError, match="subject_ids"):
+        fuse_mean([a, a], ids(3))
+    with pytest.raises(ValueError, match="at least one"):
+        fuse_mean([], ids(2))
 
 
 def test_normalized_set_validation():
+    # columns are subject ids in ascending order, one per column
+    a = row([0.1, 0.2])
     with pytest.raises(ValueError, match="ascending"):
-        NormalizedScoreSet(scores=np.array([0.1, 0.2]),
-                           subject_ids=np.array([2, 1]), classifier_id="x", mode=MINMAX)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        NormalizedScoreSet(scores=np.array([0.1, 1.2]),
-                           subject_ids=np.array([1, 2]), classifier_id="x", mode=MINMAX)
-    # the same scores are fine in z-score mode
-    NormalizedScoreSet(scores=np.array([0.1, 1.2]),
-                       subject_ids=np.array([1, 2]), classifier_id="x", mode=ZSCORE)
+        fuse_mean([a], np.array([2, 1]))
+    with pytest.raises(ValueError, match="ascending"):
+        fuse_mean([a], np.array([4, 4]))
+    # a probe block is 2-D: one row per probe
+    with pytest.raises(ValueError, match=r"\(k, S\)"):
+        normalize_scores(np.array([0.1, 0.2]), HIGHER)
 
 
 def test_fusion_report_csv(tmp_path):

@@ -7,9 +7,16 @@ import pytest
 
 from faceid.classifiers import (
     HIGHER, DivergenceError, Gallery, MLPConfig, MLPModel, make_targets,
-    mlp_classify, mlp_gradient, mlp_scores, mlp_train, msereg_gradient,
+    mlp_gradient, mlp_scores, mlp_train, msereg_gradient,
     msereg_loss, pack_params, unpack_params, write_training_log,
 )
+from faceid.fusion import fuse_mean, normalize_scores
+
+
+def mlp_predict(model, probes):
+    preds, _ = fuse_mean([normalize_scores(*mlp_scores(model, probes))],
+                         model.subject_ids)
+    return preds.tolist()
 
 
 def fd_gradient(theta, x, t, gamma, hidden, h=1e-6):
@@ -133,23 +140,39 @@ def test_training_is_deterministic_per_seed():
 def test_trained_model_separates_genuine_from_impostor():
     gallery = separable_gallery()
     model = mlp_train(gallery, MLPConfig(hidden=8, epochs=400, seed=0))
-    for row, label in zip(gallery.matrix, gallery.labels):
-        pred, scores = mlp_classify(model, row)
-        assert pred == label
-        own = scores.scores[list(scores.subject_ids).index(label)]
-        others = [s for s, sid in zip(scores.scores, scores.subject_ids) if sid != label]
+    scores, _ = mlp_scores(model, gallery.matrix)
+    assert mlp_predict(model, gallery.matrix) == gallery.labels.tolist()
+    for row, label in zip(scores, gallery.labels):
+        own = row[list(model.subject_ids).index(label)]
+        others = [s for s, sid in zip(row, model.subject_ids) if sid != label]
         assert own > max(others)
 
 
 def test_scores_polarity_and_range():
     gallery = separable_gallery()
     model = mlp_train(gallery, MLPConfig(hidden=4, epochs=30, seed=0))
-    scores = mlp_scores(model, gallery.matrix[0])
-    assert scores.polarity == HIGHER
-    assert scores.classifier_id == "mlp"
-    assert np.all(np.abs(scores.scores) < 1.0)  # tanh outputs
+    scores, polarity = mlp_scores(model, gallery.matrix[:3])
+    assert polarity == HIGHER
+    assert scores.shape == (3, model.n_outputs)
+    assert np.all(np.abs(scores) < 1.0)  # tanh outputs
     with pytest.raises(ValueError, match="dim"):
-        mlp_scores(model, np.zeros(99))
+        mlp_scores(model, np.zeros((1, 99)))
+    with pytest.raises(ValueError, match="finite"):
+        mlp_scores(model, np.full((1, gallery.dim), np.nan))
+
+
+def test_batch_scores_bit_equal_row_loop():
+    # the batch forward pass must reproduce a row-by-row `w @ a` exactly
+    gallery = separable_gallery()
+    model = mlp_train(gallery, MLPConfig(hidden=7, epochs=50, seed=2))
+    probes = np.random.default_rng(8).normal(size=(13, gallery.dim))
+    batch, _ = mlp_scores(model, probes)
+    loop = []
+    for probe in probes:
+        z = (probe - model.norm_mean) / model.norm_std
+        a1 = np.tanh(model.w1 @ z + model.b1)
+        loop.append(np.tanh(model.w2 @ a1 + model.b2))
+    assert np.array_equal(batch, np.stack(loop))
 
 
 def test_zero_weight_model_outputs_bias_only():
@@ -160,22 +183,20 @@ def test_zero_weight_model_outputs_bias_only():
         norm_mean=np.zeros(3), norm_std=np.ones(3),
         config=MLPConfig(hidden=4, epochs=1),
     )
-    scores = mlp_scores(model, np.array([9.0, -2.0, 4.0]))
-    assert scores.scores == pytest.approx(np.tanh([0.3, -0.2]))
-    pred, _ = mlp_classify(model, np.zeros(3))
-    assert pred == 1
+    scores, _ = mlp_scores(model, np.array([[9.0, -2.0, 4.0]]))
+    assert scores[0] == pytest.approx(np.tanh([0.3, -0.2]))
+    assert mlp_predict(model, np.zeros((1, 3))) == [1]
 
 
 def test_equal_outputs_tie_to_lowest_subject():
     model = MLPModel(
         w1=np.zeros((2, 2)), b1=np.zeros(2),
         w2=np.zeros((3, 2)), b2=np.zeros(3),
-        subject_ids=np.array([4, 9, 2]),
+        subject_ids=np.array([2, 4, 9]),
         norm_mean=np.zeros(2), norm_std=np.ones(2),
         config=MLPConfig(hidden=2, epochs=1),
     )
-    pred, _ = mlp_classify(model, np.ones(2))
-    assert pred == 2
+    assert mlp_predict(model, np.ones((2, 2))) == [2, 2]
 
 
 def test_divergence_raises_with_epoch():

@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from faceid.classifiers import (
-    LOWER, MAD, MSE, Gallery, ScoreSet, mad, mse_dist,
-    nn_classify, nn_classify_batch, nn_scores,
-)
+from faceid.classifiers import LOWER, MAD, MSE, Gallery, mad, mse_dist, nn_scores
+from faceid.evaluation import identify
+from faceid.fusion import normalize_scores
 
 
 def make_gallery(matrix, labels):
     return Gallery(matrix=np.asarray(matrix, dtype=float),
                    labels=np.asarray(labels, dtype=int))
+
+
+def nn_predict(probes, gallery, metric):
+    """Decisions for a probe block under the single decision rule."""
+    preds, _ = identify([f"nn:{metric}"], gallery, np.atleast_2d(probes))
+    return preds.tolist()
 
 
 def test_mad_trivial():
@@ -52,42 +57,49 @@ def test_metrics_match_loop_oracle(x, y):
 def test_nn_classify_exact_match():
     gallery = make_gallery([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [1, 2, 3])
     for metric in (MAD, MSE):
-        pred, scores = nn_classify(np.array([10.0, 0.0]), gallery, metric)
-        assert pred == 2
-        assert isinstance(scores, ScoreSet)
-        assert scores.polarity == LOWER
-        assert scores.classifier_id == f"nn:{metric}"
+        scores, polarity = nn_scores(np.array([[10.0, 0.0]]), gallery, metric)
+        assert scores.shape == (1, 3)
+        assert polarity == LOWER
+        assert scores[0, 1] == 0.0
+        assert nn_predict([10.0, 0.0], gallery, metric) == [2]
 
 
 def test_nn_scores_per_subject_minimum():
     # subject 1 has two templates; the score keeps the closer one
     gallery = make_gallery([[0.0], [4.0], [10.0]], [1, 1, 2])
-    scores = nn_scores(np.array([3.0]), gallery, MAD)
-    assert list(scores.subject_ids) == [1, 2]
-    assert scores.scores[0] == pytest.approx(1.0)  # min(3, 1)
-    assert scores.scores[1] == pytest.approx(7.0)
+    scores, _ = nn_scores(np.array([[3.0], [9.0]]), gallery, MAD)
+    assert gallery.subject_ids.tolist() == [1, 2]
+    assert scores[0] == pytest.approx([1.0, 7.0])  # min(3, 1)
+    assert scores[1] == pytest.approx([5.0, 1.0])  # min(9, 5)
 
 
 def test_nn_tie_goes_to_lowest_subject_id():
     gallery = make_gallery([[1.0], [-1.0]], [7, 3])
-    pred, _ = nn_classify(np.array([0.0]), gallery, MAD)
-    assert pred == 3
+    scores, _ = nn_scores(np.array([[0.0]]), gallery, MAD)
+    assert scores[0, 0] == scores[0, 1]  # an exact tie
+    assert nn_predict([0.0], gallery, MAD) == [3]
 
 
 def test_metrics_can_disagree():
     # MAD prefers one small coordinate error; MSE punishes the large one more
     gallery = make_gallery([[3.0, 0.0], [2.0, 2.0]], [1, 2])
     probe = np.array([0.0, 0.0])
-    pred_mad, _ = nn_classify(probe, gallery, MAD)
-    pred_mse, _ = nn_classify(probe, gallery, MSE)
-    assert pred_mad == 1  # 3 < 4
-    assert pred_mse == 2  # 9 > 8
+    assert nn_predict(probe, gallery, MAD) == [1]  # 3 < 4
+    assert nn_predict(probe, gallery, MSE) == [2]  # 9 > 8
 
 
 def test_unknown_metric():
     gallery = make_gallery([[0.0], [1.0]], [1, 2])
     with pytest.raises(ValueError, match="metric"):
-        nn_classify(np.zeros(1), gallery, "cosine")
+        nn_scores(np.zeros((1, 1)), gallery, "cosine")
+
+
+def test_probe_block_must_match_gallery_dim():
+    gallery = make_gallery([[0.0, 1.0], [1.0, 0.0]], [1, 2])
+    with pytest.raises(ValueError, match="dim"):
+        nn_scores(np.zeros((3, 5)), gallery, MAD)
+    with pytest.raises(ValueError, match=r"\(k, d\)"):
+        nn_scores(np.zeros(2), gallery, MAD)
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,44 +109,52 @@ def test_random_probe_matches_exhaustive_search(seed):
     matrix = rng.normal(size=(12, 100))
     labels = np.repeat(np.arange(1, 5), 3)
     gallery = make_gallery(matrix, labels)
-    probe = rng.normal(size=100)
+    probes = rng.normal(size=(3, 100))
     for metric, fn in ((MAD, mad), (MSE, mse_dist)):
-        pred, scores = nn_classify(probe, gallery, metric)
-        dists = [fn(probe, row) for row in matrix]
-        assert pred == labels[int(np.argmin(dists))]
-        best = scores.scores[list(scores.subject_ids).index(pred)]
-        assert best == pytest.approx(min(dists))
+        scores, _ = nn_scores(probes, gallery, metric)
+        preds = nn_predict(probes, gallery, metric)
+        for probe, row, pred in zip(probes, scores, preds):
+            dists = [fn(probe, gal_row) for gal_row in matrix]
+            assert pred == labels[int(np.argmin(dists))]
+            assert row[pred - 1] == pytest.approx(min(dists))
 
 
 def test_prediction_invariant_to_common_scaling():
     rng = np.random.default_rng(3)
     matrix = rng.normal(size=(8, 20))
     gallery = make_gallery(matrix, [1, 1, 2, 2, 3, 3, 4, 4])
-    probe = rng.normal(size=20)
+    probes = rng.normal(size=(5, 20))
     for metric in (MAD, MSE):
-        base, _ = nn_classify(probe, gallery, metric)
-        scaled, _ = nn_classify(5.0 * probe, make_gallery(5.0 * matrix, gallery.labels), metric)
+        base = nn_predict(probes, gallery, metric)
+        scaled = nn_predict(5.0 * probes, make_gallery(5.0 * matrix, gallery.labels), metric)
         assert base == scaled
 
 
 def test_batch_matches_single():
+    # the (k, S) block equals k one-probe blocks and a naive per-subject loop
     rng = np.random.default_rng(9)
     matrix = rng.normal(size=(10, 30))
     gallery = make_gallery(matrix, np.repeat(np.arange(1, 6), 2))
     probes = rng.normal(size=(7, 30))
-    for metric in (MAD, MSE):
-        batch_preds = nn_classify_batch(probes, gallery, metric)
-        singles = [nn_classify(probe, gallery, metric)[0] for probe in probes]
-        assert batch_preds.tolist() == singles
+    for metric, fn in ((MAD, mad), (MSE, mse_dist)):
+        batch, _ = nn_scores(probes, gallery, metric)
+        singles = np.vstack([nn_scores(p[None, :], gallery, metric)[0] for p in probes])
+        assert np.array_equal(batch, singles)
+        naive = [[min(fn(p, r) for r, lab in zip(matrix, gallery.labels) if lab == sid)
+                  for sid in gallery.subject_ids] for p in probes]
+        assert batch == pytest.approx(np.array(naive), rel=1e-12)
+        assert nn_predict(probes, gallery, metric) == [
+            int(gallery.subject_ids[np.argmin(row)]) for row in naive]
 
 
 def test_best_subject_requires_consistent_polarity():
     with pytest.raises(ValueError, match="polarity"):
-        ScoreSet(scores=np.array([1.0, 2.0]), subject_ids=np.array([1, 2]),
-                 polarity="sideways", classifier_id="nn:mad")
+        normalize_scores(np.array([[1.0, 2.0]]), "sideways")
 
 
-def test_scoreset_rejects_nonfinite():
+def test_nonfinite_scores_rejected():
+    gallery = make_gallery([[0.0], [1.0]], [1, 2])
     with pytest.raises(ValueError, match="finite"):
-        ScoreSet(scores=np.array([1.0, np.nan]), subject_ids=np.array([1, 2]),
-                 polarity=LOWER, classifier_id="nn:mad")
+        nn_scores(np.array([[0.5], [np.nan]]), gallery, MAD)
+    with pytest.raises(ValueError, match="finite"):
+        nn_scores(np.array([[np.inf]]), gallery, MSE)

@@ -6,10 +6,10 @@ from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
     HIGHER, Gallery, MLPConfig, PNNModel, RBFModel, load_model, mlp_train,
-    pnn_classify, pnn_train, radbas_bias, rbf_classify, rbf_scores,
-    rbf_train, save_model,
+    pnn_classify, pnn_train, radbas_bias, rbf_scores, rbf_train, save_model,
 )
 from faceid.classifiers.rbf import _activations
+from faceid.fusion import fuse_mean, normalize_scores
 
 
 def clustered_gallery(seed=5, n_subjects=4, per_class=3, dim=6, noise=0.3):
@@ -21,6 +21,12 @@ def clustered_gallery(seed=5, n_subjects=4, per_class=3, dim=6, noise=0.3):
             rows.append(c + rng.normal(scale=noise, size=dim))
             labels.append(s)
     return Gallery(matrix=np.stack(rows), labels=np.array(labels))
+
+
+def decide(model, scored):
+    """Per-probe decisions from a scorer's (scores, polarity) result."""
+    preds, _ = fuse_mean([normalize_scores(*scored)], model.subject_ids)
+    return preds.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -40,21 +46,20 @@ def test_pnn_probabilities_hand_computed():
     # With spread 1 the activations are 2^(-d^2): [1, 1/16].
     gallery = Gallery(matrix=np.array([[0.0], [2.0]]), labels=np.array([1, 2]))
     model = pnn_train(gallery, spread=1.0)
-    pred, scores = pnn_classify(model, np.array([0.0]))
-    assert pred == 1
-    assert scores.scores == pytest.approx([16 / 17, 1 / 17])
-    assert scores.polarity == HIGHER
-    assert scores.classifier_id == "pnn"
+    scores, polarity = pnn_classify(model, np.array([[0.0]]))
+    assert scores[0] == pytest.approx([16 / 17, 1 / 17])
+    assert polarity == HIGHER
+    assert decide(model, (scores, polarity)) == [1]
 
 
 def test_pnn_scores_are_probabilities():
     gallery = clustered_gallery()
     model = pnn_train(gallery, spread=2.0)
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        _, scores = pnn_classify(model, rng.normal(scale=3.0, size=gallery.dim))
-        assert scores.scores.sum() == pytest.approx(1.0)
-        assert np.all(scores.scores >= 0) and np.all(scores.scores <= 1)
+    scores, _ = pnn_classify(model, rng.normal(scale=3.0, size=(5, gallery.dim)))
+    assert scores.shape == (5, gallery.subject_ids.size)
+    assert scores.sum(axis=1) == pytest.approx(np.ones(5))
+    assert np.all(scores >= 0) and np.all(scores <= 1)
 
 
 def test_pnn_centers_are_zscored_gallery():
@@ -69,9 +74,9 @@ def test_pnn_small_spread_reduces_to_nearest_neighbor():
     model = pnn_train(gallery, spread=0.2)
     z_gallery = gallery.normalized_matrix()
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        probe = rng.normal(scale=3.0, size=gallery.dim)
-        pred, _ = pnn_classify(model, probe)
+    probes = rng.normal(scale=3.0, size=(10, gallery.dim))
+    preds = decide(model, pnn_classify(model, probes))
+    for probe, pred in zip(probes, preds):
         z = gallery.normalize(probe)
         nearest = int(np.argmin(np.linalg.norm(z_gallery - z, axis=1)))
         assert pred == gallery.labels[nearest]
@@ -80,17 +85,45 @@ def test_pnn_small_spread_reduces_to_nearest_neighbor():
 def test_pnn_total_underflow_falls_back_to_one_hot():
     gallery = Gallery(matrix=np.array([[0.0], [1.0]]), labels=np.array([1, 2]))
     model = pnn_train(gallery, spread=1e-8)
-    pred, scores = pnn_classify(model, np.array([0.1]))
-    assert pred == 1
-    assert np.array_equal(scores.scores, [1.0, 0.0])
+    scored = pnn_classify(model, np.array([[0.1], [0.9]]))
+    assert np.array_equal(scored[0], [[1.0, 0.0], [0.0, 1.0]])
+    assert decide(model, scored) == [1, 2]
+
+
+def test_pnn_underflow_fallback_is_per_probe():
+    # one probe halfway between the centers (live), one far away (underflow)
+    gallery = Gallery(matrix=np.array([[0.0], [1.0]]), labels=np.array([1, 2]))
+    model = pnn_train(gallery, spread=1.0)
+    scores, _ = pnn_classify(model, np.array([[0.5], [200.0]]))
+    assert np.array_equal(scores[0], [0.5, 0.5])
+    assert np.array_equal(scores[1], [0.0, 1.0])
+
+
+def test_pnn_batch_matches_per_probe_loop():
+    """Batch probabilities against a naive per-probe, per-center loop."""
+    gallery = clustered_gallery(seed=21)
+    model = pnn_train(gallery, spread=1.3)
+    rng = np.random.default_rng(3)
+    probes = rng.normal(scale=3.0, size=(8, gallery.dim))
+    scores, _ = pnn_classify(model, probes)
+    b = radbas_bias(1.3)
+    for probe, got in zip(probes, scores):
+        z = (probe - gallery.mean) / gallery.std
+        sums = {int(sid): 0.0 for sid in gallery.subject_ids}
+        for center, label in zip(model.centers, model.labels):
+            d = np.sqrt(sum((c - v) ** 2 for c, v in zip(center, z)))
+            sums[int(label)] += np.exp(-(d * b) ** 2)
+        total = sum(sums.values())
+        want = [sums[int(sid)] / total for sid in gallery.subject_ids]
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_pnn_equidistant_tie_takes_lowest_id():
     gallery = Gallery(matrix=np.array([[-1.0], [1.0]]), labels=np.array([9, 4]))
     model = pnn_train(gallery, spread=1.0)
-    pred, scores = pnn_classify(model, np.array([0.0]))
-    assert scores.scores[0] == pytest.approx(scores.scores[1])
-    assert pred == 4
+    scored = pnn_classify(model, np.array([[0.0]]))
+    assert scored[0][0, 0] == pytest.approx(scored[0][0, 1])
+    assert decide(model, scored) == [4]
 
 
 def test_pnn_validation():
@@ -99,7 +132,9 @@ def test_pnn_validation():
         pnn_train(gallery, spread=-1.0)
     model = pnn_train(gallery, spread=1.0)
     with pytest.raises(ValueError, match="dim"):
-        pnn_classify(model, np.zeros(99))
+        pnn_classify(model, np.zeros((2, 99)))
+    with pytest.raises(ValueError, match="finite"):
+        pnn_classify(model, np.full((1, gallery.dim), np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +165,7 @@ def test_rbf_full_design_interpolates():
     gallery = clustered_gallery(seed=2, n_subjects=3, per_class=3)
     model = rbf_train(gallery, spread=1.0, max_centers=gallery.size)
     assert model.residuals[-1] < 1e-6
-    for row, label in zip(gallery.matrix, gallery.labels):
-        pred, _ = rbf_classify(model, row)
-        assert pred == label
+    assert decide(model, rbf_scores(model, gallery.matrix)) == gallery.labels.tolist()
 
 
 def test_rbf_greedy_matches_bruteforce_oracle():
@@ -173,20 +206,35 @@ def test_rbf_zero_weights_score_is_bias():
                      weights=np.zeros((2, 2)), biases=np.array([0.7, -0.1]),
                      subject_ids=np.array([1, 2]),
                      norm_mean=np.zeros(3), norm_std=np.ones(3))
-    scores = rbf_scores(model, np.array([5.0, 5.0, 5.0]))
-    assert np.array_equal(scores.scores, [0.7, -0.1])
-    assert scores.classifier_id == "rbf"
+    scores, polarity = rbf_scores(model, np.array([[5.0, 5.0, 5.0], [0.0, 1.0, 2.0]]))
+    assert np.array_equal(scores, [[0.7, -0.1], [0.7, -0.1]])
+    assert polarity == HIGHER
 
 
 def test_rbf_scores_match_manual_forward_pass():
     gallery = clustered_gallery(seed=6)
     model = rbf_train(gallery, spread=1.0, max_centers=5)
-    probe = gallery.matrix[4]
-    z = (probe - model.norm_mean) / model.norm_std
-    acts = np.exp(-(np.linalg.norm(model.centers - z, axis=1) * radbas_bias(1.0)) ** 2)
-    want = model.weights @ acts + model.biases
-    got = rbf_scores(model, probe)
-    assert np.abs(got.scores - want).max() < 1e-12
+    got, _ = rbf_scores(model, gallery.matrix)
+    for probe, row in zip(gallery.matrix, got):
+        z = (probe - model.norm_mean) / model.norm_std
+        acts = np.exp(-(np.linalg.norm(model.centers - z, axis=1) * radbas_bias(1.0)) ** 2)
+        want = model.weights @ acts + model.biases
+        assert np.abs(row - want).max() < 1e-12
+
+
+def test_rbf_batch_scores_bit_equal_row_loop():
+    # the batch output layer must reproduce a row-by-row `weights @ a` exactly:
+    # rows that tie in the collapse regime decide on the last bit
+    gallery = clustered_gallery(seed=7, n_subjects=5, per_class=4, dim=9)
+    probes = np.random.default_rng(5).normal(scale=3.0, size=(17, gallery.dim))
+    for spread in (0.3, 1.0, 4.0):
+        model = rbf_train(gallery, spread=spread, max_centers=12)
+        batch, _ = rbf_scores(model, probes)
+        z = (probes - model.norm_mean) / model.norm_std
+        loop = np.stack([
+            model.weights @ _activations(zi[None, :], model.centers, spread)[0]
+            + model.biases for zi in z])
+        assert np.array_equal(batch, loop)
 
 
 def test_rbf_validation():
@@ -254,13 +302,10 @@ def test_store_rejects_future_version(tmp_path):
 
 def test_loaded_models_predict_identically(tmp_path):
     gallery = clustered_gallery(seed=30)
-    probe = np.random.default_rng(2).normal(scale=3.0, size=gallery.dim)
+    probes = np.random.default_rng(2).normal(scale=3.0, size=(4, gallery.dim))
     for trained, fname in ((pnn_train(gallery, 1.1), "a.npz"),
                            (rbf_train(gallery, 1.1, max_centers=5), "b.npz")):
         save_model(trained, tmp_path / fname)
         loaded = load_model(tmp_path / fname)
-        if isinstance(trained, PNNModel):
-            assert pnn_classify(trained, probe)[0] == pnn_classify(loaded, probe)[0]
-        else:
-            assert np.array_equal(rbf_scores(trained, probe).scores,
-                                  rbf_scores(loaded, probe).scores)
+        score = pnn_classify if isinstance(trained, PNNModel) else rbf_scores
+        assert np.array_equal(score(trained, probes)[0], score(loaded, probes)[0])
