@@ -13,7 +13,9 @@ on the model.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,12 @@ from .common import Gallery, HIGHER, finite_scores, make_targets, probe_block
 SCG_SIGMA = 5e-5
 SCG_LAMBDA_INIT = 5e-7
 GRAD_TOL = 1e-10
+
+# why SCG stopped
+STOP_BUDGET = "epoch budget"
+STOP_GRAD_TOL = "grad_tol"
+STOP_ZERO_DIRECTION = "zero search direction"
+STOP_LAMBDA = "lambda overflow"
 
 
 class DivergenceError(RuntimeError):
@@ -59,6 +67,9 @@ class MLPModel:
     norm_std: np.ndarray
     config: MLPConfig
     curve: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # training diagnostics, set by mlp_train and not saved with the model
+    stop_reason: str | None = None
+    last_lambda: float | None = None
 
     def __post_init__(self):
         for arr in (self.w1, self.b1, self.w2, self.b2):
@@ -83,8 +94,15 @@ class MLPModel:
 # parameter packing and the loss/gradient pair
 # ---------------------------------------------------------------------------
 
-def _shapes(dim: int, hidden: int, n_out: int):
-    return ((hidden, dim), (hidden,), (n_out, hidden), (n_out,))
+@lru_cache(maxsize=16)
+def _layout(dim: int, hidden: int, n_out: int):
+    """((shape, start, stop) per parameter block, total size) for one network."""
+    blocks, pos = [], 0
+    for shape in ((hidden, dim), (hidden,), (n_out, hidden), (n_out,)):
+        size = math.prod(shape)
+        blocks.append((shape, pos, pos + size))
+        pos += size
+    return tuple(blocks), pos
 
 
 def pack_params(w1, b1, w2, b2) -> np.ndarray:
@@ -92,19 +110,14 @@ def pack_params(w1, b1, w2, b2) -> np.ndarray:
 
 
 def unpack_params(theta: np.ndarray, dim: int, hidden: int, n_out: int):
-    shapes = _shapes(dim, hidden, n_out)
-    if theta.size != sum(int(np.prod(s)) for s in shapes):
+    blocks, size = _layout(dim, hidden, n_out)
+    if theta.size != size:
         raise ValueError("parameter vector length mismatch")
-    out = []
-    pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        out.append(theta[pos:pos + size].reshape(shape))
-        pos += size
-    return tuple(out)
+    return tuple(theta[start:stop].reshape(shape) for shape, start, stop in blocks)
 
 
 def _forward(theta, x, dim, hidden, n_out):
+    """Hidden and output activations ``(a1, a2)`` of the batch ``x``."""
     w1, b1, w2, b2 = unpack_params(theta, dim, hidden, n_out)
     a1 = np.tanh(x @ w1.T + b1)
     a2 = np.tanh(a1 @ w2.T + b2)
@@ -112,22 +125,25 @@ def _forward(theta, x, dim, hidden, n_out):
 
 
 def msereg_loss(theta: np.ndarray, x: np.ndarray, t: np.ndarray,
-                gamma: float, hidden: int) -> float:
-    n_out = t.shape[1]
-    _, a2 = _forward(theta, x, x.shape[1], hidden, n_out)
-    mse = np.mean((a2 - t) ** 2)
+                gamma: float, hidden: int, forward=None) -> float:
+    """MSEREG at ``theta``; ``forward`` is ``_forward``'s ``(a1, a2)`` there, if known."""
+    if forward is None:
+        forward = _forward(theta, x, x.shape[1], hidden, t.shape[1])
+    mse = np.mean((forward[1] - t) ** 2)
     reg = float(theta @ theta) / theta.size
     return float(gamma * mse + (1.0 - gamma) * reg)
 
 
 def msereg_gradient(theta: np.ndarray, x: np.ndarray, t: np.ndarray,
-                    gamma: float, hidden: int) -> np.ndarray:
-    """Analytic gradient of MSEREG over all weights and biases."""
+                    gamma: float, hidden: int, forward=None) -> np.ndarray:
+    """Analytic gradient of MSEREG over all weights and biases.
+
+    ``forward`` is ``_forward``'s ``(a1, a2)`` at ``theta``, if known.
+    """
     n_ex, dim = x.shape
     n_out = t.shape[1]
-    w1, b1, w2, b2 = unpack_params(theta, dim, hidden, n_out)
-    a1 = np.tanh(x @ w1.T + b1)
-    a2 = np.tanh(a1 @ w2.T + b2)
+    a1, a2 = forward if forward is not None else _forward(theta, x, dim, hidden, n_out)
+    w2 = unpack_params(theta, dim, hidden, n_out)[2]
     # d(MSE)/d(pre-activation), layer by layer
     d2 = (2.0 / (n_ex * n_out)) * (a2 - t) * (1.0 - a2 ** 2)
     gw2 = d2.T @ a1
@@ -153,20 +169,26 @@ def mlp_gradient(model: MLPModel, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _scg_minimize(theta, loss_fn, grad_fn, max_iters, grad_tol):
-    """Returns (theta, curve). Raises DivergenceError on non-finite loss."""
+    """Returns (theta, curve, stop reason, last lambda).
+
+    ``loss_fn(theta)`` returns the loss and the forward pass it ran, which
+    ``grad_fn(theta, forward)`` reuses at an accepted point; ``grad_fn(theta)``
+    runs its own. Raises DivergenceError on non-finite loss.
+    """
     n = theta.size
     lam = SCG_LAMBDA_INIT
     lam_bar = 0.0
-    f = loss_fn(theta)
+    f, forward = loss_fn(theta)
     if not np.isfinite(f):
         raise DivergenceError(0)
-    r = -grad_fn(theta)
+    r = -grad_fn(theta, forward)
     p = r.copy()
     success = True
     curve = [f]
     delta = 1.0
     mu = 0.0
     p_sq = float(p @ p)
+    reason = STOP_BUDGET
     for k in range(1, max_iters + 1):
         if success:
             mu = float(p @ r)
@@ -176,6 +198,7 @@ def _scg_minimize(theta, loss_fn, grad_fn, max_iters, grad_tol):
                 p_sq = float(p @ p)
                 mu = p_sq
             if p_sq == 0.0:
+                reason = STOP_ZERO_DIRECTION
                 break
             sigma_k = SCG_SIGMA / np.sqrt(p_sq)
             s = (grad_fn(theta + sigma_k * p) - (-r)) / sigma_k
@@ -186,14 +209,15 @@ def _scg_minimize(theta, loss_fn, grad_fn, max_iters, grad_tol):
             delta = -delta + lam * p_sq
             lam = lam_bar
         alpha = mu / delta
-        f_new = loss_fn(theta + alpha * p)
+        trial = theta + alpha * p
+        f_new, forward = loss_fn(trial)
         if not np.isfinite(f_new):
             raise DivergenceError(k)
         comparison = 2.0 * delta * (f - f_new) / (mu * mu)
         if comparison >= 0.0:
-            theta = theta + alpha * p
+            theta = trial
             f = f_new
-            r_new = -grad_fn(theta)
+            r_new = -grad_fn(theta, forward)
             lam_bar = 0.0
             success = True
             if k % n == 0:
@@ -212,10 +236,12 @@ def _scg_minimize(theta, loss_fn, grad_fn, max_iters, grad_tol):
             lam += delta * (1.0 - comparison) / p_sq
         curve.append(f)
         if np.sqrt(float(r @ r)) < grad_tol:
+            reason = STOP_GRAD_TOL
             break
         if lam > 1e100:
-            break   # step sizes have collapsed; no further progress possible
-    return theta, np.array(curve)
+            reason = STOP_LAMBDA   # step sizes have collapsed; no further progress possible
+            break
+    return theta, np.array(curve), reason, lam
 
 
 def _init_params(rng: np.random.Generator, dim: int, hidden: int, n_out: int):
@@ -236,17 +262,19 @@ def mlp_train(gallery: Gallery, config: MLPConfig | None = None) -> MLPModel:
     theta0 = _init_params(rng, dim, cfg.hidden, n_out)
 
     def loss_fn(theta):
-        return msereg_loss(theta, x, t, cfg.gamma, cfg.hidden)
+        forward = _forward(theta, x, dim, cfg.hidden, n_out)
+        return msereg_loss(theta, x, t, cfg.gamma, cfg.hidden, forward), forward
 
-    def grad_fn(theta):
-        return msereg_gradient(theta, x, t, cfg.gamma, cfg.hidden)
+    def grad_fn(theta, forward=None):
+        return msereg_gradient(theta, x, t, cfg.gamma, cfg.hidden, forward)
 
-    theta, curve = _scg_minimize(theta0, loss_fn, grad_fn, cfg.epochs, cfg.grad_tol)
+    theta, curve, reason, lam = _scg_minimize(theta0, loss_fn, grad_fn,
+                                              cfg.epochs, cfg.grad_tol)
     w1, b1, w2, b2 = unpack_params(theta, dim, cfg.hidden, n_out)
     return MLPModel(w1=w1, b1=b1, w2=w2, b2=b2,
                     subject_ids=gallery.subject_ids.copy(),
                     norm_mean=gallery.mean.copy(), norm_std=gallery.std.copy(),
-                    config=cfg, curve=curve)
+                    config=cfg, curve=curve, stop_reason=reason, last_lambda=lam)
 
 
 def mlp_scores(model: MLPModel, probes: np.ndarray) -> tuple[np.ndarray, str]:

@@ -106,10 +106,14 @@ def option_choices(parser: argparse.ArgumentParser) -> dict:
 
 def apply_config(args: argparse.Namespace, defaults: dict,
                  choices: dict | None = None) -> None:
-    """Fill unset options from --config file values, then built-in defaults."""
+    """Fill unset options from --config file values, then built-in defaults.
+
+    Only options the subcommand declares are filled: argparse puts exactly
+    those in ``args``, so the manifest records no option the command lacks.
+    """
     file_values = read_config_file(args.config, choices) if args.config else {}
     for key, default in defaults.items():
-        if getattr(args, key, None) is None:
+        if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, file_values.get(key, default))
 
 
@@ -278,6 +282,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if isinstance(model, MLPModel):
             write_training_log(model.curve, out / "training_log.csv")
             outputs.append("training_log.csv")
+            print(f"{name}: SCG stopped after {model.curve.size - 1} epochs "
+                  f"({model.stop_reason}), last lambda {model.last_lambda:.6g}",
+                  file=sys.stderr)
     if "fusion_rows" in artifacts:
         write_fusion_report(artifacts["fusion_rows"], out / "fusion_report.csv")
         outputs.append("fusion_report.csv")

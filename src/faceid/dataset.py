@@ -279,16 +279,17 @@ def synth_corpus(seed: int, n_subjects: int, samples: int, rows: int, cols: int)
         f1 = rng.integers(0, 4, size=n_components)
         f2 = rng.integers(0, 4, size=n_components)
         amps = rng.uniform(-1.0, 1.0, size=n_components)
+        atoms = [np.cos(np.pi * (2 * m + 1) * p / (2 * rows))
+                 * np.cos(np.pi * (2 * n + 1) * q / (2 * cols))
+                 for p, q in zip(f1, f2)]
         base = np.zeros((rows, cols))
-        for a, p, q in zip(amps, f1, f2):
-            base += a * (np.cos(np.pi * (2 * m + 1) * p / (2 * rows))
-                         * np.cos(np.pi * (2 * n + 1) * q / (2 * cols)))
+        for a, atom in zip(amps, atoms):
+            base += a * atom
         for sample in range(1, samples + 1):
             jitter = rng.normal(0.0, 0.05, size=n_components)
             wobble = np.zeros((rows, cols))
-            for a, e, p, q in zip(amps, jitter, f1, f2):
-                wobble += a * e * (np.cos(np.pi * (2 * m + 1) * p / (2 * rows))
-                                   * np.cos(np.pi * (2 * n + 1) * q / (2 * cols)))
+            for a, e, atom in zip(amps, jitter, atoms):
+                wobble += a * e * atom
             noise = rng.normal(0.0, 0.01, size=(rows, cols))
             pixels = np.clip(0.5 + 0.2 * (base + wobble) + noise, 0.0, 1.0)
             images.append(Image(pixels=pixels, subject_id=subject, sample_id=sample))

@@ -436,16 +436,21 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
         if actual not in klt_feats:
             klt_feats[actual] = extract_split_features(split, KLT, dim=actual)
 
+    targets = [row for row in TABLE_TARGETS
+               if rows_filter is None or row[2].startswith(rows_filter.lower())]
+    # spread sweeps only for the selected rows; fusion runs at RBF's best spread
+    sweeps = {row[2] for row in targets} & {PNN_NAME, RBF_NAME}
+    if any(row[2].startswith("fusion:") for row in targets):
+        sweeps.add(RBF_NAME)
     best_spread = {}
     for name in (PNN_NAME, RBF_NAME):
-        curve = sweep_spread(dct_gal, dct_probes, name, spreads, cfg)
-        best = max(curve, key=lambda pt: pt.rate)
-        best_spread[name] = (best.param, best.rate)
+        if name in sweeps:
+            curve = sweep_spread(dct_gal, dct_probes, name, spreads, cfg)
+            best = max(curve, key=lambda pt: pt.rate)
+            best_spread[name] = (best.param, best.rate)
 
     out = []
-    for feature, want_dim, key, label, paper_rate in TABLE_TARGETS:
-        if rows_filter is not None and not key.startswith(rows_filter.lower()):
-            continue
+    for feature, want_dim, key, label, paper_rate in targets:
         if feature == "eigenfaces":
             actual = klt_dims[want_dim]
             gal, probes = klt_feats[actual]

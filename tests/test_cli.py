@@ -152,11 +152,16 @@ def test_evaluate_pnn_saves_model(tmp_path):
     assert model.spread == 1.5
 
 
-def test_evaluate_mlp_writes_training_log(tmp_path):
+def test_evaluate_mlp_writes_training_log(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["evaluate", "--synth", SYNTH, "--classifier", "mlp",
                 "--epochs", "30", "--hidden", "4", "--out", str(out)])
     assert code == 0
+    # the stop reason goes to stderr only, never into the written files
+    err = capsys.readouterr().err
+    assert "mlp: SCG stopped after 30 epochs (epoch budget), last lambda" in err
+    for path in out.iterdir():
+        assert b"epoch budget" not in path.read_bytes()
     assert (out / "model_mlp.npz").exists()
     log = (out / "training_log.csv").read_text().splitlines()
     assert log[0] == "epoch,loss"
@@ -208,6 +213,21 @@ def test_config_file_precedence(tmp_path):
     manifest = json.loads((out2 / "manifest.json").read_text())
     assert manifest["config"]["classifier"] == "nn:mad"
     assert manifest["config"]["spread"] == 2.0  # file still fills the rest
+
+
+def test_evaluate_manifest_records_only_its_own_options(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rows = nn\nmetric = mse\nspread = 2.0\n")
+    out = tmp_path / "out"
+    assert run(["evaluate", "--synth", SYNTH, "--config", str(cfg),
+                "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert sorted(config) == sorted([
+        "classifier", "complex_mode", "data", "dim", "epochs", "fusion_mode",
+        "gamma", "hidden", "log_offset", "manifest", "mask", "max_centers",
+        "out", "r_low", "samples", "seed", "spread", "subjects", "synth",
+        "train_k", "transform"])
+    assert config["spread"] == 2.0
 
 
 def test_config_file_values_obey_flag_choices(tmp_path, capsys):

@@ -191,6 +191,41 @@ def test_synth_corpus_deterministic():
     assert not np.array_equal(a.images[0].pixels, c.images[0].pixels)
 
 
+def frozen_synth_pixels(seed, n_subjects, samples, rows, cols):
+    """The generator's original loop, which rebuilt every cosine atom per image."""
+    rng = np.random.default_rng(seed)
+    m = np.arange(rows)[:, None]
+    n = np.arange(cols)[None, :]
+    n_components = 6
+    out = []
+    for _ in range(n_subjects):
+        f1 = rng.integers(0, 4, size=n_components)
+        f2 = rng.integers(0, 4, size=n_components)
+        amps = rng.uniform(-1.0, 1.0, size=n_components)
+        base = np.zeros((rows, cols))
+        for a, p, q in zip(amps, f1, f2):
+            base += a * (np.cos(np.pi * (2 * m + 1) * p / (2 * rows))
+                         * np.cos(np.pi * (2 * n + 1) * q / (2 * cols)))
+        for _ in range(samples):
+            jitter = rng.normal(0.0, 0.05, size=n_components)
+            wobble = np.zeros((rows, cols))
+            for a, e, p, q in zip(amps, jitter, f1, f2):
+                wobble += a * e * (np.cos(np.pi * (2 * m + 1) * p / (2 * rows))
+                                   * np.cos(np.pi * (2 * n + 1) * q / (2 * cols)))
+            noise = rng.normal(0.0, 0.01, size=(rows, cols))
+            out.append(np.clip(0.5 + 0.2 * (base + wobble) + noise, 0.0, 1.0))
+    return out
+
+
+@pytest.mark.parametrize("seed,shape", [(0, (4, 5, 23, 17)), (3, (2, 10, 112, 92))])
+def test_synth_corpus_bit_equal_frozen_loop(seed, shape):
+    corpus = synth_corpus(seed, *shape)
+    want = frozen_synth_pixels(seed, *shape)
+    assert len(corpus.images) == len(want)
+    for image, pixels in zip(corpus.images, want):
+        assert np.array_equal(image.pixels, pixels)
+
+
 def test_checksum_tracks_content():
     a = synth_corpus(seed=5, n_subjects=3, samples=4, rows=10, cols=8)
     b = synth_corpus(seed=5, n_subjects=3, samples=4, rows=10, cols=8)

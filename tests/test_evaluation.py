@@ -287,6 +287,26 @@ def test_table_rows_filter(table_rows):
     assert [r.key for r in only_mlp] == ["mlp"]
 
 
+@pytest.mark.parametrize("rows_filter,swept", [
+    ("nn", []), ("mlp", []), ("pnn", ["pnn"]), ("rbf", ["rbf"]),
+    ("fusion:", ["rbf"]), ("", ["pnn", "rbf"]),
+])
+def test_table_rows_filter_runs_only_needed_sweeps(table_rows, monkeypatch,
+                                                   rows_filter, swept):
+    import faceid.evaluation as evaluation
+    corpus, cfg, all_rows = table_rows
+    calls = []
+
+    def counted(gallery_feats, probe_feats, classifier, *args, **kwargs):
+        calls.append(classifier)
+        return sweep_spread(gallery_feats, probe_feats, classifier, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "sweep_spread", counted)
+    rows = table1_report(corpus, cfg, rows_filter=rows_filter, spreads=[0.9, 2.0])
+    assert calls == swept
+    assert rows == [r for r in all_rows if r.key.startswith(rows_filter)]
+
+
 def test_format_table(table_rows):
     _, _, rows = table_rows
     text = format_table(rows)

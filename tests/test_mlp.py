@@ -7,8 +7,12 @@ import pytest
 
 from faceid.classifiers import (
     HIGHER, DivergenceError, Gallery, MLPConfig, MLPModel, make_targets,
-    mlp_gradient, mlp_scores, mlp_train, msereg_gradient,
-    msereg_loss, pack_params, unpack_params, write_training_log,
+    load_model, mlp_gradient, mlp_scores, mlp_train, msereg_gradient,
+    msereg_loss, pack_params, save_model, unpack_params, write_training_log,
+)
+from faceid.classifiers import mlp
+from faceid.classifiers.mlp import (
+    SCG_LAMBDA_INIT, SCG_SIGMA, STOP_BUDGET, STOP_GRAD_TOL, _init_params,
 )
 from faceid.fusion import fuse_mean, normalize_scores
 
@@ -108,12 +112,142 @@ def test_scg_beats_plain_gradient_descent():
     x = gallery.normalized_matrix()
     t = make_targets(gallery)
 
-    from faceid.classifiers.mlp import _init_params
     theta = _init_params(np.random.default_rng(cfg.seed), 6, 8, 3)
     for _ in range(3000):
         theta = theta - 0.5 * msereg_gradient(theta, x, t, 0.9, 8)
     gd_loss = msereg_loss(theta, x, t, 0.9, 8)
     assert model.curve[-1] <= gd_loss + 1e-12
+
+
+def frozen_scg(theta, loss_fn, grad_fn, max_iters, grad_tol, events):
+    """SCG as first written: every loss and gradient call runs its own forward
+    pass. ``events`` counts rejected steps and conjugacy restarts; nothing
+    else differs from the original."""
+    n = theta.size
+    lam = SCG_LAMBDA_INIT
+    lam_bar = 0.0
+    f = loss_fn(theta)
+    if not np.isfinite(f):
+        raise DivergenceError(0)
+    r = -grad_fn(theta)
+    p = r.copy()
+    success = True
+    curve = [f]
+    delta = 1.0
+    mu = 0.0
+    p_sq = float(p @ p)
+    for k in range(1, max_iters + 1):
+        if success:
+            mu = float(p @ r)
+            if mu <= 0.0:
+                events["restarts"] += 1
+                p = r.copy()
+                p_sq = float(p @ p)
+                mu = p_sq
+            if p_sq == 0.0:
+                break
+            sigma_k = SCG_SIGMA / np.sqrt(p_sq)
+            s = (grad_fn(theta + sigma_k * p) - (-r)) / sigma_k
+            delta = float(p @ s)
+        delta += (lam - lam_bar) * p_sq
+        if delta <= 0.0:
+            lam_bar = 2.0 * (lam - delta / p_sq)
+            delta = -delta + lam * p_sq
+            lam = lam_bar
+        alpha = mu / delta
+        f_new = loss_fn(theta + alpha * p)
+        if not np.isfinite(f_new):
+            raise DivergenceError(k)
+        comparison = 2.0 * delta * (f - f_new) / (mu * mu)
+        if comparison >= 0.0:
+            theta = theta + alpha * p
+            f = f_new
+            r_new = -grad_fn(theta)
+            lam_bar = 0.0
+            success = True
+            if k % n == 0:
+                p = r_new.copy()
+            else:
+                beta = (float(r_new @ r_new) - float(r_new @ r)) / mu
+                p = r_new + beta * p
+            r = r_new
+            p_sq = float(p @ p)
+            if comparison >= 0.75:
+                lam *= 0.25
+        else:
+            events["rejected"] += 1
+            lam_bar = lam
+            success = False
+        if comparison < 0.25:
+            lam += delta * (1.0 - comparison) / p_sq
+        curve.append(f)
+        if np.sqrt(float(r @ r)) < grad_tol:
+            break
+        if lam > 1e100:
+            break
+    return theta, np.array(curve)
+
+
+def frozen_train(gallery, cfg):
+    x = gallery.normalized_matrix()
+    t = make_targets(gallery)
+    theta0 = _init_params(np.random.default_rng(cfg.seed), gallery.dim,
+                          cfg.hidden, gallery.subject_ids.size)
+    events = {"rejected": 0, "restarts": 0}
+    theta, curve = frozen_scg(
+        theta0, lambda th: msereg_loss(th, x, t, cfg.gamma, cfg.hidden),
+        lambda th: msereg_gradient(th, x, t, cfg.gamma, cfg.hidden),
+        cfg.epochs, cfg.grad_tol, events)
+    return theta, curve, events
+
+
+@pytest.mark.parametrize("seed,epochs,reason", [
+    (0, 300, STOP_BUDGET),     # runs the whole budget
+    (2, 300, STOP_GRAD_TOL),   # stops early, after 78 epochs
+])
+def test_training_bit_equal_frozen_scg(seed, epochs, reason):
+    gallery = separable_gallery()
+    cfg = MLPConfig(hidden=5, epochs=epochs, gamma=0.9, seed=seed)
+    want_theta, want_curve, events = frozen_train(gallery, cfg)
+    # the run must exercise the rejected-step and restart branches
+    assert events["rejected"] >= 1 and events["restarts"] >= 1
+    model = mlp_train(gallery, cfg)
+    assert model.stop_reason == reason
+    assert (model.curve.size == epochs + 1) == (reason == STOP_BUDGET)
+    assert np.array_equal(model.curve, want_curve)
+    theta = pack_params(model.w1, model.b1, model.w2, model.b2)
+    assert np.array_equal(theta, want_theta)
+
+
+def test_at_most_two_forward_passes_per_epoch(monkeypatch):
+    gallery = separable_gallery()
+    cfg = MLPConfig(hidden=5, epochs=200, gamma=0.9, seed=0)
+    calls = []
+    forward = mlp._forward
+    monkeypatch.setattr(mlp, "_forward",
+                        lambda *args: calls.append(1) or forward(*args))
+    model = mlp_train(gallery, cfg)
+    epochs = model.curve.size - 1
+    assert epochs == cfg.epochs
+    assert len(calls) <= 2 * epochs + 2
+    # separate loss and gradient calls cost a third pass per accepted step
+    calls.clear()
+    frozen_train(gallery, cfg)
+    assert len(calls) > 2 * epochs + 2
+
+
+def test_stop_reason_and_lambda_are_not_saved(tmp_path):
+    gallery = separable_gallery()
+    model = mlp_train(gallery, MLPConfig(hidden=4, epochs=20, seed=0))
+    assert model.stop_reason == STOP_BUDGET
+    assert model.last_lambda > 0.0
+    save_model(model, tmp_path / "m.npz")
+    loaded = load_model(tmp_path / "m.npz")
+    assert loaded.stop_reason is None and loaded.last_lambda is None
+    with np.load(tmp_path / "m.npz") as data:
+        assert sorted(data.files) == [
+            "b1", "b2", "config", "curve", "format_version", "kind",
+            "norm_mean", "norm_std", "subject_ids", "w1", "w2"]
 
 
 def test_curve_monotone_and_recorded():
