@@ -20,6 +20,9 @@ LOWER = "lower"
 
 STD_FLOOR = 1e-8
 
+# elements of the (rows, k, d) difference block `euclidean` holds at a time
+BLOCK_ELEMENTS = 1 << 17
+
 
 def as_vector(x: FeatureVector | np.ndarray) -> np.ndarray:
     if isinstance(x, FeatureVector):
@@ -40,6 +43,7 @@ class Gallery:
     mean: np.ndarray = field(init=False)
     std: np.ndarray = field(init=False)
     subject_ids: np.ndarray = field(init=False)
+    _z_distances: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -77,11 +81,36 @@ class Gallery:
     def normalized_matrix(self) -> np.ndarray:
         return (self.matrix - self.mean) / self.std
 
+    def normalized_distances(self) -> np.ndarray:
+        """(n, n) read-only Euclidean distances between the z-scored rows,
+        computed on the first call and kept, so every spread of a sweep
+        reuses them."""
+        if self._z_distances is None:
+            z = self.normalized_matrix()
+            self._z_distances = euclidean(z, z)
+            self._z_distances.flags.writeable = False
+        return self._z_distances
+
     def normalize(self, x: FeatureVector | np.ndarray) -> np.ndarray:
         vec = as_vector(x)
         if vec.size != self.dim:
             raise ValueError(f"probe dim {vec.size} != gallery dim {self.dim}")
         return (vec - self.mean) / self.std
+
+
+def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n, k) distances ``sqrt(((x_i - y_j) ** 2).sum())`` between the rows.
+
+    Each pair is summed along its own contiguous row, so a distance has the
+    same bits whichever block computes it. Rows of x go through in blocks of
+    about ``BLOCK_ELEMENTS`` differences: no (n, k, d) tensor is built.
+    """
+    step = max(1, BLOCK_ELEMENTS // max(1, y.shape[0] * y.shape[1]))
+    out = np.empty((x.shape[0], y.shape[0]))
+    for i in range(0, x.shape[0], step):
+        diff = x[i:i + step, None, :] - y[None, :, :]
+        np.sqrt((diff ** 2).sum(axis=2), out=out[i:i + step])
+    return out
 
 
 def make_targets(gallery: Gallery) -> np.ndarray:

@@ -22,6 +22,11 @@ def radbas_bias(spread: float) -> float:
     return float(np.sqrt(-np.log(0.5)) / spread)
 
 
+def radbas(dists: np.ndarray, spread: float) -> np.ndarray:
+    """Elementwise radbas(dist * b) of a distance matrix."""
+    return np.exp(-(dists * radbas_bias(spread)) ** 2)
+
+
 @dataclass(eq=False)
 class PNNModel:
     centers: np.ndarray       # (n, d) z-scored gallery vectors
@@ -60,7 +65,7 @@ def pnn_classify(model: PNNModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
     """
     z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
     dists = np.sqrt(_sdist.cdist(z, model.centers, metric="sqeuclidean"))
-    acts = np.exp(-(dists * radbas_bias(model.spread)) ** 2)
+    acts = radbas(dists, model.spread)
     class_sums = per_subject(acts, model.labels, model.subject_ids, np.sum)
     total = class_sums.sum(axis=1, keepdims=True)
     underflow = total[:, 0] == 0.0

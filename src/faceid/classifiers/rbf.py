@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import Gallery, HIGHER, finite_scores, make_targets, probe_block
-from .pnn import radbas_bias
+from .common import (
+    Gallery, HIGHER, euclidean, finite_scores, make_targets, probe_block,
+)
+from .pnn import radbas
 
 
 @dataclass(eq=False)
@@ -46,11 +48,7 @@ class RBFModel:
 
 def _activations(x: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarray:
     """(n, k) radbas responses of every center to every row of x."""
-    if centers.shape[0] == 0:
-        return np.zeros((x.shape[0], 0))
-    diff = x[:, None, :] - centers[None, :, :]
-    dists = np.sqrt((diff ** 2).sum(axis=2))
-    return np.exp(-(dists * radbas_bias(spread)) ** 2)
+    return radbas(euclidean(x, centers), spread)
 
 
 def _solve_linear(acts: np.ndarray, targets: np.ndarray):
@@ -69,13 +67,14 @@ def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFMod
         raise ValueError(f"max_centers must lie in [1, {gallery.size}]")
     x = gallery.normalized_matrix()
     targets = make_targets(gallery)
-    all_acts = _activations(x, x, spread)   # column j = center candidate j
+    # column j = center candidate j
+    all_acts = radbas(gallery.normalized_distances(), spread)
     chosen: list[int] = []
     remaining = np.ones(gallery.size, dtype=bool)
     weights, biases = _solve_linear(all_acts[:, []], targets)
+    outputs = all_acts[:, []] @ weights.T + biases
     residuals = []
     for _ in range(max_centers):
-        outputs = all_acts[:, chosen] @ weights.T + biases
         row_err = ((outputs - targets) ** 2).sum(axis=1)
         # never re-promote a vector that is already a center
         candidate_err = np.where(remaining, row_err, -np.inf)
@@ -84,8 +83,9 @@ def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFMod
         remaining[pick] = False
         acts = all_acts[:, chosen]
         weights, biases = _solve_linear(acts, targets)
-        fit = acts @ weights.T + biases
-        residuals.append(float(((fit - targets) ** 2).sum()))
+        # the fit of this growth step is the next step's network output
+        outputs = acts @ weights.T + biases
+        residuals.append(float(((outputs - targets) ** 2).sum()))
     return RBFModel(centers=x[chosen].copy(), spread=float(spread),
                     weights=weights, biases=biases,
                     subject_ids=gallery.subject_ids.copy(),
@@ -97,11 +97,7 @@ def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFMod
 def rbf_scores(model: RBFModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
     """(k, S) linear-layer outputs; the probes are z-scored here."""
     z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
-    # blocks of n_centers probes keep the (rows, centers, d) temporary within
-    # the (n, n, d) one rbf_train builds
-    step = model.n_centers
-    acts = np.vstack([_activations(z[i:i + step], model.centers, model.spread)
-                      for i in range(0, z.shape[0], step)])
+    acts = _activations(z, model.centers, model.spread)
     # one mat-vec per probe keeps the bits of a row-by-row `weights @ a`
     outputs = np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
     return finite_scores(outputs, HIGHER)

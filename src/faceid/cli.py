@@ -231,7 +231,9 @@ def emit_manifest(out: Path, command: str, args: argparse.Namespace,
             previous = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             previous = None
-        if previous and previous.get("dataset_checksum") not in (None, checksum):
+        # a file that is not a JSON object is no earlier manifest to compare
+        if (isinstance(previous, dict)
+                and previous.get("dataset_checksum") not in (None, checksum)):
             print(f"warning: dataset checksum differs from earlier manifest "
                   f"in {out}", file=sys.stderr)
     config = {}

@@ -64,9 +64,9 @@ def train_eigenbasis(gallery: list[Image], m_prime: int) -> EigenBasis:
         raise ValueError(f"m_prime must be in 1..{m}, got {m_prime}")
     rows, cols = shapes.pop()
 
-    x = np.stack([im.pixels.ravel() for im in gallery])  # (M, P)
-    mean_face = x.mean(axis=0)
-    phi = x - mean_face
+    phi = np.stack([im.pixels.ravel() for im in gallery])  # (M, P)
+    mean_face = phi.mean(axis=0)
+    phi -= mean_face  # centred in place: one (M, P) matrix, not two
 
     # Gram matrix (A^T A)/M shares C's nonzero eigenvalues at a fraction of the size
     gram = (phi @ phi.T) / m
@@ -81,6 +81,7 @@ def train_eigenbasis(gallery: list[Image], m_prime: int) -> EigenBasis:
         raise RankError(requested=m_prime, attainable=attainable)
 
     faces = eigenvectors[:, :m_prime].T @ phi  # u_l = sum_k v_lk Phi_k
+    del phi  # free it before the norm's (m', P) temporary exists
     faces /= np.linalg.norm(faces, axis=1, keepdims=True)
     # deterministic sign: largest-magnitude component made positive
     flip = faces[np.arange(m_prime), np.argmax(np.abs(faces), axis=1)] < 0
@@ -99,8 +100,8 @@ def attainable_rank(gallery: list[Image]) -> int:
     """Number of eigenfaces the gallery can actually supply."""
     if not gallery:
         raise ValueError("gallery must be nonempty")
-    x = np.stack([im.pixels.ravel() for im in gallery])
-    phi = x - x.mean(axis=0)
+    phi = np.stack([im.pixels.ravel() for im in gallery])
+    phi -= phi.mean(axis=0)
     eigenvalues = np.linalg.eigvalsh((phi @ phi.T) / len(gallery))
     top = max(eigenvalues.max(), 0.0)
     return int(np.sum(eigenvalues > top * RANK_RTOL))

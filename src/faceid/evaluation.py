@@ -238,6 +238,23 @@ class SweepPoint:
     rate: float
 
 
+def _sorted_grid(grid: Sequence) -> list:
+    """The grid ascending; empty grids and repeated values are refused."""
+    grid = sorted(grid)
+    if len(grid) == 0:
+        raise ValueError("sweep grid is empty")
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"sweep grid repeats a value: {grid}")
+    return grid
+
+
+def _spread_grid(spreads: Sequence[float]) -> list[float]:
+    spreads = _sorted_grid(spreads)
+    if spreads[0] <= 0:
+        raise ValueError("spreads must be positive")
+    return spreads
+
+
 def default_dim_grid(kind: str, rows: int, cols: int, n_gallery: int) -> list:
     """Mask sides / radii / component counts covering the interesting range."""
     if kind == KLT:
@@ -263,9 +280,7 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     rows, cols = split.gallery[0].shape
     if grid is None:
         grid = default_dim_grid(kind, rows, cols, len(split.gallery))
-    grid = sorted(grid)
-    if len(grid) == 0:
-        raise ValueError("sweep grid is empty")
+    grid = _sorted_grid(grid)
     points = []
     if kind == KLT:
         top = int(max(grid))
@@ -309,22 +324,26 @@ def sweep_spread(gallery_feats: Sequence[FeatureVector],
                  probe_feats: Sequence[FeatureVector], classifier: str,
                  spreads: Sequence[float] = SPREAD_GRID,
                  cfg: EvalConfig | None = None) -> list[SweepPoint]:
-    """Identification rate per spread value for the kernel classifiers."""
+    """Identification rate per spread value for the kernel classifiers.
+
+    One gallery serves every spread, so its z-space distance matrix is
+    computed once.
+    """
     if classifier not in (PNN_NAME, RBF_NAME):
         raise ValueError("spread sweeps apply to pnn or rbf only")
-    spreads = sorted(spreads)
-    if len(spreads) == 0:
-        raise ValueError("sweep grid is empty")
-    if any(s <= 0 for s in spreads):
-        raise ValueError("spreads must be positive")
+    spreads = _spread_grid(spreads)
     base = cfg if cfg is not None else EvalConfig()
+    gallery = Gallery.from_features(gallery_feats)
+    if any(fv.label is None for fv in probe_feats):
+        raise ValueError("probe feature vectors must carry subject labels")
+    probes = np.stack([fv.coeffs for fv in probe_feats])
+    truth = [int(fv.label) for fv in probe_feats]
     points = []
     for spread in spreads:
-        run_cfg = replace(base, spread=float(spread))
-        result = run_experiment(classifier, gallery_feats, probe_feats, run_cfg)
-        points.append(SweepPoint(param=float(spread),
-                                 dim=len(gallery_feats[0].coeffs),
-                                 rate=result.rate))
+        preds, _ = identify([classifier], gallery, probes,
+                            replace(base, spread=float(spread)))
+        rate = identification_rate(list(zip(truth, preds)))
+        points.append(SweepPoint(param=float(spread), dim=gallery.dim, rate=rate))
     return points
 
 
@@ -421,6 +440,7 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
     corpora can exercise the full path.
     """
     cfg = cfg if cfg is not None else EvalConfig()
+    spreads = _spread_grid(spreads)
     k = min(TRAIN_SAMPLES, corpus.samples_per_subject - 1)
     split = split_first_k(corpus, k)
     rows, cols = split.gallery[0].shape
@@ -428,16 +448,21 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
     mask = ZonalMask.rectangular(side)
     dct_gal, dct_probes = extract_split_features(split, DCT, mask=mask)
     dct_dim = dct_gal[0].dim
-    rank = attainable_rank(split.gallery)
-    klt_dims = {200: min(200, rank), 100: min(100, rank)}
-
-    klt_feats = {}
-    for want, actual in klt_dims.items():
-        if actual not in klt_feats:
-            klt_feats[actual] = extract_split_features(split, KLT, dim=actual)
 
     targets = [row for row in TABLE_TARGETS
                if rows_filter is None or row[2].startswith(rows_filter.lower())]
+    # one eigenbasis at the largest dim; smaller dims slice its projections
+    # (the leading eigenfaces do not depend on how many are kept)
+    klt_wanted = {row[1] for row in targets if row[0] == "eigenfaces"}
+    klt_feats = {}
+    if klt_wanted:
+        rank = attainable_rank(split.gallery)
+        full_gal, full_probes = extract_split_features(
+            split, KLT, dim=min(max(klt_wanted), rank))
+        for want in klt_wanted:
+            dim = min(want, rank)
+            klt_feats[want] = ([replace(fv, coeffs=fv.coeffs[:dim]) for fv in full_gal],
+                               [replace(fv, coeffs=fv.coeffs[:dim]) for fv in full_probes])
     # spread sweeps only for the selected rows; fusion runs at RBF's best spread
     sweeps = {row[2] for row in targets} & {PNN_NAME, RBF_NAME}
     if any(row[2].startswith("fusion:") for row in targets):
@@ -452,10 +477,9 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
     out = []
     for feature, want_dim, key, label, paper_rate in targets:
         if feature == "eigenfaces":
-            actual = klt_dims[want_dim]
-            gal, probes = klt_feats[actual]
+            gal, probes = klt_feats[want_dim]
             rate = run_experiment(key, gal, probes, cfg).rate
-            dim = actual
+            dim = gal[0].dim
         else:
             dim = dct_dim
             if key in (PNN_NAME, RBF_NAME):

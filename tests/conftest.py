@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,19 @@ def pgm_tree(tmp_path):
         d.mkdir(exist_ok=True)
         write_pgm(im, d / f"{im.sample_id}.pgm")
     return tmp_path, corpus
+
+
+@pytest.fixture()
+def peak_bytes():
+    """Measure the peak bytes a call allocates, as tracemalloc sees them
+    (numpy reports its array buffers to it)."""
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return measure

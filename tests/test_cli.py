@@ -299,6 +299,19 @@ def test_table1_bad_filter(tmp_path, capsys):
     assert "matches no table rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "dim", "--grid", "3,3"],
+    ["sweep", "--axis", "spread", "--classifier", "rbf", "--spreads", "0.5,0.5"],
+    ["table1", "--spreads", "0.5,0.5"],
+    ["table1", "--rows", "nn", "--spreads", "0.5,1.0,0.5"],
+])
+def test_repeated_grid_values_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--synth", SYNTH, "--out", str(out)]) == 2
+    assert "repeats" in capsys.readouterr().err
+    assert not (out / "curve.csv").exists() and not (out / "table1.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 
@@ -366,3 +379,13 @@ def test_checksum_mismatch_warns_but_proceeds(tmp_path, capsys):
     assert "checksum differs" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 2  # second run still wrote its manifest
+
+
+@pytest.mark.parametrize("earlier", ['["x"]', '"text"', "3", "null"])
+def test_earlier_manifest_that_is_not_an_object_is_ignored(tmp_path, capsys, earlier):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(earlier)
+    assert run(["extract", "--synth", SYNTH, "--out", str(out)]) == 0
+    assert "checksum differs" not in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["command"] == "extract"

@@ -119,6 +119,55 @@ def test_project_shape_mismatch(gallery):
         reconstruct(np.zeros(4), basis)
 
 
+def _frozen_train_eigenbasis(gallery, m_prime):
+    """The fit before centring moved in place: separate x and phi."""
+    x = np.stack([im.pixels.ravel() for im in gallery])
+    mean_face = x.mean(axis=0)
+    phi = x - mean_face
+    gram = (phi @ phi.T) / len(gallery)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    order = np.argsort(-eigenvalues, kind="stable")
+    eigenvalues = eigenvalues[order]
+    eigenvectors = eigenvectors[:, order]
+    faces = eigenvectors[:, :m_prime].T @ phi
+    faces /= np.linalg.norm(faces, axis=1, keepdims=True)
+    flip = faces[np.arange(m_prime), np.argmax(np.abs(faces), axis=1)] < 0
+    faces[flip] *= -1.0
+    return mean_face, faces, eigenvalues[:m_prime]
+
+
+@pytest.fixture(scope="module")
+def larger_gallery():
+    return synth_corpus(seed=5, n_subjects=10, samples=4, rows=32, cols=28).images
+
+
+@pytest.mark.parametrize("m_prime", [1, 10, 39])
+def test_bit_equal_frozen_fit(larger_gallery, m_prime):
+    pixels = [im.pixels.copy() for im in larger_gallery]
+    basis = train_eigenbasis(larger_gallery, m_prime)
+    mean_face, faces, eigenvalues = _frozen_train_eigenbasis(larger_gallery, m_prime)
+    assert np.array_equal(basis.mean_face, mean_face)
+    assert np.array_equal(basis.eigenfaces, faces)
+    assert np.array_equal(basis.eigenvalues, eigenvalues)
+    # centring in place must not reach the caller's images
+    assert all(np.array_equal(im.pixels, px) for im, px in zip(larger_gallery, pixels))
+
+
+def test_leading_components_do_not_depend_on_count(larger_gallery):
+    # table1 slices one 39-component projection for its smaller dims
+    big = train_eigenbasis(larger_gallery, 39)
+    small = train_eigenbasis(larger_gallery, 10)
+    assert np.array_equal(big.eigenvalues[:10], small.eigenvalues)
+    assert np.abs(big.eigenfaces[:10] - small.eigenfaces).max() < 1e-12
+
+
+def test_fit_memory_is_bounded(peak_bytes):
+    # full-rank fit: the centred matrix and the eigenfaces are both (M, P)
+    images = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46).images
+    stacked = len(images) * images[0].pixels.size * 8
+    assert peak_bytes(train_eigenbasis, images, len(images) - 1) < 2.5 * stacked
+
+
 def test_save_load_bit_exact(gallery, tmp_path):
     basis = train_eigenbasis(gallery, 6)
     path = tmp_path / "basis.npz"

@@ -1,6 +1,7 @@
 """Experiment harness: rates, sweeps, histograms, the benchmark table, exports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from faceid.classifiers import (
     HIGHER, Gallery, MLPModel, mlp_scores, mse_dist, nn_scores, pnn_classify,
     rbf_scores,
 )
-from faceid.dataset import synth_corpus
+from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import (
     DCT, KLT, RECTANGULAR, SECTORIAL, EvalConfig, GaussianFit, SweepPoint,
     TABLE_TARGETS, default_dim_grid, distance_histograms,
@@ -208,6 +209,27 @@ def test_spread_sweep(dct_features):
         sweep_spread(gal, probes, "rbf", spreads=[])
 
 
+def test_sweeps_refuse_repeated_grid_values(small_split, dct_features):
+    gal, probes = dct_features
+    with pytest.raises(ValueError, match="repeats"):
+        sweep_spread(gal, probes, "rbf", spreads=[0.5, 1.0, 0.5])
+    with pytest.raises(ValueError, match="repeats"):
+        sweep_dimension(small_split, DCT, grid=[3, 3])
+    with pytest.raises(ValueError, match="repeats"):
+        sweep_dimension(small_split, KLT, grid=[2, 5, 2])
+
+
+@pytest.mark.parametrize("classifier", ["pnn", "rbf"])
+def test_spread_sweep_matches_one_experiment_per_spread(dct_features, classifier):
+    gal, probes = dct_features
+    cfg = EvalConfig(max_centers=10)
+    spreads = [0.5, 1.0, 3.0, 20.0]
+    points = sweep_spread(gal, probes, classifier, spreads, cfg)
+    want = [run_experiment(classifier, gal, probes, replace(cfg, spread=s)).rate
+            for s in spreads]
+    assert [pt.rate for pt in points] == want
+
+
 # ---------------------------------------------------------------------------
 # histograms
 
@@ -305,6 +327,44 @@ def test_table_rows_filter_runs_only_needed_sweeps(table_rows, monkeypatch,
     rows = table1_report(corpus, cfg, rows_filter=rows_filter, spreads=[0.9, 2.0])
     assert calls == swept
     assert rows == [r for r in all_rows if r.key.startswith(rows_filter)]
+
+
+@pytest.mark.parametrize("rows_filter,fits,dims", [
+    ("nn", 1, [109, 109, 100, 100, 100, 100]), ("mlp", 0, [100]),
+])
+def test_table_fits_one_eigenbasis(monkeypatch, rows_filter, fits, dims):
+    # 110 gallery images: rank 109, so the 200 and 100 rows want different dims
+    import faceid.evaluation as evaluation
+    corpus = synth_corpus(seed=19, n_subjects=22, samples=6, rows=16, cols=14)
+    calls = {"train_eigenbasis": 0, "attainable_rank": 0}
+
+    def counting(name):
+        original = getattr(evaluation, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(evaluation, name, counting(name))
+    cfg = EvalConfig(epochs=20, hidden=4)
+    rows = table1_report(corpus, cfg, rows_filter=rows_filter, spreads=[0.9])
+    assert calls == {"train_eigenbasis": fits, "attainable_rank": fits}
+    assert [r.dim for r in rows] == dims
+    monkeypatch.undo()
+    # the sliced features decide as a separate fit at each dim does
+    split = split_first_k(corpus, 5)
+    for row in rows:
+        if row.feature == "eigenfaces":
+            gal, probes = extract_split_features(split, KLT, dim=row.dim)
+            assert row.measured_rate == run_experiment(row.key, gal, probes, cfg).rate
+
+
+def test_table_refuses_repeated_spreads(table_rows):
+    corpus, cfg, _ = table_rows
+    with pytest.raises(ValueError, match="repeats"):
+        table1_report(corpus, cfg, rows_filter="nn", spreads=[0.9, 0.9])
 
 
 def test_format_table(table_rows):

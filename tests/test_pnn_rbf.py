@@ -5,11 +5,15 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
-    HIGHER, Gallery, MLPConfig, PNNModel, RBFModel, load_model, mlp_train,
-    pnn_classify, pnn_train, radbas_bias, rbf_scores, rbf_train, save_model,
+    HIGHER, Gallery, MLPConfig, PNNModel, RBFModel, load_model, make_targets,
+    mlp_train, pnn_classify, pnn_train, radbas_bias, rbf_scores, rbf_train,
+    save_model,
 )
-from faceid.classifiers.rbf import _activations
+from faceid.classifiers.rbf import _activations, _solve_linear
+from faceid.dataset import split_first_k, synth_corpus
+from faceid.evaluation import extract_split_features
 from faceid.fusion import fuse_mean, normalize_scores
+from faceid.transforms import DCT, ZonalMask
 
 
 def clustered_gallery(seed=5, n_subjects=4, per_class=3, dim=6, noise=0.3):
@@ -235,6 +239,109 @@ def test_rbf_batch_scores_bit_equal_row_loop():
             model.weights @ _activations(zi[None, :], model.centers, spread)[0]
             + model.biases for zi in z])
         assert np.array_equal(batch, loop)
+
+
+# Frozen copies of the RBF kernels before the distance matrix moved onto the
+# gallery: one (n, k, d) difference tensor, and the network output computed
+# twice per growth step. The live code must reproduce their bits.
+
+def _frozen_activations(x, centers, spread):
+    if centers.shape[0] == 0:
+        return np.zeros((x.shape[0], 0))
+    diff = x[:, None, :] - centers[None, :, :]
+    dists = np.sqrt((diff ** 2).sum(axis=2))
+    return np.exp(-(dists * radbas_bias(spread)) ** 2)
+
+
+def _frozen_rbf_train(gallery, spread, max_centers):
+    x = gallery.normalized_matrix()
+    targets = make_targets(gallery)
+    all_acts = _frozen_activations(x, x, spread)
+    chosen = []
+    remaining = np.ones(gallery.size, dtype=bool)
+    weights, biases = _solve_linear(all_acts[:, []], targets)
+    residuals = []
+    for _ in range(max_centers):
+        outputs = all_acts[:, chosen] @ weights.T + biases
+        row_err = ((outputs - targets) ** 2).sum(axis=1)
+        candidate_err = np.where(remaining, row_err, -np.inf)
+        pick = int(np.argmax(candidate_err))
+        chosen.append(pick)
+        remaining[pick] = False
+        acts = all_acts[:, chosen]
+        weights, biases = _solve_linear(acts, targets)
+        fit = acts @ weights.T + biases
+        residuals.append(float(((fit - targets) ** 2).sum()))
+    return np.array(chosen), weights, biases, np.array(residuals)
+
+
+def _frozen_rbf_scores(model, probes):
+    z = (probes - model.norm_mean) / model.norm_std
+    step = model.n_centers
+    acts = np.vstack([_frozen_activations(z[i:i + step], model.centers, model.spread)
+                      for i in range(0, z.shape[0], step)])
+    return np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
+
+
+@pytest.fixture(scope="module")
+def orl_shaped_dct():
+    """DCT rect:10 gallery and probe block of the ORL-shaped synthetic corpus."""
+    split = split_first_k(synth_corpus(0, 40, 10, 112, 92), 5)
+    gal, probes = extract_split_features(split, DCT, mask=ZonalMask.rectangular(10))
+    return Gallery.from_features(gal), np.stack([fv.coeffs for fv in probes])
+
+
+@pytest.mark.parametrize("spread,collapsed", [(20.0, False), (0.9, True)])
+def test_rbf_bit_equal_frozen_kernels(orl_shaped_dct, spread, collapsed):
+    gallery, probes = orl_shaped_dct
+    model = rbf_train(gallery, spread)
+    chosen, weights, biases, residuals = _frozen_rbf_train(gallery, spread, 100)
+    assert np.array_equal(model.center_indices, chosen)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.biases, biases)
+    assert np.array_equal(model.residuals, residuals)
+    scores, _ = rbf_scores(model, probes)
+    frozen = _frozen_rbf_scores(model, probes)
+    assert np.array_equal(scores, frozen)
+    # spread 0.9 is the collapse of ROADMAP aim 3: every output is the bias
+    assert np.all(frozen == model.biases) == collapsed
+
+
+def test_gallery_distances_computed_once_and_read_only(monkeypatch):
+    import faceid.classifiers.common as common
+    gallery = clustered_gallery(seed=9)
+    original = common.euclidean
+    calls = []
+
+    def counted(x, y):
+        calls.append(x.shape)
+        return original(x, y)
+
+    monkeypatch.setattr(common, "euclidean", counted)
+    for spread in (0.5, 1.0, 2.0):
+        rbf_train(gallery, spread, max_centers=4)
+    assert calls == [(gallery.size, gallery.dim)]
+    dists = gallery.normalized_distances()
+    assert dists is gallery.normalized_distances()
+    z = gallery.normalized_matrix()
+    assert np.abs(dists - cdist(z, z)).max() < 1e-12
+    with pytest.raises(ValueError):
+        dists[0, 1] = 0.0
+
+
+def test_rbf_train_memory_is_bounded(peak_bytes):
+    # the (n, n, d) difference tensor alone would be 32 MB here
+    rng = np.random.default_rng(0)
+    gallery = Gallery(rng.normal(size=(200, 100)), np.repeat(np.arange(1, 41), 5))
+    assert peak_bytes(rbf_train, gallery, 20.0) < 8e6
+
+
+def test_rbf_scores_memory_is_bounded(peak_bytes):
+    rng = np.random.default_rng(1)
+    gallery = Gallery(rng.normal(size=(200, 100)), np.repeat(np.arange(1, 41), 5))
+    model = rbf_train(gallery, 20.0)
+    probes = rng.normal(size=(200, 100))
+    assert peak_bytes(rbf_scores, model, probes) < 4e6
 
 
 def test_rbf_validation():
