@@ -197,11 +197,10 @@ def load_orl(root: str | Path, n_subjects: int = 40, samples_per_subject: int = 
     ]
     if missing:
         raise InventoryError(root, missing)
-    images = []
-    for s in range(1, n_subjects + 1):
-        for k in range(1, samples_per_subject + 1):
-            img = load_pgm(root / f"s{s}" / f"{k}.pgm")
-            images.append(Image(pixels=img.pixels, subject_id=s, sample_id=k))
+    # load_pgm reads the (s, k) ids from the s<s>/<k>.pgm layout itself
+    images = [load_pgm(root / f"s{s}" / f"{k}.pgm")
+              for s in range(1, n_subjects + 1)
+              for k in range(1, samples_per_subject + 1)]
     return Corpus(images=images, n_subjects=n_subjects, samples_per_subject=samples_per_subject)
 
 

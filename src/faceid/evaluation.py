@@ -1,9 +1,10 @@
 """Experiment protocols: rates, dimension/spread sweeps, histograms, summary table.
 
 The fixed protocol throughout is closed-set identification: every probe is
-scored against all gallery models and the top subject is the answer. Sweeps
-cache each image's full transform once and only re-apply masks per grid
-point.
+scored against all gallery models and the top subject is the answer.
+Transform-domain features come from one coefficient stack per split: each
+image is transformed once, only the leading block its masks reach is kept,
+and each mask is one gather over that stack.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import numpy as np
 
 from .dataset import Corpus, Split, split_first_k
 from .transforms import (
-    DCT, LOGDFT, KLT, TRANSFORMS,
-    MODULUS, RECTANGULAR, SECTORIAL,
-    CoeffMatrix, FeatureVector, ZonalMask,
-    extract_features,
+    DCT, KLT, MODULUS, RECTANGULAR, SECTORIAL,
+    FeatureVector, ZonalMask,
+    mask_features, transform_corpus, zone_keeps,
 )
 from .eigenfaces import attainable_rank, train_eigenbasis, project
 from .classifiers import (
@@ -72,22 +72,6 @@ def identification_rate(pairs: Sequence[tuple[int, int]]) -> float:
 # feature extraction pipelines
 # ---------------------------------------------------------------------------
 
-def transform_corpus(images: Sequence, kind: str, log_offset: float = 1e-4) -> list[CoeffMatrix]:
-    """Full (unmasked) transform of every image, cached for re-masking."""
-    if kind not in TRANSFORMS:
-        raise ValueError(f"unknown transform kind {kind!r}")
-    fn = TRANSFORMS[kind]
-    if kind == LOGDFT:
-        return [fn(img, offset=log_offset) for img in images]
-    return [fn(img) for img in images]
-
-
-def mask_features(coeffs: Sequence[CoeffMatrix], mask: ZonalMask,
-                  complex_mode: str = MODULUS, r_low: float = 0.0) -> list[FeatureVector]:
-    return [extract_features(c, mask, complex_mode=complex_mode, r_low=r_low)
-            for c in coeffs]
-
-
 def extract_split_features(split: Split, kind: str, *,
                            mask: ZonalMask | None = None,
                            dim: int | None = None,
@@ -108,11 +92,15 @@ def extract_split_features(split: Split, kind: str, *,
                 [project(img, basis) for img in split.probes])
     if mask is None:
         raise ValueError(f"{kind} extraction requires a zonal mask")
-    gal = mask_features(transform_corpus(split.gallery, kind, log_offset),
-                        mask, complex_mode, r_low)
-    probes = mask_features(transform_corpus(split.probes, kind, log_offset),
-                           mask, complex_mode, r_low)
-    return gal, probes
+    (keep,) = zone_keeps([mask], split.gallery[0].shape, r_low)
+    images = [*split.gallery, *split.probes]
+    matrix = mask_features(transform_corpus(images, kind, keep.shape, log_offset),
+                           keep, complex_mode)
+    feats = [FeatureVector(coeffs=row, source=kind, label=img.subject_id,
+                           sample_id=img.sample_id)
+             for img, row in zip(images, matrix)]
+    n = len(split.gallery)
+    return feats[:n], feats[n:]
 
 
 def _probe_tag(fv: FeatureVector, index: int) -> str:
@@ -281,42 +269,35 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     if grid is None:
         grid = default_dim_grid(kind, rows, cols, len(split.gallery))
     grid = _sorted_grid(grid)
-    points = []
+    images = [*split.gallery, *split.probes]
+    labels = np.array([img.subject_id for img in images])
+    n = len(split.gallery)
     if kind == KLT:
         top = int(max(grid))
         rank = attainable_rank(split.gallery)
         if top > rank:
             raise ValueError(f"grid maximum {top} exceeds attainable rank {rank}")
         basis = train_eigenbasis(split.gallery, top)
-        gal_full = np.stack([project(img, basis).coeffs for img in split.gallery])
-        probe_full = np.stack([project(img, basis).coeffs for img in split.probes])
-        gal_labels = np.array([img.subject_id for img in split.gallery])
-        probe_labels = np.array([img.subject_id for img in split.probes])
-        for d in grid:
-            d = int(d)
-            gallery = Gallery(gal_full[:, :d], gal_labels)
-            preds, _ = identify([f"nn:{metric}"], gallery, probe_full[:, :d])
-            rate = identification_rate(list(zip(probe_labels, preds)))
-            points.append(SweepPoint(param=float(d), dim=d, rate=rate))
-        return points
-    gal_coeffs = transform_corpus(split.gallery, kind, log_offset)
-    probe_coeffs = transform_corpus(split.probes, kind, log_offset)
-    gal_labels = np.array([img.subject_id for img in split.gallery])
-    probe_labels = np.array([img.subject_id for img in split.probes])
-    for value in grid:
+        full = np.stack([project(img, basis).coeffs for img in images])
+        features = ((int(d), full[:, :int(d)]) for d in grid)
+    else:
         if mask_shape == RECTANGULAR:
-            mask = ZonalMask.rectangular(int(value))
+            masks = [ZonalMask.rectangular(int(value)) for value in grid]
         elif mask_shape == SECTORIAL:
-            mask = ZonalMask.sectorial(float(value))
+            masks = [ZonalMask.sectorial(float(value)) for value in grid]
         else:
             raise ValueError(f"unknown mask shape {mask_shape!r}")
-        gal = mask_features(gal_coeffs, mask, complex_mode, r_low)
-        probes = mask_features(probe_coeffs, mask, complex_mode, r_low)
-        gallery = Gallery(np.stack([fv.coeffs for fv in gal]), gal_labels)
-        preds, _ = identify([f"nn:{metric}"], gallery,
-                            np.stack([fv.coeffs for fv in probes]))
-        rate = identification_rate(list(zip(probe_labels, preds)))
-        points.append(SweepPoint(param=float(value), dim=gal[0].dim, rate=rate))
+        # every mask is checked before any image is transformed
+        keeps = zone_keeps(masks, (rows, cols), r_low)
+        stack = transform_corpus(images, kind, keeps[0].shape, log_offset)
+        features = ((value, mask_features(stack, keep, complex_mode))
+                    for value, keep in zip(grid, keeps))
+    points = []
+    for value, feats in features:
+        gallery = Gallery(feats[:n], labels[:n])
+        preds, _ = identify([f"nn:{metric}"], gallery, feats[n:])
+        rate = identification_rate(list(zip(labels[n:], preds)))
+        points.append(SweepPoint(param=float(value), dim=feats.shape[1], rate=rate))
     return points
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -90,23 +91,50 @@ class ZonalMask:
     def sectorial(cls, radius: float) -> "ZonalMask":
         return cls(shape=SECTORIAL, size=radius)
 
-    def array(self, rows: int, cols: int) -> np.ndarray:
-        """The 0/1 mask array for a rows x cols coefficient matrix."""
+    def keep(self, rows: int, cols: int, r_low: float = 0.0) -> np.ndarray:
+        """Boolean keep array for a rows x cols coefficient matrix.
+
+        ``r_low`` > 0 additionally drops positions closer than that radius to
+        the frequency origin (band-pass illumination removal; DC kept by
+        default). A mask that keeps nothing is refused.
+        """
+        f1 = np.arange(rows)[:, None]
+        f2 = np.arange(cols)[None, :]
+        radius = np.sqrt(f1 * f1 + f2 * f2)
         if self.shape == RECTANGULAR:
             side = int(self.size)
             if side > min(rows, cols):
                 raise ValueError(
                     f"mask side {side} exceeds matrix dims {rows}x{cols}"
                 )
-            mask = np.zeros((rows, cols), dtype=np.uint8)
-            mask[:side, :side] = 1
-            return mask
-        f1 = np.arange(rows)[:, None]
-        f2 = np.arange(cols)[None, :]
-        return (np.sqrt(f1 * f1 + f2 * f2) < self.size).astype(np.uint8)
+            keep = np.zeros((rows, cols), dtype=bool)
+            keep[:side, :side] = True
+        else:
+            keep = radius < self.size
+        if r_low > 0.0:
+            keep &= radius >= r_low
+        if not keep.any():
+            raise ValueError("mask retains no coefficients")
+        return keep
+
+    def array(self, rows: int, cols: int) -> np.ndarray:
+        """The 0/1 mask array for a rows x cols coefficient matrix."""
+        return self.keep(rows, cols).astype(np.uint8)
 
     def dim(self, rows: int, cols: int) -> int:
-        return int(self.array(rows, cols).sum())
+        return int(self.keep(rows, cols).sum())
+
+
+def zone_keeps(masks: Sequence[ZonalMask], shape: tuple[int, int],
+               r_low: float = 0.0) -> list[np.ndarray]:
+    """Each mask's keep array for a ``shape`` coefficient matrix, cropped to
+    the leading block that the union of all of them reaches: transforms only
+    need to keep that block."""
+    keeps = [mask.keep(*shape, r_low) for mask in masks]
+    union = np.logical_or.reduce(keeps)
+    rows = np.flatnonzero(union.any(axis=1))[-1] + 1
+    cols = np.flatnonzero(union.any(axis=0))[-1] + 1
+    return [keep[:rows, :cols] for keep in keeps]
 
 
 def _pixels(image: Image | np.ndarray) -> np.ndarray:
@@ -166,37 +194,64 @@ MODULUS = "modulus"
 INTERLEAVE = "interleave"
 
 
+def transform_corpus(images: Sequence[Image | np.ndarray], kind: str,
+                     box: tuple[int, int], log_offset: float = 1e-4) -> np.ndarray:
+    """(n, rows, cols) stack of each image's leading ``box`` coefficients.
+
+    Images are transformed one at a time in full; only the block a mask can
+    reach (see :func:`zone_keeps`) is kept.
+    """
+    if kind not in TRANSFORMS:
+        raise ValueError(f"unknown transform kind {kind!r}")
+    if len(images) == 0:
+        raise ValueError("no images to transform")
+    fn = TRANSFORMS[kind]
+    options = {"offset": log_offset} if kind == LOGDFT else {}
+    rows, cols = box
+    stack = None
+    for i, image in enumerate(images):
+        values = fn(image, **options).values[:rows, :cols]
+        if values.shape != (rows, cols):
+            raise ValueError(f"image {i} is smaller than the {rows}x{cols} "
+                             f"coefficient block")
+        if stack is None:
+            stack = np.empty((len(images), rows, cols), dtype=values.dtype)
+        stack[i] = values
+    return stack
+
+
+def mask_features(stack: np.ndarray, keep: np.ndarray,
+                  complex_mode: str = MODULUS) -> np.ndarray:
+    """(n, d) real features: each image's kept coefficients, row-major.
+
+    Complex coefficients are reduced per ``complex_mode``: ``modulus`` keeps
+    |F| (dim unchanged), ``interleave`` keeps (real, imag) pairs (dim doubled).
+    """
+    if keep.shape != stack.shape[1:]:
+        raise ValueError(f"keep array {keep.shape} does not match the "
+                         f"coefficient block {stack.shape[1:]}")
+    # take on the flattened block gives C-ordered rows (a boolean index on the
+    # last two axes gives Fortran-ordered ones), positions in row-major order
+    retained = np.take(stack.reshape(len(stack), -1), np.flatnonzero(keep), axis=1)
+    if np.iscomplexobj(retained):
+        if complex_mode == MODULUS:
+            return np.abs(retained)
+        if complex_mode == INTERLEAVE:
+            return retained.view(np.float64)
+        raise ValueError(f"unknown complex_mode {complex_mode!r}")
+    return np.asarray(retained, dtype=np.float64)
+
+
 def extract_features(
     coeffs: CoeffMatrix,
     mask: ZonalMask,
     complex_mode: str = MODULUS,
     r_low: float = 0.0,
 ) -> FeatureVector:
-    """Retain masked coefficients, row-major, as a real feature vector.
-
-    Complex coefficients are reduced per ``complex_mode``: ``modulus`` keeps
-    |F| (dim unchanged), ``interleave`` keeps (real, imag) pairs (dim doubled).
-    ``r_low`` > 0 additionally drops coefficients closer than that radius to
-    the frequency origin (band-pass illumination removal; DC kept by default).
-    """
-    rows, cols = coeffs.shape
-    keep = mask.array(rows, cols).astype(bool)
-    if r_low > 0.0:
-        f1 = np.arange(rows)[:, None]
-        f2 = np.arange(cols)[None, :]
-        keep &= np.sqrt(f1 * f1 + f2 * f2) >= r_low
-    retained = coeffs.values[keep]  # row-major scan over retained positions
-    if retained.size == 0:
-        raise ValueError("mask retains no coefficients")
-    if np.iscomplexobj(retained):
-        if complex_mode == MODULUS:
-            retained = np.abs(retained)
-        elif complex_mode == INTERLEAVE:
-            retained = np.column_stack([retained.real, retained.imag]).ravel()
-        else:
-            raise ValueError(f"unknown complex_mode {complex_mode!r}")
+    """One image's :func:`mask_features` row, as a labelled feature vector."""
+    keep = mask.keep(*coeffs.shape, r_low)
     return FeatureVector(
-        coeffs=np.asarray(retained, dtype=np.float64),
+        coeffs=mask_features(coeffs.values[None], keep, complex_mode)[0],
         source=coeffs.kind,
         label=coeffs.subject_id,
         sample_id=coeffs.sample_id,

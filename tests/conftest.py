@@ -45,6 +45,13 @@ def small_split(small_corpus):
 
 
 @pytest.fixture(scope="session")
+def orl_split():
+    """ORL-shaped synthetic split: 40 subjects x 10 images of 112 x 92, 5/5."""
+    return split_first_k(synth_corpus(seed=0, n_subjects=40, samples=10,
+                                      rows=112, cols=92), 5)
+
+
+@pytest.fixture(scope="session")
 def dct_features(small_split):
     """(gallery, probes) DCT rect:5 feature lists over the synthetic split."""
     return extract_split_features(small_split, DCT, mask=ZonalMask.rectangular(5))

@@ -10,7 +10,6 @@ from faceid.classifiers import (
     save_model,
 )
 from faceid.classifiers.rbf import _activations, _solve_linear
-from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import extract_split_features
 from faceid.fusion import fuse_mean, normalize_scores
 from faceid.transforms import DCT, ZonalMask
@@ -284,10 +283,9 @@ def _frozen_rbf_scores(model, probes):
 
 
 @pytest.fixture(scope="module")
-def orl_shaped_dct():
+def orl_shaped_dct(orl_split):
     """DCT rect:10 gallery and probe block of the ORL-shaped synthetic corpus."""
-    split = split_first_k(synth_corpus(0, 40, 10, 112, 92), 5)
-    gal, probes = extract_split_features(split, DCT, mask=ZonalMask.rectangular(10))
+    gal, probes = extract_split_features(orl_split, DCT, mask=ZonalMask.rectangular(10))
     return Gallery.from_features(gal), np.stack([fv.coeffs for fv in probes])
 
 

@@ -1,0 +1,268 @@
+"""The array front end (cropped coefficient stack + one gather per mask)
+against a frozen copy of the per-image path it replaced, plus its memory
+bounds and error contracts."""
+
+import numpy as np
+import pytest
+
+from faceid import cli, evaluation
+from faceid.classifiers import Gallery
+from faceid.dataset import Image, corpus_checksum, load_orl, load_pgm
+from faceid.evaluation import (
+    identification_rate, identify, extract_split_features, sweep_dimension,
+)
+from faceid.transforms import (
+    DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, RECTANGULAR, SECTORIAL, TRANSFORMS,
+    ZonalMask, dct2, dft2, extract_features, log_dft2, mask_features,
+    transform_corpus, zone_keeps,
+)
+
+# ---------------------------------------------------------------------------
+# frozen copy of the per-image path: full transform of every image, the mask
+# array rebuilt for each one, one feature vector at a time
+
+
+def frozen_mask_array(mask, rows, cols):
+    if mask.shape == RECTANGULAR:
+        side = int(mask.size)
+        if side > min(rows, cols):
+            raise ValueError(f"mask side {side} exceeds matrix dims {rows}x{cols}")
+        out = np.zeros((rows, cols), dtype=np.uint8)
+        out[:side, :side] = 1
+        return out
+    f1 = np.arange(rows)[:, None]
+    f2 = np.arange(cols)[None, :]
+    return (np.sqrt(f1 * f1 + f2 * f2) < mask.size).astype(np.uint8)
+
+
+def frozen_vector(values, mask, complex_mode, r_low):
+    rows, cols = values.shape
+    keep = frozen_mask_array(mask, rows, cols).astype(bool)
+    if r_low > 0.0:
+        f1 = np.arange(rows)[:, None]
+        f2 = np.arange(cols)[None, :]
+        keep &= np.sqrt(f1 * f1 + f2 * f2) >= r_low
+    retained = values[keep]
+    if retained.size == 0:
+        raise ValueError("mask retains no coefficients")
+    if np.iscomplexobj(retained):
+        if complex_mode == MODULUS:
+            retained = np.abs(retained)
+        else:
+            retained = np.column_stack([retained.real, retained.imag]).ravel()
+    return np.asarray(retained, dtype=np.float64)
+
+
+def frozen_transform(images, kind):
+    fn = TRANSFORMS[kind]
+    return [fn(img).values for img in images]
+
+
+def frozen_matrix(coeffs, mask, complex_mode, r_low):
+    return np.stack([frozen_vector(c, mask, complex_mode, r_low) for c in coeffs])
+
+
+def frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low):
+    gal_coeffs = frozen_transform(split.gallery, kind)
+    probe_coeffs = frozen_transform(split.probes, kind)
+    gal_labels = np.array([img.subject_id for img in split.gallery])
+    probe_labels = np.array([img.subject_id for img in split.probes])
+    points = []
+    for value in sorted(grid):
+        mask = (ZonalMask.rectangular(int(value)) if mask_shape == RECTANGULAR
+                else ZonalMask.sectorial(float(value)))
+        gal = frozen_matrix(gal_coeffs, mask, complex_mode, r_low)
+        gallery = Gallery(gal, gal_labels)
+        preds, _ = identify(["nn:mad"], gallery,
+                            frozen_matrix(probe_coeffs, mask, complex_mode, r_low))
+        rate = identification_rate(list(zip(probe_labels, preds)))
+        points.append((float(value), gal.shape[1], rate))
+    return points
+
+
+def assert_split_features_equal(split, kind, mask, complex_mode, r_low):
+    gal, probes = extract_split_features(split, kind, mask=mask,
+                                         complex_mode=complex_mode, r_low=r_low)
+    for images, feats in ((split.gallery, gal), (split.probes, probes)):
+        want = frozen_matrix(frozen_transform(images, kind), mask, complex_mode, r_low)
+        got = np.stack([fv.coeffs for fv in feats])
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert [(fv.label, fv.sample_id, fv.source) for fv in feats] == \
+            [(img.subject_id, img.sample_id, kind) for img in images]
+
+
+def assert_sweep_equal(split, kind, mask_shape, grid, complex_mode, r_low):
+    points = sweep_dimension(split, kind, mask_shape, grid,
+                             complex_mode=complex_mode, r_low=r_low)
+    want = frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low)
+    assert [(pt.param, pt.dim, pt.rate) for pt in points] == want
+
+
+MASKS = [ZonalMask.rectangular(5), ZonalMask.sectorial(6.5)]
+CONFIGS = [(kind, mode, r_low) for kind in (DCT, DFT, LOGDFT)
+           for mode in (MODULUS, INTERLEAVE) for r_low in (0.0, 1.5)]
+# rect sides from 3 and radii from 2.5, so r_low 1.5 leaves every point a coefficient
+GRIDS = {RECTANGULAR: [3, 4, 7, 12, 20], SECTORIAL: [2.5, 3.0, 5.5, 9.0, 14.5]}
+
+
+# ---------------------------------------------------------------------------
+# bit equality with the frozen path
+
+
+@pytest.mark.parametrize("mask", MASKS, ids=["rect", "sector"])
+@pytest.mark.parametrize("kind,complex_mode,r_low", CONFIGS)
+def test_split_features_bit_equal_frozen_path(small_split, kind, complex_mode,
+                                              r_low, mask):
+    assert_split_features_equal(small_split, kind, mask, complex_mode, r_low)
+
+
+@pytest.mark.parametrize("mask_shape", [RECTANGULAR, SECTORIAL])
+@pytest.mark.parametrize("kind,complex_mode,r_low", CONFIGS)
+def test_sweep_bit_equal_frozen_path(small_split, kind, complex_mode, r_low,
+                                     mask_shape):
+    assert_sweep_equal(small_split, kind, mask_shape, GRIDS[mask_shape],
+                       complex_mode, r_low)
+
+
+@pytest.mark.parametrize("kind,mask,complex_mode,r_low", [
+    (DCT, ZonalMask.rectangular(10), MODULUS, 0.0),
+    (DFT, ZonalMask.sectorial(8.5), INTERLEAVE, 1.5),
+    (LOGDFT, ZonalMask.rectangular(30), MODULUS, 1.5),
+])
+def test_orl_shaped_split_features_bit_equal_frozen_path(orl_split, kind, mask,
+                                                         complex_mode, r_low):
+    assert_split_features_equal(orl_split, kind, mask, complex_mode, r_low)
+
+
+@pytest.mark.parametrize("kind,mask_shape,grid,complex_mode,r_low", [
+    (DFT, RECTANGULAR, range(1, 31), MODULUS, 0.0),
+    (DFT, SECTORIAL, [2.5, 7.0, 16.5, 30.0], INTERLEAVE, 1.5),
+    (LOGDFT, RECTANGULAR, [3, 10, 25], INTERLEAVE, 0.0),
+])
+def test_orl_shaped_sweep_bit_equal_frozen_path(orl_split, kind, mask_shape, grid,
+                                                complex_mode, r_low):
+    assert_sweep_equal(orl_split, kind, mask_shape, list(grid), complex_mode, r_low)
+
+
+def test_extract_features_is_one_row_of_the_stack(small_split):
+    image = small_split.gallery[0]
+    mask = ZonalMask.sectorial(4.5)
+    for coeffs in (dct2(image), dft2(image), log_dft2(image)):
+        for mode in (MODULUS, INTERLEAVE):
+            fv = extract_features(coeffs, mask, complex_mode=mode, r_low=1.5)
+            assert np.array_equal(fv.coeffs,
+                                  frozen_vector(coeffs.values, mask, mode, 1.5))
+
+
+# ---------------------------------------------------------------------------
+# the cropped stack
+
+
+def test_zone_keeps_crop_to_the_union_extent():
+    # sector 4.5 reaches (4, 0) and (0, 4); rect 3 stays inside that block
+    keeps = zone_keeps([ZonalMask.rectangular(3), ZonalMask.sectorial(4.5)], (24, 20))
+    assert [k.shape for k in keeps] == [(5, 5), (5, 5)]
+    assert keeps[0].sum() == 9 and keeps[0][:3, :3].all()
+    # r_low does not move the far edge
+    (keep,) = zone_keeps([ZonalMask.rectangular(7)], (24, 20), r_low=1.5)
+    assert keep.shape == (7, 7) and keep.sum() == 49 - 4
+
+
+def test_transform_corpus_keeps_the_leading_block(small_split):
+    images = small_split.gallery[:4]
+    for kind, fn in ((DCT, dct2), (DFT, dft2)):
+        stack = transform_corpus(images, kind, (6, 4))
+        assert stack.shape == (4, 6, 4)
+        for img, block in zip(images, stack):
+            assert np.array_equal(block, fn(img).values[:6, :4])
+    with pytest.raises(ValueError, match="smaller than"):
+        transform_corpus(images, DCT, (25, 4))
+    with pytest.raises(ValueError, match="unknown transform"):
+        transform_corpus(images, "wavelet", (2, 2))
+
+
+def test_mask_features_reduces_complex_blocks():
+    stack = np.array([[[1 + 2j, 3 - 4j], [5 + 0j, -6 + 7j]]])
+    keep = np.array([[True, False], [True, True]])
+    assert np.array_equal(mask_features(stack, keep, INTERLEAVE),
+                          [[1.0, 2.0, 5.0, 0.0, -6.0, 7.0]])
+    assert np.array_equal(mask_features(stack, keep, MODULUS),
+                          [np.abs([1 + 2j, 5 + 0j, -6 + 7j])])
+    with pytest.raises(ValueError, match="complex_mode"):
+        mask_features(stack, keep, "argand")
+
+
+# ---------------------------------------------------------------------------
+# errors keep their type, and come before any transform
+
+
+@pytest.mark.parametrize("mask_shape,grid,r_low,match", [
+    (RECTANGULAR, [3, 21], 0.0, "exceeds"),       # the split's images are 24 x 20
+    (SECTORIAL, [1.0, 4.0], 1.5, "retains no"),
+    (RECTANGULAR, [1, 2, 3], 1.5, "retains no"),
+])
+def test_sweep_refuses_bad_grid_before_transforming(small_split, monkeypatch,
+                                                    mask_shape, grid, r_low, match):
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform ran before the grid was checked")
+
+    monkeypatch.setattr(evaluation, "transform_corpus", refuse)
+    with pytest.raises(ValueError, match=match):
+        sweep_dimension(small_split, DFT, mask_shape, grid, r_low=r_low)
+
+
+@pytest.mark.parametrize("argv,match", [
+    (["sweep", "--axis", "dim", "--grid", "1,21"], "exceeds"),
+    (["sweep", "--axis", "dim", "--r-low", "1.5"], "retains no"),
+    (["extract", "--mask", "rect:21"], "exceeds"),
+    (["extract", "--mask", "sector:2", "--r-low", "3"], "retains no"),
+])
+def test_mask_errors_are_config_errors(tmp_path, capsys, argv, match):
+    out = tmp_path / "o"
+    code = cli.main(argv + ["--synth", "subjects=4,samples=6,rows=24,cols=20",
+                            "--out", str(out)])
+    assert code == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists() or not any(out.glob("*.csv"))
+
+
+# ---------------------------------------------------------------------------
+# memory: only the masks' block is kept (tracemalloc peaks, ORL-shaped split)
+
+
+def test_dft_sweep_memory_is_bounded(orl_split, peak_bytes):
+    # every image's full DFT was kept before: a 73.5 MB peak; now 17.5 MB
+    assert peak_bytes(sweep_dimension, orl_split, DFT, grid=range(1, 31)) < 24e6
+
+
+def test_split_extraction_memory_is_bounded(orl_split, peak_bytes):
+    # full DCTs of both halves were kept before: a 17.0 MB peak; now 0.76 MB
+    peak = peak_bytes(extract_split_features, orl_split, DCT,
+                      mask=ZonalMask.rectangular(10))
+    assert peak < 1.5e6
+
+
+# ---------------------------------------------------------------------------
+# corpus loading
+
+
+def frozen_load_orl_images(root, n_subjects, samples):
+    """The loop load_orl ran before: every image re-wrapped with its ids."""
+    images = []
+    for s in range(1, n_subjects + 1):
+        for k in range(1, samples + 1):
+            img = load_pgm(root / f"s{s}" / f"{k}.pgm")
+            images.append(Image(pixels=img.pixels, subject_id=s, sample_id=k))
+    return images
+
+
+def test_load_orl_checksum_matches_frozen_loop(pgm_tree):
+    root, _ = pgm_tree
+    corpus = load_orl(root, n_subjects=5, samples_per_subject=6)
+    frozen = frozen_load_orl_images(root, 5, 6)
+    assert [(im.subject_id, im.sample_id) for im in corpus.images] == \
+        [(im.subject_id, im.sample_id) for im in frozen]
+    digest = corpus_checksum(type(corpus)(images=frozen, n_subjects=5,
+                                          samples_per_subject=6))
+    assert corpus_checksum(corpus) == digest
