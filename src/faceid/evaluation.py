@@ -4,7 +4,8 @@ The fixed protocol throughout is closed-set identification: every probe is
 scored against all gallery models and the top subject is the answer.
 Transform-domain features come from one coefficient stack per split: each
 image is transformed once, only the leading block its masks reach is kept,
-and each mask is one gather over that stack.
+and each mask (in a dimension sweep, each mask's new band) is one gather
+over that stack.
 """
 
 from __future__ import annotations
@@ -162,20 +163,27 @@ def _member_scores(name: str, gallery: Gallery, probes: np.ndarray,
     raise ValueError(f"unknown classifier spec {name!r}")
 
 
+def decide(member_scores: Sequence[tuple[np.ndarray, str]], subject_ids: np.ndarray,
+           mode: str = MINMAX) -> tuple[np.ndarray, np.ndarray]:
+    """The one decision rule: normalize each member's (k, S) scores row-wise,
+    take their mean, and answer each probe's arg-max subject (lowest id on
+    ties). Returns (predicted ids, fused matrix).
+    """
+    return fuse_mean([normalize_scores(scores, polarity, mode)
+                      for scores, polarity in member_scores], subject_ids)
+
+
 def identify(parts: Sequence[str], gallery: Gallery, probes: np.ndarray,
              cfg: EvalConfig | None = None, models: dict | None = None,
              ) -> tuple[np.ndarray, np.ndarray]:
-    """The one decision rule: normalize each member's (k, S) scores row-wise,
-    take their mean, and answer each probe's arg-max subject (lowest id on
-    ties). Returns (predicted ids, fused matrix); trained models land in
-    ``models`` when given.
+    """Score a probe block with each member classifier (training those that
+    learn) and :func:`decide`. Returns (predicted ids, fused matrix); trained
+    models land in ``models`` when given.
     """
     cfg = cfg if cfg is not None else EvalConfig()
     models = models if models is not None else {}
-    opinions = [normalize_scores(*_member_scores(name, gallery, probes, cfg, models),
-                                 cfg.fusion_mode)
-                for name in parts]
-    return fuse_mean(opinions, gallery.subject_ids)
+    return decide([_member_scores(name, gallery, probes, cfg, models) for name in parts],
+                  gallery.subject_ids, cfg.fusion_mode)
 
 
 def run_experiment(spec: str, gallery_feats: Sequence[FeatureVector],
@@ -243,14 +251,26 @@ def _spread_grid(spreads: Sequence[float]) -> list[float]:
     return spreads
 
 
-def default_dim_grid(kind: str, rows: int, cols: int, n_gallery: int) -> list:
-    """Mask sides / radii / component counts covering the interesting range."""
+def default_dim_grid(kind: str, rows: int, cols: int, n_gallery: int, *,
+                     mask_shape: str = RECTANGULAR, r_low: float = 0.0) -> list:
+    """Mask sides / radii / component counts covering the interesting range.
+
+    Mask grids start at the first side or radius whose mask keeps a
+    coefficient beyond ``r_low``. The largest mask stays in the grid even
+    when it keeps none, so that such an ``r_low`` is refused as usual.
+    """
     if kind == KLT:
         top = min(n_gallery - 1, 200)
         grid = [d for d in (5, 10, 20, 30, 50, 75, 100, 150, 200) if d <= top]
         return grid if grid else [top]
-    limit = min(rows, cols, 30)
-    return list(range(1, limit + 1))
+    grid = list(range(1, min(rows, cols, 30) + 1))
+    if r_low > 0.0:
+        # a sector of radius r_low holds exactly the coefficients r_low drops
+        dropped = ZonalMask.sectorial(r_low).keep(rows, cols)
+        make = ZonalMask.sectorial if mask_shape == SECTORIAL else ZonalMask.rectangular
+        grid = [value for value in grid
+                if (make(value).keep(rows, cols) & ~dropped).any()] or grid[-1:]
+    return grid
 
 
 def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
@@ -264,10 +284,17 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     interpret the grid as mask sides (rectangular) or radii (sectorial);
     the eigenface kind interprets it as component counts and slices one
     full-rank projection instead of retraining per point.
+
+    An ascending grid gives nested zones: each point keeps the previous
+    point's coefficients plus a band (the new mask positions, or the next
+    eigenface columns). Each point gathers only its band and adds the band's
+    distances to one running (probes, gallery) distance matrix, so the
+    distance work is one pass over the largest zone.
     """
     rows, cols = split.gallery[0].shape
     if grid is None:
-        grid = default_dim_grid(kind, rows, cols, len(split.gallery))
+        grid = default_dim_grid(kind, rows, cols, len(split.gallery),
+                                mask_shape=mask_shape, r_low=r_low)
     grid = _sorted_grid(grid)
     images = [*split.gallery, *split.probes]
     labels = np.array([img.subject_id for img in images])
@@ -279,7 +306,8 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
             raise ValueError(f"grid maximum {top} exceeds attainable rank {rank}")
         basis = train_eigenbasis(split.gallery, top)
         full = np.stack([project(img, basis).coeffs for img in images])
-        features = ((int(d), full[:, :int(d)]) for d in grid)
+        dims = [int(d) for d in grid]
+        bands = (full[:, lo:hi] for lo, hi in zip([0, *dims], dims))
     else:
         if mask_shape == RECTANGULAR:
             masks = [ZonalMask.rectangular(int(value)) for value in grid]
@@ -290,14 +318,19 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
         # every mask is checked before any image is transformed
         keeps = zone_keeps(masks, (rows, cols), r_low)
         stack = transform_corpus(images, kind, keeps[0].shape, log_offset)
-        features = ((value, mask_features(stack, keep, complex_mode))
-                    for value, keep in zip(grid, keeps))
+        kept = [np.zeros_like(keeps[0]), *keeps[:-1]]
+        bands = (mask_features(stack, keep & ~prev, complex_mode)
+                 for keep, prev in zip(keeps, kept))
+    dists = np.zeros((len(images) - n, n))
+    dim = 0
     points = []
-    for value, feats in features:
-        gallery = Gallery(feats[:n], labels[:n])
-        preds, _ = identify([f"nn:{metric}"], gallery, feats[n:])
+    for value, band in zip(grid, bands):
+        gallery = Gallery(band[:n], labels[:n])
+        preds, _ = decide([nn_scores(band[n:], gallery, metric, running=dists)],
+                          gallery.subject_ids)
+        dim += band.shape[1]
         rate = identification_rate(list(zip(labels[n:], preds)))
-        points.append(SweepPoint(param=float(value), dim=feats.shape[1], rate=rate))
+        points.append(SweepPoint(param=float(value), dim=dim, rate=rate))
     return points
 
 

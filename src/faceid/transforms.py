@@ -283,7 +283,7 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
     for fv in features:
         subject = "" if fv.label is None else str(fv.label)
         sample = "" if fv.sample_id is None else str(fv.sample_id)
-        coeffs = ",".join(repr(float(c)) for c in fv.coeffs)
+        coeffs = ",".join(map(repr, fv.coeffs.tolist()))
         lines.append(f"{subject},{sample},{fv.source},{fv.dim},{coeffs}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -194,6 +194,19 @@ def test_default_dim_grid():
     assert default_dim_grid(DCT, 112, 92, 200) == list(range(1, 31))
     assert default_dim_grid(KLT, 24, 20, 24) == [5, 10, 20]
     assert default_dim_grid(KLT, 24, 20, 3) == [2]
+    # mask grids start where r_low leaves a coefficient; an r_low that empties
+    # even the largest mask keeps that mask, to be refused
+    for shape in (RECTANGULAR, SECTORIAL):
+        assert default_dim_grid(DCT, 24, 20, 24, mask_shape=shape, r_low=1.5) == \
+            list(range(3, 21))
+        assert default_dim_grid(DCT, 24, 20, 24, mask_shape=shape, r_low=1.0) == \
+            list(range(2, 21))
+        assert default_dim_grid(DCT, 24, 20, 24, mask_shape=shape, r_low=40.0) == [20]
+    # (3, 3) lies at radius 4.24: inside rect:4, outside sector:4
+    assert default_dim_grid(DCT, 24, 20, 24, mask_shape=RECTANGULAR, r_low=4.2) == \
+        list(range(4, 21))
+    assert default_dim_grid(DCT, 24, 20, 24, mask_shape=SECTORIAL, r_low=4.2) == \
+        list(range(5, 21))
 
 
 def test_spread_sweep(dct_features):

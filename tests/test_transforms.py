@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from faceid.dataset import Image, synth_corpus
 from faceid.transforms import (
-    DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, CoeffMatrix, ZonalMask,
+    DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, CoeffMatrix, FeatureVector, ZonalMask,
     dct2, dft2, extract_features, idct2, log_dft2, mask_apply,
     read_features_csv, relative_l2_error, write_features_csv,
 )
@@ -236,6 +236,20 @@ def test_features_csv_roundtrip(tmp_path, face16):
     for orig, rt in zip(fvs, back):
         assert np.array_equal(orig.coeffs, rt.coeffs)  # repr() is lossless
         assert rt.label == orig.label and rt.source == orig.source
+
+
+def test_features_csv_bytes_match_per_element_repr(tmp_path):
+    # the per-element formatter the row join replaced
+    values = [-0.0, 1e-300, 5e-324, 1 / 3, -2.5, 1e22, 123456789.125]
+    fvs = [FeatureVector(coeffs=np.array(values), source=DCT, label=1, sample_id=2),
+           FeatureVector(coeffs=-np.array(values), source=DCT)]
+    path = tmp_path / "f.csv"
+    write_features_csv(fvs, path)
+    want = ["subject,sample,source,dim," + ",".join(f"c{i}" for i in range(len(values)))]
+    for fv, ids in zip(fvs, ("1,2", ",")):
+        want.append(f"{ids},{DCT},{fv.dim}," + ",".join(repr(float(c)) for c in fv.coeffs))
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    assert "-0.0,1e-300,5e-324,0.3333333333333333," in path.read_text()
 
 
 def test_features_csv_rejects_mixed_dims(tmp_path, face16):

@@ -1,18 +1,23 @@
 """The array front end (cropped coefficient stack + one gather per mask)
-against a frozen copy of the per-image path it replaced, plus its memory
-bounds and error contracts."""
+against a frozen copy of the per-image path it replaced, the dimension
+sweep's running distance matrix against a direct computation, plus their
+memory bounds and error contracts."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from faceid import cli, evaluation
-from faceid.classifiers import Gallery
+from faceid.classifiers import MAD, MSE, Gallery, nearest, nn_scores
 from faceid.dataset import Image, corpus_checksum, load_orl, load_pgm
+from faceid.eigenfaces import project, train_eigenbasis
 from faceid.evaluation import (
     identification_rate, identify, extract_split_features, sweep_dimension,
 )
 from faceid.transforms import (
-    DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, RECTANGULAR, SECTORIAL, TRANSFORMS,
+    DCT, DFT, INTERLEAVE, KLT, LOGDFT, MODULUS, RECTANGULAR, SECTORIAL, TRANSFORMS,
     ZonalMask, dct2, dft2, extract_features, log_dft2, mask_features,
     transform_corpus, zone_keeps,
 )
@@ -214,7 +219,7 @@ def test_sweep_refuses_bad_grid_before_transforming(small_split, monkeypatch,
 
 @pytest.mark.parametrize("argv,match", [
     (["sweep", "--axis", "dim", "--grid", "1,21"], "exceeds"),
-    (["sweep", "--axis", "dim", "--r-low", "1.5"], "retains no"),
+    (["sweep", "--axis", "dim", "--r-low", "27"], "retains no"),  # past rect:20
     (["extract", "--mask", "rect:21"], "exceeds"),
     (["extract", "--mask", "sector:2", "--r-low", "3"], "retains no"),
 ])
@@ -225,6 +230,147 @@ def test_mask_errors_are_config_errors(tmp_path, capsys, argv, match):
     assert code == 2
     assert match in capsys.readouterr().err
     assert not out.exists() or not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("shape", ["rect", "sector"])
+def test_default_grid_starts_where_r_low_leaves_a_coefficient(tmp_path, shape):
+    # rect:1-2 and sector:1-2 keep nothing at or beyond radius 1.5
+    curves = []
+    for grid in ([], ["--grid", "3:20"]):
+        out = tmp_path / shape / str(len(grid))
+        code = cli.main(["sweep", "--axis", "dim", "--transform", "dct",
+                         "--mask-shape", shape, "--r-low", "1.5", *grid,
+                         "--synth", "subjects=8,samples=6,rows=24,cols=20,seed=0",
+                         "--out", str(out)])
+        assert code == 0
+        curves.append((out / "curve.csv").read_text())
+    assert curves[0] == curves[1]
+    assert curves[0].splitlines()[1].startswith("3.0,")
+
+
+# ---------------------------------------------------------------------------
+# the running distance matrix of a dimension sweep
+
+
+def direct_features(split, kind, mask_shape, grid, complex_mode, r_low):
+    """Each grid point's full (n, d) feature matrix, built on its own."""
+    images = [*split.gallery, *split.probes]
+    if kind == KLT:
+        basis = train_eigenbasis(split.gallery, max(grid))
+        full = np.stack([project(img, basis).coeffs for img in images])
+        return [full[:, :d] for d in grid]
+    make = ZonalMask.rectangular if mask_shape == RECTANGULAR else ZonalMask.sectorial
+    coeffs = frozen_transform(images, kind)
+    return [frozen_matrix(coeffs, make(value), complex_mode, r_low) for value in grid]
+
+
+def running_snapshots(monkeypatch):
+    """Copies of the sweep's running distance matrix after each point."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        scores = nn_scores(*args, **kwargs)
+        seen.append(kwargs["running"].copy())
+        return scores
+
+    monkeypatch.setattr(evaluation, "nn_scores", recording)
+    return seen
+
+
+RUNNING_CASES = (
+    [(DFT, shape, GRIDS[shape], mode, r_low) for shape in (RECTANGULAR, SECTORIAL)
+     for mode in (MODULUS, INTERLEAVE) for r_low in (0.0, 1.5)]
+    + [(DCT, shape, GRIDS[shape], MODULUS, 1.5) for shape in (RECTANGULAR, SECTORIAL)]
+    + [(KLT, None, [2, 5, 9, 17], MODULUS, 0.0)])
+
+
+@pytest.mark.parametrize("metric", [MAD, MSE])
+@pytest.mark.parametrize("kind,mask_shape,grid,complex_mode,r_low", RUNNING_CASES)
+def test_running_distances_match_direct_cdist(small_split, monkeypatch, metric, kind,
+                                              mask_shape, grid, complex_mode, r_low):
+    seen = running_snapshots(monkeypatch)
+    points = sweep_dimension(small_split, kind, mask_shape, grid, metric,
+                             complex_mode=complex_mode, r_low=r_low)
+    n = len(small_split.gallery)
+    wanted = direct_features(small_split, kind, mask_shape, grid, complex_mode, r_low)
+    assert len(seen) == len(wanted)
+    for pt, got, feats in zip(points, seen, wanted):
+        direct = cdist(feats[n:], feats[:n],
+                       "cityblock" if metric == MAD else "sqeuclidean")
+        np.testing.assert_allclose(got, direct, rtol=1e-12, atol=0)
+        assert pt.dim == feats.shape[1]
+
+
+@pytest.mark.parametrize("mask_shape", [RECTANGULAR, SECTORIAL])
+@pytest.mark.parametrize("r_low", [0.0, 1.5])
+def test_bands_partition_the_largest_zone(small_split, monkeypatch, mask_shape, r_low):
+    bands = []
+
+    def recording(stack, keep, complex_mode=MODULUS):
+        bands.append(keep.copy())
+        return mask_features(stack, keep, complex_mode)
+
+    monkeypatch.setattr(evaluation, "mask_features", recording)
+    grid = GRIDS[mask_shape]
+    sweep_dimension(small_split, DFT, mask_shape, grid, r_low=r_low)
+    make = ZonalMask.rectangular if mask_shape == RECTANGULAR else ZonalMask.sectorial
+    keeps = zone_keeps([make(value) for value in grid], (24, 20), r_low)
+    assert len(bands) == len(grid)
+    cover = np.sum(bands, axis=0)
+    assert cover.max() == 1
+    assert np.array_equal(cover == 1, keeps[-1])
+    for i, keep in enumerate(keeps):
+        assert np.array_equal(np.logical_or.reduce(bands[:i + 1]), keep)
+
+
+def test_sector_step_that_adds_nothing_repeats_the_point(small_split, monkeypatch):
+    # radius 3.05 adds the two coefficients at radius 3; nothing lies in [3.05, 3.1)
+    widths = []
+
+    def recording(x, y, metric):
+        widths.append(x.shape[1])
+        return cdist(x, y, metric)
+
+    monkeypatch.setattr(nearest, "_sdist", SimpleNamespace(cdist=recording))
+    points = sweep_dimension(small_split, DFT, SECTORIAL, [3.0, 3.05, 3.1])
+    assert [pt.dim for pt in points] == [9, 11, 11]
+    assert points[2].rate == points[1].rate
+    assert widths == [9, 2]
+
+
+@pytest.mark.parametrize("kind,grid", [(DFT, [3, 4, 7]), (KLT, [2, 5, 9])])
+def test_nonfinite_feature_in_the_last_band_is_refused(small_split, monkeypatch,
+                                                       tmp_path, capsys, kind, grid):
+    # the NaN lies only in the last point's band: every earlier point is fine
+    if kind == KLT:
+        real = evaluation.project
+
+        def poisoned(image, basis):
+            fv = real(image, basis)
+            if image is small_split.probes[-1]:
+                fv.coeffs[-1] = np.nan
+            return fv
+
+        monkeypatch.setattr(evaluation, "project", poisoned)
+    else:
+        real = evaluation.transform_corpus
+
+        def poisoned(*args, **kwargs):
+            stack = real(*args, **kwargs)
+            stack[-1, 6, 6] = np.nan
+            return stack
+
+        monkeypatch.setattr(evaluation, "transform_corpus", poisoned)
+    with pytest.raises(ValueError, match="finite"):
+        sweep_dimension(small_split, kind, grid=grid)
+    if kind != KLT:
+        out = tmp_path / "o"
+        code = cli.main(["sweep", "--axis", "dim", "--transform", kind, "--grid", "3,4,7",
+                         "--synth", "subjects=4,samples=6,rows=24,cols=20",
+                         "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()
 
 
 # ---------------------------------------------------------------------------
