@@ -157,6 +157,13 @@ def parse_float_grid(spec: str) -> list[float]:
         raise ConfigError(f"bad grid {spec!r}: {exc}") from exc
 
 
+def parse_radius_grid(spec: str) -> list[float]:
+    """Sector radii: '1:30' (inclusive, step 1), '2:6:0.5' or '2.5,3.5'."""
+    if spec.count(":") == 1:
+        return [float(r) for r in parse_int_grid(spec)]
+    return parse_float_grid(spec)
+
+
 def parse_synth_spec(spec: str, seed: int) -> Corpus:
     """'subjects=8,samples=6,rows=24,cols=20' with all fields optional."""
     params = {"subjects": 10, "samples": 6, "rows": 32, "cols": 28, "seed": seed}
@@ -300,10 +307,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = prepare_out(args)
     if args.axis == "dim":
         split = split_first_k(corpus, args.train_k)
-        grid = parse_int_grid(args.grid) if args.grid else None
+        shape = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
+        # sector radii may be fractional; rect sides and KLT dims are integers
+        parse = (parse_radius_grid if shape == SECTORIAL and args.transform != KLT
+                 else parse_int_grid)
+        grid = parse(args.grid) if args.grid else None
         if grid is not None and len(grid) == 0:
             raise ConfigError("sweep grid is empty")
-        shape = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
         points = sweep_dimension(split, args.transform, shape, grid,
                                  args.metric, complex_mode=args.complex_mode,
                                  r_low=args.r_low, log_offset=args.log_offset)
@@ -409,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--metric", choices=["mad", "mse"])
     p_sweep.add_argument("--mask-shape", dest="mask_shape",
                          choices=["rect", "sector"])
-    p_sweep.add_argument("--grid", help="mask sides/radii: '1:30' or '1,4,9'")
+    p_sweep.add_argument("--grid", help="mask sides/radii or KLT dims: '1:30' or "
+                         "'1,4,9'; sector radii also '2.5,3.5' or '2:6:0.5'")
     p_sweep.add_argument("--spreads", help="'0.1:2.0:0.1' or '0.5,0.9'")
     p_sweep.set_defaults(func=cmd_sweep)
 

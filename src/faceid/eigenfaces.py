@@ -9,12 +9,12 @@ linear combinations of the training residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Image
-from .transforms import KLT, FeatureVector
+from .transforms import FeatureVector
 
 # eigenvalues at or below max_eigenvalue * RANK_RTOL count as rank deficiency
 RANK_RTOL = 1e-10
@@ -107,18 +107,21 @@ def attainable_rank(gallery: list[Image]) -> int:
     return int(np.sum(eigenvalues > top * RANK_RTOL))
 
 
-def project(image: Image | np.ndarray, basis: EigenBasis) -> FeatureVector:
-    """Weights of the mean-removed image on the basis directions."""
-    pixels = image.pixels if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
-    if pixels.shape != (basis.rows, basis.cols):
-        raise ValueError(
-            f"image dims {pixels.shape} do not match basis {(basis.rows, basis.cols)}"
-        )
-    weights = basis.eigenfaces @ (pixels.ravel() - basis.mean_face)
-    if isinstance(image, Image):
-        return FeatureVector(coeffs=weights, source=KLT,
-                             label=image.subject_id, sample_id=image.sample_id)
-    return FeatureVector(coeffs=weights, source=KLT)
+def project(images: Sequence[Image | np.ndarray], basis: EigenBasis) -> np.ndarray:
+    """(n, m') weights of the mean-removed images on the basis directions.
+
+    One ``(n, P) @ (P, m')`` product for the whole set, so the eigenfaces are
+    streamed once rather than once per image. Pass one split half at a time:
+    the set is stacked as an (n, P) matrix.
+    """
+    shape = (basis.rows, basis.cols)
+    x = np.empty((len(images), basis.mean_face.size))
+    for i, image in enumerate(images):
+        pixels = image.pixels if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
+        if pixels.shape != shape:
+            raise ValueError(f"image dims {pixels.shape} do not match basis {shape}")
+        x[i] = pixels.ravel() - basis.mean_face
+    return x @ basis.eigenfaces.T
 
 
 def reconstruct(weights: FeatureVector | np.ndarray, basis: EigenBasis) -> np.ndarray:
@@ -127,37 +130,3 @@ def reconstruct(weights: FeatureVector | np.ndarray, basis: EigenBasis) -> np.nd
     if w.size != basis.n_components:
         raise ValueError(f"expected {basis.n_components} weights, got {w.size}")
     return (basis.mean_face + w @ basis.eigenfaces).reshape(basis.rows, basis.cols)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-_FORMAT_VERSION = 1
-
-
-def save_basis(basis: EigenBasis, path: str | Path) -> None:
-    """Write a basis as a self-describing npz archive (bit-exact round trip)."""
-    np.savez(
-        Path(path),
-        format_version=np.array(_FORMAT_VERSION),
-        dims=np.array([basis.rows, basis.cols]),
-        n_components=np.array(basis.n_components),
-        eigenvalues=basis.eigenvalues,
-        mean_face=basis.mean_face,
-        eigenfaces=basis.eigenfaces,
-    )
-
-
-def load_basis(path: str | Path) -> EigenBasis:
-    with np.load(Path(path)) as data:
-        version = int(data["format_version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported basis format version {version}")
-        rows, cols = (int(v) for v in data["dims"])
-        return EigenBasis(
-            mean_face=data["mean_face"],
-            eigenfaces=data["eigenfaces"],
-            eigenvalues=data["eigenvalues"],
-            rows=rows,
-            cols=cols,
-        )

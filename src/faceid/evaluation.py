@@ -85,18 +85,19 @@ def extract_split_features(split: Split, kind: str, *,
     Transform-domain kinds need a zonal mask; the eigenface kind needs a
     component count instead (clamped by callers, exact here).
     """
+    images = [*split.gallery, *split.probes]
     if kind == KLT:
         if dim is None:
             raise ValueError("klt extraction requires dim")
         basis = train_eigenbasis(split.gallery, dim)
-        return ([project(img, basis) for img in split.gallery],
-                [project(img, basis) for img in split.probes])
-    if mask is None:
+        matrix = np.concatenate([project(split.gallery, basis),
+                                 project(split.probes, basis)])
+    elif mask is None:
         raise ValueError(f"{kind} extraction requires a zonal mask")
-    (keep,) = zone_keeps([mask], split.gallery[0].shape, r_low)
-    images = [*split.gallery, *split.probes]
-    matrix = mask_features(transform_corpus(images, kind, keep.shape, log_offset),
-                           keep, complex_mode)
+    else:
+        (keep,) = zone_keeps([mask], split.gallery[0].shape, r_low)
+        matrix = mask_features(transform_corpus(images, kind, keep.shape, log_offset),
+                               keep, complex_mode)
     feats = [FeatureVector(coeffs=row, source=kind, label=img.subject_id,
                            sample_id=img.sample_id)
              for img, row in zip(images, matrix)]
@@ -305,7 +306,8 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
         if top > rank:
             raise ValueError(f"grid maximum {top} exceeds attainable rank {rank}")
         basis = train_eigenbasis(split.gallery, top)
-        full = np.stack([project(img, basis).coeffs for img in images])
+        full = np.concatenate([project(split.gallery, basis),
+                               project(split.probes, basis)])
         dims = [int(d) for d in grid]
         bands = (full[:, lo:hi] for lo, hi in zip([0, *dims], dims))
     else:

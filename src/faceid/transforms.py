@@ -154,11 +154,33 @@ def _ids(image: Image | np.ndarray) -> tuple[int | None, int | None]:
 # Transforms
 
 
+def _leading_block(pixels: np.ndarray, kind: str, box: tuple[int, int],
+                   log_offset: float = 1e-4) -> np.ndarray:
+    """The leading ``box`` of one image's ``kind`` coefficients. ``fft2`` is a
+    last-axis ``fft`` then an axis-0 ``fft``, so a column pass over the kept
+    columns alone gives exactly ``fft2(pixels)[:rows, :cols]``. The DCT runs in
+    full and is cropped: a split DCT would round differently."""
+    rows, cols = box
+    if kind == DCT:
+        return dctn(pixels, type=2, norm="ortho")[:rows, :cols]
+    if kind == LOGDFT:
+        if not log_offset > 0:
+            raise ValueError(f"offset must be > 0, got {log_offset}")
+        pixels = np.log(pixels + log_offset)
+    return np.fft.fft(np.fft.fft(pixels, axis=1)[:, :cols], axis=0)[:rows]
+
+
+def _transform(image: Image | np.ndarray, kind: str,
+               log_offset: float = 1e-4) -> CoeffMatrix:
+    subject, sample = _ids(image)
+    pixels = _pixels(image)
+    values = _leading_block(pixels, kind, pixels.shape, log_offset)
+    return CoeffMatrix(values=values, kind=kind, subject_id=subject, sample_id=sample)
+
+
 def dct2(image: Image | np.ndarray) -> CoeffMatrix:
     """Orthonormal 2-D DCT (separable type-II with the 1/sqrt(M), sqrt(2/M) scaling)."""
-    subject, sample = _ids(image)
-    values = dctn(_pixels(image), type=2, norm="ortho")
-    return CoeffMatrix(values=values, kind=DCT, subject_id=subject, sample_id=sample)
+    return _transform(image, DCT)
 
 
 def idct2(coeffs: CoeffMatrix) -> np.ndarray:
@@ -170,18 +192,12 @@ def idct2(coeffs: CoeffMatrix) -> np.ndarray:
 
 def dft2(image: Image | np.ndarray) -> CoeffMatrix:
     """Plain 2-D DFT with negative exponent; F(0, 0) is the pixel sum."""
-    subject, sample = _ids(image)
-    values = np.fft.fft2(_pixels(image))
-    return CoeffMatrix(values=values, kind=DFT, subject_id=subject, sample_id=sample)
+    return _transform(image, DFT)
 
 
 def log_dft2(image: Image | np.ndarray, offset: float = 1e-4) -> CoeffMatrix:
     """DFT of ln(pixels + offset): separates illumination and reflectance additively."""
-    if not offset > 0:
-        raise ValueError(f"offset must be > 0, got {offset}")
-    subject, sample = _ids(image)
-    values = np.fft.fft2(np.log(_pixels(image) + offset))
-    return CoeffMatrix(values=values, kind=LOGDFT, subject_id=subject, sample_id=sample)
+    return _transform(image, LOGDFT, offset)
 
 
 TRANSFORMS = {DCT: dct2, DFT: dft2, LOGDFT: log_dft2}
@@ -198,19 +214,18 @@ def transform_corpus(images: Sequence[Image | np.ndarray], kind: str,
                      box: tuple[int, int], log_offset: float = 1e-4) -> np.ndarray:
     """(n, rows, cols) stack of each image's leading ``box`` coefficients.
 
-    Images are transformed one at a time in full; only the block a mask can
-    reach (see :func:`zone_keeps`) is kept.
+    Images are transformed one at a time, and only the block a mask can
+    reach (see :func:`zone_keeps`) is kept; a DFT's column pass runs on the
+    block's columns alone.
     """
     if kind not in TRANSFORMS:
         raise ValueError(f"unknown transform kind {kind!r}")
     if len(images) == 0:
         raise ValueError("no images to transform")
-    fn = TRANSFORMS[kind]
-    options = {"offset": log_offset} if kind == LOGDFT else {}
     rows, cols = box
     stack = None
     for i, image in enumerate(images):
-        values = fn(image, **options).values[:rows, :cols]
+        values = _leading_block(_pixels(image), kind, box, log_offset)
         if values.shape != (rows, cols):
             raise ValueError(f"image {i} is smaller than the {rows}x{cols} "
                              f"coefficient block")

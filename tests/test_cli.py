@@ -8,9 +8,11 @@ import pytest
 from faceid.classifiers import PNNModel, load_model
 from faceid.cli import (
     ConfigError, main, parse_float_grid, parse_int_grid, parse_mask_spec,
-    parse_synth_spec, read_config_file,
+    parse_radius_grid, parse_synth_spec, read_config_file,
 )
-from faceid.transforms import read_features_csv
+from faceid.dataset import split_first_k, synth_corpus
+from faceid.evaluation import sweep_dimension, write_curve_csv
+from faceid.transforms import SECTORIAL, read_features_csv
 
 SYNTH = "subjects=5,samples=6,rows=16,cols=14"
 
@@ -48,6 +50,15 @@ def test_parse_float_grid():
     assert grid[0] == 0.1 and grid[-1] == 2.0
     with pytest.raises(ConfigError):
         parse_float_grid("0.1:2.0")  # step required in range form
+
+
+def test_parse_radius_grid():
+    assert parse_radius_grid("2.5,3.5") == [2.5, 3.5]
+    assert parse_radius_grid("2:4:0.5") == [2.0, 2.5, 3.0, 3.5, 4.0]
+    assert parse_radius_grid("1:3") == [1.0, 2.0, 3.0]
+    for bad in ("1:x", "2.5:4", "1:2:3:4"):
+        with pytest.raises(ConfigError):
+            parse_radius_grid(bad)
 
 
 def test_parse_synth_spec():
@@ -261,6 +272,40 @@ def test_sweep_dim(tmp_path, capsys):
     assert len(lines) == 4
     assert [int(ln.split(",")[1]) for ln in lines[1:]] == [1, 4, 9]
     assert "best rate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grid", ["2.5,3,5.5", "5.5,2.5,3.0"])
+def test_sector_sweep_takes_fractional_radii(tmp_path, grid):
+    out = tmp_path / "out"
+    synth = "subjects=4,samples=6,rows=24,cols=20"
+    code = run(["sweep", "--axis", "dim", "--synth", synth, "--mask-shape", "sector",
+                "--grid", grid, "--out", str(out)])
+    assert code == 0
+    split = split_first_k(synth_corpus(0, 4, 6, 24, 20), 5)
+    write_curve_csv(sweep_dimension(split, "dct", SECTORIAL, grid=[2.5, 3.0, 5.5]),
+                    tmp_path / "want.csv", "param")
+    assert (out / "curve.csv").read_text() == (tmp_path / "want.csv").read_text()
+
+
+def test_sector_sweep_takes_a_radius_range(tmp_path):
+    out = tmp_path / "out"
+    code = run(["sweep", "--axis", "dim", "--synth", SYNTH, "--mask-shape", "sector",
+                "--grid", "1.5:3.0:0.5", "--out", str(out)])
+    assert code == 0
+    lines = (out / "curve.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["1.5", "2.0", "2.5", "3.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid", "2.5,3.5"],
+    ["--grid", "2:4:0.5"],
+    ["--mask-shape", "sector", "--transform", "klt", "--grid", "2.5,3.5"],
+])
+def test_rect_and_klt_grids_refuse_fractions(tmp_path, capsys, argv):
+    code = run(["sweep", "--axis", "dim", "--synth", SYNTH, *argv,
+                "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "bad grid" in capsys.readouterr().err
 
 
 def test_sweep_spread(tmp_path):

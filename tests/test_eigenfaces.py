@@ -5,8 +5,7 @@ import pytest
 
 from faceid.dataset import Image, synth_corpus
 from faceid.eigenfaces import (
-    EigenBasis, RankError, attainable_rank, load_basis, project,
-    reconstruct, save_basis, train_eigenbasis,
+    EigenBasis, RankError, attainable_rank, project, reconstruct, train_eigenbasis,
 )
 
 
@@ -82,22 +81,33 @@ def test_m_prime_bounds(gallery):
         train_eigenbasis(gallery, len(gallery) + 1)
 
 
+def per_image_projection(images, basis):
+    """Oracle: one eigenfaces @ (x - mean_face) mat-vec per image."""
+    return np.stack([basis.eigenfaces @ (im.pixels.ravel() - basis.mean_face)
+                     for im in images])
+
+
 def test_projection_of_training_residual(gallery):
     basis = train_eigenbasis(gallery, 5)
-    fv = project(gallery[0], basis)
-    assert fv.dim == 5
-    assert fv.source == "klt"
-    assert fv.label == gallery[0].subject_id
+    weights = project(gallery, basis)
+    assert weights.shape == (len(gallery), 5)
     # weights are inner products with the residual
     residual = gallery[0].pixels.ravel() - basis.mean_face
-    assert np.abs(fv.coeffs - basis.eigenfaces @ residual).max() < 1e-12
+    assert np.abs(weights[0] - basis.eigenfaces @ residual).max() < 1e-12
+
+
+def test_project_accepts_bare_arrays(gallery):
+    basis = train_eigenbasis(gallery, 4)
+    arrays = [im.pixels for im in gallery]
+    assert np.array_equal(project(arrays, basis), project(gallery, basis))
+    assert np.array_equal(project(np.stack(arrays), basis), project(gallery, basis))
 
 
 def test_full_rank_projection_reconstructs_exactly(gallery):
     m = len(gallery)
     basis = train_eigenbasis(gallery, m - 1)
-    for im in gallery:
-        recon = reconstruct(project(im, basis), basis)
+    for im, weights in zip(gallery, project(gallery, basis)):
+        recon = reconstruct(weights, basis)
         assert np.abs(recon - im.pixels).max() < 1e-9
 
 
@@ -106,7 +116,7 @@ def test_truncated_reconstruction_error_decreases(gallery):
     errs = []
     for m_prime in (2, 5, 9):
         basis = train_eigenbasis(gallery, m_prime)
-        recon = reconstruct(project(probe, basis), basis)
+        recon = reconstruct(project([probe], basis)[0], basis)
         errs.append(np.linalg.norm(recon - probe.pixels))
     assert errs[0] >= errs[1] >= errs[2]
 
@@ -114,7 +124,7 @@ def test_truncated_reconstruction_error_decreases(gallery):
 def test_project_shape_mismatch(gallery):
     basis = train_eigenbasis(gallery, 3)
     with pytest.raises(ValueError, match="dims"):
-        project(np.zeros((9, 9)), basis)
+        project([gallery[0], np.zeros((9, 9))], basis)
     with pytest.raises(ValueError, match="weights"):
         reconstruct(np.zeros(4), basis)
 
@@ -168,12 +178,21 @@ def test_fit_memory_is_bounded(peak_bytes):
     assert peak_bytes(train_eigenbasis, images, len(images) - 1) < 2.5 * stacked
 
 
-def test_save_load_bit_exact(gallery, tmp_path):
-    basis = train_eigenbasis(gallery, 6)
-    path = tmp_path / "basis.npz"
-    save_basis(basis, path)
-    back = load_basis(path)
-    assert np.array_equal(back.mean_face, basis.mean_face)
-    assert np.array_equal(back.eigenfaces, basis.eigenfaces)
-    assert np.array_equal(back.eigenvalues, basis.eigenvalues)
-    assert (back.rows, back.cols) == (basis.rows, basis.cols)
+@pytest.mark.parametrize("m_prime", [1, 10, 39])
+def test_block_projection_matches_per_image_oracle(larger_gallery, m_prime):
+    basis = train_eigenbasis(larger_gallery, m_prime)
+    probes = synth_corpus(seed=6, n_subjects=10, samples=4, rows=32, cols=28).images
+    for images in (larger_gallery, probes):
+        got = project(images, basis)
+        want = per_image_projection(images, basis)
+        assert got.shape == (len(images), m_prime)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_block_projection_memory_is_one_stack(peak_bytes):
+    # the images are centred into one (n, P) matrix; no second copy
+    images = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46).images
+    basis = train_eigenbasis(images, 10)
+    stacked = len(images) * images[0].pixels.size * 8
+    assert peak_bytes(project, images, basis) < 1.2 * stacked

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from faceid.classifiers import (
-    HIGHER, Gallery, MLPModel, mlp_scores, mse_dist, nn_scores, pnn_classify,
-    rbf_scores,
+    HIGHER, MAD, MSE, Gallery, MLPModel, mlp_scores, mse_dist, nn_scores,
+    pnn_classify, rbf_scores,
 )
 from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import (
@@ -182,6 +182,21 @@ def test_dimension_sweep_klt_slicing_matches_retraining(small_split):
 def test_dimension_sweep_klt_rank_guard(small_split):
     with pytest.raises(ValueError, match="rank"):
         sweep_dimension(small_split, KLT, grid=[len(small_split.gallery)])
+
+
+# `faceid sweep --transform klt --grid 1:6` on the ORL-shaped synthetic corpus
+# (seed 0): the low dims do not saturate, so a change in the KLT features shows
+KLT_LOW_DIM_RATES = {
+    MAD: [62.0, 97.0, 100.0, 100.0, 100.0, 100.0],
+    MSE: [62.0, 97.5, 100.0, 100.0, 100.0, 100.0],
+}
+
+
+@pytest.mark.parametrize("metric", [MAD, MSE])
+def test_klt_low_dim_rates_are_pinned(orl_split, metric):
+    points = sweep_dimension(orl_split, KLT, grid=range(1, 7), metric=metric)
+    assert [(pt.param, pt.dim) for pt in points] == [(float(d), d) for d in range(1, 7)]
+    assert [pt.rate for pt in points] == KLT_LOW_DIM_RATES[metric]
 
 
 def test_dimension_sweep_empty_grid(small_split):

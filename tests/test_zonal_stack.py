@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.fft import dctn
 from scipy.spatial.distance import cdist
 
 from faceid import cli, evaluation
@@ -17,7 +18,7 @@ from faceid.evaluation import (
     identification_rate, identify, extract_split_features, sweep_dimension,
 )
 from faceid.transforms import (
-    DCT, DFT, INTERLEAVE, KLT, LOGDFT, MODULUS, RECTANGULAR, SECTORIAL, TRANSFORMS,
+    DCT, DFT, INTERLEAVE, KLT, LOGDFT, MODULUS, RECTANGULAR, SECTORIAL,
     ZonalMask, dct2, dft2, extract_features, log_dft2, mask_features,
     transform_corpus, zone_keeps,
 )
@@ -58,9 +59,15 @@ def frozen_vector(values, mask, complex_mode, r_low):
     return np.asarray(retained, dtype=np.float64)
 
 
+FROZEN_TRANSFORMS = {
+    DCT: lambda px: dctn(px, type=2, norm="ortho"),
+    DFT: np.fft.fft2,
+    LOGDFT: lambda px: np.fft.fft2(np.log(px + 1e-4)),
+}
+
+
 def frozen_transform(images, kind):
-    fn = TRANSFORMS[kind]
-    return [fn(img).values for img in images]
+    return [FROZEN_TRANSFORMS[kind](img.pixels) for img in images]
 
 
 def frozen_matrix(coeffs, mask, complex_mode, r_low):
@@ -187,6 +194,37 @@ def test_transform_corpus_keeps_the_leading_block(small_split):
         transform_corpus(images, "wavelet", (2, 2))
 
 
+# odd, even and prime image shapes; for each, a 1x1 box, a box with r != c
+# and the full-size box
+DFT_BLOCK_CASES = [(shape, box) for shape, boxes in (
+    ((15, 9), [(1, 1), (4, 7), (15, 9)]),
+    ((12, 8), [(1, 1), (6, 3), (12, 8)]),
+    ((13, 7), [(1, 1), (2, 5), (13, 7)]),
+) for box in boxes]
+
+
+@pytest.mark.parametrize("shape,box", DFT_BLOCK_CASES)
+@pytest.mark.parametrize("kind", [DFT, LOGDFT])
+def test_cropped_dft_is_bit_equal_to_full_fft2(kind, shape, box):
+    rng = np.random.default_rng(shape[0] * 100 + box[1])
+    images = [rng.uniform(0.0, 255.0, size=shape) for _ in range(3)]
+    stack = transform_corpus(images, kind, box, log_offset=0.5)
+    rows, cols = box
+    for image, block in zip(images, stack):
+        pixels = np.log(image + 0.5) if kind == LOGDFT else image
+        assert np.array_equal(block, np.fft.fft2(pixels)[:rows, :cols])
+
+
+@pytest.mark.parametrize("shape", [(15, 9), (12, 8), (13, 7)])
+def test_full_box_transforms_are_bit_equal_to_fft2(shape):
+    image = np.random.default_rng(shape[1]).uniform(0.0, 255.0, size=shape)
+    assert np.array_equal(dft2(image).values, np.fft.fft2(image))
+    assert np.array_equal(log_dft2(image, offset=0.5).values,
+                          np.fft.fft2(np.log(image + 0.5)))
+    with pytest.raises(ValueError, match="offset"):
+        transform_corpus([image], LOGDFT, (2, 2), log_offset=0.0)
+
+
 def test_mask_features_reduces_complex_blocks():
     stack = np.array([[[1 + 2j, 3 - 4j], [5 + 0j, -6 + 7j]]])
     keep = np.array([[True, False], [True, True]])
@@ -257,7 +295,7 @@ def direct_features(split, kind, mask_shape, grid, complex_mode, r_low):
     images = [*split.gallery, *split.probes]
     if kind == KLT:
         basis = train_eigenbasis(split.gallery, max(grid))
-        full = np.stack([project(img, basis).coeffs for img in images])
+        full = project(images, basis)
         return [full[:, :d] for d in grid]
     make = ZonalMask.rectangular if mask_shape == RECTANGULAR else ZonalMask.sectorial
     coeffs = frozen_transform(images, kind)
@@ -345,11 +383,11 @@ def test_nonfinite_feature_in_the_last_band_is_refused(small_split, monkeypatch,
     if kind == KLT:
         real = evaluation.project
 
-        def poisoned(image, basis):
-            fv = real(image, basis)
-            if image is small_split.probes[-1]:
-                fv.coeffs[-1] = np.nan
-            return fv
+        def poisoned(images, basis):
+            weights = real(images, basis)
+            if images[-1] is small_split.probes[-1]:
+                weights[-1, -1] = np.nan
+            return weights
 
         monkeypatch.setattr(evaluation, "project", poisoned)
     else:
