@@ -18,6 +18,10 @@ from .common import (
 )
 from .pnn import radbas
 
+# candidates whose error lies within this fraction of the largest error are
+# tied, and the lowest index among them is picked
+TIE_RTOL = 1e-9
+
 
 @dataclass(eq=False)
 class RBFModel:
@@ -60,6 +64,14 @@ def _solve_linear(acts: np.ndarray, targets: np.ndarray):
     return weights, biases
 
 
+def _pick(row_err: np.ndarray, remaining: np.ndarray) -> int:
+    """Lowest remaining index whose error is within TIE_RTOL of the largest."""
+    # never re-promote a vector that is already a center
+    candidate_err = np.where(remaining, row_err, -np.inf)
+    top = candidate_err.max()
+    return int(np.argmax(candidate_err >= top - TIE_RTOL * top))
+
+
 def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFModel:
     if spread <= 0:
         raise ValueError("spread must be positive")
@@ -76,9 +88,7 @@ def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFMod
     residuals = []
     for _ in range(max_centers):
         row_err = ((outputs - targets) ** 2).sum(axis=1)
-        # never re-promote a vector that is already a center
-        candidate_err = np.where(remaining, row_err, -np.inf)
-        pick = int(np.argmax(candidate_err))
+        pick = _pick(row_err, remaining)
         chosen.append(pick)
         remaining[pick] = False
         acts = all_acts[:, chosen]

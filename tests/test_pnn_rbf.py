@@ -9,7 +9,7 @@ from faceid.classifiers import (
     mlp_train, pnn_classify, pnn_train, radbas_bias, rbf_scores, rbf_train,
     save_model,
 )
-from faceid.classifiers.rbf import _activations, _solve_linear
+from faceid.classifiers.rbf import TIE_RTOL, _activations, _solve_linear
 from faceid.evaluation import extract_split_features
 from faceid.fusion import fuse_mean, normalize_scores
 from faceid.transforms import DCT, ZonalMask
@@ -171,6 +171,15 @@ def test_rbf_full_design_interpolates():
     assert decide(model, rbf_scores(model, gallery.matrix)) == gallery.labels.tolist()
 
 
+def _lowest_within_tolerance(errs, taken):
+    """The tie rule, written out: the lowest untaken index whose error is
+    within TIE_RTOL (relative) of the largest untaken error."""
+    taken = set(taken)
+    free = [j for j in range(errs.size) if j not in taken]
+    top = max(errs[j] for j in free)
+    return min(j for j in free if errs[j] >= top - TIE_RTOL * top)
+
+
 def test_rbf_greedy_matches_bruteforce_oracle():
     """Re-run the growth loop with independently computed pieces."""
     gallery = clustered_gallery(seed=13, n_subjects=3, per_class=4, dim=5)
@@ -190,8 +199,7 @@ def test_rbf_greedy_matches_bruteforce_oracle():
     chosen = []
     for _ in range(6):
         errs = ((fit(chosen) - targets) ** 2).sum(axis=1)
-        errs[chosen] = -np.inf
-        chosen.append(int(np.argmax(errs)))
+        chosen.append(_lowest_within_tolerance(errs, chosen))
     assert model.center_indices.tolist() == chosen
     assert np.array_equal(model.centers, x[chosen])
 
@@ -242,7 +250,9 @@ def test_rbf_batch_scores_bit_equal_row_loop():
 
 # Frozen copies of the RBF kernels before the distance matrix moved onto the
 # gallery: one (n, k, d) difference tensor, and the network output computed
-# twice per growth step. The live code must reproduce their bits.
+# twice per growth step. With `tie_rule` the pick is the tie rule's instead of
+# argmax's, which makes the loop the brute-force oracle of the live code: one
+# full lstsq refit per added center. The live code must reproduce their bits.
 
 def _frozen_activations(x, centers, spread):
     if centers.shape[0] == 0:
@@ -252,7 +262,7 @@ def _frozen_activations(x, centers, spread):
     return np.exp(-(dists * radbas_bias(spread)) ** 2)
 
 
-def _frozen_rbf_train(gallery, spread, max_centers):
+def _frozen_rbf_train(gallery, spread, max_centers, tie_rule=False):
     x = gallery.normalized_matrix()
     targets = make_targets(gallery)
     all_acts = _frozen_activations(x, x, spread)
@@ -263,8 +273,10 @@ def _frozen_rbf_train(gallery, spread, max_centers):
     for _ in range(max_centers):
         outputs = all_acts[:, chosen] @ weights.T + biases
         row_err = ((outputs - targets) ** 2).sum(axis=1)
-        candidate_err = np.where(remaining, row_err, -np.inf)
-        pick = int(np.argmax(candidate_err))
+        if tie_rule:
+            pick = _lowest_within_tolerance(row_err, chosen)
+        else:
+            pick = int(np.argmax(np.where(remaining, row_err, -np.inf)))
         chosen.append(pick)
         remaining[pick] = False
         acts = all_acts[:, chosen]
@@ -291,9 +303,12 @@ def orl_shaped_dct(orl_split):
 
 @pytest.mark.parametrize("spread,collapsed", [(20.0, False), (0.9, True)])
 def test_rbf_bit_equal_frozen_kernels(orl_shaped_dct, spread, collapsed):
+    # spread 20 has no near-tie, so the frozen argmax loop still decides it;
+    # in the collapse most picks are ties, decided by the tie-rule oracle
     gallery, probes = orl_shaped_dct
     model = rbf_train(gallery, spread)
-    chosen, weights, biases, residuals = _frozen_rbf_train(gallery, spread, 100)
+    chosen, weights, biases, residuals = _frozen_rbf_train(gallery, spread, 100,
+                                                           tie_rule=collapsed)
     assert np.array_equal(model.center_indices, chosen)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.biases, biases)
