@@ -34,6 +34,8 @@ class RBFModel:
     norm_std: np.ndarray
     center_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # training diagnostic, set by rbf_train and not saved with the model
+    tied_picks: int | None = None
 
     def __post_init__(self):
         if self.spread <= 0:
@@ -64,12 +66,22 @@ def _solve_linear(acts: np.ndarray, targets: np.ndarray):
     return weights, biases
 
 
-def _pick(row_err: np.ndarray, remaining: np.ndarray) -> int:
-    """Lowest remaining index whose error is within TIE_RTOL of the largest."""
+def _pick(row_err: np.ndarray, remaining: np.ndarray) -> tuple[int, bool]:
+    """Lowest remaining index whose error is within TIE_RTOL of the largest,
+    and whether another remaining candidate was tied with it."""
     # never re-promote a vector that is already a center
     candidate_err = np.where(remaining, row_err, -np.inf)
     top = candidate_err.max()
-    return int(np.argmax(candidate_err >= top - TIE_RTOL * top))
+    tied = candidate_err >= top - TIE_RTOL * top
+    return int(np.argmax(tied)), bool(np.count_nonzero(tied) > 1)
+
+
+def _orthogonal_remainder(basis: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """The part of ``column`` orthogonal to the orthonormal columns of
+    ``basis``: two classical Gram-Schmidt passes, the second removing what
+    rounding left of the basis directions after the first."""
+    rest = column - basis @ (basis.T @ column)
+    return rest - basis @ (basis.T @ rest)
 
 
 def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFModel:
@@ -79,29 +91,49 @@ def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFMod
         raise ValueError(f"max_centers must lie in [1, {gallery.size}]")
     x = gallery.normalized_matrix()
     targets = make_targets(gallery)
+    n = gallery.size
     # column j = center candidate j
     all_acts = radbas(gallery.normalized_distances(), spread)
+    # a remainder below lstsq's default rcond cut-off, relative to the column,
+    # is rounding: that column adds nothing to the span
+    dependent = np.finfo(float).eps * (n + 1)
+    # orthonormal basis of the fit's span, bias column first; the fit's
+    # outputs are the targets' projection onto it
+    basis = np.empty((n, max_centers + 1))
+    basis[:, 0] = 1.0 / np.sqrt(n)
+    rank = 1
+    _, biases = _solve_linear(all_acts[:, []], targets)
+    outputs = np.tile(biases, (n, 1))
+    row_err = ((outputs - targets) ** 2).sum(axis=1)
     chosen: list[int] = []
-    remaining = np.ones(gallery.size, dtype=bool)
-    weights, biases = _solve_linear(all_acts[:, []], targets)
-    outputs = all_acts[:, []] @ weights.T + biases
+    remaining = np.ones(n, dtype=bool)
     residuals = []
+    tied_picks = 0
     for _ in range(max_centers):
-        row_err = ((outputs - targets) ** 2).sum(axis=1)
-        pick = _pick(row_err, remaining)
+        pick, tied = _pick(row_err, remaining)
         chosen.append(pick)
         remaining[pick] = False
-        acts = all_acts[:, chosen]
-        weights, biases = _solve_linear(acts, targets)
-        # the fit of this growth step is the next step's network output
-        outputs = acts @ weights.T + biases
-        residuals.append(float(((outputs - targets) ** 2).sum()))
+        tied_picks += tied
+        column = all_acts[:, pick]
+        rest = _orthogonal_remainder(basis[:, :rank], column)
+        norm = np.linalg.norm(rest)
+        if norm > dependent * np.linalg.norm(column):
+            q = basis[:, rank] = rest / norm
+            rank += 1
+            # the new direction's share of the targets joins the fit
+            outputs += np.outer(q, q @ targets)
+            row_err = ((outputs - targets) ** 2).sum(axis=1)
+        residuals.append(float(row_err.sum()))
+    acts = all_acts[:, chosen]
+    weights, biases = _solve_linear(acts, targets)
+    fit = acts @ weights.T + biases
+    residuals[-1] = float(((fit - targets) ** 2).sum())
     return RBFModel(centers=x[chosen].copy(), spread=float(spread),
                     weights=weights, biases=biases,
                     subject_ids=gallery.subject_ids.copy(),
                     norm_mean=gallery.mean.copy(), norm_std=gallery.std.copy(),
                     center_indices=np.array(chosen, dtype=np.int64),
-                    residuals=np.array(residuals))
+                    residuals=np.array(residuals), tied_picks=tied_picks)
 
 
 def rbf_scores(model: RBFModel, probes: np.ndarray) -> tuple[np.ndarray, str]:

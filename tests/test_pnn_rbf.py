@@ -1,5 +1,7 @@
 """Radial basis classifiers: PNN probabilities, greedy RBF design, persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -9,8 +11,8 @@ from faceid.classifiers import (
     mlp_train, pnn_classify, pnn_train, radbas_bias, rbf_scores, rbf_train,
     save_model,
 )
-from faceid.classifiers.rbf import TIE_RTOL, _activations, _solve_linear
-from faceid.evaluation import extract_split_features
+from faceid.classifiers.rbf import TIE_RTOL, _activations, _pick, _solve_linear
+from faceid.evaluation import SPREAD_GRID, extract_split_features
 from faceid.fusion import fuse_mean, normalize_scores
 from faceid.transforms import DCT, ZonalMask
 
@@ -173,11 +175,13 @@ def test_rbf_full_design_interpolates():
 
 def _lowest_within_tolerance(errs, taken):
     """The tie rule, written out: the lowest untaken index whose error is
-    within TIE_RTOL (relative) of the largest untaken error."""
+    within TIE_RTOL (relative) of the largest untaken error, and how many
+    untaken candidates lie that close."""
     taken = set(taken)
     free = [j for j in range(errs.size) if j not in taken]
     top = max(errs[j] for j in free)
-    return min(j for j in free if errs[j] >= top - TIE_RTOL * top)
+    tied = [j for j in free if errs[j] >= top - TIE_RTOL * top]
+    return tied[0], len(tied)
 
 
 def test_rbf_greedy_matches_bruteforce_oracle():
@@ -199,7 +203,7 @@ def test_rbf_greedy_matches_bruteforce_oracle():
     chosen = []
     for _ in range(6):
         errs = ((fit(chosen) - targets) ** 2).sum(axis=1)
-        chosen.append(_lowest_within_tolerance(errs, chosen))
+        chosen.append(_lowest_within_tolerance(errs, chosen)[0])
     assert model.center_indices.tolist() == chosen
     assert np.array_equal(model.centers, x[chosen])
 
@@ -249,32 +253,46 @@ def test_rbf_batch_scores_bit_equal_row_loop():
 
 
 # Frozen copies of the RBF kernels before the distance matrix moved onto the
-# gallery: one (n, k, d) difference tensor, and the network output computed
-# twice per growth step. With `tie_rule` the pick is the tie rule's instead of
-# argmax's, which makes the loop the brute-force oracle of the live code: one
-# full lstsq refit per added center. The live code must reproduce their bits.
+# gallery and the growth became incremental: one (n, k, d) difference tensor,
+# the network output computed twice per growth step, and one full lstsq refit
+# per added center. With `tie_rule` the pick is the tie rule's instead of
+# argmax's, which makes the loop the brute-force oracle of the live code.
+
+# Largest relative difference allowed between the live code's per-step
+# residuals (read off the running outputs) and the refits' residuals; the
+# last residual comes from the final fit and must match bit for bit.
+RESIDUAL_RTOL = 1e-13
+
+
+def _frozen_distances(x, centers):
+    diff = x[:, None, :] - centers[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
 
 def _frozen_activations(x, centers, spread):
     if centers.shape[0] == 0:
         return np.zeros((x.shape[0], 0))
-    diff = x[:, None, :] - centers[None, :, :]
-    dists = np.sqrt((diff ** 2).sum(axis=2))
-    return np.exp(-(dists * radbas_bias(spread)) ** 2)
+    return np.exp(-(_frozen_distances(x, centers) * radbas_bias(spread)) ** 2)
 
 
-def _frozen_rbf_train(gallery, spread, max_centers, tie_rule=False):
+def _frozen_rbf_train(gallery, spread, max_centers, tie_rule=False, dists=None):
+    """(center indices, weights, biases, residuals, tied picks)."""
     x = gallery.normalized_matrix()
     targets = make_targets(gallery)
-    all_acts = _frozen_activations(x, x, spread)
+    if dists is None:
+        dists = _frozen_distances(x, x)
+    all_acts = np.exp(-(dists * radbas_bias(spread)) ** 2)
     chosen = []
     remaining = np.ones(gallery.size, dtype=bool)
     weights, biases = _solve_linear(all_acts[:, []], targets)
     residuals = []
+    tied_picks = 0
     for _ in range(max_centers):
         outputs = all_acts[:, chosen] @ weights.T + biases
         row_err = ((outputs - targets) ** 2).sum(axis=1)
         if tie_rule:
-            pick = _lowest_within_tolerance(row_err, chosen)
+            pick, n_tied = _lowest_within_tolerance(row_err, chosen)
+            tied_picks += n_tied > 1
         else:
             pick = int(np.argmax(np.where(remaining, row_err, -np.inf)))
         chosen.append(pick)
@@ -283,7 +301,7 @@ def _frozen_rbf_train(gallery, spread, max_centers, tie_rule=False):
         weights, biases = _solve_linear(acts, targets)
         fit = acts @ weights.T + biases
         residuals.append(float(((fit - targets) ** 2).sum()))
-    return np.array(chosen), weights, biases, np.array(residuals)
+    return np.array(chosen), weights, biases, np.array(residuals), tied_picks
 
 
 def _frozen_rbf_scores(model, probes):
@@ -292,6 +310,12 @@ def _frozen_rbf_scores(model, probes):
     acts = np.vstack([_frozen_activations(z[i:i + step], model.centers, model.spread)
                       for i in range(0, z.shape[0], step)])
     return np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
+
+
+def assert_residuals_match(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= RESIDUAL_RTOL * np.abs(want).max()
+    assert got[-1] == want[-1]
 
 
 @pytest.fixture(scope="module")
@@ -307,17 +331,69 @@ def test_rbf_bit_equal_frozen_kernels(orl_shaped_dct, spread, collapsed):
     # in the collapse most picks are ties, decided by the tie-rule oracle
     gallery, probes = orl_shaped_dct
     model = rbf_train(gallery, spread)
-    chosen, weights, biases, residuals = _frozen_rbf_train(gallery, spread, 100,
-                                                           tie_rule=collapsed)
+    chosen, weights, biases, residuals, tied_picks = _frozen_rbf_train(
+        gallery, spread, 100, tie_rule=collapsed)
     assert np.array_equal(model.center_indices, chosen)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.biases, biases)
-    assert np.array_equal(model.residuals, residuals)
+    assert_residuals_match(model.residuals, residuals)
     scores, _ = rbf_scores(model, probes)
     frozen = _frozen_rbf_scores(model, probes)
     assert np.array_equal(scores, frozen)
     # spread 0.9 is the collapse of ROADMAP aim 3: every output is the bias
     assert np.all(frozen == model.biases) == collapsed
+    if collapsed:
+        assert model.tied_picks == tied_picks > 0
+
+
+def test_rbf_growth_matches_lstsq_oracle_over_spreads(orl_shaped_dct):
+    # every spread table1 sweeps, and three wide ones where no pick is a tie
+    gallery, probes = orl_shaped_dct
+    dists = _frozen_distances(gallery.normalized_matrix(), gallery.normalized_matrix())
+    for spread in (*SPREAD_GRID, 5.0, 10.0, 20.0):
+        model = rbf_train(gallery, spread)
+        chosen, weights, biases, residuals, tied_picks = _frozen_rbf_train(
+            gallery, spread, 100, tie_rule=True, dists=dists)
+        assert np.array_equal(model.center_indices, chosen), spread
+        assert np.array_equal(model.weights, weights), spread
+        assert np.array_equal(model.biases, biases), spread
+        assert model.tied_picks == tied_picks, spread
+        assert_residuals_match(model.residuals, residuals)
+        oracle = replace(model, weights=weights, biases=biases)
+        assert np.array_equal(rbf_scores(model, probes)[0],
+                              _frozen_rbf_scores(oracle, probes)), spread
+
+
+def test_rbf_dependent_columns_keep_minimum_norm_weights():
+    # rows 0 and 5 are one vector under two labels: their activation columns
+    # are equal, so the second pick of the pair adds nothing to the span
+    base = clustered_gallery(seed=3, n_subjects=4, per_class=3)
+    matrix = base.matrix.copy()
+    matrix[5] = matrix[0]
+    gallery = Gallery(matrix=matrix, labels=base.labels)
+    assert gallery.labels[0] != gallery.labels[5]
+    model = rbf_train(gallery, spread=1.5, max_centers=8)
+    chosen, weights, biases, residuals, _ = _frozen_rbf_train(
+        gallery, 1.5, 8, tie_rule=True)
+    assert {0, 5} <= set(model.center_indices.tolist())
+    assert np.array_equal(model.center_indices, chosen)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.biases, biases)
+    assert_residuals_match(model.residuals, residuals)
+    # the minimum-norm answer splits the pair's weight evenly
+    where = {int(j): k for k, j in enumerate(model.center_indices)}
+    assert np.allclose(model.weights[:, where[0]], model.weights[:, where[5]])
+
+
+def test_rbf_near_tie_picks_lower_index():
+    remaining = np.ones(4, dtype=bool)
+    below = np.array([0.5, 2.0, 2.0 * (1 + 0.5 * TIE_RTOL), 1.0])
+    assert _pick(below, remaining) == (1, True)
+    above = np.array([0.5, 2.0, 2.0 * (1 + 2 * TIE_RTOL), 1.0])
+    assert _pick(above, remaining) == (2, False)
+    # a center is never promoted again, however large its error
+    remaining[2] = False
+    assert _pick(above, remaining) == (1, False)
 
 
 def test_gallery_distances_computed_once_and_read_only(monkeypatch):
