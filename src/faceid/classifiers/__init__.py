@@ -27,7 +27,7 @@ from .mlp import (
     write_training_log,
 )
 from .pnn import PNNModel, pnn_classify, pnn_train, radbas_bias
-from .rbf import RBFModel, rbf_scores, rbf_train
+from .rbf import RBFModel, probes_at_bias, rbf_scores, rbf_train
 from .store import load_model, save_model
 
 __all__ = [
@@ -38,6 +38,6 @@ __all__ = [
     "msereg_gradient", "msereg_loss", "pack_params", "unpack_params",
     "write_training_log",
     "PNNModel", "pnn_classify", "pnn_train", "radbas_bias",
-    "RBFModel", "rbf_scores", "rbf_train",
+    "RBFModel", "probes_at_bias", "rbf_scores", "rbf_train",
     "load_model", "save_model",
 ]

@@ -1,10 +1,23 @@
 """Incrementally designed radial basis network with a linear output layer.
 
-Centers are grown greedily: simulate the current network on the gallery,
-promote the worst-fit vector (largest summed squared output error) to a new
-center, then re-solve the linear layer exactly against the +/-1 targets.
-The pre-growth network is the bias-only least-squares fit, so the first
-pick is already error-driven.
+Centers are grown greedily: simulate the current network on the gallery and
+promote the worst-fit vector (largest summed squared output error against
+the +/-1 targets) to a new center. The pre-growth network is the bias-only
+least-squares fit, so the first pick is already error-driven. Errors within
+``TIE_RTOL`` (relative) of the largest count as tied, and the lowest gallery
+index among them is promoted, so rounding never decides a pick.
+
+Each step's network is the least-squares fit on the centers so far, grown by
+orthogonalisation (Chen, Cowan & Grant 1991, "Orthogonal least squares
+learning algorithm for radial basis function networks", IEEE TNN 2(2)): the
+new center's activation column is orthogonalised against an orthonormal
+basis of the fit's span, and its share of the targets is added to the
+running gallery outputs, so a pick costs O(n S) instead of a refit. A column
+that the span already holds adds nothing. One least-squares solve on the
+chosen columns after the last pick gives the weights and biases (minimum-norm
+on a rank-deficient design). The per-step residuals come from the running
+outputs and match refits to about 1e-14, relative, not bit for bit; the last
+one is the final fit's.
 """
 
 from __future__ import annotations
@@ -102,6 +115,7 @@ def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFMod
     basis = np.empty((n, max_centers + 1))
     basis[:, 0] = 1.0 / np.sqrt(n)
     rank = 1
+    # the pre-growth network: the bias-only least-squares fit
     _, biases = _solve_linear(all_acts[:, []], targets)
     outputs = np.tile(biases, (n, 1))
     row_err = ((outputs - targets) ** 2).sum(axis=1)
@@ -143,3 +157,10 @@ def rbf_scores(model: RBFModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
     # one mat-vec per probe keeps the bits of a row-by-row `weights @ a`
     outputs = np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
     return finite_scores(outputs, HIGHER)
+
+
+def probes_at_bias(model: RBFModel, probes: np.ndarray) -> int:
+    """How many probes get outputs that all equal the biases: every center's
+    activation vanished against them, so rounding decides their arg-max."""
+    scores, _ = rbf_scores(model, probes)
+    return int(np.all(scores == model.biases, axis=1).sum())

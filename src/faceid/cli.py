@@ -24,7 +24,10 @@ from .transforms import (
     ZonalMask, write_features_csv,
 )
 from .eigenfaces import RankError
-from .classifiers import DivergenceError, MLPModel, save_model, write_training_log
+from .classifiers import (
+    DivergenceError, MLPModel, RBFModel, probes_at_bias, save_model,
+    write_training_log,
+)
 from .evaluation import (
     DEFAULT_SPREAD, SPREAD_GRID, TRAIN_SAMPLES,
     EvalConfig, extract_split_features, format_table,
@@ -294,6 +297,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"{name}: SCG stopped after {model.curve.size - 1} epochs "
                   f"({model.stop_reason}), last lambda {model.last_lambda:.6g}",
                   file=sys.stderr)
+        elif isinstance(model, RBFModel):
+            at_bias = probes_at_bias(model, [fv.coeffs for fv in probes])
+            print(f"{name}: {model.n_centers} centers, {model.tied_picks} picked "
+                  f"by the tie rule, final residual {model.residuals[-1]:.6g}, "
+                  f"{at_bias}/{len(probes)} probes at the bias", file=sys.stderr)
     if "fusion_rows" in artifacts:
         write_fusion_report(artifacts["fusion_rows"], out / "fusion_report.csv")
         outputs.append("fusion_report.csv")

@@ -1,6 +1,7 @@
 """End-to-end command-line runs, option plumbing, and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,28 @@ def test_evaluate_mlp_writes_training_log(tmp_path, capsys):
     assert len(log) >= 3
     losses = [float(row.split(",")[1]) for row in log[1:]]
     assert losses[-1] <= losses[0]
+
+
+@pytest.mark.parametrize("spread,at_bias", [("0.01", 5), ("20", 0)])
+def test_evaluate_rbf_reports_growth_on_stderr(tmp_path, capsys, spread, at_bias):
+    # a spread far below the gallery distances leaves every probe at the bias
+    out = tmp_path / "out"
+    argv = ["evaluate", "--synth", SYNTH, "--classifier", "rbf",
+            "--spread", spread, "--max-centers", "6", "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"^rbf: 6 centers, [1-6] picked by the tie rule, final residual "
+                         rf"[0-9.e+-]+, {at_bias}/5 probes at the bias$", err, re.M), err
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    # the line is a diagnostic: it goes into no written file, the model saves
+    # no tie count, and reruns stay byte-identical
+    assert sorted(runs[0]) == ["manifest.json", "model_rbf.npz", "result.csv"]
+    assert runs[0] == runs[1]
+    for data in runs[0].values():
+        assert b"tie rule" not in data and b"tied_picks" not in data
+    assert load_model(out / "model_rbf.npz").tied_picks is None
 
 
 def test_evaluate_fusion_writes_report(tmp_path):

@@ -8,8 +8,8 @@ from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
     HIGHER, Gallery, MLPConfig, PNNModel, RBFModel, load_model, make_targets,
-    mlp_train, pnn_classify, pnn_train, radbas_bias, rbf_scores, rbf_train,
-    save_model,
+    mlp_train, pnn_classify, pnn_train, probes_at_bias, radbas_bias, rbf_scores,
+    rbf_train, save_model,
 )
 from faceid.classifiers.rbf import TIE_RTOL, _activations, _pick, _solve_linear
 from faceid.evaluation import SPREAD_GRID, extract_split_features
@@ -314,7 +314,7 @@ def _frozen_rbf_scores(model, probes):
 
 def assert_residuals_match(got, want):
     assert got.shape == want.shape
-    assert np.abs(got - want).max() <= RESIDUAL_RTOL * np.abs(want).max()
+    assert np.all(np.abs(got - want) <= RESIDUAL_RTOL * np.abs(want))
     assert got[-1] == want[-1]
 
 
@@ -342,6 +342,7 @@ def test_rbf_bit_equal_frozen_kernels(orl_shaped_dct, spread, collapsed):
     assert np.array_equal(scores, frozen)
     # spread 0.9 is the collapse of ROADMAP aim 3: every output is the bias
     assert np.all(frozen == model.biases) == collapsed
+    assert probes_at_bias(model, probes) == (probes.shape[0] if collapsed else 0)
     if collapsed:
         assert model.tied_picks == tied_picks > 0
 
