@@ -89,14 +89,6 @@ def _pick(row_err: np.ndarray, remaining: np.ndarray) -> tuple[int, bool]:
     return int(np.argmax(tied)), bool(np.count_nonzero(tied) > 1)
 
 
-def _orthogonal_remainder(basis: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """The part of ``column`` orthogonal to the orthonormal columns of
-    ``basis``: two classical Gram-Schmidt passes, the second removing what
-    rounding left of the basis directions after the first."""
-    rest = column - basis @ (basis.T @ column)
-    return rest - basis @ (basis.T @ rest)
-
-
 def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFModel:
     if spread <= 0:
         raise ValueError("spread must be positive")
@@ -129,10 +121,15 @@ def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFMod
         remaining[pick] = False
         tied_picks += tied
         column = all_acts[:, pick]
-        rest = _orthogonal_remainder(basis[:, :rank], column)
+        # two classical Gram-Schmidt passes: the second removes what rounding
+        # left of the basis directions after the first
+        span = basis[:, :rank]
+        rest = column - span @ (span.T @ column)
+        rest -= span @ (span.T @ rest)
         norm = np.linalg.norm(rest)
         if norm > dependent * np.linalg.norm(column):
-            q = basis[:, rank] = rest / norm
+            q = rest / norm
+            basis[:, rank] = q
             rank += 1
             # the new direction's share of the targets joins the fit
             outputs += np.outer(q, q @ targets)
