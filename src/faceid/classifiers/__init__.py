@@ -12,7 +12,7 @@ from .common import (
     STD_FLOOR,
     make_targets,
 )
-from .nearest import MAD, MSE, METRICS, mad, mse_dist, nn_scores
+from .nearest import MAD, MSE, METRICS, nn_scores
 from .mlp import (
     DivergenceError,
     MLPConfig,
@@ -32,7 +32,7 @@ from .store import load_model, save_model
 
 __all__ = [
     "Gallery", "HIGHER", "LOWER", "STD_FLOOR", "make_targets",
-    "MAD", "MSE", "METRICS", "mad", "mse_dist", "nn_scores",
+    "MAD", "MSE", "METRICS", "nn_scores",
     "DivergenceError", "MLPConfig", "MLPModel",
     "mlp_gradient", "mlp_scores", "mlp_train",
     "msereg_gradient", "msereg_loss", "pack_params", "unpack_params",

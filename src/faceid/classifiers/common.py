@@ -9,11 +9,8 @@ best column of a row is the lowest subject id among tied subjects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-
-from ..transforms import FeatureVector
 
 HIGHER = "higher"
 LOWER = "lower"
@@ -22,12 +19,6 @@ STD_FLOOR = 1e-8
 
 # elements of the (rows, k, d) difference block `euclidean` holds at a time
 BLOCK_ELEMENTS = 1 << 17
-
-
-def as_vector(x: FeatureVector | np.ndarray) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        return x.coeffs
-    return np.asarray(x, dtype=np.float64).ravel()
 
 
 @dataclass(eq=False)
@@ -56,20 +47,6 @@ class Gallery:
         self.std = np.maximum(self.matrix.std(axis=0), STD_FLOOR)
         self.subject_ids = np.unique(self.labels)
 
-    @classmethod
-    def from_features(cls, features: Sequence[FeatureVector]) -> "Gallery":
-        if not features:
-            raise ValueError("gallery requires at least one feature vector")
-        dims = {fv.dim for fv in features}
-        if len(dims) != 1:
-            raise ValueError(f"feature vectors have mixed dims: {sorted(dims)}")
-        if any(fv.label is None for fv in features):
-            raise ValueError("gallery feature vectors must carry subject labels")
-        return cls(
-            matrix=np.stack([fv.coeffs for fv in features]),
-            labels=np.array([fv.label for fv in features]),
-        )
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
@@ -90,12 +67,6 @@ class Gallery:
             self._z_distances = euclidean(z, z)
             self._z_distances.flags.writeable = False
         return self._z_distances
-
-    def normalize(self, x: FeatureVector | np.ndarray) -> np.ndarray:
-        vec = as_vector(x)
-        if vec.size != self.dim:
-            raise ValueError(f"probe dim {vec.size} != gallery dim {self.dim}")
-        return (vec - self.mean) / self.std
 
 
 def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -5,30 +5,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import distance as _sdist
 
-from ..transforms import FeatureVector
-from .common import Gallery, LOWER, as_vector, finite_scores, per_subject, probe_block
+from .common import Gallery, LOWER, finite_scores, per_subject, probe_block
 
 MAD = "mad"
 MSE = "mse"
 
 METRICS = (MAD, MSE)
-
-
-def mad(x: FeatureVector | np.ndarray, y: FeatureVector | np.ndarray) -> float:
-    """Sum of absolute coordinate differences."""
-    a, b = as_vector(x), as_vector(y)
-    if a.size != b.size:
-        raise ValueError(f"dim mismatch: {a.size} vs {b.size}")
-    return float(np.abs(a - b).sum())
-
-
-def mse_dist(x: FeatureVector | np.ndarray, y: FeatureVector | np.ndarray) -> float:
-    """Sum of squared coordinate differences (no averaging)."""
-    a, b = as_vector(x), as_vector(y)
-    if a.size != b.size:
-        raise ValueError(f"dim mismatch: {a.size} vs {b.size}")
-    d = a - b
-    return float(d @ d)
 
 
 def nn_scores(probes: np.ndarray, gallery: Gallery, metric: str = MAD,

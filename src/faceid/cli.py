@@ -212,7 +212,7 @@ def make_eval_config(args: argparse.Namespace) -> EvalConfig:
 
 
 def build_features(args: argparse.Namespace, corpus: Corpus):
-    """Resolve transform flags into gallery/probe feature lists."""
+    """Resolve transform flags into gallery and probe features."""
     split = split_first_k(corpus, args.train_k)
     if args.transform == KLT:
         if args.dim is None:
@@ -268,7 +268,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     write_features_csv(probes, out / "probes.csv")
     emit_manifest(out, "extract", args, corpus, ["gallery.csv", "probes.csv"])
     print(f"wrote {len(gal)} gallery + {len(probes)} probe vectors "
-          f"(dim {gal[0].dim}) to {out}")
+          f"(dim {gal.dim}) to {out}")
     return EXIT_OK
 
 
@@ -298,7 +298,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                   f"({model.stop_reason}), last lambda {model.last_lambda:.6g}",
                   file=sys.stderr)
         elif isinstance(model, RBFModel):
-            at_bias = probes_at_bias(model, [fv.coeffs for fv in probes])
+            at_bias = probes_at_bias(model, probes.matrix)
             print(f"{name}: {model.n_centers} centers, {model.tied_picks} picked "
                   f"by the tie rule, final residual {model.residuals[-1]:.6g}, "
                   f"{at_bias}/{len(probes)} probes at the bias", file=sys.stderr)

@@ -1,5 +1,8 @@
 """Eigenface baseline: mean face, small-matrix eigenvector trick, KLT projection.
 
+``project`` maps a whole image set onto the basis as one ``(n, m')`` weight
+matrix, the feature matrix of the KLT (eigenfaces) experiments.
+
 The covariance of the vectorized gallery is never formed at full size.
 Diagonalizing the M x M Gram matrix of the mean-removed images yields the same
 nonzero spectrum, and its eigenvectors lift to image-space eigenfaces as
@@ -14,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Image
-from .transforms import FeatureVector
 
 # eigenvalues at or below max_eigenvalue * RANK_RTOL count as rank deficiency
 RANK_RTOL = 1e-10
@@ -123,10 +125,3 @@ def project(images: Sequence[Image | np.ndarray], basis: EigenBasis) -> np.ndarr
         x[i] = pixels.ravel() - basis.mean_face
     return x @ basis.eigenfaces.T
 
-
-def reconstruct(weights: FeatureVector | np.ndarray, basis: EigenBasis) -> np.ndarray:
-    """Mean face plus the weighted eigenface sum, reshaped to image dims."""
-    w = weights.coeffs if isinstance(weights, FeatureVector) else np.asarray(weights)
-    if w.size != basis.n_components:
-        raise ValueError(f"expected {basis.n_components} weights, got {w.size}")
-    return (basis.mean_face + w @ basis.eigenfaces).reshape(basis.rows, basis.cols)

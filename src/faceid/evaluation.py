@@ -1,11 +1,13 @@
-"""Experiment protocols: rates, dimension/spread sweeps, histograms, summary table.
+"""Experiment protocols: rates, dimension/spread sweeps, summary table.
 
 The fixed protocol throughout is closed-set identification: every probe is
 scored against all gallery models and the top subject is the answer.
 Transform-domain features come from one coefficient stack per split: each
 image is transformed once, only the leading block its masks reach is kept,
 and each mask (in a dimension sweep, each mask's new band) is one gather
-over that stack.
+over that stack. Each split half's features travel as one labelled
+:class:`~faceid.transforms.Features` matrix, from extraction to the
+gallery and the probe block.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import numpy as np
 from .dataset import Corpus, Split, split_first_k
 from .transforms import (
     DCT, KLT, MODULUS, RECTANGULAR, SECTORIAL,
-    FeatureVector, ZonalMask,
+    Features, ZonalMask,
     mask_features, transform_corpus, zone_keeps,
 )
-from .eigenfaces import attainable_rank, train_eigenbasis, project
+from .eigenfaces import RankError, attainable_rank, train_eigenbasis, project
 from .classifiers import (
     Gallery, MAD, MSE,
     MLPConfig, mlp_train, mlp_scores,
@@ -79,36 +81,30 @@ def extract_split_features(split: Split, kind: str, *,
                            complex_mode: str = MODULUS,
                            r_low: float = 0.0,
                            log_offset: float = 1e-4,
-                           ) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    """Gallery and probe feature lists for one transform configuration.
+                           ) -> tuple[Features, Features]:
+    """Gallery and probe features for one transform configuration.
 
     Transform-domain kinds need a zonal mask; the eigenface kind needs a
     component count instead (clamped by callers, exact here).
     """
-    images = [*split.gallery, *split.probes]
+    halves = (split.gallery, split.probes)
     if kind == KLT:
         if dim is None:
             raise ValueError("klt extraction requires dim")
         basis = train_eigenbasis(split.gallery, dim)
-        matrix = np.concatenate([project(split.gallery, basis),
-                                 project(split.probes, basis)])
+        matrices = [project(half, basis) for half in halves]
     elif mask is None:
         raise ValueError(f"{kind} extraction requires a zonal mask")
     else:
         (keep,) = zone_keeps([mask], split.gallery[0].shape, r_low)
-        matrix = mask_features(transform_corpus(images, kind, keep.shape, log_offset),
+        matrix = mask_features(transform_corpus([*split.gallery, *split.probes], kind,
+                                                keep.shape, log_offset),
                                keep, complex_mode)
-    feats = [FeatureVector(coeffs=row, source=kind, label=img.subject_id,
-                           sample_id=img.sample_id)
-             for img, row in zip(images, matrix)]
-    n = len(split.gallery)
-    return feats[:n], feats[n:]
-
-
-def _probe_tag(fv: FeatureVector, index: int) -> str:
-    if fv.label is not None and fv.sample_id is not None:
-        return f"s{fv.label}_{fv.sample_id}"
-    return str(index)
+        n = len(split.gallery)
+        matrices = [matrix[:n], matrix[n:]]
+    return tuple(Features(m, [img.subject_id for img in half],
+                          [img.sample_id for img in half], kind)
+                 for m, half in zip(matrices, halves))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +183,7 @@ def identify(parts: Sequence[str], gallery: Gallery, probes: np.ndarray,
                   gallery.subject_ids, cfg.fusion_mode)
 
 
-def run_experiment(spec: str, gallery_feats: Sequence[FeatureVector],
-                   probe_feats: Sequence[FeatureVector],
+def run_experiment(spec: str, gallery_feats: Features, probe_feats: Features,
                    cfg: EvalConfig | None = None,
                    extra_config: dict | None = None,
                    artifacts: dict | None = None) -> ExperimentResult:
@@ -199,15 +194,13 @@ def run_experiment(spec: str, gallery_feats: Sequence[FeatureVector],
     """
     cfg = cfg if cfg is not None else EvalConfig()
     parts = parse_classifier_spec(spec)
-    gallery = Gallery.from_features(gallery_feats)
-    if any(fv.label is None for fv in probe_feats):
-        raise ValueError("probe feature vectors must carry subject labels")
+    gallery = Gallery(gallery_feats.matrix, gallery_feats.labels)
     start = time.perf_counter()
-    probes = np.stack([fv.coeffs for fv in probe_feats])
-    tags = [_probe_tag(fv, i) for i, fv in enumerate(probe_feats)]
+    tags = [f"s{label}_{sample}" for label, sample in
+            zip(probe_feats.labels.tolist(), probe_feats.sample_ids.tolist())]
     models: dict = {}
-    preds, fused = identify(parts, gallery, probes, cfg, models)
-    truth = [int(fv.label) for fv in probe_feats]
+    preds, fused = identify(parts, gallery, probe_feats.matrix, cfg, models)
+    truth = probe_feats.labels.tolist()
     if artifacts is not None:
         artifacts["models"] = models
         if len(parts) > 1:
@@ -304,7 +297,7 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
         top = int(max(grid))
         rank = attainable_rank(split.gallery)
         if top > rank:
-            raise ValueError(f"grid maximum {top} exceeds attainable rank {rank}")
+            raise RankError(top, rank)
         basis = train_eigenbasis(split.gallery, top)
         full = np.concatenate([project(split.gallery, basis),
                                project(split.probes, basis)])
@@ -336,8 +329,7 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     return points
 
 
-def sweep_spread(gallery_feats: Sequence[FeatureVector],
-                 probe_feats: Sequence[FeatureVector], classifier: str,
+def sweep_spread(gallery_feats: Features, probe_feats: Features, classifier: str,
                  spreads: Sequence[float] = SPREAD_GRID,
                  cfg: EvalConfig | None = None) -> list[SweepPoint]:
     """Identification rate per spread value for the kernel classifiers.
@@ -349,72 +341,15 @@ def sweep_spread(gallery_feats: Sequence[FeatureVector],
         raise ValueError("spread sweeps apply to pnn or rbf only")
     spreads = _spread_grid(spreads)
     base = cfg if cfg is not None else EvalConfig()
-    gallery = Gallery.from_features(gallery_feats)
-    if any(fv.label is None for fv in probe_feats):
-        raise ValueError("probe feature vectors must carry subject labels")
-    probes = np.stack([fv.coeffs for fv in probe_feats])
-    truth = [int(fv.label) for fv in probe_feats]
+    gallery = Gallery(gallery_feats.matrix, gallery_feats.labels)
+    truth = probe_feats.labels.tolist()
     points = []
     for spread in spreads:
-        preds, _ = identify([classifier], gallery, probes,
+        preds, _ = identify([classifier], gallery, probe_feats.matrix,
                             replace(base, spread=float(spread)))
         rate = identification_rate(list(zip(truth, preds)))
         points.append(SweepPoint(param=float(spread), dim=gallery.dim, rate=rate))
     return points
-
-
-# ---------------------------------------------------------------------------
-# genuine / impostor histograms
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GaussianFit:
-    mean: float
-    std: float
-
-
-@dataclass(eq=False)
-class HistogramPair:
-    intra: np.ndarray
-    inter: np.ndarray
-    intra_fit: GaussianFit | None
-    inter_fit: GaussianFit | None
-    bin_edges: np.ndarray
-    intra_counts: np.ndarray
-    inter_counts: np.ndarray
-
-
-def _moment_fit(values: np.ndarray) -> GaussianFit | None:
-    if values.size == 0:
-        return None
-    return GaussianFit(mean=float(values.mean()), std=float(values.std()))
-
-
-def distance_histograms(matrix: np.ndarray, probe_labels: Sequence[int],
-                        column_labels: Sequence[int], bins: int = 40) -> HistogramPair:
-    """Split probe-vs-model comparisons by label match and fit each side.
-
-    Works for distance matrices (columns = gallery vectors) and network
-    output matrices (columns = subjects) alike; only the label geometry
-    matters. Gaussian fits are method-of-moments.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ValueError("comparison matrix must be nonempty and 2-D")
-    probe_labels = np.asarray(probe_labels)
-    column_labels = np.asarray(column_labels)
-    if probe_labels.shape != (matrix.shape[0],) or column_labels.shape != (matrix.shape[1],):
-        raise ValueError("label lengths must match the matrix")
-    genuine = probe_labels[:, None] == column_labels[None, :]
-    intra = matrix[genuine]
-    inter = matrix[~genuine]
-    edges = np.histogram_bin_edges(matrix.ravel(), bins=bins)
-    intra_counts, _ = np.histogram(intra, bins=edges)
-    inter_counts, _ = np.histogram(inter, bins=edges)
-    return HistogramPair(intra=intra, inter=inter,
-                         intra_fit=_moment_fit(intra), inter_fit=_moment_fit(inter),
-                         bin_edges=edges, intra_counts=intra_counts,
-                         inter_counts=inter_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -457,28 +392,27 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
     """
     cfg = cfg if cfg is not None else EvalConfig()
     spreads = _spread_grid(spreads)
+    targets = [row for row in TABLE_TARGETS
+               if rows_filter is None or row[2].startswith(rows_filter.lower())]
+    if not targets:
+        return []
     k = min(TRAIN_SAMPLES, corpus.samples_per_subject - 1)
     split = split_first_k(corpus, k)
     rows, cols = split.gallery[0].shape
     side = min(DEFAULT_MASK_SIDE, rows, cols)
     mask = ZonalMask.rectangular(side)
     dct_gal, dct_probes = extract_split_features(split, DCT, mask=mask)
-    dct_dim = dct_gal[0].dim
 
-    targets = [row for row in TABLE_TARGETS
-               if rows_filter is None or row[2].startswith(rows_filter.lower())]
     # one eigenbasis at the largest dim; smaller dims slice its projections
     # (the leading eigenfaces do not depend on how many are kept)
     klt_wanted = {row[1] for row in targets if row[0] == "eigenfaces"}
     klt_feats = {}
     if klt_wanted:
         rank = attainable_rank(split.gallery)
-        full_gal, full_probes = extract_split_features(
-            split, KLT, dim=min(max(klt_wanted), rank))
+        full = extract_split_features(split, KLT, dim=min(max(klt_wanted), rank))
         for want in klt_wanted:
             dim = min(want, rank)
-            klt_feats[want] = ([replace(fv, coeffs=fv.coeffs[:dim]) for fv in full_gal],
-                               [replace(fv, coeffs=fv.coeffs[:dim]) for fv in full_probes])
+            klt_feats[want] = [replace(f, matrix=f.matrix[:, :dim]) for f in full]
     # spread sweeps only for the selected rows; fusion runs at RBF's best spread
     sweeps = {row[2] for row in targets} & {PNN_NAME, RBF_NAME}
     if any(row[2].startswith("fusion:") for row in targets):
@@ -495,9 +429,9 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
         if feature == "eigenfaces":
             gal, probes = klt_feats[want_dim]
             rate = run_experiment(key, gal, probes, cfg).rate
-            dim = gal[0].dim
+            dim = gal.dim
         else:
-            dim = dct_dim
+            dim = dct_gal.dim
             if key in (PNN_NAME, RBF_NAME):
                 rate = best_spread[key][1]
             elif key.startswith("fusion:"):
@@ -556,13 +490,3 @@ def write_table_csv(rows: Sequence[TableRow], path: str | Path) -> None:
             writer.writerow([r.feature, r.dim, r.classifier,
                              f"{r.paper_rate:.1f}", f"{r.measured_rate:.1f}"])
 
-
-def write_histogram_csv(hist: HistogramPair, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "intra_count", "inter_count"])
-        for i in range(hist.intra_counts.size):
-            writer.writerow([repr(float(hist.bin_edges[i])),
-                             repr(float(hist.bin_edges[i + 1])),
-                             int(hist.intra_counts[i]),
-                             int(hist.inter_counts[i])])

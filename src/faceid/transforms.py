@@ -1,10 +1,12 @@
 """Transform-domain front-end: 2D DCT/DFT, homomorphic log-DFT, zonal masks,
-feature extraction, and inverse-DCT reconstruction.
+and the labelled feature matrix.
 
 The DCT is the orthonormal type-II transform (Parseval holds exactly); the DFT
 uses the plain negative-exponent definition, so F(0, 0) equals the pixel sum.
-All operations are pure and accept either an :class:`~faceid.dataset.Image`
-or a bare 2-D array.
+``transform_corpus`` turns a set of images (:class:`~faceid.dataset.Image` or
+bare 2-D arrays) into one coefficient stack, ``mask_features`` gathers a
+mask's coefficients from it as an ``(n, d)`` matrix, and :class:`Features`
+labels that matrix's rows for the classifiers and the CSV export.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn
 
 from .dataset import Image
 
@@ -25,37 +27,36 @@ KLT = "klt"
 
 
 @dataclass(frozen=True, eq=False)
-class CoeffMatrix:
-    """Transform coefficients of one image (real for DCT, complex otherwise)."""
+class Features:
+    """One split half's features: row i of ``matrix`` belongs to image
+    ``(labels[i], sample_ids[i])``; ``source`` names the transform."""
 
-    values: np.ndarray
-    kind: str
-    subject_id: int | None = None
-    sample_id: int | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Masked/projected coefficients; the classifier input."""
-
-    coeffs: np.ndarray
+    matrix: np.ndarray      # (n, d) float64, C-ordered
+    labels: np.ndarray      # (n,) subject ids
+    sample_ids: np.ndarray  # (n,)
     source: str
-    label: int | None = None
-    sample_id: int | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64).ravel()
-        if c.size < 1:
-            raise ValueError("feature vector must have dim >= 1")
-        object.__setattr__(self, "coeffs", c)
+        # a column slice is copied to C order, so every classifier reads its
+        # rows as it read the stacked per-image vectors
+        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise ValueError(f"features must form a nonempty (n, d) matrix, "
+                             f"got shape {matrix.shape}")
+        object.__setattr__(self, "matrix", matrix)
+        for name in ("labels", "sample_ids"):
+            ids = np.asarray(getattr(self, name), dtype=np.int64)
+            if ids.shape != (len(matrix),):
+                raise ValueError(f"{name} {ids.shape} do not align with "
+                                 f"{len(matrix)} feature rows")
+            object.__setattr__(self, name, ids)
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.coeffs.size
+        return self.matrix.shape[1]
 
 
 RECTANGULAR = "rectangular"
@@ -117,13 +118,6 @@ class ZonalMask:
             raise ValueError("mask retains no coefficients")
         return keep
 
-    def array(self, rows: int, cols: int) -> np.ndarray:
-        """The 0/1 mask array for a rows x cols coefficient matrix."""
-        return self.keep(rows, cols).astype(np.uint8)
-
-    def dim(self, rows: int, cols: int) -> int:
-        return int(self.keep(rows, cols).sum())
-
 
 def zone_keeps(masks: Sequence[ZonalMask], shape: tuple[int, int],
                r_low: float = 0.0) -> list[np.ndarray]:
@@ -142,12 +136,6 @@ def _pixels(image: Image | np.ndarray) -> np.ndarray:
     if px.ndim != 2 or px.size == 0:
         raise ValueError(f"expected a nonempty 2-D image, got shape {px.shape}")
     return px
-
-
-def _ids(image: Image | np.ndarray) -> tuple[int | None, int | None]:
-    if isinstance(image, Image):
-        return image.subject_id, image.sample_id
-    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -170,39 +158,6 @@ def _leading_block(pixels: np.ndarray, kind: str, box: tuple[int, int],
     return np.fft.fft(np.fft.fft(pixels, axis=1)[:, :cols], axis=0)[:rows]
 
 
-def _transform(image: Image | np.ndarray, kind: str,
-               log_offset: float = 1e-4) -> CoeffMatrix:
-    subject, sample = _ids(image)
-    pixels = _pixels(image)
-    values = _leading_block(pixels, kind, pixels.shape, log_offset)
-    return CoeffMatrix(values=values, kind=kind, subject_id=subject, sample_id=sample)
-
-
-def dct2(image: Image | np.ndarray) -> CoeffMatrix:
-    """Orthonormal 2-D DCT (separable type-II with the 1/sqrt(M), sqrt(2/M) scaling)."""
-    return _transform(image, DCT)
-
-
-def idct2(coeffs: CoeffMatrix) -> np.ndarray:
-    """Inverse of :func:`dct2`; only defined for DCT coefficient matrices."""
-    if coeffs.kind != DCT:
-        raise ValueError(f"idct2 requires DCT coefficients, got kind {coeffs.kind!r}")
-    return idctn(coeffs.values, type=2, norm="ortho")
-
-
-def dft2(image: Image | np.ndarray) -> CoeffMatrix:
-    """Plain 2-D DFT with negative exponent; F(0, 0) is the pixel sum."""
-    return _transform(image, DFT)
-
-
-def log_dft2(image: Image | np.ndarray, offset: float = 1e-4) -> CoeffMatrix:
-    """DFT of ln(pixels + offset): separates illumination and reflectance additively."""
-    return _transform(image, LOGDFT, offset)
-
-
-TRANSFORMS = {DCT: dct2, DFT: dft2, LOGDFT: log_dft2}
-
-
 # ---------------------------------------------------------------------------
 # Zonal masking and feature extraction
 
@@ -218,7 +173,7 @@ def transform_corpus(images: Sequence[Image | np.ndarray], kind: str,
     reach (see :func:`zone_keeps`) is kept; a DFT's column pass runs on the
     block's columns alone.
     """
-    if kind not in TRANSFORMS:
+    if kind not in (DCT, DFT, LOGDFT):
         raise ValueError(f"unknown transform kind {kind!r}")
     if len(images) == 0:
         raise ValueError("no images to transform")
@@ -257,78 +212,45 @@ def mask_features(stack: np.ndarray, keep: np.ndarray,
     return np.asarray(retained, dtype=np.float64)
 
 
-def extract_features(
-    coeffs: CoeffMatrix,
-    mask: ZonalMask,
-    complex_mode: str = MODULUS,
-    r_low: float = 0.0,
-) -> FeatureVector:
-    """One image's :func:`mask_features` row, as a labelled feature vector."""
-    keep = mask.keep(*coeffs.shape, r_low)
-    return FeatureVector(
-        coeffs=mask_features(coeffs.values[None], keep, complex_mode)[0],
-        source=coeffs.kind,
-        label=coeffs.subject_id,
-        sample_id=coeffs.sample_id,
-    )
-
-
-def mask_apply(coeffs: CoeffMatrix, mask: ZonalMask) -> CoeffMatrix:
-    """Pointwise product with the 0/1 mask array (used for reconstruction demos)."""
-    rows, cols = coeffs.shape
-    values = coeffs.values * mask.array(rows, cols)
-    return CoeffMatrix(values=values, kind=coeffs.kind,
-                       subject_id=coeffs.subject_id, sample_id=coeffs.sample_id)
-
-
 # ---------------------------------------------------------------------------
 # Export
 
 
-def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
-    """Write feature vectors as CSV: ``subject,sample,source,dim,c0,c1,...``."""
-    if not features:
-        raise ValueError("no feature vectors to write")
-    dims = {fv.dim for fv in features}
-    if len(dims) != 1:
-        raise ValueError(f"feature vectors have mixed dims: {sorted(dims)}")
-    dim = dims.pop()
-    header = "subject,sample,source,dim," + ",".join(f"c{i}" for i in range(dim))
+def write_features_csv(features: Features, path: str | Path) -> None:
+    """Write features as CSV, one row per image: ``subject,sample,source,dim,c0,c1,...``."""
+    header = "subject,sample,source,dim," + ",".join(f"c{i}" for i in range(features.dim))
     lines = [header]
-    for fv in features:
-        subject = "" if fv.label is None else str(fv.label)
-        sample = "" if fv.sample_id is None else str(fv.sample_id)
-        coeffs = ",".join(map(repr, fv.coeffs.tolist()))
-        lines.append(f"{subject},{sample},{fv.source},{fv.dim},{coeffs}")
+    for subject, sample, row in zip(features.labels.tolist(),
+                                    features.sample_ids.tolist(), features.matrix):
+        coeffs = ",".join(map(repr, row.tolist()))
+        lines.append(f"{subject},{sample},{features.source},{features.dim},{coeffs}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_features_csv(path: str | Path) -> list[FeatureVector]:
-    """Read feature vectors written by :func:`write_features_csv`."""
+def read_features_csv(path: str | Path) -> Features:
+    """Read the features written by :func:`write_features_csv`."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("subject,sample,source,dim,"):
         raise ValueError(f"{path}: not a feature CSV")
-    features = []
+    labels, samples, sources, rows = [], [], set(), []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        subject, sample, source, dim = parts[0], parts[1], parts[2], int(parts[3])
-        coeffs = np.array([float(c) for c in parts[4:]], dtype=np.float64)
-        if coeffs.size != dim:
-            raise ValueError(f"{path}:{ln}: dim field {dim} != {coeffs.size} coefficients")
-        features.append(FeatureVector(
-            coeffs=coeffs,
-            source=source,
-            label=int(subject) if subject else None,
-            sample_id=int(sample) if sample else None,
-        ))
-    if not features:
+        subject, sample, source, dim, *coeffs = line.split(",")
+        try:
+            labels.append(int(subject))
+            samples.append(int(sample))
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: subject {subject!r} and sample "
+                             f"{sample!r} must be integers") from None
+        if len(coeffs) != int(dim):
+            raise ValueError(f"{path}:{ln}: dim field {dim} != {len(coeffs)} coefficients")
+        if rows and len(coeffs) != len(rows[0]):
+            raise ValueError(f"{path}:{ln}: mixed dims {len(rows[0])} and {len(coeffs)}")
+        sources.add(source)
+        rows.append([float(c) for c in coeffs])
+    if not rows:
         raise ValueError(f"{path}: no feature rows")
-    return features
-
-
-def relative_l2_error(original: Image | np.ndarray, reconstructed: np.ndarray) -> float:
-    """||original - reconstructed|| / ||original|| (reconstruction-demo metric)."""
-    orig = _pixels(original)
-    return float(np.linalg.norm(orig - reconstructed) / np.linalg.norm(orig))
+    if len(sources) != 1:
+        raise ValueError(f"{path}: mixed sources {sorted(sources)}")
+    return Features(np.array(rows), labels, samples, sources.pop())

@@ -100,7 +100,7 @@ def test_extract_from_synth(tmp_path, capsys):
     gal = read_features_csv(out / "gallery.csv")
     probes = read_features_csv(out / "probes.csv")
     assert len(gal) == 25 and len(probes) == 5  # 5 subjects, train-k 5 of 6
-    assert gal[0].dim == 100
+    assert gal.dim == 100
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "extract"
     assert manifest["outputs"] == ["gallery.csv", "probes.csv"]
@@ -117,8 +117,8 @@ def test_extract_from_pgm_tree(pgm_tree, tmp_path):
                 "--out", str(out)])
     assert code == 0
     gal = read_features_csv(out / "gallery.csv")
-    assert len(gal) == 15 and gal[0].dim == 16
-    assert {fv.label for fv in gal} == {1, 2, 3, 4, 5}
+    assert len(gal) == 15 and gal.dim == 16
+    assert set(gal.labels.tolist()) == {1, 2, 3, 4, 5}
 
 
 def test_env_var_fills_data(pgm_tree, tmp_path, monkeypatch):
@@ -422,12 +422,14 @@ def test_missing_files_is_data_error(pgm_tree, tmp_path, capsys):
 
 def test_rank_overflow_is_data_error(tmp_path, capsys):
     # 25 gallery images give rank 24; asking for 25 components trips the
-    # rank check rather than the argument bound
-    code = run(["evaluate", "--synth", SYNTH, "--transform", "klt",
-                "--dim", "25", "--classifier", "nn:mad",
-                "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "rank" in capsys.readouterr().err
+    # rank check rather than the argument bound, in extraction and in a sweep
+    for argv in (["evaluate", "--dim", "25", "--classifier", "nn:mad"],
+                 ["sweep", "--axis", "dim", "--grid", "1:25"]):
+        code = run([*argv, "--synth", SYNTH, "--transform", "klt",
+                    "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and "supports only 24" in err
 
 
 def test_klt_requires_dim(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Experiment harness: rates, sweeps, histograms, the benchmark table, exports."""
+"""Experiment harness: rates, sweeps, the benchmark table, exports."""
 
 import json
 from dataclasses import replace
@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 
 from faceid.classifiers import (
-    HIGHER, MAD, MSE, Gallery, MLPModel, mlp_scores, mse_dist, nn_scores,
+    HIGHER, MAD, MSE, Gallery, MLPModel, mlp_scores, nn_scores,
     pnn_classify, rbf_scores,
 )
 from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import (
-    DCT, KLT, RECTANGULAR, SECTORIAL, EvalConfig, GaussianFit, SweepPoint,
-    TABLE_TARGETS, default_dim_grid, distance_histograms,
+    DCT, KLT, RECTANGULAR, SECTORIAL, EvalConfig, SweepPoint,
+    TABLE_TARGETS, default_dim_grid,
     extract_split_features, format_table, identification_rate, identify,
     parse_classifier_spec, run_experiment, sweep_dimension, sweep_spread,
-    table1_report, write_curve_csv, write_histogram_csv, write_manifest,
+    table1_report, write_curve_csv, write_manifest,
     write_result_csv, write_table_csv,
 )
-from faceid.transforms import ZonalMask
+from faceid import evaluation
+from faceid.transforms import Features, ZonalMask
 
 
 # ---------------------------------------------------------------------------
@@ -75,28 +76,30 @@ def test_nn_experiment_structure(dct_features):
     assert result.config["classifier"] == "nn:mad"
     assert result.config["dim"] == 25
     assert result.config["note"] == "x"
-    assert result.probe_tags[0] == f"s{probes[0].label}_{probes[0].sample_id}"
+    assert result.probe_tags[0] == f"s{probes.labels[0]}_{probes.sample_ids[0]}"
+    assert result.probe_tags == [f"s{label}_{sample}" for label, sample
+                                 in zip(probes.labels, probes.sample_ids)]
 
 
 def test_nn_experiment_matches_per_probe_loop(dct_features):
     gal, probes = dct_features
     result = run_experiment("nn:mse", gal, probes)
-    for (true_id, pred_id), fv in zip(result.pairs, probes):
+    for (true_id, pred_id), probe, label in zip(result.pairs, probes.matrix, probes.labels):
         # exhaustive search; scanning ids in ascending order keeps the lowest on ties
         best = {}
-        for g in gal:
-            d = mse_dist(fv, g)
-            best[g.label] = min(d, best.get(g.label, np.inf))
+        for row, sid in zip(gal.matrix, gal.labels.tolist()):
+            d = float((probe - row) @ (probe - row))
+            best[sid] = min(d, best.get(sid, np.inf))
         want = min(sorted(best), key=lambda sid: best[sid])
         assert pred_id == want
-        assert true_id == fv.label
+        assert true_id == label
 
 
 def test_single_member_decision_matches_raw_arg_best(dct_features):
     # normalizing one member's scores before the arg-max changes no decision
     gal, probes = dct_features
-    gallery = Gallery.from_features(gal)
-    block = np.stack([fv.coeffs for fv in probes])
+    gallery = Gallery(gal.matrix, gal.labels)
+    block = probes.matrix
     cfg = EvalConfig(spread=2.0, max_centers=12, epochs=30, hidden=5)
     scorers = {"mlp": mlp_scores, "pnn": pnn_classify, "rbf": rbf_scores}
     for spec in ("nn:mad", "nn:mse", "mlp", "pnn", "rbf"):
@@ -114,9 +117,7 @@ def test_single_member_decision_matches_raw_arg_best(dct_features):
 
 def test_nonfinite_scores_fail_the_experiment(dct_features):
     gal, probes = dct_features
-    from faceid.transforms import FeatureVector
-    bad = [FeatureVector(coeffs=np.full(fv.dim, np.nan), source=fv.source,
-                         label=fv.label, sample_id=fv.sample_id) for fv in probes]
+    bad = replace(probes, matrix=np.full_like(probes.matrix, np.nan))
     for spec in ("nn:mad", "pnn", "fusion:rbf+nn:mse"):
         with pytest.raises(ValueError, match="finite"):
             run_experiment(spec, gal, bad, EvalConfig(max_centers=5))
@@ -146,11 +147,12 @@ def test_single_model_experiment_artifacts(dct_features):
 
 
 def test_experiment_requires_probe_labels(dct_features):
-    gal, probes = dct_features
-    from faceid.transforms import FeatureVector
-    bad = [FeatureVector(coeffs=fv.coeffs, source=fv.source) for fv in probes]
+    # a probe set without one label per row cannot even be built
+    _, probes = dct_features
     with pytest.raises(ValueError, match="labels"):
-        run_experiment("nn:mad", gal, bad)
+        replace(probes, labels=probes.labels[:-1])
+    with pytest.raises(TypeError):
+        Features(probes.matrix, [None] * len(probes), probes.sample_ids, probes.source)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,7 @@ def test_dimension_sweep_rectangular(small_split):
 
 def test_dimension_sweep_sectorial(small_split):
     points = sweep_dimension(small_split, DCT, SECTORIAL, grid=[1.5, 2.5])
-    want = [ZonalMask.sectorial(r).dim(24, 20) for r in (1.5, 2.5)]
+    want = [ZonalMask.sectorial(r).keep(24, 20).sum() for r in (1.5, 2.5)]
     assert [pt.dim for pt in points] == want
 
 
@@ -259,46 +261,6 @@ def test_spread_sweep_matches_one_experiment_per_spread(dct_features, classifier
 
 
 # ---------------------------------------------------------------------------
-# histograms
-
-
-def test_histogram_counts_account_for_every_comparison():
-    rng = np.random.default_rng(0)
-    matrix = rng.random((6, 8))
-    probe_labels = [1, 1, 2, 2, 3, 3]
-    column_labels = [1, 1, 1, 2, 2, 3, 3, 4]
-    hist = distance_histograms(matrix, probe_labels, column_labels)
-    assert hist.intra.size + hist.inter.size == 6 * 8
-    assert hist.intra_counts.sum() == hist.intra.size
-    assert hist.inter_counts.sum() == hist.inter.size
-    assert hist.bin_edges.size == 41  # shared edges for both sides
-
-
-def test_histogram_split_by_label_match():
-    matrix = np.array([[0.1, 5.0], [6.0, 0.2]])
-    hist = distance_histograms(matrix, [1, 2], [1, 2], bins=4)
-    assert sorted(hist.intra.tolist()) == [0.1, 0.2]
-    assert sorted(hist.inter.tolist()) == [5.0, 6.0]
-    assert hist.intra_fit.mean == pytest.approx(0.15)
-    assert hist.intra_fit.std == pytest.approx(0.05)  # population std
-    assert hist.inter_fit.mean == pytest.approx(5.5)
-
-
-def test_histogram_empty_side_fit_is_none():
-    hist = distance_histograms(np.ones((2, 2)), [1, 2], [3, 4])
-    assert hist.intra.size == 0
-    assert hist.intra_fit is None
-    assert isinstance(hist.inter_fit, GaussianFit)
-
-
-def test_histogram_validation():
-    with pytest.raises(ValueError, match="2-D"):
-        distance_histograms(np.ones(4), [1], [1])
-    with pytest.raises(ValueError, match="lengths"):
-        distance_histograms(np.ones((2, 2)), [1], [1, 2])
-
-
-# ---------------------------------------------------------------------------
 # benchmark table
 
 
@@ -343,7 +305,6 @@ def test_table_rows_filter(table_rows):
 ])
 def test_table_rows_filter_runs_only_needed_sweeps(table_rows, monkeypatch,
                                                    rows_filter, swept):
-    import faceid.evaluation as evaluation
     corpus, cfg, all_rows = table_rows
     calls = []
 
@@ -362,7 +323,6 @@ def test_table_rows_filter_runs_only_needed_sweeps(table_rows, monkeypatch,
 ])
 def test_table_fits_one_eigenbasis(monkeypatch, rows_filter, fits, dims):
     # 110 gallery images: rank 109, so the 200 and 100 rows want different dims
-    import faceid.evaluation as evaluation
     corpus = synth_corpus(seed=19, n_subjects=22, samples=6, rows=16, cols=14)
     calls = {"train_eigenbasis": 0, "attainable_rank": 0}
 
@@ -387,6 +347,16 @@ def test_table_fits_one_eigenbasis(monkeypatch, rows_filter, fits, dims):
         if row.feature == "eigenfaces":
             gal, probes = extract_split_features(split, KLT, dim=row.dim)
             assert row.measured_rate == run_experiment(row.key, gal, probes, cfg).rate
+
+
+def test_table_rows_filter_matching_nothing_transforms_nothing(table_rows, monkeypatch):
+    corpus, cfg, _ = table_rows
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transformed before the rows filter was applied")
+
+    monkeypatch.setattr(evaluation, "transform_corpus", refuse)
+    assert table1_report(corpus, cfg, rows_filter="xyz", spreads=[0.9]) == []
 
 
 def test_table_refuses_repeated_spreads(table_rows):
@@ -445,14 +415,3 @@ def test_table_csv(tmp_path, table_rows):
     assert len(lines) == 11
     assert lines[1].startswith("eigenfaces,29,NN (MAD),86.5,")
 
-
-def test_histogram_csv(tmp_path):
-    hist = distance_histograms(np.arange(12.0).reshape(3, 4), [1, 2, 3],
-                               [1, 2, 3, 4], bins=5)
-    path = tmp_path / "hist.csv"
-    write_histogram_csv(hist, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "bin_left,bin_right,intra_count,inter_count"
-    assert len(lines) == 6
-    total = sum(int(ln.split(",")[2]) + int(ln.split(",")[3]) for ln in lines[1:])
-    assert total == 12

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from faceid.classifiers import LOWER, MAD, MSE, Gallery, mad, mse_dist, nn_scores
+from faceid.classifiers import LOWER, MAD, MSE, Gallery, nn_scores
 from faceid.evaluation import identify
 from faceid.fusion import normalize_scores
 
@@ -16,6 +16,23 @@ def make_gallery(matrix, labels):
                    labels=np.asarray(labels, dtype=int))
 
 
+def mad(x, y):
+    """Sum of absolute coordinate differences (oracle)."""
+    return float(np.abs(x - y).sum())
+
+
+def mse_dist(x, y):
+    """Sum of squared coordinate differences, no averaging (oracle)."""
+    d = x - y
+    return float(d @ d)
+
+
+def pair_distance(x, y, metric):
+    """nn_scores between one probe and a one-row gallery."""
+    gallery = make_gallery([y], [1])
+    return nn_scores(np.asarray(x, dtype=float)[None, :], gallery, metric)[0][0, 0]
+
+
 def nn_predict(probes, gallery, metric):
     """Decisions for a probe block under the single decision rule."""
     preds, _ = identify([f"nn:{metric}"], gallery, np.atleast_2d(probes))
@@ -23,33 +40,33 @@ def nn_predict(probes, gallery, metric):
 
 
 def test_mad_trivial():
-    assert mad(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) == 0.0
-    assert mad(np.array([0.0, 0.0]), np.array([3.0, -2.0])) == 5.0
+    assert pair_distance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], MAD) == 0.0
+    assert pair_distance([0.0, 0.0], [3.0, -2.0], MAD) == 5.0
 
 
 def test_mse_trivial():
-    assert mse_dist(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 0.0
-    assert mse_dist(np.array([0.0, 0.0]), np.array([3.0, 2.0])) == 13.0
+    assert pair_distance([1.0, 1.0], [1.0, 1.0], MSE) == 0.0
+    assert pair_distance([0.0, 0.0], [3.0, 2.0], MSE) == 13.0
 
 
 def test_metrics_are_sums_not_means():
     # doubling the dimension with identical per-element error doubles the total
-    x1, y1 = np.zeros(2), np.ones(2)
-    x2, y2 = np.zeros(4), np.ones(4)
-    assert mad(x2, y2) == 2 * mad(x1, y1)
-    assert mse_dist(x2, y2) == 2 * mse_dist(x1, y1)
+    for metric in (MAD, MSE):
+        assert pair_distance(np.zeros(4), np.ones(4), metric) == \
+            2 * pair_distance(np.zeros(2), np.ones(2), metric)
 
 
 def test_metric_dim_mismatch():
-    with pytest.raises(ValueError):
-        mad(np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError):
-        mse_dist(np.zeros(3), np.zeros(4))
+    for metric in (MAD, MSE):
+        with pytest.raises(ValueError, match="dim"):
+            pair_distance(np.zeros(3), np.zeros(4), metric)
 
 
 @given(hnp.arrays(np.float64, 10, elements=st.floats(-50, 50)),
        hnp.arrays(np.float64, 10, elements=st.floats(-50, 50)))
 def test_metrics_match_loop_oracle(x, y):
+    assert pair_distance(x, y, MAD) == pytest.approx(sum(abs(a - b) for a, b in zip(x, y)))
+    assert pair_distance(x, y, MSE) == pytest.approx(sum((a - b) ** 2 for a, b in zip(x, y)))
     assert mad(x, y) == pytest.approx(sum(abs(a - b) for a, b in zip(x, y)))
     assert mse_dist(x, y) == pytest.approx(sum((a - b) ** 2 for a, b in zip(x, y)))
 

@@ -82,7 +82,7 @@ def test_pnn_small_spread_reduces_to_nearest_neighbor():
     probes = rng.normal(scale=3.0, size=(10, gallery.dim))
     preds = decide(model, pnn_classify(model, probes))
     for probe, pred in zip(probes, preds):
-        z = gallery.normalize(probe)
+        z = (probe - gallery.mean) / gallery.std
         nearest = int(np.argmin(np.linalg.norm(z_gallery - z, axis=1)))
         assert pred == gallery.labels[nearest]
 
@@ -322,7 +322,7 @@ def assert_residuals_match(got, want):
 def orl_shaped_dct(orl_split):
     """DCT rect:10 gallery and probe block of the ORL-shaped synthetic corpus."""
     gal, probes = extract_split_features(orl_split, DCT, mask=ZonalMask.rectangular(10))
-    return Gallery.from_features(gal), np.stack([fv.coeffs for fv in probes])
+    return Gallery(gal.matrix, gal.labels), probes.matrix
 
 
 @pytest.mark.parametrize("spread,collapsed", [(20.0, False), (0.9, True)])

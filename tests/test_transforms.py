@@ -1,16 +1,32 @@
 """Transform correctness against direct summation, mask geometry, features."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import idctn
 
-from faceid.dataset import Image, synth_corpus
+from faceid.dataset import split_first_k, synth_corpus
+from faceid.evaluation import extract_split_features
 from faceid.transforms import (
-    DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, CoeffMatrix, FeatureVector, ZonalMask,
-    dct2, dft2, extract_features, idct2, log_dft2, mask_apply,
-    read_features_csv, relative_l2_error, write_features_csv,
+    DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, Features, ZonalMask,
+    mask_features, read_features_csv, transform_corpus, write_features_csv,
 )
+
+
+def coeffs(image, kind, log_offset=1e-4):
+    """One image's full coefficient matrix."""
+    px = getattr(image, "pixels", image)
+    return transform_corpus([image], kind, px.shape, log_offset)[0]
+
+
+def features(image, kind, mask, complex_mode=MODULUS, r_low=0.0):
+    """One image's feature row under a zonal mask."""
+    px = getattr(image, "pixels", image)
+    stack = transform_corpus([image], kind, px.shape)
+    return mask_features(stack, mask.keep(*px.shape, r_low), complex_mode)[0]
 
 
 def naive_dct2(px):
@@ -50,7 +66,7 @@ def face16():
 
 
 def test_dct_matches_direct_summation(face16):
-    got = dct2(face16).values
+    got = coeffs(face16, DCT)
     want = naive_dct2(face16.pixels)
     assert np.abs(got - want).max() < 1e-10
 
@@ -58,54 +74,53 @@ def test_dct_matches_direct_summation(face16):
 def test_dct_rectangular_input():
     rng = np.random.default_rng(1)
     px = rng.random((12, 9))
-    assert np.abs(dct2(px).values - naive_dct2(px)).max() < 1e-10
+    assert np.abs(coeffs(px, DCT) - naive_dct2(px)).max() < 1e-10
 
 
 def test_dft_matches_direct_summation(face16):
-    got = dft2(face16).values
+    got = coeffs(face16, DFT)
     want = naive_dft2(face16.pixels)
     assert np.abs(got - want).max() < 1e-9
 
 
 def test_dft_dc_is_pixel_sum(face16):
-    assert dft2(face16).values[0, 0] == pytest.approx(face16.pixels.sum())
+    assert coeffs(face16, DFT)[0, 0] == pytest.approx(face16.pixels.sum())
 
 
 def test_logdft_is_dft_of_log(face16):
-    got = log_dft2(face16, offset=1e-4).values
+    got = coeffs(face16, LOGDFT, log_offset=1e-4)
     want = naive_dft2(np.log(face16.pixels + 1e-4))
     assert np.abs(got - want).max() < 1e-9
     with pytest.raises(ValueError, match="offset"):
-        log_dft2(face16, offset=0.0)
+        coeffs(face16, LOGDFT, log_offset=0.0)
 
 
 def test_dct_parseval(face16):
     px = face16.pixels
-    coeffs = dct2(px).values
-    assert np.sum(coeffs**2) == pytest.approx(np.sum(px**2), abs=1e-9)
+    assert np.sum(coeffs(px, DCT)**2) == pytest.approx(np.sum(px**2), abs=1e-9)
 
 
 def test_dct_inverse_pair(face16):
-    back = idct2(dct2(face16))
+    # scipy's inverse orthonormal DCT-II is the oracle
+    back = idctn(coeffs(face16, DCT), type=2, norm="ortho")
     assert np.abs(back - face16.pixels).max() < 1e-12
-    with pytest.raises(ValueError, match="DCT"):
-        idct2(dft2(face16))
 
 
 def test_dct_linearity():
     rng = np.random.default_rng(7)
     a, b = rng.random((8, 8)), rng.random((8, 8))
-    lhs = dct2(2.0 * a + 3.0 * b).values
-    rhs = 2.0 * dct2(a).values + 3.0 * dct2(b).values
+    lhs = coeffs(2.0 * a + 3.0 * b, DCT)
+    rhs = 2.0 * coeffs(a, DCT) + 3.0 * coeffs(b, DCT)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_ids_propagate(face16):
-    coeffs = dct2(face16)
-    assert (coeffs.subject_id, coeffs.sample_id) == (1, 1)
-    fv = extract_features(coeffs, ZonalMask.rectangular(4))
-    assert (fv.label, fv.sample_id) == (1, 1)
-    assert fv.source == DCT
+def test_ids_propagate():
+    split = split_first_k(synth_corpus(seed=3, n_subjects=3, samples=3, rows=8, cols=8), 2)
+    for feats, images in zip(extract_split_features(split, DCT, mask=ZonalMask.rectangular(4)),
+                             (split.gallery, split.probes)):
+        assert feats.labels.tolist() == [img.subject_id for img in images]
+        assert feats.sample_ids.tolist() == [img.sample_id for img in images]
+        assert feats.source == DCT and feats.matrix.shape == (len(images), 16)
 
 
 # ---------------------------------------------------------------------------
@@ -114,24 +129,24 @@ def test_ids_propagate(face16):
 
 def test_rect_mask_dim_on_face_matrix():
     # the standard 10x10 block on a 112x92 matrix keeps 100 coefficients
-    assert ZonalMask.rectangular(10).dim(112, 92) == 100
+    assert ZonalMask.rectangular(10).keep(112, 92).sum() == 100
 
 
 def test_rect_mask_side_exceeds_dims():
     with pytest.raises(ValueError, match="mask side 20 exceeds"):
-        ZonalMask.rectangular(20).array(16, 14)
+        ZonalMask.rectangular(20).keep(16, 14)
 
 
 def test_sector_mask_strict_inequality():
     # radius 2: (0,0),(0,1),(1,0),(1,1) are < 2; (0,2) and (2,0) are not
-    mask = ZonalMask.sectorial(2.0).array(8, 8)
+    mask = ZonalMask.sectorial(2.0).keep(8, 8)
     assert mask.sum() == 4
     assert mask[0, 2] == 0 and mask[2, 0] == 0 and mask[1, 1] == 1
 
 
 def test_sector_mask_boundary_excluded():
     # sqrt(3^2 + 4^2) == 5 exactly: must be excluded at radius 5
-    mask = ZonalMask.sectorial(5.0).array(8, 8)
+    mask = ZonalMask.sectorial(5.0).keep(8, 8)
     assert mask[3, 4] == 0 and mask[4, 3] == 0
     assert mask[3, 3] == 1  # sqrt(18) < 5
 
@@ -147,7 +162,7 @@ def test_mask_validation():
 
 @given(side=st.integers(min_value=1, max_value=12))
 def test_rect_mask_dim_is_side_squared(side):
-    assert ZonalMask.rectangular(side).dim(12, 12) == side * side
+    assert ZonalMask.rectangular(side).keep(12, 12).sum() == side * side
 
 
 @given(radius=st.floats(min_value=0.5, max_value=10.0),
@@ -157,7 +172,7 @@ def test_rect_mask_dim_is_side_squared(side):
 def test_sector_dim_matches_enumeration(radius, rows, cols):
     want = sum(1 for f1 in range(rows) for f2 in range(cols)
                if np.hypot(f1, f2) < radius)
-    assert ZonalMask.sectorial(radius).dim(rows, cols) == want
+    assert ZonalMask.sectorial(radius).keep(rows, cols).sum() == want
 
 
 # ---------------------------------------------------------------------------
@@ -165,95 +180,117 @@ def test_sector_dim_matches_enumeration(radius, rows, cols):
 
 
 def test_features_row_major_order(face16):
-    coeffs = dct2(face16)
-    fv = extract_features(coeffs, ZonalMask.rectangular(3))
-    manual = [coeffs.values[u, v] for u in range(3) for v in range(3)]
-    assert np.array_equal(fv.coeffs, manual)
-    assert fv.dim == 9
+    values = coeffs(face16, DCT)
+    fv = features(face16, DCT, ZonalMask.rectangular(3))
+    manual = [values[u, v] for u in range(3) for v in range(3)]
+    assert np.array_equal(fv, manual)
 
 
 def test_modulus_reduction(face16):
-    coeffs = dft2(face16)
-    fv = extract_features(coeffs, ZonalMask.rectangular(4), complex_mode=MODULUS)
-    assert fv.dim == 16
-    assert fv.coeffs[0] == pytest.approx(abs(coeffs.values[0, 0]))
-    assert np.all(fv.coeffs >= 0)
+    fv = features(face16, DFT, ZonalMask.rectangular(4), complex_mode=MODULUS)
+    assert fv.size == 16
+    assert fv[0] == pytest.approx(abs(coeffs(face16, DFT)[0, 0]))
+    assert np.all(fv >= 0)
 
 
 def test_interleave_reduction(face16):
-    coeffs = dft2(face16)
-    fv = extract_features(coeffs, ZonalMask.rectangular(4), complex_mode=INTERLEAVE)
-    assert fv.dim == 32
-    assert fv.coeffs[0] == pytest.approx(coeffs.values[0, 0].real)
-    assert fv.coeffs[1] == pytest.approx(coeffs.values[0, 0].imag)
+    fv = features(face16, DFT, ZonalMask.rectangular(4), complex_mode=INTERLEAVE)
+    dc = coeffs(face16, DFT)[0, 0]
+    assert fv.size == 32
+    assert fv[0] == pytest.approx(dc.real)
+    assert fv[1] == pytest.approx(dc.imag)
     with pytest.raises(ValueError, match="complex_mode"):
-        extract_features(coeffs, ZonalMask.rectangular(4), complex_mode="argand")
+        features(face16, DFT, ZonalMask.rectangular(4), complex_mode="argand")
 
 
 def test_modulus_noop_for_real_coeffs(face16):
-    coeffs = dct2(face16)
-    fv = extract_features(coeffs, ZonalMask.rectangular(4))
-    block = coeffs.values[:4, :4].ravel()
-    assert np.array_equal(fv.coeffs, block)  # sign preserved, no abs
+    fv = features(face16, DCT, ZonalMask.rectangular(4))
+    block = coeffs(face16, DCT)[:4, :4].ravel()
+    assert np.array_equal(fv, block)  # sign preserved, no abs
 
 
 def test_r_low_drops_near_dc(face16):
-    coeffs = dct2(face16)
-    full = extract_features(coeffs, ZonalMask.rectangular(4))
-    banded = extract_features(coeffs, ZonalMask.rectangular(4), r_low=1.5)
+    full = features(face16, DCT, ZonalMask.rectangular(4))
+    banded = features(face16, DCT, ZonalMask.rectangular(4), r_low=1.5)
     # drops (0,0), (0,1), (1,0), (1,1): all with radius < 1.5
-    assert banded.dim == full.dim - 4
-    assert banded.coeffs[0] == pytest.approx(coeffs.values[0, 2])
+    assert banded.size == full.size - 4
+    assert banded[0] == pytest.approx(coeffs(face16, DCT)[0, 2])
 
 
 def test_empty_mask_rejected():
-    coeffs = dct2(np.ones((6, 6)))
     with pytest.raises(ValueError, match="retains no coefficients"):
-        extract_features(coeffs, ZonalMask.sectorial(0.5), r_low=3.0)
+        features(np.ones((6, 6)), DCT, ZonalMask.sectorial(0.5), r_low=3.0)
 
 
 def test_mask_apply_reconstruction(face16):
-    coeffs = mask_apply(dct2(face16), ZonalMask.rectangular(12))
-    recon = idct2(coeffs)
-    err = relative_l2_error(face16, recon)
-    assert 0.0 < err < 0.5
-    # keeping everything reconstructs exactly
-    full = idct2(mask_apply(dct2(face16), ZonalMask.rectangular(16)))
-    assert relative_l2_error(face16, full) < 1e-12
+    # zeroing the coefficients outside a mask and inverting (scipy's inverse
+    # DCT as the oracle) leaves a partial error; keeping everything, none
+    def relative_error(side):
+        values = coeffs(face16, DCT) * ZonalMask.rectangular(side).keep(16, 16)
+        recon = idctn(values, type=2, norm="ortho")
+        return np.linalg.norm(face16.pixels - recon) / np.linalg.norm(face16.pixels)
+
+    assert 0.0 < relative_error(12) < 0.5
+    assert relative_error(16) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# CSV roundtrip
+# the labelled feature matrix and its CSV
 
 
-def test_features_csv_roundtrip(tmp_path, face16):
-    coeffs = dct2(face16)
-    fvs = [extract_features(coeffs, ZonalMask.rectangular(s)) for s in (3, 3)]
+def test_features_refuse_misshapen_input():
+    matrix = np.ones((3, 2))
+    with pytest.raises(ValueError, match="nonempty"):
+        Features(np.ones(3), [1, 2, 3], [1, 1, 1], DCT)
+    with pytest.raises(ValueError, match="nonempty"):
+        Features(np.ones((0, 2)), [], [], DCT)
+    with pytest.raises(ValueError, match="nonempty"):
+        Features(np.ones((3, 0)), [1, 2, 3], [1, 1, 1], DCT)
+    with pytest.raises(ValueError, match="labels"):
+        Features(matrix, [1, 2], [1, 1, 1], DCT)
+    with pytest.raises(ValueError, match="sample_ids"):
+        Features(matrix, [1, 2, 3], [[1, 1, 1]], DCT)
+    feats = Features(matrix[:, :1], [1, 2, 3], [4, 5, 6], DCT)
+    assert feats.matrix.flags.c_contiguous and len(feats) == 3 and feats.dim == 1
+
+
+def test_features_csv_roundtrip(tmp_path):
+    rng = np.random.default_rng(5)
+    matrix = np.vstack([rng.normal(scale=1e3, size=(3, 6)),
+                        [-0.0, 1e-300, 5e-324, 1 / 3, 1e22, np.pi]])
+    feats = Features(matrix, [2, 2, 7, 11], [1, 3, 1, 10], DFT)
     path = tmp_path / "f.csv"
-    write_features_csv(fvs, path)
+    write_features_csv(feats, path)
     back = read_features_csv(path)
-    assert len(back) == 2
-    for orig, rt in zip(fvs, back):
-        assert np.array_equal(orig.coeffs, rt.coeffs)  # repr() is lossless
-        assert rt.label == orig.label and rt.source == orig.source
+    assert back.matrix.tobytes() == feats.matrix.tobytes()  # repr() is lossless
+    assert np.array_equal(back.labels, feats.labels)
+    assert np.array_equal(back.sample_ids, feats.sample_ids)
+    assert back.source == DFT
+
+
+@pytest.mark.parametrize("ids", [",3", "2,", "x,3", "2,1.5"])
+def test_features_csv_refuses_bad_ids(tmp_path, ids):
+    path = tmp_path / "f.csv"
+    path.write_text(f"subject,sample,source,dim,c0\n1,1,dct,1,0.5\n{ids},dct,1,0.25\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: subject ") + ".* must be integers"):
+        read_features_csv(path)
 
 
 def test_features_csv_bytes_match_per_element_repr(tmp_path):
     # the per-element formatter the row join replaced
     values = [-0.0, 1e-300, 5e-324, 1 / 3, -2.5, 1e22, 123456789.125]
-    fvs = [FeatureVector(coeffs=np.array(values), source=DCT, label=1, sample_id=2),
-           FeatureVector(coeffs=-np.array(values), source=DCT)]
+    feats = Features(np.array([values, [-v for v in values]]), [1, 3], [2, 4], DCT)
     path = tmp_path / "f.csv"
-    write_features_csv(fvs, path)
+    write_features_csv(feats, path)
     want = ["subject,sample,source,dim," + ",".join(f"c{i}" for i in range(len(values)))]
-    for fv, ids in zip(fvs, ("1,2", ",")):
-        want.append(f"{ids},{DCT},{fv.dim}," + ",".join(repr(float(c)) for c in fv.coeffs))
+    for row, ids in zip(feats.matrix, ("1,2", "3,4")):
+        want.append(f"{ids},{DCT},{len(values)}," + ",".join(repr(float(c)) for c in row))
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
     assert "-0.0,1e-300,5e-324,0.3333333333333333," in path.read_text()
 
 
-def test_features_csv_rejects_mixed_dims(tmp_path, face16):
-    coeffs = dct2(face16)
-    fvs = [extract_features(coeffs, ZonalMask.rectangular(s)) for s in (3, 4)]
-    with pytest.raises(ValueError, match="mixed dims"):
-        write_features_csv(fvs, tmp_path / "f.csv")
+def test_features_csv_rejects_mixed_dims(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("subject,sample,source,dim,c0,c1\n1,1,dct,2,0.5,1.0\n1,2,dct,1,0.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: mixed dims 2 and 1")):
+        read_features_csv(path)

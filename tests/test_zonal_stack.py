@@ -19,8 +19,7 @@ from faceid.evaluation import (
 )
 from faceid.transforms import (
     DCT, DFT, INTERLEAVE, KLT, LOGDFT, MODULUS, RECTANGULAR, SECTORIAL,
-    ZonalMask, dct2, dft2, extract_features, log_dft2, mask_features,
-    transform_corpus, zone_keeps,
+    ZonalMask, mask_features, transform_corpus, zone_keeps,
 )
 
 # ---------------------------------------------------------------------------
@@ -97,11 +96,11 @@ def assert_split_features_equal(split, kind, mask, complex_mode, r_low):
                                          complex_mode=complex_mode, r_low=r_low)
     for images, feats in ((split.gallery, gal), (split.probes, probes)):
         want = frozen_matrix(frozen_transform(images, kind), mask, complex_mode, r_low)
-        got = np.stack([fv.coeffs for fv in feats])
-        assert got.dtype == np.float64
-        assert np.array_equal(got, want)
-        assert [(fv.label, fv.sample_id, fv.source) for fv in feats] == \
-            [(img.subject_id, img.sample_id, kind) for img in images]
+        assert feats.matrix.dtype == np.float64
+        assert np.array_equal(feats.matrix, want)
+        assert feats.labels.tolist() == [img.subject_id for img in images]
+        assert feats.sample_ids.tolist() == [img.sample_id for img in images]
+        assert feats.source == kind
 
 
 def assert_sweep_equal(split, kind, mask_shape, grid, complex_mode, r_low):
@@ -160,11 +159,14 @@ def test_orl_shaped_sweep_bit_equal_frozen_path(orl_split, kind, mask_shape, gri
 def test_extract_features_is_one_row_of_the_stack(small_split):
     image = small_split.gallery[0]
     mask = ZonalMask.sectorial(4.5)
-    for coeffs in (dct2(image), dft2(image), log_dft2(image)):
+    keep = mask.keep(*image.shape, 1.5)
+    for kind in (DCT, DFT, LOGDFT):
+        stack = transform_corpus([image], kind, image.shape)
+        (values,) = frozen_transform([image], kind)
+        assert np.array_equal(stack[0], values)
         for mode in (MODULUS, INTERLEAVE):
-            fv = extract_features(coeffs, mask, complex_mode=mode, r_low=1.5)
-            assert np.array_equal(fv.coeffs,
-                                  frozen_vector(coeffs.values, mask, mode, 1.5))
+            assert np.array_equal(mask_features(stack, keep, mode)[0],
+                                  frozen_vector(values, mask, mode, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +185,11 @@ def test_zone_keeps_crop_to_the_union_extent():
 
 def test_transform_corpus_keeps_the_leading_block(small_split):
     images = small_split.gallery[:4]
-    for kind, fn in ((DCT, dct2), (DFT, dft2)):
+    for kind in (DCT, DFT):
         stack = transform_corpus(images, kind, (6, 4))
         assert stack.shape == (4, 6, 4)
         for img, block in zip(images, stack):
-            assert np.array_equal(block, fn(img).values[:6, :4])
+            assert np.array_equal(block, FROZEN_TRANSFORMS[kind](img.pixels)[:6, :4])
     with pytest.raises(ValueError, match="smaller than"):
         transform_corpus(images, DCT, (25, 4))
     with pytest.raises(ValueError, match="unknown transform"):
@@ -218,8 +220,8 @@ def test_cropped_dft_is_bit_equal_to_full_fft2(kind, shape, box):
 @pytest.mark.parametrize("shape", [(15, 9), (12, 8), (13, 7)])
 def test_full_box_transforms_are_bit_equal_to_fft2(shape):
     image = np.random.default_rng(shape[1]).uniform(0.0, 255.0, size=shape)
-    assert np.array_equal(dft2(image).values, np.fft.fft2(image))
-    assert np.array_equal(log_dft2(image, offset=0.5).values,
+    assert np.array_equal(transform_corpus([image], DFT, shape)[0], np.fft.fft2(image))
+    assert np.array_equal(transform_corpus([image], LOGDFT, shape, log_offset=0.5)[0],
                           np.fft.fft2(np.log(image + 0.5)))
     with pytest.raises(ValueError, match="offset"):
         transform_corpus([image], LOGDFT, (2, 2), log_offset=0.0)
