@@ -13,7 +13,7 @@ from .dataset import (
     synth_corpus, write_pgm,
 )
 from .transforms import Features, ZonalMask, mask_features, transform_corpus
-from .eigenfaces import EigenBasis, RankError, attainable_rank, project, train_eigenbasis
+from .eigenfaces import EigenBasis, RankError, project, train_eigenbasis
 from .classifiers import (
     DivergenceError, Gallery, MLPConfig, MLPModel, PNNModel, RBFModel,
     load_model, mlp_scores, mlp_train, nn_scores,

@@ -17,7 +17,6 @@ from .mlp import (
     DivergenceError,
     MLPConfig,
     MLPModel,
-    mlp_gradient,
     mlp_scores,
     mlp_train,
     msereg_gradient,
@@ -34,7 +33,7 @@ __all__ = [
     "Gallery", "HIGHER", "LOWER", "STD_FLOOR", "make_targets",
     "MAD", "MSE", "METRICS", "nn_scores",
     "DivergenceError", "MLPConfig", "MLPModel",
-    "mlp_gradient", "mlp_scores", "mlp_train",
+    "mlp_scores", "mlp_train",
     "msereg_gradient", "msereg_loss", "pack_params", "unpack_params",
     "write_training_log",
     "PNNModel", "pnn_classify", "pnn_train", "radbas_bias",

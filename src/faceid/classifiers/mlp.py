@@ -85,10 +85,6 @@ class MLPModel:
     def dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def n_outputs(self) -> int:
-        return self.w2.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # parameter packing and the loss/gradient pair
@@ -154,14 +150,6 @@ def msereg_gradient(theta: np.ndarray, x: np.ndarray, t: np.ndarray,
     grad = gamma * pack_params(gw1, gb1, gw2, gb2)
     grad += (1.0 - gamma) * (2.0 / theta.size) * theta
     return grad
-
-
-def mlp_gradient(model: MLPModel, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gradient at the model's current parameters for an already-normalized batch."""
-    theta = pack_params(model.w1, model.b1, model.w2, model.b2)
-    return msereg_gradient(theta, np.asarray(x, dtype=np.float64),
-                           np.asarray(t, dtype=np.float64),
-                           model.config.gamma, model.config.hidden)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .dataset import (
 )
 from .transforms import (
     DCT, DFT, LOGDFT, KLT, MODULUS, INTERLEAVE, RECTANGULAR, SECTORIAL,
-    ZonalMask, write_features_csv,
+    Features, ZonalMask, write_features_csv,
 )
 from .eigenfaces import RankError
 from .classifiers import (
@@ -211,15 +211,15 @@ def make_eval_config(args: argparse.Namespace) -> EvalConfig:
                       fusion_mode=args.fusion_mode)
 
 
-def build_features(args: argparse.Namespace, corpus: Corpus):
+def build_features(args: argparse.Namespace, corpus: Corpus) -> tuple[Features, Features]:
     """Resolve transform flags into gallery and probe features."""
     split = split_first_k(corpus, args.train_k)
     if args.transform == KLT:
         if args.dim is None:
             raise ConfigError("--transform klt requires --dim")
-        return split, extract_split_features(split, KLT, dim=args.dim)
+        return extract_split_features(split, KLT, dim=args.dim)
     mask = parse_mask_spec(args.mask)
-    return split, extract_split_features(
+    return extract_split_features(
         split, args.transform, mask=mask, complex_mode=args.complex_mode,
         r_low=args.r_low, log_offset=args.log_offset)
 
@@ -262,8 +262,8 @@ def emit_manifest(out: Path, command: str, args: argparse.Namespace,
 
 def cmd_extract(args: argparse.Namespace) -> int:
     corpus = load_source(args)
+    gal, probes = build_features(args, corpus)
     out = prepare_out(args)
-    _, (gal, probes) = build_features(args, corpus)
     write_features_csv(gal, out / "gallery.csv")
     write_features_csv(probes, out / "probes.csv")
     emit_manifest(out, "extract", args, corpus, ["gallery.csv", "probes.csv"])
@@ -278,13 +278,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     corpus = load_source(args)
-    out = prepare_out(args)
-    _, (gal, probes) = build_features(args, corpus)
+    gal, probes = build_features(args, corpus)
     cfg = make_eval_config(args)
     artifacts: dict = {}
     result = run_experiment(args.classifier, gal, probes, cfg,
                             extra_config={"transform": args.transform},
                             artifacts=artifacts)
+    out = prepare_out(args)
     outputs = ["result.csv"]
     write_result_csv(result, out / "result.csv")
     for name, model in artifacts.get("models", {}).items():
@@ -312,7 +312,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     corpus = load_source(args)
-    out = prepare_out(args)
     if args.axis == "dim":
         split = split_first_k(corpus, args.train_k)
         shape = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
@@ -325,17 +324,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         points = sweep_dimension(split, args.transform, shape, grid,
                                  args.metric, complex_mode=args.complex_mode,
                                  r_low=args.r_low, log_offset=args.log_offset)
-        write_curve_csv(points, out / "curve.csv", "param")
     else:
         if args.classifier not in ("pnn", "rbf"):
             raise ConfigError("--axis spread requires --classifier pnn or rbf")
-        _, (gal, probes) = build_features(args, corpus)
+        gal, probes = build_features(args, corpus)
         spreads = parse_float_grid(args.spreads) if args.spreads else list(SPREAD_GRID)
         if len(spreads) == 0:
             raise ConfigError("sweep grid is empty")
         points = sweep_spread(gal, probes, args.classifier, spreads,
                               make_eval_config(args))
-        write_curve_csv(points, out / "curve.csv", "spread")
+    out = prepare_out(args)
+    write_curve_csv(points, out / "curve.csv", "param" if args.axis == "dim" else "spread")
     emit_manifest(out, "sweep", args, corpus, ["curve.csv"])
     best = max(points, key=lambda pt: pt.rate)
     print(f"{len(points)} points; best rate {best.rate:.1f}% at "
@@ -345,7 +344,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     corpus = load_source(args)
-    out = prepare_out(args)
     spreads = parse_float_grid(args.spreads) if args.spreads else list(SPREAD_GRID)
     if len(spreads) == 0:
         raise ConfigError("spread grid is empty")
@@ -353,6 +351,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
                          rows_filter=args.rows, spreads=spreads)
     if not rows:
         raise ConfigError(f"--rows {args.rows!r} matches no table rows")
+    out = prepare_out(args)
     write_table_csv(rows, out / "table1.csv")
     emit_manifest(out, "table1", args, corpus, ["table1.csv"])
     print(format_table(rows))

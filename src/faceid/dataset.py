@@ -29,57 +29,84 @@ class InventoryError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """Grayscale pixel matrix in [0, 1] with subject/sample identity."""
+    """One grayscale image with its subject/sample identity: what
+    :func:`load_pgm` returns, and one row of a corpus in :attr:`Corpus.images`."""
 
-    pixels: np.ndarray
+    pixels: np.ndarray  # (R, C) float64 in [0, 1]
     subject_id: int = 0
     sample_id: int = 0
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError(f"pixels must be a nonempty 2-D matrix, got shape {px.shape}")
-        if px.min() < 0.0 or px.max() > 1.0:
-            raise ValueError("pixel values must lie in [0, 1]")
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pixels.shape
 
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """A rectangular image collection: n_subjects x samples_per_subject."""
+    """A rectangular image collection (every subject has as many samples) as
+    one stack: ``pixels[i]`` is image ``(subject_ids[i], sample_ids[i])``, and
+    the rows run in (subject, sample) order."""
 
-    images: list[Image]
-    n_subjects: int
-    samples_per_subject: int
+    pixels: np.ndarray       # (n, R, C) float64 in [0, 1]
+    subject_ids: np.ndarray  # (n,)
+    sample_ids: np.ndarray   # (n,)
 
     def __post_init__(self):
-        if len(self.images) != self.n_subjects * self.samples_per_subject:
-            raise ValueError(
-                f"expected {self.n_subjects * self.samples_per_subject} images, "
-                f"got {len(self.images)}"
-            )
-        keys = {(im.subject_id, im.sample_id) for im in self.images}
-        if len(keys) != len(self.images):
+        px = np.ascontiguousarray(self.pixels, dtype=np.float64)
+        if px.ndim != 3 or 0 in px.shape:
+            raise ValueError(f"pixels must form a nonempty (n, rows, cols) stack, "
+                             f"got shape {px.shape}")
+        if px.min() < 0.0 or px.max() > 1.0:
+            raise ValueError("pixel values must lie in [0, 1]")
+        object.__setattr__(self, "pixels", px)
+        for name in ("subject_ids", "sample_ids"):
+            ids = np.asarray(getattr(self, name), dtype=np.int64)
+            if ids.shape != (len(px),):
+                raise ValueError(f"{name} {ids.shape} do not align with {len(px)} images")
+            object.__setattr__(self, name, ids)
+        pairs = np.column_stack([self.subject_ids, self.sample_ids])
+        ordered = np.unique(pairs, axis=0)
+        if len(ordered) != len(pairs):
             raise ValueError("duplicate (subject_id, sample_id) pairs in corpus")
-        shapes = {im.shape for im in self.images}
-        if len(shapes) > 1:
-            raise ValueError(f"all corpus images must share dimensions, got {sorted(shapes)}")
+        if not np.array_equal(ordered, pairs):
+            raise ValueError("images must run in (subject_id, sample_id) order")
+        subjects, counts = np.unique(self.subject_ids, return_counts=True)
+        if (counts != counts[0]).any():
+            raise ValueError(f"unequal samples per subject: "
+                             f"{dict(zip(subjects.tolist(), counts.tolist()))}")
 
     @property
-    def image_shape(self) -> tuple[int, int]:
-        return self.images[0].shape
+    def n_subjects(self) -> int:
+        return len(self.pixels) // self.samples_per_subject
+
+    @property
+    def samples_per_subject(self) -> int:
+        return int(np.sum(self.subject_ids == self.subject_ids[0]))
+
+    @property
+    def images(self) -> list[Image]:
+        """One record per image, whose pixels are a view of the stack."""
+        return [Image(px, subject, sample) for px, subject, sample in
+                zip(self.pixels, self.subject_ids.tolist(), self.sample_ids.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
 class Split:
-    """Disjoint gallery (training) / probe (testing) partition of a corpus."""
+    """Gallery (training) / probe (testing) partition of a corpus: the first
+    ``k`` samples of every subject, and the rest."""
 
-    gallery: list[Image]
-    probes: list[Image]
+    corpus: Corpus
+    k: int
+
+    def __post_init__(self):
+        if not 1 <= self.k < self.corpus.samples_per_subject:
+            raise ValueError(f"k must be in 1..{self.corpus.samples_per_subject - 1}, "
+                             f"got {self.k}")
+
+    def halves(self, per_image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gallery and probe parts of an array with one leading entry per
+        corpus image (its pixels, ids or feature rows), as (subjects, samples,
+        ...) views: the pixels are never copied."""
+        corpus = self.corpus
+        grid = per_image.reshape(corpus.n_subjects, corpus.samples_per_subject,
+                                 *per_image.shape[1:])
+        return grid[:, :self.k], grid[:, self.k:]
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +199,8 @@ def load_pgm(path: str | Path) -> Image:
 
 
 def write_pgm(image: Image | np.ndarray, path: str | Path, maxval: int = 255) -> None:
-    """Write pixels as binary P5, quantized to ``maxval`` levels (single-byte samples)."""
-    pixels = image.pixels if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
+    """Write pixels (an Image's, or a bare matrix) as binary P5 at ``maxval`` levels."""
+    pixels = np.asarray(getattr(image, "pixels", image), dtype=np.float64)
     if not (0 < maxval <= 255):
         raise ValueError(f"maxval must be in 1..255, got {maxval}")
     quantized = np.rint(np.clip(pixels, 0.0, 1.0) * maxval).astype(np.uint8)
@@ -186,22 +213,30 @@ def write_pgm(image: Image | np.ndarray, path: str | Path, maxval: int = 255) ->
 # Corpus loading
 
 
+def _read_stack(paths: list[Path]) -> np.ndarray:
+    """Read PGM files into one (n, R, C) stack; all must share dimensions."""
+    stack = np.empty((0, 0, 0))
+    for i, path in enumerate(paths):
+        pixels = load_pgm(path).pixels
+        if i == 0:
+            stack = np.empty((len(paths), *pixels.shape))
+        elif pixels.shape != stack.shape[1:]:
+            raise ValueError(f"all corpus images must share dimensions: {path} is "
+                             f"{pixels.shape}, not {stack.shape[1:]}")
+        stack[i] = pixels
+    return stack
+
+
 def load_orl(root: str | Path, n_subjects: int = 40, samples_per_subject: int = 10) -> Corpus:
     """Load an ORL-layout tree ``root/s1..sN/1..K.pgm`` in (subject, sample) order."""
     root = Path(root)
-    missing = [
-        f"s{s}/{k}.pgm"
-        for s in range(1, n_subjects + 1)
-        for k in range(1, samples_per_subject + 1)
-        if not (root / f"s{s}" / f"{k}.pgm").is_file()
-    ]
+    subjects = np.repeat(np.arange(1, n_subjects + 1), samples_per_subject)
+    samples = np.tile(np.arange(1, samples_per_subject + 1), n_subjects)
+    names = [f"s{s}/{k}.pgm" for s, k in zip(subjects, samples)]
+    missing = [name for name in names if not (root / name).is_file()]
     if missing:
         raise InventoryError(root, missing)
-    # load_pgm reads the (s, k) ids from the s<s>/<k>.pgm layout itself
-    images = [load_pgm(root / f"s{s}" / f"{k}.pgm")
-              for s in range(1, n_subjects + 1)
-              for k in range(1, samples_per_subject + 1)]
-    return Corpus(images=images, n_subjects=n_subjects, samples_per_subject=samples_per_subject)
+    return Corpus(_read_stack([root / name for name in names]), subjects, samples)
 
 
 def load_manifest(path: str | Path) -> Corpus:
@@ -211,7 +246,7 @@ def load_manifest(path: str | Path) -> Corpus:
     collection must be rectangular (same number of samples for every subject).
     """
     path = Path(path)
-    entries: list[tuple[Path, int, int]] = []
+    entries: list[tuple[int, int, Path]] = []
     for ln, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -220,42 +255,25 @@ def load_manifest(path: str | Path) -> Corpus:
         if len(parts) != 3:
             raise ValueError(f"{path}:{ln}: expected 'path subject_id sample_id', got {line!r}")
         rel, subject, sample = parts[0], int(parts[1]), int(parts[2])
-        entries.append((path.parent / rel, subject, sample))
+        entries.append((subject, sample, path.parent / rel))
     if not entries:
         raise ValueError(f"{path}: empty manifest")
 
-    missing = [str(p) for p, _, _ in entries if not p.is_file()]
+    missing = [str(p) for _, _, p in entries if not p.is_file()]
     if missing:
         raise InventoryError(path.parent, missing)
 
-    entries.sort(key=lambda e: (e[1], e[2]))
-    images = [
-        Image(pixels=load_pgm(p).pixels, subject_id=subject, sample_id=sample)
-        for p, subject, sample in entries
-    ]
-    subjects = sorted({im.subject_id for im in images})
-    per_subject = {s: sum(1 for im in images if im.subject_id == s) for s in subjects}
-    counts = set(per_subject.values())
-    if len(counts) != 1:
-        raise ValueError(f"{path}: unequal samples per subject: {per_subject}")
-    return Corpus(images=images, n_subjects=len(subjects),
-                  samples_per_subject=counts.pop())
+    entries.sort(key=lambda e: e[:2])
+    subjects, samples, paths = zip(*entries)
+    try:
+        return Corpus(_read_stack(list(paths)), subjects, samples)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def split_first_k(corpus: Corpus, k: int) -> Split:
     """Gallery = samples 1..k of every subject, probes = the rest (paper protocol)."""
-    if not 1 <= k < corpus.samples_per_subject:
-        raise ValueError(
-            f"k must be in 1..{corpus.samples_per_subject - 1}, got {k}"
-        )
-    ordered = sorted(corpus.images, key=lambda im: (im.subject_id, im.sample_id))
-    per_subject_rank: dict[int, int] = {}
-    gallery, probes = [], []
-    for im in ordered:
-        rank = per_subject_rank.get(im.subject_id, 0) + 1
-        per_subject_rank[im.subject_id] = rank
-        (gallery if rank <= k else probes).append(im)
-    return Split(gallery=gallery, probes=probes)
+    return Split(corpus, k)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +291,7 @@ def synth_corpus(seed: int, n_subjects: int, samples: int, rows: int, cols: int)
     m = np.arange(rows)[:, None]
     n = np.arange(cols)[None, :]
     n_components = 6
-    images = []
+    pixels = np.empty((n_subjects * samples, rows, cols))
     for subject in range(1, n_subjects + 1):
         f1 = rng.integers(0, 4, size=n_components)
         f2 = rng.integers(0, 4, size=n_components)
@@ -290,15 +308,20 @@ def synth_corpus(seed: int, n_subjects: int, samples: int, rows: int, cols: int)
             for a, e, atom in zip(amps, jitter, atoms):
                 wobble += a * e * atom
             noise = rng.normal(0.0, 0.01, size=(rows, cols))
-            pixels = np.clip(0.5 + 0.2 * (base + wobble) + noise, 0.0, 1.0)
-            images.append(Image(pixels=pixels, subject_id=subject, sample_id=sample))
-    return Corpus(images=images, n_subjects=n_subjects, samples_per_subject=samples)
+            pixels[(subject - 1) * samples + sample - 1] = np.clip(
+                0.5 + 0.2 * (base + wobble) + noise, 0.0, 1.0)
+    return Corpus(pixels, np.repeat(np.arange(1, n_subjects + 1), samples),
+                  np.tile(np.arange(1, samples + 1), n_subjects))
 
 
 def corpus_checksum(corpus: Corpus) -> str:
     """SHA-256 over ids, dims and little-endian float64 pixel bytes, in corpus order."""
     digest = hashlib.sha256()
-    for im in corpus.images:
-        digest.update(f"{im.subject_id},{im.sample_id},{im.shape[0]}x{im.shape[1]};".encode())
-        digest.update(im.pixels.astype("<f8").tobytes())
+    rows, cols = corpus.pixels.shape[1:]
+    # hashed straight from the stack's rows (a no-op cast on little-endian hosts)
+    pixels = corpus.pixels.astype("<f8", copy=False)
+    for subject, sample, image in zip(corpus.subject_ids.tolist(),
+                                      corpus.sample_ids.tolist(), pixels):
+        digest.update(f"{subject},{sample},{rows}x{cols};".encode())
+        digest.update(image)
     return digest.hexdigest()

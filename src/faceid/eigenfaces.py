@@ -1,6 +1,7 @@
 """Eigenface baseline: mean face, small-matrix eigenvector trick, KLT projection.
 
-``project`` maps a whole image set onto the basis as one ``(n, m')`` weight
+Both functions take image stacks (a corpus stack, or a split half's view of
+it). ``project`` maps a whole stack onto the basis as one ``(n, m')`` weight
 matrix, the feature matrix of the KLT (eigenfaces) experiments.
 
 The covariance of the vectorized gallery is never formed at full size.
@@ -12,11 +13,8 @@ linear combinations of the training residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from .dataset import Image
 
 # eigenvalues at or below max_eigenvalue * RANK_RTOL count as rank deficiency
 RANK_RTOL = 1e-10
@@ -38,37 +36,34 @@ class RankError(ValueError):
 class EigenBasis:
     """Mean face plus unit-norm eigenfaces in descending-eigenvalue order."""
 
-    mean_face: np.ndarray   # (P,)
-    eigenfaces: np.ndarray  # (m', P), rows are unit L2
+    mean_face: np.ndarray   # (R, C)
+    eigenfaces: np.ndarray  # (m', P), rows are unit L2, P = R * C
     eigenvalues: np.ndarray  # (m',) descending, > 0
-    rows: int
-    cols: int
 
     @property
     def n_components(self) -> int:
         return self.eigenfaces.shape[0]
 
 
-def train_eigenbasis(gallery: list[Image], m_prime: int) -> EigenBasis:
-    """Fit the mean face and the ``m_prime`` leading eigenfaces of a gallery.
+def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False) -> EigenBasis:
+    """Fit the mean face and the ``m_prime`` leading eigenfaces of a gallery stack.
 
     Zero-eigenvalue directions (the rank lost to mean removal, or worse for
     degenerate galleries) are excluded before counting ``m_prime``; asking for
-    more raises :class:`RankError` carrying the attainable count.
+    more raises :class:`RankError` carrying the attainable count, or with
+    ``clamp`` fits only that many.
     """
-    if not gallery:
-        raise ValueError("gallery must be nonempty")
-    shapes = {im.shape for im in gallery}
-    if len(shapes) != 1:
-        raise ValueError(f"gallery images must share dimensions, got {sorted(shapes)}")
-    m = len(gallery)
-    if not 1 <= m_prime <= m:
-        raise ValueError(f"m_prime must be in 1..{m}, got {m_prime}")
-    rows, cols = shapes.pop()
+    if gallery.ndim < 3 or gallery.size == 0:
+        raise ValueError(f"gallery must be a nonempty image stack, got shape {gallery.shape}")
+    if m_prime < 1:
+        raise ValueError(f"m_prime must be >= 1, got {m_prime}")
+    rows, cols = gallery.shape[-2:]
 
-    phi = np.stack([im.pixels.ravel() for im in gallery])  # (M, P)
+    # one contiguous (M, P) copy, centred in place: the caller's stack is untouched
+    phi = np.array(gallery, dtype=np.float64, order="C").reshape(-1, rows * cols)
+    m = len(phi)
     mean_face = phi.mean(axis=0)
-    phi -= mean_face  # centred in place: one (M, P) matrix, not two
+    phi -= mean_face
 
     # Gram matrix (A^T A)/M shares C's nonzero eigenvalues at a fraction of the size
     gram = (phi @ phi.T) / m
@@ -80,7 +75,9 @@ def train_eigenbasis(gallery: list[Image], m_prime: int) -> EigenBasis:
     cutoff = max(eigenvalues[0], 0.0) * RANK_RTOL
     attainable = int(np.sum(eigenvalues > cutoff))
     if m_prime > attainable:
-        raise RankError(requested=m_prime, attainable=attainable)
+        if not clamp:
+            raise RankError(requested=m_prime, attainable=attainable)
+        m_prime = attainable
 
     faces = eigenvectors[:, :m_prime].T @ phi  # u_l = sum_k v_lk Phi_k
     del phi  # free it before the norm's (m', P) temporary exists
@@ -90,38 +87,21 @@ def train_eigenbasis(gallery: list[Image], m_prime: int) -> EigenBasis:
     faces[flip] *= -1.0
 
     return EigenBasis(
-        mean_face=mean_face,
+        mean_face=mean_face.reshape(rows, cols),
         eigenfaces=faces,
         eigenvalues=eigenvalues[:m_prime].copy(),
-        rows=rows,
-        cols=cols,
     )
 
 
-def attainable_rank(gallery: list[Image]) -> int:
-    """Number of eigenfaces the gallery can actually supply."""
-    if not gallery:
-        raise ValueError("gallery must be nonempty")
-    phi = np.stack([im.pixels.ravel() for im in gallery])
-    phi -= phi.mean(axis=0)
-    eigenvalues = np.linalg.eigvalsh((phi @ phi.T) / len(gallery))
-    top = max(eigenvalues.max(), 0.0)
-    return int(np.sum(eigenvalues > top * RANK_RTOL))
-
-
-def project(images: Sequence[Image | np.ndarray], basis: EigenBasis) -> np.ndarray:
+def project(images: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """(n, m') weights of the mean-removed images on the basis directions.
 
-    One ``(n, P) @ (P, m')`` product for the whole set, so the eigenfaces are
-    streamed once rather than once per image. Pass one split half at a time:
-    the set is stacked as an (n, P) matrix.
+    The stack is centred into one new (n, P) matrix, however its images are
+    laid out, and multiplied once by the eigenfaces, which are streamed once
+    rather than once per image. Pass one split half at a time.
     """
-    shape = (basis.rows, basis.cols)
-    x = np.empty((len(images), basis.mean_face.size))
-    for i, image in enumerate(images):
-        pixels = image.pixels if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
-        if pixels.shape != shape:
-            raise ValueError(f"image dims {pixels.shape} do not match basis {shape}")
-        x[i] = pixels.ravel() - basis.mean_face
+    if images.shape[-2:] != basis.mean_face.shape:
+        raise ValueError(f"image dims {images.shape[-2:]} do not match basis "
+                         f"{basis.mean_face.shape}")
+    x = (images - basis.mean_face).reshape(-1, basis.mean_face.size)
     return x @ basis.eigenfaces.T
-

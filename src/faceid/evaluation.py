@@ -2,10 +2,11 @@
 
 The fixed protocol throughout is closed-set identification: every probe is
 scored against all gallery models and the top subject is the answer.
-Transform-domain features come from one coefficient stack per split: each
+Transform-domain features come from one coefficient stack per corpus: each
 image is transformed once, only the leading block its masks reach is kept,
 and each mask (in a dimension sweep, each mask's new band) is one gather
-over that stack. Each split half's features travel as one labelled
+over that stack. Eigenface features come from one basis fit per gallery.
+Each split half's features travel as one labelled
 :class:`~faceid.transforms.Features` matrix, from extraction to the
 gallery and the probe block.
 """
@@ -23,11 +24,11 @@ import numpy as np
 
 from .dataset import Corpus, Split, split_first_k
 from .transforms import (
-    DCT, KLT, MODULUS, RECTANGULAR, SECTORIAL,
+    DCT, KLT, MODULUS, RECTANGULAR,
     Features, ZonalMask,
     mask_features, transform_corpus, zone_keeps,
 )
-from .eigenfaces import RankError, attainable_rank, train_eigenbasis, project
+from .eigenfaces import train_eigenbasis, project
 from .classifiers import (
     Gallery, MAD, MSE,
     MLPConfig, mlp_train, mlp_scores,
@@ -75,36 +76,56 @@ def identification_rate(pairs: Sequence[tuple[int, int]]) -> float:
 # feature extraction pipelines
 # ---------------------------------------------------------------------------
 
+def _bands(split: Split, kind: str, steps: Sequence, *,
+           complex_mode: str = MODULUS, r_low: float = 0.0,
+           log_offset: float = 1e-4, clamp: bool = False):
+    """The one path from a split to its features: per step of an ascending
+    chain (zonal masks, or KLT component counts), the (gallery, probe)
+    matrices of the band it adds to the step before. Every mask and the rank
+    are checked before the first band is returned."""
+    if kind == KLT:
+        halves = split.halves(split.corpus.pixels)
+        basis = train_eigenbasis(halves[0], steps[-1], clamp=clamp)
+        weights = [project(half, basis) for half in halves]
+        dims = [min(step, basis.n_components) for step in steps]
+        return ([w[:, lo:hi] for w in weights] for lo, hi in zip([0, *dims], dims))
+    keeps = zone_keeps(steps, split.corpus.pixels.shape[1:], r_low)
+    stack = transform_corpus(split.corpus.pixels, kind, keeps[0].shape, log_offset)
+    kept = [np.zeros_like(keeps[0]), *keeps[:-1]]
+    return (_split_rows(split, mask_features(stack, keep & ~prev, complex_mode))
+            for keep, prev in zip(keeps, kept))
+
+
+def _split_rows(split: Split, per_image: np.ndarray) -> list[np.ndarray]:
+    """Gallery and probe rows of a per-image array, each flattened to (n, ...)."""
+    return [half.reshape(half.shape[0] * half.shape[1], *per_image.shape[1:])
+            for half in split.halves(per_image)]
+
+
 def extract_split_features(split: Split, kind: str, *,
                            mask: ZonalMask | None = None,
                            dim: int | None = None,
                            complex_mode: str = MODULUS,
                            r_low: float = 0.0,
                            log_offset: float = 1e-4,
+                           clamp: bool = False,
                            ) -> tuple[Features, Features]:
     """Gallery and probe features for one transform configuration.
 
     Transform-domain kinds need a zonal mask; the eigenface kind needs a
-    component count instead (clamped by callers, exact here).
+    component count instead, which ``clamp`` lowers to the gallery's rank
+    where that is smaller.
     """
-    halves = (split.gallery, split.probes)
-    if kind == KLT:
-        if dim is None:
-            raise ValueError("klt extraction requires dim")
-        basis = train_eigenbasis(split.gallery, dim)
-        matrices = [project(half, basis) for half in halves]
-    elif mask is None:
-        raise ValueError(f"{kind} extraction requires a zonal mask")
-    else:
-        (keep,) = zone_keeps([mask], split.gallery[0].shape, r_low)
-        matrix = mask_features(transform_corpus([*split.gallery, *split.probes], kind,
-                                                keep.shape, log_offset),
-                               keep, complex_mode)
-        n = len(split.gallery)
-        matrices = [matrix[:n], matrix[n:]]
-    return tuple(Features(m, [img.subject_id for img in half],
-                          [img.sample_id for img in half], kind)
-                 for m, half in zip(matrices, halves))
+    step = dim if kind == KLT else mask
+    if step is None:
+        raise ValueError(f"{kind} extraction requires "
+                         f"{'dim' if kind == KLT else 'a zonal mask'}")
+    (matrices,) = _bands(split, kind, [step], complex_mode=complex_mode,
+                         r_low=r_low, log_offset=log_offset, clamp=clamp)
+    ids = zip(_split_rows(split, split.corpus.subject_ids),
+              _split_rows(split, split.corpus.sample_ids))
+    return tuple(Features(m, labels, samples, kind)
+                 for m, (labels, samples) in zip(matrices, ids))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +282,8 @@ def default_dim_grid(kind: str, rows: int, cols: int, n_gallery: int, *,
     if r_low > 0.0:
         # a sector of radius r_low holds exactly the coefficients r_low drops
         dropped = ZonalMask.sectorial(r_low).keep(rows, cols)
-        make = ZonalMask.sectorial if mask_shape == SECTORIAL else ZonalMask.rectangular
-        grid = [value for value in grid
-                if (make(value).keep(rows, cols) & ~dropped).any()] or grid[-1:]
+        grid = [value for value in grid if
+                (ZonalMask(mask_shape, value).keep(rows, cols) & ~dropped).any()] or grid[-1:]
     return grid
 
 
@@ -285,46 +305,25 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     distances to one running (probes, gallery) distance matrix, so the
     distance work is one pass over the largest zone.
     """
-    rows, cols = split.gallery[0].shape
+    rows, cols = split.corpus.pixels.shape[1:]
+    gallery_labels, probe_labels = _split_rows(split, split.corpus.subject_ids)
     if grid is None:
-        grid = default_dim_grid(kind, rows, cols, len(split.gallery),
+        grid = default_dim_grid(kind, rows, cols, len(gallery_labels),
                                 mask_shape=mask_shape, r_low=r_low)
     grid = _sorted_grid(grid)
-    images = [*split.gallery, *split.probes]
-    labels = np.array([img.subject_id for img in images])
-    n = len(split.gallery)
-    if kind == KLT:
-        top = int(max(grid))
-        rank = attainable_rank(split.gallery)
-        if top > rank:
-            raise RankError(top, rank)
-        basis = train_eigenbasis(split.gallery, top)
-        full = np.concatenate([project(split.gallery, basis),
-                               project(split.probes, basis)])
-        dims = [int(d) for d in grid]
-        bands = (full[:, lo:hi] for lo, hi in zip([0, *dims], dims))
-    else:
-        if mask_shape == RECTANGULAR:
-            masks = [ZonalMask.rectangular(int(value)) for value in grid]
-        elif mask_shape == SECTORIAL:
-            masks = [ZonalMask.sectorial(float(value)) for value in grid]
-        else:
-            raise ValueError(f"unknown mask shape {mask_shape!r}")
-        # every mask is checked before any image is transformed
-        keeps = zone_keeps(masks, (rows, cols), r_low)
-        stack = transform_corpus(images, kind, keeps[0].shape, log_offset)
-        kept = [np.zeros_like(keeps[0]), *keeps[:-1]]
-        bands = (mask_features(stack, keep & ~prev, complex_mode)
-                 for keep, prev in zip(keeps, kept))
-    dists = np.zeros((len(images) - n, n))
+    steps = ([int(d) for d in grid] if kind == KLT
+             else [ZonalMask(mask_shape, value) for value in grid])
+    bands = _bands(split, kind, steps, complex_mode=complex_mode, r_low=r_low,
+                   log_offset=log_offset)
+    dists = np.zeros((len(probe_labels), len(gallery_labels)))
     dim = 0
     points = []
-    for value, band in zip(grid, bands):
-        gallery = Gallery(band[:n], labels[:n])
-        preds, _ = decide([nn_scores(band[n:], gallery, metric, running=dists)],
+    for value, (gallery_band, probe_band) in zip(grid, bands):
+        gallery = Gallery(gallery_band, gallery_labels)
+        preds, _ = decide([nn_scores(probe_band, gallery, metric, running=dists)],
                           gallery.subject_ids)
-        dim += band.shape[1]
-        rate = identification_rate(list(zip(labels[n:], preds)))
+        dim += gallery.dim
+        rate = identification_rate(list(zip(probe_labels, preds)))
         points.append(SweepPoint(param=float(value), dim=dim, rate=rate))
     return points
 
@@ -398,20 +397,20 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
         return []
     k = min(TRAIN_SAMPLES, corpus.samples_per_subject - 1)
     split = split_first_k(corpus, k)
-    rows, cols = split.gallery[0].shape
+    rows, cols = corpus.pixels.shape[1:]
     side = min(DEFAULT_MASK_SIDE, rows, cols)
     mask = ZonalMask.rectangular(side)
     dct_gal, dct_probes = extract_split_features(split, DCT, mask=mask)
 
-    # one eigenbasis at the largest dim; smaller dims slice its projections
-    # (the leading eigenfaces do not depend on how many are kept)
+    # one eigenbasis at the largest dim, or at the gallery's rank when that is
+    # lower; smaller dims slice its projections (the leading eigenfaces do not
+    # depend on how many are kept)
     klt_wanted = {row[1] for row in targets if row[0] == "eigenfaces"}
     klt_feats = {}
     if klt_wanted:
-        rank = attainable_rank(split.gallery)
-        full = extract_split_features(split, KLT, dim=min(max(klt_wanted), rank))
+        full = extract_split_features(split, KLT, dim=max(klt_wanted), clamp=True)
         for want in klt_wanted:
-            dim = min(want, rank)
+            dim = min(want, full[0].dim)
             klt_feats[want] = [replace(f, matrix=f.matrix[:, :dim]) for f in full]
     # spread sweeps only for the selected rows; fusion runs at RBF's best spread
     sweeps = {row[2] for row in targets} & {PNN_NAME, RBF_NAME}

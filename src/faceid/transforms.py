@@ -3,10 +3,10 @@ and the labelled feature matrix.
 
 The DCT is the orthonormal type-II transform (Parseval holds exactly); the DFT
 uses the plain negative-exponent definition, so F(0, 0) equals the pixel sum.
-``transform_corpus`` turns a set of images (:class:`~faceid.dataset.Image` or
-bare 2-D arrays) into one coefficient stack, ``mask_features`` gathers a
-mask's coefficients from it as an ``(n, d)`` matrix, and :class:`Features`
-labels that matrix's rows for the classifiers and the CSV export.
+``transform_corpus`` turns an ``(n, R, C)`` image stack into one coefficient
+stack, ``mask_features`` gathers a mask's coefficients from it as an
+``(n, d)`` matrix, and :class:`Features` labels that matrix's rows for the
+classifiers and the CSV export.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.fft import dctn
-
-from .dataset import Image
 
 DCT = "dct"
 DFT = "dft"
@@ -131,19 +129,12 @@ def zone_keeps(masks: Sequence[ZonalMask], shape: tuple[int, int],
     return [keep[:rows, :cols] for keep in keeps]
 
 
-def _pixels(image: Image | np.ndarray) -> np.ndarray:
-    px = image.pixels if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
-    if px.ndim != 2 or px.size == 0:
-        raise ValueError(f"expected a nonempty 2-D image, got shape {px.shape}")
-    return px
-
-
 # ---------------------------------------------------------------------------
 # Transforms
 
 
 def _leading_block(pixels: np.ndarray, kind: str, box: tuple[int, int],
-                   log_offset: float = 1e-4) -> np.ndarray:
+                   log_offset: float) -> np.ndarray:
     """The leading ``box`` of one image's ``kind`` coefficients. ``fft2`` is a
     last-axis ``fft`` then an axis-0 ``fft``, so a column pass over the kept
     columns alone gives exactly ``fft2(pixels)[:rows, :cols]``. The DCT runs in
@@ -152,8 +143,6 @@ def _leading_block(pixels: np.ndarray, kind: str, box: tuple[int, int],
     if kind == DCT:
         return dctn(pixels, type=2, norm="ortho")[:rows, :cols]
     if kind == LOGDFT:
-        if not log_offset > 0:
-            raise ValueError(f"offset must be > 0, got {log_offset}")
         pixels = np.log(pixels + log_offset)
     return np.fft.fft(np.fft.fft(pixels, axis=1)[:, :cols], axis=0)[:rows]
 
@@ -165,9 +154,10 @@ MODULUS = "modulus"
 INTERLEAVE = "interleave"
 
 
-def transform_corpus(images: Sequence[Image | np.ndarray], kind: str,
-                     box: tuple[int, int], log_offset: float = 1e-4) -> np.ndarray:
-    """(n, rows, cols) stack of each image's leading ``box`` coefficients.
+def transform_corpus(images: np.ndarray, kind: str, box: tuple[int, int],
+                     log_offset: float = 1e-4) -> np.ndarray:
+    """(n, rows, cols) stack of the leading ``box`` coefficients of each image
+    of an (n, R, C) stack.
 
     Images are transformed one at a time, and only the block a mask can
     reach (see :func:`zone_keeps`) is kept; a DFT's column pass runs on the
@@ -175,18 +165,19 @@ def transform_corpus(images: Sequence[Image | np.ndarray], kind: str,
     """
     if kind not in (DCT, DFT, LOGDFT):
         raise ValueError(f"unknown transform kind {kind!r}")
-    if len(images) == 0:
-        raise ValueError("no images to transform")
+    if images.ndim != 3 or images.size == 0:
+        raise ValueError(f"expected a nonempty (n, rows, cols) image stack, "
+                         f"got shape {images.shape}")
+    if kind == LOGDFT and not log_offset > 0:
+        raise ValueError(f"offset must be > 0, got {log_offset}")
     rows, cols = box
-    stack = None
+    if rows > images.shape[1] or cols > images.shape[2]:
+        raise ValueError(f"images of {images.shape[1]}x{images.shape[2]} are smaller "
+                         f"than the {rows}x{cols} coefficient block")
+    stack = np.empty((len(images), rows, cols),
+                     dtype=np.float64 if kind == DCT else np.complex128)
     for i, image in enumerate(images):
-        values = _leading_block(_pixels(image), kind, box, log_offset)
-        if values.shape != (rows, cols):
-            raise ValueError(f"image {i} is smaller than the {rows}x{cols} "
-                             f"coefficient block")
-        if stack is None:
-            stack = np.empty((len(images), rows, cols), dtype=values.dtype)
-        stack[i] = values
+        stack[i] = _leading_block(image, kind, box, log_offset)
     return stack
 
 
@@ -225,32 +216,3 @@ def write_features_csv(features: Features, path: str | Path) -> None:
         coeffs = ",".join(map(repr, row.tolist()))
         lines.append(f"{subject},{sample},{features.source},{features.dim},{coeffs}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_features_csv(path: str | Path) -> Features:
-    """Read the features written by :func:`write_features_csv`."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("subject,sample,source,dim,"):
-        raise ValueError(f"{path}: not a feature CSV")
-    labels, samples, sources, rows = [], [], set(), []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        subject, sample, source, dim, *coeffs = line.split(",")
-        try:
-            labels.append(int(subject))
-            samples.append(int(sample))
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: subject {subject!r} and sample "
-                             f"{sample!r} must be integers") from None
-        if len(coeffs) != int(dim):
-            raise ValueError(f"{path}:{ln}: dim field {dim} != {len(coeffs)} coefficients")
-        if rows and len(coeffs) != len(rows[0]):
-            raise ValueError(f"{path}:{ln}: mixed dims {len(rows[0])} and {len(coeffs)}")
-        sources.add(source)
-        rows.append([float(c) for c in coeffs])
-    if not rows:
-        raise ValueError(f"{path}: no feature rows")
-    if len(sources) != 1:
-        raise ValueError(f"{path}: mixed sources {sorted(sources)}")
-    return Features(np.array(rows), labels, samples, sources.pop())

@@ -6,11 +6,12 @@ import os
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from faceid.dataset import load_orl, split_first_k, synth_corpus, write_pgm
 from faceid.evaluation import extract_split_features
-from faceid.transforms import DCT, ZonalMask
+from faceid.transforms import DCT, Features, ZonalMask
 
 ORL_ENV = "FACEID_ORL_DIR"
 ORL_DEFAULT = Path("data/orl")
@@ -82,3 +83,34 @@ def peak_bytes():
         finally:
             tracemalloc.stop()
     return measure
+
+
+def read_features_csv(path) -> Features:
+    """Read back the features ``write_features_csv`` wrote (the oracle of its
+    round trip), refusing rows whose ids or dims do not parse."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("subject,sample,source,dim,"):
+        raise ValueError(f"{path}: not a feature CSV")
+    labels, samples, sources, rows = [], [], set(), []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        subject, sample, source, dim, *coeffs = line.split(",")
+        try:
+            labels.append(int(subject))
+            samples.append(int(sample))
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: subject {subject!r} and sample "
+                             f"{sample!r} must be integers") from None
+        if len(coeffs) != int(dim):
+            raise ValueError(f"{path}:{ln}: dim field {dim} != {len(coeffs)} coefficients")
+        if rows and len(coeffs) != len(rows[0]):
+            raise ValueError(f"{path}:{ln}: mixed dims {len(rows[0])} and {len(coeffs)}")
+        sources.add(source)
+        rows.append([float(c) for c in coeffs])
+    if not rows:
+        raise ValueError(f"{path}: no feature rows")
+    if len(sources) != 1:
+        raise ValueError(f"{path}: mixed sources {sorted(sources)}")
+    return Features(np.array(rows), labels, samples, sources.pop())
+

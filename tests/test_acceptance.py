@@ -18,7 +18,7 @@ from faceid.classifiers import (
     msereg_loss, pnn_classify, pnn_train, rbf_train,
 )
 from faceid.dataset import split_first_k, synth_corpus
-from faceid.eigenfaces import attainable_rank, train_eigenbasis
+from faceid.eigenfaces import train_eigenbasis
 from faceid.evaluation import (
     DCT, KLT, RECTANGULAR, SPREAD_GRID, TRAIN_SAMPLES, DEFAULT_MASK_SIDE,
     EvalConfig, extract_split_features, run_experiment, sweep_dimension,
@@ -53,7 +53,8 @@ def nn_rates(split, dct100):
     rates["c1_runtime"] = time.perf_counter() - t0
     k_gal, k_probes = extract_split_features(split, KLT, dim=100)
     rates["klt100_mad"] = run_experiment("nn:mad", k_gal, k_probes).rate
-    top = min(200, attainable_rank(split.gallery))
+    gallery = split.halves(split.corpus.pixels)[0]
+    top = train_eigenbasis(gallery, 200, clamp=True).n_components
     k_gal, k_probes = extract_split_features(split, KLT, dim=top)
     rates["klt_top_mad"] = run_experiment("nn:mad", k_gal, k_probes).rate
     rates["klt_top_dim"] = top
@@ -165,9 +166,9 @@ def test_criterion_8_property_battery():
                 ev = np.exp(-2j * np.pi * v * y / cols)
                 dct_want[u, v] = au * av * np.sum(px * np.outer(cu, cv))
                 dft_want[u, v] = np.sum(px * np.outer(eu, ev))
-        dct = transform_corpus([px], DCT, px.shape)[0]
+        dct = transform_corpus(px[None], DCT, px.shape)[0]
         assert np.abs(dct - dct_want).max() < 1e-10
-        assert np.abs(transform_corpus([px], DFT, px.shape)[0] - dft_want).max() < 1e-10
+        assert np.abs(transform_corpus(px[None], DFT, px.shape)[0] - dft_want).max() < 1e-10
 
         # Parseval and the inverse pair (scipy's inverse DCT as the oracle)
         assert abs(np.sum(dct ** 2) - np.sum(px ** 2)) < 1e-9
@@ -175,9 +176,9 @@ def test_criterion_8_property_battery():
 
     # Gram-trick eigenfaces match the direct covariance diagonalization
     corpus = synth_corpus(seed=23, n_subjects=4, samples=3, rows=8, cols=7)
-    images = corpus.images
+    images = corpus.pixels
     basis = train_eigenbasis(images, 6)
-    stack = np.stack([im.pixels.ravel() for im in images])
+    stack = images.reshape(len(images), -1)
     phi = stack - stack.mean(axis=0)
     values, vectors = np.linalg.eigh((phi.T @ phi) / len(images))
     order = np.argsort(-values, kind="stable")
@@ -236,8 +237,7 @@ def test_criterion_8_property_battery():
     assert np.array_equal(m1.w1, m2.w1) and np.array_equal(m1.curve, m2.curve)
     c1 = synth_corpus(seed=3, n_subjects=2, samples=2, rows=6, cols=6)
     c2 = synth_corpus(seed=3, n_subjects=2, samples=2, rows=6, cols=6)
-    assert all(np.array_equal(a.pixels, b.pixels)
-               for a, b in zip(c1.images, c2.images))
+    assert np.array_equal(c1.pixels, c2.pixels)
     r6 = rbf_train(gallery, spread=1.5, max_centers=6)
     assert np.array_equal(r6.center_indices, rbf.center_indices[:6])
 

@@ -13,7 +13,9 @@ from faceid.cli import (
 )
 from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import sweep_dimension, write_curve_csv
-from faceid.transforms import SECTORIAL, read_features_csv
+from faceid.transforms import SECTORIAL
+
+from conftest import read_features_csv
 
 SYNTH = "subjects=5,samples=6,rows=16,cols=14"
 
@@ -67,7 +69,7 @@ def test_parse_synth_spec():
     assert (corpus.n_subjects, corpus.samples_per_subject) == (10, 6)
     corpus = parse_synth_spec("subjects=3,rows=12", seed=3)
     assert corpus.n_subjects == 3
-    assert corpus.image_shape == (12, 28)
+    assert corpus.pixels.shape[1:] == (12, 28)
     with pytest.raises(ConfigError):
         parse_synth_spec("subjects", seed=0)
     with pytest.raises(ConfigError):
@@ -422,14 +424,16 @@ def test_missing_files_is_data_error(pgm_tree, tmp_path, capsys):
 
 def test_rank_overflow_is_data_error(tmp_path, capsys):
     # 25 gallery images give rank 24; asking for 25 components trips the
-    # rank check rather than the argument bound, in extraction and in a sweep
-    for argv in (["evaluate", "--dim", "25", "--classifier", "nn:mad"],
-                 ["sweep", "--axis", "dim", "--grid", "1:25"]):
-        code = run([*argv, "--synth", SYNTH, "--transform", "klt",
-                    "--out", str(tmp_path / "o")])
+    # rank check rather than the argument bound, in extraction and in a sweep,
+    # and the refused run leaves no output directory behind
+    for name, argv in (("evaluate", ["evaluate", "--dim", "25", "--classifier", "nn:mad"]),
+                       ("sweep", ["sweep", "--axis", "dim", "--grid", "1:25"])):
+        out = tmp_path / name
+        code = run([*argv, "--synth", SYNTH, "--transform", "klt", "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert "data error:" in err and "supports only 24" in err
+        assert not out.exists()
 
 
 def test_klt_requires_dim(tmp_path, capsys):

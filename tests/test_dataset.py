@@ -20,7 +20,7 @@ def test_load_p5_roundtrip(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(Image(pixels=pixels), path)
     back = load_pgm(path)
-    assert back.shape == (9, 7)
+    assert back.pixels.shape == (9, 7)
     # quantization to 255 levels is the only loss
     assert np.abs(back.pixels - pixels).max() <= 0.5 / 255 + 1e-12
 
@@ -30,7 +30,7 @@ def test_load_p2_ascii(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_text(body)
     img = load_pgm(path)
-    assert img.shape == (2, 3)
+    assert img.pixels.shape == (2, 3)
     assert img.pixels[0, 1] == pytest.approx(128 / 255)
     assert img.pixels[1, 2] == pytest.approx(16 / 255)
 
@@ -86,24 +86,39 @@ def test_write_pgm_validates_maxval(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Image / Corpus invariants
+# Corpus invariants
 
 
-def test_image_rejects_out_of_range():
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        Image(pixels=np.full((2, 2), 1.5))
-
-
-def test_image_rejects_non_2d():
-    with pytest.raises(ValueError, match="2-D"):
-        Image(pixels=np.zeros(4))
-
-
-def test_corpus_rejects_mixed_shapes():
-    images = [Image(pixels=np.zeros((4, 4)), subject_id=1, sample_id=1),
-              Image(pixels=np.zeros((5, 4)), subject_id=1, sample_id=2)]
+def test_corpus_rejects_mixed_shapes(tmp_path):
+    write_pgm(np.zeros((4, 4)), tmp_path / "a.pgm")
+    write_pgm(np.zeros((5, 4)), tmp_path / "b.pgm")
+    (tmp_path / "mf.txt").write_text("a.pgm 1 1\nb.pgm 1 2\n")
     with pytest.raises(ValueError, match="share dimensions"):
-        Corpus(images=images, n_subjects=1, samples_per_subject=2)
+        load_manifest(tmp_path / "mf.txt")
+
+
+@pytest.mark.parametrize("pixels,subjects,samples,match", [
+    (np.zeros((2, 4)), [1, 1], [1, 2], r"\(n, rows, cols\)"),
+    (np.zeros((0, 4, 4)), [], [], r"\(n, rows, cols\)"),
+    (np.full((2, 4, 4), 1.5), [1, 1], [1, 2], r"\[0, 1\]"),
+    (np.zeros((2, 4, 4)), [1, 1, 1], [1, 2, 3], "subject_ids"),
+    (np.zeros((2, 4, 4)), [1, 1], [1], "sample_ids"),
+    (np.zeros((2, 4, 4)), [1, 1], [2, 2], "duplicate"),
+    (np.zeros((2, 4, 4)), [1, 1], [2, 1], "order"),
+    (np.zeros((2, 4, 4)), [2, 1], [1, 1], "order"),
+    (np.zeros((3, 4, 4)), [1, 1, 2], [1, 2, 1], "unequal samples per subject"),
+])
+def test_corpus_validates_its_stack(pixels, subjects, samples, match):
+    with pytest.raises(ValueError, match=match):
+        Corpus(pixels, subjects, samples)
+
+
+def test_corpus_images_are_views_of_the_stack(small_corpus):
+    images = small_corpus.images
+    assert len(images) == len(small_corpus.pixels) == 48
+    assert [(im.subject_id, im.sample_id) for im in images[5:7]] == [(1, 6), (2, 1)]
+    assert all(np.shares_memory(im.pixels, small_corpus.pixels) for im in images)
+    assert (small_corpus.n_subjects, small_corpus.samples_per_subject) == (8, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +129,7 @@ def test_load_orl_layout(pgm_tree):
     root, corpus = pgm_tree
     loaded = load_orl(root, n_subjects=5, samples_per_subject=6)
     assert loaded.n_subjects == 5
-    assert loaded.image_shape == (16, 14)
+    assert loaded.pixels.shape == (30, 16, 14)
     # order is (subject, sample) ascending
     ids = [(im.subject_id, im.sample_id) for im in loaded.images]
     assert ids == sorted(ids)
@@ -165,10 +180,14 @@ def test_load_manifest_missing_file(tmp_path):
 
 def test_split_first_k(small_corpus):
     split = split_first_k(small_corpus, 3)
-    assert len(split.gallery) == 8 * 3
-    assert len(split.probes) == 8 * 3
-    assert all(im.sample_id <= 3 for im in split.gallery)
-    assert all(im.sample_id > 3 for im in split.probes)
+    gallery, probes = split.halves(small_corpus.sample_ids)
+    assert gallery.size == probes.size == 8 * 3
+    assert (gallery <= 3).all() and (probes > 3).all()
+    # the pixel halves are views of the corpus stack, never copies
+    for half, samples in zip(split.halves(small_corpus.pixels), (gallery, probes)):
+        assert half.shape == (8, 3, 24, 20)
+        assert np.shares_memory(half, small_corpus.pixels)
+        assert np.array_equal(half[2, 1], small_corpus.pixels[2 * 6 + samples[2, 1] - 1])
 
 
 def test_split_first_k_bounds(small_corpus):
@@ -232,3 +251,20 @@ def test_checksum_tracks_content():
     c = synth_corpus(seed=9, n_subjects=3, samples=4, rows=10, cols=8)
     assert corpus_checksum(a) == corpus_checksum(b)
     assert corpus_checksum(a) != corpus_checksum(c)
+
+
+# corpus_checksum of the ORL-shaped synthetic corpus, seeds 0-4: every
+# manifest records this value, so its bytes must not move
+PINNED_CHECKSUMS = [
+    "f00c5c29eee5c5ee003700111e3f9f12b82eb81ddd4bf65d0f803b9b53dd631d",
+    "9a41729831052d2646342ac545cc199aa6e29238685f1072d6c91d3ed2bc1cee",
+    "1b306862ed4b36ad2697b905e1042e3899a7f1412e6dd995dcc8174f8cc63860",
+    "ebf5c29986a5bab2cda190ca7ec614d5bd698a1f133d02873094358ae699760c",
+    "dfbb1e1d6f58e9bbe99c15b2f4f4c1417d4f7b2d618a594ceb269897039928f7",
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_orl_shaped_checksums_are_pinned(seed):
+    assert corpus_checksum(synth_corpus(seed, 40, 10, 112, 92)) == PINNED_CHECKSUMS[seed]
+

@@ -3,26 +3,25 @@
 import numpy as np
 import pytest
 
-from faceid.dataset import Image, synth_corpus
+from faceid.dataset import split_first_k, synth_corpus
 from faceid.eigenfaces import (
-    EigenBasis, RankError, attainable_rank, project, train_eigenbasis,
+    EigenBasis, RankError, project, train_eigenbasis,
 )
 
 
 @pytest.fixture(scope="module")
 def gallery():
-    corpus = synth_corpus(seed=21, n_subjects=4, samples=3, rows=8, cols=7)
-    return corpus.images
+    return synth_corpus(seed=21, n_subjects=4, samples=3, rows=8, cols=7).pixels
 
 
 def reconstruct(weights, basis):
     """Mean face plus the weighted eigenface sum, reshaped to image dims (oracle)."""
-    return (basis.mean_face + weights @ basis.eigenfaces).reshape(basis.rows, basis.cols)
+    return basis.mean_face + (weights @ basis.eigenfaces).reshape(basis.mean_face.shape)
 
 
 def full_covariance_basis(gallery, m_prime):
     """Oracle: diagonalize the P x P covariance directly (tiny images only)."""
-    x = np.stack([im.pixels.ravel() for im in gallery])
+    x = gallery.reshape(len(gallery), -1)
     phi = x - x.mean(axis=0)
     cov = (phi.T @ phi) / len(gallery)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
@@ -66,30 +65,34 @@ def test_rank_error_reports_attainable(gallery):
         train_eigenbasis(gallery, m)
     assert exc_info.value.attainable == m - 1
     assert exc_info.value.requested == m
-    assert attainable_rank(gallery) == m - 1
+    assert train_eigenbasis(gallery, m, clamp=True).n_components == m - 1
 
 
 def test_rank_deficiency_from_duplicates(gallery):
     # 4 distinct images, each repeated: rank 3, not 7
-    doubled = gallery[:4] + gallery[:4]
-    assert attainable_rank(doubled) == 3
+    doubled = np.concatenate([gallery[:4], gallery[:4]])
     with pytest.raises(RankError) as exc_info:
         train_eigenbasis(doubled, 4)
     assert exc_info.value.attainable == 3
+    assert train_eigenbasis(doubled, 8, clamp=True).n_components == 3
     train_eigenbasis(doubled, 3)  # at the limit is fine
 
 
 def test_m_prime_bounds(gallery):
     with pytest.raises(ValueError, match="m_prime"):
         train_eigenbasis(gallery, 0)
-    with pytest.raises(ValueError, match="m_prime"):
+    # more components than images is past the rank too
+    with pytest.raises(RankError) as exc_info:
         train_eigenbasis(gallery, len(gallery) + 1)
+    assert exc_info.value.attainable == len(gallery) - 1
+    with pytest.raises(ValueError, match="image stack"):
+        train_eigenbasis(gallery[0], 1)
 
 
 def per_image_projection(images, basis):
     """Oracle: one eigenfaces @ (x - mean_face) mat-vec per image."""
-    return np.stack([basis.eigenfaces @ (im.pixels.ravel() - basis.mean_face)
-                     for im in images])
+    return np.stack([basis.eigenfaces @ (image - basis.mean_face).ravel()
+                     for image in images])
 
 
 def test_projection_of_training_residual(gallery):
@@ -97,23 +100,29 @@ def test_projection_of_training_residual(gallery):
     weights = project(gallery, basis)
     assert weights.shape == (len(gallery), 5)
     # weights are inner products with the residual
-    residual = gallery[0].pixels.ravel() - basis.mean_face
+    residual = (gallery[0] - basis.mean_face).ravel()
     assert np.abs(weights[0] - basis.eigenfaces @ residual).max() < 1e-12
 
 
-def test_project_accepts_bare_arrays(gallery):
-    basis = train_eigenbasis(gallery, 4)
-    arrays = [im.pixels for im in gallery]
-    assert np.array_equal(project(arrays, basis), project(gallery, basis))
-    assert np.array_equal(project(np.stack(arrays), basis), project(gallery, basis))
+def test_split_halves_fit_and_project_as_their_copies():
+    # a split half is a strided (subjects, samples, R, C) view of the stack
+    split = split_first_k(synth_corpus(seed=4, n_subjects=6, samples=5, rows=9, cols=8), 3)
+    gallery, probes = split.halves(split.corpus.pixels)
+    copies = [half.reshape(-1, 9, 8) for half in (gallery, probes)]
+    basis = train_eigenbasis(gallery, 10)
+    want = train_eigenbasis(copies[0], 10)
+    assert np.array_equal(basis.mean_face, want.mean_face)
+    assert np.array_equal(basis.eigenfaces, want.eigenfaces)
+    for half, copy in zip((gallery, probes), copies):
+        assert np.array_equal(project(half, basis), project(copy, basis))
 
 
 def test_full_rank_projection_reconstructs_exactly(gallery):
     m = len(gallery)
     basis = train_eigenbasis(gallery, m - 1)
-    for im, weights in zip(gallery, project(gallery, basis)):
+    for image, weights in zip(gallery, project(gallery, basis)):
         recon = reconstruct(weights, basis)
-        assert np.abs(recon - im.pixels).max() < 1e-9
+        assert np.abs(recon - image).max() < 1e-9
 
 
 def test_truncated_reconstruction_error_decreases(gallery):
@@ -121,20 +130,20 @@ def test_truncated_reconstruction_error_decreases(gallery):
     errs = []
     for m_prime in (2, 5, 9):
         basis = train_eigenbasis(gallery, m_prime)
-        recon = reconstruct(project([probe], basis)[0], basis)
-        errs.append(np.linalg.norm(recon - probe.pixels))
+        recon = reconstruct(project(probe[None], basis)[0], basis)
+        errs.append(np.linalg.norm(recon - probe))
     assert errs[0] >= errs[1] >= errs[2]
 
 
 def test_project_shape_mismatch(gallery):
     basis = train_eigenbasis(gallery, 3)
     with pytest.raises(ValueError, match="dims"):
-        project([gallery[0], np.zeros((9, 9))], basis)
+        project(np.zeros((2, 9, 9)), basis)
 
 
 def _frozen_train_eigenbasis(gallery, m_prime):
     """The fit before centring moved in place: separate x and phi."""
-    x = np.stack([im.pixels.ravel() for im in gallery])
+    x = np.stack([image.ravel() for image in gallery])
     mean_face = x.mean(axis=0)
     phi = x - mean_face
     gram = (phi @ phi.T) / len(gallery)
@@ -151,19 +160,19 @@ def _frozen_train_eigenbasis(gallery, m_prime):
 
 @pytest.fixture(scope="module")
 def larger_gallery():
-    return synth_corpus(seed=5, n_subjects=10, samples=4, rows=32, cols=28).images
+    return synth_corpus(seed=5, n_subjects=10, samples=4, rows=32, cols=28).pixels
 
 
 @pytest.mark.parametrize("m_prime", [1, 10, 39])
 def test_bit_equal_frozen_fit(larger_gallery, m_prime):
-    pixels = [im.pixels.copy() for im in larger_gallery]
+    pixels = larger_gallery.copy()
     basis = train_eigenbasis(larger_gallery, m_prime)
     mean_face, faces, eigenvalues = _frozen_train_eigenbasis(larger_gallery, m_prime)
-    assert np.array_equal(basis.mean_face, mean_face)
+    assert np.array_equal(basis.mean_face.ravel(), mean_face)
     assert np.array_equal(basis.eigenfaces, faces)
     assert np.array_equal(basis.eigenvalues, eigenvalues)
     # centring in place must not reach the caller's images
-    assert all(np.array_equal(im.pixels, px) for im, px in zip(larger_gallery, pixels))
+    assert np.array_equal(larger_gallery, pixels)
 
 
 def test_leading_components_do_not_depend_on_count(larger_gallery):
@@ -176,15 +185,18 @@ def test_leading_components_do_not_depend_on_count(larger_gallery):
 
 def test_fit_memory_is_bounded(peak_bytes):
     # full-rank fit: the centred matrix and the eigenfaces are both (M, P)
-    images = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46).images
-    stacked = len(images) * images[0].pixels.size * 8
-    assert peak_bytes(train_eigenbasis, images, len(images) - 1) < 2.5 * stacked
+    corpus = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46)
+    images = corpus.pixels
+    assert peak_bytes(train_eigenbasis, images, len(images) - 1) < 2.5 * images.nbytes
+    # a split half is copied once, straight from its strided view
+    gallery = split_first_k(corpus, 3).halves(images)[0]
+    assert peak_bytes(train_eigenbasis, gallery, 35) < 2.5 * gallery.nbytes
 
 
 @pytest.mark.parametrize("m_prime", [1, 10, 39])
 def test_block_projection_matches_per_image_oracle(larger_gallery, m_prime):
     basis = train_eigenbasis(larger_gallery, m_prime)
-    probes = synth_corpus(seed=6, n_subjects=10, samples=4, rows=32, cols=28).images
+    probes = synth_corpus(seed=6, n_subjects=10, samples=4, rows=32, cols=28).pixels
     for images in (larger_gallery, probes):
         got = project(images, basis)
         want = per_image_projection(images, basis)
@@ -195,7 +207,10 @@ def test_block_projection_matches_per_image_oracle(larger_gallery, m_prime):
 
 def test_block_projection_memory_is_one_stack(peak_bytes):
     # the images are centred into one (n, P) matrix; no second copy
-    images = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46).images
+    images = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46).pixels
     basis = train_eigenbasis(images, 10)
-    stacked = len(images) * images[0].pixels.size * 8
-    assert peak_bytes(project, images, basis) < 1.2 * stacked
+    assert peak_bytes(project, images, basis) < 1.2 * images.nbytes
+    # a split half is centred straight from its strided view: still one stack
+    gallery = split_first_k(synth_corpus(seed=2, n_subjects=12, samples=5, rows=56,
+                                         cols=46), 3).halves(images)[0]
+    assert peak_bytes(project, gallery, basis) < 1.2 * gallery.nbytes

@@ -11,8 +11,9 @@ from faceid.classifiers import (
     pnn_classify, rbf_scores,
 )
 from faceid.dataset import split_first_k, synth_corpus
+from faceid.eigenfaces import RankError
 from faceid.evaluation import (
-    DCT, KLT, RECTANGULAR, SECTORIAL, EvalConfig, SweepPoint,
+    DCT, KLT, RECTANGULAR, EvalConfig, SweepPoint,
     TABLE_TARGETS, default_dim_grid,
     extract_split_features, format_table, identification_rate, identify,
     parse_classifier_spec, run_experiment, sweep_dimension, sweep_spread,
@@ -20,7 +21,7 @@ from faceid.evaluation import (
     write_result_csv, write_table_csv,
 )
 from faceid import evaluation
-from faceid.transforms import Features, ZonalMask
+from faceid.transforms import SECTORIAL, Features, ZonalMask
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +183,15 @@ def test_dimension_sweep_klt_slicing_matches_retraining(small_split):
 
 
 def test_dimension_sweep_klt_rank_guard(small_split):
-    with pytest.raises(ValueError, match="rank"):
-        sweep_dimension(small_split, KLT, grid=[len(small_split.gallery)])
+    with pytest.raises(RankError, match="rank"):
+        sweep_dimension(small_split, KLT, grid=[24])  # 24 gallery images: rank 23
+
+
+@pytest.mark.parametrize("grid", [[1, 5, 23], [3], None])
+def test_dimension_sweep_klt_makes_one_eigensolve(small_split, monkeypatch, grid):
+    calls = count_eigensolves(monkeypatch)
+    sweep_dimension(small_split, KLT, grid=grid)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 # `faceid sweep --transform klt --grid 1:6` on the ORL-shaped synthetic corpus
@@ -318,16 +326,12 @@ def test_table_rows_filter_runs_only_needed_sweeps(table_rows, monkeypatch,
     assert rows == [r for r in all_rows if r.key.startswith(rows_filter)]
 
 
-@pytest.mark.parametrize("rows_filter,fits,dims", [
-    ("nn", 1, [109, 109, 100, 100, 100, 100]), ("mlp", 0, [100]),
-])
-def test_table_fits_one_eigenbasis(monkeypatch, rows_filter, fits, dims):
-    # 110 gallery images: rank 109, so the 200 and 100 rows want different dims
-    corpus = synth_corpus(seed=19, n_subjects=22, samples=6, rows=16, cols=14)
-    calls = {"train_eigenbasis": 0, "attainable_rank": 0}
+def count_eigensolves(monkeypatch) -> dict:
+    """Calls of numpy's symmetric eigensolvers from here on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
 
     def counting(name):
-        original = getattr(evaluation, name)
+        original = getattr(np.linalg, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
@@ -335,10 +339,21 @@ def test_table_fits_one_eigenbasis(monkeypatch, rows_filter, fits, dims):
         return counted
 
     for name in calls:
-        monkeypatch.setattr(evaluation, name, counting(name))
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("rows_filter,fits,dims", [
+    ("nn", 1, [109, 109, 100, 100, 100, 100]), ("mlp", 0, [100]),
+])
+def test_table_fits_one_eigenbasis(monkeypatch, rows_filter, fits, dims):
+    # 110 gallery images: rank 109, so the 200 and 100 rows want different dims;
+    # the one basis fit's eigendecomposition also gives that rank
+    corpus = synth_corpus(seed=19, n_subjects=22, samples=6, rows=16, cols=14)
+    calls = count_eigensolves(monkeypatch)
     cfg = EvalConfig(epochs=20, hidden=4)
     rows = table1_report(corpus, cfg, rows_filter=rows_filter, spreads=[0.9])
-    assert calls == {"train_eigenbasis": fits, "attainable_rank": fits}
+    assert calls == {"eigh": fits, "eigvalsh": 0}
     assert [r.dim for r in rows] == dims
     monkeypatch.undo()
     # the sliced features decide as a separate fit at each dim does

@@ -7,7 +7,7 @@ import pytest
 
 from faceid.classifiers import (
     HIGHER, DivergenceError, Gallery, MLPConfig, MLPModel, make_targets,
-    load_model, mlp_gradient, mlp_scores, mlp_train, msereg_gradient,
+    load_model, mlp_scores, mlp_train, msereg_gradient,
     msereg_loss, pack_params, save_model, unpack_params, write_training_log,
 )
 from faceid.classifiers import mlp
@@ -287,7 +287,7 @@ def test_scores_polarity_and_range():
     model = mlp_train(gallery, MLPConfig(hidden=4, epochs=30, seed=0))
     scores, polarity = mlp_scores(model, gallery.matrix[:3])
     assert polarity == HIGHER
-    assert scores.shape == (3, model.n_outputs)
+    assert scores.shape == (3, len(model.subject_ids))
     assert np.all(np.abs(scores) < 1.0)  # tanh outputs
     with pytest.raises(ValueError, match="dim"):
         mlp_scores(model, np.zeros((1, 99)))
@@ -340,16 +340,6 @@ def test_divergence_raises_with_epoch():
     with pytest.raises(DivergenceError) as exc_info:
         mlp_train(gallery, MLPConfig(hidden=2, epochs=5))
     assert exc_info.value.epoch == 0
-
-
-def test_mlp_gradient_wrapper_matches_direct_call():
-    gallery = separable_gallery()
-    model = mlp_train(gallery, MLPConfig(hidden=4, epochs=20, seed=7))
-    x = gallery.normalized_matrix()
-    t = make_targets(gallery)
-    theta = pack_params(model.w1, model.b1, model.w2, model.b2)
-    want = msereg_gradient(theta, x, t, model.config.gamma, model.config.hidden)
-    assert np.array_equal(mlp_gradient(model, x, t), want)
 
 
 def test_config_validation():

@@ -12,20 +12,22 @@ from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import extract_split_features
 from faceid.transforms import (
     DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, Features, ZonalMask,
-    mask_features, read_features_csv, transform_corpus, write_features_csv,
+    mask_features, transform_corpus, write_features_csv,
 )
+
+from conftest import read_features_csv
 
 
 def coeffs(image, kind, log_offset=1e-4):
     """One image's full coefficient matrix."""
     px = getattr(image, "pixels", image)
-    return transform_corpus([image], kind, px.shape, log_offset)[0]
+    return transform_corpus(px[None], kind, px.shape, log_offset)[0]
 
 
 def features(image, kind, mask, complex_mode=MODULUS, r_low=0.0):
     """One image's feature row under a zonal mask."""
     px = getattr(image, "pixels", image)
-    stack = transform_corpus([image], kind, px.shape)
+    stack = transform_corpus(px[None], kind, px.shape)
     return mask_features(stack, mask.keep(*px.shape, r_low), complex_mode)[0]
 
 
@@ -116,11 +118,12 @@ def test_dct_linearity():
 
 def test_ids_propagate():
     split = split_first_k(synth_corpus(seed=3, n_subjects=3, samples=3, rows=8, cols=8), 2)
-    for feats, images in zip(extract_split_features(split, DCT, mask=ZonalMask.rectangular(4)),
-                             (split.gallery, split.probes)):
-        assert feats.labels.tolist() == [img.subject_id for img in images]
-        assert feats.sample_ids.tolist() == [img.sample_id for img in images]
-        assert feats.source == DCT and feats.matrix.shape == (len(images), 16)
+    want = [([1, 1, 2, 2, 3, 3], [1, 2, 1, 2, 1, 2]), ([1, 2, 3], [3, 3, 3])]
+    for feats, (labels, samples) in zip(
+            extract_split_features(split, DCT, mask=ZonalMask.rectangular(4)), want):
+        assert feats.labels.tolist() == labels
+        assert feats.sample_ids.tolist() == samples
+        assert feats.source == DCT and feats.matrix.shape == (len(labels), 16)
 
 
 # ---------------------------------------------------------------------------

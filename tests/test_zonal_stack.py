@@ -3,6 +3,7 @@ against a frozen copy of the per-image path it replaced, the dimension
 sweep's running distance matrix against a direct computation, plus their
 memory bounds and error contracts."""
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.spatial.distance import cdist
 
 from faceid import cli, evaluation
 from faceid.classifiers import MAD, MSE, Gallery, nearest, nn_scores
-from faceid.dataset import Image, corpus_checksum, load_orl, load_pgm
+from faceid.dataset import corpus_checksum, load_orl, load_pgm
 from faceid.eigenfaces import project, train_eigenbasis
 from faceid.evaluation import (
     identification_rate, identify, extract_split_features, sweep_dimension,
@@ -66,7 +67,13 @@ FROZEN_TRANSFORMS = {
 
 
 def frozen_transform(images, kind):
-    return [FROZEN_TRANSFORMS[kind](img.pixels) for img in images]
+    return [FROZEN_TRANSFORMS[kind](pixels) for pixels in images]
+
+
+def halves(split, per_image):
+    """A split's gallery and probe parts of a per-image array, each flattened
+    to (n, ...)."""
+    return [half.reshape(-1, *per_image.shape[1:]) for half in split.halves(per_image)]
 
 
 def frozen_matrix(coeffs, mask, complex_mode, r_low):
@@ -74,10 +81,9 @@ def frozen_matrix(coeffs, mask, complex_mode, r_low):
 
 
 def frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low):
-    gal_coeffs = frozen_transform(split.gallery, kind)
-    probe_coeffs = frozen_transform(split.probes, kind)
-    gal_labels = np.array([img.subject_id for img in split.gallery])
-    probe_labels = np.array([img.subject_id for img in split.probes])
+    gal_coeffs, probe_coeffs = (frozen_transform(half, kind)
+                                for half in halves(split, split.corpus.pixels))
+    gal_labels, probe_labels = halves(split, split.corpus.subject_ids)
     points = []
     for value in sorted(grid):
         mask = (ZonalMask.rectangular(int(value)) if mask_shape == RECTANGULAR
@@ -94,12 +100,15 @@ def frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low):
 def assert_split_features_equal(split, kind, mask, complex_mode, r_low):
     gal, probes = extract_split_features(split, kind, mask=mask,
                                          complex_mode=complex_mode, r_low=r_low)
-    for images, feats in ((split.gallery, gal), (split.probes, probes)):
+    corpus = split.corpus
+    for feats, images, labels, samples in zip(
+            (gal, probes), halves(split, corpus.pixels),
+            halves(split, corpus.subject_ids), halves(split, corpus.sample_ids)):
         want = frozen_matrix(frozen_transform(images, kind), mask, complex_mode, r_low)
         assert feats.matrix.dtype == np.float64
         assert np.array_equal(feats.matrix, want)
-        assert feats.labels.tolist() == [img.subject_id for img in images]
-        assert feats.sample_ids.tolist() == [img.sample_id for img in images]
+        assert np.array_equal(feats.labels, labels)
+        assert np.array_equal(feats.sample_ids, samples)
         assert feats.source == kind
 
 
@@ -157,11 +166,11 @@ def test_orl_shaped_sweep_bit_equal_frozen_path(orl_split, kind, mask_shape, gri
 
 
 def test_extract_features_is_one_row_of_the_stack(small_split):
-    image = small_split.gallery[0]
+    image = small_split.corpus.pixels[0]
     mask = ZonalMask.sectorial(4.5)
     keep = mask.keep(*image.shape, 1.5)
     for kind in (DCT, DFT, LOGDFT):
-        stack = transform_corpus([image], kind, image.shape)
+        stack = transform_corpus(image[None], kind, image.shape)
         (values,) = frozen_transform([image], kind)
         assert np.array_equal(stack[0], values)
         for mode in (MODULUS, INTERLEAVE):
@@ -184,12 +193,12 @@ def test_zone_keeps_crop_to_the_union_extent():
 
 
 def test_transform_corpus_keeps_the_leading_block(small_split):
-    images = small_split.gallery[:4]
+    images = small_split.corpus.pixels[:4]
     for kind in (DCT, DFT):
         stack = transform_corpus(images, kind, (6, 4))
         assert stack.shape == (4, 6, 4)
         for img, block in zip(images, stack):
-            assert np.array_equal(block, FROZEN_TRANSFORMS[kind](img.pixels)[:6, :4])
+            assert np.array_equal(block, FROZEN_TRANSFORMS[kind](img)[:6, :4])
     with pytest.raises(ValueError, match="smaller than"):
         transform_corpus(images, DCT, (25, 4))
     with pytest.raises(ValueError, match="unknown transform"):
@@ -209,7 +218,7 @@ DFT_BLOCK_CASES = [(shape, box) for shape, boxes in (
 @pytest.mark.parametrize("kind", [DFT, LOGDFT])
 def test_cropped_dft_is_bit_equal_to_full_fft2(kind, shape, box):
     rng = np.random.default_rng(shape[0] * 100 + box[1])
-    images = [rng.uniform(0.0, 255.0, size=shape) for _ in range(3)]
+    images = rng.uniform(0.0, 255.0, size=(3, *shape))
     stack = transform_corpus(images, kind, box, log_offset=0.5)
     rows, cols = box
     for image, block in zip(images, stack):
@@ -220,11 +229,11 @@ def test_cropped_dft_is_bit_equal_to_full_fft2(kind, shape, box):
 @pytest.mark.parametrize("shape", [(15, 9), (12, 8), (13, 7)])
 def test_full_box_transforms_are_bit_equal_to_fft2(shape):
     image = np.random.default_rng(shape[1]).uniform(0.0, 255.0, size=shape)
-    assert np.array_equal(transform_corpus([image], DFT, shape)[0], np.fft.fft2(image))
-    assert np.array_equal(transform_corpus([image], LOGDFT, shape, log_offset=0.5)[0],
+    assert np.array_equal(transform_corpus(image[None], DFT, shape)[0], np.fft.fft2(image))
+    assert np.array_equal(transform_corpus(image[None], LOGDFT, shape, log_offset=0.5)[0],
                           np.fft.fft2(np.log(image + 0.5)))
     with pytest.raises(ValueError, match="offset"):
-        transform_corpus([image], LOGDFT, (2, 2), log_offset=0.0)
+        transform_corpus(image[None], LOGDFT, (2, 2), log_offset=0.0)
 
 
 def test_mask_features_reduces_complex_blocks():
@@ -294,9 +303,10 @@ def test_default_grid_starts_where_r_low_leaves_a_coefficient(tmp_path, shape):
 
 def direct_features(split, kind, mask_shape, grid, complex_mode, r_low):
     """Each grid point's full (n, d) feature matrix, built on its own."""
-    images = [*split.gallery, *split.probes]
+    gallery, probes = halves(split, split.corpus.pixels)
+    images = np.concatenate([gallery, probes])
     if kind == KLT:
-        basis = train_eigenbasis(split.gallery, max(grid))
+        basis = train_eigenbasis(gallery, max(grid))
         full = project(images, basis)
         return [full[:, :d] for d in grid]
     make = ZonalMask.rectangular if mask_shape == RECTANGULAR else ZonalMask.sectorial
@@ -331,7 +341,7 @@ def test_running_distances_match_direct_cdist(small_split, monkeypatch, metric, 
     seen = running_snapshots(monkeypatch)
     points = sweep_dimension(small_split, kind, mask_shape, grid, metric,
                              complex_mode=complex_mode, r_low=r_low)
-    n = len(small_split.gallery)
+    n = small_split.k * small_split.corpus.n_subjects
     wanted = direct_features(small_split, kind, mask_shape, grid, complex_mode, r_low)
     assert len(seen) == len(wanted)
     for pt, got, feats in zip(points, seen, wanted):
@@ -384,10 +394,12 @@ def test_nonfinite_feature_in_the_last_band_is_refused(small_split, monkeypatch,
     # the NaN lies only in the last point's band: every earlier point is fine
     if kind == KLT:
         real = evaluation.project
+        halves_seen = []
 
         def poisoned(images, basis):
             weights = real(images, basis)
-            if images[-1] is small_split.probes[-1]:
+            halves_seen.append(images)
+            if len(halves_seen) == 2:  # the probe half
                 weights[-1, -1] = np.nan
             return weights
 
@@ -433,22 +445,20 @@ def test_split_extraction_memory_is_bounded(orl_split, peak_bytes):
 # corpus loading
 
 
-def frozen_load_orl_images(root, n_subjects, samples):
-    """The loop load_orl ran before: every image re-wrapped with its ids."""
-    images = []
+def frozen_orl_checksum(root, n_subjects, samples):
+    """The per-image hashing loop corpus_checksum ran over the images load_orl
+    read one file at a time."""
+    digest = hashlib.sha256()
     for s in range(1, n_subjects + 1):
         for k in range(1, samples + 1):
             img = load_pgm(root / f"s{s}" / f"{k}.pgm")
-            images.append(Image(pixels=img.pixels, subject_id=s, sample_id=k))
-    return images
+            rows, cols = img.pixels.shape
+            digest.update(f"{s},{k},{rows}x{cols};".encode())
+            digest.update(img.pixels.astype("<f8").tobytes())
+    return digest.hexdigest()
 
 
 def test_load_orl_checksum_matches_frozen_loop(pgm_tree):
     root, _ = pgm_tree
     corpus = load_orl(root, n_subjects=5, samples_per_subject=6)
-    frozen = frozen_load_orl_images(root, 5, 6)
-    assert [(im.subject_id, im.sample_id) for im in corpus.images] == \
-        [(im.subject_id, im.sample_id) for im in frozen]
-    digest = corpus_checksum(type(corpus)(images=frozen, n_subjects=5,
-                                          samples_per_subject=6))
-    assert corpus_checksum(corpus) == digest
+    assert corpus_checksum(corpus) == frozen_orl_checksum(root, 5, 6)
