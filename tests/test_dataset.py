@@ -97,10 +97,25 @@ def test_corpus_rejects_mixed_shapes(tmp_path):
         load_manifest(tmp_path / "mf.txt")
 
 
+def test_image_rejects_out_of_range():
+    # the range check is the stack's: one pixel outside [0, 1] refuses it all
+    pixels = np.zeros((2, 4, 4))
+    pixels[1, 2, 3] = 1.5
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Corpus(pixels, [1, 1], [1, 2])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Corpus(-pixels, [1, 1], [1, 2])
+
+
+def test_image_rejects_non_2d():
+    # every row of the stack must be a 2-D image
+    for shape in ((2, 4), (2, 4, 4, 3)):
+        with pytest.raises(ValueError, match=r"\(n, rows, cols\)"):
+            Corpus(np.zeros(shape), [1, 1], [1, 2])
+
+
 @pytest.mark.parametrize("pixels,subjects,samples,match", [
-    (np.zeros((2, 4)), [1, 1], [1, 2], r"\(n, rows, cols\)"),
     (np.zeros((0, 4, 4)), [], [], r"\(n, rows, cols\)"),
-    (np.full((2, 4, 4), 1.5), [1, 1], [1, 2], r"\[0, 1\]"),
     (np.zeros((2, 4, 4)), [1, 1, 1], [1, 2, 3], "subject_ids"),
     (np.zeros((2, 4, 4)), [1, 1], [1], "sample_ids"),
     (np.zeros((2, 4, 4)), [1, 1], [2, 2], "duplicate"),

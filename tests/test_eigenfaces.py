@@ -104,6 +104,15 @@ def test_projection_of_training_residual(gallery):
     assert np.abs(weights[0] - basis.eigenfaces @ residual).max() < 1e-12
 
 
+def test_project_accepts_bare_arrays(gallery):
+    # any bare array whose last two axes are an image projects alike
+    basis = train_eigenbasis(gallery, 4)
+    want = project(gallery, basis)
+    assert want.shape == (len(gallery), 4)
+    assert np.array_equal(project(gallery.reshape(4, 3, 8, 7), basis), want)
+    assert project(gallery[0], basis).shape == (1, 4)
+
+
 def test_split_halves_fit_and_project_as_their_copies():
     # a split half is a strided (subjects, samples, R, C) view of the stack
     split = split_first_k(synth_corpus(seed=4, n_subjects=6, samples=5, rows=9, cols=8), 3)
