@@ -16,7 +16,7 @@ from .transforms import Features, ZonalMask, mask_features, transform_corpus
 from .eigenfaces import EigenBasis, RankError, project, train_eigenbasis
 from .classifiers import (
     DivergenceError, Gallery, MLPConfig, MLPModel, PNNModel, RBFModel,
-    load_model, mlp_scores, mlp_train, nn_scores,
+    mlp_scores, mlp_train, nn_scores,
     pnn_classify, pnn_train, rbf_scores, rbf_train, save_model,
 )
 from .fusion import fuse_mean, normalize_scores

@@ -27,7 +27,7 @@ from .mlp import (
 )
 from .pnn import PNNModel, pnn_classify, pnn_train, radbas_bias
 from .rbf import RBFModel, probes_at_bias, rbf_scores, rbf_train
-from .store import load_model, save_model
+from .store import save_model
 
 __all__ = [
     "Gallery", "HIGHER", "LOWER", "STD_FLOOR", "make_targets",
@@ -38,5 +38,5 @@ __all__ = [
     "write_training_log",
     "PNNModel", "pnn_classify", "pnn_train", "radbas_bias",
     "RBFModel", "probes_at_bias", "rbf_scores", "rbf_train",
-    "load_model", "save_model",
+    "save_model",
 ]

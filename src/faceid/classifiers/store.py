@@ -1,4 +1,4 @@
-"""Model persistence: one npz per trained classifier, bit-exact round trips."""
+"""Model persistence: one npz per trained classifier."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mlp import MLPConfig, MLPModel
+from .mlp import MLPModel
 from .pnn import PNNModel
 from .rbf import RBFModel
 
@@ -41,30 +41,3 @@ def save_model(model: MLPModel | PNNModel | RBFModel, path: str | Path) -> None:
                  center_indices=model.center_indices,
                  residuals=model.residuals)
 
-
-def load_model(path: str | Path) -> MLPModel | PNNModel | RBFModel:
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        kind = str(data["kind"])
-        common = dict(subject_ids=data["subject_ids"],
-                      norm_mean=data["norm_mean"], norm_std=data["norm_std"])
-        if kind == KIND_MLP:
-            raw = data["config"]
-            cfg = MLPConfig(hidden=int(raw[0]), epochs=int(raw[1]),
-                            gamma=float(raw[2]), seed=int(raw[3]),
-                            grad_tol=float(raw[4]))
-            return MLPModel(w1=data["w1"], b1=data["b1"],
-                            w2=data["w2"], b2=data["b2"],
-                            config=cfg, curve=data["curve"], **common)
-        if kind == KIND_PNN:
-            return PNNModel(centers=data["centers"], labels=data["labels"],
-                            spread=float(data["spread"]), **common)
-        if kind == KIND_RBF:
-            return RBFModel(centers=data["centers"],
-                            spread=float(data["spread"]),
-                            weights=data["weights"], biases=data["biases"],
-                            center_indices=data["center_indices"],
-                            residuals=data["residuals"], **common)
-    raise ValueError(f"unknown classifier kind {kind!r}")

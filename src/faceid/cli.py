@@ -53,23 +53,12 @@ class ConfigError(Exception):
 # option plumbing
 # ---------------------------------------------------------------------------
 
-# (name, parser) pairs the key-value config file may set; flags always win.
-_CONFIG_KEYS = {
-    "data": str, "manifest": str, "synth": str, "out": str,
-    "transform": str, "mask": str, "metric": str, "classifier": str,
-    "mask_shape": str, "complex_mode": str, "fusion_mode": str,
-    "grid": str, "spreads": str, "rows": str,
-    "dim": int, "train_k": int, "seed": int, "epochs": int, "hidden": int,
-    "max_centers": int, "subjects": int, "samples": int,
-    "gamma": float, "spread": float, "r_low": float, "log_offset": float,
-}
-
-
-def read_config_file(path: str, choices: dict | None = None) -> dict:
+def read_config_file(path: str, options: dict) -> dict:
     """Lines of `key = value` (or `key value`); # starts a comment.
 
-    ``choices`` maps an option to its allowed values (see ``option_choices``);
-    a file value outside them is refused just as the flag would be.
+    ``options`` maps each key a file may set to its type and allowed values
+    (see ``config_options``); a file value is converted, and refused, just as
+    the flag's would be.
     """
     values = {}
     try:
@@ -85,36 +74,37 @@ def read_config_file(path: str, choices: dict | None = None) -> dict:
         else:
             key, _, value = line.partition(" ")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS or not value:
+        if key not in options or not value:
             raise ConfigError(f"config file line {lineno}: bad entry {raw!r}")
+        kind, allowed = options[key]
         try:
-            values[key] = _CONFIG_KEYS[key](value)
+            values[key] = kind(value)
         except ValueError as exc:
             raise ConfigError(f"config file line {lineno}: {exc}") from exc
-        allowed = (choices or {}).get(key)
         if allowed is not None and values[key] not in allowed:
             raise ConfigError(f"config file line {lineno}: {key} must be one of "
                               f"{', '.join(allowed)}, not {value!r}")
     return values
 
 
-def option_choices(parser: argparse.ArgumentParser) -> dict:
-    """Option name -> allowed values, from every subcommand's own arguments."""
+def config_options(parser: argparse.ArgumentParser) -> dict:
+    """Option name -> (type, allowed values or None) for every option a config
+    file may set: the subcommands' own options, but not --config itself nor
+    the required ones."""
     subcommands = next(action for action in parser._actions
                        if isinstance(action, argparse._SubParsersAction))
-    return {action.dest: action.choices
+    return {action.dest: (action.type or str, action.choices)
             for sub in subcommands.choices.values() for action in sub._actions
-            if action.choices is not None}
+            if action.dest not in ("help", "config") and not action.required}
 
 
-def apply_config(args: argparse.Namespace, defaults: dict,
-                 choices: dict | None = None) -> None:
+def apply_config(args: argparse.Namespace, defaults: dict, options: dict) -> None:
     """Fill unset options from --config file values, then built-in defaults.
 
     Only options the subcommand declares are filled: argparse puts exactly
     those in ``args``, so the manifest records no option the command lacks.
     """
-    file_values = read_config_file(args.config, choices) if args.config else {}
+    file_values = read_config_file(args.config, options) if args.config else {}
     for key, default in defaults.items():
         if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, file_values.get(key, default))
@@ -281,9 +271,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gal, probes = build_features(args, corpus)
     cfg = make_eval_config(args)
     artifacts: dict = {}
-    result = run_experiment(args.classifier, gal, probes, cfg,
-                            extra_config={"transform": args.transform},
-                            artifacts=artifacts)
+    result = run_experiment(args.classifier, gal, probes, cfg, artifacts=artifacts)
     out = prepare_out(args)
     outputs = ["result.csv"]
     write_result_csv(result, out / "result.csv")
@@ -443,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        apply_config(args, _DEFAULTS, option_choices(parser))
+        apply_config(args, _DEFAULTS, config_options(parser))
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ keep their native resolution; no cropping or registration is applied.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,27 +114,20 @@ class Split:
 # PGM reading and writing
 
 
+# header separators are whitespace (``bytes.isspace``) and '#' comments
+# running to the end of the line; a token is a run of anything else
+_SEPARATORS = re.compile(rb"(?:\s|#[^\n]*\n?)*")
+_TOKEN = re.compile(rb"\S*")
+
+
 def _parse_pgm(data: bytes, name: str) -> tuple[int, int, int, np.ndarray]:
     """Parse P2/P5 bytes into (rows, cols, maxval, raw samples)."""
     pos = 0
 
-    def skip_separators():
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            else:
-                return
-
     def next_token(what: str) -> bytes:
         nonlocal pos
-        skip_separators()
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
+        start = _SEPARATORS.match(data, pos).end()
+        pos = _TOKEN.match(data, start).end()
         if pos == start:
             raise PgmError(f"{name}: malformed header at byte {start}: expected {what}")
         return data[start:pos]
@@ -192,10 +186,7 @@ def _ids_from_path(path: Path) -> tuple[int, int]:
 def load_pgm(path: str | Path) -> Image:
     """Load a P2/P5 PGM file; pixels scaled by 1/maxval, ids from the directory layout."""
     path = Path(path)
-    rows, cols, maxval, raw = _parse_pgm(path.read_bytes(), str(path))
-    pixels = raw.reshape(rows, cols).astype(np.float64) / maxval
-    subject, sample = _ids_from_path(path)
-    return Image(pixels=pixels, subject_id=subject, sample_id=sample)
+    return Image(_read_stack([path])[0], *_ids_from_path(path))
 
 
 def write_pgm(image: Image | np.ndarray, path: str | Path, maxval: int = 255) -> None:
@@ -213,17 +204,19 @@ def write_pgm(image: Image | np.ndarray, path: str | Path, maxval: int = 255) ->
 # Corpus loading
 
 
-def _read_stack(paths: list[Path]) -> np.ndarray:
-    """Read PGM files into one (n, R, C) stack; all must share dimensions."""
+def _read_stack(paths: list) -> np.ndarray:
+    """Read PGM files into one (n, R, C) stack; all must share dimensions.
+    Each file's samples are scaled straight into its row of the stack."""
     stack = np.empty((0, 0, 0))
     for i, path in enumerate(paths):
-        pixels = load_pgm(path).pixels
+        with open(path, "rb") as fh:
+            rows, cols, maxval, raw = _parse_pgm(fh.read(), str(path))
         if i == 0:
-            stack = np.empty((len(paths), *pixels.shape))
-        elif pixels.shape != stack.shape[1:]:
+            stack = np.empty((len(paths), rows, cols))
+        elif (rows, cols) != stack.shape[1:]:
             raise ValueError(f"all corpus images must share dimensions: {path} is "
-                             f"{pixels.shape}, not {stack.shape[1:]}")
-        stack[i] = pixels
+                             f"{(rows, cols)}, not {stack.shape[1:]}")
+        np.divide(raw.reshape(rows, cols), maxval, out=stack[i])
     return stack
 
 
@@ -233,10 +226,12 @@ def load_orl(root: str | Path, n_subjects: int = 40, samples_per_subject: int = 
     subjects = np.repeat(np.arange(1, n_subjects + 1), samples_per_subject)
     samples = np.tile(np.arange(1, samples_per_subject + 1), n_subjects)
     names = [f"s{s}/{k}.pgm" for s, k in zip(subjects, samples)]
-    missing = [name for name in names if not (root / name).is_file()]
+    stem = str(root / "s")[:-1]  # root's prefix, as pathlib spells root / name
+    paths = [stem + name for name in names]
+    missing = [name for name, path in zip(names, paths) if not os.path.isfile(path)]
     if missing:
         raise InventoryError(root, missing)
-    return Corpus(_read_stack([root / name for name in names]), subjects, samples)
+    return Corpus(_read_stack(paths), subjects, samples)
 
 
 def load_manifest(path: str | Path) -> Corpus:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -57,11 +56,9 @@ BASE_CLASSIFIERS = (NN_MAD, NN_MSE, MLP_NAME, PNN_NAME, RBF_NAME)
 
 @dataclass(eq=False)
 class ExperimentResult:
-    config: dict
     pairs: list          # (true, predicted) per probe, in probe order
     probe_tags: list     # printable probe identifiers, aligned with pairs
     rate: float
-    runtime: float
 
 
 def identification_rate(pairs: Sequence[tuple[int, int]]) -> float:
@@ -206,7 +203,6 @@ def identify(parts: Sequence[str], gallery: Gallery, probes: np.ndarray,
 
 def run_experiment(spec: str, gallery_feats: Features, probe_feats: Features,
                    cfg: EvalConfig | None = None,
-                   extra_config: dict | None = None,
                    artifacts: dict | None = None) -> ExperimentResult:
     """Closed-set identification of every probe under one classifier spec.
 
@@ -216,7 +212,6 @@ def run_experiment(spec: str, gallery_feats: Features, probe_feats: Features,
     cfg = cfg if cfg is not None else EvalConfig()
     parts = parse_classifier_spec(spec)
     gallery = Gallery(gallery_feats.matrix, gallery_feats.labels)
-    start = time.perf_counter()
     tags = [f"s{label}_{sample}" for label, sample in
             zip(probe_feats.labels.tolist(), probe_feats.sample_ids.tolist())]
     models: dict = {}
@@ -228,14 +223,8 @@ def run_experiment(spec: str, gallery_feats: Features, probe_feats: Features,
             artifacts["fusion_rows"] = [
                 (tag, true_id, int(pred), float(top))
                 for tag, true_id, pred, top in zip(tags, truth, preds, fused.max(axis=1))]
-    runtime = time.perf_counter() - start
     pairs = [(true_id, int(p)) for true_id, p in zip(truth, preds)]
-    config = {"classifier": spec, "dim": gallery.dim,
-              "n_gallery": gallery.size, "n_probes": len(probe_feats)}
-    if extra_config:
-        config.update(extra_config)
-    return ExperimentResult(config=config, pairs=pairs, probe_tags=tags,
-                            rate=identification_rate(pairs), runtime=runtime)
+    return ExperimentResult(pairs=pairs, probe_tags=tags, rate=identification_rate(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +300,8 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
         grid = default_dim_grid(kind, rows, cols, len(gallery_labels),
                                 mask_shape=mask_shape, r_low=r_low)
     grid = _sorted_grid(grid)
+    if kind == KLT and grid[0] < 1:
+        raise ValueError(f"KLT component count must be >= 1, got {grid[0]}")
     steps = ([int(d) for d in grid] if kind == KLT
              else [ZonalMask(mask_shape, value) for value in grid])
     bands = _bands(split, kind, steps, complex_mode=complex_mode, r_low=r_low,

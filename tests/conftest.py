@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from faceid.classifiers import MLPConfig, MLPModel, PNNModel, RBFModel
+from faceid.classifiers.store import FORMAT_VERSION, KIND_MLP, KIND_PNN, KIND_RBF
 from faceid.dataset import load_orl, split_first_k, synth_corpus, write_pgm
 from faceid.evaluation import extract_split_features
 from faceid.transforms import DCT, Features, ZonalMask
@@ -114,3 +116,30 @@ def read_features_csv(path) -> Features:
         raise ValueError(f"{path}: mixed sources {sorted(sources)}")
     return Features(np.array(rows), labels, samples, sources.pop())
 
+
+
+def read_model(path) -> MLPModel | PNNModel | RBFModel:
+    """Read back a model ``save_model`` wrote (the oracle of its bit-exact
+    round trip), refusing any format version but the current one."""
+    with np.load(path) as data:
+        version = int(data["format_version"])
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version}")
+        kind = str(data["kind"])
+        common = dict(subject_ids=data["subject_ids"],
+                      norm_mean=data["norm_mean"], norm_std=data["norm_std"])
+        if kind == KIND_MLP:
+            hidden, epochs, gamma, seed, grad_tol = data["config"].tolist()
+            cfg = MLPConfig(hidden=int(hidden), epochs=int(epochs), gamma=gamma,
+                            seed=int(seed), grad_tol=grad_tol)
+            return MLPModel(w1=data["w1"], b1=data["b1"], w2=data["w2"], b2=data["b2"],
+                            config=cfg, curve=data["curve"], **common)
+        if kind == KIND_PNN:
+            return PNNModel(centers=data["centers"], labels=data["labels"],
+                            spread=float(data["spread"]), **common)
+        if kind == KIND_RBF:
+            return RBFModel(centers=data["centers"], spread=float(data["spread"]),
+                            weights=data["weights"], biases=data["biases"],
+                            center_indices=data["center_indices"],
+                            residuals=data["residuals"], **common)
+    raise ValueError(f"unknown classifier kind {kind!r}")

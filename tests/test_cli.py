@@ -6,16 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from faceid.classifiers import PNNModel, load_model
+from faceid.classifiers import PNNModel
 from faceid.cli import (
-    ConfigError, main, parse_float_grid, parse_int_grid, parse_mask_spec,
-    parse_radius_grid, parse_synth_spec, read_config_file,
+    ConfigError, build_parser, config_options, main, parse_float_grid,
+    parse_int_grid, parse_mask_spec, parse_radius_grid, parse_synth_spec,
+    read_config_file,
 )
 from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import sweep_dimension, write_curve_csv
 from faceid.transforms import SECTORIAL
 
-from conftest import read_features_csv
+from conftest import read_features_csv, read_model
 
 SYNTH = "subjects=5,samples=6,rows=16,cols=14"
 
@@ -77,18 +78,39 @@ def test_parse_synth_spec():
 
 
 def test_read_config_file(tmp_path):
+    options = config_options(build_parser())
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nclassifier = pnn\nspread 2.0\n\nseed=7 # trailing\n")
-    values = read_config_file(str(cfg))
+    values = read_config_file(str(cfg), options)
     assert values == {"classifier": "pnn", "spread": 2.0, "seed": 7}
     cfg.write_text("nonsense = 1\n")
     with pytest.raises(ConfigError, match="line 1"):
-        read_config_file(str(cfg))
+        read_config_file(str(cfg), options)
     cfg.write_text("seed = notanint\n")
     with pytest.raises(ConfigError):
-        read_config_file(str(cfg))
+        read_config_file(str(cfg), options)
     with pytest.raises(ConfigError, match="cannot read"):
-        read_config_file(str(tmp_path / "missing.cfg"))
+        read_config_file(str(tmp_path / "missing.cfg"), options)
+
+
+def test_config_options_come_from_the_parser():
+    # the keys and types a config file takes, as the CLI's flags declare them
+    frozen = {
+        "data": str, "manifest": str, "synth": str, "out": str,
+        "transform": str, "mask": str, "metric": str, "classifier": str,
+        "mask_shape": str, "complex_mode": str, "fusion_mode": str,
+        "grid": str, "spreads": str, "rows": str,
+        "dim": int, "train_k": int, "seed": int, "epochs": int, "hidden": int,
+        "max_centers": int, "subjects": int, "samples": int,
+        "gamma": float, "spread": float, "r_low": float, "log_offset": float,
+    }
+    options = config_options(build_parser())
+    assert {key: kind for key, (kind, _) in options.items()} == frozen
+    choices = {key: allowed for key, (_, allowed) in options.items() if allowed}
+    assert choices == {"transform": ["dct", "dft", "logdft", "klt"],
+                       "complex_mode": ["modulus", "interleave"],
+                       "fusion_mode": ["minmax", "zscore"],
+                       "metric": ["mad", "mse"], "mask_shape": ["rect", "sector"]}
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +183,7 @@ def test_evaluate_pnn_saves_model(tmp_path):
     code = run(["evaluate", "--synth", SYNTH, "--classifier", "pnn",
                 "--spread", "1.5", "--out", str(out)])
     assert code == 0
-    model = load_model(out / "model_pnn.npz")
+    model = read_model(out / "model_pnn.npz")
     assert isinstance(model, PNNModel)
     assert model.spread == 1.5
 
@@ -203,7 +225,7 @@ def test_evaluate_rbf_reports_growth_on_stderr(tmp_path, capsys, spread, at_bias
     assert runs[0] == runs[1]
     for data in runs[0].values():
         assert b"tie rule" not in data and b"tied_picks" not in data
-    assert load_model(out / "model_rbf.npz").tied_picks is None
+    assert read_model(out / "model_rbf.npz").tied_picks is None
 
 
 def test_evaluate_fusion_writes_report(tmp_path):
@@ -434,6 +456,17 @@ def test_rank_overflow_is_data_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "data error:" in err and "supports only 24" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["--grid=0:3", "--grid=-2:2"])
+def test_klt_sweep_below_one_component_is_config_error(tmp_path, capsys, grid):
+    # rect sides and `evaluate --dim` below 1 were refused already
+    out = tmp_path / "out"
+    code = run(["sweep", "--axis", "dim", "--transform", "klt", grid,
+                "--synth", "subjects=4,samples=6,rows=24,cols=20", "--out", str(out)])
+    assert code == 2
+    assert "KLT component count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_klt_requires_dim(tmp_path, capsys):

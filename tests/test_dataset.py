@@ -1,5 +1,7 @@
 """PGM parsing, corpus loading, splits, and the synthetic fixture generator."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from faceid.dataset import (
     corpus_checksum, load_manifest, load_orl, load_pgm, split_first_k,
     synth_corpus, write_pgm,
 )
+from faceid.dataset import _parse_pgm
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,51 @@ def test_sample_over_maxval_rejected(tmp_path):
     path.write_text("P2\n2 1\n10\n5 11\n")
     with pytest.raises(PgmError, match="exceeds maxval"):
         load_pgm(path)
+
+
+# header grammar: separators are whitespace bytes (``bytes.isspace``) and
+# '#' comments running to the end of the line (or of the file); a token is
+# any run of non-whitespace bytes, '#' included
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\n# a\n3\n#b\n 2 #c\n# d\n\n255\n",   # a comment between every pair of fields
+    b"P5\r3\x0b2\x0c255\n",                   # \r, \x0b and \x0c separate fields
+    b"P5 \t# x\r\n\x0c3 2\r\n255\r",          # the payload follows one separator byte of any kind
+])
+def test_p5_header_separators(tmp_path, header):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + bytes([0, 51, 102, 153, 204, 255]))
+    pixels = load_pgm(path).pixels
+    assert np.array_equal(pixels, np.array([[0, 51, 102], [153, 204, 255]]) / 255)
+
+
+def test_p2_header_comments(tmp_path):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(b"P2 #a\n#b\n2\x0b#c\n1\r\n#d\n\n13\n4\n13\n")
+    assert np.array_equal(load_pgm(path).pixels, np.array([[4, 13]]) / 13)
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"", "malformed header at byte 0: expected magic number"),
+    (b"  # only a comment", "malformed header at byte 18: expected magic number"),
+    (b"P5#x 2 2 255\n", "malformed header at byte 0: unsupported magic b'P5#x'"),
+    (b"P5\nxx 2\n255\n", "malformed header at byte 2: bad width b'xx'"),
+    (b"P5 # c\n3#4 2 255\n", "malformed header at byte 2: bad width b'3#4'"),
+    (b"P5 3\n# c\n\nyy 255\n", "malformed header at byte 4: bad height b'yy'"),
+    (b"P5 3 2\n#c\nzz\n", "malformed header at byte 6: bad maxval b'zz'"),
+    (b"P5 3 2 # no newline", "malformed header at byte 19: expected maxval"),
+    (b"P5\x0c3\r2 #\n", "malformed header at byte 9: expected maxval"),
+    (b"P5 3 2 0\n", "malformed header at byte 8: invalid dims/maxval 3x2, maxval 0"),
+    (b"P5 0 2 255\n", "malformed header at byte 10: invalid dims/maxval 0x2, maxval 255"),
+    (b"P2\t3 2 256 ", "malformed header at byte 10: invalid dims/maxval 3x2, maxval 256"),
+])
+def test_malformed_header_messages(tmp_path, data, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmError) as exc_info:
+        load_pgm(path)
+    assert str(exc_info.value) == f"{path}: {message}"
 
 
 def test_ids_from_layout(tmp_path):
@@ -187,6 +235,53 @@ def test_load_manifest_missing_file(tmp_path):
     mf.write_text("nothere.pgm 1 1\n")
     with pytest.raises(InventoryError):
         load_manifest(mf)
+
+
+def frozen_load_pgm_stack(paths):
+    """The per-file loop the loaders ran before decoding into the stack: one
+    ``load_pgm`` per file, its samples cast to float64 and then divided."""
+    images = []
+    for path in paths:
+        rows, cols, maxval, raw = _parse_pgm(Path(path).read_bytes(), str(path))
+        images.append(raw.reshape(rows, cols).astype(np.float64) / maxval)
+    return np.stack(images)
+
+
+def mixed_pgm_tree(root, n_subjects=3, samples=4, shape=(7, 5)):
+    """P5 and P2 files at maxvals 255, 200, 100 and 13 in the sX/Y.pgm layout;
+    returns the paths in (subject, sample) order."""
+    rng = np.random.default_rng(8)
+    formats = [("P5", 255), ("P2", 255), ("P5", 100), ("P2", 13), ("P5", 200), ("P2", 1)]
+    paths = []
+    for i in range(n_subjects * samples):
+        subject, sample = divmod(i, samples)
+        magic, maxval = formats[i % len(formats)]
+        q = rng.integers(0, maxval + 1, size=shape)
+        header = f"{magic}\n# file {i}\n{shape[1]} {shape[0]}\n{maxval}\n".encode()
+        body = (q.astype(np.uint8).tobytes() if magic == "P5" else
+                "\n".join(" ".join(map(str, row)) for row in q.tolist()).encode())
+        path = root / f"s{subject + 1}" / f"{sample + 1}.pgm"
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(header + body)
+        paths.append(path)
+    return paths
+
+
+def test_loaded_stacks_bit_equal_frozen_per_file_loop(tmp_path):
+    paths = mixed_pgm_tree(tmp_path)
+    frozen = frozen_load_pgm_stack(paths)
+    tree = load_orl(tmp_path, n_subjects=3, samples_per_subject=4)
+    assert tree.pixels.tobytes() == frozen.tobytes()
+    # a manifest lists the files in any order; the stack runs in (subject, sample) order
+    lines = [f"{path.relative_to(tmp_path)} {path.parent.name[1:]} {path.stem}"
+             for path in reversed(paths)]
+    (tmp_path / "mf.txt").write_text("\n".join(lines) + "\n")
+    listed = load_manifest(tmp_path / "mf.txt")
+    assert listed.pixels.tobytes() == frozen.tobytes()
+    assert np.array_equal(listed.subject_ids, tree.subject_ids)
+    assert np.array_equal(listed.sample_ids, tree.sample_ids)
+    for path, pixels in zip(paths, frozen):
+        assert load_pgm(path).pixels.tobytes() == pixels.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,9 @@ def test_parse_rejects_unknown():
 
 def test_nn_experiment_structure(dct_features):
     gal, probes = dct_features
-    result = run_experiment("nn:mad", gal, probes, extra_config={"note": "x"})
+    result = run_experiment("nn:mad", gal, probes)
     assert len(result.pairs) == len(probes)
     assert 0.0 <= result.rate <= 100.0
-    assert result.runtime >= 0.0
-    assert result.config["classifier"] == "nn:mad"
-    assert result.config["dim"] == 25
-    assert result.config["note"] == "x"
     assert result.probe_tags[0] == f"s{probes.labels[0]}_{probes.sample_ids[0]}"
     assert result.probe_tags == [f"s{label}_{sample}" for label, sample
                                  in zip(probes.labels, probes.sample_ids)]
@@ -185,6 +181,15 @@ def test_dimension_sweep_klt_slicing_matches_retraining(small_split):
 def test_dimension_sweep_klt_rank_guard(small_split):
     with pytest.raises(RankError, match="rank"):
         sweep_dimension(small_split, KLT, grid=[24])  # 24 gallery images: rank 23
+
+
+@pytest.mark.parametrize("grid", [[-3, 2], [0, 1, 2], [0.5, 2]])
+def test_dimension_sweep_klt_refuses_counts_below_one(small_split, monkeypatch, grid):
+    # refused before the basis fit: no eigensolve runs
+    calls = count_eigensolves(monkeypatch)
+    with pytest.raises(ValueError, match="KLT component count must be >= 1"):
+        sweep_dimension(small_split, KLT, grid=grid)
+    assert calls == {"eigh": 0, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize("grid", [[1, 5, 23], [3], None])

@@ -7,7 +7,7 @@ import pytest
 
 from faceid.classifiers import (
     HIGHER, DivergenceError, Gallery, MLPConfig, MLPModel, make_targets,
-    load_model, mlp_scores, mlp_train, msereg_gradient,
+    mlp_scores, mlp_train, msereg_gradient,
     msereg_loss, pack_params, save_model, unpack_params, write_training_log,
 )
 from faceid.classifiers import mlp
@@ -15,6 +15,8 @@ from faceid.classifiers.mlp import (
     SCG_LAMBDA_INIT, SCG_SIGMA, STOP_BUDGET, STOP_GRAD_TOL, _init_params,
 )
 from faceid.fusion import fuse_mean, normalize_scores
+
+from conftest import read_model
 
 
 def mlp_predict(model, probes):
@@ -242,7 +244,7 @@ def test_stop_reason_and_lambda_are_not_saved(tmp_path):
     assert model.stop_reason == STOP_BUDGET
     assert model.last_lambda > 0.0
     save_model(model, tmp_path / "m.npz")
-    loaded = load_model(tmp_path / "m.npz")
+    loaded = read_model(tmp_path / "m.npz")
     assert loaded.stop_reason is None and loaded.last_lambda is None
     with np.load(tmp_path / "m.npz") as data:
         assert sorted(data.files) == [

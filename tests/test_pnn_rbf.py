@@ -7,14 +7,17 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
-    HIGHER, Gallery, MLPConfig, PNNModel, RBFModel, load_model, make_targets,
+    HIGHER, Gallery, MLPConfig, PNNModel, RBFModel, make_targets,
     mlp_train, pnn_classify, pnn_train, probes_at_bias, radbas_bias, rbf_scores,
     rbf_train, save_model,
 )
 from faceid.classifiers.rbf import TIE_RTOL, _activations, _pick, _solve_linear
+from faceid.classifiers.store import FORMAT_VERSION
 from faceid.evaluation import SPREAD_GRID, extract_split_features
 from faceid.fusion import fuse_mean, normalize_scores
 from faceid.transforms import DCT, ZonalMask
+
+from conftest import read_model
 
 
 def clustered_gallery(seed=5, n_subjects=4, per_class=3, dim=6, noise=0.3):
@@ -458,7 +461,7 @@ def test_store_roundtrip_mlp(tmp_path):
     model = mlp_train(gallery, MLPConfig(hidden=4, epochs=40, seed=3))
     path = tmp_path / "m.npz"
     save_model(model, path)
-    back = load_model(path)
+    back = read_model(path)
     assert_arrays_equal(model, back, ["w1", "b1", "w2", "b2", "subject_ids",
                                       "norm_mean", "norm_std", "curve"])
     assert back.config == model.config
@@ -468,7 +471,7 @@ def test_store_roundtrip_pnn(tmp_path):
     model = pnn_train(clustered_gallery(), spread=0.7)
     path = tmp_path / "p.npz"
     save_model(model, path)
-    back = load_model(path)
+    back = read_model(path)
     assert_arrays_equal(model, back, ["centers", "labels", "subject_ids",
                                       "norm_mean", "norm_std"])
     assert back.spread == model.spread
@@ -478,7 +481,7 @@ def test_store_roundtrip_rbf(tmp_path):
     model = rbf_train(clustered_gallery(), spread=1.3, max_centers=4)
     path = tmp_path / "r.npz"
     save_model(model, path)
-    back = load_model(path)
+    back = read_model(path)
     assert_arrays_equal(model, back, ["centers", "weights", "biases", "subject_ids",
                                       "norm_mean", "norm_std", "center_indices",
                                       "residuals"])
@@ -491,10 +494,14 @@ def test_store_rejects_unknown_type(tmp_path):
 
 
 def test_store_rejects_future_version(tmp_path):
+    # save_model stamps the current format version; the reader refuses any other
+    save_model(pnn_train(clustered_gallery(), spread=0.7), tmp_path / "p.npz")
+    with np.load(tmp_path / "p.npz") as data:
+        assert int(data["format_version"]) == FORMAT_VERSION
     path = tmp_path / "v.npz"
     np.savez(path, format_version=99, kind="pnn")
     with pytest.raises(ValueError, match="version"):
-        load_model(path)
+        read_model(path)
 
 
 def test_loaded_models_predict_identically(tmp_path):
@@ -503,6 +510,6 @@ def test_loaded_models_predict_identically(tmp_path):
     for trained, fname in ((pnn_train(gallery, 1.1), "a.npz"),
                            (rbf_train(gallery, 1.1, max_centers=5), "b.npz")):
         save_model(trained, tmp_path / fname)
-        loaded = load_model(tmp_path / fname)
+        loaded = read_model(tmp_path / fname)
         score = pnn_classify if isinstance(trained, PNNModel) else rbf_scores
         assert np.array_equal(score(trained, probes)[0], score(loaded, probes)[0])
