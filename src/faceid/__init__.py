@@ -12,10 +12,10 @@ from .dataset import (
     corpus_checksum, load_manifest, load_orl, load_pgm, split_first_k,
     synth_corpus, write_pgm,
 )
-from .transforms import Features, ZonalMask, mask_features, transform_corpus
+from .transforms import ZonalMask, mask_features, transform_corpus
 from .eigenfaces import EigenBasis, RankError, project, train_eigenbasis
 from .classifiers import (
-    DivergenceError, Gallery, MLPConfig, MLPModel, PNNModel, RBFModel,
+    DivergenceError, Features, MLPConfig, MLPModel, PNNModel, RBFModel,
     mlp_scores, mlp_train, nn_scores,
     pnn_classify, pnn_train, rbf_scores, rbf_train, save_model,
 )

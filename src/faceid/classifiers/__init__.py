@@ -6,7 +6,7 @@ decisions.
 """
 
 from .common import (
-    Gallery,
+    Features,
     HIGHER,
     LOWER,
     STD_FLOOR,
@@ -26,17 +26,17 @@ from .mlp import (
     write_training_log,
 )
 from .pnn import PNNModel, pnn_classify, pnn_train, radbas_bias
-from .rbf import RBFModel, probes_at_bias, rbf_scores, rbf_train
+from .rbf import MAX_CENTERS, RBFModel, probes_at_bias, rbf_scores, rbf_train
 from .store import save_model
 
 __all__ = [
-    "Gallery", "HIGHER", "LOWER", "STD_FLOOR", "make_targets",
+    "Features", "HIGHER", "LOWER", "STD_FLOOR", "make_targets",
     "MAD", "MSE", "METRICS", "nn_scores",
     "DivergenceError", "MLPConfig", "MLPModel",
     "mlp_scores", "mlp_train",
     "msereg_gradient", "msereg_loss", "pack_params", "unpack_params",
     "write_training_log",
     "PNNModel", "pnn_classify", "pnn_train", "radbas_bias",
-    "RBFModel", "probes_at_bias", "rbf_scores", "rbf_train",
+    "MAX_CENTERS", "RBFModel", "probes_at_bias", "rbf_scores", "rbf_train",
     "save_model",
 ]

@@ -1,14 +1,18 @@
-"""Shared classifier types: the training gallery and the score-matrix contract.
+"""Shared classifier types: the labelled feature matrix and the score-matrix
+contract.
 
-Every classifier scores a whole probe block ``P[k, d]`` at once and returns a
-``(k, S)`` score matrix plus its polarity (``HIGHER`` or ``LOWER`` is better).
-Column j belongs to ``subject_ids[j]``, which are ascending, so the first
-best column of a row is the lowest subject id among tied subjects.
+Extraction produces one :class:`Features` matrix per split half, and the
+classifiers train on the gallery's. Every classifier scores a whole bare
+probe block ``P[k, d]`` at once, so no scorer sees the probes' labels, and
+returns a ``(k, S)`` score matrix plus its polarity (``HIGHER`` or ``LOWER``
+is better). Column j belongs to ``subject_ids[j]``, which are ascending, so
+the first best column of a row is the lowest subject id among tied subjects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,52 +25,67 @@ STD_FLOOR = 1e-8
 BLOCK_ELEMENTS = 1 << 17
 
 
-@dataclass(eq=False)
-class Gallery:
-    """Stacked labeled training vectors plus per-dimension normalization stats.
+@dataclass(frozen=True, eq=False)
+class Features:
+    """One split half's features: row i of ``matrix`` belongs to image
+    ``(labels[i], sample_ids[i])``; ``source`` names the transform.
 
-    Nearest-neighbor classification uses the raw rows; the network classifiers
-    consume the z-scored view (std floored at ``STD_FLOOR``).
+    A gallery's features are what the classifiers train on. Nearest-neighbor
+    classification uses the raw rows; the network classifiers consume the
+    z-scored view (std floored at ``STD_FLOOR``). The statistics and the
+    z-space distances are computed on first use and kept.
     """
 
-    matrix: np.ndarray        # (n, d) raw feature rows
-    labels: np.ndarray        # (n,) subject ids
-    mean: np.ndarray = field(init=False)
-    std: np.ndarray = field(init=False)
-    subject_ids: np.ndarray = field(init=False)
-    _z_distances: np.ndarray | None = field(init=False, default=None, repr=False)
+    matrix: np.ndarray      # (n, d) float64, C-ordered
+    labels: np.ndarray      # (n,) subject ids
+    sample_ids: np.ndarray  # (n,)
+    source: str
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] == 0:
-            raise ValueError("gallery matrix must be a nonempty (n, d) array")
-        if self.labels.shape != (self.matrix.shape[0],):
-            raise ValueError("labels must align with gallery rows")
-        self.mean = self.matrix.mean(axis=0)
-        self.std = np.maximum(self.matrix.std(axis=0), STD_FLOOR)
-        self.subject_ids = np.unique(self.labels)
+        # a column slice is copied to C order, so every classifier reads its
+        # rows as it read the stacked per-image vectors
+        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise ValueError(f"features must form a nonempty (n, d) matrix, "
+                             f"got shape {matrix.shape}")
+        object.__setattr__(self, "matrix", matrix)
+        for name in ("labels", "sample_ids"):
+            ids = np.asarray(getattr(self, name), dtype=np.int64)
+            if ids.shape != (len(matrix),):
+                raise ValueError(f"{name} {ids.shape} do not align with "
+                                 f"{len(matrix)} feature rows")
+            object.__setattr__(self, name, ids)
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def subject_ids(self) -> np.ndarray:
+        return np.unique(self.labels)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return self.matrix.mean(axis=0)
+
+    @cached_property
+    def std(self) -> np.ndarray:
+        return np.maximum(self.matrix.std(axis=0), STD_FLOOR)
 
     def normalized_matrix(self) -> np.ndarray:
         return (self.matrix - self.mean) / self.std
 
+    @cached_property
     def normalized_distances(self) -> np.ndarray:
         """(n, n) read-only Euclidean distances between the z-scored rows,
-        computed on the first call and kept, so every spread of a sweep
-        reuses them."""
-        if self._z_distances is None:
-            z = self.normalized_matrix()
-            self._z_distances = euclidean(z, z)
-            self._z_distances.flags.writeable = False
-        return self._z_distances
+        kept so that every spread of a sweep reuses them."""
+        z = self.normalized_matrix()
+        dists = euclidean(z, z)
+        dists.flags.writeable = False
+        return dists
 
 
 def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -84,9 +103,9 @@ def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_targets(gallery: Gallery) -> np.ndarray:
+def make_targets(gallery: Features) -> np.ndarray:
     """(n, S) matrix, +1 on the row's own subject column, -1 elsewhere."""
-    t = -np.ones((gallery.size, gallery.subject_ids.size))
+    t = -np.ones((len(gallery), gallery.subject_ids.size))
     col = {int(sid): j for j, sid in enumerate(gallery.subject_ids)}
     for i, label in enumerate(gallery.labels):
         t[i, col[int(label)]] = 1.0

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import Gallery, HIGHER, finite_scores, make_targets, probe_block
+from .common import Features, HIGHER, finite_scores, make_targets, probe_block
 
 SCG_SIGMA = 5e-5
 SCG_LAMBDA_INIT = 5e-7
@@ -240,7 +240,7 @@ def _init_params(rng: np.random.Generator, dim: int, hidden: int, n_out: int):
     return pack_params(w1, b1, w2, b2)
 
 
-def mlp_train(gallery: Gallery, config: MLPConfig | None = None) -> MLPModel:
+def mlp_train(gallery: Features, config: MLPConfig | None = None) -> MLPModel:
     """Full-batch SCG on z-scored gallery vectors; deterministic per seed."""
     cfg = config if config is not None else MLPConfig()
     x = gallery.normalized_matrix()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import distance as _sdist
 
-from .common import Gallery, HIGHER, finite_scores, per_subject, probe_block
+from .common import Features, HIGHER, finite_scores, per_subject, probe_block
 
 
 def radbas_bias(spread: float) -> float:
@@ -47,7 +47,7 @@ class PNNModel:
         return self.centers.shape[1]
 
 
-def pnn_train(gallery: Gallery, spread: float) -> PNNModel:
+def pnn_train(gallery: Features, spread: float) -> PNNModel:
     """No fitting beyond storing every normalized gallery vector as a center."""
     if spread <= 0:
         raise ValueError("spread must be positive")

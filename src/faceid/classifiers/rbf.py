@@ -27,13 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common import (
-    Gallery, HIGHER, euclidean, finite_scores, make_targets, probe_block,
+    Features, HIGHER, euclidean, finite_scores, make_targets, probe_block,
 )
 from .pnn import radbas
 
 # candidates whose error lies within this fraction of the largest error are
 # tied, and the lowest index among them is picked
 TIE_RTOL = 1e-9
+
+# the center budget when none is given
+MAX_CENTERS = 100
 
 
 @dataclass(eq=False)
@@ -89,16 +92,16 @@ def _pick(row_err: np.ndarray, remaining: np.ndarray) -> tuple[int, bool]:
     return int(np.argmax(tied)), bool(np.count_nonzero(tied) > 1)
 
 
-def rbf_train(gallery: Gallery, spread: float, max_centers: int = 100) -> RBFModel:
+def rbf_train(gallery: Features, spread: float, max_centers: int = MAX_CENTERS) -> RBFModel:
     if spread <= 0:
         raise ValueError("spread must be positive")
-    if not 1 <= max_centers <= gallery.size:
-        raise ValueError(f"max_centers must lie in [1, {gallery.size}]")
+    if not 1 <= max_centers <= len(gallery):
+        raise ValueError(f"max_centers must lie in [1, {len(gallery)}]")
     x = gallery.normalized_matrix()
     targets = make_targets(gallery)
-    n = gallery.size
+    n = len(gallery)
     # column j = center candidate j
-    all_acts = radbas(gallery.normalized_distances(), spread)
+    all_acts = radbas(gallery.normalized_distances, spread)
     # a remainder below lstsq's default rcond cut-off, relative to the column,
     # is rounding: that column adds nothing to the span
     dependent = np.finfo(float).eps * (n + 1)

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .dataset import (
@@ -21,21 +22,21 @@ from .dataset import (
 )
 from .transforms import (
     DCT, DFT, LOGDFT, KLT, MODULUS, INTERLEAVE, RECTANGULAR, SECTORIAL,
-    Features, ZonalMask, write_features_csv,
+    ZonalMask,
 )
 from .eigenfaces import RankError
 from .classifiers import (
-    DivergenceError, MLPModel, RBFModel, probes_at_bias, save_model,
+    DivergenceError, Features, MLPModel, RBFModel, probes_at_bias, save_model,
     write_training_log,
 )
 from .evaluation import (
-    DEFAULT_SPREAD, SPREAD_GRID, TRAIN_SAMPLES,
+    SPREAD_GRID, TRAIN_SAMPLES,
     EvalConfig, extract_split_features, format_table,
     parse_classifier_spec, run_experiment, sweep_dimension, sweep_spread,
-    table1_report, write_curve_csv, write_manifest, write_result_csv,
-    write_table_csv,
+    table1_report, write_curve_csv, write_features_csv, write_manifest,
+    write_result_csv, write_table_csv,
 )
-from .fusion import MINMAX, MODES, write_fusion_report
+from .fusion import MODES, write_fusion_report
 
 ENV_DATA = "FACEID_DATA"
 
@@ -195,10 +196,8 @@ def load_source(args: argparse.Namespace) -> Corpus:
 
 
 def make_eval_config(args: argparse.Namespace) -> EvalConfig:
-    return EvalConfig(seed=args.seed, epochs=args.epochs, hidden=args.hidden,
-                      gamma=args.gamma, spread=args.spread,
-                      max_centers=args.max_centers,
-                      fusion_mode=args.fusion_mode)
+    """The classifier knobs: each ``EvalConfig`` field is an option's dest."""
+    return EvalConfig(**{f.name: getattr(args, f.name) for f in fields(EvalConfig)})
 
 
 def build_features(args: argparse.Namespace, corpus: Corpus) -> tuple[Features, Features]:
@@ -350,13 +349,13 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# the classifier options take EvalConfig's defaults (its fields are their dests)
 _DEFAULTS = {
     "out": "faceid-out", "transform": DCT, "mask": "rect:10", "metric": "mad",
     "classifier": "nn:mad", "mask_shape": "rect", "complex_mode": MODULUS,
-    "fusion_mode": MINMAX, "grid": None, "spreads": None, "rows": None,
-    "dim": None, "train_k": TRAIN_SAMPLES, "seed": 0, "epochs": 15000,
-    "hidden": 40, "max_centers": 100, "subjects": 40, "samples": 10,
-    "gamma": 0.9, "spread": DEFAULT_SPREAD, "r_low": 0.0, "log_offset": 1e-4,
+    "grid": None, "spreads": None, "rows": None, "dim": None,
+    "train_k": TRAIN_SAMPLES, "subjects": 40, "samples": 10, "r_low": 0.0,
+    "log_offset": 1e-4, **asdict(EvalConfig()),
 }
 
 

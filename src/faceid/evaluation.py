@@ -7,8 +7,9 @@ image is transformed once, only the leading block its masks reach is kept,
 and each mask (in a dimension sweep, each mask's new band) is one gather
 over that stack. Eigenface features come from one basis fit per gallery.
 Each split half's features travel as one labelled
-:class:`~faceid.transforms.Features` matrix, from extraction to the
-gallery and the probe block.
+:class:`~faceid.classifiers.common.Features` matrix: the gallery's is what
+the classifiers train on, the probes' gives the truth, and the scorers see
+only its bare matrix.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import numpy as np
 from .dataset import Corpus, Split, split_first_k
 from .transforms import (
     DCT, KLT, MODULUS, RECTANGULAR,
-    Features, ZonalMask,
+    ZonalMask,
     mask_features, transform_corpus, zone_keeps,
 )
 from .eigenfaces import train_eigenbasis, project
 from .classifiers import (
-    Gallery, MAD, MSE,
+    Features, MAD, MAX_CENTERS, MSE,
     MLPConfig, mlp_train, mlp_scores,
     pnn_train, pnn_classify,
     rbf_train, rbf_scores,
@@ -77,20 +78,26 @@ def _bands(split: Split, kind: str, steps: Sequence, *,
            complex_mode: str = MODULUS, r_low: float = 0.0,
            log_offset: float = 1e-4, clamp: bool = False):
     """The one path from a split to its features: per step of an ascending
-    chain (zonal masks, or KLT component counts), the (gallery, probe)
-    matrices of the band it adds to the step before. Every mask and the rank
-    are checked before the first band is returned."""
+    chain (zonal masks, or KLT component counts), the labelled (gallery,
+    probe) features of the band it adds to the step before, or None where
+    the band holds no column. Every mask and the rank are checked before the
+    first band is returned."""
     if kind == KLT:
         halves = split.halves(split.corpus.pixels)
         basis = train_eigenbasis(halves[0], steps[-1], clamp=clamp)
         weights = [project(half, basis) for half in halves]
         dims = [min(step, basis.n_components) for step in steps]
-        return ([w[:, lo:hi] for w in weights] for lo, hi in zip([0, *dims], dims))
-    keeps = zone_keeps(steps, split.corpus.pixels.shape[1:], r_low)
-    stack = transform_corpus(split.corpus.pixels, kind, keeps[0].shape, log_offset)
-    kept = [np.zeros_like(keeps[0]), *keeps[:-1]]
-    return (_split_rows(split, mask_features(stack, keep & ~prev, complex_mode))
-            for keep, prev in zip(keeps, kept))
+        bands = ([w[:, lo:hi] for w in weights] for lo, hi in zip([0, *dims], dims))
+    else:
+        keeps = zone_keeps(steps, split.corpus.pixels.shape[1:], r_low)
+        stack = transform_corpus(split.corpus.pixels, kind, keeps[0].shape, log_offset)
+        kept = [np.zeros_like(keeps[0]), *keeps[:-1]]
+        bands = (_split_rows(split, mask_features(stack, keep & ~prev, complex_mode))
+                 for keep, prev in zip(keeps, kept))
+    ids = list(zip(_split_rows(split, split.corpus.subject_ids),
+                   _split_rows(split, split.corpus.sample_ids)))
+    return (tuple(Features(m, *half_ids, kind) for m, half_ids in zip(band, ids))
+            if band[0].shape[1] else None for band in bands)
 
 
 def _split_rows(split: Split, per_image: np.ndarray) -> list[np.ndarray]:
@@ -117,12 +124,9 @@ def extract_split_features(split: Split, kind: str, *,
     if step is None:
         raise ValueError(f"{kind} extraction requires "
                          f"{'dim' if kind == KLT else 'a zonal mask'}")
-    (matrices,) = _bands(split, kind, [step], complex_mode=complex_mode,
+    (features,) = _bands(split, kind, [step], complex_mode=complex_mode,
                          r_low=r_low, log_offset=log_offset, clamp=clamp)
-    ids = zip(_split_rows(split, split.corpus.subject_ids),
-              _split_rows(split, split.corpus.sample_ids))
-    return tuple(Features(m, labels, samples, kind)
-                 for m, (labels, samples) in zip(matrices, ids))
+    return features
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +152,16 @@ def parse_classifier_spec(spec: str) -> list[str]:
 @dataclass
 class EvalConfig:
     """Knobs shared by the classifier runners; defaults follow the protocol."""
-    seed: int = 0
-    epochs: int = 15000
-    hidden: int = 40
-    gamma: float = 0.9
+    seed: int = MLPConfig.seed
+    epochs: int = MLPConfig.epochs
+    hidden: int = MLPConfig.hidden
+    gamma: float = MLPConfig.gamma
     spread: float = DEFAULT_SPREAD
-    max_centers: int = 100
+    max_centers: int = MAX_CENTERS
     fusion_mode: str = MINMAX
 
 
-def _member_scores(name: str, gallery: Gallery, probes: np.ndarray,
+def _member_scores(name: str, gallery: Features, probes: np.ndarray,
                    cfg: EvalConfig, models: dict) -> tuple[np.ndarray, str]:
     """Train one base classifier (if it learns) into ``models``, then score."""
     if name in (NN_MAD, NN_MSE):
@@ -172,7 +176,7 @@ def _member_scores(name: str, gallery: Gallery, probes: np.ndarray,
         models[name] = model
         return pnn_classify(model, probes)
     if name == RBF_NAME:
-        model = rbf_train(gallery, cfg.spread, min(cfg.max_centers, gallery.size))
+        model = rbf_train(gallery, cfg.spread, min(cfg.max_centers, len(gallery)))
         models[name] = model
         return rbf_scores(model, probes)
     raise ValueError(f"unknown classifier spec {name!r}")
@@ -188,7 +192,7 @@ def decide(member_scores: Sequence[tuple[np.ndarray, str]], subject_ids: np.ndar
                       for scores, polarity in member_scores], subject_ids)
 
 
-def identify(parts: Sequence[str], gallery: Gallery, probes: np.ndarray,
+def identify(parts: Sequence[str], gallery: Features, probes: np.ndarray,
              cfg: EvalConfig | None = None, models: dict | None = None,
              ) -> tuple[np.ndarray, np.ndarray]:
     """Score a probe block with each member classifier (training those that
@@ -201,7 +205,7 @@ def identify(parts: Sequence[str], gallery: Gallery, probes: np.ndarray,
                   gallery.subject_ids, cfg.fusion_mode)
 
 
-def run_experiment(spec: str, gallery_feats: Features, probe_feats: Features,
+def run_experiment(spec: str, gallery: Features, probes: Features,
                    cfg: EvalConfig | None = None,
                    artifacts: dict | None = None) -> ExperimentResult:
     """Closed-set identification of every probe under one classifier spec.
@@ -211,12 +215,11 @@ def run_experiment(spec: str, gallery_feats: Features, probe_feats: Features,
     """
     cfg = cfg if cfg is not None else EvalConfig()
     parts = parse_classifier_spec(spec)
-    gallery = Gallery(gallery_feats.matrix, gallery_feats.labels)
     tags = [f"s{label}_{sample}" for label, sample in
-            zip(probe_feats.labels.tolist(), probe_feats.sample_ids.tolist())]
+            zip(probes.labels.tolist(), probes.sample_ids.tolist())]
     models: dict = {}
-    preds, fused = identify(parts, gallery, probe_feats.matrix, cfg, models)
-    truth = probe_feats.labels.tolist()
+    preds, fused = identify(parts, gallery, probes.matrix, cfg, models)
+    truth = probes.labels.tolist()
     if artifacts is not None:
         artifacts["models"] = models
         if len(parts) > 1:
@@ -309,17 +312,19 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     dists = np.zeros((len(probe_labels), len(gallery_labels)))
     dim = 0
     points = []
-    for value, (gallery_band, probe_band) in zip(grid, bands):
-        gallery = Gallery(gallery_band, gallery_labels)
-        preds, _ = decide([nn_scores(probe_band, gallery, metric, running=dists)],
-                          gallery.subject_ids)
-        dim += gallery.dim
-        rate = identification_rate(list(zip(probe_labels, preds)))
+    for value, band in zip(grid, bands):
+        # a step whose band holds no column repeats the point before it
+        if band is not None:
+            gallery, probes = band
+            preds, _ = decide([nn_scores(probes.matrix, gallery, metric, running=dists)],
+                              gallery.subject_ids)
+            dim += gallery.dim
+            rate = identification_rate(list(zip(probe_labels, preds)))
         points.append(SweepPoint(param=float(value), dim=dim, rate=rate))
     return points
 
 
-def sweep_spread(gallery_feats: Features, probe_feats: Features, classifier: str,
+def sweep_spread(gallery: Features, probes: Features, classifier: str,
                  spreads: Sequence[float] = SPREAD_GRID,
                  cfg: EvalConfig | None = None) -> list[SweepPoint]:
     """Identification rate per spread value for the kernel classifiers.
@@ -331,11 +336,10 @@ def sweep_spread(gallery_feats: Features, probe_feats: Features, classifier: str
         raise ValueError("spread sweeps apply to pnn or rbf only")
     spreads = _spread_grid(spreads)
     base = cfg if cfg is not None else EvalConfig()
-    gallery = Gallery(gallery_feats.matrix, gallery_feats.labels)
-    truth = probe_feats.labels.tolist()
+    truth = probes.labels.tolist()
     points = []
     for spread in spreads:
-        preds, _ = identify([classifier], gallery, probe_feats.matrix,
+        preds, _ = identify([classifier], gallery, probes.matrix,
                             replace(base, spread=float(spread)))
         rate = identification_rate(list(zip(truth, preds)))
         points.append(SweepPoint(param=float(spread), dim=gallery.dim, rate=rate))
@@ -452,6 +456,17 @@ def write_manifest(config: dict, path: str | Path) -> None:
     with open(path, "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_features_csv(features: Features, path: str | Path) -> None:
+    """Write features as CSV, one row per image: ``subject,sample,source,dim,c0,c1,...``."""
+    header = "subject,sample,source,dim," + ",".join(f"c{i}" for i in range(features.dim))
+    lines = [header]
+    for subject, sample, row in zip(features.labels.tolist(),
+                                    features.sample_ids.tolist(), features.matrix):
+        coeffs = ",".join(map(repr, row.tolist()))
+        lines.append(f"{subject},{sample},{features.source},{features.dim},{coeffs}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_result_csv(result: ExperimentResult, path: str | Path) -> None:

@@ -1,18 +1,16 @@
-"""Transform-domain front-end: 2D DCT/DFT, homomorphic log-DFT, zonal masks,
-and the labelled feature matrix.
+"""Transform-domain front-end: 2D DCT/DFT, homomorphic log-DFT and zonal masks.
 
 The DCT is the orthonormal type-II transform (Parseval holds exactly); the DFT
 uses the plain negative-exponent definition, so F(0, 0) equals the pixel sum.
 ``transform_corpus`` turns an ``(n, R, C)`` image stack into one coefficient
-stack, ``mask_features`` gathers a mask's coefficients from it as an
-``(n, d)`` matrix, and :class:`Features` labels that matrix's rows for the
-classifiers and the CSV export.
+stack, and ``mask_features`` gathers a mask's coefficients from it as an
+``(n, d)`` matrix, whose rows ``faceid.evaluation`` labels as
+:class:`~faceid.classifiers.common.Features`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -22,40 +20,6 @@ DCT = "dct"
 DFT = "dft"
 LOGDFT = "logdft"
 KLT = "klt"
-
-
-@dataclass(frozen=True, eq=False)
-class Features:
-    """One split half's features: row i of ``matrix`` belongs to image
-    ``(labels[i], sample_ids[i])``; ``source`` names the transform."""
-
-    matrix: np.ndarray      # (n, d) float64, C-ordered
-    labels: np.ndarray      # (n,) subject ids
-    sample_ids: np.ndarray  # (n,)
-    source: str
-
-    def __post_init__(self):
-        # a column slice is copied to C order, so every classifier reads its
-        # rows as it read the stacked per-image vectors
-        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.size == 0:
-            raise ValueError(f"features must form a nonempty (n, d) matrix, "
-                             f"got shape {matrix.shape}")
-        object.__setattr__(self, "matrix", matrix)
-        for name in ("labels", "sample_ids"):
-            ids = np.asarray(getattr(self, name), dtype=np.int64)
-            if ids.shape != (len(matrix),):
-                raise ValueError(f"{name} {ids.shape} do not align with "
-                                 f"{len(matrix)} feature rows")
-            object.__setattr__(self, name, ids)
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
 
 RECTANGULAR = "rectangular"
 SECTORIAL = "sectorial"
@@ -201,18 +165,3 @@ def mask_features(stack: np.ndarray, keep: np.ndarray,
             return retained.view(np.float64)
         raise ValueError(f"unknown complex_mode {complex_mode!r}")
     return np.asarray(retained, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def write_features_csv(features: Features, path: str | Path) -> None:
-    """Write features as CSV, one row per image: ``subject,sample,source,dim,c0,c1,...``."""
-    header = "subject,sample,source,dim," + ",".join(f"c{i}" for i in range(features.dim))
-    lines = [header]
-    for subject, sample, row in zip(features.labels.tolist(),
-                                    features.sample_ids.tolist(), features.matrix):
-        coeffs = ",".join(map(repr, row.tolist()))
-        lines.append(f"{subject},{sample},{features.source},{features.dim},{coeffs}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faceid.classifiers import MLPConfig, MLPModel, PNNModel, RBFModel
+from faceid.classifiers import Features, MLPConfig, MLPModel, PNNModel, RBFModel
 from faceid.classifiers.store import FORMAT_VERSION, KIND_MLP, KIND_PNN, KIND_RBF
 from faceid.dataset import load_orl, split_first_k, synth_corpus, write_pgm
 from faceid.evaluation import extract_split_features
-from faceid.transforms import DCT, Features, ZonalMask
+from faceid.transforms import DCT, ZonalMask
 
 ORL_ENV = "FACEID_ORL_DIR"
 ORL_DEFAULT = Path("data/orl")
@@ -85,6 +85,12 @@ def peak_bytes():
         finally:
             tracemalloc.stop()
     return measure
+
+
+def gallery_of(matrix, labels) -> Features:
+    """Training features from bare rows and their subject ids; the sample ids
+    number the rows."""
+    return Features(matrix, labels, np.arange(len(labels)), "test")
 
 
 def read_features_csv(path) -> Features:

@@ -14,7 +14,7 @@ import pytest
 from scipy.fft import idctn
 
 from faceid.classifiers import (
-    HIGHER, Gallery, MLPConfig, mlp_train, msereg_gradient,
+    HIGHER, MLPConfig, mlp_train, msereg_gradient,
     msereg_loss, pnn_classify, pnn_train, rbf_train,
 )
 from faceid.dataset import split_first_k, synth_corpus
@@ -26,6 +26,8 @@ from faceid.evaluation import (
 )
 from faceid.fusion import fuse_mean, normalize_scores
 from faceid.transforms import DFT, ZonalMask, transform_corpus
+
+from conftest import gallery_of
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +145,7 @@ def _clustered_gallery(rng, n_subjects=4, per_class=3, dim=6):
         for _ in range(per_class):
             rows.append(c + rng.normal(scale=0.3, size=dim))
             labels.append(s)
-    return Gallery(matrix=np.stack(rows), labels=np.array(labels))
+    return gallery_of(np.stack(rows), labels)
 
 
 def test_criterion_8_property_battery():

@@ -1,19 +1,22 @@
 """End-to-end command-line runs, option plumbing, and exit codes."""
 
+import inspect
 import json
 import re
+from argparse import Namespace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from faceid.classifiers import PNNModel
+from faceid.classifiers import MLPConfig, PNNModel, rbf_train
 from faceid.cli import (
-    ConfigError, build_parser, config_options, main, parse_float_grid,
-    parse_int_grid, parse_mask_spec, parse_radius_grid, parse_synth_spec,
-    read_config_file,
+    _DEFAULTS, ConfigError, build_parser, config_options, main, make_eval_config,
+    parse_float_grid, parse_int_grid, parse_mask_spec, parse_radius_grid,
+    parse_synth_spec, read_config_file,
 )
 from faceid.dataset import split_first_k, synth_corpus
-from faceid.evaluation import sweep_dimension, write_curve_csv
+from faceid.evaluation import EvalConfig, sweep_dimension, write_curve_csv
 from faceid.transforms import SECTORIAL
 
 from conftest import read_features_csv, read_model
@@ -111,6 +114,31 @@ def test_config_options_come_from_the_parser():
                        "complex_mode": ["modulus", "interleave"],
                        "fusion_mode": ["minmax", "zscore"],
                        "metric": ["mad", "mse"], "mask_shape": ["rect", "sector"]}
+
+
+def test_option_defaults_are_frozen():
+    # the value each option takes when neither a flag nor a config file sets it
+    frozen = {
+        "out": "faceid-out", "transform": "dct", "mask": "rect:10", "metric": "mad",
+        "classifier": "nn:mad", "mask_shape": "rect", "complex_mode": "modulus",
+        "fusion_mode": "minmax", "grid": None, "spreads": None, "rows": None,
+        "dim": None, "train_k": 5, "seed": 0, "epochs": 15000, "hidden": 40,
+        "max_centers": 100, "subjects": 40, "samples": 10,
+        "gamma": 0.9, "spread": 0.9, "r_low": 0.0, "log_offset": 1e-4,
+    }
+    assert {key: (value, type(value)) for key, value in _DEFAULTS.items()} == {
+        key: (value, type(value)) for key, value in frozen.items()}
+    # every option but the dataset source has a default
+    options = config_options(build_parser())
+    assert set(frozen) == set(options) - {"data", "manifest", "synth"}
+    # the library's own defaults are the same values: the classifier options
+    # fill an EvalConfig field by field
+    cfg = EvalConfig()
+    assert asdict(cfg) == {key: frozen[key] for key in asdict(cfg)}
+    assert make_eval_config(Namespace(**frozen)) == cfg
+    mlp = MLPConfig()
+    assert (mlp.seed, mlp.epochs, mlp.hidden, mlp.gamma) == (0, 15000, 40, 0.9)
+    assert inspect.signature(rbf_train).parameters["max_centers"].default == 100
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from faceid.classifiers import (
-    HIGHER, MAD, MSE, Gallery, MLPModel, mlp_scores, nn_scores,
+    HIGHER, MAD, MSE, Features, MLPModel, mlp_scores, nn_scores,
     pnn_classify, rbf_scores,
 )
 from faceid.dataset import split_first_k, synth_corpus
@@ -21,7 +21,7 @@ from faceid.evaluation import (
     write_result_csv, write_table_csv,
 )
 from faceid import evaluation
-from faceid.transforms import SECTORIAL, Features, ZonalMask
+from faceid.transforms import SECTORIAL, ZonalMask
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +94,7 @@ def test_nn_experiment_matches_per_probe_loop(dct_features):
 
 def test_single_member_decision_matches_raw_arg_best(dct_features):
     # normalizing one member's scores before the arg-max changes no decision
-    gal, probes = dct_features
-    gallery = Gallery(gal.matrix, gal.labels)
+    gallery, probes = dct_features
     block = probes.matrix
     cfg = EvalConfig(spread=2.0, max_centers=12, epochs=30, hidden=5)
     scorers = {"mlp": mlp_scores, "pnn": pnn_classify, "rbf": rbf_scores}
@@ -108,7 +107,7 @@ def test_single_member_decision_matches_raw_arg_best(dct_features):
             scores, polarity = nn_scores(block, gallery, spec[len("nn:"):])
         best = np.argmax(scores, axis=1) if polarity == HIGHER else np.argmin(scores, axis=1)
         assert preds.tolist() == gallery.subject_ids[best].tolist()
-        result = run_experiment(spec, gal, probes, cfg)
+        result = run_experiment(spec, gallery, probes, cfg)
         assert [p for _, p in result.pairs] == preds.tolist()
 
 

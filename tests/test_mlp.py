@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from faceid.classifiers import (
-    HIGHER, DivergenceError, Gallery, MLPConfig, MLPModel, make_targets,
+    HIGHER, DivergenceError, MLPConfig, MLPModel, make_targets,
     mlp_scores, mlp_train, msereg_gradient,
     msereg_loss, pack_params, save_model, unpack_params, write_training_log,
 )
@@ -16,7 +16,7 @@ from faceid.classifiers.mlp import (
 )
 from faceid.fusion import fuse_mean, normalize_scores
 
-from conftest import read_model
+from conftest import gallery_of, read_model
 
 
 def mlp_predict(model, probes):
@@ -93,7 +93,7 @@ def separable_gallery():
         for _ in range(4):
             rows.append(c + rng.normal(scale=0.2, size=6))
             labels.append(s)
-    return Gallery(matrix=np.stack(rows), labels=np.array(labels))
+    return gallery_of(np.stack(rows), labels)
 
 
 def test_training_reaches_low_error_on_separable_data():
@@ -336,9 +336,8 @@ def test_equal_outputs_tie_to_lowest_subject():
 
 
 def test_divergence_raises_with_epoch():
-    matrix = np.array([[np.nan, 1.0], [0.0, 1.0]])
-    gallery = Gallery(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), labels=np.array([1, 2]))
-    gallery.matrix = matrix  # inject the poison after validation
+    # features do not check finiteness, so the poison goes in at construction
+    gallery = gallery_of(np.array([[np.nan, 1.0], [0.0, 1.0]]), [1, 2])
     with pytest.raises(DivergenceError) as exc_info:
         mlp_train(gallery, MLPConfig(hidden=2, epochs=5))
     assert exc_info.value.epoch == 0

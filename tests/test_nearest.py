@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from faceid.classifiers import LOWER, MAD, MSE, Gallery, nn_scores
+from faceid.classifiers import LOWER, MAD, MSE, nn_scores
 from faceid.evaluation import identify
 from faceid.fusion import normalize_scores
 
+from conftest import gallery_of
+
 
 def make_gallery(matrix, labels):
-    return Gallery(matrix=np.asarray(matrix, dtype=float),
-                   labels=np.asarray(labels, dtype=int))
+    return gallery_of(np.asarray(matrix, dtype=float), labels)
 
 
 def mad(x, y):

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
-    HIGHER, Gallery, MLPConfig, PNNModel, RBFModel, make_targets,
+    HIGHER, MLPConfig, PNNModel, RBFModel, make_targets,
     mlp_train, pnn_classify, pnn_train, probes_at_bias, radbas_bias, rbf_scores,
     rbf_train, save_model,
 )
@@ -17,7 +17,7 @@ from faceid.evaluation import SPREAD_GRID, extract_split_features
 from faceid.fusion import fuse_mean, normalize_scores
 from faceid.transforms import DCT, ZonalMask
 
-from conftest import read_model
+from conftest import gallery_of, read_model
 
 
 def clustered_gallery(seed=5, n_subjects=4, per_class=3, dim=6, noise=0.3):
@@ -28,7 +28,7 @@ def clustered_gallery(seed=5, n_subjects=4, per_class=3, dim=6, noise=0.3):
         for _ in range(per_class):
             rows.append(c + rng.normal(scale=noise, size=dim))
             labels.append(s)
-    return Gallery(matrix=np.stack(rows), labels=np.array(labels))
+    return gallery_of(np.stack(rows), labels)
 
 
 def decide(model, scored):
@@ -52,7 +52,7 @@ def test_radbas_bias_half_response_at_spread():
 def test_pnn_probabilities_hand_computed():
     # z-scored centers land at -1 and +1; probe z-scores to -1.
     # With spread 1 the activations are 2^(-d^2): [1, 1/16].
-    gallery = Gallery(matrix=np.array([[0.0], [2.0]]), labels=np.array([1, 2]))
+    gallery = gallery_of(np.array([[0.0], [2.0]]), [1, 2])
     model = pnn_train(gallery, spread=1.0)
     scores, polarity = pnn_classify(model, np.array([[0.0]]))
     assert scores[0] == pytest.approx([16 / 17, 1 / 17])
@@ -91,7 +91,7 @@ def test_pnn_small_spread_reduces_to_nearest_neighbor():
 
 
 def test_pnn_total_underflow_falls_back_to_one_hot():
-    gallery = Gallery(matrix=np.array([[0.0], [1.0]]), labels=np.array([1, 2]))
+    gallery = gallery_of(np.array([[0.0], [1.0]]), [1, 2])
     model = pnn_train(gallery, spread=1e-8)
     scored = pnn_classify(model, np.array([[0.1], [0.9]]))
     assert np.array_equal(scored[0], [[1.0, 0.0], [0.0, 1.0]])
@@ -100,7 +100,7 @@ def test_pnn_total_underflow_falls_back_to_one_hot():
 
 def test_pnn_underflow_fallback_is_per_probe():
     # one probe halfway between the centers (live), one far away (underflow)
-    gallery = Gallery(matrix=np.array([[0.0], [1.0]]), labels=np.array([1, 2]))
+    gallery = gallery_of(np.array([[0.0], [1.0]]), [1, 2])
     model = pnn_train(gallery, spread=1.0)
     scores, _ = pnn_classify(model, np.array([[0.5], [200.0]]))
     assert np.array_equal(scores[0], [0.5, 0.5])
@@ -127,7 +127,7 @@ def test_pnn_batch_matches_per_probe_loop():
 
 
 def test_pnn_equidistant_tie_takes_lowest_id():
-    gallery = Gallery(matrix=np.array([[-1.0], [1.0]]), labels=np.array([9, 4]))
+    gallery = gallery_of(np.array([[-1.0], [1.0]]), [9, 4])
     model = pnn_train(gallery, spread=1.0)
     scored = pnn_classify(model, np.array([[0.0]]))
     assert scored[0][0, 0] == pytest.approx(scored[0][0, 1])
@@ -163,15 +163,15 @@ def test_activations_match_closed_form():
 
 def test_rbf_residuals_monotone_nonincreasing():
     gallery = clustered_gallery(seed=11)
-    model = rbf_train(gallery, spread=1.5, max_centers=gallery.size)
-    assert model.residuals.size == gallery.size
+    model = rbf_train(gallery, spread=1.5, max_centers=len(gallery))
+    assert model.residuals.size == len(gallery)
     assert np.all(np.diff(model.residuals) <= 1e-9)
 
 
 def test_rbf_full_design_interpolates():
     # one center per training vector: n rows, n+1 free columns, exact fit
     gallery = clustered_gallery(seed=2, n_subjects=3, per_class=3)
-    model = rbf_train(gallery, spread=1.0, max_centers=gallery.size)
+    model = rbf_train(gallery, spread=1.0, max_centers=len(gallery))
     assert model.residuals[-1] < 1e-6
     assert decide(model, rbf_scores(model, gallery.matrix)) == gallery.labels.tolist()
 
@@ -286,7 +286,7 @@ def _frozen_rbf_train(gallery, spread, max_centers, tie_rule=False, dists=None):
         dists = _frozen_distances(x, x)
     all_acts = np.exp(-(dists * radbas_bias(spread)) ** 2)
     chosen = []
-    remaining = np.ones(gallery.size, dtype=bool)
+    remaining = np.ones(len(gallery), dtype=bool)
     weights, biases = _solve_linear(all_acts[:, []], targets)
     residuals = []
     tied_picks = 0
@@ -325,7 +325,7 @@ def assert_residuals_match(got, want):
 def orl_shaped_dct(orl_split):
     """DCT rect:10 gallery and probe block of the ORL-shaped synthetic corpus."""
     gal, probes = extract_split_features(orl_split, DCT, mask=ZonalMask.rectangular(10))
-    return Gallery(gal.matrix, gal.labels), probes.matrix
+    return gal, probes.matrix
 
 
 @pytest.mark.parametrize("spread,collapsed", [(20.0, False), (0.9, True)])
@@ -374,7 +374,7 @@ def test_rbf_dependent_columns_keep_minimum_norm_weights():
     base = clustered_gallery(seed=3, n_subjects=4, per_class=3)
     matrix = base.matrix.copy()
     matrix[5] = matrix[0]
-    gallery = Gallery(matrix=matrix, labels=base.labels)
+    gallery = gallery_of(matrix, base.labels)
     assert gallery.labels[0] != gallery.labels[5]
     model = rbf_train(gallery, spread=1.5, max_centers=8)
     chosen, weights, biases, residuals, _ = _frozen_rbf_train(
@@ -413,9 +413,9 @@ def test_gallery_distances_computed_once_and_read_only(monkeypatch):
     monkeypatch.setattr(common, "euclidean", counted)
     for spread in (0.5, 1.0, 2.0):
         rbf_train(gallery, spread, max_centers=4)
-    assert calls == [(gallery.size, gallery.dim)]
-    dists = gallery.normalized_distances()
-    assert dists is gallery.normalized_distances()
+    assert calls == [(len(gallery), gallery.dim)]
+    dists = gallery.normalized_distances
+    assert dists is gallery.normalized_distances
     z = gallery.normalized_matrix()
     assert np.abs(dists - cdist(z, z)).max() < 1e-12
     with pytest.raises(ValueError):
@@ -425,13 +425,13 @@ def test_gallery_distances_computed_once_and_read_only(monkeypatch):
 def test_rbf_train_memory_is_bounded(peak_bytes):
     # the (n, n, d) difference tensor alone would be 32 MB here
     rng = np.random.default_rng(0)
-    gallery = Gallery(rng.normal(size=(200, 100)), np.repeat(np.arange(1, 41), 5))
+    gallery = gallery_of(rng.normal(size=(200, 100)), np.repeat(np.arange(1, 41), 5))
     assert peak_bytes(rbf_train, gallery, 20.0) < 8e6
 
 
 def test_rbf_scores_memory_is_bounded(peak_bytes):
     rng = np.random.default_rng(1)
-    gallery = Gallery(rng.normal(size=(200, 100)), np.repeat(np.arange(1, 41), 5))
+    gallery = gallery_of(rng.normal(size=(200, 100)), np.repeat(np.arange(1, 41), 5))
     model = rbf_train(gallery, 20.0)
     probes = rng.normal(size=(200, 100))
     assert peak_bytes(rbf_scores, model, probes) < 4e6
@@ -444,7 +444,7 @@ def test_rbf_validation():
     with pytest.raises(ValueError, match="max_centers"):
         rbf_train(gallery, spread=1.0, max_centers=0)
     with pytest.raises(ValueError, match="max_centers"):
-        rbf_train(gallery, spread=1.0, max_centers=gallery.size + 1)
+        rbf_train(gallery, spread=1.0, max_centers=len(gallery) + 1)
 
 
 # ---------------------------------------------------------------------------

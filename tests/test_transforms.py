@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import idctn
 
+from faceid.classifiers import Features
 from faceid.dataset import split_first_k, synth_corpus
-from faceid.evaluation import extract_split_features
+from faceid.evaluation import extract_split_features, write_features_csv
 from faceid.transforms import (
-    DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, Features, ZonalMask,
-    mask_features, transform_corpus, write_features_csv,
+    DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, ZonalMask,
+    mask_features, transform_corpus,
 )
 
 from conftest import read_features_csv

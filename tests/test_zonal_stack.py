@@ -12,7 +12,7 @@ from scipy.fft import dctn
 from scipy.spatial.distance import cdist
 
 from faceid import cli, evaluation
-from faceid.classifiers import MAD, MSE, Gallery, nearest, nn_scores
+from faceid.classifiers import MAD, MSE, nearest, nn_scores
 from faceid.dataset import corpus_checksum, load_orl, load_pgm
 from faceid.eigenfaces import project, train_eigenbasis
 from faceid.evaluation import (
@@ -22,6 +22,8 @@ from faceid.transforms import (
     DCT, DFT, INTERLEAVE, KLT, LOGDFT, MODULUS, RECTANGULAR, SECTORIAL,
     ZonalMask, mask_features, transform_corpus, zone_keeps,
 )
+
+from conftest import gallery_of
 
 # ---------------------------------------------------------------------------
 # frozen copy of the per-image path: full transform of every image, the mask
@@ -89,7 +91,7 @@ def frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low):
         mask = (ZonalMask.rectangular(int(value)) if mask_shape == RECTANGULAR
                 else ZonalMask.sectorial(float(value)))
         gal = frozen_matrix(gal_coeffs, mask, complex_mode, r_low)
-        gallery = Gallery(gal, gal_labels)
+        gallery = gallery_of(gal, gal_labels)
         preds, _ = identify(["nn:mad"], gallery,
                             frozen_matrix(probe_coeffs, mask, complex_mode, r_low))
         rate = identification_rate(list(zip(probe_labels, preds)))
@@ -117,6 +119,7 @@ def assert_sweep_equal(split, kind, mask_shape, grid, complex_mode, r_low):
                              complex_mode=complex_mode, r_low=r_low)
     want = frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low)
     assert [(pt.param, pt.dim, pt.rate) for pt in points] == want
+    return points
 
 
 MASKS = [ZonalMask.rectangular(5), ZonalMask.sectorial(6.5)]
@@ -124,6 +127,8 @@ CONFIGS = [(kind, mode, r_low) for kind in (DCT, DFT, LOGDFT)
            for mode in (MODULUS, INTERLEAVE) for r_low in (0.0, 1.5)]
 # rect sides from 3 and radii from 2.5, so r_low 1.5 leaves every point a coefficient
 GRIDS = {RECTANGULAR: [3, 4, 7, 12, 20], SECTORIAL: [2.5, 3.0, 5.5, 9.0, 14.5]}
+# no coefficient lies at a radius in [4.5, 5.0): the step to 5.0 adds nothing
+EMPTY_STEP_GRID = [2.5, 4.5, 5.0, 5.5]
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +142,16 @@ def test_split_features_bit_equal_frozen_path(small_split, kind, complex_mode,
     assert_split_features_equal(small_split, kind, mask, complex_mode, r_low)
 
 
-@pytest.mark.parametrize("mask_shape", [RECTANGULAR, SECTORIAL])
+@pytest.mark.parametrize("mask_shape,grid", [
+    (RECTANGULAR, GRIDS[RECTANGULAR]), (SECTORIAL, GRIDS[SECTORIAL]),
+    (SECTORIAL, EMPTY_STEP_GRID),
+], ids=[RECTANGULAR, SECTORIAL, "sectorial-empty-step"])
 @pytest.mark.parametrize("kind,complex_mode,r_low", CONFIGS)
 def test_sweep_bit_equal_frozen_path(small_split, kind, complex_mode, r_low,
-                                     mask_shape):
-    assert_sweep_equal(small_split, kind, mask_shape, GRIDS[mask_shape],
-                       complex_mode, r_low)
+                                     mask_shape, grid):
+    points = assert_sweep_equal(small_split, kind, mask_shape, grid, complex_mode, r_low)
+    if grid is EMPTY_STEP_GRID:
+        assert (points[2].dim, points[2].rate) == (points[1].dim, points[1].rate)
 
 
 @pytest.mark.parametrize("kind,mask,complex_mode,r_low", [
@@ -315,12 +324,14 @@ def direct_features(split, kind, mask_shape, grid, complex_mode, r_low):
 
 
 def running_snapshots(monkeypatch):
-    """Copies of the sweep's running distance matrix after each point."""
+    """Copies of the sweep's running distance matrix after each band that
+    holds a column."""
     seen = []
 
-    def recording(*args, **kwargs):
-        scores = nn_scores(*args, **kwargs)
-        seen.append(kwargs["running"].copy())
+    def recording(probes, gallery, *args, **kwargs):
+        scores = nn_scores(probes, gallery, *args, **kwargs)
+        if gallery.dim:
+            seen.append(kwargs["running"].copy())
         return scores
 
     monkeypatch.setattr(evaluation, "nn_scores", recording)
@@ -331,7 +342,9 @@ RUNNING_CASES = (
     [(DFT, shape, GRIDS[shape], mode, r_low) for shape in (RECTANGULAR, SECTORIAL)
      for mode in (MODULUS, INTERLEAVE) for r_low in (0.0, 1.5)]
     + [(DCT, shape, GRIDS[shape], MODULUS, 1.5) for shape in (RECTANGULAR, SECTORIAL)]
-    + [(KLT, None, [2, 5, 9, 17], MODULUS, 0.0)])
+    + [(KLT, None, [2, 5, 9, 17], MODULUS, 0.0)]
+    + [(DFT, SECTORIAL, EMPTY_STEP_GRID, MODULUS, 0.0),
+       (DCT, SECTORIAL, EMPTY_STEP_GRID, MODULUS, 1.5)])
 
 
 @pytest.mark.parametrize("metric", [MAD, MSE])
@@ -343,12 +356,21 @@ def test_running_distances_match_direct_cdist(small_split, monkeypatch, metric, 
                              complex_mode=complex_mode, r_low=r_low)
     n = small_split.k * small_split.corpus.n_subjects
     wanted = direct_features(small_split, kind, mask_shape, grid, complex_mode, r_low)
-    assert len(seen) == len(wanted)
-    for pt, got, feats in zip(points, seen, wanted):
+    dims = [feats.shape[1] for feats in wanted]
+    # a step that adds no column takes no snapshot and repeats the point before it
+    grew = [dim > prev for dim, prev in zip(dims, [0, *dims])]
+    assert len(seen) == sum(grew) and len(points) == len(wanted)
+    snapshots = iter(seen)
+    for pt, prev, feats, step_grew in zip(points, [None, *points], wanted, grew):
+        assert pt.dim == feats.shape[1]
+        if not step_grew:
+            assert (pt.dim, pt.rate) == (prev.dim, prev.rate)
+            continue
         direct = cdist(feats[n:], feats[:n],
                        "cityblock" if metric == MAD else "sqeuclidean")
-        np.testing.assert_allclose(got, direct, rtol=1e-12, atol=0)
-        assert pt.dim == feats.shape[1]
+        np.testing.assert_allclose(next(snapshots), direct, rtol=1e-12, atol=0)
+    if grid is EMPTY_STEP_GRID:
+        assert grew == [True, True, False, True]
 
 
 @pytest.mark.parametrize("mask_shape", [RECTANGULAR, SECTORIAL])
