@@ -1,17 +1,11 @@
 """Identification back ends: nearest neighbor, MLP, PNN, and incremental RBF.
 
-Each back end scores a (k, d) probe block into a (k, S) score matrix plus
-its polarity; ``faceid.fusion`` turns one or more such matrices into
-decisions.
+Each back end scores a (k, d) probe block into a (k, S) score matrix in
+which higher is better; ``faceid.fusion`` turns one or more such matrices
+into decisions.
 """
 
-from .common import (
-    Features,
-    HIGHER,
-    LOWER,
-    STD_FLOOR,
-    make_targets,
-)
+from .common import Features, STD_FLOOR, make_targets
 from .nearest import MAD, MSE, METRICS, nn_scores
 from .mlp import (
     DivergenceError,
@@ -30,7 +24,7 @@ from .rbf import MAX_CENTERS, RBFModel, probes_at_bias, rbf_scores, rbf_train
 from .store import save_model
 
 __all__ = [
-    "Features", "HIGHER", "LOWER", "STD_FLOOR", "make_targets",
+    "Features", "STD_FLOOR", "make_targets",
     "MAD", "MSE", "METRICS", "nn_scores",
     "DivergenceError", "MLPConfig", "MLPModel",
     "mlp_scores", "mlp_train",

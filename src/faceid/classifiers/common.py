@@ -4,9 +4,10 @@ contract.
 Extraction produces one :class:`Features` matrix per split half, and the
 classifiers train on the gallery's. Every classifier scores a whole bare
 probe block ``P[k, d]`` at once, so no scorer sees the probes' labels, and
-returns a ``(k, S)`` score matrix plus its polarity (``HIGHER`` or ``LOWER``
-is better). Column j belongs to ``subject_ids[j]``, which are ascending, so
-the first best column of a row is the lowest subject id among tied subjects.
+returns a ``(k, S)`` score matrix in which a higher score is always better:
+nearest neighbor reports negated distances. Column j belongs to
+``subject_ids[j]``, which are ascending, so the first best column of a row is
+the lowest subject id among tied subjects.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-HIGHER = "higher"
-LOWER = "lower"
 
 STD_FLOOR = 1e-8
 
@@ -122,11 +120,11 @@ def probe_block(probes: np.ndarray, dim: int) -> np.ndarray:
     return block
 
 
-def finite_scores(scores: np.ndarray, polarity: str) -> tuple[np.ndarray, str]:
+def finite_scores(scores: np.ndarray) -> np.ndarray:
     """A scorer's (k, S) result, refused if any score is NaN or infinite."""
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must all be finite")
-    return scores, polarity
+    return scores
 
 
 def per_subject(values: np.ndarray, labels: np.ndarray, subject_ids: np.ndarray,

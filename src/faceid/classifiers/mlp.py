@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import Features, HIGHER, finite_scores, make_targets, probe_block
+from .common import Features, finite_scores, make_targets, probe_block
 
 SCG_SIGMA = 5e-5
 SCG_LAMBDA_INIT = 5e-7
@@ -265,13 +265,13 @@ def mlp_train(gallery: Features, config: MLPConfig | None = None) -> MLPModel:
                     config=cfg, curve=curve, stop_reason=reason, last_lambda=lam)
 
 
-def mlp_scores(model: MLPModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
+def mlp_scores(model: MLPModel, probes: np.ndarray) -> np.ndarray:
     """(k, S) tanh outputs in (-1, 1); the probes are z-scored here."""
     z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
     # one mat-vec per probe keeps the bits of a row-by-row `w @ a`
     a1 = np.tanh(np.matmul(model.w1, z[..., None])[..., 0] + model.b1)
     a2 = np.tanh(np.matmul(model.w2, a1[..., None])[..., 0] + model.b2)
-    return finite_scores(a2, HIGHER)
+    return finite_scores(a2)
 
 
 def write_training_log(curve: np.ndarray, path: str | Path) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import distance as _sdist
 
-from .common import Features, LOWER, finite_scores, per_subject, probe_block
+from .common import Features, finite_scores, per_subject, probe_block
 
 MAD = "mad"
 MSE = "mse"
@@ -14,8 +14,9 @@ METRICS = (MAD, MSE)
 
 
 def nn_scores(probes: np.ndarray, gallery: Features, metric: str = MAD,
-              running: np.ndarray | None = None) -> tuple[np.ndarray, str]:
-    """(k, S) per-subject minimum distances over raw (unnormalized) rows.
+              running: np.ndarray | None = None) -> np.ndarray:
+    """(k, S) negated per-subject minimum distances over raw (unnormalized)
+    rows, so that the nearest subject scores highest.
 
     Both metrics sum over coordinates, so the distances over a feature set
     are the sum of the distances over any partition of it into column bands.
@@ -34,5 +35,6 @@ def nn_scores(probes: np.ndarray, gallery: Features, metric: str = MAD,
                              f"{probes.shape[0]} probes x {len(gallery)} gallery rows")
         running += dists
         dists = running
-    return finite_scores(per_subject(dists, gallery.labels, gallery.subject_ids,
-                                     np.min), LOWER)
+    # negated after the minimum, so ``running`` keeps the distances themselves
+    return finite_scores(-per_subject(dists, gallery.labels, gallery.subject_ids,
+                                      np.min))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import distance as _sdist
 
-from .common import Features, HIGHER, finite_scores, per_subject, probe_block
+from .common import Features, finite_scores, per_subject, probe_block
 
 
 def radbas_bias(spread: float) -> float:
@@ -57,7 +57,7 @@ def pnn_train(gallery: Features, spread: float) -> PNNModel:
                     norm_mean=gallery.mean.copy(), norm_std=gallery.std.copy())
 
 
-def pnn_classify(model: PNNModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
+def pnn_classify(model: PNNModel, probes: np.ndarray) -> np.ndarray:
     """(k, S) class probabilities, each row summing to 1.
 
     A probe whose activations all underflow to zero degrades to a nearest
@@ -73,4 +73,4 @@ def pnn_classify(model: PNNModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
     if underflow.any():
         nearest = per_subject(dists[underflow], model.labels, model.subject_ids, np.min)
         probs[underflow] = np.eye(model.subject_ids.size)[np.argmin(nearest, axis=1)]
-    return finite_scores(probs, HIGHER)
+    return finite_scores(probs)

@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import (
-    Features, HIGHER, euclidean, finite_scores, make_targets, probe_block,
-)
+from .common import Features, euclidean, finite_scores, make_targets, probe_block
 from .pnn import radbas
 
 # candidates whose error lies within this fraction of the largest error are
@@ -150,17 +148,16 @@ def rbf_train(gallery: Features, spread: float, max_centers: int = MAX_CENTERS) 
                     residuals=np.array(residuals), tied_picks=tied_picks)
 
 
-def rbf_scores(model: RBFModel, probes: np.ndarray) -> tuple[np.ndarray, str]:
+def rbf_scores(model: RBFModel, probes: np.ndarray) -> np.ndarray:
     """(k, S) linear-layer outputs; the probes are z-scored here."""
     z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
     acts = _activations(z, model.centers, model.spread)
     # one mat-vec per probe keeps the bits of a row-by-row `weights @ a`
     outputs = np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
-    return finite_scores(outputs, HIGHER)
+    return finite_scores(outputs)
 
 
 def probes_at_bias(model: RBFModel, probes: np.ndarray) -> int:
     """How many probes get outputs that all equal the biases: every center's
     activation vanished against them, so rounding decides their arg-max."""
-    scores, _ = rbf_scores(model, probes)
-    return int(np.all(scores == model.biases, axis=1).sum())
+    return int(np.all(rbf_scores(model, probes) == model.biases, axis=1).sum())

@@ -26,7 +26,7 @@ from .transforms import (
 )
 from .eigenfaces import RankError
 from .classifiers import (
-    DivergenceError, Features, MLPModel, RBFModel, probes_at_bias, save_model,
+    DivergenceError, MLPModel, RBFModel, probes_at_bias, save_model,
     write_training_log,
 )
 from .evaluation import (
@@ -200,17 +200,16 @@ def make_eval_config(args: argparse.Namespace) -> EvalConfig:
     return EvalConfig(**{f.name: getattr(args, f.name) for f in fields(EvalConfig)})
 
 
-def build_features(args: argparse.Namespace, corpus: Corpus) -> tuple[Features, Features]:
-    """Resolve transform flags into gallery and probe features."""
-    split = split_first_k(corpus, args.train_k)
+def feature_options(args: argparse.Namespace) -> dict:
+    """The transform flags as ``extract_split_features`` keywords, checked
+    before any corpus is read."""
     if args.transform == KLT:
         if args.dim is None:
             raise ConfigError("--transform klt requires --dim")
-        return extract_split_features(split, KLT, dim=args.dim)
-    mask = parse_mask_spec(args.mask)
-    return extract_split_features(
-        split, args.transform, mask=mask, complex_mode=args.complex_mode,
-        r_low=args.r_low, log_offset=args.log_offset)
+        return {"kind": KLT, "dim": args.dim}
+    return {"kind": args.transform, "mask": parse_mask_spec(args.mask),
+            "complex_mode": args.complex_mode, "r_low": args.r_low,
+            "log_offset": args.log_offset}
 
 
 def prepare_out(args: argparse.Namespace) -> Path:
@@ -250,8 +249,9 @@ def emit_manifest(out: Path, command: str, args: argparse.Namespace,
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    options = feature_options(args)
     corpus = load_source(args)
-    gal, probes = build_features(args, corpus)
+    gal, probes = extract_split_features(split_first_k(corpus, args.train_k), **options)
     out = prepare_out(args)
     write_features_csv(gal, out / "gallery.csv")
     write_features_csv(probes, out / "probes.csv")
@@ -266,15 +266,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         parse_classifier_spec(args.classifier)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    options = feature_options(args)
     corpus = load_source(args)
-    gal, probes = build_features(args, corpus)
-    cfg = make_eval_config(args)
-    artifacts: dict = {}
-    result = run_experiment(args.classifier, gal, probes, cfg, artifacts=artifacts)
+    gal, probes = extract_split_features(split_first_k(corpus, args.train_k), **options)
+    result = run_experiment(args.classifier, gal, probes, make_eval_config(args))
     out = prepare_out(args)
     outputs = ["result.csv"]
     write_result_csv(result, out / "result.csv")
-    for name, model in artifacts.get("models", {}).items():
+    for name, model in result.models.items():
         stem = name.replace(":", "_")
         save_model(model, out / f"model_{stem}.npz")
         outputs.append(f"model_{stem}.npz")
@@ -289,8 +288,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"{name}: {model.n_centers} centers, {model.tied_picks} picked "
                   f"by the tie rule, final residual {model.residuals[-1]:.6g}, "
                   f"{at_bias}/{len(probes)} probes at the bias", file=sys.stderr)
-    if "fusion_rows" in artifacts:
-        write_fusion_report(artifacts["fusion_rows"], out / "fusion_report.csv")
+    if result.fusion_rows:
+        write_fusion_report(result.fusion_rows, out / "fusion_report.csv")
         outputs.append("fusion_report.csv")
     emit_manifest(out, "evaluate", args, corpus, outputs)
     print(f"identification rate: {result.rate:.1f}%")
@@ -298,26 +297,28 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    corpus = load_source(args)
     if args.axis == "dim":
-        split = split_first_k(corpus, args.train_k)
         shape = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
         # sector radii may be fractional; rect sides and KLT dims are integers
         parse = (parse_radius_grid if shape == SECTORIAL and args.transform != KLT
                  else parse_int_grid)
+        # without --grid, the default grid follows the corpus shape
         grid = parse(args.grid) if args.grid else None
         if grid is not None and len(grid) == 0:
             raise ConfigError("sweep grid is empty")
-        points = sweep_dimension(split, args.transform, shape, grid,
-                                 args.metric, complex_mode=args.complex_mode,
+        corpus = load_source(args)
+        points = sweep_dimension(split_first_k(corpus, args.train_k), args.transform,
+                                 shape, grid, args.metric, complex_mode=args.complex_mode,
                                  r_low=args.r_low, log_offset=args.log_offset)
     else:
         if args.classifier not in ("pnn", "rbf"):
             raise ConfigError("--axis spread requires --classifier pnn or rbf")
-        gal, probes = build_features(args, corpus)
+        options = feature_options(args)
         spreads = parse_float_grid(args.spreads) if args.spreads else list(SPREAD_GRID)
         if len(spreads) == 0:
             raise ConfigError("sweep grid is empty")
+        corpus = load_source(args)
+        gal, probes = extract_split_features(split_first_k(corpus, args.train_k), **options)
         points = sweep_spread(gal, probes, args.classifier, spreads,
                               make_eval_config(args))
     out = prepare_out(args)
@@ -330,10 +331,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    corpus = load_source(args)
     spreads = parse_float_grid(args.spreads) if args.spreads else list(SPREAD_GRID)
     if len(spreads) == 0:
         raise ConfigError("spread grid is empty")
+    corpus = load_source(args)
     rows = table1_report(corpus, make_eval_config(args),
                          rows_filter=args.rows, spreads=spreads)
     if not rows:

@@ -60,6 +60,8 @@ class ExperimentResult:
     pairs: list          # (true, predicted) per probe, in probe order
     probe_tags: list     # printable probe identifiers, aligned with pairs
     rate: float
+    models: dict         # trained model per learning classifier, by name
+    fusion_rows: list    # fused runs: (probe, true, predicted, top score)
 
 
 def identification_rate(pairs: Sequence[tuple[int, int]]) -> float:
@@ -162,72 +164,67 @@ class EvalConfig:
 
 
 def _member_scores(name: str, gallery: Features, probes: np.ndarray,
-                   cfg: EvalConfig, models: dict) -> tuple[np.ndarray, str]:
-    """Train one base classifier (if it learns) into ``models``, then score."""
+                   cfg: EvalConfig) -> tuple[np.ndarray, object | None]:
+    """Train one base classifier if it learns, then score the probes with it.
+    Returns (scores, trained model or None)."""
     if name in (NN_MAD, NN_MSE):
-        return nn_scores(probes, gallery, MAD if name == NN_MAD else MSE)
+        return nn_scores(probes, gallery, MAD if name == NN_MAD else MSE), None
     if name == MLP_NAME:
         model = mlp_train(gallery, MLPConfig(hidden=cfg.hidden, epochs=cfg.epochs,
                                              gamma=cfg.gamma, seed=cfg.seed))
-        models[name] = model
-        return mlp_scores(model, probes)
+        return mlp_scores(model, probes), model
     if name == PNN_NAME:
         model = pnn_train(gallery, cfg.spread)
-        models[name] = model
-        return pnn_classify(model, probes)
+        return pnn_classify(model, probes), model
     if name == RBF_NAME:
         model = rbf_train(gallery, cfg.spread, min(cfg.max_centers, len(gallery)))
-        models[name] = model
-        return rbf_scores(model, probes)
+        return rbf_scores(model, probes), model
     raise ValueError(f"unknown classifier spec {name!r}")
 
 
-def decide(member_scores: Sequence[tuple[np.ndarray, str]], subject_ids: np.ndarray,
+def decide(member_scores: Sequence[np.ndarray], subject_ids: np.ndarray,
            mode: str = MINMAX) -> tuple[np.ndarray, np.ndarray]:
     """The one decision rule: normalize each member's (k, S) scores row-wise,
     take their mean, and answer each probe's arg-max subject (lowest id on
     ties). Returns (predicted ids, fused matrix).
     """
-    return fuse_mean([normalize_scores(scores, polarity, mode)
-                      for scores, polarity in member_scores], subject_ids)
+    return fuse_mean([normalize_scores(scores, mode) for scores in member_scores],
+                     subject_ids)
 
 
 def identify(parts: Sequence[str], gallery: Features, probes: np.ndarray,
-             cfg: EvalConfig | None = None, models: dict | None = None,
-             ) -> tuple[np.ndarray, np.ndarray]:
+             cfg: EvalConfig | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
     """Score a probe block with each member classifier (training those that
-    learn) and :func:`decide`. Returns (predicted ids, fused matrix); trained
-    models land in ``models`` when given.
+    learn) and :func:`decide`. Returns (predicted ids, fused matrix, trained
+    models by classifier name).
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    models = models if models is not None else {}
-    return decide([_member_scores(name, gallery, probes, cfg, models) for name in parts],
-                  gallery.subject_ids, cfg.fusion_mode)
+    members = [_member_scores(name, gallery, probes, cfg) for name in parts]
+    preds, fused = decide([scores for scores, _ in members], gallery.subject_ids,
+                          cfg.fusion_mode)
+    models = {name: model for name, (_, model) in zip(parts, members) if model is not None}
+    return preds, fused, models
 
 
 def run_experiment(spec: str, gallery: Features, probes: Features,
-                   cfg: EvalConfig | None = None,
-                   artifacts: dict | None = None) -> ExperimentResult:
+                   cfg: EvalConfig | None = None) -> ExperimentResult:
     """Closed-set identification of every probe under one classifier spec.
 
-    When given a dict, ``artifacts`` receives the trained models keyed by
-    classifier name and, for fused runs, the per-probe fusion report rows.
+    The result carries the trained models and, for fused runs, the
+    per-probe fusion report rows.
     """
     cfg = cfg if cfg is not None else EvalConfig()
     parts = parse_classifier_spec(spec)
     tags = [f"s{label}_{sample}" for label, sample in
             zip(probes.labels.tolist(), probes.sample_ids.tolist())]
-    models: dict = {}
-    preds, fused = identify(parts, gallery, probes.matrix, cfg, models)
+    preds, fused, models = identify(parts, gallery, probes.matrix, cfg)
     truth = probes.labels.tolist()
-    if artifacts is not None:
-        artifacts["models"] = models
-        if len(parts) > 1:
-            artifacts["fusion_rows"] = [
-                (tag, true_id, int(pred), float(top))
-                for tag, true_id, pred, top in zip(tags, truth, preds, fused.max(axis=1))]
+    fusion_rows = [] if len(parts) == 1 else [
+        (tag, true_id, int(pred), float(top))
+        for tag, true_id, pred, top in zip(tags, truth, preds, fused.max(axis=1))]
     pairs = [(true_id, int(p)) for true_id, p in zip(truth, preds)]
-    return ExperimentResult(pairs=pairs, probe_tags=tags, rate=identification_rate(pairs))
+    return ExperimentResult(pairs=pairs, probe_tags=tags, rate=identification_rate(pairs),
+                            models=models, fusion_rows=fusion_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +336,8 @@ def sweep_spread(gallery: Features, probes: Features, classifier: str,
     truth = probes.labels.tolist()
     points = []
     for spread in spreads:
-        preds, _ = identify([classifier], gallery, probes.matrix,
-                            replace(base, spread=float(spread)))
+        preds, _, _ = identify([classifier], gallery, probes.matrix,
+                               replace(base, spread=float(spread)))
         rate = identification_rate(list(zip(truth, preds)))
         points.append(SweepPoint(param=float(spread), dim=gallery.dim, rate=rate))
     return points

@@ -1,11 +1,12 @@
 """Opinion fusion: rescale each classifier's score matrix and average them.
 
-Distances and network outputs live on incommensurable scales, so each
-classifier's (k, S) score matrix is first mapped, row by row, to a common
-similarity scale: min-max over the probe's own scores, after negating
-lower-is-better matrices. The fused opinion is the element-wise mean, and
-each probe's answer is its arg-max column, the lowest subject id on ties.
-A single classifier goes through the same rule. A z-score mode is kept for
+Every classifier scores higher-is-better (nearest neighbor negates its
+distances), but negated distances and network outputs live on
+incommensurable scales, so each classifier's (k, S) score matrix is first
+mapped, row by row, to a common similarity scale: min-max over the probe's
+own scores. The fused opinion is the element-wise mean, and each probe's
+answer is its arg-max column, the lowest subject id on ties. A single
+classifier goes through the same rule. A z-score mode is kept for
 sensitivity checks; its outputs are deliberately left unclamped since
 min-max applied after a z-score would reproduce plain min-max exactly.
 """
@@ -18,31 +19,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers.common import HIGHER, LOWER
-
 MINMAX = "minmax"
 ZSCORE = "zscore"
 
 MODES = (MINMAX, ZSCORE)
 
 
-def normalize_scores(scores: np.ndarray, polarity: str,
-                     mode: str = MINMAX) -> np.ndarray:
-    """Map one classifier's (k, S) scores onto the fusion scale, row by row.
+def normalize_scores(scores: np.ndarray, mode: str = MINMAX) -> np.ndarray:
+    """Map one classifier's higher-is-better (k, S) scores onto the fusion
+    scale, row by row.
 
-    Lower-is-better matrices are negated first. Min-max sends each probe's
-    worst subject to 0 and best to 1; a constant row carries no opinion and
-    maps to all 0.5 in either mode.
+    Min-max sends each probe's worst subject to 0 and best to 1; a constant
+    row carries no opinion and maps to all 0.5 in either mode.
     """
     vals = np.array(scores, dtype=np.float64)
     if vals.ndim != 2 or vals.shape[1] < 2:
         raise ValueError("normalization needs a (k, S) matrix of at least 2 subjects")
     if not np.all(np.isfinite(vals)):
         raise ValueError("raw scores must all be finite")
-    if polarity == LOWER:
-        vals = -vals
-    elif polarity != HIGHER:
-        raise ValueError(f"polarity must be {HIGHER!r} or {LOWER!r}")
     if mode == MINMAX:
         center = vals.min(axis=1, keepdims=True)
         scale = vals.max(axis=1, keepdims=True) - center

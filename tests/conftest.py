@@ -13,6 +13,7 @@ from faceid.classifiers import Features, MLPConfig, MLPModel, PNNModel, RBFModel
 from faceid.classifiers.store import FORMAT_VERSION, KIND_MLP, KIND_PNN, KIND_RBF
 from faceid.dataset import load_orl, split_first_k, synth_corpus, write_pgm
 from faceid.evaluation import extract_split_features
+from faceid.fusion import MINMAX, ZSCORE
 from faceid.transforms import DCT, ZonalMask
 
 ORL_ENV = "FACEID_ORL_DIR"
@@ -85,6 +86,38 @@ def peak_bytes():
         finally:
             tracemalloc.stop()
     return measure
+
+
+# Frozen copy of the score normalisation from when every scorer returned a
+# polarity with its matrix and nearest neighbor reported bare distances
+# (lower is better): the oracle the higher-is-better contract must match bit
+# for bit.
+FROZEN_HIGHER = "higher"
+FROZEN_LOWER = "lower"
+
+
+def frozen_normalize_scores(scores, polarity, mode=MINMAX):
+    vals = np.array(scores, dtype=np.float64)
+    if vals.ndim != 2 or vals.shape[1] < 2:
+        raise ValueError("normalization needs a (k, S) matrix of at least 2 subjects")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("raw scores must all be finite")
+    if polarity == FROZEN_LOWER:
+        vals = -vals
+    elif polarity != FROZEN_HIGHER:
+        raise ValueError(f"polarity must be {FROZEN_HIGHER!r} or {FROZEN_LOWER!r}")
+    if mode == MINMAX:
+        center = vals.min(axis=1, keepdims=True)
+        scale = vals.max(axis=1, keepdims=True) - center
+    elif mode == ZSCORE:
+        center = vals.mean(axis=1, keepdims=True)
+        scale = vals.std(axis=1, keepdims=True)
+    else:
+        raise ValueError(f"mode must be one of {(MINMAX, ZSCORE)}")
+    flat = scale[:, 0] == 0.0
+    scaled = (vals - center) / np.where(flat[:, None], 1.0, scale)
+    scaled[flat] = 0.5
+    return scaled
 
 
 def gallery_of(matrix, labels) -> Features:

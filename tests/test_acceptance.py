@@ -14,7 +14,7 @@ import pytest
 from scipy.fft import idctn
 
 from faceid.classifiers import (
-    HIGHER, MLPConfig, mlp_train, msereg_gradient,
+    MLPConfig, mlp_train, msereg_gradient,
     msereg_loss, pnn_classify, pnn_train, rbf_train,
 )
 from faceid.dataset import split_first_k, synth_corpus
@@ -213,7 +213,7 @@ def test_criterion_8_property_battery():
         model = pnn_train(gallery, spread=spread)
         probes = np.stack([gallery.matrix[j] + rng.normal(scale=0.05, size=gallery.dim)
                            for j in (0, 4, 7, 11)])
-        preds, _ = fuse_mean([normalize_scores(*pnn_classify(model, probes))],
+        preds, _ = fuse_mean([normalize_scores(pnn_classify(model, probes))],
                              model.subject_ids)
         for probe, pred in zip(probes, preds):
             z = (probe - gallery.mean) / gallery.std
@@ -228,7 +228,7 @@ def test_criterion_8_property_battery():
     for _ in range(10):
         mats = rng.random((3, 5))
         mats[:, 2] = 2.0  # subject 3 dominates every opinion
-        opinions = [normalize_scores(s[None, :], HIGHER) for s in mats]
+        opinions = [normalize_scores(s[None, :]) for s in mats]
         preds, _ = fuse_mean(opinions, np.arange(1, 6))
         assert preds.tolist() == [3]
 

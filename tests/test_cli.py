@@ -271,14 +271,24 @@ def test_evaluate_fusion_writes_report(tmp_path):
 
 
 def test_evaluate_reruns_are_byte_identical(tmp_path):
-    out = tmp_path / "out"
-    argv = ["evaluate", "--synth", SYNTH, "--classifier", "pnn",
-            "--spread", "1.0", "--out", str(out)]
-    assert run(argv) == 0
-    first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert run(argv) == 0
-    second = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert first == second
+    # every command, a fused evaluation with its report, both sweep axes and
+    # the table: a second run rewrites each output file with the same bytes
+    runs = [
+        ["evaluate", "--classifier", "pnn", "--spread", "1.0"],
+        ["evaluate", "--classifier", "fusion:rbf+nn:mad", "--spread", "2.0"],
+        ["sweep", "--axis", "dim", "--grid", "1:5"],
+        ["sweep", "--axis", "spread", "--classifier", "rbf", "--spreads", "0.5,1.0,2.0"],
+        ["table1", "--epochs", "20", "--spreads", "0.5,2.0"],
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / str(i)
+        argv = [*argv, "--synth", SYNTH, "--out", str(out)]
+        assert run(argv) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(argv) == 0
+        second = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert first == second, argv
+    assert (tmp_path / "1" / "fusion_report.csv").exists()
 
 
 def test_config_file_precedence(tmp_path):
@@ -459,6 +469,25 @@ def test_unknown_classifier_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown classifier" in err
     assert "usage:" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--axis", "spread", "--classifier", "nn:mad"], "pnn or rbf"),
+    (["extract", "--transform", "klt"], "--transform klt requires --dim"),
+    (["evaluate", "--mask", "bogus"], "bad mask spec 'bogus'"),
+    (["table1", "--spreads", "2:1:0.5"], "spread grid is empty"),
+    (["sweep", "--axis", "dim", "--grid", "2.5,3.5"], "bad grid"),
+], ids=["spread-classifier", "klt-dim", "mask", "table1-spreads", "dim-grid"])
+def test_option_errors_are_refused_before_the_corpus_is_read(tmp_path, capsys,
+                                                             argv, message):
+    # the --data tree does not exist, so a run that read the corpus first
+    # would stop on the data error (exit 3) instead
+    out = tmp_path / "out"
+    code = run([*argv, "--data", str(tmp_path / "missing"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "missing file" not in err
+    assert not out.exists()
 
 
 def test_missing_files_is_data_error(pgm_tree, tmp_path, capsys):

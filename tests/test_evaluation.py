@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from faceid.classifiers import (
-    HIGHER, MAD, MSE, Features, MLPModel, mlp_scores, nn_scores,
+    MAD, MSE, Features, MLPModel, mlp_scores, nn_scores,
     pnn_classify, rbf_scores,
 )
 from faceid.dataset import split_first_k, synth_corpus
@@ -99,13 +99,14 @@ def test_single_member_decision_matches_raw_arg_best(dct_features):
     cfg = EvalConfig(spread=2.0, max_centers=12, epochs=30, hidden=5)
     scorers = {"mlp": mlp_scores, "pnn": pnn_classify, "rbf": rbf_scores}
     for spec in ("nn:mad", "nn:mse", "mlp", "pnn", "rbf"):
-        models = {}
-        preds, _ = identify([spec], gallery, block, cfg, models)
+        preds, _, models = identify([spec], gallery, block, cfg)
+        # nearest neighbor trains nothing
+        assert list(models) == ([spec] if spec in scorers else [])
         if spec in scorers:
-            scores, polarity = scorers[spec](models[spec], block)
+            scores = scorers[spec](models[spec], block)
         else:
-            scores, polarity = nn_scores(block, gallery, spec[len("nn:"):])
-        best = np.argmax(scores, axis=1) if polarity == HIGHER else np.argmin(scores, axis=1)
+            scores = nn_scores(block, gallery, spec[len("nn:"):])
+        best = np.argmax(scores, axis=1)
         assert preds.tolist() == gallery.subject_ids[best].tolist()
         result = run_experiment(spec, gallery, probes, cfg)
         assert [p for _, p in result.pairs] == preds.tolist()
@@ -122,10 +123,9 @@ def test_nonfinite_scores_fail_the_experiment(dct_features):
 def test_fusion_experiment_artifacts(dct_features):
     gal, probes = dct_features
     cfg = EvalConfig(spread=2.0, max_centers=12)
-    artifacts = {}
-    result = run_experiment("fusion:rbf+nn:mad", gal, probes, cfg, artifacts=artifacts)
-    assert set(artifacts["models"]) == {"rbf"}  # nn trains nothing
-    rows = artifacts["fusion_rows"]
+    result = run_experiment("fusion:rbf+nn:mad", gal, probes, cfg)
+    assert set(result.models) == {"rbf"}  # nn trains nothing
+    rows = result.fusion_rows
     assert len(rows) == len(probes)
     tag, true_id, pred_id, fused = rows[0]
     assert (true_id, pred_id) == result.pairs[0]
@@ -136,10 +136,9 @@ def test_fusion_experiment_artifacts(dct_features):
 def test_single_model_experiment_artifacts(dct_features):
     gal, probes = dct_features
     cfg = EvalConfig(epochs=40, hidden=6)
-    artifacts = {}
-    run_experiment("mlp", gal, probes, cfg, artifacts=artifacts)
-    assert isinstance(artifacts["models"]["mlp"], MLPModel)
-    assert "fusion_rows" not in artifacts  # only fused runs report opinions
+    result = run_experiment("mlp", gal, probes, cfg)
+    assert isinstance(result.models["mlp"], MLPModel)
+    assert result.fusion_rows == []  # only fused runs report opinions
 
 
 def test_experiment_requires_probe_labels(dct_features):

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faceid.classifiers import HIGHER, LOWER
 from faceid.fusion import (
     MINMAX, ZSCORE, fuse_mean, normalize_scores, write_fusion_report,
 )
+
+from conftest import FROZEN_HIGHER, FROZEN_LOWER, frozen_normalize_scores
 
 
 def ids(n):
     return np.arange(1, n + 1)
 
 
-def row(scores, polarity=HIGHER, mode=MINMAX):
+def row(scores, mode=MINMAX):
     """One probe's scores, normalized as a 1-row matrix."""
-    return normalize_scores(np.array([scores], dtype=float), polarity, mode)
+    return normalize_scores(np.array([scores], dtype=float), mode)
 
 
 def winner(opinions):
@@ -26,13 +27,17 @@ def winner(opinions):
 
 
 def test_lower_is_better_flips_to_higher():
-    norm = row([0.0, 10.0], polarity=LOWER)
+    # a distance enters negated, so the nearest subject maps to 1, exactly
+    # as the distance itself did under the lower-is-better polarity
+    distances = np.array([[0.0, 10.0]])
+    norm = normalize_scores(-distances)
     assert norm[0] == pytest.approx([1.0, 0.0])
+    assert np.array_equal(norm, frozen_normalize_scores(distances, FROZEN_LOWER))
     assert winner([norm]) == [1]
 
 
 def test_constant_scores_become_half():
-    norm = normalize_scores(np.array([[0.2, 0.2, 0.2], [0.0, 1.0, 0.5]]), HIGHER)
+    norm = normalize_scores(np.array([[0.2, 0.2, 0.2], [0.0, 1.0, 0.5]]))
     assert np.array_equal(norm[0], [0.5, 0.5, 0.5])  # only the flat row
     assert np.array_equal(norm[1], [0.0, 1.0, 0.5])
 
@@ -43,17 +48,18 @@ def test_minmax_three_point_example():
 
 def test_rowwise_normalization_matches_per_row_loop():
     # the batch result equals normalizing every probe on its own, bit for bit,
-    # and a naive per-row formula
+    # the frozen polarity-aware path, and a naive per-row formula; negated
+    # scores stand for distances
     rng = np.random.default_rng(4)
     scores = rng.normal(size=(9, 7))
     scores[3] = 1.25  # a flat row
-    for polarity in (HIGHER, LOWER):
-        vals = scores if polarity == HIGHER else -scores
+    for polarity in (FROZEN_HIGHER, FROZEN_LOWER):
+        vals = scores if polarity == FROZEN_HIGHER else -scores
         for mode in (MINMAX, ZSCORE):
-            batch = normalize_scores(scores, polarity, mode)
-            singles = np.vstack([normalize_scores(r[None, :], polarity, mode)
-                                 for r in scores])
+            batch = normalize_scores(vals, mode)
+            singles = np.vstack([normalize_scores(r[None, :], mode) for r in vals])
             assert np.array_equal(batch, singles)
+            assert np.array_equal(batch, frozen_normalize_scores(scores, polarity, mode))
             for got, v in zip(batch, vals):
                 if v.max() == v.min():
                     want = [0.5] * v.size
@@ -67,13 +73,12 @@ def test_rowwise_normalization_matches_per_row_loop():
 
 
 @settings(max_examples=60)
-@given(st.lists(st.integers(-400, 400), min_size=2, max_size=12, unique=True),
-       st.sampled_from([HIGHER, LOWER]))
-def test_normalization_preserves_the_winner(values, polarity):
+@given(st.lists(st.integers(-400, 400), min_size=2, max_size=12, unique=True))
+def test_normalization_preserves_the_winner(values):
     # integer grid: gaps stay resolvable after the affine rescale
     scores = np.array([v * 0.25 for v in values])
-    raw_best = np.argmax(scores) if polarity == HIGHER else np.argmin(scores)
-    norm = row(scores, polarity)
+    raw_best = np.argmax(scores)
+    norm = row(scores)
     assert winner([norm]) == [raw_best + 1]
     assert norm.min() == 0.0 and norm.max() == 1.0
 
@@ -84,9 +89,10 @@ def test_exact_ties_go_to_lowest_subject_id():
                     [0.7, 0.2, 0.7, 0.7],    # three-way tie including column 0
                     [0.4, 0.4, 0.4, 0.4],    # flat: every subject tied
                     [0.1, 0.2, 0.3, 0.3]])   # tie in the last two columns
-    preds, _ = fuse_mean([normalize_scores(raw, HIGHER)], subject_ids)
+    preds, _ = fuse_mean([normalize_scores(raw)], subject_ids)
     assert preds.tolist() == [5, 3, 3, 8]
-    preds, _ = fuse_mean([normalize_scores(-raw, LOWER)], subject_ids)
+    # the same ties as distances, negated
+    preds, _ = fuse_mean([normalize_scores(-(1.0 - raw))], subject_ids)
     assert preds.tolist() == [5, 3, 3, 8]
 
 
@@ -95,7 +101,7 @@ def test_nonfinite_scores_are_refused():
         scores = np.array([[0.1, 0.2, 0.3], [0.4, bad, 0.6]])
         for mode in (MINMAX, ZSCORE):
             with pytest.raises(ValueError, match="finite"):
-                normalize_scores(scores, HIGHER, mode)
+                normalize_scores(scores, mode)
 
 
 def test_zscore_mode_is_unbounded():
@@ -108,15 +114,15 @@ def test_zscore_mode_is_unbounded():
 
 def test_normalize_validation():
     with pytest.raises(ValueError, match="2 subjects"):
-        normalize_scores(np.array([[1.0]]), HIGHER)
+        normalize_scores(np.array([[1.0]]))
     with pytest.raises(ValueError, match="mode"):
         row([1.0, 2.0], mode="rank")
 
 
 def test_fuse_mean_is_elementwise_average():
-    a = normalize_scores(np.array([[0.0, 1.0, 0.5], [2.0, 1.0, 0.0]]), HIGHER)
-    # lower is better: (1, 0, 0.5) flips to (0, 1, 0.5)
-    b = normalize_scores(np.array([[1.0, 0.0, 0.5], [0.0, 3.0, 1.0]]), LOWER)
+    a = normalize_scores(np.array([[0.0, 1.0, 0.5], [2.0, 1.0, 0.0]]))
+    # negated distances: (1, 0, 0.5) becomes (0, 1, 0.5)
+    b = normalize_scores(-np.array([[1.0, 0.0, 0.5], [0.0, 3.0, 1.0]]))
     preds, fused = fuse_mean([a, b], ids(3))
     assert fused == pytest.approx((a + b) / 2)
     assert preds.tolist() == (np.argmax(fused, axis=1) + 1).tolist()
@@ -124,13 +130,13 @@ def test_fuse_mean_is_elementwise_average():
 
 def test_fused_scores_stay_in_unit_interval():
     rng = np.random.default_rng(0)
-    opinions = [normalize_scores(rng.normal(size=(20, 6)), HIGHER) for _ in range(3)]
+    opinions = [normalize_scores(rng.normal(size=(20, 6))) for _ in range(3)]
     _, fused = fuse_mean(opinions, ids(6))
     assert np.all(fused >= 0.0) and np.all(fused <= 1.0)
 
 
 def test_fusion_single_set_is_identity():
-    a = normalize_scores(np.array([[0.3, 0.9, 0.1], [0.8, 0.2, 0.5]]), HIGHER)
+    a = normalize_scores(np.array([[0.3, 0.9, 0.1], [0.8, 0.2, 0.5]]))
     preds, fused = fuse_mean([a], ids(3))
     assert np.array_equal(fused, a)
     assert preds.tolist() == [2, 1]
@@ -179,7 +185,7 @@ def test_normalized_set_validation():
         fuse_mean([a], np.array([4, 4]))
     # a probe block is 2-D: one row per probe
     with pytest.raises(ValueError, match=r"\(k, S\)"):
-        normalize_scores(np.array([0.1, 0.2]), HIGHER)
+        normalize_scores(np.array([0.1, 0.2]))
 
 
 def test_fusion_report_csv(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from faceid.classifiers import (
-    HIGHER, DivergenceError, MLPConfig, MLPModel, make_targets,
+    DivergenceError, MLPConfig, MLPModel, make_targets,
     mlp_scores, mlp_train, msereg_gradient,
     msereg_loss, pack_params, save_model, unpack_params, write_training_log,
 )
@@ -20,7 +20,7 @@ from conftest import gallery_of, read_model
 
 
 def mlp_predict(model, probes):
-    preds, _ = fuse_mean([normalize_scores(*mlp_scores(model, probes))],
+    preds, _ = fuse_mean([normalize_scores(mlp_scores(model, probes))],
                          model.subject_ids)
     return preds.tolist()
 
@@ -276,7 +276,7 @@ def test_training_is_deterministic_per_seed():
 def test_trained_model_separates_genuine_from_impostor():
     gallery = separable_gallery()
     model = mlp_train(gallery, MLPConfig(hidden=8, epochs=400, seed=0))
-    scores, _ = mlp_scores(model, gallery.matrix)
+    scores = mlp_scores(model, gallery.matrix)
     assert mlp_predict(model, gallery.matrix) == gallery.labels.tolist()
     for row, label in zip(scores, gallery.labels):
         own = row[list(model.subject_ids).index(label)]
@@ -287,8 +287,7 @@ def test_trained_model_separates_genuine_from_impostor():
 def test_scores_polarity_and_range():
     gallery = separable_gallery()
     model = mlp_train(gallery, MLPConfig(hidden=4, epochs=30, seed=0))
-    scores, polarity = mlp_scores(model, gallery.matrix[:3])
-    assert polarity == HIGHER
+    scores = mlp_scores(model, gallery.matrix[:3])
     assert scores.shape == (3, len(model.subject_ids))
     assert np.all(np.abs(scores) < 1.0)  # tanh outputs
     with pytest.raises(ValueError, match="dim"):
@@ -302,7 +301,7 @@ def test_batch_scores_bit_equal_row_loop():
     gallery = separable_gallery()
     model = mlp_train(gallery, MLPConfig(hidden=7, epochs=50, seed=2))
     probes = np.random.default_rng(8).normal(size=(13, gallery.dim))
-    batch, _ = mlp_scores(model, probes)
+    batch = mlp_scores(model, probes)
     loop = []
     for probe in probes:
         z = (probe - model.norm_mean) / model.norm_std
@@ -319,7 +318,7 @@ def test_zero_weight_model_outputs_bias_only():
         norm_mean=np.zeros(3), norm_std=np.ones(3),
         config=MLPConfig(hidden=4, epochs=1),
     )
-    scores, _ = mlp_scores(model, np.array([[9.0, -2.0, 4.0]]))
+    scores = mlp_scores(model, np.array([[9.0, -2.0, 4.0]]))
     assert scores[0] == pytest.approx(np.tanh([0.3, -0.2]))
     assert mlp_predict(model, np.zeros((1, 3))) == [1]
 

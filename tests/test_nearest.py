@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
-from faceid.classifiers import LOWER, MAD, MSE, nn_scores
+from faceid.classifiers import MAD, MSE, nn_scores
 from faceid.evaluation import identify
-from faceid.fusion import normalize_scores
+from faceid.fusion import MINMAX, ZSCORE, normalize_scores
 
-from conftest import gallery_of
+from conftest import FROZEN_LOWER, frozen_normalize_scores, gallery_of
 
 
 def make_gallery(matrix, labels):
@@ -29,14 +30,15 @@ def mse_dist(x, y):
 
 
 def pair_distance(x, y, metric):
-    """nn_scores between one probe and a one-row gallery."""
+    """The distance behind nn_scores (its negated score) between one probe
+    and a one-row gallery."""
     gallery = make_gallery([y], [1])
-    return nn_scores(np.asarray(x, dtype=float)[None, :], gallery, metric)[0][0, 0]
+    return -nn_scores(np.asarray(x, dtype=float)[None, :], gallery, metric)[0, 0]
 
 
 def nn_predict(probes, gallery, metric):
     """Decisions for a probe block under the single decision rule."""
-    preds, _ = identify([f"nn:{metric}"], gallery, np.atleast_2d(probes))
+    preds, _, _ = identify([f"nn:{metric}"], gallery, np.atleast_2d(probes))
     return preds.tolist()
 
 
@@ -75,25 +77,25 @@ def test_metrics_match_loop_oracle(x, y):
 def test_nn_classify_exact_match():
     gallery = make_gallery([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [1, 2, 3])
     for metric in (MAD, MSE):
-        scores, polarity = nn_scores(np.array([[10.0, 0.0]]), gallery, metric)
+        scores = nn_scores(np.array([[10.0, 0.0]]), gallery, metric)
         assert scores.shape == (1, 3)
-        assert polarity == LOWER
         assert scores[0, 1] == 0.0
+        assert np.all(scores[0, [0, 2]] < 0.0)  # farther subjects score lower
         assert nn_predict([10.0, 0.0], gallery, metric) == [2]
 
 
 def test_nn_scores_per_subject_minimum():
     # subject 1 has two templates; the score keeps the closer one
     gallery = make_gallery([[0.0], [4.0], [10.0]], [1, 1, 2])
-    scores, _ = nn_scores(np.array([[3.0], [9.0]]), gallery, MAD)
+    scores = nn_scores(np.array([[3.0], [9.0]]), gallery, MAD)
     assert gallery.subject_ids.tolist() == [1, 2]
-    assert scores[0] == pytest.approx([1.0, 7.0])  # min(3, 1)
-    assert scores[1] == pytest.approx([5.0, 1.0])  # min(9, 5)
+    assert scores[0] == pytest.approx([-1.0, -7.0])  # -min(3, 1)
+    assert scores[1] == pytest.approx([-5.0, -1.0])  # -min(9, 5)
 
 
 def test_nn_tie_goes_to_lowest_subject_id():
     gallery = make_gallery([[1.0], [-1.0]], [7, 3])
-    scores, _ = nn_scores(np.array([[0.0]]), gallery, MAD)
+    scores = nn_scores(np.array([[0.0]]), gallery, MAD)
     assert scores[0, 0] == scores[0, 1]  # an exact tie
     assert nn_predict([0.0], gallery, MAD) == [3]
 
@@ -129,12 +131,12 @@ def test_random_probe_matches_exhaustive_search(seed):
     gallery = make_gallery(matrix, labels)
     probes = rng.normal(size=(3, 100))
     for metric, fn in ((MAD, mad), (MSE, mse_dist)):
-        scores, _ = nn_scores(probes, gallery, metric)
+        scores = nn_scores(probes, gallery, metric)
         preds = nn_predict(probes, gallery, metric)
         for probe, row, pred in zip(probes, scores, preds):
             dists = [fn(probe, gal_row) for gal_row in matrix]
             assert pred == labels[int(np.argmin(dists))]
-            assert row[pred - 1] == pytest.approx(min(dists))
+            assert row[pred - 1] == pytest.approx(-min(dists))
 
 
 def test_prediction_invariant_to_common_scaling():
@@ -155,19 +157,34 @@ def test_batch_matches_single():
     gallery = make_gallery(matrix, np.repeat(np.arange(1, 6), 2))
     probes = rng.normal(size=(7, 30))
     for metric, fn in ((MAD, mad), (MSE, mse_dist)):
-        batch, _ = nn_scores(probes, gallery, metric)
-        singles = np.vstack([nn_scores(p[None, :], gallery, metric)[0] for p in probes])
+        batch = nn_scores(probes, gallery, metric)
+        singles = np.vstack([nn_scores(p[None, :], gallery, metric) for p in probes])
         assert np.array_equal(batch, singles)
         naive = [[min(fn(p, r) for r, lab in zip(matrix, gallery.labels) if lab == sid)
                   for sid in gallery.subject_ids] for p in probes]
-        assert batch == pytest.approx(np.array(naive), rel=1e-12)
+        assert batch == pytest.approx(-np.array(naive), rel=1e-12)
         assert nn_predict(probes, gallery, metric) == [
             int(gallery.subject_ids[np.argmin(row)]) for row in naive]
 
 
-def test_best_subject_requires_consistent_polarity():
-    with pytest.raises(ValueError, match="polarity"):
-        normalize_scores(np.array([[1.0, 2.0]]), "sideways")
+def test_negated_scores_normalize_as_the_distances_did():
+    # the scores are the exact negation of the per-subject minimum distances,
+    # and normalise bit for bit as those distances did when they travelled
+    # with a lower-is-better polarity
+    rng = np.random.default_rng(12)
+    matrix = rng.normal(size=(15, 40))
+    gallery = make_gallery(matrix, np.repeat(np.arange(1, 6), 3))
+    probes = rng.normal(size=(9, 40))
+    probes[4] = matrix[7]  # a zero distance
+    for metric, name in ((MAD, "cityblock"), (MSE, "sqeuclidean")):
+        dists = cdist(probes, matrix, name)
+        nearest = np.stack([dists[:, gallery.labels == sid].min(axis=1)
+                            for sid in gallery.subject_ids], axis=1)
+        scores = nn_scores(probes, gallery, metric)
+        assert np.array_equal(scores, -nearest)
+        for mode in (MINMAX, ZSCORE):
+            assert np.array_equal(normalize_scores(scores, mode),
+                                  frozen_normalize_scores(nearest, FROZEN_LOWER, mode))
 
 
 def test_nonfinite_scores_rejected():

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
-    HIGHER, MLPConfig, PNNModel, RBFModel, make_targets,
+    MLPConfig, PNNModel, RBFModel, make_targets,
     mlp_train, pnn_classify, pnn_train, probes_at_bias, radbas_bias, rbf_scores,
     rbf_train, save_model,
 )
@@ -31,9 +31,9 @@ def clustered_gallery(seed=5, n_subjects=4, per_class=3, dim=6, noise=0.3):
     return gallery_of(np.stack(rows), labels)
 
 
-def decide(model, scored):
-    """Per-probe decisions from a scorer's (scores, polarity) result."""
-    preds, _ = fuse_mean([normalize_scores(*scored)], model.subject_ids)
+def decide(model, scores):
+    """Per-probe decisions from a scorer's (k, S) scores."""
+    preds, _ = fuse_mean([normalize_scores(scores)], model.subject_ids)
     return preds.tolist()
 
 
@@ -54,17 +54,16 @@ def test_pnn_probabilities_hand_computed():
     # With spread 1 the activations are 2^(-d^2): [1, 1/16].
     gallery = gallery_of(np.array([[0.0], [2.0]]), [1, 2])
     model = pnn_train(gallery, spread=1.0)
-    scores, polarity = pnn_classify(model, np.array([[0.0]]))
+    scores = pnn_classify(model, np.array([[0.0]]))
     assert scores[0] == pytest.approx([16 / 17, 1 / 17])
-    assert polarity == HIGHER
-    assert decide(model, (scores, polarity)) == [1]
+    assert decide(model, scores) == [1]
 
 
 def test_pnn_scores_are_probabilities():
     gallery = clustered_gallery()
     model = pnn_train(gallery, spread=2.0)
     rng = np.random.default_rng(0)
-    scores, _ = pnn_classify(model, rng.normal(scale=3.0, size=(5, gallery.dim)))
+    scores = pnn_classify(model, rng.normal(scale=3.0, size=(5, gallery.dim)))
     assert scores.shape == (5, gallery.subject_ids.size)
     assert scores.sum(axis=1) == pytest.approx(np.ones(5))
     assert np.all(scores >= 0) and np.all(scores <= 1)
@@ -94,7 +93,7 @@ def test_pnn_total_underflow_falls_back_to_one_hot():
     gallery = gallery_of(np.array([[0.0], [1.0]]), [1, 2])
     model = pnn_train(gallery, spread=1e-8)
     scored = pnn_classify(model, np.array([[0.1], [0.9]]))
-    assert np.array_equal(scored[0], [[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(scored, [[1.0, 0.0], [0.0, 1.0]])
     assert decide(model, scored) == [1, 2]
 
 
@@ -102,7 +101,7 @@ def test_pnn_underflow_fallback_is_per_probe():
     # one probe halfway between the centers (live), one far away (underflow)
     gallery = gallery_of(np.array([[0.0], [1.0]]), [1, 2])
     model = pnn_train(gallery, spread=1.0)
-    scores, _ = pnn_classify(model, np.array([[0.5], [200.0]]))
+    scores = pnn_classify(model, np.array([[0.5], [200.0]]))
     assert np.array_equal(scores[0], [0.5, 0.5])
     assert np.array_equal(scores[1], [0.0, 1.0])
 
@@ -113,7 +112,7 @@ def test_pnn_batch_matches_per_probe_loop():
     model = pnn_train(gallery, spread=1.3)
     rng = np.random.default_rng(3)
     probes = rng.normal(scale=3.0, size=(8, gallery.dim))
-    scores, _ = pnn_classify(model, probes)
+    scores = pnn_classify(model, probes)
     b = radbas_bias(1.3)
     for probe, got in zip(probes, scores):
         z = (probe - gallery.mean) / gallery.std
@@ -130,7 +129,7 @@ def test_pnn_equidistant_tie_takes_lowest_id():
     gallery = gallery_of(np.array([[-1.0], [1.0]]), [9, 4])
     model = pnn_train(gallery, spread=1.0)
     scored = pnn_classify(model, np.array([[0.0]]))
-    assert scored[0][0, 0] == pytest.approx(scored[0][0, 1])
+    assert scored[0, 0] == pytest.approx(scored[0, 1])
     assert decide(model, scored) == [4]
 
 
@@ -224,15 +223,14 @@ def test_rbf_zero_weights_score_is_bias():
                      weights=np.zeros((2, 2)), biases=np.array([0.7, -0.1]),
                      subject_ids=np.array([1, 2]),
                      norm_mean=np.zeros(3), norm_std=np.ones(3))
-    scores, polarity = rbf_scores(model, np.array([[5.0, 5.0, 5.0], [0.0, 1.0, 2.0]]))
+    scores = rbf_scores(model, np.array([[5.0, 5.0, 5.0], [0.0, 1.0, 2.0]]))
     assert np.array_equal(scores, [[0.7, -0.1], [0.7, -0.1]])
-    assert polarity == HIGHER
 
 
 def test_rbf_scores_match_manual_forward_pass():
     gallery = clustered_gallery(seed=6)
     model = rbf_train(gallery, spread=1.0, max_centers=5)
-    got, _ = rbf_scores(model, gallery.matrix)
+    got = rbf_scores(model, gallery.matrix)
     for probe, row in zip(gallery.matrix, got):
         z = (probe - model.norm_mean) / model.norm_std
         acts = np.exp(-(np.linalg.norm(model.centers - z, axis=1) * radbas_bias(1.0)) ** 2)
@@ -247,7 +245,7 @@ def test_rbf_batch_scores_bit_equal_row_loop():
     probes = np.random.default_rng(5).normal(scale=3.0, size=(17, gallery.dim))
     for spread in (0.3, 1.0, 4.0):
         model = rbf_train(gallery, spread=spread, max_centers=12)
-        batch, _ = rbf_scores(model, probes)
+        batch = rbf_scores(model, probes)
         z = (probes - model.norm_mean) / model.norm_std
         loop = np.stack([
             model.weights @ _activations(zi[None, :], model.centers, spread)[0]
@@ -340,7 +338,7 @@ def test_rbf_bit_equal_frozen_kernels(orl_shaped_dct, spread, collapsed):
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.biases, biases)
     assert_residuals_match(model.residuals, residuals)
-    scores, _ = rbf_scores(model, probes)
+    scores = rbf_scores(model, probes)
     frozen = _frozen_rbf_scores(model, probes)
     assert np.array_equal(scores, frozen)
     # spread 0.9 is the collapse of ROADMAP aim 3: every output is the bias
@@ -364,7 +362,7 @@ def test_rbf_growth_matches_lstsq_oracle_over_spreads(orl_shaped_dct):
         assert model.tied_picks == tied_picks, spread
         assert_residuals_match(model.residuals, residuals)
         oracle = replace(model, weights=weights, biases=biases)
-        assert np.array_equal(rbf_scores(model, probes)[0],
+        assert np.array_equal(rbf_scores(model, probes),
                               _frozen_rbf_scores(oracle, probes)), spread
 
 
@@ -512,4 +510,4 @@ def test_loaded_models_predict_identically(tmp_path):
         save_model(trained, tmp_path / fname)
         loaded = read_model(tmp_path / fname)
         score = pnn_classify if isinstance(trained, PNNModel) else rbf_scores
-        assert np.array_equal(score(trained, probes)[0], score(loaded, probes)[0])
+        assert np.array_equal(score(trained, probes), score(loaded, probes))

@@ -18,12 +18,13 @@ from faceid.eigenfaces import project, train_eigenbasis
 from faceid.evaluation import (
     identification_rate, identify, extract_split_features, sweep_dimension,
 )
+from faceid.fusion import MODES, normalize_scores
 from faceid.transforms import (
     DCT, DFT, INTERLEAVE, KLT, LOGDFT, MODULUS, RECTANGULAR, SECTORIAL,
     ZonalMask, mask_features, transform_corpus, zone_keeps,
 )
 
-from conftest import gallery_of
+from conftest import FROZEN_LOWER, frozen_normalize_scores, gallery_of
 
 # ---------------------------------------------------------------------------
 # frozen copy of the per-image path: full transform of every image, the mask
@@ -92,8 +93,8 @@ def frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low):
                 else ZonalMask.sectorial(float(value)))
         gal = frozen_matrix(gal_coeffs, mask, complex_mode, r_low)
         gallery = gallery_of(gal, gal_labels)
-        preds, _ = identify(["nn:mad"], gallery,
-                            frozen_matrix(probe_coeffs, mask, complex_mode, r_low))
+        preds, _, _ = identify(["nn:mad"], gallery,
+                               frozen_matrix(probe_coeffs, mask, complex_mode, r_low))
         rate = identification_rate(list(zip(probe_labels, preds)))
         points.append((float(value), gal.shape[1], rate))
     return points
@@ -325,13 +326,21 @@ def direct_features(split, kind, mask_shape, grid, complex_mode, r_low):
 
 def running_snapshots(monkeypatch):
     """Copies of the sweep's running distance matrix after each band that
-    holds a column."""
+    holds a column. Each band's scores must normalise bit for bit as the
+    per-subject minima of the running distances did under the frozen
+    lower-is-better path."""
     seen = []
 
     def recording(probes, gallery, *args, **kwargs):
         scores = nn_scores(probes, gallery, *args, **kwargs)
         if gallery.dim:
-            seen.append(kwargs["running"].copy())
+            running = kwargs["running"].copy()
+            seen.append(running)
+            nearest = np.stack([running[:, gallery.labels == sid].min(axis=1)
+                                for sid in gallery.subject_ids], axis=1)
+            for mode in MODES:
+                assert np.array_equal(normalize_scores(scores, mode),
+                                      frozen_normalize_scores(nearest, FROZEN_LOWER, mode))
         return scores
 
     monkeypatch.setattr(evaluation, "nn_scores", recording)
