@@ -7,7 +7,8 @@ probe block ``P[k, d]`` at once, so no scorer sees the probes' labels, and
 returns a ``(k, S)`` score matrix in which a higher score is always better:
 nearest neighbor reports negated distances. Column j belongs to
 ``subject_ids[j]``, which are ascending, so the first best column of a row is
-the lowest subject id among tied subjects.
+the lowest subject id among tied subjects. Every z-space distance, of either
+kernel classifier or the gallery's cache, comes from :func:`z_distances`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 STD_FLOOR = 1e-8
-
-# elements of the (rows, k, d) difference block `euclidean` holds at a time
-BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,27 +77,18 @@ class Features:
 
     @cached_property
     def normalized_distances(self) -> np.ndarray:
-        """(n, n) read-only Euclidean distances between the z-scored rows,
+        """(n, n) read-only :func:`z_distances` between the z-scored rows,
         kept so that every spread of a sweep reuses them."""
         z = self.normalized_matrix()
-        dists = euclidean(z, z)
+        dists = z_distances(z, z)
         dists.flags.writeable = False
         return dists
 
 
-def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, k) distances ``sqrt(((x_i - y_j) ** 2).sum())`` between the rows.
-
-    Each pair is summed along its own contiguous row, so a distance has the
-    same bits whichever block computes it. Rows of x go through in blocks of
-    about ``BLOCK_ELEMENTS`` differences: no (n, k, d) tensor is built.
-    """
-    step = max(1, BLOCK_ELEMENTS // max(1, y.shape[0] * y.shape[1]))
-    out = np.empty((x.shape[0], y.shape[0]))
-    for i in range(0, x.shape[0], step):
-        diff = x[i:i + step, None, :] - y[None, :, :]
-        np.sqrt((diff ** 2).sum(axis=2), out=out[i:i + step])
-    return out
+def z_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n, k) Euclidean distances between the rows of x and of y; each pair is
+    summed on its own, so a row's distances have the same bits in any batch."""
+    return np.sqrt(cdist(x, y, "sqeuclidean"))
 
 
 def make_targets(gallery: Features) -> np.ndarray:

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import distance as _sdist
 
-from .common import Features, finite_scores, per_subject, probe_block
+from .common import Features, finite_scores, per_subject, probe_block, z_distances
 
 
 def radbas_bias(spread: float) -> float:
@@ -64,7 +63,7 @@ def pnn_classify(model: PNNModel, probes: np.ndarray) -> np.ndarray:
     neighbor decision on the unsquashed distances, reported as a one-hot row.
     """
     z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
-    dists = np.sqrt(_sdist.cdist(z, model.centers, metric="sqeuclidean"))
+    dists = z_distances(z, model.centers)
     acts = radbas(dists, model.spread)
     class_sums = per_subject(acts, model.labels, model.subject_ids, np.sum)
     total = class_sums.sum(axis=1, keepdims=True)

@@ -17,7 +17,9 @@ that the span already holds adds nothing. One least-squares solve on the
 chosen columns after the last pick gives the weights and biases (minimum-norm
 on a rank-deficient design). The per-step residuals come from the running
 outputs and match refits to about 1e-14, relative, not bit for bit; the last
-one is the final fit's.
+one is the final fit's. Activations are ``radbas`` of ``z_distances``, the
+z-space kernel PNN shares: the gallery's cached matrix in training, the
+probes' distances to the centers in scoring.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import Features, euclidean, finite_scores, make_targets, probe_block
+from .common import Features, finite_scores, make_targets, probe_block, z_distances
 from .pnn import radbas
 
 # candidates whose error lies within this fraction of the largest error are
@@ -64,11 +66,6 @@ class RBFModel:
     @property
     def n_centers(self) -> int:
         return self.centers.shape[0]
-
-
-def _activations(x: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarray:
-    """(n, k) radbas responses of every center to every row of x."""
-    return radbas(euclidean(x, centers), spread)
 
 
 def _solve_linear(acts: np.ndarray, targets: np.ndarray):
@@ -151,7 +148,7 @@ def rbf_train(gallery: Features, spread: float, max_centers: int = MAX_CENTERS) 
 def rbf_scores(model: RBFModel, probes: np.ndarray) -> np.ndarray:
     """(k, S) linear-layer outputs; the probes are z-scored here."""
     z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
-    acts = _activations(z, model.centers, model.spread)
+    acts = radbas(z_distances(z, model.centers), model.spread)
     # one mat-vec per probe keeps the bits of a row-by-row `weights @ a`
     outputs = np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
     return finite_scores(outputs)

@@ -31,10 +31,10 @@ from .classifiers import (
 )
 from .evaluation import (
     SPREAD_GRID, TRAIN_SAMPLES,
-    EvalConfig, extract_split_features, format_table,
-    parse_classifier_spec, run_experiment, sweep_dimension, sweep_spread,
-    table1_report, write_curve_csv, write_features_csv, write_manifest,
-    write_result_csv, write_table_csv,
+    EvalConfig, dim_grid, extract_split_features, format_table,
+    parse_classifier_spec, run_experiment, spread_grid, sweep_dimension,
+    sweep_spread, table1_report, table_targets, write_curve_csv,
+    write_features_csv, write_manifest, write_result_csv, write_table_csv,
 )
 from .fusion import MODES, write_fusion_report
 
@@ -303,9 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         parse = (parse_radius_grid if shape == SECTORIAL and args.transform != KLT
                  else parse_int_grid)
         # without --grid, the default grid follows the corpus shape
-        grid = parse(args.grid) if args.grid else None
-        if grid is not None and len(grid) == 0:
-            raise ConfigError("sweep grid is empty")
+        grid = dim_grid(args.transform, parse(args.grid)) if args.grid else None
         corpus = load_source(args)
         points = sweep_dimension(split_first_k(corpus, args.train_k), args.transform,
                                  shape, grid, args.metric, complex_mode=args.complex_mode,
@@ -314,9 +312,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.classifier not in ("pnn", "rbf"):
             raise ConfigError("--axis spread requires --classifier pnn or rbf")
         options = feature_options(args)
-        spreads = parse_float_grid(args.spreads) if args.spreads else list(SPREAD_GRID)
-        if len(spreads) == 0:
-            raise ConfigError("sweep grid is empty")
+        spreads = spread_grid(parse_float_grid(args.spreads) if args.spreads
+                              else SPREAD_GRID)
         corpus = load_source(args)
         gal, probes = extract_split_features(split_first_k(corpus, args.train_k), **options)
         points = sweep_spread(gal, probes, args.classifier, spreads,
@@ -331,14 +328,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    spreads = parse_float_grid(args.spreads) if args.spreads else list(SPREAD_GRID)
-    if len(spreads) == 0:
-        raise ConfigError("spread grid is empty")
+    spreads = spread_grid(parse_float_grid(args.spreads) if args.spreads
+                          else SPREAD_GRID)
+    if not table_targets(args.rows):
+        raise ConfigError(f"--rows {args.rows!r} matches no table rows")
     corpus = load_source(args)
     rows = table1_report(corpus, make_eval_config(args),
                          rows_filter=args.rows, spreads=spreads)
-    if not rows:
-        raise ConfigError(f"--rows {args.rows!r} matches no table rows")
     out = prepare_out(args)
     write_table_csv(rows, out / "table1.csv")
     emit_manifest(out, "table1", args, corpus, ["table1.csv"])

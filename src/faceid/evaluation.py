@@ -136,15 +136,18 @@ def extract_split_features(split: Split, kind: str, *,
 # ---------------------------------------------------------------------------
 
 def parse_classifier_spec(spec: str) -> list[str]:
-    """'nn:mad' -> ['nn:mad']; 'fusion:rbf+nn:mad' -> ['rbf', 'nn:mad']."""
+    """'nn:mad' -> ['nn:mad']; 'fusion:rbf+nn:mad' -> ['rbf', 'nn:mad']: a
+    fusion names two or more classifiers, none twice."""
     spec = spec.strip().lower()
     if spec.startswith("fusion:"):
         parts = [p for p in spec[len("fusion:"):].split("+") if p]
-        if len(parts) < 1:
-            raise ValueError("fusion spec lists no classifiers")
         for p in parts:
             if p not in BASE_CLASSIFIERS:
                 raise ValueError(f"unknown classifier {p!r} in fusion spec")
+        if len(set(parts)) != len(parts):
+            raise ValueError(f"fusion spec {spec!r} repeats a classifier")
+        if len(parts) < 2:
+            raise ValueError(f"fusion spec {spec!r} needs two or more classifiers")
         return parts
     if spec not in BASE_CLASSIFIERS:
         raise ValueError(f"unknown classifier spec {spec!r}")
@@ -238,21 +241,30 @@ class SweepPoint:
     rate: float
 
 
-def _sorted_grid(grid: Sequence) -> list:
+def _sorted_grid(grid: Sequence, name: str) -> list:
     """The grid ascending; empty grids and repeated values are refused."""
     grid = sorted(grid)
     if len(grid) == 0:
-        raise ValueError("sweep grid is empty")
+        raise ValueError(f"{name} grid is empty")
     if len(set(grid)) != len(grid):
-        raise ValueError(f"sweep grid repeats a value: {grid}")
+        raise ValueError(f"{name} grid repeats a value: {grid}")
     return grid
 
 
-def _spread_grid(spreads: Sequence[float]) -> list[float]:
-    spreads = _sorted_grid(spreads)
+def spread_grid(spreads: Sequence[float]) -> list[float]:
+    """The spreads ascending, each positive and none repeated."""
+    spreads = _sorted_grid(spreads, "spread")
     if spreads[0] <= 0:
         raise ValueError("spreads must be positive")
     return spreads
+
+
+def dim_grid(kind: str, grid: Sequence) -> list:
+    """A dimension sweep's grid ascending; KLT counts must be at least 1."""
+    grid = _sorted_grid(grid, "sweep")
+    if kind == KLT and grid[0] < 1:
+        raise ValueError(f"KLT component count must be >= 1, got {grid[0]}")
+    return grid
 
 
 def default_dim_grid(kind: str, rows: int, cols: int, n_gallery: int, *,
@@ -299,9 +311,7 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     if grid is None:
         grid = default_dim_grid(kind, rows, cols, len(gallery_labels),
                                 mask_shape=mask_shape, r_low=r_low)
-    grid = _sorted_grid(grid)
-    if kind == KLT and grid[0] < 1:
-        raise ValueError(f"KLT component count must be >= 1, got {grid[0]}")
+    grid = dim_grid(kind, grid)
     steps = ([int(d) for d in grid] if kind == KLT
              else [ZonalMask(mask_shape, value) for value in grid])
     bands = _bands(split, kind, steps, complex_mode=complex_mode, r_low=r_low,
@@ -331,7 +341,7 @@ def sweep_spread(gallery: Features, probes: Features, classifier: str,
     """
     if classifier not in (PNN_NAME, RBF_NAME):
         raise ValueError("spread sweeps apply to pnn or rbf only")
-    spreads = _spread_grid(spreads)
+    spreads = spread_grid(spreads)
     base = cfg if cfg is not None else EvalConfig()
     truth = probes.labels.tolist()
     points = []
@@ -371,6 +381,12 @@ TABLE_TARGETS = (
 )
 
 
+def table_targets(rows_filter: str | None = None) -> list[tuple]:
+    """The ``TABLE_TARGETS`` rows whose classifier key starts with the filter."""
+    return [row for row in TABLE_TARGETS
+            if rows_filter is None or row[2].startswith(rows_filter.lower())]
+
+
 def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
                   rows_filter: str | None = None,
                   spreads: Sequence[float] = SPREAD_GRID) -> list[TableRow]:
@@ -382,9 +398,8 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
     corpora can exercise the full path.
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    spreads = _spread_grid(spreads)
-    targets = [row for row in TABLE_TARGETS
-               if rows_filter is None or row[2].startswith(rows_filter.lower())]
+    spreads = spread_grid(spreads)
+    targets = table_targets(rows_filter)
     if not targets:
         return []
     k = min(TRAIN_SAMPLES, corpus.samples_per_subject - 1)

@@ -477,7 +477,17 @@ def test_unknown_classifier_is_config_error(tmp_path, capsys):
     (["evaluate", "--mask", "bogus"], "bad mask spec 'bogus'"),
     (["table1", "--spreads", "2:1:0.5"], "spread grid is empty"),
     (["sweep", "--axis", "dim", "--grid", "2.5,3.5"], "bad grid"),
-], ids=["spread-classifier", "klt-dim", "mask", "table1-spreads", "dim-grid"])
+    (["table1", "--rows", "svm"], "matches no table rows"),
+    (["sweep", "--axis", "spread", "--classifier", "pnn", "--spreads", "0,1"],
+     "spreads must be positive"),
+    (["sweep", "--axis", "dim", "--transform", "klt", "--grid", "0:3"],
+     "KLT component count must be >= 1"),
+    (["sweep", "--axis", "dim", "--grid", "3,3"], "sweep grid repeats a value"),
+    (["evaluate", "--classifier", "fusion:rbf+rbf"], "repeats a classifier"),
+    (["evaluate", "--classifier", "fusion:rbf"], "needs two or more classifiers"),
+], ids=["spread-classifier", "klt-dim", "mask", "table1-spreads", "dim-grid",
+        "table1-rows", "spread-grid", "klt-grid", "dim-grid-repeats",
+        "fusion-repeats", "fusion-one-member"])
 def test_option_errors_are_refused_before_the_corpus_is_read(tmp_path, capsys,
                                                              argv, message):
     # the --data tree does not exist, so a run that read the corpus first

@@ -52,7 +52,7 @@ def test_parse_single_specs():
     assert parse_classifier_spec("nn:mad") == ["nn:mad"]
     assert parse_classifier_spec(" MLP ") == ["mlp"]
     assert parse_classifier_spec("fusion:rbf+nn:mad") == ["rbf", "nn:mad"]
-    assert parse_classifier_spec("fusion:pnn") == ["pnn"]
+    assert parse_classifier_spec("fusion:pnn+nn:mse") == ["pnn", "nn:mse"]
 
 
 def test_parse_rejects_unknown():
@@ -62,6 +62,13 @@ def test_parse_rejects_unknown():
         parse_classifier_spec("fusion:rbf+svm")
     with pytest.raises(ValueError):
         parse_classifier_spec("fusion:")
+    # a fusion of one classifier, or of one classifier twice, fuses nothing
+    with pytest.raises(ValueError, match="two or more"):
+        parse_classifier_spec("fusion:pnn")
+    with pytest.raises(ValueError, match="repeats"):
+        parse_classifier_spec("fusion:rbf+RBF")
+    with pytest.raises(ValueError, match="repeats"):
+        parse_classifier_spec("fusion:rbf+nn:mad+rbf")
 
 
 # ---------------------------------------------------------------------------

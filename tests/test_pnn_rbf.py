@@ -11,7 +11,9 @@ from faceid.classifiers import (
     mlp_train, pnn_classify, pnn_train, probes_at_bias, radbas_bias, rbf_scores,
     rbf_train, save_model,
 )
-from faceid.classifiers.rbf import TIE_RTOL, _activations, _pick, _solve_linear
+from faceid.classifiers.common import z_distances
+from faceid.classifiers.pnn import radbas
+from faceid.classifiers.rbf import TIE_RTOL, _pick, _solve_linear
 from faceid.classifiers.store import FORMAT_VERSION
 from faceid.evaluation import SPREAD_GRID, extract_split_features
 from faceid.fusion import fuse_mean, normalize_scores
@@ -153,11 +155,11 @@ def test_activations_match_closed_form():
     x = rng.normal(size=(5, 3))
     centers = rng.normal(size=(4, 3))
     spread = 1.0
-    got = _activations(x, centers, spread)
+    got = radbas(z_distances(x, centers), spread)
     # b^2 = ln2 at spread 1, so the response is exactly 2^(-d^2)
     d = cdist(x, centers)
     assert np.abs(got - np.power(2.0, -(d ** 2))).max() < 1e-12
-    assert _activations(x, np.zeros((0, 3)), spread).shape == (5, 0)
+    assert radbas(z_distances(x, np.zeros((0, 3))), spread).shape == (5, 0)
 
 
 def test_rbf_residuals_monotone_nonincreasing():
@@ -248,21 +250,30 @@ def test_rbf_batch_scores_bit_equal_row_loop():
         batch = rbf_scores(model, probes)
         z = (probes - model.norm_mean) / model.norm_std
         loop = np.stack([
-            model.weights @ _activations(zi[None, :], model.centers, spread)[0]
+            model.weights @ radbas(z_distances(zi[None, :], model.centers), spread)[0]
             + model.biases for zi in z])
         assert np.array_equal(batch, loop)
 
 
 # Frozen copies of the RBF kernels before the distance matrix moved onto the
-# gallery and the growth became incremental: one (n, k, d) difference tensor,
-# the network output computed twice per growth step, and one full lstsq refit
-# per added center. With `tie_rule` the pick is the tie rule's instead of
-# argmax's, which makes the loop the brute-force oracle of the live code.
+# gallery and the growth became incremental: the network output computed
+# twice per growth step and one full lstsq refit per added center. Run on the
+# gallery's cached distances, the refit loop is the bit-for-bit oracle of the
+# live growth; with `tie_rule` the pick is the tie rule's instead of argmax's,
+# which makes the loop the brute-force oracle of the live code.
+# `_frozen_distances` is the z-space kernel before there was one kernel for
+# every z-space distance: one (n, k, d) difference tensor. It stays as the
+# reference that `z_distances` and the RBF built on it are checked against.
 
 # Largest relative difference allowed between the live code's per-step
 # residuals (read off the running outputs) and the refits' residuals; the
 # last residual comes from the final fit and must match bit for bit.
 RESIDUAL_RTOL = 1e-13
+
+# predictions must agree with the difference-kernel oracle on every probe
+# whose top two scores lie further apart than this, relative to the row's
+# largest score; closer rows are ties that rounding decides
+DECIDED_GAP = 1e-12
 
 
 def _frozen_distances(x, centers):
@@ -277,11 +288,11 @@ def _frozen_activations(x, centers, spread):
 
 
 def _frozen_rbf_train(gallery, spread, max_centers, tie_rule=False, dists=None):
-    """(center indices, weights, biases, residuals, tied picks)."""
-    x = gallery.normalized_matrix()
+    """(center indices, weights, biases, residuals, tied picks), on the
+    gallery's cached distances unless ``dists`` gives others."""
     targets = make_targets(gallery)
     if dists is None:
-        dists = _frozen_distances(x, x)
+        dists = gallery.normalized_distances
     all_acts = np.exp(-(dists * radbas_bias(spread)) ** 2)
     chosen = []
     remaining = np.ones(len(gallery), dtype=bool)
@@ -306,11 +317,28 @@ def _frozen_rbf_train(gallery, spread, max_centers, tie_rule=False, dists=None):
 
 
 def _frozen_rbf_scores(model, probes):
+    """Scores through the difference kernel, one block of probes at a time."""
     z = (probes - model.norm_mean) / model.norm_std
     step = model.n_centers
     acts = np.vstack([_frozen_activations(z[i:i + step], model.centers, model.spread)
                       for i in range(0, z.shape[0], step)])
     return np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
+
+
+def _cdist_rbf_scores(model, probes):
+    """Scores one probe at a time through `sqrt(cdist(..., "sqeuclidean"))`."""
+    z = (probes - model.norm_mean) / model.norm_std
+    b = radbas_bias(model.spread)
+    return np.stack([
+        model.weights @ np.exp(-(np.sqrt(cdist(zi[None, :], model.centers, "sqeuclidean"))[0]
+                                 * b) ** 2) + model.biases
+        for zi in z])
+
+
+def _relative_gap(scores):
+    """Each row's top-two score gap over its largest absolute score."""
+    top_two = np.sort(scores, axis=1)[:, -2:]
+    return (top_two[:, 1] - top_two[:, 0]) / np.abs(scores).max(axis=1)
 
 
 def assert_residuals_match(got, want):
@@ -326,8 +354,29 @@ def orl_shaped_dct(orl_split):
     return gal, probes.matrix
 
 
+def test_z_distances_match_difference_kernel(orl_shaped_dct):
+    gallery, probes = orl_shaped_dct
+    z = gallery.normalized_matrix()
+    z_probes = (probes - gallery.mean) / gallery.std
+    cached = gallery.normalized_distances
+    assert np.array_equal(cached, z_distances(z, z))
+    for x, own in ((z, True), (z_probes, False)):
+        got = z_distances(x, z)
+        want = _frozen_distances(x, z)
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
+        # the nearest other gallery row is the same row under both kernels
+        off_self = np.where(np.eye(*got.shape, dtype=bool) & own, np.inf, 0.0)
+        assert np.array_equal((got + off_self).argmin(axis=1),
+                              (want + off_self).argmin(axis=1))
+        # a row's distances do not depend on the batch it is computed in
+        for i in range(x.shape[0]):
+            assert np.array_equal(z_distances(x[i:i + 1], z)[0], got[i])
+    assert np.array_equal(cached, cached.T)
+    assert np.all(np.diag(cached) == 0.0)
+
+
 @pytest.mark.parametrize("spread,collapsed", [(20.0, False), (0.9, True)])
-def test_rbf_bit_equal_frozen_kernels(orl_shaped_dct, spread, collapsed):
+def test_rbf_bit_equal_lstsq_oracle_on_cached_distances(orl_shaped_dct, spread, collapsed):
     # spread 20 has no near-tie, so the frozen argmax loop still decides it;
     # in the collapse most picks are ties, decided by the tie-rule oracle
     gallery, probes = orl_shaped_dct
@@ -339,10 +388,9 @@ def test_rbf_bit_equal_frozen_kernels(orl_shaped_dct, spread, collapsed):
     assert np.array_equal(model.biases, biases)
     assert_residuals_match(model.residuals, residuals)
     scores = rbf_scores(model, probes)
-    frozen = _frozen_rbf_scores(model, probes)
-    assert np.array_equal(scores, frozen)
+    assert np.array_equal(scores, _cdist_rbf_scores(model, probes))
     # spread 0.9 is the collapse of ROADMAP aim 3: every output is the bias
-    assert np.all(frozen == model.biases) == collapsed
+    assert np.all(scores == model.biases) == collapsed
     assert probes_at_bias(model, probes) == (probes.shape[0] if collapsed else 0)
     if collapsed:
         assert model.tied_picks == tied_picks > 0
@@ -351,11 +399,10 @@ def test_rbf_bit_equal_frozen_kernels(orl_shaped_dct, spread, collapsed):
 def test_rbf_growth_matches_lstsq_oracle_over_spreads(orl_shaped_dct):
     # every spread table1 sweeps, and three wide ones where no pick is a tie
     gallery, probes = orl_shaped_dct
-    dists = _frozen_distances(gallery.normalized_matrix(), gallery.normalized_matrix())
     for spread in (*SPREAD_GRID, 5.0, 10.0, 20.0):
         model = rbf_train(gallery, spread)
         chosen, weights, biases, residuals, tied_picks = _frozen_rbf_train(
-            gallery, spread, 100, tie_rule=True, dists=dists)
+            gallery, spread, 100, tie_rule=True)
         assert np.array_equal(model.center_indices, chosen), spread
         assert np.array_equal(model.weights, weights), spread
         assert np.array_equal(model.biases, biases), spread
@@ -363,7 +410,28 @@ def test_rbf_growth_matches_lstsq_oracle_over_spreads(orl_shaped_dct):
         assert_residuals_match(model.residuals, residuals)
         oracle = replace(model, weights=weights, biases=biases)
         assert np.array_equal(rbf_scores(model, probes),
-                              _frozen_rbf_scores(oracle, probes)), spread
+                              _cdist_rbf_scores(oracle, probes)), spread
+
+
+def test_rbf_matches_difference_kernel_oracle_over_spreads(orl_shaped_dct):
+    # the network grown on the difference kernel's distances picks the same
+    # centers, and decides every probe that rounding does not
+    gallery, probes = orl_shaped_dct
+    z = gallery.normalized_matrix()
+    dists = _frozen_distances(z, z)
+    for spread in (*SPREAD_GRID, 5.0, 10.0, 20.0):
+        model = rbf_train(gallery, spread)
+        chosen, weights, biases, _, tied_picks = _frozen_rbf_train(
+            gallery, spread, 100, tie_rule=True, dists=dists)
+        assert np.array_equal(model.center_indices, chosen), spread
+        assert model.tied_picks == tied_picks, spread
+        assert np.abs(model.weights - weights).max() <= 1e-12 * np.abs(weights).max(), spread
+        assert np.abs(model.biases - biases).max() <= 1e-12 * np.abs(biases).max(), spread
+        frozen = _frozen_rbf_scores(replace(model, weights=weights, biases=biases), probes)
+        decided = _relative_gap(frozen) > DECIDED_GAP
+        got = np.array(decide(model, rbf_scores(model, probes)))
+        want = np.array(decide(model, frozen))
+        assert np.array_equal(got[decided], want[decided]), spread
 
 
 def test_rbf_dependent_columns_keep_minimum_norm_weights():
@@ -399,19 +467,24 @@ def test_rbf_near_tie_picks_lower_index():
 
 
 def test_gallery_distances_computed_once_and_read_only(monkeypatch):
-    import faceid.classifiers.common as common
+    from faceid.classifiers import common, pnn, rbf
     gallery = clustered_gallery(seed=9)
-    original = common.euclidean
     calls = []
 
     def counted(x, y):
-        calls.append(x.shape)
-        return original(x, y)
+        calls.append((x.shape[0], y.shape[0]))
+        return z_distances(x, y)
 
-    monkeypatch.setattr(common, "euclidean", counted)
-    for spread in (0.5, 1.0, 2.0):
-        rbf_train(gallery, spread, max_centers=4)
-    assert calls == [(len(gallery), gallery.dim)]
+    for module in (common, pnn, rbf):
+        monkeypatch.setattr(module, "z_distances", counted)
+    models = [rbf_train(gallery, spread, max_centers=4) for spread in (0.5, 1.0, 2.0)]
+    assert calls == [(len(gallery), len(gallery))]
+    # both kernel classifiers score through the same kernel
+    probes = np.random.default_rng(4).normal(scale=3.0, size=(3, gallery.dim))
+    calls.clear()
+    rbf_scores(models[0], probes)
+    pnn_classify(pnn_train(gallery, 1.0), probes)
+    assert calls == [(3, 4), (3, len(gallery))]
     dists = gallery.normalized_distances
     assert dists is gallery.normalized_distances
     z = gallery.normalized_matrix()
