@@ -22,7 +22,7 @@ from .classifiers import (
 from .fusion import fuse_mean, normalize_scores
 from .evaluation import (
     EvalConfig, ExperimentResult,
-    extract_split_features, identification_rate, identify, run_experiment,
+    extract_split_features, identification_rate, run_experiment,
     sweep_dimension, sweep_spread, table1_report,
 )
 

@@ -20,7 +20,9 @@ from .mlp import (
     write_training_log,
 )
 from .pnn import PNNModel, pnn_classify, pnn_train, radbas_bias
-from .rbf import MAX_CENTERS, RBFModel, probes_at_bias, rbf_scores, rbf_train
+from .rbf import (
+    MAX_CENTERS, RBFModel, probes_at_bias, rbf_scores, rbf_train, subjects_predicted,
+)
 from .store import save_model
 
 __all__ = [
@@ -32,5 +34,6 @@ __all__ = [
     "write_training_log",
     "PNNModel", "pnn_classify", "pnn_train", "radbas_bias",
     "MAX_CENTERS", "RBFModel", "probes_at_bias", "rbf_scores", "rbf_train",
+    "subjects_predicted",
     "save_model",
 ]

@@ -47,7 +47,6 @@ class MLPConfig:
     epochs: int = 15000
     gamma: float = 0.9
     seed: int = 0
-    grad_tol: float = GRAD_TOL
 
     def __post_init__(self):
         if self.hidden < 1 or self.epochs < 1:
@@ -156,7 +155,7 @@ def msereg_gradient(theta: np.ndarray, x: np.ndarray, t: np.ndarray,
 # scaled conjugate gradient (Moller's algorithm, full batch)
 # ---------------------------------------------------------------------------
 
-def _scg_minimize(theta, loss_fn, grad_fn, max_iters, grad_tol):
+def _scg_minimize(theta, loss_fn, grad_fn, max_iters):
     """Returns (theta, curve, stop reason, last lambda).
 
     ``loss_fn(theta)`` returns the loss and the forward pass it ran, which
@@ -223,7 +222,7 @@ def _scg_minimize(theta, loss_fn, grad_fn, max_iters, grad_tol):
         if comparison < 0.25:
             lam += delta * (1.0 - comparison) / p_sq
         curve.append(f)
-        if np.sqrt(float(r @ r)) < grad_tol:
+        if np.sqrt(float(r @ r)) < GRAD_TOL:
             reason = STOP_GRAD_TOL
             break
         if lam > 1e100:
@@ -256,8 +255,7 @@ def mlp_train(gallery: Features, config: MLPConfig | None = None) -> MLPModel:
     def grad_fn(theta, forward=None):
         return msereg_gradient(theta, x, t, cfg.gamma, cfg.hidden, forward)
 
-    theta, curve, reason, lam = _scg_minimize(theta0, loss_fn, grad_fn,
-                                              cfg.epochs, cfg.grad_tol)
+    theta, curve, reason, lam = _scg_minimize(theta0, loss_fn, grad_fn, cfg.epochs)
     w1, b1, w2, b2 = unpack_params(theta, dim, cfg.hidden, n_out)
     return MLPModel(w1=w1, b1=b1, w2=w2, b2=b2,
                     subject_ids=gallery.subject_ids.copy(),

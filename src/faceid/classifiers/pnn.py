@@ -48,8 +48,6 @@ class PNNModel:
 
 def pnn_train(gallery: Features, spread: float) -> PNNModel:
     """No fitting beyond storing every normalized gallery vector as a center."""
-    if spread <= 0:
-        raise ValueError("spread must be positive")
     return PNNModel(centers=gallery.normalized_matrix(),
                     labels=gallery.labels.copy(), spread=float(spread),
                     subject_ids=gallery.subject_ids.copy(),

@@ -88,15 +88,13 @@ def _pick(row_err: np.ndarray, remaining: np.ndarray) -> tuple[int, bool]:
 
 
 def rbf_train(gallery: Features, spread: float, max_centers: int = MAX_CENTERS) -> RBFModel:
-    if spread <= 0:
-        raise ValueError("spread must be positive")
+    # column j = center candidate j; radbas refuses a spread that is not positive
+    all_acts = radbas(gallery.normalized_distances, spread)
     if not 1 <= max_centers <= len(gallery):
         raise ValueError(f"max_centers must lie in [1, {len(gallery)}]")
     x = gallery.normalized_matrix()
     targets = make_targets(gallery)
     n = len(gallery)
-    # column j = center candidate j
-    all_acts = radbas(gallery.normalized_distances, spread)
     # a remainder below lstsq's default rcond cut-off, relative to the column,
     # is rounding: that column adds nothing to the span
     dependent = np.finfo(float).eps * (n + 1)
@@ -158,3 +156,9 @@ def probes_at_bias(model: RBFModel, probes: np.ndarray) -> int:
     """How many probes get outputs that all equal the biases: every center's
     activation vanished against them, so rounding decides their arg-max."""
     return int(np.all(rbf_scores(model, probes) == model.biases, axis=1).sum())
+
+
+def subjects_predicted(model: RBFModel, probes: np.ndarray) -> int:
+    """How many distinct subjects the network's own arg-max gives the probes:
+    one when it has collapsed, however few probes sit exactly at the bias."""
+    return int(np.unique(np.argmax(rbf_scores(model, probes), axis=1)).size)

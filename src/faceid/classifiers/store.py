@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mlp import MLPModel
+from .mlp import GRAD_TOL, MLPModel
 from .pnn import PNNModel
 from .rbf import RBFModel
 
@@ -29,7 +29,7 @@ def save_model(model: MLPModel | PNNModel | RBFModel, path: str | Path) -> None:
                  curve=model.curve,
                  config=np.array([model.config.hidden, model.config.epochs,
                                   model.config.gamma, model.config.seed,
-                                  model.config.grad_tol]))
+                                  GRAD_TOL]))
     elif isinstance(model, PNNModel):
         np.savez(path, kind=KIND_PNN, **common,
                  centers=model.centers, labels=model.labels,

@@ -27,16 +27,17 @@ from .transforms import (
 from .eigenfaces import RankError
 from .classifiers import (
     DivergenceError, MLPModel, RBFModel, probes_at_bias, save_model,
-    write_training_log,
+    subjects_predicted, write_training_log,
 )
 from .evaluation import (
-    SPREAD_GRID, TRAIN_SAMPLES,
+    KERNEL_CLASSIFIERS, SPREAD_GRID, TRAIN_SAMPLES,
     EvalConfig, dim_grid, extract_split_features, format_table,
     parse_classifier_spec, run_experiment, spread_grid, sweep_dimension,
     sweep_spread, table1_report, table_targets, write_curve_csv,
-    write_features_csv, write_manifest, write_result_csv, write_table_csv,
+    write_features_csv, write_fusion_report, write_manifest, write_result_csv,
+    write_table_csv,
 )
-from .fusion import MODES, write_fusion_report
+from .fusion import MODES
 
 ENV_DATA = "FACEID_DATA"
 
@@ -285,11 +286,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         elif isinstance(model, RBFModel):
             at_bias = probes_at_bias(model, probes.matrix)
+            subjects = subjects_predicted(model, probes.matrix)
             print(f"{name}: {model.n_centers} centers, {model.tied_picks} picked "
                   f"by the tie rule, final residual {model.residuals[-1]:.6g}, "
-                  f"{at_bias}/{len(probes)} probes at the bias", file=sys.stderr)
-    if result.fusion_rows:
-        write_fusion_report(result.fusion_rows, out / "fusion_report.csv")
+                  f"{at_bias}/{len(probes)} probes at the bias, predictions span "
+                  f"{subjects}/{model.subject_ids.size} subjects", file=sys.stderr)
+    if len(result.members) > 1:
+        write_fusion_report(result, out / "fusion_report.csv")
         outputs.append("fusion_report.csv")
     emit_manifest(out, "evaluate", args, corpus, outputs)
     print(f"identification rate: {result.rate:.1f}%")
@@ -309,8 +312,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                  shape, grid, args.metric, complex_mode=args.complex_mode,
                                  r_low=args.r_low, log_offset=args.log_offset)
     else:
-        if args.classifier not in ("pnn", "rbf"):
-            raise ConfigError("--axis spread requires --classifier pnn or rbf")
+        if args.classifier not in KERNEL_CLASSIFIERS:
+            raise ConfigError("--axis spread requires --classifier "
+                              + " or ".join(KERNEL_CLASSIFIERS))
         options = feature_options(args)
         spreads = spread_grid(parse_float_grid(args.spreads) if args.spreads
                               else SPREAD_GRID)

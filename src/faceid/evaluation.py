@@ -49,27 +49,35 @@ MLP_NAME = "mlp"
 PNN_NAME = "pnn"
 RBF_NAME = "rbf"
 BASE_CLASSIFIERS = (NN_MAD, NN_MSE, MLP_NAME, PNN_NAME, RBF_NAME)
+# the classifiers whose activations take a spread
+KERNEL_CLASSIFIERS = (PNN_NAME, RBF_NAME)
 
 
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
 
+def identification_rate(truth: Sequence[int], preds: Sequence[int]) -> float:
+    """Percentage of probes whose predicted subject equals the true one."""
+    truth, preds = np.asarray(truth), np.asarray(preds)
+    if truth.shape != preds.shape:
+        raise ValueError(f"{truth.size} true ids do not align with {preds.size} predictions")
+    if truth.size == 0:
+        raise ValueError("identification rate needs at least one probe")
+    return 100.0 * int(np.count_nonzero(truth == preds)) / truth.size
+
+
 @dataclass(eq=False)
 class ExperimentResult:
-    pairs: list          # (true, predicted) per probe, in probe order
-    probe_tags: list     # printable probe identifiers, aligned with pairs
-    rate: float
-    models: dict         # trained model per learning classifier, by name
-    fusion_rows: list    # fused runs: (probe, true, predicted, top score)
+    members: list          # the spec's classifier names, in order
+    probes: Features       # the probes scored; their labels are the truth
+    preds: np.ndarray      # (k,) predicted subject id per probe
+    fused: np.ndarray      # (k, S) the decision rule's fused scores
+    models: dict           # trained model per learning classifier, by name
 
-
-def identification_rate(pairs: Sequence[tuple[int, int]]) -> float:
-    """Percentage of probes whose predicted subject equals the true one."""
-    if len(pairs) == 0:
-        raise ValueError("identification rate needs at least one probe")
-    correct = sum(1 for true_id, pred_id in pairs if true_id == pred_id)
-    return 100.0 * correct / len(pairs)
+    @property
+    def rate(self) -> float:
+        return identification_rate(self.probes.labels, self.preds)
 
 
 # ---------------------------------------------------------------------------
@@ -195,39 +203,20 @@ def decide(member_scores: Sequence[np.ndarray], subject_ids: np.ndarray,
                      subject_ids)
 
 
-def identify(parts: Sequence[str], gallery: Features, probes: np.ndarray,
-             cfg: EvalConfig | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Score a probe block with each member classifier (training those that
-    learn) and :func:`decide`. Returns (predicted ids, fused matrix, trained
-    models by classifier name).
-    """
-    cfg = cfg if cfg is not None else EvalConfig()
-    members = [_member_scores(name, gallery, probes, cfg) for name in parts]
-    preds, fused = decide([scores for scores, _ in members], gallery.subject_ids,
-                          cfg.fusion_mode)
-    models = {name: model for name, (_, model) in zip(parts, members) if model is not None}
-    return preds, fused, models
-
-
 def run_experiment(spec: str, gallery: Features, probes: Features,
                    cfg: EvalConfig | None = None) -> ExperimentResult:
-    """Closed-set identification of every probe under one classifier spec.
-
-    The result carries the trained models and, for fused runs, the
-    per-probe fusion report rows.
+    """Closed-set identification of every probe under one classifier spec:
+    score the probe block with each member (training those that learn) and
+    :func:`decide`. The result carries the trained models by name.
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    parts = parse_classifier_spec(spec)
-    tags = [f"s{label}_{sample}" for label, sample in
-            zip(probes.labels.tolist(), probes.sample_ids.tolist())]
-    preds, fused, models = identify(parts, gallery, probes.matrix, cfg)
-    truth = probes.labels.tolist()
-    fusion_rows = [] if len(parts) == 1 else [
-        (tag, true_id, int(pred), float(top))
-        for tag, true_id, pred, top in zip(tags, truth, preds, fused.max(axis=1))]
-    pairs = [(true_id, int(p)) for true_id, p in zip(truth, preds)]
-    return ExperimentResult(pairs=pairs, probe_tags=tags, rate=identification_rate(pairs),
-                            models=models, fusion_rows=fusion_rows)
+    members = parse_classifier_spec(spec)
+    scored = [_member_scores(name, gallery, probes.matrix, cfg) for name in members]
+    preds, fused = decide([scores for scores, _ in scored], gallery.subject_ids,
+                          cfg.fusion_mode)
+    models = {name: model for name, (_, model) in zip(members, scored) if model is not None}
+    return ExperimentResult(members=members, probes=probes, preds=preds, fused=fused,
+                            models=models)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +315,7 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
             preds, _ = decide([nn_scores(probes.matrix, gallery, metric, running=dists)],
                               gallery.subject_ids)
             dim += gallery.dim
-            rate = identification_rate(list(zip(probe_labels, preds)))
+            rate = identification_rate(probe_labels, preds)
         points.append(SweepPoint(param=float(value), dim=dim, rate=rate))
     return points
 
@@ -334,23 +323,19 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
 def sweep_spread(gallery: Features, probes: Features, classifier: str,
                  spreads: Sequence[float] = SPREAD_GRID,
                  cfg: EvalConfig | None = None) -> list[SweepPoint]:
-    """Identification rate per spread value for the kernel classifiers.
+    """Identification rate per spread value for the kernel classifiers: one
+    :func:`run_experiment` per spread.
 
     One gallery serves every spread, so its z-space distance matrix is
     computed once.
     """
-    if classifier not in (PNN_NAME, RBF_NAME):
-        raise ValueError("spread sweeps apply to pnn or rbf only")
-    spreads = spread_grid(spreads)
+    if classifier not in KERNEL_CLASSIFIERS:
+        raise ValueError(f"spread sweeps apply to {' or '.join(KERNEL_CLASSIFIERS)} only")
     base = cfg if cfg is not None else EvalConfig()
-    truth = probes.labels.tolist()
-    points = []
-    for spread in spreads:
-        preds, _, _ = identify([classifier], gallery, probes.matrix,
-                               replace(base, spread=float(spread)))
-        rate = identification_rate(list(zip(truth, preds)))
-        points.append(SweepPoint(param=float(spread), dim=gallery.dim, rate=rate))
-    return points
+    return [SweepPoint(param=float(spread), dim=gallery.dim,
+                       rate=run_experiment(classifier, gallery, probes,
+                                           replace(base, spread=float(spread))).rate)
+            for spread in spread_grid(spreads)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +405,11 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
             dim = min(want, full[0].dim)
             klt_feats[want] = [replace(f, matrix=f.matrix[:, :dim]) for f in full]
     # spread sweeps only for the selected rows; fusion runs at RBF's best spread
-    sweeps = {row[2] for row in targets} & {PNN_NAME, RBF_NAME}
+    sweeps = {row[2] for row in targets} & set(KERNEL_CLASSIFIERS)
     if any(row[2].startswith("fusion:") for row in targets):
         sweeps.add(RBF_NAME)
     best_spread = {}
-    for name in (PNN_NAME, RBF_NAME):
+    for name in KERNEL_CLASSIFIERS:
         if name in sweeps:
             curve = sweep_spread(dct_gal, dct_probes, name, spreads, cfg)
             best = max(curve, key=lambda pt: pt.rate)
@@ -438,7 +423,7 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
             dim = gal.dim
         else:
             dim = dct_gal.dim
-            if key in (PNN_NAME, RBF_NAME):
+            if key in KERNEL_CLASSIFIERS:
                 rate = best_spread[key][1]
             elif key.startswith("fusion:"):
                 run_cfg = replace(cfg, spread=best_spread[RBF_NAME][0])
@@ -481,12 +466,27 @@ def write_features_csv(features: Features, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _probe_rows(result: ExperimentResult) -> list[list]:
+    """Per probe, in probe order: its tag, true subject and predicted subject."""
+    probes = result.probes
+    return [[f"s{label}_{sample}", label, pred] for label, sample, pred in
+            zip(probes.labels.tolist(), probes.sample_ids.tolist(), result.preds.tolist())]
+
+
 def write_result_csv(result: ExperimentResult, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["probe", "subject_true", "subject_pred"])
-        for tag, (true_id, pred_id) in zip(result.probe_tags, result.pairs):
-            writer.writerow([tag, true_id, pred_id])
+        writer.writerows(_probe_rows(result))
+
+
+def write_fusion_report(result: ExperimentResult, path: str | Path) -> None:
+    """CSV of per-probe fusion outcomes: probe, truth, prediction, top fused score."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["probe", "subject_true", "subject_pred", "fused_score"])
+        for row, top in zip(_probe_rows(result), result.fused.max(axis=1).tolist()):
+            writer.writerow([*row, repr(top)])
 
 
 def write_curve_csv(points: Sequence[SweepPoint], path: str | Path,

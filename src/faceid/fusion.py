@@ -13,8 +13,6 @@ min-max applied after a z-score would reproduce plain min-max exactly.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -68,13 +66,3 @@ def fuse_mean(opinions: Sequence[np.ndarray],
         raise ValueError("subject_ids must be ascending, one per score column")
     fused = np.mean(opinions, axis=0)
     return subject_ids[np.argmax(fused, axis=1)], fused
-
-
-def write_fusion_report(rows: Sequence[tuple[str, int, int, float]],
-                        path: str | Path) -> None:
-    """CSV of per-probe fusion outcomes: probe, truth, prediction, top score."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe", "subject_true", "subject_pred", "fused_score"])
-        for probe, true_id, pred_id, score in rows:
-            writer.writerow([probe, true_id, pred_id, repr(float(score))])

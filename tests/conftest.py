@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from faceid.classifiers import Features, MLPConfig, MLPModel, PNNModel, RBFModel
+from faceid.classifiers.mlp import GRAD_TOL
 from faceid.classifiers.store import FORMAT_VERSION, KIND_MLP, KIND_PNN, KIND_RBF
 from faceid.dataset import load_orl, split_first_k, synth_corpus, write_pgm
 from faceid.evaluation import extract_split_features
@@ -169,8 +170,10 @@ def read_model(path) -> MLPModel | PNNModel | RBFModel:
                       norm_mean=data["norm_mean"], norm_std=data["norm_std"])
         if kind == KIND_MLP:
             hidden, epochs, gamma, seed, grad_tol = data["config"].tolist()
+            if grad_tol != GRAD_TOL:
+                raise ValueError(f"model trained with grad_tol {grad_tol}, not {GRAD_TOL}")
             cfg = MLPConfig(hidden=int(hidden), epochs=int(epochs), gamma=gamma,
-                            seed=int(seed), grad_tol=grad_tol)
+                            seed=int(seed))
             return MLPModel(w1=data["w1"], b1=data["b1"], w2=data["w2"], b2=data["b2"],
                             config=cfg, curve=data["curve"], **common)
         if kind == KIND_PNN:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs, option plumbing, and exit codes."""
 
+import hashlib
 import inspect
 import json
 import re
@@ -234,9 +235,12 @@ def test_evaluate_mlp_writes_training_log(tmp_path, capsys):
     assert losses[-1] <= losses[0]
 
 
-@pytest.mark.parametrize("spread,at_bias", [("0.01", 5), ("20", 0)])
-def test_evaluate_rbf_reports_growth_on_stderr(tmp_path, capsys, spread, at_bias):
-    # a spread far below the gallery distances leaves every probe at the bias
+@pytest.mark.parametrize("spread,at_bias,subjects", [
+    ("0.01", 5, 1),   # far below the gallery distances: every probe at the bias
+    ("2.0", 1, 1),    # one probe at the bias, yet every probe goes to one subject
+    ("20", 0, 4),
+])
+def test_evaluate_rbf_reports_growth_on_stderr(tmp_path, capsys, spread, at_bias, subjects):
     out = tmp_path / "out"
     argv = ["evaluate", "--synth", SYNTH, "--classifier", "rbf",
             "--spread", spread, "--max-centers", "6", "--out", str(out)]
@@ -245,7 +249,8 @@ def test_evaluate_rbf_reports_growth_on_stderr(tmp_path, capsys, spread, at_bias
         assert run(argv) == 0
         err = capsys.readouterr().err
         assert re.search(r"^rbf: 6 centers, [1-6] picked by the tie rule, final residual "
-                         rf"[0-9.e+-]+, {at_bias}/5 probes at the bias$", err, re.M), err
+                         rf"[0-9.e+-]+, {at_bias}/5 probes at the bias, "
+                         rf"predictions span {subjects}/5 subjects$", err, re.M), err
         runs.append({p.name: p.read_bytes() for p in out.iterdir()})
     # the line is a diagnostic: it goes into no written file, the model saves
     # no tie count, and reruns stay byte-identical
@@ -253,6 +258,7 @@ def test_evaluate_rbf_reports_growth_on_stderr(tmp_path, capsys, spread, at_bias
     assert runs[0] == runs[1]
     for data in runs[0].values():
         assert b"tie rule" not in data and b"tied_picks" not in data
+        assert b"span" not in data
     assert read_model(out / "model_rbf.npz").tied_picks is None
 
 
@@ -268,6 +274,33 @@ def test_evaluate_fusion_writes_report(tmp_path):
     assert (out / "model_rbf.npz").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "fusion_report.csv" in manifest["outputs"]
+
+
+# SHA-256 of the fused reports and spread curves on SYNTH, pinned across
+# commits: a refactor of the experiment path that moves any byte shows here.
+# The same at 1 and 2 BLAS threads.
+GOLDEN_DIGESTS = [
+    (["evaluate", "--classifier", "fusion:rbf+nn:mad", "--spread", "2.0"], {
+        "fusion_report.csv": "834e9c447c28abadf3f3b267cb5c77a83fbc0640cdb7ba3d838d8767fef4d508",
+        "result.csv": "d7ae9b0fbdcf671940f0b12e2965b76173b799ba0f9517e88157bea115c5c503"}),
+    (["evaluate", "--classifier", "fusion:pnn+mlp+nn:mse", "--epochs", "50",
+      "--spread", "1.0"], {
+        "fusion_report.csv": "f591956ea242a4fd7f7a0a10d07494b61909beae3418a03effb1f0339269a29f",
+        "result.csv": "b1d657446f59d789df30b7d06fcf9483f5d1c814b663839ef59cbd89a4b230ac"}),
+    (["sweep", "--axis", "spread", "--classifier", "rbf", "--spreads", "0.5,1.0,2.0"], {
+        "curve.csv": "df56d01bf74faca4b91944f7278d1f599ac9a5355319be67a901f2c4d6db1695"}),
+    (["sweep", "--axis", "spread", "--classifier", "pnn", "--spreads", "0.5,1.0,2.0"], {
+        "curve.csv": "ae35c020b9986bf4165c0bffd400478a231aa224ff7eecc00ee7a6457521d717"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", GOLDEN_DIGESTS,
+                         ids=["fusion-rbf-nn", "fusion-pnn-mlp-nn", "sweep-rbf", "sweep-pnn"])
+def test_outputs_keep_their_digests(tmp_path, argv, digests):
+    out = tmp_path / "out"
+    assert run([*argv, "--synth", SYNTH, "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests
 
 
 def test_evaluate_reruns_are_byte_identical(tmp_path):

@@ -8,16 +8,16 @@ import pytest
 
 from faceid.classifiers import (
     MAD, MSE, Features, MLPModel, mlp_scores, nn_scores,
-    pnn_classify, rbf_scores,
+    pnn_classify, pnn_train, rbf_scores, rbf_train,
 )
 from faceid.dataset import split_first_k, synth_corpus
 from faceid.eigenfaces import RankError
 from faceid.evaluation import (
     DCT, KLT, RECTANGULAR, EvalConfig, SweepPoint,
     TABLE_TARGETS, default_dim_grid,
-    extract_split_features, format_table, identification_rate, identify,
+    extract_split_features, format_table, identification_rate,
     parse_classifier_spec, run_experiment, sweep_dimension, sweep_spread,
-    table1_report, write_curve_csv, write_manifest,
+    table1_report, write_curve_csv, write_fusion_report, write_manifest,
     write_result_csv, write_table_csv,
 )
 from faceid import evaluation
@@ -29,19 +29,25 @@ from faceid.transforms import SECTORIAL, ZonalMask
 
 
 def test_rate_trivial_cases():
-    assert identification_rate([(1, 1), (2, 2)]) == 100.0
-    assert identification_rate([(1, 2), (2, 1)]) == 0.0
-    assert identification_rate([(1, 1), (2, 1)]) == 50.0
+    assert identification_rate([1, 2], [1, 2]) == 100.0
+    assert identification_rate([1, 2], [2, 1]) == 0.0
+    assert identification_rate([1, 2], [1, 1]) == 50.0
+    # a plain float, so that the CSV writers print it as before
+    assert type(identification_rate(np.array([3, 4]), np.array([3, 9]))) is float
 
 
 def test_rate_example_from_protocol():
-    pairs = [(1, 1)] * 185 + [(1, 2)] * 15
-    assert identification_rate(pairs) == 92.5
+    assert identification_rate([1] * 200, [1] * 185 + [2] * 15) == 92.5
 
 
 def test_rate_empty():
-    with pytest.raises(ValueError):
-        identification_rate([])
+    with pytest.raises(ValueError, match="at least one probe"):
+        identification_rate([], [])
+
+
+def test_rate_refuses_misaligned_ids():
+    with pytest.raises(ValueError, match="align"):
+        identification_rate([1, 2, 3], [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +84,18 @@ def test_parse_rejects_unknown():
 def test_nn_experiment_structure(dct_features):
     gal, probes = dct_features
     result = run_experiment("nn:mad", gal, probes)
-    assert len(result.pairs) == len(probes)
+    assert result.members == ["nn:mad"]
+    assert result.probes is probes
+    assert result.preds.shape == (len(probes),)
+    assert result.fused.shape == (len(probes), gal.subject_ids.size)
+    assert result.rate == identification_rate(probes.labels, result.preds)
     assert 0.0 <= result.rate <= 100.0
-    assert result.probe_tags[0] == f"s{probes.labels[0]}_{probes.sample_ids[0]}"
-    assert result.probe_tags == [f"s{label}_{sample}" for label, sample
-                                 in zip(probes.labels, probes.sample_ids)]
 
 
 def test_nn_experiment_matches_per_probe_loop(dct_features):
     gal, probes = dct_features
     result = run_experiment("nn:mse", gal, probes)
-    for (true_id, pred_id), probe, label in zip(result.pairs, probes.matrix, probes.labels):
+    for pred_id, probe in zip(result.preds.tolist(), probes.matrix):
         # exhaustive search; scanning ids in ascending order keeps the lowest on ties
         best = {}
         for row, sid in zip(gal.matrix, gal.labels.tolist()):
@@ -96,7 +103,6 @@ def test_nn_experiment_matches_per_probe_loop(dct_features):
             best[sid] = min(d, best.get(sid, np.inf))
         want = min(sorted(best), key=lambda sid: best[sid])
         assert pred_id == want
-        assert true_id == label
 
 
 def test_single_member_decision_matches_raw_arg_best(dct_features):
@@ -106,17 +112,15 @@ def test_single_member_decision_matches_raw_arg_best(dct_features):
     cfg = EvalConfig(spread=2.0, max_centers=12, epochs=30, hidden=5)
     scorers = {"mlp": mlp_scores, "pnn": pnn_classify, "rbf": rbf_scores}
     for spec in ("nn:mad", "nn:mse", "mlp", "pnn", "rbf"):
-        preds, _, models = identify([spec], gallery, block, cfg)
+        result = run_experiment(spec, gallery, probes, cfg)
         # nearest neighbor trains nothing
-        assert list(models) == ([spec] if spec in scorers else [])
+        assert list(result.models) == ([spec] if spec in scorers else [])
         if spec in scorers:
-            scores = scorers[spec](models[spec], block)
+            scores = scorers[spec](result.models[spec], block)
         else:
             scores = nn_scores(block, gallery, spec[len("nn:"):])
         best = np.argmax(scores, axis=1)
-        assert preds.tolist() == gallery.subject_ids[best].tolist()
-        result = run_experiment(spec, gallery, probes, cfg)
-        assert [p for _, p in result.pairs] == preds.tolist()
+        assert result.preds.tolist() == gallery.subject_ids[best].tolist()
 
 
 def test_nonfinite_scores_fail_the_experiment(dct_features):
@@ -132,12 +136,11 @@ def test_fusion_experiment_artifacts(dct_features):
     cfg = EvalConfig(spread=2.0, max_centers=12)
     result = run_experiment("fusion:rbf+nn:mad", gal, probes, cfg)
     assert set(result.models) == {"rbf"}  # nn trains nothing
-    rows = result.fusion_rows
-    assert len(rows) == len(probes)
-    tag, true_id, pred_id, fused = rows[0]
-    assert (true_id, pred_id) == result.pairs[0]
-    assert tag == result.probe_tags[0]
-    assert 0.0 <= fused <= 1.0
+    assert result.members == ["rbf", "nn:mad"]
+    # each member's min-max scores lie in [0, 1], and so does their mean
+    assert result.fused.shape == (len(probes), gal.subject_ids.size)
+    assert np.all((0.0 <= result.fused) & (result.fused <= 1.0))
+    assert np.array_equal(result.preds, gal.subject_ids[np.argmax(result.fused, axis=1)])
 
 
 def test_single_model_experiment_artifacts(dct_features):
@@ -145,7 +148,7 @@ def test_single_model_experiment_artifacts(dct_features):
     cfg = EvalConfig(epochs=40, hidden=6)
     result = run_experiment("mlp", gal, probes, cfg)
     assert isinstance(result.models["mlp"], MLPModel)
-    assert result.fusion_rows == []  # only fused runs report opinions
+    assert result.members == ["mlp"]
 
 
 def test_experiment_requires_probe_labels(dct_features):
@@ -276,6 +279,14 @@ def test_spread_sweep_matches_one_experiment_per_spread(dct_features, classifier
     want = [run_experiment(classifier, gal, probes, replace(cfg, spread=s)).rate
             for s in spreads]
     assert [pt.rate for pt in points] == want
+    # and each rate is the raw arg-max of a model trained at that spread alone
+    for spread, point in zip(spreads, points):
+        if classifier == "pnn":
+            scores = pnn_classify(pnn_train(gal, spread), probes.matrix)
+        else:
+            scores = rbf_scores(rbf_train(gal, spread, cfg.max_centers), probes.matrix)
+        preds = gal.subject_ids[np.argmax(scores, axis=1)]
+        assert point.rate == identification_rate(probes.labels, preds)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +429,26 @@ def test_result_csv(tmp_path, dct_features):
     write_result_csv(result, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "probe,subject_true,subject_pred"
-    assert len(lines) == 1 + len(probes)
+    assert lines[1:] == [f"s{label}_{sample},{label},{pred}" for label, sample, pred
+                         in zip(probes.labels, probes.sample_ids, result.preds)]
+
+
+def test_fusion_report_csv(tmp_path, dct_features):
+    gal, probes = dct_features
+    result = run_experiment("fusion:pnn+nn:mse", gal, probes, EvalConfig(spread=2.0))
+    path = tmp_path / "report.csv"
+    write_fusion_report(result, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "probe,subject_true,subject_pred,fused_score"
+    # the result.csv columns, then each probe's top fused score, repr-exact
+    result_path = tmp_path / "result.csv"
+    write_result_csv(result, result_path)
+    tops = result.fused.max(axis=1)
+    for line, result_line, top in zip(lines[1:], result_path.read_text().splitlines()[1:],
+                                      tops):
+        head, score = line.rsplit(",", 1)
+        assert head == result_line
+        assert float(score) == top
 
 
 def test_curve_csv(tmp_path):

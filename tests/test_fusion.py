@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faceid.fusion import (
-    MINMAX, ZSCORE, fuse_mean, normalize_scores, write_fusion_report,
-)
+from faceid.fusion import MINMAX, ZSCORE, fuse_mean, normalize_scores
 
 from conftest import FROZEN_HIGHER, FROZEN_LOWER, frozen_normalize_scores
 
@@ -186,12 +184,3 @@ def test_normalized_set_validation():
     # a probe block is 2-D: one row per probe
     with pytest.raises(ValueError, match=r"\(k, S\)"):
         normalize_scores(np.array([0.1, 0.2]))
-
-
-def test_fusion_report_csv(tmp_path):
-    path = tmp_path / "report.csv"
-    write_fusion_report([("s1_6", 1, 1, 0.93), ("s2_6", 2, 5, 0.41)], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "probe,subject_true,subject_pred,fused_score"
-    assert lines[1].startswith("s1_6,1,1,")
-    assert float(lines[2].rsplit(",", 1)[1]) == 0.41

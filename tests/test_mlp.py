@@ -12,7 +12,7 @@ from faceid.classifiers import (
 )
 from faceid.classifiers import mlp
 from faceid.classifiers.mlp import (
-    SCG_LAMBDA_INIT, SCG_SIGMA, STOP_BUDGET, STOP_GRAD_TOL, _init_params,
+    GRAD_TOL, SCG_LAMBDA_INIT, SCG_SIGMA, STOP_BUDGET, STOP_GRAD_TOL, _init_params,
 )
 from faceid.fusion import fuse_mean, normalize_scores
 
@@ -121,7 +121,7 @@ def test_scg_beats_plain_gradient_descent():
     assert model.curve[-1] <= gd_loss + 1e-12
 
 
-def frozen_scg(theta, loss_fn, grad_fn, max_iters, grad_tol, events):
+def frozen_scg(theta, loss_fn, grad_fn, max_iters, events):
     """SCG as first written: every loss and gradient call runs its own forward
     pass. ``events`` counts rejected steps and conjugacy restarts; nothing
     else differs from the original."""
@@ -183,7 +183,7 @@ def frozen_scg(theta, loss_fn, grad_fn, max_iters, grad_tol, events):
         if comparison < 0.25:
             lam += delta * (1.0 - comparison) / p_sq
         curve.append(f)
-        if np.sqrt(float(r @ r)) < grad_tol:
+        if np.sqrt(float(r @ r)) < GRAD_TOL:
             break
         if lam > 1e100:
             break
@@ -199,7 +199,7 @@ def frozen_train(gallery, cfg):
     theta, curve = frozen_scg(
         theta0, lambda th: msereg_loss(th, x, t, cfg.gamma, cfg.hidden),
         lambda th: msereg_gradient(th, x, t, cfg.gamma, cfg.hidden),
-        cfg.epochs, cfg.grad_tol, events)
+        cfg.epochs, events)
     return theta, curve, events
 
 

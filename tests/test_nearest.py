@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 from faceid.classifiers import MAD, MSE, nn_scores
-from faceid.evaluation import identify
+from faceid.evaluation import decide
 from faceid.fusion import MINMAX, ZSCORE, normalize_scores
 
 from conftest import FROZEN_LOWER, frozen_normalize_scores, gallery_of
@@ -38,7 +38,8 @@ def pair_distance(x, y, metric):
 
 def nn_predict(probes, gallery, metric):
     """Decisions for a probe block under the single decision rule."""
-    preds, _, _ = identify([f"nn:{metric}"], gallery, np.atleast_2d(probes))
+    preds, _ = decide([nn_scores(np.atleast_2d(probes), gallery, metric)],
+                      gallery.subject_ids)
     return preds.tolist()
 
 

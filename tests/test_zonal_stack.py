@@ -16,7 +16,7 @@ from faceid.classifiers import MAD, MSE, nearest, nn_scores
 from faceid.dataset import corpus_checksum, load_orl, load_pgm
 from faceid.eigenfaces import project, train_eigenbasis
 from faceid.evaluation import (
-    identification_rate, identify, extract_split_features, sweep_dimension,
+    decide, identification_rate, extract_split_features, sweep_dimension,
 )
 from faceid.fusion import MODES, normalize_scores
 from faceid.transforms import (
@@ -93,9 +93,10 @@ def frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low):
                 else ZonalMask.sectorial(float(value)))
         gal = frozen_matrix(gal_coeffs, mask, complex_mode, r_low)
         gallery = gallery_of(gal, gal_labels)
-        preds, _, _ = identify(["nn:mad"], gallery,
-                               frozen_matrix(probe_coeffs, mask, complex_mode, r_low))
-        rate = identification_rate(list(zip(probe_labels, preds)))
+        scores = nn_scores(frozen_matrix(probe_coeffs, mask, complex_mode, r_low),
+                           gallery, MAD)
+        preds, _ = decide([scores], gallery.subject_ids)
+        rate = identification_rate(probe_labels, preds)
         points.append((float(value), gal.shape[1], rate))
     return points
 
