@@ -9,8 +9,8 @@ the ``faceid`` CLI reproduce the reference identification-rate experiments.
 from . import classifiers, dataset, eigenfaces, evaluation, fusion, transforms
 from .dataset import (
     Corpus, Image, InventoryError, PgmError, Split,
-    corpus_checksum, load_manifest, load_orl, load_pgm, split_first_k,
-    synth_corpus, write_pgm,
+    corpus_checksum, load_manifest, load_orl, split_first_k, synth_corpus,
+    write_pgm,
 )
 from .transforms import ZonalMask, mask_features, transform_corpus
 from .eigenfaces import EigenBasis, RankError, project, train_eigenbasis

@@ -20,9 +20,7 @@ from .mlp import (
     write_training_log,
 )
 from .pnn import PNNModel, pnn_classify, pnn_train, radbas_bias
-from .rbf import (
-    MAX_CENTERS, RBFModel, probes_at_bias, rbf_scores, rbf_train, subjects_predicted,
-)
+from .rbf import MAX_CENTERS, RBFModel, collapse_counts, rbf_scores, rbf_train
 from .store import save_model
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "msereg_gradient", "msereg_loss", "pack_params", "unpack_params",
     "write_training_log",
     "PNNModel", "pnn_classify", "pnn_train", "radbas_bias",
-    "MAX_CENTERS", "RBFModel", "probes_at_bias", "rbf_scores", "rbf_train",
-    "subjects_predicted",
+    "MAX_CENTERS", "RBFModel", "collapse_counts", "rbf_scores", "rbf_train",
     "save_model",
 ]

@@ -152,13 +152,11 @@ def rbf_scores(model: RBFModel, probes: np.ndarray) -> np.ndarray:
     return finite_scores(outputs)
 
 
-def probes_at_bias(model: RBFModel, probes: np.ndarray) -> int:
-    """How many probes get outputs that all equal the biases: every center's
-    activation vanished against them, so rounding decides their arg-max."""
-    return int(np.all(rbf_scores(model, probes) == model.biases, axis=1).sum())
-
-
-def subjects_predicted(model: RBFModel, probes: np.ndarray) -> int:
-    """How many distinct subjects the network's own arg-max gives the probes:
-    one when it has collapsed, however few probes sit exactly at the bias."""
-    return int(np.unique(np.argmax(rbf_scores(model, probes), axis=1)).size)
+def collapse_counts(model: RBFModel, probes: np.ndarray) -> tuple[int, int]:
+    """From one scoring: the probes whose outputs all equal the biases (no
+    center's activation reached them, so rounding decides their arg-max), and
+    the distinct subjects the network's own arg-max gives the probes (one when
+    it has collapsed, however few probes sit exactly at the bias)."""
+    scores = rbf_scores(model, probes)
+    return (int(np.all(scores == model.biases, axis=1).sum()),
+            int(np.unique(np.argmax(scores, axis=1)).size))

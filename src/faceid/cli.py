@@ -26,8 +26,8 @@ from .transforms import (
 )
 from .eigenfaces import RankError
 from .classifiers import (
-    DivergenceError, MLPModel, RBFModel, probes_at_bias, save_model,
-    subjects_predicted, write_training_log,
+    DivergenceError, MLPModel, RBFModel, collapse_counts, save_model,
+    write_training_log,
 )
 from .evaluation import (
     KERNEL_CLASSIFIERS, SPREAD_GRID, TRAIN_SAMPLES,
@@ -103,13 +103,22 @@ def config_options(parser: argparse.ArgumentParser) -> dict:
 def apply_config(args: argparse.Namespace, defaults: dict, options: dict) -> None:
     """Fill unset options from --config file values, then built-in defaults.
 
-    Only options the subcommand declares are filled: argparse puts exactly
-    those in ``args``, so the manifest records no option the command lacks.
+    Only options the run reads are in ``args`` (the command's own, less a
+    sweep's other-axis ones), so only those are filled and recorded.
     """
     file_values = read_config_file(args.config, options) if args.config else {}
     for key, default in defaults.items():
         if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, file_values.get(key, default))
+
+
+def drop_options_of_other_axis(args: argparse.Namespace) -> None:
+    """Drop, before filling, the sweep options only the other axis reads."""
+    for key in _OTHER_AXIS_ONLY[args.axis]:
+        if getattr(args, key) is not None:
+            raise ConfigError(f"--axis {args.axis} does not read "
+                              f"--{key.replace('_', '-')}")
+        delattr(args, key)
 
 
 def parse_mask_spec(spec: str) -> ZonalMask:
@@ -197,8 +206,9 @@ def load_source(args: argparse.Namespace) -> Corpus:
 
 
 def make_eval_config(args: argparse.Namespace) -> EvalConfig:
-    """The classifier knobs: each ``EvalConfig`` field is an option's dest."""
-    return EvalConfig(**{f.name: getattr(args, f.name) for f in fields(EvalConfig)})
+    """The classifier knobs the command declares (``EvalConfig`` field = dest)."""
+    return EvalConfig(**{f.name: getattr(args, f.name) for f in fields(EvalConfig)
+                         if hasattr(args, f.name)})
 
 
 def feature_options(args: argparse.Namespace) -> dict:
@@ -208,6 +218,8 @@ def feature_options(args: argparse.Namespace) -> dict:
         if args.dim is None:
             raise ConfigError("--transform klt requires --dim")
         return {"kind": KLT, "dim": args.dim}
+    if args.dim is not None:
+        raise ConfigError("--dim requires --transform klt")
     return {"kind": args.transform, "mask": parse_mask_spec(args.mask),
             "complex_mode": args.complex_mode, "r_low": args.r_low,
             "log_offset": args.log_offset}
@@ -285,8 +297,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                   f"({model.stop_reason}), last lambda {model.last_lambda:.6g}",
                   file=sys.stderr)
         elif isinstance(model, RBFModel):
-            at_bias = probes_at_bias(model, probes.matrix)
-            subjects = subjects_predicted(model, probes.matrix)
+            at_bias, subjects = collapse_counts(model, probes.matrix)
             print(f"{name}: {model.n_centers} centers, {model.tied_picks} picked "
                   f"by the tie rule, final residual {model.residuals[-1]:.6g}, "
                   f"{at_bias}/{len(probes)} probes at the bias, predictions span "
@@ -359,56 +370,64 @@ _DEFAULTS = {
     "log_offset": 1e-4, **asdict(EvalConfig()),
 }
 
+# the sweep options that only the other axis reads
+_OTHER_AXIS_ONLY = {"dim": ("mask", "dim", "max_centers", "classifier", "spreads"),
+                    "spread": ("metric", "mask_shape", "grid")}
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    src = sub.add_argument_group("dataset source (exactly one)")
+
+def build_parser() -> argparse.ArgumentParser:
+    # each subcommand declares only the options it reads, from these parents
+    common = argparse.ArgumentParser(add_help=False)
+    src = common.add_argument_group("dataset source (exactly one)")
     src.add_argument("--data", help=f"image directory root (or ${ENV_DATA})")
     src.add_argument("--manifest", help="inventory file: path subject sample")
     src.add_argument("--synth", help="synthetic corpus, e.g. "
                      "'subjects=8,samples=6,rows=24,cols=20' ('' for defaults)")
-    sub.add_argument("--subjects", type=int, help="subjects under --data")
-    sub.add_argument("--samples", type=int, help="samples per subject under --data")
-    sub.add_argument("--config", help="key-value config file (flags win)")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="seed for all randomness")
-    sub.add_argument("--train-k", dest="train_k", type=int,
-                     help="gallery samples per subject")
-    sub.add_argument("--transform", choices=[DCT, DFT, LOGDFT, KLT])
-    sub.add_argument("--mask", help="zonal mask: rect:N or sector:R")
-    sub.add_argument("--dim", type=int, help="component count for --transform klt")
-    sub.add_argument("--complex-mode", dest="complex_mode",
-                     choices=[MODULUS, INTERLEAVE])
-    sub.add_argument("--r-low", dest="r_low", type=float,
-                     help="drop coefficients below this radius")
-    sub.add_argument("--log-offset", dest="log_offset", type=float,
-                     help="offset inside the log for logdft")
-    sub.add_argument("--gamma", type=float, help="MSEREG performance ratio")
-    sub.add_argument("--epochs", type=int, help="MLP training iterations")
-    sub.add_argument("--hidden", type=int, help="MLP hidden neurons")
-    sub.add_argument("--spread", type=float, help="PNN/RBF spread")
-    sub.add_argument("--max-centers", dest="max_centers", type=int,
+    common.add_argument("--subjects", type=int, help="subjects under --data")
+    common.add_argument("--samples", type=int, help="samples per subject under --data")
+    common.add_argument("--config", help="key-value config file (flags win)")
+    common.add_argument("--out", help="output directory")
+    common.add_argument("--seed", type=int, help="seed for all randomness")
+    features = argparse.ArgumentParser(add_help=False)
+    features.add_argument("--train-k", dest="train_k", type=int,
+                          help="gallery samples per subject")
+    features.add_argument("--transform", choices=[DCT, DFT, LOGDFT, KLT])
+    features.add_argument("--mask", help="zonal mask: rect:N or sector:R")
+    features.add_argument("--dim", type=int, help="component count for --transform klt")
+    features.add_argument("--complex-mode", dest="complex_mode",
+                          choices=[MODULUS, INTERLEAVE])
+    features.add_argument("--r-low", dest="r_low", type=float,
+                          help="drop coefficients below this radius")
+    features.add_argument("--log-offset", dest="log_offset", type=float,
+                          help="offset inside the log for logdft")
+    rbf = argparse.ArgumentParser(add_help=False)
+    rbf.add_argument("--max-centers", dest="max_centers", type=int,
                      help="RBF center budget")
-    sub.add_argument("--fusion-mode", dest="fusion_mode", choices=list(MODES))
+    mlp_fusion = argparse.ArgumentParser(add_help=False)
+    mlp_fusion.add_argument("--gamma", type=float, help="MSEREG performance ratio")
+    mlp_fusion.add_argument("--epochs", type=int, help="MLP training iterations")
+    mlp_fusion.add_argument("--hidden", type=int, help="MLP hidden neurons")
+    mlp_fusion.add_argument("--fusion-mode", dest="fusion_mode", choices=list(MODES))
 
-
-def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: a flag a command lacks must not pass as a longer one
     parser = argparse.ArgumentParser(
-        prog="faceid",
+        prog="faceid", allow_abbrev=False,
         description="Transform-domain face identification experiments")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_extract = subs.add_parser("extract", help="write feature CSVs")
-    _add_common(p_extract)
+    p_extract = subs.add_parser("extract", parents=[common, features],
+                                allow_abbrev=False, help="write feature CSVs")
     p_extract.set_defaults(func=cmd_extract)
 
-    p_eval = subs.add_parser("evaluate", help="run one classifier")
-    _add_common(p_eval)
+    p_eval = subs.add_parser("evaluate", parents=[common, features, rbf, mlp_fusion],
+                             allow_abbrev=False, help="run one classifier")
+    p_eval.add_argument("--spread", type=float, help="PNN/RBF spread")
     p_eval.add_argument("--classifier",
                         help="nn:mad, nn:mse, mlp, pnn, rbf, or fusion:a+b")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_sweep = subs.add_parser("sweep", help="dimension or spread curves")
-    _add_common(p_sweep)
+    p_sweep = subs.add_parser("sweep", parents=[common, features, rbf],
+                              allow_abbrev=False, help="dimension or spread curves")
     p_sweep.add_argument("--axis", choices=["dim", "spread"], required=True)
     p_sweep.add_argument("--classifier", help="pnn or rbf for --axis spread")
     p_sweep.add_argument("--metric", choices=["mad", "mse"])
@@ -419,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spreads", help="'0.1:2.0:0.1' or '0.5,0.9'")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_table = subs.add_parser("table1", help="benchmark comparison table")
-    _add_common(p_table)
+    p_table = subs.add_parser("table1", parents=[common, rbf, mlp_fusion],
+                              allow_abbrev=False, help="benchmark comparison table")
     p_table.add_argument("--rows", help="row filter prefix, e.g. nn or rbf")
     p_table.add_argument("--spreads", help="'0.1:2.0:0.1' or '0.5,0.9'")
     p_table.set_defaults(func=cmd_table1)
@@ -431,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "sweep":
+            drop_options_of_other_axis(args)
         apply_config(args, _DEFAULTS, config_options(parser))
         return args.func(args)
     except ConfigError as exc:

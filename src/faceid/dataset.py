@@ -30,8 +30,8 @@ class InventoryError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """One grayscale image with its subject/sample identity: what
-    :func:`load_pgm` returns, and one row of a corpus in :attr:`Corpus.images`."""
+    """One grayscale image with its subject/sample identity: one row of a
+    corpus in :attr:`Corpus.images`."""
 
     pixels: np.ndarray  # (R, C) float64 in [0, 1]
     subject_id: int = 0
@@ -172,23 +172,6 @@ def _parse_pgm(data: bytes, name: str) -> tuple[int, int, int, np.ndarray]:
     return height, width, maxval, raw
 
 
-_ORL_DIR_RE = re.compile(r"^s(\d+)$")
-
-
-def _ids_from_path(path: Path) -> tuple[int, int]:
-    """Parse (subject, sample) from the standard ``sX/Y.pgm`` layout; (0, 0) otherwise."""
-    m = _ORL_DIR_RE.match(path.parent.name)
-    if m and path.stem.isdigit():
-        return int(m.group(1)), int(path.stem)
-    return 0, 0
-
-
-def load_pgm(path: str | Path) -> Image:
-    """Load a P2/P5 PGM file; pixels scaled by 1/maxval, ids from the directory layout."""
-    path = Path(path)
-    return Image(_read_stack([path])[0], *_ids_from_path(path))
-
-
 def write_pgm(image: Image | np.ndarray, path: str | Path, maxval: int = 255) -> None:
     """Write pixels (an Image's, or a bare matrix) as binary P5 at ``maxval`` levels."""
     pixels = np.asarray(getattr(image, "pixels", image), dtype=np.float64)
@@ -262,8 +245,8 @@ def load_manifest(path: str | Path) -> Corpus:
     subjects, samples, paths = zip(*entries)
     try:
         return Corpus(_read_stack(list(paths)), subjects, samples)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a PgmError stays one: it is a data error
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def split_first_k(corpus: Corpus, k: int) -> Split:

@@ -26,7 +26,11 @@ SYNTH = "subjects=5,samples=6,rows=16,cols=14"
 
 
 def run(argv):
-    return main(argv)
+    """The exit code, also when argparse refuses the command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +363,57 @@ def test_evaluate_manifest_records_only_its_own_options(tmp_path):
     assert config["spread"] == 2.0
 
 
+# each run's argv, and the config keys its manifest records: the options it
+# reads (evaluate's are pinned above)
+RUNS = {
+    "extract": (["extract"],
+                ["complex_mode", "data", "dim", "log_offset", "manifest", "mask", "out",
+                 "r_low", "samples", "seed", "subjects", "synth", "train_k",
+                 "transform"]),
+    "sweep-dim": (["sweep", "--axis", "dim", "--grid", "1,2"],
+                  ["axis", "complex_mode", "data", "grid", "log_offset", "manifest",
+                   "mask_shape", "metric", "out", "r_low", "samples", "seed",
+                   "subjects", "synth", "train_k", "transform"]),
+    "sweep-spread": (["sweep", "--axis", "spread", "--classifier", "pnn",
+                      "--spreads", "1.0"],
+                     ["axis", "classifier", "complex_mode", "data", "dim", "log_offset",
+                      "manifest", "mask", "max_centers", "out", "r_low", "samples",
+                      "seed", "spreads", "subjects", "synth", "train_k", "transform"]),
+    "table1": (["table1", "--rows", "nn:mad", "--spreads", "1.0"],
+               ["data", "epochs", "fusion_mode", "gamma", "hidden", "manifest",
+                "max_centers", "out", "rows", "samples", "seed", "spreads", "subjects",
+                "synth"]),
+}
+# a config value for every key, none of them a default
+CONFIG_VALUES = {
+    "transform": "dft", "mask": "rect:3", "metric": "mse", "classifier": "pnn",
+    "mask_shape": "sector", "complex_mode": "interleave", "fusion_mode": "zscore",
+    "grid": "1,2", "spreads": "0.5", "rows": "nn", "dim": "3", "train_k": "3",
+    "epochs": "5", "hidden": "3", "max_centers": "2", "gamma": "0.5", "spread": "2.0",
+    "r_low": "1.0", "log_offset": "0.1",
+}
+
+
+@pytest.mark.parametrize("run_name", RUNS)
+def test_runs_fill_and_record_only_the_options_they_read(tmp_path, run_name):
+    # a config key the run does not read is neither refused nor recorded,
+    # and it changes no output
+    argv, keys = RUNS[run_name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in CONFIG_VALUES.items()
+                           if key not in keys))
+    outputs = []
+    for name, extra in (("plain", []), ("config", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert run([*argv, "--synth", SYNTH, *extra, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["config"]) == keys
+        del manifest["config"]["out"]
+        outputs.append((manifest, {p.name: p.read_bytes() for p in out.iterdir()
+                                   if p.name != "manifest.json"}))
+    assert outputs[0] == outputs[1]
+
+
 def test_config_file_values_obey_flag_choices(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for line in ("complex_mode = bogus", "fusion_mode = nope", "transform = wavelet",
@@ -504,23 +559,63 @@ def test_unknown_classifier_is_config_error(tmp_path, capsys):
     assert "usage:" in err
 
 
+# a value each shared option takes
+OPTION_VALUES = {
+    "--train-k": "3", "--transform": "dft", "--mask": "rect:5", "--dim": "3",
+    "--complex-mode": "interleave", "--r-low": "1.0", "--log-offset": "0.1",
+    "--gamma": "0.5", "--epochs": "10", "--hidden": "5", "--spread": "3",
+    "--max-centers": "5", "--fusion-mode": "zscore",
+}
+# the shared options each command does not declare, after its required ones;
+# argparse takes no abbreviations, or `table1 --spread 3` would run as --spreads 3
+UNDECLARED = {
+    ("extract",): ["--gamma", "--epochs", "--hidden", "--spread", "--max-centers",
+                   "--fusion-mode"],
+    ("table1",): ["--train-k", "--transform", "--mask", "--dim", "--complex-mode",
+                  "--r-low", "--log-offset", "--spread"],
+    ("sweep", "--axis", "dim"): ["--gamma", "--epochs", "--hidden", "--spread",
+                                 "--fusion-mode"],
+}
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["sweep", "--axis", "spread", "--classifier", "nn:mad"], "pnn or rbf"),
-    (["extract", "--transform", "klt"], "--transform klt requires --dim"),
-    (["evaluate", "--mask", "bogus"], "bad mask spec 'bogus'"),
-    (["table1", "--spreads", "2:1:0.5"], "spread grid is empty"),
-    (["sweep", "--axis", "dim", "--grid", "2.5,3.5"], "bad grid"),
-    (["table1", "--rows", "svm"], "matches no table rows"),
-    (["sweep", "--axis", "spread", "--classifier", "pnn", "--spreads", "0,1"],
-     "spreads must be positive"),
-    (["sweep", "--axis", "dim", "--transform", "klt", "--grid", "0:3"],
-     "KLT component count must be >= 1"),
-    (["sweep", "--axis", "dim", "--grid", "3,3"], "sweep grid repeats a value"),
-    (["evaluate", "--classifier", "fusion:rbf+rbf"], "repeats a classifier"),
-    (["evaluate", "--classifier", "fusion:rbf"], "needs two or more classifiers"),
-], ids=["spread-classifier", "klt-dim", "mask", "table1-spreads", "dim-grid",
-        "table1-rows", "spread-grid", "klt-grid", "dim-grid-repeats",
-        "fusion-repeats", "fusion-one-member"])
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "nn:mad"], "pnn or rbf",
+                 id="spread-classifier"),
+    pytest.param(["extract", "--transform", "klt"], "--transform klt requires --dim",
+                 id="klt-dim"),
+    pytest.param(["evaluate", "--mask", "bogus"], "bad mask spec 'bogus'", id="mask"),
+    pytest.param(["table1", "--spreads", "2:1:0.5"], "spread grid is empty",
+                 id="table1-spreads"),
+    pytest.param(["sweep", "--axis", "dim", "--grid", "2.5,3.5"], "bad grid",
+                 id="dim-grid"),
+    pytest.param(["table1", "--rows", "svm"], "matches no table rows", id="table1-rows"),
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn", "--spreads", "0,1"],
+                 "spreads must be positive", id="spread-grid"),
+    pytest.param(["sweep", "--axis", "dim", "--transform", "klt", "--grid", "0:3"],
+                 "KLT component count must be >= 1", id="klt-grid"),
+    pytest.param(["sweep", "--axis", "dim", "--grid", "3,3"],
+                 "sweep grid repeats a value", id="dim-grid-repeats"),
+    pytest.param(["evaluate", "--classifier", "fusion:rbf+rbf"], "repeats a classifier",
+                 id="fusion-repeats"),
+    pytest.param(["evaluate", "--classifier", "fusion:rbf"],
+                 "needs two or more classifiers", id="fusion-one-member"),
+    *[pytest.param([*command, flag, OPTION_VALUES[flag]],
+                   f"unrecognized arguments: {flag} {OPTION_VALUES[flag]}",
+                   id=f"{command[0]}{flag}")
+      for command, flags in UNDECLARED.items() for flag in flags],
+    pytest.param(["evaluate", "--classif", "nn:mad"], "unrecognized arguments: --classif",
+                 id="abbreviation"),
+    pytest.param(["sweep", "--axis", "dim", "--spreads", "0.5"],
+                 "--axis dim does not read --spreads", id="dim-axis-spreads"),
+    pytest.param(["sweep", "--axis", "dim", "--transform", "klt", "--dim", "3"],
+                 "--axis dim does not read --dim", id="dim-axis-dim"),
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn", "--grid", "1:3"],
+                 "--axis spread does not read --grid", id="spread-axis-grid"),
+    pytest.param(["extract", "--transform", "dct", "--dim", "3"],
+                 "--dim requires --transform klt", id="dct-dim"),
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "rbf", "--dim", "3"],
+                 "--dim requires --transform klt", id="spread-axis-dct-dim"),
+])
 def test_option_errors_are_refused_before_the_corpus_is_read(tmp_path, capsys,
                                                              argv, message):
     # the --data tree does not exist, so a run that read the corpus first
@@ -542,6 +637,26 @@ def test_missing_files_is_data_error(pgm_tree, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error:" in err
     assert "s3/2.pgm" in err
+
+
+@pytest.mark.parametrize("source", ["data", "manifest"])
+def test_malformed_pgm_is_data_error_from_either_source(pgm_tree, tmp_path, capsys,
+                                                       source):
+    root, _ = pgm_tree
+    (root / "s3" / "2.pgm").write_bytes(b"P7\n2 2\n255\n" + bytes(4))
+    if source == "data":
+        argv = ["--data", str(root), "--subjects", "5", "--samples", "6"]
+    else:
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("".join(f"s{s}/{k}.pgm {s} {k}\n"
+                                     for s in range(1, 6) for k in range(1, 7)))
+        argv = ["--manifest", str(inventory)]
+    out = tmp_path / "out"
+    assert run(["extract", *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "s3/2.pgm: malformed header at byte 0: unsupported magic b'P7'" in err
+    assert not out.exists()
 
 
 def test_rank_overflow_is_data_error(tmp_path, capsys):

@@ -7,10 +7,10 @@ import pytest
 
 from faceid.dataset import (
     Corpus, Image, InventoryError, PgmError, Split,
-    corpus_checksum, load_manifest, load_orl, load_pgm, split_first_k,
-    synth_corpus, write_pgm,
+    corpus_checksum, load_manifest, load_orl, split_first_k, synth_corpus,
+    write_pgm,
 )
-from faceid.dataset import _parse_pgm
+from faceid.dataset import _parse_pgm, _read_stack
 
 
 # ---------------------------------------------------------------------------
@@ -22,57 +22,57 @@ def test_load_p5_roundtrip(tmp_path):
     pixels = rng.random((9, 7))
     path = tmp_path / "img.pgm"
     write_pgm(Image(pixels=pixels), path)
-    back = load_pgm(path)
-    assert back.pixels.shape == (9, 7)
+    back = _read_stack([path])[0]
+    assert back.shape == (9, 7)
     # quantization to 255 levels is the only loss
-    assert np.abs(back.pixels - pixels).max() <= 0.5 / 255 + 1e-12
+    assert np.abs(back - pixels).max() <= 0.5 / 255 + 1e-12
 
 
 def test_load_p2_ascii(tmp_path):
     body = "P2\n# a comment\n3 2\n255\n0 128 255\n64 32 16\n"
     path = tmp_path / "a.pgm"
     path.write_text(body)
-    img = load_pgm(path)
-    assert img.pixels.shape == (2, 3)
-    assert img.pixels[0, 1] == pytest.approx(128 / 255)
-    assert img.pixels[1, 2] == pytest.approx(16 / 255)
+    img = _read_stack([path])[0]
+    assert img.shape == (2, 3)
+    assert img[0, 1] == pytest.approx(128 / 255)
+    assert img[1, 2] == pytest.approx(16 / 255)
 
 
 def test_p5_comment_and_maxval_scaling(tmp_path):
     header = b"P5\n# comment line\n2 2\n100\n"
     path = tmp_path / "c.pgm"
     path.write_bytes(header + bytes([0, 50, 100, 25]))
-    img = load_pgm(path)
-    assert img.pixels[0, 1] == pytest.approx(0.5)
-    assert img.pixels[1, 0] == pytest.approx(1.0)
+    img = _read_stack([path])[0]
+    assert img[0, 1] == pytest.approx(0.5)
+    assert img[1, 0] == pytest.approx(1.0)
 
 
 def test_malformed_magic_reports_byte_offset(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P7\n2 2\n255\n" + bytes(4))
     with pytest.raises(PgmError, match="malformed header at byte 0"):
-        load_pgm(path)
+        _read_stack([path])
 
 
 def test_malformed_width_reports_byte_offset(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\nxx 2\n255\n" + bytes(4))
     with pytest.raises(PgmError, match=r"malformed header at byte \d+: bad width"):
-        load_pgm(path)
+        _read_stack([path])
 
 
 def test_truncated_payload(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(PgmError, match="payload size mismatch: expected 16 samples, got 7"):
-        load_pgm(path)
+        _read_stack([path])
 
 
 def test_sample_over_maxval_rejected(tmp_path):
     path = tmp_path / "over.pgm"
     path.write_text("P2\n2 1\n10\n5 11\n")
     with pytest.raises(PgmError, match="exceeds maxval"):
-        load_pgm(path)
+        _read_stack([path])
 
 
 # header grammar: separators are whitespace bytes (``bytes.isspace``) and
@@ -88,14 +88,14 @@ def test_sample_over_maxval_rejected(tmp_path):
 def test_p5_header_separators(tmp_path, header):
     path = tmp_path / "h.pgm"
     path.write_bytes(header + bytes([0, 51, 102, 153, 204, 255]))
-    pixels = load_pgm(path).pixels
+    pixels = _read_stack([path])[0]
     assert np.array_equal(pixels, np.array([[0, 51, 102], [153, 204, 255]]) / 255)
 
 
 def test_p2_header_comments(tmp_path):
     path = tmp_path / "h.pgm"
     path.write_bytes(b"P2 #a\n#b\n2\x0b#c\n1\r\n#d\n\n13\n4\n13\n")
-    assert np.array_equal(load_pgm(path).pixels, np.array([[4, 13]]) / 13)
+    assert np.array_equal(_read_stack([path])[0], np.array([[4, 13]]) / 13)
 
 
 @pytest.mark.parametrize("data,message", [
@@ -116,16 +116,8 @@ def test_malformed_header_messages(tmp_path, data, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
     with pytest.raises(PgmError) as exc_info:
-        load_pgm(path)
+        _read_stack([path])
     assert str(exc_info.value) == f"{path}: {message}"
-
-
-def test_ids_from_layout(tmp_path):
-    d = tmp_path / "s7"
-    d.mkdir()
-    write_pgm(Image(pixels=np.zeros((2, 2))), d / "3.pgm")
-    img = load_pgm(d / "3.pgm")
-    assert (img.subject_id, img.sample_id) == (7, 3)
 
 
 def test_write_pgm_validates_maxval(tmp_path):
@@ -239,7 +231,7 @@ def test_load_manifest_missing_file(tmp_path):
 
 def frozen_load_pgm_stack(paths):
     """The per-file loop the loaders ran before decoding into the stack: one
-    ``load_pgm`` per file, its samples cast to float64 and then divided."""
+    PGM parse per file, its samples cast to float64 and then divided."""
     images = []
     for path in paths:
         rows, cols, maxval, raw = _parse_pgm(Path(path).read_bytes(), str(path))
@@ -281,7 +273,7 @@ def test_loaded_stacks_bit_equal_frozen_per_file_loop(tmp_path):
     assert np.array_equal(listed.subject_ids, tree.subject_ids)
     assert np.array_equal(listed.sample_ids, tree.sample_ids)
     for path, pixels in zip(paths, frozen):
-        assert load_pgm(path).pixels.tobytes() == pixels.tobytes()
+        assert _read_stack([path])[0].tobytes() == pixels.tobytes()
 
 
 # ---------------------------------------------------------------------------

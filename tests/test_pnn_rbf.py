@@ -8,8 +8,8 @@ from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
     MLPConfig, PNNModel, RBFModel, make_targets,
-    mlp_train, pnn_classify, pnn_train, probes_at_bias, radbas_bias, rbf_scores,
-    rbf_train, save_model, subjects_predicted,
+    collapse_counts, mlp_train, pnn_classify, pnn_train, radbas_bias, rbf_scores,
+    rbf_train, save_model,
 )
 from faceid.classifiers.common import z_distances
 from faceid.classifiers.pnn import radbas
@@ -391,8 +391,9 @@ def test_rbf_bit_equal_lstsq_oracle_on_cached_distances(orl_shaped_dct, spread, 
     assert np.array_equal(scores, _cdist_rbf_scores(model, probes))
     # spread 0.9 is the collapse of ROADMAP aim 3: every output is the bias
     assert np.all(scores == model.biases) == collapsed
-    assert probes_at_bias(model, probes) == (probes.shape[0] if collapsed else 0)
-    assert (subjects_predicted(model, probes) == 1) == collapsed
+    at_bias, subjects = collapse_counts(model, probes)
+    assert at_bias == (probes.shape[0] if collapsed else 0)
+    assert (subjects == 1) == collapsed
     if collapsed:
         assert model.tied_picks == tied_picks > 0
 
@@ -402,8 +403,8 @@ def test_rbf_collapse_shows_in_subjects_predicted(orl_shaped_dct):
     # biases, yet the network still sends every probe to one subject
     gallery, probes = orl_shaped_dct
     model = rbf_train(gallery, 1.5)
-    assert 0 < probes_at_bias(model, probes) < probes.shape[0]
-    assert subjects_predicted(model, probes) == 1
+    at_bias, subjects = collapse_counts(model, probes)
+    assert 0 < at_bias < probes.shape[0] and subjects == 1
 
 
 def test_rbf_growth_matches_lstsq_oracle_over_spreads(orl_shaped_dct):

@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 
 from faceid import cli, evaluation
 from faceid.classifiers import MAD, MSE, nearest, nn_scores
-from faceid.dataset import corpus_checksum, load_orl, load_pgm
+from faceid.dataset import _read_stack, corpus_checksum, load_orl
 from faceid.eigenfaces import project, train_eigenbasis
 from faceid.evaluation import (
     decide, identification_rate, extract_split_features, sweep_dimension,
@@ -483,10 +483,10 @@ def frozen_orl_checksum(root, n_subjects, samples):
     digest = hashlib.sha256()
     for s in range(1, n_subjects + 1):
         for k in range(1, samples + 1):
-            img = load_pgm(root / f"s{s}" / f"{k}.pgm")
-            rows, cols = img.pixels.shape
+            pixels = _read_stack([root / f"s{s}" / f"{k}.pgm"])[0]
+            rows, cols = pixels.shape
             digest.update(f"{s},{k},{rows}x{cols};".encode())
-            digest.update(img.pixels.astype("<f8").tobytes())
+            digest.update(pixels.astype("<f8").tobytes())
     return digest.hexdigest()
 
 
