@@ -30,7 +30,7 @@ from .classifiers import (
     write_training_log,
 )
 from .evaluation import (
-    KERNEL_CLASSIFIERS, SPREAD_GRID, TRAIN_SAMPLES,
+    KERNEL_CLASSIFIERS, MLP_NAME, RBF_NAME, SPREAD_GRID, TRAIN_SAMPLES,
     EvalConfig, dim_grid, extract_split_features, format_table,
     parse_classifier_spec, run_experiment, spread_grid, sweep_dimension,
     sweep_spread, table1_report, table_targets, write_curve_csv,
@@ -40,6 +40,7 @@ from .evaluation import (
 from .fusion import MODES
 
 ENV_DATA = "FACEID_DATA"
+SOURCES = ("data", "manifest", "synth")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,36 +90,79 @@ def read_config_file(path: str, options: dict) -> dict:
     return values
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its parser."""
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def config_options(parser: argparse.ArgumentParser) -> dict:
     """Option name -> (type, allowed values or None) for every option a config
-    file may set: the subcommands' own options, but not --config itself nor
-    the required ones."""
-    subcommands = next(action for action in parser._actions
-                       if isinstance(action, argparse._SubParsersAction))
+    file may set: the subcommands' own options, but neither --config, the
+    dataset source, nor the required ones."""
     return {action.dest: (action.type or str, action.choices)
-            for sub in subcommands.choices.values() for action in sub._actions
-            if action.dest not in ("help", "config") and not action.required}
+            for sub in _subcommands(parser).values() for action in sub._actions
+            if action.dest not in ("help", "config", *SOURCES) and not action.required}
 
 
-def apply_config(args: argparse.Namespace, defaults: dict, options: dict) -> None:
-    """Fill unset options from --config file values, then built-in defaults.
+def _choose_source(args: argparse.Namespace) -> str:
+    """Exactly one of --data / --manifest / --synth (env var fills --data);
+    the others are dropped."""
+    if all(getattr(args, name) is None for name in SOURCES):
+        args.data = os.environ.get(ENV_DATA) or None
+    chosen = [name for name in SOURCES if getattr(args, name) is not None]
+    if len(chosen) != 1:
+        raise ConfigError(
+            "exactly one dataset source required: --data DIR, --manifest FILE, "
+            f"or --synth SPEC (got {len(chosen)})")
+    for name in set(SOURCES) - set(chosen):
+        delattr(args, name)
+    return chosen[0]
 
-    Only options the run reads are in ``args`` (the command's own, less a
-    sweep's other-axis ones), so only those are filled and recorded.
+
+def _selector(args: argparse.Namespace, name: str) -> tuple[str, set] | None:
+    """One selector of ``_READ_UNDER``: its flag as a refusal names it, and
+    its values. None where the run has no such selector."""
+    if name == "source":
+        source = _choose_source(args)
+        return f"--{source}", {source}
+    if name == "classifiers" and "rows" in vars(args):
+        targets = table_targets(args.rows)
+        if not targets:
+            raise ConfigError(f"--rows {args.rows!r} matches no table rows")
+        return f"--rows {args.rows}", {member for row in targets
+                                       for member in parse_classifier_spec(row[2])}
+    name = "classifier" if name == "classifiers" else name
+    if name not in vars(args):
+        return None
+    value = getattr(args, name)
+    return f"--{name} {value}", (set(parse_classifier_spec(value))
+                                 if name == "classifier" else {value})
+
+
+def resolve_options(args: argparse.Namespace, options: dict) -> None:
+    """Keep only the options the run reads, each filled from its flag, else
+    the --config file (which may set ``options``), else the default.
+
+    An option that its selectors (see ``_READ_UNDER``) leave unread is
+    refused when given as a flag and dropped otherwise, so it is never
+    recorded.
     """
     file_values = read_config_file(args.config, options) if args.config else {}
-    for key, default in defaults.items():
-        if key in vars(args) and getattr(args, key) is None:
-            setattr(args, key, file_values.get(key, default))
-
-
-def drop_options_of_other_axis(args: argparse.Namespace) -> None:
-    """Drop, before filling, the sweep options only the other axis reads."""
-    for key in _OTHER_AXIS_ONLY[args.axis]:
-        if getattr(args, key) is not None:
-            raise ConfigError(f"--axis {args.axis} does not read "
-                              f"--{key.replace('_', '-')}")
-        delattr(args, key)
+    given = {key for key, value in vars(args).items() if value is not None}
+    for key in _DEFAULTS.keys() & vars(args).keys() - given:
+        setattr(args, key, file_values.get(key, _DEFAULTS[key]))
+    for name, reads in _READ_UNDER.items():
+        resolved = _selector(args, name)
+        if resolved is None:
+            continue
+        flag, values = resolved
+        for key, allowed in reads.items():
+            if key in vars(args) and not values & allowed:
+                if key in given:
+                    raise ConfigError(f"{flag} does not read "
+                                      f"--{key.replace('_', '-')}")
+                delattr(args, key)
 
 
 def parse_mask_spec(spec: str) -> ZonalMask:
@@ -186,43 +230,35 @@ def parse_synth_spec(spec: str, seed: int) -> Corpus:
 
 
 def load_source(args: argparse.Namespace) -> Corpus:
-    """Exactly one of --data / --manifest / --synth (env var fills --data)."""
-    if args.data is None and args.manifest is None and args.synth is None:
-        env = os.environ.get(ENV_DATA)
-        if env:
-            args.data = env
-    chosen = [name for name in ("data", "manifest", "synth")
-              if getattr(args, name) is not None]
-    if len(chosen) != 1:
-        raise ConfigError(
-            "exactly one dataset source required: --data DIR, --manifest FILE, "
-            f"or --synth SPEC (got {len(chosen)})")
-    if args.data is not None:
+    """The corpus from the one source the run chose."""
+    if "data" in vars(args):
         return load_orl(args.data, n_subjects=args.subjects,
                         samples_per_subject=args.samples)
-    if args.manifest is not None:
+    if "manifest" in vars(args):
         return load_manifest(args.manifest)
     return parse_synth_spec(args.synth, args.seed)
 
 
 def make_eval_config(args: argparse.Namespace) -> EvalConfig:
-    """The classifier knobs the command declares (``EvalConfig`` field = dest)."""
+    """The classifier knobs the run reads (``EvalConfig`` field = dest)."""
     return EvalConfig(**{f.name: getattr(args, f.name) for f in fields(EvalConfig)
                          if hasattr(args, f.name)})
 
 
 def feature_options(args: argparse.Namespace) -> dict:
-    """The transform flags as ``extract_split_features`` keywords, checked
-    before any corpus is read."""
-    if args.transform == KLT:
-        if args.dim is None:
-            raise ConfigError("--transform klt requires --dim")
-        return {"kind": KLT, "dim": args.dim}
-    if args.dim is not None:
-        raise ConfigError("--dim requires --transform klt")
-    return {"kind": args.transform, "mask": parse_mask_spec(args.mask),
-            "complex_mode": args.complex_mode, "r_low": args.r_low,
-            "log_offset": args.log_offset}
+    """The transform options the run reads, as ``extract_split_features`` (or
+    ``sweep_dimension``) keywords, checked before any corpus is read."""
+    if "dim" in vars(args) and args.dim is None:  # dim is kept only under klt
+        raise ConfigError("--transform klt requires --dim")
+    options = {key: getattr(args, key) for key in
+               ("transform", "dim", "complex_mode", "r_low", "log_offset")
+               if key in vars(args)}
+    options["kind"] = options.pop("transform")
+    if "mask" in vars(args):
+        options["mask"] = parse_mask_spec(args.mask)
+    if "mask_shape" in vars(args):
+        options["mask_shape"] = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
+    return options
 
 
 def prepare_out(args: argparse.Namespace) -> Path:
@@ -275,10 +311,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        parse_classifier_spec(args.classifier)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     options = feature_options(args)
     corpus = load_source(args)
     gal, probes = extract_split_features(split_first_k(corpus, args.train_k), **options)
@@ -297,12 +329,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                   f"({model.stop_reason}), last lambda {model.last_lambda:.6g}",
                   file=sys.stderr)
         elif isinstance(model, RBFModel):
-            at_bias, subjects = collapse_counts(model, probes.matrix)
+            at_bias, subjects = collapse_counts(model, result.scores[name])
             print(f"{name}: {model.n_centers} centers, {model.tied_picks} picked "
                   f"by the tie rule, final residual {model.residuals[-1]:.6g}, "
                   f"{at_bias}/{len(probes)} probes at the bias, predictions span "
                   f"{subjects}/{model.subject_ids.size} subjects", file=sys.stderr)
-    if len(result.members) > 1:
+    if len(result.scores) > 1:
         write_fusion_report(result, out / "fusion_report.csv")
         outputs.append("fusion_report.csv")
     emit_manifest(out, "evaluate", args, corpus, outputs)
@@ -311,22 +343,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    options = feature_options(args)
     if args.axis == "dim":
-        shape = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
         # sector radii may be fractional; rect sides and KLT dims are integers
-        parse = (parse_radius_grid if shape == SECTORIAL and args.transform != KLT
+        parse = (parse_radius_grid if options.get("mask_shape") == SECTORIAL
                  else parse_int_grid)
         # without --grid, the default grid follows the corpus shape
         grid = dim_grid(args.transform, parse(args.grid)) if args.grid else None
         corpus = load_source(args)
-        points = sweep_dimension(split_first_k(corpus, args.train_k), args.transform,
-                                 shape, grid, args.metric, complex_mode=args.complex_mode,
-                                 r_low=args.r_low, log_offset=args.log_offset)
+        points = sweep_dimension(split_first_k(corpus, args.train_k), grid=grid,
+                                 metric=args.metric, **options)
     else:
         if args.classifier not in KERNEL_CLASSIFIERS:
             raise ConfigError("--axis spread requires --classifier "
                               + " or ".join(KERNEL_CLASSIFIERS))
-        options = feature_options(args)
         spreads = spread_grid(parse_float_grid(args.spreads) if args.spreads
                               else SPREAD_GRID)
         corpus = load_source(args)
@@ -343,10 +373,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    spreads = spread_grid(parse_float_grid(args.spreads) if args.spreads
-                          else SPREAD_GRID)
-    if not table_targets(args.rows):
-        raise ConfigError(f"--rows {args.rows!r} matches no table rows")
+    spreads = spread_grid(parse_float_grid(args.spreads)
+                          if vars(args).get("spreads") else SPREAD_GRID)
     corpus = load_source(args)
     rows = table1_report(corpus, make_eval_config(args),
                          rows_filter=args.rows, spreads=spreads)
@@ -370,13 +398,27 @@ _DEFAULTS = {
     "log_offset": 1e-4, **asdict(EvalConfig()),
 }
 
-# the sweep options that only the other axis reads
-_OTHER_AXIS_ONLY = {"dim": ("mask", "dim", "max_centers", "classifier", "spreads"),
-                    "spread": ("metric", "mask_shape", "grid")}
+# Selector -> {option: the selector values under which a run reads it}. A
+# run's selectors are its sweep axis, its transform, the classifiers it runs
+# (the members of --classifier, or of the rows table1 --rows selects) and its
+# dataset source; an option is read where its selector's values meet the
+# listed ones. Checked in this order, so the axis refuses a flag first.
+_READ_UNDER = {
+    "axis": {**dict.fromkeys(("mask", "dim", "max_centers", "classifier", "spreads"),
+                             {"spread"}),
+             **dict.fromkeys(("metric", "mask_shape", "grid"), {"dim"})},
+    "transform": {**dict.fromkeys(("mask", "r_low", "mask_shape"), {DCT, DFT, LOGDFT}),
+                  "complex_mode": {DFT, LOGDFT}, "log_offset": {LOGDFT}, "dim": {KLT}},
+    "classifiers": {**dict.fromkeys(("spread", "spreads"), set(KERNEL_CLASSIFIERS)),
+                    "max_centers": {RBF_NAME},
+                    **dict.fromkeys(("epochs", "hidden", "gamma"), {MLP_NAME})},
+    "source": dict.fromkeys(("subjects", "samples"), {"data"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # each subcommand declares only the options it reads, from these parents
+    # each subcommand declares only the options some run of it reads, from
+    # these parents
     common = argparse.ArgumentParser(add_help=False)
     src = common.add_argument_group("dataset source (exactly one)")
     src.add_argument("--data", help=f"image directory root (or ${ENV_DATA})")
@@ -448,27 +490,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    command = _subcommands(parser)[args.command]
+    if unknown:
+        command.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        if args.command == "sweep":
-            drop_options_of_other_axis(args)
-        apply_config(args, _DEFAULTS, config_options(parser))
+        resolve_options(args, config_options(parser))
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InventoryError, PgmError, RankError) as exc:
+    except (InventoryError, PgmError, RankError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        print(command.format_usage(), end="", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -69,7 +69,7 @@ def identification_rate(truth: Sequence[int], preds: Sequence[int]) -> float:
 
 @dataclass(eq=False)
 class ExperimentResult:
-    members: list          # the spec's classifier names, in order
+    scores: dict           # (k, S) raw scores per member of the spec, by name, in order
     probes: Features       # the probes scored; their labels are the truth
     preds: np.ndarray      # (k,) predicted subject id per probe
     fused: np.ndarray      # (k, S) the decision rule's fused scores
@@ -207,15 +207,16 @@ def run_experiment(spec: str, gallery: Features, probes: Features,
                    cfg: EvalConfig | None = None) -> ExperimentResult:
     """Closed-set identification of every probe under one classifier spec:
     score the probe block with each member (training those that learn) and
-    :func:`decide`. The result carries the trained models by name.
+    :func:`decide`. The result carries each member's scores and the trained
+    models by name.
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    members = parse_classifier_spec(spec)
-    scored = [_member_scores(name, gallery, probes.matrix, cfg) for name in members]
-    preds, fused = decide([scores for scores, _ in scored], gallery.subject_ids,
-                          cfg.fusion_mode)
-    models = {name: model for name, (_, model) in zip(members, scored) if model is not None}
-    return ExperimentResult(members=members, probes=probes, preds=preds, fused=fused,
+    scored = {name: _member_scores(name, gallery, probes.matrix, cfg)
+              for name in parse_classifier_spec(spec)}
+    scores = {name: member_scores for name, (member_scores, _) in scored.items()}
+    preds, fused = decide(list(scores.values()), gallery.subject_ids, cfg.fusion_mode)
+    models = {name: model for name, (_, model) in scored.items() if model is not None}
+    return ExperimentResult(scores=scores, probes=probes, preds=preds, fused=fused,
                             models=models)
 
 

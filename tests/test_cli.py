@@ -10,7 +10,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from faceid.classifiers import MLPConfig, PNNModel, rbf_train
+from faceid import evaluation
+from faceid.classifiers import MLPConfig, PNNModel, rbf_scores, rbf_train
 from faceid.cli import (
     _DEFAULTS, ConfigError, build_parser, config_options, main, make_eval_config,
     parse_float_grid, parse_int_grid, parse_mask_spec, parse_radius_grid,
@@ -104,7 +105,7 @@ def test_read_config_file(tmp_path):
 def test_config_options_come_from_the_parser():
     # the keys and types a config file takes, as the CLI's flags declare them
     frozen = {
-        "data": str, "manifest": str, "synth": str, "out": str,
+        "out": str,
         "transform": str, "mask": str, "metric": str, "classifier": str,
         "mask_shape": str, "complex_mode": str, "fusion_mode": str,
         "grid": str, "spreads": str, "rows": str,
@@ -121,6 +122,21 @@ def test_config_options_come_from_the_parser():
                        "metric": ["mad", "mse"], "mask_shape": ["rect", "sector"]}
 
 
+@pytest.mark.parametrize("line", ["synth = " + SYNTH, "data = faces", "manifest = faces.txt",
+                                  "config = other.cfg", "axis = dim"])
+def test_command_line_only_keys_are_bad_config_entries(tmp_path, capsys, line):
+    # the dataset source, --config and --axis come only from the command line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    out = tmp_path / "out"
+    assert run(["sweep", "--axis", "dim", "--synth", SYNTH, "--config", str(cfg),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config file line 2: bad entry {line!r}" in err
+    assert "usage: faceid sweep" in err
+    assert not out.exists()
+
+
 def test_option_defaults_are_frozen():
     # the value each option takes when neither a flag nor a config file sets it
     frozen = {
@@ -133,9 +149,9 @@ def test_option_defaults_are_frozen():
     }
     assert {key: (value, type(value)) for key, value in _DEFAULTS.items()} == {
         key: (value, type(value)) for key, value in frozen.items()}
-    # every option but the dataset source has a default
+    # every option a config file may set has a default
     options = config_options(build_parser())
-    assert set(frozen) == set(options) - {"data", "manifest", "synth"}
+    assert set(frozen) == set(options)
     # the library's own defaults are the same values: the classifier options
     # fill an EvalConfig field by field
     cfg = EvalConfig()
@@ -192,7 +208,8 @@ def test_env_var_fills_data(pgm_tree, tmp_path, monkeypatch):
     code = run(["extract", "--synth", SYNTH, "--out", str(out2)])
     assert code == 0
     manifest = json.loads((out2 / "manifest.json").read_text())
-    assert manifest["config"]["data"] is None
+    assert "data" not in manifest["config"]
+    assert manifest["config"]["synth"] == SYNTH
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +261,23 @@ def test_evaluate_mlp_writes_training_log(tmp_path, capsys):
     ("2.0", 1, 1),    # one probe at the bias, yet every probe goes to one subject
     ("20", 0, 4),
 ])
-def test_evaluate_rbf_reports_growth_on_stderr(tmp_path, capsys, spread, at_bias, subjects):
+def test_evaluate_rbf_reports_growth_on_stderr(tmp_path, capsys, monkeypatch, spread,
+                                               at_bias, subjects):
     out = tmp_path / "out"
     argv = ["evaluate", "--synth", SYNTH, "--classifier", "rbf",
             "--spread", spread, "--max-centers", "6", "--out", str(out)]
+    calls = []
+
+    def counted_rbf_scores(*args, **kwargs):
+        calls.append(1)
+        return rbf_scores(*args, **kwargs)
+
+    # the line's counts come from the scores the run computed, not a rescoring
+    monkeypatch.setattr(evaluation, "rbf_scores", counted_rbf_scores)
     runs = []
-    for _ in range(2):
+    for i in range(2):
         assert run(argv) == 0
+        assert len(calls) == i + 1
         err = capsys.readouterr().err
         assert re.search(r"^rbf: 6 centers, [1-6] picked by the tie rule, final residual "
                          rf"[0-9.e+-]+, {at_bias}/5 probes at the bias, "
@@ -330,7 +357,7 @@ def test_evaluate_reruns_are_byte_identical(tmp_path):
 
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("classifier = pnn\nspread = 2.0\n")
+    cfg.write_text("classifier = pnn\nspread = 2.0\nfusion_mode = zscore\n")
     out1 = tmp_path / "a"
     assert run(["evaluate", "--synth", SYNTH, "--config", str(cfg),
                 "--out", str(out1)]) == 0
@@ -345,7 +372,8 @@ def test_config_file_precedence(tmp_path):
                 "--classifier", "nn:mad", "--out", str(out2)]) == 0
     manifest = json.loads((out2 / "manifest.json").read_text())
     assert manifest["config"]["classifier"] == "nn:mad"
-    assert manifest["config"]["spread"] == 2.0  # file still fills the rest
+    assert manifest["config"]["fusion_mode"] == "zscore"  # file still fills the rest
+    assert "spread" not in manifest["config"]  # which nn:mad does not read
 
 
 def test_evaluate_manifest_records_only_its_own_options(tmp_path):
@@ -355,42 +383,50 @@ def test_evaluate_manifest_records_only_its_own_options(tmp_path):
     assert run(["evaluate", "--synth", SYNTH, "--config", str(cfg),
                 "--out", str(out)]) == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
-    assert sorted(config) == sorted([
-        "classifier", "complex_mode", "data", "dim", "epochs", "fusion_mode",
-        "gamma", "hidden", "log_offset", "manifest", "mask", "max_centers",
-        "out", "r_low", "samples", "seed", "spread", "subjects", "synth",
-        "train_k", "transform"])
-    assert config["spread"] == 2.0
+    assert sorted(config) == ["classifier", "fusion_mode", "mask", "out", "r_low",
+                              "seed", "synth", "train_k", "transform"]
 
 
 # each run's argv, and the config keys its manifest records: the options it
-# reads (evaluate's are pinned above)
+# reads (evaluate's are pinned above and in the transform x classifier x
+# source grid below)
 RUNS = {
     "extract": (["extract"],
-                ["complex_mode", "data", "dim", "log_offset", "manifest", "mask", "out",
-                 "r_low", "samples", "seed", "subjects", "synth", "train_k",
-                 "transform"]),
+                ["mask", "out", "r_low", "seed", "synth", "train_k", "transform"]),
+    "extract-logdft": (["extract", "--transform", "logdft"],
+                       ["complex_mode", "log_offset", "mask", "out", "r_low", "seed",
+                        "synth", "train_k", "transform"]),
     "sweep-dim": (["sweep", "--axis", "dim", "--grid", "1,2"],
-                  ["axis", "complex_mode", "data", "grid", "log_offset", "manifest",
-                   "mask_shape", "metric", "out", "r_low", "samples", "seed",
-                   "subjects", "synth", "train_k", "transform"]),
+                  ["axis", "grid", "mask_shape", "metric", "out", "r_low", "seed",
+                   "synth", "train_k", "transform"]),
+    "sweep-dim-klt": (["sweep", "--axis", "dim", "--transform", "klt", "--grid", "1,2"],
+                      ["axis", "grid", "metric", "out", "seed", "synth", "train_k",
+                       "transform"]),
     "sweep-spread": (["sweep", "--axis", "spread", "--classifier", "pnn",
                       "--spreads", "1.0"],
-                     ["axis", "classifier", "complex_mode", "data", "dim", "log_offset",
-                      "manifest", "mask", "max_centers", "out", "r_low", "samples",
-                      "seed", "spreads", "subjects", "synth", "train_k", "transform"]),
-    "table1": (["table1", "--rows", "nn:mad", "--spreads", "1.0"],
-               ["data", "epochs", "fusion_mode", "gamma", "hidden", "manifest",
-                "max_centers", "out", "rows", "samples", "seed", "spreads", "subjects",
-                "synth"]),
+                     ["axis", "classifier", "mask", "out", "r_low", "seed", "spreads",
+                      "synth", "train_k", "transform"]),
+    "sweep-spread-rbf": (["sweep", "--axis", "spread", "--classifier", "rbf",
+                          "--spreads", "1.0"],
+                         ["axis", "classifier", "mask", "max_centers", "out", "r_low",
+                          "seed", "spreads", "synth", "train_k", "transform"]),
+    "table1": (["table1", "--rows", "nn:mad"],
+               ["fusion_mode", "out", "rows", "seed", "synth"]),
+    "table1-mlp": (["table1", "--rows", "mlp", "--epochs", "5"],
+                   ["epochs", "fusion_mode", "gamma", "hidden", "out", "rows", "seed",
+                    "synth"]),
+    "table1-fusion": (["table1", "--rows", "fusion", "--spreads", "1.0"],
+                      ["fusion_mode", "max_centers", "out", "rows", "seed", "spreads",
+                       "synth"]),
 }
-# a config value for every key, none of them a default
+# a config value for every key a file may set, none of them a default
 CONFIG_VALUES = {
     "transform": "dft", "mask": "rect:3", "metric": "mse", "classifier": "pnn",
     "mask_shape": "sector", "complex_mode": "interleave", "fusion_mode": "zscore",
     "grid": "1,2", "spreads": "0.5", "rows": "nn", "dim": "3", "train_k": "3",
     "epochs": "5", "hidden": "3", "max_centers": "2", "gamma": "0.5", "spread": "2.0",
-    "r_low": "1.0", "log_offset": "0.1",
+    "r_low": "1.0", "log_offset": "0.1", "subjects": "3", "samples": "4", "seed": "1",
+    "out": "elsewhere",
 }
 
 
@@ -399,6 +435,7 @@ def test_runs_fill_and_record_only_the_options_they_read(tmp_path, run_name):
     # a config key the run does not read is neither refused nor recorded,
     # and it changes no output
     argv, keys = RUNS[run_name]
+    assert set(CONFIG_VALUES) == set(config_options(build_parser()))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in CONFIG_VALUES.items()
                            if key not in keys))
@@ -412,6 +449,68 @@ def test_runs_fill_and_record_only_the_options_they_read(tmp_path, run_name):
         outputs.append((manifest, {p.name: p.read_bytes() for p in out.iterdir()
                                    if p.name != "manifest.json"}))
     assert outputs[0] == outputs[1]
+
+
+# what evaluate reads beyond the options every run of it reads, per
+# transform, classifier and dataset source
+TRANSFORM_READS = {"dct": ["mask", "r_low"], "dft": ["complex_mode", "mask", "r_low"],
+                   "logdft": ["complex_mode", "log_offset", "mask", "r_low"],
+                   "klt": ["dim"]}
+CLASSIFIER_READS = {"nn:mad": [], "mlp": ["epochs", "gamma", "hidden"],
+                    "pnn": ["spread"], "rbf": ["max_centers", "spread"],
+                    "fusion:rbf+nn:mad": ["max_centers", "spread"]}
+SOURCE_READS = {"synth": ["synth"], "data": ["data", "samples", "subjects"],
+                "manifest": ["manifest"]}
+
+
+@pytest.mark.parametrize("source", SOURCE_READS)
+@pytest.mark.parametrize("classifier", CLASSIFIER_READS)
+@pytest.mark.parametrize("transform", TRANSFORM_READS)
+def test_evaluate_reads_only_the_options_of_its_selectors(pgm_tree, tmp_path, capsys,
+                                                          transform, classifier, source):
+    root, _ = pgm_tree
+    keys = sorted(["classifier", "fusion_mode", "out", "seed", "train_k", "transform",
+                   *TRANSFORM_READS[transform], *CLASSIFIER_READS[classifier],
+                   *SOURCE_READS[source]])
+    inventory = root / "inventory.txt"
+    inventory.write_text("".join(f"s{s}/{k}.pgm {s} {k}\n"
+                                 for s in range(1, 6) for k in range(1, 7)))
+    sources = {"synth": ["--synth", SYNTH],
+               "data": ["--data", str(root), "--subjects", "5", "--samples", "6"],
+               "manifest": ["--manifest", str(inventory)]}
+    argv = ["evaluate", "--transform", transform, "--classifier", classifier,
+            *(["--dim", "3"] if transform == "klt" else []),
+            *(["--epochs", "5"] if "mlp" in classifier else [])]
+
+    # a config file setting every key the run does not read changes no output
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in CONFIG_VALUES.items()
+                           if key not in keys))
+    outputs = []
+    for name, extra in (("plain", []), ("config", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert run([*argv, *sources[source], *extra, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["config"]) == keys
+        del manifest["config"]["out"]
+        outputs.append((manifest, {p.name: p.read_bytes() for p in out.iterdir()
+                                   if p.name != "manifest.json"}))
+    assert outputs[0] == outputs[1]
+
+    # each flag it does not read is refused before the source is read: each
+    # of these sources would fail if it were
+    broken = {"synth": ["--synth", "depth=3"], "data": ["--data", str(tmp_path / "missing")],
+              "manifest": ["--manifest", str(tmp_path / "missing.txt")]}[source]
+    capsys.readouterr()
+    for flag, value in OPTION_VALUES.items():
+        if flag[2:].replace("-", "_") in keys:
+            continue
+        out = tmp_path / "refused"
+        assert run([*argv, *broken, flag, value, "--out", str(out)]) == 2, flag
+        err = capsys.readouterr().err
+        assert f" does not read {flag}\n" in err, err
+        assert "usage: faceid evaluate " in err
+        assert not out.exists()
 
 
 def test_config_file_values_obey_flag_choices(tmp_path, capsys):
@@ -472,7 +571,8 @@ def test_sector_sweep_takes_a_radius_range(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--grid", "2.5,3.5"],
     ["--grid", "2:4:0.5"],
-    ["--mask-shape", "sector", "--transform", "klt", "--grid", "2.5,3.5"],
+    # klt reads no --mask-shape, so a sector shape cannot make its dims fractional
+    ["--transform", "klt", "--grid", "2.5,3.5"],
 ])
 def test_rect_and_klt_grids_refuse_fractions(tmp_path, capsys, argv):
     code = run(["sweep", "--axis", "dim", "--synth", SYNTH, *argv,
@@ -502,7 +602,7 @@ def test_sweep_spread_needs_kernel_classifier(tmp_path, capsys):
 def test_table1_rows_filter(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["table1", "--synth", "subjects=4,samples=6,rows=12,cols=10",
-                "--rows", "nn", "--spreads", "1.0", "--out", str(out)])
+                "--rows", "nn", "--out", str(out)])
     assert code == 0
     lines = (out / "table1.csv").read_text().splitlines()
     assert len(lines) == 7  # header + six nearest-neighbor rows
@@ -521,7 +621,7 @@ def test_table1_bad_filter(tmp_path, capsys):
     ["sweep", "--axis", "dim", "--grid", "3,3"],
     ["sweep", "--axis", "spread", "--classifier", "rbf", "--spreads", "0.5,0.5"],
     ["table1", "--spreads", "0.5,0.5"],
-    ["table1", "--rows", "nn", "--spreads", "0.5,1.0,0.5"],
+    ["table1", "--rows", "rbf", "--spreads", "0.5,1.0,0.5"],
 ])
 def test_repeated_grid_values_are_config_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -564,7 +664,7 @@ OPTION_VALUES = {
     "--train-k": "3", "--transform": "dft", "--mask": "rect:5", "--dim": "3",
     "--complex-mode": "interleave", "--r-low": "1.0", "--log-offset": "0.1",
     "--gamma": "0.5", "--epochs": "10", "--hidden": "5", "--spread": "3",
-    "--max-centers": "5", "--fusion-mode": "zscore",
+    "--max-centers": "5", "--fusion-mode": "zscore", "--subjects": "5", "--samples": "6",
 }
 # the shared options each command does not declare, after its required ones;
 # argparse takes no abbreviations, or `table1 --spread 3` would run as --spreads 3
@@ -611,10 +711,32 @@ UNDECLARED = {
                  "--axis dim does not read --dim", id="dim-axis-dim"),
     pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn", "--grid", "1:3"],
                  "--axis spread does not read --grid", id="spread-axis-grid"),
+    pytest.param(["sweep", "--axis", "dim", "--transform", "klt", "--mask", "rect:3"],
+                 "--axis dim does not read --mask", id="dim-axis-klt-mask"),
     pytest.param(["extract", "--transform", "dct", "--dim", "3"],
-                 "--dim requires --transform klt", id="dct-dim"),
+                 "--transform dct does not read --dim", id="dct-dim"),
     pytest.param(["sweep", "--axis", "spread", "--classifier", "rbf", "--dim", "3"],
-                 "--dim requires --transform klt", id="spread-axis-dct-dim"),
+                 "--transform dct does not read --dim", id="spread-axis-dct-dim"),
+    pytest.param(["extract", "--transform", "klt", "--dim", "5", "--mask", "rect:3",
+                  "--log-offset", "7"],
+                 "--transform klt does not read --mask", id="klt-mask"),
+    pytest.param(["sweep", "--axis", "dim", "--transform", "klt", "--mask-shape", "sector"],
+                 "--transform klt does not read --mask-shape", id="klt-mask-shape"),
+    pytest.param(["evaluate", "--transform", "dft", "--log-offset", "7"],
+                 "--transform dft does not read --log-offset", id="dft-log-offset"),
+    pytest.param(["evaluate", "--complex-mode", "interleave"],
+                 "--transform dct does not read --complex-mode", id="dct-complex-mode"),
+    pytest.param(["evaluate", "--classifier", "nn:mad", "--spread", "3"],
+                 "--classifier nn:mad does not read --spread", id="nn-spread"),
+    pytest.param(["evaluate", "--classifier", "fusion:pnn+nn:mad", "--max-centers", "3"],
+                 "--classifier fusion:pnn+nn:mad does not read --max-centers",
+                 id="fusion-max-centers"),
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn", "--max-centers", "3"],
+                 "--classifier pnn does not read --max-centers", id="spread-axis-pnn"),
+    pytest.param(["table1", "--rows", "nn", "--spreads", "1.0"],
+                 "--rows nn does not read --spreads", id="table1-nn-spreads"),
+    pytest.param(["table1", "--rows", "rbf", "--epochs", "3"],
+                 "--rows rbf does not read --epochs", id="table1-rbf-epochs"),
 ])
 def test_option_errors_are_refused_before_the_corpus_is_read(tmp_path, capsys,
                                                              argv, message):
@@ -625,6 +747,8 @@ def test_option_errors_are_refused_before_the_corpus_is_read(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and "missing file" not in err
+    # the refusal shows its own subcommand's usage line
+    assert f"\nusage: faceid {argv[0]} " in f"\n{err}"
     assert not out.exists()
 
 

@@ -84,7 +84,7 @@ def test_parse_rejects_unknown():
 def test_nn_experiment_structure(dct_features):
     gal, probes = dct_features
     result = run_experiment("nn:mad", gal, probes)
-    assert result.members == ["nn:mad"]
+    assert list(result.scores) == ["nn:mad"]
     assert result.probes is probes
     assert result.preds.shape == (len(probes),)
     assert result.fused.shape == (len(probes), gal.subject_ids.size)
@@ -119,6 +119,8 @@ def test_single_member_decision_matches_raw_arg_best(dct_features):
             scores = scorers[spec](result.models[spec], block)
         else:
             scores = nn_scores(block, gallery, spec[len("nn:"):])
+        # the result keeps the member's raw scores
+        assert np.array_equal(result.scores[spec], scores)
         best = np.argmax(scores, axis=1)
         assert result.preds.tolist() == gallery.subject_ids[best].tolist()
 
@@ -136,7 +138,7 @@ def test_fusion_experiment_artifacts(dct_features):
     cfg = EvalConfig(spread=2.0, max_centers=12)
     result = run_experiment("fusion:rbf+nn:mad", gal, probes, cfg)
     assert set(result.models) == {"rbf"}  # nn trains nothing
-    assert result.members == ["rbf", "nn:mad"]
+    assert list(result.scores) == ["rbf", "nn:mad"]
     # each member's min-max scores lie in [0, 1], and so does their mean
     assert result.fused.shape == (len(probes), gal.subject_ids.size)
     assert np.all((0.0 <= result.fused) & (result.fused <= 1.0))
@@ -148,7 +150,7 @@ def test_single_model_experiment_artifacts(dct_features):
     cfg = EvalConfig(epochs=40, hidden=6)
     result = run_experiment("mlp", gal, probes, cfg)
     assert isinstance(result.models["mlp"], MLPModel)
-    assert result.members == ["mlp"]
+    assert list(result.scores) == ["mlp"]
 
 
 def test_experiment_requires_probe_labels(dct_features):

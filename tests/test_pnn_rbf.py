@@ -391,7 +391,7 @@ def test_rbf_bit_equal_lstsq_oracle_on_cached_distances(orl_shaped_dct, spread, 
     assert np.array_equal(scores, _cdist_rbf_scores(model, probes))
     # spread 0.9 is the collapse of ROADMAP aim 3: every output is the bias
     assert np.all(scores == model.biases) == collapsed
-    at_bias, subjects = collapse_counts(model, probes)
+    at_bias, subjects = collapse_counts(model, scores)
     assert at_bias == (probes.shape[0] if collapsed else 0)
     assert (subjects == 1) == collapsed
     if collapsed:
@@ -403,7 +403,7 @@ def test_rbf_collapse_shows_in_subjects_predicted(orl_shaped_dct):
     # biases, yet the network still sends every probe to one subject
     gallery, probes = orl_shaped_dct
     model = rbf_train(gallery, 1.5)
-    at_bias, subjects = collapse_counts(model, probes)
+    at_bias, subjects = collapse_counts(model, rbf_scores(model, probes))
     assert 0 < at_bias < probes.shape[0] and subjects == 1
 
 
