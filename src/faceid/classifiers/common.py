@@ -8,7 +8,9 @@ returns a ``(k, S)`` score matrix in which a higher score is always better:
 nearest neighbor reports negated distances. Column j belongs to
 ``subject_ids[j]``, which are ascending, so the first best column of a row is
 the lowest subject id among tied subjects. Every z-space distance, of either
-kernel classifier or the gallery's cache, comes from :func:`z_distances`.
+kernel classifier or the gallery's cache, comes from :func:`z_distances`,
+and every distance, nearest neighbor's too, from :func:`cdist`, the only code
+that imports scipy.spatial.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 STD_FLOOR = 1e-8
 
@@ -83,6 +84,14 @@ class Features:
         dists = z_distances(z, z)
         dists.flags.writeable = False
         return dists
+
+
+def cdist(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
+    """scipy's ``cdist(x, y, metric)``. scipy.spatial is imported on the first
+    call, so a run that computes no distance (an extraction, an MLP) never
+    loads it."""
+    from scipy.spatial import distance
+    return distance.cdist(x, y, metric)
 
 
 def z_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import distance as _sdist
 
-from .common import Features, finite_scores, per_subject, probe_block
+from .common import Features, cdist, finite_scores, per_subject, probe_block
 
 MAD = "mad"
 MSE = "mse"
@@ -28,7 +27,7 @@ def nn_scores(probes: np.ndarray, gallery: Features, metric: str = MAD,
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     name = "cityblock" if metric == MAD else "sqeuclidean"
-    dists = _sdist.cdist(probes, gallery.matrix, metric=name)
+    dists = cdist(probes, gallery.matrix, name)
     if running is not None:
         if running.shape != dists.shape:
             raise ValueError(f"running distances {running.shape} do not match "

@@ -16,8 +16,8 @@ from .common import Features, finite_scores, per_subject, probe_block, z_distanc
 
 
 def radbas_bias(spread: float) -> float:
-    if spread <= 0:
-        raise ValueError("spread must be positive")
+    if not 0 < spread < np.inf:
+        raise ValueError(f"spread must be positive and finite, got {spread}")
     return float(np.sqrt(-np.log(0.5)) / spread)
 
 
@@ -36,8 +36,7 @@ class PNNModel:
     norm_std: np.ndarray
 
     def __post_init__(self):
-        if self.spread <= 0:
-            raise ValueError("spread must be positive")
+        radbas_bias(self.spread)  # refuses a spread that is not positive and finite
         if self.centers.shape[0] != self.labels.shape[0]:
             raise ValueError("one label per center required")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common import Features, finite_scores, make_targets, probe_block, z_distances
-from .pnn import radbas
+from .pnn import radbas, radbas_bias
 
 # candidates whose error lies within this fraction of the largest error are
 # tied, and the lowest index among them is picked
@@ -54,8 +54,7 @@ class RBFModel:
     tied_picks: int | None = None
 
     def __post_init__(self):
-        if self.spread <= 0:
-            raise ValueError("spread must be positive")
+        radbas_bias(self.spread)  # refuses a spread that is not positive and finite
         if self.weights.shape != (self.biases.size, self.centers.shape[0]):
             raise ValueError("linear layer shape mismatch")
 
@@ -88,7 +87,7 @@ def _pick(row_err: np.ndarray, remaining: np.ndarray) -> tuple[int, bool]:
 
 
 def rbf_train(gallery: Features, spread: float, max_centers: int = MAX_CENTERS) -> RBFModel:
-    # column j = center candidate j; radbas refuses a spread that is not positive
+    # column j = center candidate j; radbas refuses a spread that is not positive and finite
     all_acts = radbas(gallery.normalized_distances, spread)
     if not 1 <= max_centers <= len(gallery):
         raise ValueError(f"max_centers must lie in [1, {len(gallery)}]")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -55,6 +56,15 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # option plumbing
 # ---------------------------------------------------------------------------
+
+def finite_float(text: str) -> float:
+    """The type of every float option and grid value: NaN and the
+    infinities are refused, as any other value that is not a number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
 
 def read_config_file(path: str, options: dict) -> dict:
     """Lines of `key = value` (or `key value`); # starts a comment.
@@ -173,7 +183,7 @@ def parse_mask_spec(spec: str) -> ZonalMask:
         if kind in ("rect", RECTANGULAR):
             return ZonalMask.rectangular(int(size))
         if kind in ("sector", SECTORIAL):
-            return ZonalMask.sectorial(float(size))
+            return ZonalMask.sectorial(finite_float(size))
     except ValueError as exc:
         raise ConfigError(f"bad mask spec {spec!r}: {exc}") from exc
     raise ConfigError(f"bad mask spec {spec!r}: expected rect:N or sector:R")
@@ -194,13 +204,16 @@ def parse_float_grid(spec: str) -> list[float]:
     """'0.1:2.0:0.1' (start:stop:step, inclusive) or '0.5,0.9'."""
     try:
         if ":" in spec:
-            lo, hi, step = (float(tok) for tok in spec.split(":"))
+            lo, hi, step = (finite_float(tok) for tok in spec.split(":"))
             if step <= 0:
                 raise ConfigError(f"bad grid {spec!r}: step must be positive")
-            n = int(round((hi - lo) / step))
+            n = (hi - lo) / step
+            if not math.isfinite(n):  # finite ends can still overflow the count
+                raise ConfigError(f"bad grid {spec!r}: too many points")
+            n = int(round(n))
             grid = [round(lo + i * step, 10) for i in range(n + 1)]
             return [g for g in grid if g <= hi + 1e-12]
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        return [finite_float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid {spec!r}: {exc}") from exc
 
@@ -438,15 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     features.add_argument("--dim", type=int, help="component count for --transform klt")
     features.add_argument("--complex-mode", dest="complex_mode",
                           choices=[MODULUS, INTERLEAVE])
-    features.add_argument("--r-low", dest="r_low", type=float,
+    features.add_argument("--r-low", dest="r_low", type=finite_float,
                           help="drop coefficients below this radius")
-    features.add_argument("--log-offset", dest="log_offset", type=float,
+    features.add_argument("--log-offset", dest="log_offset", type=finite_float,
                           help="offset inside the log for logdft")
     rbf = argparse.ArgumentParser(add_help=False)
     rbf.add_argument("--max-centers", dest="max_centers", type=int,
                      help="RBF center budget")
     mlp_fusion = argparse.ArgumentParser(add_help=False)
-    mlp_fusion.add_argument("--gamma", type=float, help="MSEREG performance ratio")
+    mlp_fusion.add_argument("--gamma", type=finite_float, help="MSEREG performance ratio")
     mlp_fusion.add_argument("--epochs", type=int, help="MLP training iterations")
     mlp_fusion.add_argument("--hidden", type=int, help="MLP hidden neurons")
     mlp_fusion.add_argument("--fusion-mode", dest="fusion_mode", choices=list(MODES))
@@ -463,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = subs.add_parser("evaluate", parents=[common, features, rbf, mlp_fusion],
                              allow_abbrev=False, help="run one classifier")
-    p_eval.add_argument("--spread", type=float, help="PNN/RBF spread")
+    p_eval.add_argument("--spread", type=finite_float, help="PNN/RBF spread")
     p_eval.add_argument("--classifier",
                         help="nn:mad, nn:mse, mlp, pnn, rbf, or fusion:a+b")
     p_eval.set_defaults(func=cmd_evaluate)

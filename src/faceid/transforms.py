@@ -41,8 +41,8 @@ class ZonalMask:
             if self.size != int(self.size) or self.size < 1:
                 raise ValueError(f"rectangular side must be an integer >= 1, got {self.size}")
         elif self.shape == SECTORIAL:
-            if not self.size > 0:
-                raise ValueError(f"sectorial radius must be > 0, got {self.size}")
+            if not 0 < self.size < np.inf:
+                raise ValueError(f"sectorial radius must be finite and > 0, got {self.size}")
         else:
             raise ValueError(f"unknown mask shape {self.shape!r}")
 

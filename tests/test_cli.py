@@ -3,19 +3,24 @@
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from argparse import Namespace
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import faceid
 from faceid import evaluation
 from faceid.classifiers import MLPConfig, PNNModel, rbf_scores, rbf_train
 from faceid.cli import (
-    _DEFAULTS, ConfigError, build_parser, config_options, main, make_eval_config,
-    parse_float_grid, parse_int_grid, parse_mask_spec, parse_radius_grid,
-    parse_synth_spec, read_config_file,
+    _DEFAULTS, ConfigError, build_parser, config_options, finite_float, main,
+    make_eval_config, parse_float_grid, parse_int_grid, parse_mask_spec,
+    parse_radius_grid, parse_synth_spec, read_config_file,
 )
 from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import EvalConfig, sweep_dimension, write_curve_csv
@@ -43,7 +48,7 @@ def test_parse_mask_spec():
     assert (mask.shape, mask.size) == ("rectangular", 10)
     mask = parse_mask_spec("sector:8.5")
     assert (mask.shape, mask.size) == ("sectorial", 8.5)
-    for bad in ("oval:3", "rect:x", "rect", "sector:-1"):
+    for bad in ("oval:3", "rect:x", "rect", "sector:-1", "sector:inf", "sector:nan"):
         with pytest.raises(ConfigError):
             parse_mask_spec(bad)
 
@@ -61,8 +66,10 @@ def test_parse_float_grid():
     grid = parse_float_grid("0.1:2.0:0.1")
     assert len(grid) == 20
     assert grid[0] == 0.1 and grid[-1] == 2.0
-    with pytest.raises(ConfigError):
-        parse_float_grid("0.1:2.0")  # step required in range form
+    for bad in ("0.1:2.0",  # step required in range form
+                "0.1:inf:0.1", "0.1:1:nan", "0.5,inf", "nan", "0:1e308:1e-300"):
+        with pytest.raises(ConfigError):
+            parse_float_grid(bad)
 
 
 def test_parse_radius_grid():
@@ -111,7 +118,8 @@ def test_config_options_come_from_the_parser():
         "grid": str, "spreads": str, "rows": str,
         "dim": int, "train_k": int, "seed": int, "epochs": int, "hidden": int,
         "max_centers": int, "subjects": int, "samples": int,
-        "gamma": float, "spread": float, "r_low": float, "log_offset": float,
+        "gamma": finite_float, "spread": finite_float, "r_low": finite_float,
+        "log_offset": finite_float,
     }
     options = config_options(build_parser())
     assert {key: kind for key, (kind, _) in options.items()} == frozen
@@ -254,6 +262,24 @@ def test_evaluate_mlp_writes_training_log(tmp_path, capsys):
     assert len(log) >= 3
     losses = [float(row.split(",")[1]) for row in log[1:]]
     assert losses[-1] <= losses[0]
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["evaluate", "--classifier", "mlp", "--epochs", "5"], False),
+    (["extract"], False),
+    (["evaluate", "--classifier", "nn:mad"], True),
+], ids=["mlp", "extract", "nn"])
+def test_only_a_run_that_computes_distances_loads_scipy_spatial(tmp_path, argv, loads):
+    # a fresh interpreter, since this one has imported scipy.spatial already
+    argv = [*argv, "--synth", SYNTH, "--out", str(tmp_path / "out")]
+    script = ("import sys\nfrom faceid.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print('scipy.spatial' in sys.modules)")
+    src = str(Path(faceid.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True,
+                          timeout=120)
+    assert done.stdout.splitlines()[-1] == str(loads)
 
 
 @pytest.mark.parametrize("spread,at_bias,subjects", [
@@ -516,7 +542,8 @@ def test_evaluate_reads_only_the_options_of_its_selectors(pgm_tree, tmp_path, ca
 def test_config_file_values_obey_flag_choices(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for line in ("complex_mode = bogus", "fusion_mode = nope", "transform = wavelet",
-                 "metric = cosine", "mask_shape = oval"):
+                 "metric = cosine", "mask_shape = oval", "spread = inf", "r_low = nan",
+                 "gamma = -inf", "log_offset = inf"):
         cfg.write_text(f"seed = 1\n{line}\n")
         out = tmp_path / "out"
         assert run(["evaluate", "--synth", SYNTH, "--train-k", "3",
@@ -737,6 +764,29 @@ UNDECLARED = {
                  "--rows nn does not read --spreads", id="table1-nn-spreads"),
     pytest.param(["table1", "--rows", "rbf", "--epochs", "3"],
                  "--rows rbf does not read --epochs", id="table1-rbf-epochs"),
+    *[pytest.param(["evaluate", "--classifier", name, "--spread", "inf"],
+                   "argument --spread: invalid finite_float value: 'inf'",
+                   id=f"{name}-spread-inf") for name in ("pnn", "rbf")],
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn",
+                  "--spreads", "0.1:inf:0.1"],
+                 "bad grid '0.1:inf:0.1': 'inf' is not a finite number",
+                 id="spread-range-inf"),
+    pytest.param(["table1", "--rows", "pnn", "--spreads", "0.1:inf:0.1"],
+                 "bad grid '0.1:inf:0.1': 'inf' is not a finite number",
+                 id="table1-spread-range-inf"),
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn",
+                  "--spreads", "0.5,inf"],
+                 "bad grid '0.5,inf': 'inf' is not a finite number", id="spreads-inf"),
+    pytest.param(["extract", "--r-low", "nan"],
+                 "argument --r-low: invalid finite_float value: 'nan'", id="r-low-nan"),
+    pytest.param(["extract", "--mask", "sector:inf"],
+                 "bad mask spec 'sector:inf': 'inf' is not a finite number",
+                 id="mask-sector-inf"),
+    pytest.param(["evaluate", "--transform", "logdft", "--log-offset", "inf"],
+                 "argument --log-offset: invalid finite_float value: 'inf'",
+                 id="log-offset-inf"),
+    pytest.param(["evaluate", "--classifier", "mlp", "--gamma", "nan"],
+                 "argument --gamma: invalid finite_float value: 'nan'", id="gamma-nan"),
 ])
 def test_option_errors_are_refused_before_the_corpus_is_read(tmp_path, capsys,
                                                              argv, message):

@@ -47,8 +47,9 @@ def test_radbas_bias_half_response_at_spread():
     for spread in (0.1, 0.9, 3.0):
         b = radbas_bias(spread)
         assert np.exp(-(spread * b) ** 2) == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="spread"):
-        radbas_bias(0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="spread"):
+            radbas_bias(bad)
 
 
 def test_pnn_probabilities_hand_computed():
@@ -137,8 +138,9 @@ def test_pnn_equidistant_tie_takes_lowest_id():
 
 def test_pnn_validation():
     gallery = clustered_gallery()
-    with pytest.raises(ValueError, match="spread"):
-        pnn_train(gallery, spread=-1.0)
+    for spread in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="spread"):
+            pnn_train(gallery, spread=spread)
     model = pnn_train(gallery, spread=1.0)
     with pytest.raises(ValueError, match="dim"):
         pnn_classify(model, np.zeros((2, 99)))
@@ -521,8 +523,9 @@ def test_rbf_scores_memory_is_bounded(peak_bytes):
 
 def test_rbf_validation():
     gallery = clustered_gallery()
-    with pytest.raises(ValueError, match="spread"):
-        rbf_train(gallery, spread=0.0)
+    for spread in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="spread"):
+            rbf_train(gallery, spread=spread)
     with pytest.raises(ValueError, match="max_centers"):
         rbf_train(gallery, spread=1.0, max_centers=0)
     with pytest.raises(ValueError, match="max_centers"):

@@ -158,8 +158,9 @@ def test_sector_mask_boundary_excluded():
 def test_mask_validation():
     with pytest.raises(ValueError, match="integer"):
         ZonalMask.rectangular(2.5)
-    with pytest.raises(ValueError, match="radius"):
-        ZonalMask.sectorial(0.0)
+    for radius in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            ZonalMask.sectorial(radius)
     with pytest.raises(ValueError, match="unknown mask shape"):
         ZonalMask(shape="oval", size=3)
 

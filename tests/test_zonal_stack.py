@@ -4,7 +4,6 @@ sweep's running distance matrix against a direct computation, plus their
 memory bounds and error contracts."""
 
 import hashlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -413,7 +412,7 @@ def test_sector_step_that_adds_nothing_repeats_the_point(small_split, monkeypatc
         widths.append(x.shape[1])
         return cdist(x, y, metric)
 
-    monkeypatch.setattr(nearest, "_sdist", SimpleNamespace(cdist=recording))
+    monkeypatch.setattr(nearest, "cdist", recording)
     points = sweep_dimension(small_split, DFT, SECTORIAL, [3.0, 3.05, 3.1])
     assert [pt.dim for pt in points] == [9, 11, 11]
     assert points[2].rate == points[1].rate
