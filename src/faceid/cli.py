@@ -53,6 +53,10 @@ class ConfigError(Exception):
     """Invalid flag, config-file entry, or option combination."""
 
 
+# the most points a range grid ('lo:hi' or 'lo:hi:step') may expand to
+MAX_GRID_POINTS = 10_000
+
+
 # ---------------------------------------------------------------------------
 # option plumbing
 # ---------------------------------------------------------------------------
@@ -63,6 +67,22 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+def unit_float(text: str) -> float:
+    """A finite float in [0, 1]: the MSEREG performance ratio."""
+    value = finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{text.strip()!r} is not in [0, 1]")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """A finite float > 0: the offset inside logdft's log."""
+    value = finite_float(text)
+    if not value > 0.0:
+        raise ValueError(f"{text.strip()!r} is not > 0")
     return value
 
 
@@ -189,12 +209,21 @@ def parse_mask_spec(spec: str) -> ZonalMask:
     raise ConfigError(f"bad mask spec {spec!r}: expected rect:N or sector:R")
 
 
+def refuse_long_range(spec: str, points: float) -> None:
+    """Refuse a range grid of more than ``MAX_GRID_POINTS`` points (an
+    uncountable one included) before any of it is built."""
+    if not points <= MAX_GRID_POINTS:
+        raise ConfigError(f"bad grid {spec!r}: a range may span at most "
+                          f"{MAX_GRID_POINTS} points")
+
+
 def parse_int_grid(spec: str) -> list[int]:
     """'1:30' (inclusive range) or '1,4,9'."""
     try:
         if ":" in spec:
-            lo, hi = spec.split(":")
-            return list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(tok) for tok in spec.split(":"))
+            refuse_long_range(spec, hi - lo + 1)
+            return list(range(lo, hi + 1))
         return [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid {spec!r}: {exc}") from exc
@@ -207,9 +236,8 @@ def parse_float_grid(spec: str) -> list[float]:
             lo, hi, step = (finite_float(tok) for tok in spec.split(":"))
             if step <= 0:
                 raise ConfigError(f"bad grid {spec!r}: step must be positive")
-            n = (hi - lo) / step
-            if not math.isfinite(n):  # finite ends can still overflow the count
-                raise ConfigError(f"bad grid {spec!r}: too many points")
+            n = (hi - lo) / step  # finite ends can still overflow it to inf
+            refuse_long_range(spec, round(n) + 1 if math.isfinite(n) else n)
             n = int(round(n))
             grid = [round(lo + i * step, 10) for i in range(n + 1)]
             return [g for g in grid if g <= hi + 1e-12]
@@ -453,13 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=[MODULUS, INTERLEAVE])
     features.add_argument("--r-low", dest="r_low", type=finite_float,
                           help="drop coefficients below this radius")
-    features.add_argument("--log-offset", dest="log_offset", type=finite_float,
+    features.add_argument("--log-offset", dest="log_offset", type=positive_float,
                           help="offset inside the log for logdft")
     rbf = argparse.ArgumentParser(add_help=False)
     rbf.add_argument("--max-centers", dest="max_centers", type=int,
                      help="RBF center budget")
     mlp_fusion = argparse.ArgumentParser(add_help=False)
-    mlp_fusion.add_argument("--gamma", type=finite_float, help="MSEREG performance ratio")
+    mlp_fusion.add_argument("--gamma", type=unit_float, help="MSEREG performance ratio")
     mlp_fusion.add_argument("--epochs", type=int, help="MLP training iterations")
     mlp_fusion.add_argument("--hidden", type=int, help="MLP hidden neurons")
     mlp_fusion.add_argument("--fusion-mode", dest="fusion_mode", choices=list(MODES))

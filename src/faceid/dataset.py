@@ -1,7 +1,14 @@
 """Corpus ingestion: PGM images, ORL-layout trees, manifests, splits, synthetic fixtures.
 
-Pixel values are normalized to [0, 1] by dividing by the PGM maxval. Images
-keep their native resolution; no cropping or registration is applied.
+A corpus keeps the levels it was given, with one maxval per image: a PGM tree
+or manifest keeps each file's 8-bit samples (one byte per pixel, an eighth of
+a float64 stack), and a synthetic or in-memory float stack keeps its float64
+pixels with maxval 1. A pixel value is its level divided by its image's
+maxval, which lies in [0, 1]. Each stage divides only the images it reads, so
+no float copy of the whole corpus is built; the quotient is the float64
+division a loaded file always had, so every feature and the corpus checksum
+keep their bits. Images keep their native resolution; no cropping or
+registration is applied.
 """
 
 from __future__ import annotations
@@ -41,25 +48,37 @@ class Image:
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """A rectangular image collection (every subject has as many samples) as
-    one stack: ``pixels[i]`` is image ``(subject_ids[i], sample_ids[i])``, and
-    the rows run in (subject, sample) order."""
+    one stack: ``levels[i] / maxval[i]`` is image ``(subject_ids[i],
+    sample_ids[i])``, and the rows run in (subject, sample) order.
 
-    pixels: np.ndarray       # (n, R, C) float64 in [0, 1]
+    ``levels`` stays uint8 when given as uint8 and is float64 otherwise;
+    ``maxval`` defaults to 1 for every image, for a stack of float pixels."""
+
+    levels: np.ndarray       # (n, R, C) uint8 or float64 in [0, maxval]
     subject_ids: np.ndarray  # (n,)
     sample_ids: np.ndarray   # (n,)
+    maxval: np.ndarray | None = None  # (n,) float64 > 0, each image's divisor
 
     def __post_init__(self):
-        px = np.ascontiguousarray(self.pixels, dtype=np.float64)
-        if px.ndim != 3 or 0 in px.shape:
-            raise ValueError(f"pixels must form a nonempty (n, rows, cols) stack, "
-                             f"got shape {px.shape}")
-        if px.min() < 0.0 or px.max() > 1.0:
-            raise ValueError("pixel values must lie in [0, 1]")
-        object.__setattr__(self, "pixels", px)
+        levels = np.asarray(self.levels)
+        levels = np.ascontiguousarray(
+            levels, dtype=np.uint8 if levels.dtype == np.uint8 else np.float64)
+        if levels.ndim != 3 or 0 in levels.shape:
+            raise ValueError(f"levels must form a nonempty (n, rows, cols) stack, "
+                             f"got shape {levels.shape}")
+        object.__setattr__(self, "levels", levels)
+        n = len(levels)
+        maxval = np.ones(n) if self.maxval is None else np.asarray(self.maxval, np.float64)
+        if maxval.shape != (n,) or not (np.isfinite(maxval) & (maxval > 0)).all():
+            raise ValueError(f"maxval must hold one finite divisor > 0 for each "
+                             f"of the {n} images")
+        object.__setattr__(self, "maxval", maxval)
+        if levels.min() < 0 or (levels.reshape(n, -1).max(axis=1) > maxval).any():
+            raise ValueError("pixel values (levels / maxval) must lie in [0, 1]")
         for name in ("subject_ids", "sample_ids"):
             ids = np.asarray(getattr(self, name), dtype=np.int64)
-            if ids.shape != (len(px),):
-                raise ValueError(f"{name} {ids.shape} do not align with {len(px)} images")
+            if ids.shape != (n,):
+                raise ValueError(f"{name} {ids.shape} do not align with {n} images")
             object.__setattr__(self, name, ids)
         pairs = np.column_stack([self.subject_ids, self.sample_ids])
         ordered = np.unique(pairs, axis=0)
@@ -74,7 +93,7 @@ class Corpus:
 
     @property
     def n_subjects(self) -> int:
-        return len(self.pixels) // self.samples_per_subject
+        return len(self.levels) // self.samples_per_subject
 
     @property
     def samples_per_subject(self) -> int:
@@ -82,9 +101,12 @@ class Corpus:
 
     @property
     def images(self) -> list[Image]:
-        """One record per image, whose pixels are a view of the stack."""
-        return [Image(px, subject, sample) for px, subject, sample in
-                zip(self.pixels, self.subject_ids.tolist(), self.sample_ids.tolist())]
+        """One record per image, whose pixels are its levels divided by its
+        maxval: a new float64 array per image, never a view of the stack."""
+        return [Image(levels / maxval, subject, sample)
+                for levels, maxval, subject, sample in
+                zip(self.levels, self.maxval, self.subject_ids.tolist(),
+                    self.sample_ids.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +124,8 @@ class Split:
 
     def halves(self, per_image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gallery and probe parts of an array with one leading entry per
-        corpus image (its pixels, ids or feature rows), as (subjects, samples,
-        ...) views: the pixels are never copied."""
+        corpus image (its levels, maxvals, ids or feature rows), as (subjects,
+        samples, ...) views: the levels are never copied."""
         corpus = self.corpus
         grid = per_image.reshape(corpus.n_subjects, corpus.samples_per_subject,
                                  *per_image.shape[1:])
@@ -169,6 +191,8 @@ def _parse_pgm(data: bytes, name: str) -> tuple[int, int, int, np.ndarray]:
             raise PgmError(f"{name}: bad ASCII sample: {exc}") from None
     if raw.max() > maxval:
         raise PgmError(f"{name}: sample value exceeds maxval {maxval}")
+    if raw.min() < 0:  # an ASCII sample may carry a sign
+        raise PgmError(f"{name}: negative sample value")
     return height, width, maxval, raw
 
 
@@ -187,20 +211,21 @@ def write_pgm(image: Image | np.ndarray, path: str | Path, maxval: int = 255) ->
 # Corpus loading
 
 
-def _read_stack(paths: list) -> np.ndarray:
-    """Read PGM files into one (n, R, C) stack; all must share dimensions.
-    Each file's samples are scaled straight into its row of the stack."""
-    stack = np.empty((0, 0, 0))
+def _read_stack(paths: list) -> tuple[np.ndarray, np.ndarray]:
+    """Read PGM files into one (n, R, C) uint8 stack of their samples and the
+    (n,) float64 maxvals; all must share dimensions."""
+    stack = np.empty((0, 0, 0), dtype=np.uint8)
+    maxvals = np.empty(len(paths))
     for i, path in enumerate(paths):
         with open(path, "rb") as fh:
-            rows, cols, maxval, raw = _parse_pgm(fh.read(), str(path))
+            rows, cols, maxvals[i], raw = _parse_pgm(fh.read(), str(path))
         if i == 0:
-            stack = np.empty((len(paths), rows, cols))
+            stack = np.empty((len(paths), rows, cols), dtype=np.uint8)
         elif (rows, cols) != stack.shape[1:]:
             raise ValueError(f"all corpus images must share dimensions: {path} is "
                              f"{(rows, cols)}, not {stack.shape[1:]}")
-        np.divide(raw.reshape(rows, cols), maxval, out=stack[i])
-    return stack
+        stack[i] = raw.reshape(rows, cols)  # the parser bounds samples by maxval <= 255
+    return stack, maxvals
 
 
 def load_orl(root: str | Path, n_subjects: int = 40, samples_per_subject: int = 10) -> Corpus:
@@ -214,7 +239,8 @@ def load_orl(root: str | Path, n_subjects: int = 40, samples_per_subject: int = 
     missing = [name for name, path in zip(names, paths) if not os.path.isfile(path)]
     if missing:
         raise InventoryError(root, missing)
-    return Corpus(_read_stack(paths), subjects, samples)
+    levels, maxvals = _read_stack(paths)
+    return Corpus(levels, subjects, samples, maxvals)
 
 
 def load_manifest(path: str | Path) -> Corpus:
@@ -244,7 +270,8 @@ def load_manifest(path: str | Path) -> Corpus:
     entries.sort(key=lambda e: e[:2])
     subjects, samples, paths = zip(*entries)
     try:
-        return Corpus(_read_stack(list(paths)), subjects, samples)
+        levels, maxvals = _read_stack(list(paths))
+        return Corpus(levels, subjects, samples, maxvals)
     except ValueError as exc:  # a PgmError stays one: it is a data error
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -293,13 +320,13 @@ def synth_corpus(seed: int, n_subjects: int, samples: int, rows: int, cols: int)
 
 
 def corpus_checksum(corpus: Corpus) -> str:
-    """SHA-256 over ids, dims and little-endian float64 pixel bytes, in corpus order."""
+    """SHA-256 over ids, dims and little-endian float64 pixel bytes, in corpus
+    order; each image's pixels are divided from its levels as they are hashed."""
     digest = hashlib.sha256()
-    rows, cols = corpus.pixels.shape[1:]
-    # hashed straight from the stack's rows (a no-op cast on little-endian hosts)
-    pixels = corpus.pixels.astype("<f8", copy=False)
-    for subject, sample, image in zip(corpus.subject_ids.tolist(),
-                                      corpus.sample_ids.tolist(), pixels):
+    rows, cols = corpus.levels.shape[1:]
+    for subject, sample, levels, maxval in zip(corpus.subject_ids.tolist(),
+                                               corpus.sample_ids.tolist(),
+                                               corpus.levels, corpus.maxval):
         digest.update(f"{subject},{sample},{rows}x{cols};".encode())
-        digest.update(image)
+        digest.update((levels / maxval).astype("<f8", copy=False))
     return digest.hexdigest()

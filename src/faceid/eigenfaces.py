@@ -1,8 +1,11 @@
 """Eigenface baseline: mean face, small-matrix eigenvector trick, KLT projection.
 
-Both functions take image stacks (a corpus stack, or a split half's view of
-it). ``project`` maps a whole stack onto the basis as one ``(n, m')`` weight
-matrix, the feature matrix of the KLT (eigenfaces) experiments.
+Both functions take image stacks (a corpus's stored levels, or a split half's
+view of them, with each image's maxval; or float pixels, which need none).
+``project`` maps a whole stack onto the basis as one ``(n, m')`` weight
+matrix, the feature matrix of the KLT (eigenfaces) experiments. Each
+function's one float copy of its stack is the division by the maxvals, so
+no stage holds a float copy of the whole corpus.
 
 The covariance of the vectorized gallery is never formed at full size.
 Diagonalizing the M x M Gram matrix of the mean-removed images yields the same
@@ -45,8 +48,19 @@ class EigenBasis:
         return self.eigenfaces.shape[0]
 
 
-def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False) -> EigenBasis:
-    """Fit the mean face and the ``m_prime`` leading eigenfaces of a gallery stack.
+def _scaled(images: np.ndarray, maxval: np.ndarray | None) -> np.ndarray:
+    """A new C-ordered float64 array of the images, each divided by its
+    entry of ``maxval`` (shaped as the images' leading axes; 1 if None)."""
+    divisors = 1.0 if maxval is None else np.asarray(maxval, np.float64)[..., None, None]
+    out = np.empty(images.shape)
+    np.divide(images, divisors, out=out)
+    return out
+
+
+def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False,
+                     maxval: np.ndarray | None = None) -> EigenBasis:
+    """Fit the mean face and the ``m_prime`` leading eigenfaces of a gallery
+    stack, each image divided by its ``maxval``.
 
     Zero-eigenvalue directions (the rank lost to mean removal, or worse for
     degenerate galleries) are excluded before counting ``m_prime``; asking for
@@ -59,8 +73,9 @@ def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False) -> 
         raise ValueError(f"m_prime must be >= 1, got {m_prime}")
     rows, cols = gallery.shape[-2:]
 
-    # one contiguous (M, P) copy, centred in place: the caller's stack is untouched
-    phi = np.array(gallery, dtype=np.float64, order="C").reshape(-1, rows * cols)
+    # one contiguous (M, P) copy, the scaled gallery, centred in place: the
+    # caller's stack is untouched
+    phi = _scaled(gallery, maxval).reshape(-1, rows * cols)
     m = len(phi)
     mean_face = phi.mean(axis=0)
     phi -= mean_face
@@ -93,15 +108,19 @@ def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False) -> 
     )
 
 
-def project(images: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    """(n, m') weights of the mean-removed images on the basis directions.
+def project(images: np.ndarray, basis: EigenBasis,
+            maxval: np.ndarray | None = None) -> np.ndarray:
+    """(n, m') weights of the mean-removed images, each divided by its
+    ``maxval``, on the basis directions.
 
-    The stack is centred into one new (n, P) matrix, however its images are
-    laid out, and multiplied once by the eigenfaces, which are streamed once
-    rather than once per image. Pass one split half at a time.
+    The stack is scaled into one new (n, P) matrix, however its images are
+    laid out, centred in place and multiplied once by the eigenfaces, which
+    are streamed once rather than once per image. Pass one split half at a
+    time.
     """
     if images.shape[-2:] != basis.mean_face.shape:
         raise ValueError(f"image dims {images.shape[-2:]} do not match basis "
                          f"{basis.mean_face.shape}")
-    x = (images - basis.mean_face).reshape(-1, basis.mean_face.size)
-    return x @ basis.eigenfaces.T
+    x = _scaled(images, maxval)
+    x -= basis.mean_face
+    return x.reshape(-1, basis.mean_face.size) @ basis.eigenfaces.T

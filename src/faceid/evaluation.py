@@ -92,20 +92,23 @@ def _bands(split: Split, kind: str, steps: Sequence, *,
     probe) features of the band it adds to the step before, or None where
     the band holds no column. Every mask and the rank are checked before the
     first band is returned."""
+    corpus = split.corpus
     if kind == KLT:
-        halves = split.halves(split.corpus.pixels)
-        basis = train_eigenbasis(halves[0], steps[-1], clamp=clamp)
-        weights = [project(half, basis) for half in halves]
+        halves = split.halves(corpus.levels)
+        maxvals = split.halves(corpus.maxval)
+        basis = train_eigenbasis(halves[0], steps[-1], clamp=clamp, maxval=maxvals[0])
+        weights = [project(half, basis, maxval) for half, maxval in zip(halves, maxvals)]
         dims = [min(step, basis.n_components) for step in steps]
         bands = ([w[:, lo:hi] for w in weights] for lo, hi in zip([0, *dims], dims))
     else:
-        keeps = zone_keeps(steps, split.corpus.pixels.shape[1:], r_low)
-        stack = transform_corpus(split.corpus.pixels, kind, keeps[0].shape, log_offset)
+        keeps = zone_keeps(steps, corpus.levels.shape[1:], r_low)
+        stack = transform_corpus(corpus.levels, kind, keeps[0].shape, log_offset,
+                                 corpus.maxval)
         kept = [np.zeros_like(keeps[0]), *keeps[:-1]]
         bands = (_split_rows(split, mask_features(stack, keep & ~prev, complex_mode))
                  for keep, prev in zip(keeps, kept))
-    ids = list(zip(_split_rows(split, split.corpus.subject_ids),
-                   _split_rows(split, split.corpus.sample_ids)))
+    ids = list(zip(_split_rows(split, corpus.subject_ids),
+                   _split_rows(split, corpus.sample_ids)))
     return (tuple(Features(m, *half_ids, kind) for m, half_ids in zip(band, ids))
             if band[0].shape[1] else None for band in bands)
 
@@ -296,7 +299,7 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     distances to one running (probes, gallery) distance matrix, so the
     distance work is one pass over the largest zone.
     """
-    rows, cols = split.corpus.pixels.shape[1:]
+    rows, cols = split.corpus.levels.shape[1:]
     gallery_labels, probe_labels = _split_rows(split, split.corpus.subject_ids)
     if grid is None:
         grid = default_dim_grid(kind, rows, cols, len(gallery_labels),
@@ -390,7 +393,7 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
         return []
     k = min(TRAIN_SAMPLES, corpus.samples_per_subject - 1)
     split = split_first_k(corpus, k)
-    rows, cols = corpus.pixels.shape[1:]
+    rows, cols = corpus.levels.shape[1:]
     side = min(DEFAULT_MASK_SIDE, rows, cols)
     mask = ZonalMask.rectangular(side)
     dct_gal, dct_probes = extract_split_features(split, DCT, mask=mask)

@@ -2,7 +2,8 @@
 
 The DCT is the orthonormal type-II transform (Parseval holds exactly); the DFT
 uses the plain negative-exponent definition, so F(0, 0) equals the pixel sum.
-``transform_corpus`` turns an ``(n, R, C)`` image stack into one coefficient
+``transform_corpus`` turns an ``(n, R, C)`` stack of stored levels (each
+image divided by its maxval as it is transformed) into one coefficient
 stack, and ``mask_features`` gathers a mask's coefficients from it as an
 ``(n, d)`` matrix, whose rows ``faceid.evaluation`` labels as
 :class:`~faceid.classifiers.common.Features`.
@@ -38,7 +39,8 @@ class ZonalMask:
 
     def __post_init__(self):
         if self.shape == RECTANGULAR:
-            if self.size != int(self.size) or self.size < 1:
+            if not (np.isfinite(self.size) and float(self.size).is_integer()
+                    and self.size >= 1):
                 raise ValueError(f"rectangular side must be an integer >= 1, got {self.size}")
         elif self.shape == SECTORIAL:
             if not 0 < self.size < np.inf:
@@ -119,13 +121,15 @@ INTERLEAVE = "interleave"
 
 
 def transform_corpus(images: np.ndarray, kind: str, box: tuple[int, int],
-                     log_offset: float = 1e-4) -> np.ndarray:
+                     log_offset: float = 1e-4,
+                     maxval: np.ndarray | None = None) -> np.ndarray:
     """(n, rows, cols) stack of the leading ``box`` coefficients of each image
     of an (n, R, C) stack.
 
-    Images are transformed one at a time, and only the block a mask can
-    reach (see :func:`zone_keeps`) is kept; a DFT's column pass runs on the
-    block's columns alone.
+    Images are transformed one at a time, each first divided by its entry of
+    ``maxval`` (a corpus's stored levels and divisors; float pixels need
+    none), and only the block a mask can reach (see :func:`zone_keeps`) is
+    kept; a DFT's column pass runs on the block's columns alone.
     """
     if kind not in (DCT, DFT, LOGDFT):
         raise ValueError(f"unknown transform kind {kind!r}")
@@ -138,10 +142,13 @@ def transform_corpus(images: np.ndarray, kind: str, box: tuple[int, int],
     if rows > images.shape[1] or cols > images.shape[2]:
         raise ValueError(f"images of {images.shape[1]}x{images.shape[2]} are smaller "
                          f"than the {rows}x{cols} coefficient block")
+    divisors = np.ones(len(images)) if maxval is None else np.asarray(maxval, np.float64)
+    if divisors.shape != (len(images),):
+        raise ValueError(f"{divisors.shape} maxvals do not align with {len(images)} images")
     stack = np.empty((len(images), rows, cols),
                      dtype=np.float64 if kind == DCT else np.complex128)
-    for i, image in enumerate(images):
-        stack[i] = _leading_block(image, kind, box, log_offset)
+    for i, (image, divisor) in enumerate(zip(images, divisors)):
+        stack[i] = _leading_block(image / divisor, kind, box, log_offset)
     return stack
 
 

@@ -121,6 +121,12 @@ def frozen_normalize_scores(scores, polarity, mode=MINMAX):
     return scaled
 
 
+def corpus_pixels(corpus) -> np.ndarray:
+    """A corpus's whole (n, R, C) float stack, its levels over its maxvals:
+    the oracle's view of the pixels, which the program never builds at once."""
+    return corpus.levels / corpus.maxval[:, None, None]
+
+
 def gallery_of(matrix, labels) -> Features:
     """Training features from bare rows and their subject ids; the sample ids
     number the rows."""

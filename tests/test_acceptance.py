@@ -55,8 +55,9 @@ def nn_rates(split, dct100):
     rates["c1_runtime"] = time.perf_counter() - t0
     k_gal, k_probes = extract_split_features(split, KLT, dim=100)
     rates["klt100_mad"] = run_experiment("nn:mad", k_gal, k_probes).rate
-    gallery = split.halves(split.corpus.pixels)[0]
-    top = train_eigenbasis(gallery, 200, clamp=True).n_components
+    gallery = split.halves(split.corpus.levels)[0]
+    maxval = split.halves(split.corpus.maxval)[0]
+    top = train_eigenbasis(gallery, 200, clamp=True, maxval=maxval).n_components
     k_gal, k_probes = extract_split_features(split, KLT, dim=top)
     rates["klt_top_mad"] = run_experiment("nn:mad", k_gal, k_probes).rate
     rates["klt_top_dim"] = top
@@ -178,7 +179,7 @@ def test_criterion_8_property_battery():
 
     # Gram-trick eigenfaces match the direct covariance diagonalization
     corpus = synth_corpus(seed=23, n_subjects=4, samples=3, rows=8, cols=7)
-    images = corpus.pixels
+    images = corpus.levels
     basis = train_eigenbasis(images, 6)
     stack = images.reshape(len(images), -1)
     phi = stack - stack.mean(axis=0)
@@ -239,7 +240,7 @@ def test_criterion_8_property_battery():
     assert np.array_equal(m1.w1, m2.w1) and np.array_equal(m1.curve, m2.curve)
     c1 = synth_corpus(seed=3, n_subjects=2, samples=2, rows=6, cols=6)
     c2 = synth_corpus(seed=3, n_subjects=2, samples=2, rows=6, cols=6)
-    assert np.array_equal(c1.pixels, c2.pixels)
+    assert np.array_equal(c1.levels, c2.levels)
     r6 = rbf_train(gallery, spread=1.5, max_centers=6)
     assert np.array_equal(r6.center_indices, rbf.center_indices[:6])
 

@@ -18,9 +18,9 @@ import faceid
 from faceid import evaluation
 from faceid.classifiers import MLPConfig, PNNModel, rbf_scores, rbf_train
 from faceid.cli import (
-    _DEFAULTS, ConfigError, build_parser, config_options, finite_float, main,
-    make_eval_config, parse_float_grid, parse_int_grid, parse_mask_spec,
-    parse_radius_grid, parse_synth_spec, read_config_file,
+    _DEFAULTS, MAX_GRID_POINTS, ConfigError, build_parser, config_options, finite_float,
+    main, make_eval_config, parse_float_grid, parse_int_grid, parse_mask_spec,
+    parse_radius_grid, parse_synth_spec, positive_float, read_config_file, unit_float,
 )
 from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import EvalConfig, sweep_dimension, write_curve_csv
@@ -56,8 +56,11 @@ def test_parse_mask_spec():
 def test_parse_int_grid():
     assert parse_int_grid("1:5") == [1, 2, 3, 4, 5]
     assert parse_int_grid("1,4,9") == [1, 4, 9]
-    with pytest.raises(ConfigError):
-        parse_int_grid("1:x")
+    # a range is counted from its ends and refused before it is built
+    assert len(parse_int_grid(f"1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+    for bad in ("1:x", f"0:{MAX_GRID_POINTS}", "1:1000000000000"):
+        with pytest.raises(ConfigError):
+            parse_int_grid(bad)
 
 
 def test_parse_float_grid():
@@ -67,9 +70,11 @@ def test_parse_float_grid():
     assert len(grid) == 20
     assert grid[0] == 0.1 and grid[-1] == 2.0
     for bad in ("0.1:2.0",  # step required in range form
-                "0.1:inf:0.1", "0.1:1:nan", "0.5,inf", "nan", "0:1e308:1e-300"):
+                "0.1:inf:0.1", "0.1:1:nan", "0.5,inf", "nan", "0:1e308:1e-300",
+                "0:10:0.001", "0.000001:1:0.000001"):
         with pytest.raises(ConfigError):
             parse_float_grid(bad)
+    assert len(parse_float_grid("0.001:10:0.001")) == MAX_GRID_POINTS
 
 
 def test_parse_radius_grid():
@@ -86,7 +91,7 @@ def test_parse_synth_spec():
     assert (corpus.n_subjects, corpus.samples_per_subject) == (10, 6)
     corpus = parse_synth_spec("subjects=3,rows=12", seed=3)
     assert corpus.n_subjects == 3
-    assert corpus.pixels.shape[1:] == (12, 28)
+    assert corpus.levels.shape[1:] == (12, 28)
     with pytest.raises(ConfigError):
         parse_synth_spec("subjects", seed=0)
     with pytest.raises(ConfigError):
@@ -118,8 +123,8 @@ def test_config_options_come_from_the_parser():
         "grid": str, "spreads": str, "rows": str,
         "dim": int, "train_k": int, "seed": int, "epochs": int, "hidden": int,
         "max_centers": int, "subjects": int, "samples": int,
-        "gamma": finite_float, "spread": finite_float, "r_low": finite_float,
-        "log_offset": finite_float,
+        "gamma": unit_float, "spread": finite_float, "r_low": finite_float,
+        "log_offset": positive_float,
     }
     options = config_options(build_parser())
     assert {key: kind for key, (kind, _) in options.items()} == frozen
@@ -543,7 +548,7 @@ def test_config_file_values_obey_flag_choices(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for line in ("complex_mode = bogus", "fusion_mode = nope", "transform = wavelet",
                  "metric = cosine", "mask_shape = oval", "spread = inf", "r_low = nan",
-                 "gamma = -inf", "log_offset = inf"):
+                 "gamma = -inf", "log_offset = inf", "gamma = 2", "log_offset = 0"):
         cfg.write_text(f"seed = 1\n{line}\n")
         out = tmp_path / "out"
         assert run(["evaluate", "--synth", SYNTH, "--train-k", "3",
@@ -783,10 +788,22 @@ UNDECLARED = {
                  "bad mask spec 'sector:inf': 'inf' is not a finite number",
                  id="mask-sector-inf"),
     pytest.param(["evaluate", "--transform", "logdft", "--log-offset", "inf"],
-                 "argument --log-offset: invalid finite_float value: 'inf'",
+                 "argument --log-offset: invalid positive_float value: 'inf'",
                  id="log-offset-inf"),
     pytest.param(["evaluate", "--classifier", "mlp", "--gamma", "nan"],
-                 "argument --gamma: invalid finite_float value: 'nan'", id="gamma-nan"),
+                 "argument --gamma: invalid unit_float value: 'nan'", id="gamma-nan"),
+    pytest.param(["evaluate", "--transform", "logdft", "--log-offset", "0"],
+                 "argument --log-offset: invalid positive_float value: '0'",
+                 id="log-offset-zero"),
+    pytest.param(["evaluate", "--classifier", "mlp", "--gamma", "2"],
+                 "argument --gamma: invalid unit_float value: '2'", id="gamma-above-one"),
+    pytest.param(["sweep", "--axis", "dim", "--grid", "1:1000000"],
+                 "bad grid '1:1000000': a range may span at most 10000 points",
+                 id="dim-grid-range-too-long"),
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn",
+                  "--spreads", "0.000001:1:0.000001"],
+                 "bad grid '0.000001:1:0.000001': a range may span at most 10000 points",
+                 id="spread-range-too-long"),
 ])
 def test_option_errors_are_refused_before_the_corpus_is_read(tmp_path, capsys,
                                                              argv, message):

@@ -12,6 +12,16 @@ from faceid.dataset import (
 )
 from faceid.dataset import _parse_pgm, _read_stack
 
+from conftest import corpus_pixels
+
+
+def read_pixels(path):
+    """One file's pixels as every stage divides them: its uint8 levels over
+    its maxval."""
+    levels, maxvals = _read_stack([path])
+    assert levels.dtype == np.uint8 and maxvals.dtype == np.float64
+    return levels[0] / maxvals[0]
+
 
 # ---------------------------------------------------------------------------
 # PGM parsing
@@ -22,7 +32,7 @@ def test_load_p5_roundtrip(tmp_path):
     pixels = rng.random((9, 7))
     path = tmp_path / "img.pgm"
     write_pgm(Image(pixels=pixels), path)
-    back = _read_stack([path])[0]
+    back = read_pixels(path)
     assert back.shape == (9, 7)
     # quantization to 255 levels is the only loss
     assert np.abs(back - pixels).max() <= 0.5 / 255 + 1e-12
@@ -32,7 +42,7 @@ def test_load_p2_ascii(tmp_path):
     body = "P2\n# a comment\n3 2\n255\n0 128 255\n64 32 16\n"
     path = tmp_path / "a.pgm"
     path.write_text(body)
-    img = _read_stack([path])[0]
+    img = read_pixels(path)
     assert img.shape == (2, 3)
     assert img[0, 1] == pytest.approx(128 / 255)
     assert img[1, 2] == pytest.approx(16 / 255)
@@ -42,7 +52,7 @@ def test_p5_comment_and_maxval_scaling(tmp_path):
     header = b"P5\n# comment line\n2 2\n100\n"
     path = tmp_path / "c.pgm"
     path.write_bytes(header + bytes([0, 50, 100, 25]))
-    img = _read_stack([path])[0]
+    img = read_pixels(path)
     assert img[0, 1] == pytest.approx(0.5)
     assert img[1, 0] == pytest.approx(1.0)
 
@@ -73,6 +83,10 @@ def test_sample_over_maxval_rejected(tmp_path):
     path.write_text("P2\n2 1\n10\n5 11\n")
     with pytest.raises(PgmError, match="exceeds maxval"):
         _read_stack([path])
+    # a signed ASCII sample would wrap in the uint8 stack
+    path.write_text("P2\n2 1\n10\n5 -1\n")
+    with pytest.raises(PgmError, match="negative sample"):
+        _read_stack([path])
 
 
 # header grammar: separators are whitespace bytes (``bytes.isspace``) and
@@ -88,14 +102,14 @@ def test_sample_over_maxval_rejected(tmp_path):
 def test_p5_header_separators(tmp_path, header):
     path = tmp_path / "h.pgm"
     path.write_bytes(header + bytes([0, 51, 102, 153, 204, 255]))
-    pixels = _read_stack([path])[0]
+    pixels = read_pixels(path)
     assert np.array_equal(pixels, np.array([[0, 51, 102], [153, 204, 255]]) / 255)
 
 
 def test_p2_header_comments(tmp_path):
     path = tmp_path / "h.pgm"
     path.write_bytes(b"P2 #a\n#b\n2\x0b#c\n1\r\n#d\n\n13\n4\n13\n")
-    assert np.array_equal(_read_stack([path])[0], np.array([[4, 13]]) / 13)
+    assert np.array_equal(read_pixels(path), np.array([[4, 13]]) / 13)
 
 
 @pytest.mark.parametrize("data,message", [
@@ -145,6 +159,15 @@ def test_image_rejects_out_of_range():
         Corpus(pixels, [1, 1], [1, 2])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         Corpus(-pixels, [1, 1], [1, 2])
+    # stored levels are checked against their own image's maxval
+    levels = np.zeros((2, 4, 4), dtype=np.uint8)
+    levels[1, 2, 3] = 101
+    Corpus(levels, [1, 1], [1, 2], [100, 101])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Corpus(levels, [1, 1], [1, 2], [101, 100])
+    for maxval in ([255], [255, 0], [255, np.nan], [255, np.inf]):
+        with pytest.raises(ValueError, match="one finite divisor > 0"):
+            Corpus(levels, [1, 1], [1, 2], maxval)
 
 
 def test_image_rejects_non_2d():
@@ -168,12 +191,21 @@ def test_corpus_validates_its_stack(pixels, subjects, samples, match):
         Corpus(pixels, subjects, samples)
 
 
-def test_corpus_images_are_views_of_the_stack(small_corpus):
+def test_corpus_images_divide_each_stored_image(small_corpus, pgm_tree):
     images = small_corpus.images
-    assert len(images) == len(small_corpus.pixels) == 48
+    assert len(images) == len(small_corpus.levels) == 48
     assert [(im.subject_id, im.sample_id) for im in images[5:7]] == [(1, 6), (2, 1)]
-    assert all(np.shares_memory(im.pixels, small_corpus.pixels) for im in images)
+    # float pixels are stored as given, over a maxval of 1
+    assert small_corpus.levels.dtype == np.float64
+    assert np.array_equal(small_corpus.maxval, np.ones(48))
     assert (small_corpus.n_subjects, small_corpus.samples_per_subject) == (8, 6)
+    loaded = load_orl(pgm_tree[0], n_subjects=5, samples_per_subject=6)
+    for corpus in (small_corpus, loaded):
+        for image, levels, maxval in zip(corpus.images, corpus.levels, corpus.maxval):
+            # each record's pixels are a new float64 array, never a view
+            assert image.pixels.dtype == np.float64
+            assert not np.shares_memory(image.pixels, corpus.levels)
+            assert image.pixels.tobytes() == (levels.astype(np.float64) / maxval).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +216,8 @@ def test_load_orl_layout(pgm_tree):
     root, corpus = pgm_tree
     loaded = load_orl(root, n_subjects=5, samples_per_subject=6)
     assert loaded.n_subjects == 5
-    assert loaded.pixels.shape == (30, 16, 14)
+    assert loaded.levels.shape == (30, 16, 14) and loaded.levels.dtype == np.uint8
+    assert np.array_equal(loaded.maxval, np.full(30, 255.0))
     # order is (subject, sample) ascending
     ids = [(im.subject_id, im.sample_id) for im in loaded.images]
     assert ids == sorted(ids)
@@ -263,17 +296,23 @@ def test_loaded_stacks_bit_equal_frozen_per_file_loop(tmp_path):
     paths = mixed_pgm_tree(tmp_path)
     frozen = frozen_load_pgm_stack(paths)
     tree = load_orl(tmp_path, n_subjects=3, samples_per_subject=4)
-    assert tree.pixels.tobytes() == frozen.tobytes()
+    # one stored byte per pixel; each image's levels over its maxval are the
+    # frozen loop's pixels, bit for bit
+    assert tree.levels.dtype == np.uint8
+    assert np.array_equal(tree.maxval, [255, 255, 100, 13, 200, 1] * 2)
+    assert corpus_pixels(tree).tobytes() == frozen.tobytes()
     # a manifest lists the files in any order; the stack runs in (subject, sample) order
     lines = [f"{path.relative_to(tmp_path)} {path.parent.name[1:]} {path.stem}"
              for path in reversed(paths)]
     (tmp_path / "mf.txt").write_text("\n".join(lines) + "\n")
     listed = load_manifest(tmp_path / "mf.txt")
-    assert listed.pixels.tobytes() == frozen.tobytes()
+    assert listed.levels.tobytes() == tree.levels.tobytes()
+    assert np.array_equal(listed.maxval, tree.maxval)
     assert np.array_equal(listed.subject_ids, tree.subject_ids)
     assert np.array_equal(listed.sample_ids, tree.sample_ids)
-    for path, pixels in zip(paths, frozen):
-        assert _read_stack([path])[0].tobytes() == pixels.tobytes()
+    for path, pixels, image in zip(paths, frozen, tree.images):
+        assert read_pixels(path).tobytes() == pixels.tobytes()
+        assert image.pixels.tobytes() == pixels.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +324,12 @@ def test_split_first_k(small_corpus):
     gallery, probes = split.halves(small_corpus.sample_ids)
     assert gallery.size == probes.size == 8 * 3
     assert (gallery <= 3).all() and (probes > 3).all()
-    # the pixel halves are views of the corpus stack, never copies
-    for half, samples in zip(split.halves(small_corpus.pixels), (gallery, probes)):
+    # the level halves are views of the corpus stack, never copies
+    for half, samples in zip(split.halves(small_corpus.levels), (gallery, probes)):
         assert half.shape == (8, 3, 24, 20)
-        assert np.shares_memory(half, small_corpus.pixels)
-        assert np.array_equal(half[2, 1], small_corpus.pixels[2 * 6 + samples[2, 1] - 1])
+        assert np.shares_memory(half, small_corpus.levels)
+        assert np.array_equal(half[2, 1], small_corpus.levels[2 * 6 + samples[2, 1] - 1])
+    assert [half.shape for half in split.halves(small_corpus.maxval)] == [(8, 3), (8, 3)]
 
 
 def test_split_first_k_bounds(small_corpus):

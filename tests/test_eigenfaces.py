@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from faceid.dataset import split_first_k, synth_corpus
+from faceid.dataset import Corpus, split_first_k, synth_corpus
 from faceid.eigenfaces import (
     EigenBasis, RankError, project, train_eigenbasis,
 )
@@ -11,7 +11,7 @@ from faceid.eigenfaces import (
 
 @pytest.fixture(scope="module")
 def gallery():
-    return synth_corpus(seed=21, n_subjects=4, samples=3, rows=8, cols=7).pixels
+    return synth_corpus(seed=21, n_subjects=4, samples=3, rows=8, cols=7).levels
 
 
 def reconstruct(weights, basis):
@@ -116,7 +116,7 @@ def test_project_accepts_bare_arrays(gallery):
 def test_split_halves_fit_and_project_as_their_copies():
     # a split half is a strided (subjects, samples, R, C) view of the stack
     split = split_first_k(synth_corpus(seed=4, n_subjects=6, samples=5, rows=9, cols=8), 3)
-    gallery, probes = split.halves(split.corpus.pixels)
+    gallery, probes = split.halves(split.corpus.levels)
     copies = [half.reshape(-1, 9, 8) for half in (gallery, probes)]
     basis = train_eigenbasis(gallery, 10)
     want = train_eigenbasis(copies[0], 10)
@@ -124,6 +124,26 @@ def test_split_halves_fit_and_project_as_their_copies():
     assert np.array_equal(basis.eigenfaces, want.eigenfaces)
     for half, copy in zip((gallery, probes), copies):
         assert np.array_equal(project(half, basis), project(copy, basis))
+
+
+def test_stored_levels_fit_and_project_as_their_pixels():
+    # a loaded corpus's halves are uint8 levels with a maxval per image; the
+    # fit and the projection divide them exactly as the float pixels were
+    float_corpus = synth_corpus(seed=4, n_subjects=6, samples=5, rows=9, cols=8)
+    maxval = np.tile([255.0, 200.0, 13.0, 1.0, 100.0], 6)
+    levels = np.rint(float_corpus.levels * maxval[:, None, None]).astype(np.uint8)
+    split = split_first_k(Corpus(levels, float_corpus.subject_ids,
+                                 float_corpus.sample_ids, maxval), 3)
+    halves, maxvals = split.halves(split.corpus.levels), split.halves(split.corpus.maxval)
+    pixels = [half / m[..., None, None] for half, m in zip(halves, maxvals)]
+    basis = train_eigenbasis(halves[0], 10, maxval=maxvals[0])
+    want = train_eigenbasis(pixels[0], 10)
+    assert np.array_equal(basis.mean_face, want.mean_face)
+    assert np.array_equal(basis.eigenfaces, want.eigenfaces)
+    assert np.array_equal(basis.eigenvalues, want.eigenvalues)
+    for half, m, px in zip(halves, maxvals, pixels):
+        assert np.array_equal(project(half, basis, m), project(px, want))
+    assert np.array_equal(split.corpus.levels, levels)
 
 
 def test_full_rank_projection_reconstructs_exactly(gallery):
@@ -169,7 +189,7 @@ def _frozen_train_eigenbasis(gallery, m_prime):
 
 @pytest.fixture(scope="module")
 def larger_gallery():
-    return synth_corpus(seed=5, n_subjects=10, samples=4, rows=32, cols=28).pixels
+    return synth_corpus(seed=5, n_subjects=10, samples=4, rows=32, cols=28).levels
 
 
 @pytest.mark.parametrize("m_prime", [1, 10, 39])
@@ -195,17 +215,21 @@ def test_leading_components_do_not_depend_on_count(larger_gallery):
 def test_fit_memory_is_bounded(peak_bytes):
     # full-rank fit: the centred matrix and the eigenfaces are both (M, P)
     corpus = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46)
-    images = corpus.pixels
+    images = corpus.levels
     assert peak_bytes(train_eigenbasis, images, len(images) - 1) < 2.5 * images.nbytes
     # a split half is copied once, straight from its strided view
     gallery = split_first_k(corpus, 3).halves(images)[0]
     assert peak_bytes(train_eigenbasis, gallery, 35) < 2.5 * gallery.nbytes
+    # uint8 levels: the one copy is the scaled gallery, at float64 size
+    levels = np.rint(gallery * 255).astype(np.uint8)
+    peak = peak_bytes(train_eigenbasis, levels, 35, maxval=np.full(levels.shape[:2], 255.0))
+    assert peak < 2.5 * gallery.nbytes
 
 
 @pytest.mark.parametrize("m_prime", [1, 10, 39])
 def test_block_projection_matches_per_image_oracle(larger_gallery, m_prime):
     basis = train_eigenbasis(larger_gallery, m_prime)
-    probes = synth_corpus(seed=6, n_subjects=10, samples=4, rows=32, cols=28).pixels
+    probes = synth_corpus(seed=6, n_subjects=10, samples=4, rows=32, cols=28).levels
     for images in (larger_gallery, probes):
         got = project(images, basis)
         want = per_image_projection(images, basis)
@@ -216,10 +240,14 @@ def test_block_projection_matches_per_image_oracle(larger_gallery, m_prime):
 
 def test_block_projection_memory_is_one_stack(peak_bytes):
     # the images are centred into one (n, P) matrix; no second copy
-    images = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46).pixels
+    images = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46).levels
     basis = train_eigenbasis(images, 10)
     assert peak_bytes(project, images, basis) < 1.2 * images.nbytes
     # a split half is centred straight from its strided view: still one stack
     gallery = split_first_k(synth_corpus(seed=2, n_subjects=12, samples=5, rows=56,
                                          cols=46), 3).halves(images)[0]
     assert peak_bytes(project, gallery, basis) < 1.2 * gallery.nbytes
+    # uint8 levels are scaled into that one stack, which is centred in place
+    levels = np.rint(gallery * 255).astype(np.uint8)
+    maxval = np.full(levels.shape[:2], 255.0)
+    assert peak_bytes(project, levels, basis, maxval) < 1.2 * gallery.nbytes

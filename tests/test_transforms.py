@@ -156,8 +156,9 @@ def test_sector_mask_boundary_excluded():
 
 
 def test_mask_validation():
-    with pytest.raises(ValueError, match="integer"):
-        ZonalMask.rectangular(2.5)
+    for side in (2.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="integer"):
+            ZonalMask.rectangular(side)
     for radius in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="radius"):
             ZonalMask.sectorial(radius)

@@ -12,7 +12,9 @@ from scipy.spatial.distance import cdist
 
 from faceid import cli, evaluation
 from faceid.classifiers import MAD, MSE, nearest, nn_scores
-from faceid.dataset import _read_stack, corpus_checksum, load_orl
+from faceid.dataset import (
+    Corpus, _parse_pgm, corpus_checksum, load_orl, split_first_k, synth_corpus, write_pgm,
+)
 from faceid.eigenfaces import project, train_eigenbasis
 from faceid.evaluation import (
     decide, identification_rate, extract_split_features, sweep_dimension,
@@ -23,7 +25,7 @@ from faceid.transforms import (
     ZonalMask, mask_features, transform_corpus, zone_keeps,
 )
 
-from conftest import FROZEN_LOWER, frozen_normalize_scores, gallery_of
+from conftest import FROZEN_LOWER, corpus_pixels, frozen_normalize_scores, gallery_of
 
 # ---------------------------------------------------------------------------
 # frozen copy of the per-image path: full transform of every image, the mask
@@ -84,7 +86,7 @@ def frozen_matrix(coeffs, mask, complex_mode, r_low):
 
 def frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low):
     gal_coeffs, probe_coeffs = (frozen_transform(half, kind)
-                                for half in halves(split, split.corpus.pixels))
+                                for half in halves(split, corpus_pixels(split.corpus)))
     gal_labels, probe_labels = halves(split, split.corpus.subject_ids)
     points = []
     for value in sorted(grid):
@@ -105,7 +107,7 @@ def assert_split_features_equal(split, kind, mask, complex_mode, r_low):
                                          complex_mode=complex_mode, r_low=r_low)
     corpus = split.corpus
     for feats, images, labels, samples in zip(
-            (gal, probes), halves(split, corpus.pixels),
+            (gal, probes), halves(split, corpus_pixels(corpus)),
             halves(split, corpus.subject_ids), halves(split, corpus.sample_ids)):
         want = frozen_matrix(frozen_transform(images, kind), mask, complex_mode, r_low)
         assert feats.matrix.dtype == np.float64
@@ -175,8 +177,36 @@ def test_orl_shaped_sweep_bit_equal_frozen_path(orl_split, kind, mask_shape, gri
     assert_sweep_equal(orl_split, kind, mask_shape, list(grid), complex_mode, r_low)
 
 
+@pytest.fixture()
+def pgm_split(pgm_tree):
+    """The pgm_tree corpus as loaded (uint8 levels over maxval 255), split 3/3."""
+    return split_first_k(load_orl(pgm_tree[0], n_subjects=5, samples_per_subject=6), 3)
+
+
+@pytest.mark.parametrize("kind", [DCT, DFT, LOGDFT])
+def test_loaded_split_bit_equal_frozen_path(pgm_split, kind):
+    # the frozen path reads each file's float pixels; the stack keeps its bytes
+    assert pgm_split.corpus.levels.dtype == np.uint8
+    assert_split_features_equal(pgm_split, kind, ZonalMask.sectorial(6.5), INTERLEAVE, 1.5)
+    assert_sweep_equal(pgm_split, kind, RECTANGULAR, [3, 4, 7, 12], MODULUS, 0.0)
+
+
+def test_loaded_split_features_equal_its_float_copy(pgm_split):
+    corpus = pgm_split.corpus
+    floats = split_first_k(Corpus(corpus_pixels(corpus), corpus.subject_ids,
+                                  corpus.sample_ids), 3)
+    for kind, options in ((KLT, {"dim": 5}), (DCT, {"mask": ZonalMask.rectangular(5)}),
+                          (LOGDFT, {"mask": ZonalMask.sectorial(4.5)})):
+        for got, want in zip(extract_split_features(pgm_split, kind, **options),
+                             extract_split_features(floats, kind, **options)):
+            assert np.array_equal(got.matrix, want.matrix)
+    assert (sweep_dimension(pgm_split, KLT, grid=[1, 2, 5, 9])
+            == sweep_dimension(floats, KLT, grid=[1, 2, 5, 9]))
+    assert corpus_checksum(corpus) == corpus_checksum(floats.corpus)
+
+
 def test_extract_features_is_one_row_of_the_stack(small_split):
-    image = small_split.corpus.pixels[0]
+    image = corpus_pixels(small_split.corpus)[0]
     mask = ZonalMask.sectorial(4.5)
     keep = mask.keep(*image.shape, 1.5)
     for kind in (DCT, DFT, LOGDFT):
@@ -203,12 +233,20 @@ def test_zone_keeps_crop_to_the_union_extent():
 
 
 def test_transform_corpus_keeps_the_leading_block(small_split):
-    images = small_split.corpus.pixels[:4]
+    images = corpus_pixels(small_split.corpus)[:4]
     for kind in (DCT, DFT):
         stack = transform_corpus(images, kind, (6, 4))
         assert stack.shape == (4, 6, 4)
         for img, block in zip(images, stack):
             assert np.array_equal(block, FROZEN_TRANSFORMS[kind](img)[:6, :4])
+    # stored levels are divided by their own maxval, one image at a time
+    maxval = np.array([255.0, 200.0, 13.0, 1.0])
+    levels = np.rint(images * maxval[:, None, None]).astype(np.uint8)
+    for kind in (DCT, DFT, LOGDFT):
+        assert np.array_equal(transform_corpus(levels, kind, (6, 4), maxval=maxval),
+                              transform_corpus(levels / maxval[:, None, None], kind, (6, 4)))
+    with pytest.raises(ValueError, match="maxvals do not align"):
+        transform_corpus(levels, DCT, (6, 4), maxval=maxval[:3])
     with pytest.raises(ValueError, match="smaller than"):
         transform_corpus(images, DCT, (25, 4))
     with pytest.raises(ValueError, match="unknown transform"):
@@ -313,7 +351,7 @@ def test_default_grid_starts_where_r_low_leaves_a_coefficient(tmp_path, shape):
 
 def direct_features(split, kind, mask_shape, grid, complex_mode, r_low):
     """Each grid point's full (n, d) feature matrix, built on its own."""
-    gallery, probes = halves(split, split.corpus.pixels)
+    gallery, probes = halves(split, corpus_pixels(split.corpus))
     images = np.concatenate([gallery, probes])
     if kind == KLT:
         basis = train_eigenbasis(gallery, max(grid))
@@ -427,8 +465,8 @@ def test_nonfinite_feature_in_the_last_band_is_refused(small_split, monkeypatch,
         real = evaluation.project
         halves_seen = []
 
-        def poisoned(images, basis):
-            weights = real(images, basis)
+        def poisoned(images, *args):
+            weights = real(images, *args)
             halves_seen.append(images)
             if len(halves_seen) == 2:  # the probe half
                 weights[-1, -1] = np.nan
@@ -472,6 +510,28 @@ def test_split_extraction_memory_is_bounded(orl_split, peak_bytes):
     assert peak < 1.5e6
 
 
+def test_loaded_corpus_stays_below_its_float_stack(tmp_path, peak_bytes):
+    # 10 subjects x 6 images of 48 x 40, split 3/3. Held as one float64 stack,
+    # loading, checksumming and a DCT and a KLT extraction peaked at 1.66x
+    # that stack's size; the stored levels take one byte per pixel.
+    n, rows, cols = 60, 48, 40
+    for image in synth_corpus(3, 10, 6, rows, cols).images:
+        folder = tmp_path / f"s{image.subject_id}"
+        folder.mkdir(exist_ok=True)
+        write_pgm(image, folder / f"{image.sample_id}.pgm")
+
+    def run():
+        corpus = load_orl(tmp_path, n_subjects=10, samples_per_subject=6)
+        corpus_checksum(corpus)
+        split = split_first_k(corpus, 3)
+        extract_split_features(split, DCT, mask=ZonalMask.rectangular(10))
+        extract_split_features(split, KLT, dim=5)
+
+    assert peak_bytes(run) < n * rows * cols * 8
+    corpus = load_orl(tmp_path, n_subjects=10, samples_per_subject=6)
+    assert corpus.levels.dtype == np.uint8 and corpus.levels.nbytes == n * rows * cols
+
+
 # ---------------------------------------------------------------------------
 # corpus loading
 
@@ -482,8 +542,9 @@ def frozen_orl_checksum(root, n_subjects, samples):
     digest = hashlib.sha256()
     for s in range(1, n_subjects + 1):
         for k in range(1, samples + 1):
-            pixels = _read_stack([root / f"s{s}" / f"{k}.pgm"])[0]
-            rows, cols = pixels.shape
+            path = root / f"s{s}" / f"{k}.pgm"
+            rows, cols, maxval, raw = _parse_pgm(path.read_bytes(), str(path))
+            pixels = raw.reshape(rows, cols).astype(np.float64) / maxval
             digest.update(f"{s},{k},{rows}x{cols};".encode())
             digest.update(pixels.astype("<f8").tobytes())
     return digest.hexdigest()
