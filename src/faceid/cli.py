@@ -86,6 +86,26 @@ def positive_float(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int, name: str):
+    """An integer option type that refuses a value below ``low``; argparse
+    calls it ``name`` when it refuses one."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{text.strip()!r} is not >= {low}")
+        return value
+    parse.__name__ = parse.__qualname__ = name
+    return parse
+
+
+# counts of subjects, gallery samples, eigenfaces, epochs, neurons, centers
+positive_int = _int_at_least(1, "positive_int")
+# the seed of every random stream
+nonnegative_int = _int_at_least(0, "nonnegative_int")
+# samples per subject: a split keeps at least one gallery and one probe sample
+int_at_least_2 = _int_at_least(2, "int_at_least_2")
+
+
 def read_config_file(path: str, options: dict) -> dict:
     """Lines of `key = value` (or `key value`); # starts a comment.
 
@@ -253,8 +273,9 @@ def parse_radius_grid(spec: str) -> list[float]:
     return parse_float_grid(spec)
 
 
-def parse_synth_spec(spec: str, seed: int) -> Corpus:
-    """'subjects=8,samples=6,rows=24,cols=20' with all fields optional."""
+def synth_params(spec: str, seed: int) -> dict:
+    """'subjects=8,samples=6,rows=24,cols=20' with all fields optional, as
+    ``synth_corpus`` keywords."""
     params = {"subjects": 10, "samples": 6, "rows": 32, "cols": 28, "seed": seed}
     if spec.strip():
         for token in spec.split(","):
@@ -266,8 +287,24 @@ def parse_synth_spec(spec: str, seed: int) -> Corpus:
                 params[key] = int(value)
             except ValueError as exc:
                 raise ConfigError(f"bad synth spec token {token!r}") from exc
+    return params
+
+
+def parse_synth_spec(spec: str, seed: int) -> Corpus:
+    """The corpus of a --synth spec (see ``synth_params``)."""
+    params = synth_params(spec, seed)
     return synth_corpus(params["seed"], params["subjects"], params["samples"],
                         params["rows"], params["cols"])
+
+
+def stated_samples(args: argparse.Namespace) -> int | None:
+    """Samples per subject as the source states them before it is read:
+    --samples under --data, the --synth spec's; None for a manifest."""
+    if "data" in vars(args):
+        return args.samples
+    if "synth" in vars(args):
+        return synth_params(args.synth, args.seed)["samples"]
+    return None
 
 
 def load_source(args: argparse.Namespace) -> Corpus:
@@ -291,6 +328,10 @@ def feature_options(args: argparse.Namespace) -> dict:
     ``sweep_dimension``) keywords, checked before any corpus is read."""
     if "dim" in vars(args) and args.dim is None:  # dim is kept only under klt
         raise ConfigError("--transform klt requires --dim")
+    samples = stated_samples(args)
+    if samples is not None and args.train_k >= samples:
+        raise ConfigError(f"--train-k {args.train_k} leaves no probe sample of "
+                          f"the {samples} per subject")
     options = {key: getattr(args, key) for key in
                ("transform", "dim", "complex_mode", "r_low", "log_offset")
                if key in vars(args)}
@@ -466,17 +507,19 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--manifest", help="inventory file: path subject sample")
     src.add_argument("--synth", help="synthetic corpus, e.g. "
                      "'subjects=8,samples=6,rows=24,cols=20' ('' for defaults)")
-    common.add_argument("--subjects", type=int, help="subjects under --data")
-    common.add_argument("--samples", type=int, help="samples per subject under --data")
+    common.add_argument("--subjects", type=positive_int, help="subjects under --data")
+    common.add_argument("--samples", type=int_at_least_2,
+                        help="samples per subject under --data")
     common.add_argument("--config", help="key-value config file (flags win)")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, help="seed for all randomness")
+    common.add_argument("--seed", type=nonnegative_int, help="seed for all randomness")
     features = argparse.ArgumentParser(add_help=False)
-    features.add_argument("--train-k", dest="train_k", type=int,
+    features.add_argument("--train-k", dest="train_k", type=positive_int,
                           help="gallery samples per subject")
     features.add_argument("--transform", choices=[DCT, DFT, LOGDFT, KLT])
     features.add_argument("--mask", help="zonal mask: rect:N or sector:R")
-    features.add_argument("--dim", type=int, help="component count for --transform klt")
+    features.add_argument("--dim", type=positive_int,
+                          help="component count for --transform klt")
     features.add_argument("--complex-mode", dest="complex_mode",
                           choices=[MODULUS, INTERLEAVE])
     features.add_argument("--r-low", dest="r_low", type=finite_float,
@@ -484,12 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     features.add_argument("--log-offset", dest="log_offset", type=positive_float,
                           help="offset inside the log for logdft")
     rbf = argparse.ArgumentParser(add_help=False)
-    rbf.add_argument("--max-centers", dest="max_centers", type=int,
+    rbf.add_argument("--max-centers", dest="max_centers", type=positive_int,
                      help="RBF center budget")
     mlp_fusion = argparse.ArgumentParser(add_help=False)
     mlp_fusion.add_argument("--gamma", type=unit_float, help="MSEREG performance ratio")
-    mlp_fusion.add_argument("--epochs", type=int, help="MLP training iterations")
-    mlp_fusion.add_argument("--hidden", type=int, help="MLP hidden neurons")
+    mlp_fusion.add_argument("--epochs", type=positive_int, help="MLP training iterations")
+    mlp_fusion.add_argument("--hidden", type=positive_int, help="MLP hidden neurons")
     mlp_fusion.add_argument("--fusion-mode", dest="fusion_mode", choices=list(MODES))
 
     # no abbreviations: a flag a command lacks must not pass as a longer one

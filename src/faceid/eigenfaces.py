@@ -3,9 +3,20 @@
 Both functions take image stacks (a corpus's stored levels, or a split half's
 view of them, with each image's maxval; or float pixels, which need none).
 ``project`` maps a whole stack onto the basis as one ``(n, m')`` weight
-matrix, the feature matrix of the KLT (eigenfaces) experiments. Each
-function's one float copy of its stack is the division by the maxvals, so
-no stage holds a float copy of the whole corpus.
+matrix, the feature matrix of the KLT (eigenfaces) experiments.
+
+The KLT stage holds one pixel-wide float matrix at a time. The fit divides
+the gallery by its maxvals into one ``(M, P)`` buffer, centres it there,
+writes the eigenfaces over its leading rows a block of pixel columns at a
+time, and shrinks the buffer to those rows. The projection divides, centres
+and multiplies a block of images at a time. Blocks are ``BLOCK`` images or
+``COLUMNS`` pixels, multiples of the 12- and 16-wide register strips of the
+BLAS kernels, and the last block of each kind takes the remainder with it, so
+that no block is a lone image or a thin strip that BLAS computes another way.
+At one BLAS thread every eigenface and weight of an ORL-shaped gallery keeps
+the bits of the one whole-matrix product; a basis of a few components on small
+images can differ from it in the last bits (at most 1.3e-15 of the largest
+weight where measured).
 
 The covariance of the vectorized gallery is never formed at full size.
 Diagonalizing the M x M Gram matrix of the mean-removed images yields the same
@@ -15,12 +26,16 @@ linear combinations of the training residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # eigenvalues at or below max_eigenvalue * RANK_RTOL count as rank deficiency
 RANK_RTOL = 1e-10
+
+BLOCK = 48      # images per projection block, eigenfaces per normalisation block
+COLUMNS = 768   # pixel columns per block of the eigenface lift (16 * BLOCK)
 
 
 class RankError(ValueError):
@@ -48,13 +63,30 @@ class EigenBasis:
         return self.eigenfaces.shape[0]
 
 
-def _scaled(images: np.ndarray, maxval: np.ndarray | None) -> np.ndarray:
-    """A new C-ordered float64 array of the images, each divided by its
-    entry of ``maxval`` (shaped as the images' leading axes; 1 if None)."""
-    divisors = 1.0 if maxval is None else np.asarray(maxval, np.float64)[..., None, None]
-    out = np.empty(images.shape)
-    np.divide(images, divisors, out=out)
-    return out
+def _divisors(maxval: np.ndarray | None, lead: tuple) -> np.ndarray:
+    """Each image's float64 divisor, shaped as the stack's leading axes
+    (1 for every image if ``maxval`` is None)."""
+    return np.broadcast_to(1.0 if maxval is None else np.asarray(maxval, np.float64), lead)
+
+
+def _blocks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of ``size`` indices covering ``range(n)``, the last
+    one taking the remainder with it: only a lone block is shorter than
+    ``size``."""
+    starts = range(0, max(n - size, 0) + 1, size)
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+
+
+def _lift(phi: np.ndarray, vectors: np.ndarray) -> None:
+    """Write the eigenfaces ``u_l = sum_k v_lk Phi_k`` over the leading rows
+    of ``phi``, one block of pixel columns at a time: an output column reads
+    only its own column of ``phi``, so the columns still to come are intact."""
+    blocks = _blocks(phi.shape[1], COLUMNS)
+    lifted = np.empty((vectors.shape[1], blocks[-1].stop - blocks[-1].start))
+    for columns in blocks:
+        out = lifted[:, :columns.stop - columns.start]
+        np.matmul(vectors.T, phi[:, columns], out=out)
+        phi[:len(out), columns] = out
 
 
 def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False,
@@ -71,11 +103,14 @@ def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False,
         raise ValueError(f"gallery must be a nonempty image stack, got shape {gallery.shape}")
     if m_prime < 1:
         raise ValueError(f"m_prime must be >= 1, got {m_prime}")
-    rows, cols = gallery.shape[-2:]
+    lead, (rows, cols) = gallery.shape[:-2], gallery.shape[-2:]
+    pixels = rows * cols
 
-    # one contiguous (M, P) copy, the scaled gallery, centred in place: the
-    # caller's stack is untouched
-    phi = _scaled(gallery, maxval).reshape(-1, rows * cols)
+    # Phi: the scaled gallery in an (M, P) buffer of its own, centred in
+    # place; the caller's stack is untouched
+    phi = np.empty((math.prod(lead), pixels))
+    np.divide(gallery, _divisors(maxval, lead)[..., None, None],
+              out=phi.reshape(gallery.shape))
     m = len(phi)
     mean_face = phi.mean(axis=0)
     phi -= mean_face
@@ -94,16 +129,18 @@ def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False,
             raise RankError(requested=m_prime, attainable=attainable)
         m_prime = attainable
 
-    faces = eigenvectors[:, :m_prime].T @ phi  # u_l = sum_k v_lk Phi_k
-    del phi  # free it before the norm's (m', P) temporary exists
-    faces /= np.linalg.norm(faces, axis=1, keepdims=True)
-    # deterministic sign: largest-magnitude component made positive
-    flip = faces[np.arange(m_prime), np.argmax(np.abs(faces), axis=1)] < 0
-    faces[flip] *= -1.0
+    _lift(phi, eigenvectors[:, :m_prime])
+    phi.resize((m_prime, pixels))  # refcheck on: nothing else holds the buffer
+    for block in _blocks(m_prime, BLOCK):
+        faces = phi[block]
+        faces /= np.linalg.norm(faces, axis=1, keepdims=True)
+        # deterministic sign: largest-magnitude component made positive
+        flip = faces[np.arange(len(faces)), np.argmax(np.abs(faces), axis=1)] < 0
+        faces[flip] *= -1.0
 
     return EigenBasis(
         mean_face=mean_face.reshape(rows, cols),
-        eigenfaces=faces,
+        eigenfaces=phi,
         eigenvalues=eigenvalues[:m_prime].copy(),
     )
 
@@ -113,14 +150,27 @@ def project(images: np.ndarray, basis: EigenBasis,
     """(n, m') weights of the mean-removed images, each divided by its
     ``maxval``, on the basis directions.
 
-    The stack is scaled into one new (n, P) matrix, however its images are
-    laid out, centred in place and multiplied once by the eigenfaces, which
-    are streamed once rather than once per image. Pass one split half at a
-    time.
+    A block of images at a time, in C order of the stack's leading axes
+    (however its images are laid out), is divided into one reused float
+    matrix of at most ``2 * BLOCK - 1`` rows, centred in place and multiplied
+    by the eigenfaces into its rows of the weights; no float copy of the
+    whole stack is made. Pass one split half at a time.
     """
     if images.shape[-2:] != basis.mean_face.shape:
         raise ValueError(f"image dims {images.shape[-2:]} do not match basis "
                          f"{basis.mean_face.shape}")
-    x = _scaled(images, maxval)
-    x -= basis.mean_face
-    return x.reshape(-1, basis.mean_face.size) @ basis.eigenfaces.T
+    lead = images.shape[:-2]
+    divisors = _divisors(maxval, lead)
+    blocks = _blocks(math.prod(lead), BLOCK)
+    weights = np.empty((blocks[-1].stop, basis.n_components))
+    buffer = np.empty((blocks[-1].stop - blocks[-1].start, *basis.mean_face.shape))
+    indices = np.ndindex(*lead)
+    for block in blocks:
+        x = buffer[:block.stop - block.start]
+        # zip stops at x's end, before it takes a further index
+        for image, index in zip(x, indices):
+            np.divide(images[index], divisors[index], out=image)
+            image -= basis.mean_face
+        np.matmul(x.reshape(len(x), basis.mean_face.size), basis.eigenfaces.T,
+                  out=weights[block])
+    return weights

@@ -19,8 +19,9 @@ from faceid import evaluation
 from faceid.classifiers import MLPConfig, PNNModel, rbf_scores, rbf_train
 from faceid.cli import (
     _DEFAULTS, MAX_GRID_POINTS, ConfigError, build_parser, config_options, finite_float,
-    main, make_eval_config, parse_float_grid, parse_int_grid, parse_mask_spec,
-    parse_radius_grid, parse_synth_spec, positive_float, read_config_file, unit_float,
+    int_at_least_2, main, make_eval_config, nonnegative_int, parse_float_grid,
+    parse_int_grid, parse_mask_spec, parse_radius_grid, parse_synth_spec, positive_float,
+    positive_int, read_config_file, unit_float,
 )
 from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import EvalConfig, sweep_dimension, write_curve_csv
@@ -121,8 +122,9 @@ def test_config_options_come_from_the_parser():
         "transform": str, "mask": str, "metric": str, "classifier": str,
         "mask_shape": str, "complex_mode": str, "fusion_mode": str,
         "grid": str, "spreads": str, "rows": str,
-        "dim": int, "train_k": int, "seed": int, "epochs": int, "hidden": int,
-        "max_centers": int, "subjects": int, "samples": int,
+        "dim": positive_int, "train_k": positive_int, "seed": nonnegative_int,
+        "epochs": positive_int, "hidden": positive_int, "max_centers": positive_int,
+        "subjects": positive_int, "samples": int_at_least_2,
         "gamma": unit_float, "spread": finite_float, "r_low": finite_float,
         "log_offset": positive_float,
     }
@@ -548,7 +550,9 @@ def test_config_file_values_obey_flag_choices(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for line in ("complex_mode = bogus", "fusion_mode = nope", "transform = wavelet",
                  "metric = cosine", "mask_shape = oval", "spread = inf", "r_low = nan",
-                 "gamma = -inf", "log_offset = inf", "gamma = 2", "log_offset = 0"):
+                 "gamma = -inf", "log_offset = inf", "gamma = 2", "log_offset = 0",
+                 "epochs = 0", "hidden = -3", "seed = -1", "max_centers = 0",
+                 "dim = 0", "train_k = 0"):
         cfg.write_text(f"seed = 1\n{line}\n")
         out = tmp_path / "out"
         assert run(["evaluate", "--synth", SYNTH, "--train-k", "3",
@@ -797,6 +801,26 @@ UNDECLARED = {
                  id="log-offset-zero"),
     pytest.param(["evaluate", "--classifier", "mlp", "--gamma", "2"],
                  "argument --gamma: invalid unit_float value: '2'", id="gamma-above-one"),
+    *[pytest.param([*argv, flag, value],
+                   f"argument {flag}: invalid {kind} value: '{value}'",
+                   id=f"{flag[2:]}-{value}") for argv, flag, value, kind in (
+        (["evaluate", "--classifier", "mlp"], "--epochs", "0", "positive_int"),
+        (["evaluate", "--classifier", "mlp"], "--hidden", "0", "positive_int"),
+        (["evaluate", "--classifier", "rbf"], "--max-centers", "0", "positive_int"),
+        (["extract", "--transform", "klt"], "--dim", "0", "positive_int"),
+        (["extract"], "--train-k", "0", "positive_int"),
+        (["extract"], "--subjects", "0", "positive_int"),
+        (["extract"], "--samples", "1", "int_at_least_2"),
+        (["table1", "--rows", "nn"], "--samples", "1", "int_at_least_2"),
+        (["evaluate", "--classifier", "mlp"], "--seed", "-1", "nonnegative_int"),
+        (["evaluate", "--classifier", "mlp"], "--epochs", "2.5", "positive_int"),
+    )],
+    pytest.param(["extract", "--train-k", "10"],
+                 "--train-k 10 leaves no probe sample of the 10 per subject",
+                 id="train-k-default-samples"),
+    pytest.param(["sweep", "--axis", "dim", "--samples", "4", "--train-k", "6"],
+                 "--train-k 6 leaves no probe sample of the 4 per subject",
+                 id="train-k-above-samples"),
     pytest.param(["sweep", "--axis", "dim", "--grid", "1:1000000"],
                  "bad grid '1:1000000': a range may span at most 10000 points",
                  id="dim-grid-range-too-long"),
@@ -817,6 +841,17 @@ def test_option_errors_are_refused_before_the_corpus_is_read(tmp_path, capsys,
     # the refusal shows its own subcommand's usage line
     assert f"\nusage: faceid {argv[0]} " in f"\n{err}"
     assert not out.exists()
+
+
+def test_train_k_is_checked_against_the_synth_spec(tmp_path, capsys):
+    # the spec states its samples per subject, so no corpus is built first
+    out = tmp_path / "out"
+    assert run(["extract", "--synth", "subjects=3,samples=4", "--train-k", "4",
+                "--out", str(out)]) == 2
+    assert "--train-k 4 leaves no probe sample of the 4 per subject" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["extract", "--synth", "subjects=3,samples=4", "--train-k", "3",
+                "--out", str(out)]) == 0
 
 
 def test_missing_files_is_data_error(pgm_tree, tmp_path, capsys):

@@ -1,12 +1,19 @@
 """Eigenface decomposition checked against the full covariance eigenproblem."""
 
+import os
+
 import numpy as np
 import pytest
 
 from faceid.dataset import Corpus, split_first_k, synth_corpus
 from faceid.eigenfaces import (
-    EigenBasis, RankError, project, train_eigenbasis,
+    BLOCK, COLUMNS, EigenBasis, RankError, _blocks, project, train_eigenbasis,
 )
+from faceid.evaluation import extract_split_features
+from faceid.transforms import KLT
+
+# one BLAS thread: the blocked products must keep the one product's bits
+ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +118,7 @@ def test_project_accepts_bare_arrays(gallery):
     assert want.shape == (len(gallery), 4)
     assert np.array_equal(project(gallery.reshape(4, 3, 8, 7), basis), want)
     assert project(gallery[0], basis).shape == (1, 4)
+    assert project(gallery[:0], basis).shape == (0, 4)
 
 
 def test_split_halves_fit_and_project_as_their_copies():
@@ -213,17 +221,20 @@ def test_leading_components_do_not_depend_on_count(larger_gallery):
 
 
 def test_fit_memory_is_bounded(peak_bytes):
-    # full-rank fit: the centred matrix and the eigenfaces are both (M, P)
+    # the centred gallery's buffer becomes the eigenfaces, so the fit holds one
+    # (M, P) matrix plus one block (a fit that kept the eigenfaces apart took
+    # 2.03-2.05x here). Below 2 * BLOCK eigenfaces the one block is all of
+    # them, so these small galleries still reach 2.0x
     corpus = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46)
     images = corpus.levels
-    assert peak_bytes(train_eigenbasis, images, len(images) - 1) < 2.5 * images.nbytes
+    assert peak_bytes(train_eigenbasis, images, len(images) - 1) < 2.1 * images.nbytes
     # a split half is copied once, straight from its strided view
     gallery = split_first_k(corpus, 3).halves(images)[0]
-    assert peak_bytes(train_eigenbasis, gallery, 35) < 2.5 * gallery.nbytes
+    assert peak_bytes(train_eigenbasis, gallery, 35) < 2.1 * gallery.nbytes
     # uint8 levels: the one copy is the scaled gallery, at float64 size
     levels = np.rint(gallery * 255).astype(np.uint8)
     peak = peak_bytes(train_eigenbasis, levels, 35, maxval=np.full(levels.shape[:2], 255.0))
-    assert peak < 2.5 * gallery.nbytes
+    assert peak < 2.1 * gallery.nbytes
 
 
 @pytest.mark.parametrize("m_prime", [1, 10, 39])
@@ -238,16 +249,116 @@ def test_block_projection_matches_per_image_oracle(larger_gallery, m_prime):
         assert np.abs(got - want).max() <= 1e-12 * scale
 
 
-def test_block_projection_memory_is_one_stack(peak_bytes):
-    # the images are centred into one (n, P) matrix; no second copy
+def test_block_projection_memory_is_one_block(peak_bytes):
+    # the images are centred a block at a time into one reused buffer, so
+    # beside the weights the projection holds one block, not a copy of the
+    # stack (centring a copy of the whole stack peaked at 1.05-1.16x the
+    # weights-plus-block total)
     images = synth_corpus(seed=2, n_subjects=12, samples=5, rows=56, cols=46).levels
     basis = train_eigenbasis(images, 10)
-    assert peak_bytes(project, images, basis) < 1.2 * images.nbytes
-    # a split half is centred straight from its strided view: still one stack
+
+    def weights_and_block(n):
+        block = len(range(n)[_blocks(n, BLOCK)[-1]])
+        return 8 * (n * basis.n_components + block * basis.mean_face.size)
+
+    assert peak_bytes(project, images, basis) < 1.05 * weights_and_block(60)
+    # a split half is centred straight from its strided view
     gallery = split_first_k(synth_corpus(seed=2, n_subjects=12, samples=5, rows=56,
                                          cols=46), 3).halves(images)[0]
-    assert peak_bytes(project, gallery, basis) < 1.2 * gallery.nbytes
-    # uint8 levels are scaled into that one stack, which is centred in place
+    assert peak_bytes(project, gallery, basis) < 1.05 * weights_and_block(36)
+    # uint8 levels are scaled into the block, which is centred in place
     levels = np.rint(gallery * 255).astype(np.uint8)
     maxval = np.full(levels.shape[:2], 255.0)
-    assert peak_bytes(project, levels, basis, maxval) < 1.2 * gallery.nbytes
+    assert peak_bytes(project, levels, basis, maxval) < 1.05 * weights_and_block(36)
+
+
+# ---------------------------------------------------------------------------
+# blocked fit and projection against the one product, at ORL shape: P spans
+# 13 column blocks and both halves hold 200 images, past one image block
+
+
+def assert_one_product(got, want):
+    """Bit-equal at one BLAS thread; threaded BLAS splits the one product
+    differently, so elsewhere within 1e-15 of its largest entry."""
+    if ONE_BLAS_THREAD:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_blocks_cover_the_range_and_the_last_takes_the_remainder():
+    for n in (1, 47, 48, 49, 95, 96, 97, 200):
+        blocks = _blocks(n, BLOCK)
+        assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]), np.arange(n))
+        sizes = [len(range(n)[b]) for b in blocks]
+        assert sizes[:-1] == [BLOCK] * (len(blocks) - 1)
+        assert BLOCK <= sizes[-1] < 2 * BLOCK or sizes == [n]
+    assert [len(range(10304)[b]) for b in _blocks(10304, COLUMNS)][-1] == 768 + 320
+    assert BLOCK % 12 == BLOCK % 16 == COLUMNS % BLOCK == 0
+
+
+@pytest.fixture(scope="module")
+def orl_levels_split(orl_split):
+    """The ORL-shaped split on the 8-bit levels a PGM tree of it would hold."""
+    corpus = orl_split.corpus
+    levels = np.rint(corpus.levels * 255).astype(np.uint8)
+    return split_first_k(Corpus(levels, corpus.subject_ids, corpus.sample_ids,
+                                np.full(len(levels), 255.0)), orl_split.k)
+
+
+@pytest.fixture(scope="module")
+def orl_levels(orl_levels_split):
+    """Its (gallery, probe) level halves and (gallery, probe) maxval halves."""
+    corpus = orl_levels_split.corpus
+    return orl_levels_split.halves(corpus.levels), orl_levels_split.halves(corpus.maxval)
+
+
+@pytest.fixture(scope="module", params=["float", "uint8"])
+def orl_halves(request, orl_split, orl_levels):
+    """Level and maxval halves of the ORL-shaped split: float pixels, or 8-bit levels."""
+    if request.param == "uint8":
+        return orl_levels
+    corpus = orl_split.corpus
+    return orl_split.halves(corpus.levels), orl_split.halves(corpus.maxval)
+
+
+@pytest.mark.parametrize("m_prime", [150, 199])
+def test_orl_shaped_fit_matches_frozen_fit(orl_halves, m_prime):
+    (gallery, _), (maxval, _) = orl_halves
+    pixels = (gallery / maxval[..., None, None]).reshape(-1, *gallery.shape[-2:])
+    basis = train_eigenbasis(gallery, m_prime, maxval=maxval)
+    mean_face, faces, eigenvalues = _frozen_train_eigenbasis(pixels, m_prime)
+    assert np.array_equal(basis.mean_face.ravel(), mean_face)
+    assert np.array_equal(basis.eigenvalues, eigenvalues)
+    assert_one_product(basis.eigenfaces, faces)
+
+
+def test_orl_shaped_projection_matches_the_one_product(orl_halves):
+    halves, maxvals = orl_halves
+    basis = train_eigenbasis(halves[0], 199, maxval=maxvals[0])
+    rows, cols = basis.mean_face.shape
+    flat = halves[1].reshape(-1, rows, cols), maxvals[1].reshape(-1)
+    # 200 and 100 images (strided views), and 97, whose last block takes
+    # its one leftover image with it
+    for images, maxval in [(halves[1], maxvals[1]), (halves[1][:20], maxvals[1][:20]),
+                           (flat[0][:97], flat[1][:97])]:
+        centred = images / maxval[..., None, None] - basis.mean_face
+        want = centred.reshape(-1, rows * cols) @ basis.eigenfaces.T
+        assert_one_product(project(images, basis, maxval), want)
+
+
+def test_orl_shaped_fit_memory_is_one_gallery_and_a_block(orl_levels, peak_bytes):
+    # 200 gallery images of 112 x 92 on 8-bit levels, all 199 eigenfaces:
+    # 1.31x the float gallery (2.04x with the eigenfaces kept apart)
+    (gallery, _), (maxval, _) = orl_levels
+    floats = gallery.size * 8
+    assert peak_bytes(train_eigenbasis, gallery, 199, maxval=maxval) < 1.35 * floats
+
+
+def test_orl_shaped_klt_extraction_memory(orl_levels_split, peak_bytes):
+    # fit and both projections at 199 eigenfaces on 8-bit levels: 1.32x the
+    # gallery's float size (20.8 MB), against 2.04x (32.1 MB) when the fit
+    # and the projection each held two pixel-wide float matrices
+    floats = 200 * 112 * 92 * 8
+    peak = peak_bytes(extract_split_features, orl_levels_split, KLT, dim=199)
+    assert peak < 1.4 * floats
