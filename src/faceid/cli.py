@@ -14,8 +14,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .dataset import (
     Corpus, InventoryError, PgmError,
@@ -61,49 +62,117 @@ MAX_GRID_POINTS = 10_000
 # option plumbing
 # ---------------------------------------------------------------------------
 
-def finite_float(text: str) -> float:
-    """The type of every float option and grid value: NaN and the
-    infinities are refused, as any other value that is not a number."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text.strip()!r} is not a finite number")
-    return value
-
-
-def unit_float(text: str) -> float:
-    """A finite float in [0, 1]: the MSEREG performance ratio."""
-    value = finite_float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{text.strip()!r} is not in [0, 1]")
-    return value
-
-
-def positive_float(text: str) -> float:
-    """A finite float > 0: the offset inside logdft's log."""
-    value = finite_float(text)
-    if not value > 0.0:
-        raise ValueError(f"{text.strip()!r} is not > 0")
-    return value
-
-
-def _int_at_least(low: int, name: str):
-    """An integer option type that refuses a value below ``low``; argparse
-    calls it ``name`` when it refuses one."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"{text.strip()!r} is not >= {low}")
+def checked(name: str, parse: Callable, test: Callable, bound: str) -> Callable:
+    """An option type: ``parse(text)``, refused with "TEXT is not BOUND"
+    unless ``test`` holds of it; argparse calls the type ``name`` when it
+    refuses a flag's value."""
+    def convert(text: str):
+        value = parse(text)
+        if not test(value):
+            raise ValueError(f"{text.strip()!r} is not {bound}")
         return value
-    parse.__name__ = parse.__qualname__ = name
-    return parse
+    convert.__name__ = convert.__qualname__ = name
+    return convert
 
 
-# counts of subjects, gallery samples, eigenfaces, epochs, neurons, centers
-positive_int = _int_at_least(1, "positive_int")
-# the seed of every random stream
-nonnegative_int = _int_at_least(0, "nonnegative_int")
+# every float option, grid value and sector radius: NaN and the infinities
+# are refused, as any other value that is not a number
+finite_float = checked("finite_float", float, math.isfinite, "a finite number")
+unit_float = checked("unit_float", finite_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+positive_float = checked("positive_float", finite_float, lambda v: v > 0.0, "> 0")
+nonnegative_float = checked("nonnegative_float", finite_float, lambda v: v >= 0.0, ">= 0")
+positive_int = checked("positive_int", int, lambda v: v >= 1, ">= 1")
+nonnegative_int = checked("nonnegative_int", int, lambda v: v >= 0, ">= 0")
 # samples per subject: a split keeps at least one gallery and one probe sample
-int_at_least_2 = _int_at_least(2, "int_at_least_2")
+int_at_least_2 = checked("int_at_least_2", int, lambda v: v >= 2, ">= 2")
+
+
+FLAG_ONLY = object()  # the default of an option only its flag sets
+
+
+class Option(NamedTuple):
+    """One option, stated once: the parser, the defaults, the config-file keys
+    and the read rules all come from ``OPTIONS``."""
+    dest: str
+    commands: tuple[str, ...]    # the subcommands that declare it
+    default: object = FLAG_ONLY  # FLAG_ONLY: no default, no config key
+    type: Callable | None = None
+    choices: list | None = None
+    help: str | None = None
+    required: bool = False
+    # Read rules: the values of a run's selector under which it reads the
+    # option (None: that selector does not govern it). The selectors are the
+    # sweep axis, the transform, the classifiers the run trains (the members
+    # of --classifier, or of the rows table1 --rows selects) and the dataset
+    # source. They are checked in that order, so the axis refuses a flag first.
+    axis: set | None = None
+    transform: set | None = None
+    classifier: set | None = None
+    source: set | None = None
+
+
+ALL = ("extract", "evaluate", "sweep", "table1")
+FEATURED = ALL[:3]          # the commands that build features
+ZONAL = {DCT, DFT, LOGDFT}  # the transforms a zonal mask crops
+
+# one entry per option, in the order the usage lines list them; the
+# classifier options take EvalConfig's defaults (its fields are their dests)
+OPTIONS = (
+    Option("data", ALL, help=f"image directory root (or ${ENV_DATA})"),
+    Option("manifest", ALL, help="inventory file: path subject sample"),
+    Option("synth", ALL, help="synthetic corpus, e.g. "
+           "'subjects=8,samples=6,rows=24,cols=20' ('' for defaults)"),
+    Option("subjects", ALL, 40, positive_int, help="subjects under --data",
+           source={"data"}),
+    Option("samples", ALL, 10, int_at_least_2, help="samples per subject under --data",
+           source={"data"}),
+    Option("config", ALL, help="key-value config file (flags win)"),
+    Option("out", ALL, "faceid-out", help="output directory"),
+    Option("seed", ALL, EvalConfig.seed, nonnegative_int, help="seed for all randomness"),
+    Option("train_k", FEATURED, TRAIN_SAMPLES, positive_int,
+           help="gallery samples per subject"),
+    Option("transform", FEATURED, DCT, choices=[DCT, DFT, LOGDFT, KLT]),
+    Option("mask", FEATURED, "rect:10", help="zonal mask: rect:N or sector:R",
+           axis={"spread"}, transform=ZONAL),
+    Option("dim", FEATURED, None, positive_int, help="component count for --transform klt",
+           axis={"spread"}, transform={KLT}),
+    Option("complex_mode", FEATURED, MODULUS, choices=[MODULUS, INTERLEAVE],
+           transform={DFT, LOGDFT}),
+    Option("r_low", FEATURED, 0.0, nonnegative_float,
+           help="drop coefficients below this radius", transform=ZONAL),
+    Option("log_offset", FEATURED, 1e-4, positive_float,
+           help="offset inside the log for logdft", transform={LOGDFT}),
+    Option("max_centers", ALL[1:], EvalConfig.max_centers, positive_int,
+           help="RBF center budget", axis={"spread"}, classifier={RBF_NAME}),
+    Option("gamma", ("evaluate", "table1"), EvalConfig.gamma, unit_float,
+           help="MSEREG performance ratio", classifier={MLP_NAME}),
+    Option("epochs", ("evaluate", "table1"), EvalConfig.epochs, positive_int,
+           help="MLP training iterations", classifier={MLP_NAME}),
+    Option("hidden", ("evaluate", "table1"), EvalConfig.hidden, positive_int,
+           help="MLP hidden neurons", classifier={MLP_NAME}),
+    Option("fusion_mode", ("evaluate", "table1"), EvalConfig.fusion_mode,
+           choices=list(MODES)),
+    Option("spread", ("evaluate",), EvalConfig.spread, finite_float, help="PNN/RBF spread",
+           classifier=set(KERNEL_CLASSIFIERS)),
+    Option("axis", ("sweep",), choices=["dim", "spread"], required=True),
+    Option("classifier", ("evaluate", "sweep"), "nn:mad", axis={"spread"},
+           help="nn:mad, nn:mse, mlp, pnn, rbf, or fusion:a+b (pnn or rbf for "
+           "sweep --axis spread)"),
+    Option("metric", ("sweep",), "mad", choices=["mad", "mse"], axis={"dim"}),
+    Option("mask_shape", ("sweep",), "rect", choices=["rect", "sector"], axis={"dim"},
+           transform=ZONAL),
+    Option("grid", ("sweep",), None, axis={"dim"}, help="mask sides/radii or KLT dims: "
+           "'1:30' or '1,4,9'; sector radii also '2.5,3.5' or '2:6:0.5'"),
+    Option("rows", ("table1",), None, help="row filter prefix, e.g. nn or rbf"),
+    Option("spreads", ("sweep", "table1"), None, help="'0.1:2.0:0.1' or '0.5,0.9'",
+           axis={"spread"}, classifier=set(KERNEL_CLASSIFIERS)),
+)
+_DEFAULTS = {option.dest: option.default for option in OPTIONS
+             if option.default is not FLAG_ONLY}
+
+
+def flag(option: Option) -> str:
+    return "--" + option.dest.replace("_", "-")
 
 
 def read_config_file(path: str, options: dict) -> dict:
@@ -146,13 +215,11 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
                 if isinstance(action, argparse._SubParsersAction)).choices
 
 
-def config_options(parser: argparse.ArgumentParser) -> dict:
+def config_options() -> dict:
     """Option name -> (type, allowed values or None) for every option a config
-    file may set: the subcommands' own options, but neither --config, the
-    dataset source, nor the required ones."""
-    return {action.dest: (action.type or str, action.choices)
-            for sub in _subcommands(parser).values() for action in sub._actions
-            if action.dest not in ("help", "config", *SOURCES) and not action.required}
+    file may set: each one with a default."""
+    return {option.dest: (option.type or str, option.choices) for option in OPTIONS
+            if option.dest in _DEFAULTS}
 
 
 def _choose_source(args: argparse.Namespace) -> str:
@@ -171,18 +238,17 @@ def _choose_source(args: argparse.Namespace) -> str:
 
 
 def _selector(args: argparse.Namespace, name: str) -> tuple[str, set] | None:
-    """One selector of ``_READ_UNDER``: its flag as a refusal names it, and
-    its values. None where the run has no such selector."""
+    """One selector of the read rules (see ``Option``): its flag as a refusal
+    names it, and its values. None where the run has no such selector."""
     if name == "source":
         source = _choose_source(args)
         return f"--{source}", {source}
-    if name == "classifiers" and "rows" in vars(args):
+    if name == "classifier" and "rows" in vars(args):
         targets = table_targets(args.rows)
         if not targets:
             raise ConfigError(f"--rows {args.rows!r} matches no table rows")
         return f"--rows {args.rows}", {member for row in targets
                                        for member in parse_classifier_spec(row[2])}
-    name = "classifier" if name == "classifiers" else name
     if name not in vars(args):
         return None
     value = getattr(args, name)
@@ -190,29 +256,36 @@ def _selector(args: argparse.Namespace, name: str) -> tuple[str, set] | None:
                                  if name == "classifier" else {value})
 
 
-def resolve_options(args: argparse.Namespace, options: dict) -> None:
+def resolve_options(args: argparse.Namespace) -> None:
     """Keep only the options the run reads, each filled from its flag, else
-    the --config file (which may set ``options``), else the default.
+    the --config file, else the default.
 
-    An option that its selectors (see ``_READ_UNDER``) leave unread is
-    refused when given as a flag and dropped otherwise, so it is never
-    recorded.
+    An option that its read rules (see ``Option``) leave unread is refused
+    when given as a flag and dropped otherwise, so it is never recorded.
     """
-    file_values = read_config_file(args.config, options) if args.config else {}
+    file_values = read_config_file(args.config, config_options()) if args.config else {}
     given = {key for key, value in vars(args).items() if value is not None}
     for key in _DEFAULTS.keys() & vars(args).keys() - given:
         setattr(args, key, file_values.get(key, _DEFAULTS[key]))
-    for name, reads in _READ_UNDER.items():
+    for name in ("axis", "transform", "classifier", "source"):
         resolved = _selector(args, name)
         if resolved is None:
             continue
-        flag, values = resolved
-        for key, allowed in reads.items():
-            if key in vars(args) and not values & allowed:
-                if key in given:
-                    raise ConfigError(f"{flag} does not read "
-                                      f"--{key.replace('_', '-')}")
-                delattr(args, key)
+        selected, values = resolved
+        for option in OPTIONS:
+            allowed = getattr(option, name)
+            if allowed is not None and option.dest in vars(args) and not values & allowed:
+                if option.dest in given:
+                    raise ConfigError(f"{selected} does not read {flag(option)}")
+                delattr(args, option.dest)
+
+
+def refuse_file_out(out: str) -> None:
+    """Refuse an --out that is, or lies under, an existing file before any
+    corpus is read: creating the directory would fail only after the run."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {out}: {path} exists and is not a directory")
 
 
 def parse_mask_spec(spec: str) -> ZonalMask:
@@ -332,13 +405,13 @@ def feature_options(args: argparse.Namespace) -> dict:
     if samples is not None and args.train_k >= samples:
         raise ConfigError(f"--train-k {args.train_k} leaves no probe sample of "
                           f"the {samples} per subject")
-    options = {key: getattr(args, key) for key in
-               ("transform", "dim", "complex_mode", "r_low", "log_offset")
-               if key in vars(args)}
-    options["kind"] = options.pop("transform")
-    if "mask" in vars(args):
+    # the options a transform rule governs are the feature keywords
+    options = {option.dest: getattr(args, option.dest) for option in OPTIONS
+               if option.transform is not None and option.dest in vars(args)}
+    options["kind"] = args.transform
+    if "mask" in options:
         options["mask"] = parse_mask_spec(args.mask)
-    if "mask_shape" in vars(args):
+    if "mask_shape" in options:
         options["mask_shape"] = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
     return options
 
@@ -366,7 +439,7 @@ def emit_manifest(out: Path, command: str, args: argparse.Namespace,
             print(f"warning: dataset checksum differs from earlier manifest "
                   f"in {out}", file=sys.stderr)
     config = {}
-    skip = {"func", "config", "command"}
+    skip = {"config", "command"}
     for key, value in sorted(vars(args).items()):
         if key not in skip:
             config[key] = value
@@ -471,104 +544,29 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-# the classifier options take EvalConfig's defaults (its fields are their dests)
-_DEFAULTS = {
-    "out": "faceid-out", "transform": DCT, "mask": "rect:10", "metric": "mad",
-    "classifier": "nn:mad", "mask_shape": "rect", "complex_mode": MODULUS,
-    "grid": None, "spreads": None, "rows": None, "dim": None,
-    "train_k": TRAIN_SAMPLES, "subjects": 40, "samples": 10, "r_low": 0.0,
-    "log_offset": 1e-4, **asdict(EvalConfig()),
-}
-
-# Selector -> {option: the selector values under which a run reads it}. A
-# run's selectors are its sweep axis, its transform, the classifiers it runs
-# (the members of --classifier, or of the rows table1 --rows selects) and its
-# dataset source; an option is read where its selector's values meet the
-# listed ones. Checked in this order, so the axis refuses a flag first.
-_READ_UNDER = {
-    "axis": {**dict.fromkeys(("mask", "dim", "max_centers", "classifier", "spreads"),
-                             {"spread"}),
-             **dict.fromkeys(("metric", "mask_shape", "grid"), {"dim"})},
-    "transform": {**dict.fromkeys(("mask", "r_low", "mask_shape"), {DCT, DFT, LOGDFT}),
-                  "complex_mode": {DFT, LOGDFT}, "log_offset": {LOGDFT}, "dim": {KLT}},
-    "classifiers": {**dict.fromkeys(("spread", "spreads"), set(KERNEL_CLASSIFIERS)),
-                    "max_centers": {RBF_NAME},
-                    **dict.fromkeys(("epochs", "hidden", "gamma"), {MLP_NAME})},
-    "source": dict.fromkeys(("subjects", "samples"), {"data"}),
+# subcommand -> (its function, its line in the top-level help)
+COMMANDS = {
+    "extract": (cmd_extract, "write feature CSVs"),
+    "evaluate": (cmd_evaluate, "run one classifier"),
+    "sweep": (cmd_sweep, "dimension or spread curves"),
+    "table1": (cmd_table1, "benchmark comparison table"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # each subcommand declares only the options some run of it reads, from
-    # these parents
-    common = argparse.ArgumentParser(add_help=False)
-    src = common.add_argument_group("dataset source (exactly one)")
-    src.add_argument("--data", help=f"image directory root (or ${ENV_DATA})")
-    src.add_argument("--manifest", help="inventory file: path subject sample")
-    src.add_argument("--synth", help="synthetic corpus, e.g. "
-                     "'subjects=8,samples=6,rows=24,cols=20' ('' for defaults)")
-    common.add_argument("--subjects", type=positive_int, help="subjects under --data")
-    common.add_argument("--samples", type=int_at_least_2,
-                        help="samples per subject under --data")
-    common.add_argument("--config", help="key-value config file (flags win)")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=nonnegative_int, help="seed for all randomness")
-    features = argparse.ArgumentParser(add_help=False)
-    features.add_argument("--train-k", dest="train_k", type=positive_int,
-                          help="gallery samples per subject")
-    features.add_argument("--transform", choices=[DCT, DFT, LOGDFT, KLT])
-    features.add_argument("--mask", help="zonal mask: rect:N or sector:R")
-    features.add_argument("--dim", type=positive_int,
-                          help="component count for --transform klt")
-    features.add_argument("--complex-mode", dest="complex_mode",
-                          choices=[MODULUS, INTERLEAVE])
-    features.add_argument("--r-low", dest="r_low", type=finite_float,
-                          help="drop coefficients below this radius")
-    features.add_argument("--log-offset", dest="log_offset", type=positive_float,
-                          help="offset inside the log for logdft")
-    rbf = argparse.ArgumentParser(add_help=False)
-    rbf.add_argument("--max-centers", dest="max_centers", type=positive_int,
-                     help="RBF center budget")
-    mlp_fusion = argparse.ArgumentParser(add_help=False)
-    mlp_fusion.add_argument("--gamma", type=unit_float, help="MSEREG performance ratio")
-    mlp_fusion.add_argument("--epochs", type=positive_int, help="MLP training iterations")
-    mlp_fusion.add_argument("--hidden", type=positive_int, help="MLP hidden neurons")
-    mlp_fusion.add_argument("--fusion-mode", dest="fusion_mode", choices=list(MODES))
-
     # no abbreviations: a flag a command lacks must not pass as a longer one
     parser = argparse.ArgumentParser(
         prog="faceid", allow_abbrev=False,
         description="Transform-domain face identification experiments")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_extract = subs.add_parser("extract", parents=[common, features],
-                                allow_abbrev=False, help="write feature CSVs")
-    p_extract.set_defaults(func=cmd_extract)
-
-    p_eval = subs.add_parser("evaluate", parents=[common, features, rbf, mlp_fusion],
-                             allow_abbrev=False, help="run one classifier")
-    p_eval.add_argument("--spread", type=finite_float, help="PNN/RBF spread")
-    p_eval.add_argument("--classifier",
-                        help="nn:mad, nn:mse, mlp, pnn, rbf, or fusion:a+b")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_sweep = subs.add_parser("sweep", parents=[common, features, rbf],
-                              allow_abbrev=False, help="dimension or spread curves")
-    p_sweep.add_argument("--axis", choices=["dim", "spread"], required=True)
-    p_sweep.add_argument("--classifier", help="pnn or rbf for --axis spread")
-    p_sweep.add_argument("--metric", choices=["mad", "mse"])
-    p_sweep.add_argument("--mask-shape", dest="mask_shape",
-                         choices=["rect", "sector"])
-    p_sweep.add_argument("--grid", help="mask sides/radii or KLT dims: '1:30' or "
-                         "'1,4,9'; sector radii also '2.5,3.5' or '2:6:0.5'")
-    p_sweep.add_argument("--spreads", help="'0.1:2.0:0.1' or '0.5,0.9'")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_table = subs.add_parser("table1", parents=[common, rbf, mlp_fusion],
-                              allow_abbrev=False, help="benchmark comparison table")
-    p_table.add_argument("--rows", help="row filter prefix, e.g. nn or rbf")
-    p_table.add_argument("--spreads", help="'0.1:2.0:0.1' or '0.5,0.9'")
-    p_table.set_defaults(func=cmd_table1)
+    for name, (_, summary) in COMMANDS.items():
+        sub = subs.add_parser(name, allow_abbrev=False, help=summary)
+        source = sub.add_argument_group("dataset source (exactly one)")
+        for option in OPTIONS:
+            if name in option.commands:
+                (source if option.dest in SOURCES else sub).add_argument(
+                    flag(option), type=option.type, choices=option.choices,
+                    required=option.required, help=option.help)
     return parser
 
 
@@ -579,8 +577,9 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         command.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        resolve_options(args, config_options(parser))
-        return args.func(args)
+        resolve_options(args)
+        refuse_file_out(args.out)
+        return COMMANDS[args.command][0](args)
     except DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

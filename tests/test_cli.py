@@ -18,10 +18,11 @@ import faceid
 from faceid import evaluation
 from faceid.classifiers import MLPConfig, PNNModel, rbf_scores, rbf_train
 from faceid.cli import (
-    _DEFAULTS, MAX_GRID_POINTS, ConfigError, build_parser, config_options, finite_float,
-    int_at_least_2, main, make_eval_config, nonnegative_int, parse_float_grid,
-    parse_int_grid, parse_mask_spec, parse_radius_grid, parse_synth_spec, positive_float,
-    positive_int, read_config_file, unit_float,
+    _DEFAULTS, MAX_GRID_POINTS, OPTIONS, ConfigError, _subcommands, build_parser,
+    config_options, finite_float, flag, int_at_least_2, main, make_eval_config,
+    nonnegative_float, nonnegative_int, parse_float_grid, parse_int_grid, parse_mask_spec,
+    parse_radius_grid, parse_synth_spec, positive_float, positive_int, read_config_file,
+    unit_float,
 )
 from faceid.dataset import split_first_k, synth_corpus
 from faceid.evaluation import EvalConfig, sweep_dimension, write_curve_csv
@@ -100,7 +101,7 @@ def test_parse_synth_spec():
 
 
 def test_read_config_file(tmp_path):
-    options = config_options(build_parser())
+    options = config_options()
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nclassifier = pnn\nspread 2.0\n\nseed=7 # trailing\n")
     values = read_config_file(str(cfg), options)
@@ -125,16 +126,24 @@ def test_config_options_come_from_the_parser():
         "dim": positive_int, "train_k": positive_int, "seed": nonnegative_int,
         "epochs": positive_int, "hidden": positive_int, "max_centers": positive_int,
         "subjects": positive_int, "samples": int_at_least_2,
-        "gamma": unit_float, "spread": finite_float, "r_low": finite_float,
+        "gamma": unit_float, "spread": finite_float, "r_low": nonnegative_float,
         "log_offset": positive_float,
     }
-    options = config_options(build_parser())
+    options = config_options()
     assert {key: kind for key, (kind, _) in options.items()} == frozen
     choices = {key: allowed for key, (_, allowed) in options.items() if allowed}
     assert choices == {"transform": ["dct", "dft", "logdft", "klt"],
                        "complex_mode": ["modulus", "interleave"],
                        "fusion_mode": ["minmax", "zscore"],
                        "metric": ["mad", "mse"], "mask_shape": ["rect", "sector"]}
+    # every command that declares one converts and checks its flag the same way
+    declared = set()
+    for sub in _subcommands(build_parser()).values():
+        for action in sub._actions:
+            if action.dest in options:
+                assert (action.type or str, action.choices) == options[action.dest]
+                declared.add(action.dest)
+    assert declared == set(options)
 
 
 @pytest.mark.parametrize("line", ["synth = " + SYNTH, "data = faces", "manifest = faces.txt",
@@ -165,7 +174,7 @@ def test_option_defaults_are_frozen():
     assert {key: (value, type(value)) for key, value in _DEFAULTS.items()} == {
         key: (value, type(value)) for key, value in frozen.items()}
     # every option a config file may set has a default
-    options = config_options(build_parser())
+    options = config_options()
     assert set(frozen) == set(options)
     # the library's own defaults are the same values: the classifier options
     # fill an EvalConfig field by field
@@ -175,6 +184,44 @@ def test_option_defaults_are_frozen():
     mlp = MLPConfig()
     assert (mlp.seed, mlp.epochs, mlp.hidden, mlp.gamma) == (0, 15000, 40, 0.9)
     assert inspect.signature(rbf_train).parameters["max_centers"].default == 100
+
+
+def test_readme_option_grid_matches_the_option_table():
+    # README's grid of which options each command (and each sweep axis)
+    # declares and reads, against the one the option table gives
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| option | extract | evaluate | sweep dim | sweep spread | table1 |\n"
+    assert readme.count(header) == 1
+    rows = readme.split(header)[1].splitlines()[1:]
+    documented = {}
+    for row in rows[:next(i for i, row in enumerate(rows) if not row.startswith("|"))]:
+        flags, *cells = (cell.strip() for cell in row.strip("|").split("|"))
+        assert set(cells) <= {"x", ""} and len(cells) == 5, row
+        for name in re.findall(r"`(--[a-z-]+)`", flags):
+            assert name not in documented, name
+            documented[name] = tuple(cell == "x" for cell in cells)
+    columns = [("extract", None), ("evaluate", None), ("sweep", "dim"),
+               ("sweep", "spread"), ("table1", None)]
+
+    def reads(option, command, axis):
+        return command in option.commands and (axis is None or option.axis is None
+                                               or axis in option.axis)
+    assert documented == {flag(option): tuple(reads(option, *column) for column in columns)
+                          for option in OPTIONS}
+
+
+@pytest.mark.parametrize("command, slots", [("extract", 15), ("evaluate", 22),
+                                            ("sweep", 22), ("table1", 15)])
+def test_help_lists_exactly_the_declared_flags(capsys, command, slots):
+    # help strings are data, and a stray % in one would break only --help
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: faceid {command} [-h] ")
+    listed = re.findall(r"^  (--[a-z-]+)", text, re.M)
+    declared = [flag(option) for option in OPTIONS if command in option.commands]
+    assert sorted(listed) == sorted(declared) and len(declared) == slots
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +515,7 @@ def test_runs_fill_and_record_only_the_options_they_read(tmp_path, run_name):
     # a config key the run does not read is neither refused nor recorded,
     # and it changes no output
     argv, keys = RUNS[run_name]
-    assert set(CONFIG_VALUES) == set(config_options(build_parser()))
+    assert set(CONFIG_VALUES) == set(config_options())
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in CONFIG_VALUES.items()
                            if key not in keys))
@@ -550,9 +597,9 @@ def test_config_file_values_obey_flag_choices(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for line in ("complex_mode = bogus", "fusion_mode = nope", "transform = wavelet",
                  "metric = cosine", "mask_shape = oval", "spread = inf", "r_low = nan",
-                 "gamma = -inf", "log_offset = inf", "gamma = 2", "log_offset = 0",
-                 "epochs = 0", "hidden = -3", "seed = -1", "max_centers = 0",
-                 "dim = 0", "train_k = 0"):
+                 "r_low = -5", "gamma = -inf", "log_offset = inf", "gamma = 2",
+                 "log_offset = 0", "epochs = 0", "hidden = -3", "seed = -1",
+                 "max_centers = 0", "dim = 0", "train_k = 0"):
         cfg.write_text(f"seed = 1\n{line}\n")
         out = tmp_path / "out"
         assert run(["evaluate", "--synth", SYNTH, "--train-k", "3",
@@ -787,7 +834,11 @@ UNDECLARED = {
                   "--spreads", "0.5,inf"],
                  "bad grid '0.5,inf': 'inf' is not a finite number", id="spreads-inf"),
     pytest.param(["extract", "--r-low", "nan"],
-                 "argument --r-low: invalid finite_float value: 'nan'", id="r-low-nan"),
+                 "argument --r-low: invalid nonnegative_float value: 'nan'",
+                 id="r-low-nan"),
+    pytest.param(["extract", "--r-low", "-5"],
+                 "argument --r-low: invalid nonnegative_float value: '-5'",
+                 id="r-low-negative"),
     pytest.param(["extract", "--mask", "sector:inf"],
                  "bad mask spec 'sector:inf': 'inf' is not a finite number",
                  id="mask-sector-inf"),
@@ -883,6 +934,25 @@ def test_malformed_pgm_is_data_error_from_either_source(pgm_tree, tmp_path, caps
     assert err.startswith("data error: ")
     assert "s3/2.pgm: malformed header at byte 0: unsupported magic b'P7'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["extract"], ["evaluate"], ["sweep", "--axis", "dim"],
+                                  ["table1", "--rows", "nn"]])
+@pytest.mark.parametrize("under", [False, True])
+def test_out_naming_a_file_is_refused_before_the_corpus_is_read(tmp_path, capsys,
+                                                                argv, under):
+    # --out is the file itself, or a directory below it; the --data tree does
+    # not exist, so a run that read the corpus first would exit 3
+    existing = tmp_path / "results"
+    existing.write_bytes(b"not a directory\n")
+    out = existing / "run" if under else existing
+    assert run([*argv, "--data", str(tmp_path / "missing"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: --out {out}: {existing} exists and is not a directory"
+    assert err[1].startswith(f"usage: faceid {argv[0]} ")
+    assert not any(line.startswith("error:") for line in err[1:])
+    assert existing.read_bytes() == b"not a directory\n"
+    assert list(tmp_path.iterdir()) == [existing]
 
 
 def test_rank_overflow_is_data_error(tmp_path, capsys):
