@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .dataset import (
-    Corpus, InventoryError, PgmError,
+    Corpus, CorpusError,
     corpus_checksum, load_manifest, load_orl, split_first_k, synth_corpus,
 )
 from .transforms import (
@@ -32,7 +32,7 @@ from .classifiers import (
     write_training_log,
 )
 from .evaluation import (
-    KERNEL_CLASSIFIERS, MLP_NAME, RBF_NAME, SPREAD_GRID, TRAIN_SAMPLES,
+    KERNEL_CLASSIFIERS, LEARNERS, MLP_NAME, RBF_NAME, SPREAD_GRID, TRAIN_SAMPLES,
     EvalConfig, dim_grid, extract_split_features, format_table,
     parse_classifier_spec, run_experiment, spread_grid, sweep_dimension,
     sweep_spread, table1_report, table_targets, write_curve_csv,
@@ -280,12 +280,33 @@ def resolve_options(args: argparse.Namespace) -> None:
                 delattr(args, option.dest)
 
 
-def refuse_file_out(out: str) -> None:
-    """Refuse an --out that is, or lies under, an existing file before any
-    corpus is read: creating the directory would fail only after the run."""
-    for path in (Path(out), *Path(out).parents):
+def output_names(args: argparse.Namespace) -> list[str]:
+    """The files the run writes into --out besides manifest.json: evaluate
+    saves each member that learns, an MLP's training log and, for a fusion,
+    its report."""
+    if args.command != "evaluate":
+        return {"extract": ["gallery.csv", "probes.csv"], "sweep": ["curve.csv"],
+                "table1": ["table1.csv"]}[args.command]
+    members = parse_classifier_spec(args.classifier)
+    names = ["result.csv", *(f"model_{name}.npz" for name in members if name in LEARNERS)]
+    if MLP_NAME in members:
+        names.append("training_log.csv")
+    if len(members) > 1:
+        names.append("fusion_report.csv")
+    return names
+
+
+def refuse_taken_out(args: argparse.Namespace) -> None:
+    """Refuse, before any corpus is read, an --out that is or lies under an
+    existing file, and an output file name in it that something other than a
+    regular file takes: writing there would fail only after the run."""
+    out = Path(args.out)
+    for path in (out, *out.parents):
         if path.exists() and not path.is_dir():
             raise ConfigError(f"--out {out}: {path} exists and is not a directory")
+    for path in (out / name for name in ["manifest.json", *output_names(args)]):
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"--out {out}: {path} exists and is not a regular file")
 
 
 def parse_mask_spec(spec: str) -> ZonalMask:
@@ -422,10 +443,9 @@ def prepare_out(args: argparse.Namespace) -> Path:
     return out
 
 
-def emit_manifest(out: Path, command: str, args: argparse.Namespace,
-                  corpus: Corpus, outputs: list[str]) -> None:
-    """Write manifest.json; warn (but proceed) if an earlier manifest in the
-    same directory recorded a different dataset."""
+def emit_manifest(out: Path, args: argparse.Namespace, corpus: Corpus) -> None:
+    """Write manifest.json, listing the run's outputs; warn (but proceed) if
+    an earlier manifest in the same directory recorded a different dataset."""
     checksum = corpus_checksum(corpus)
     path = out / "manifest.json"
     if path.exists():
@@ -443,9 +463,9 @@ def emit_manifest(out: Path, command: str, args: argparse.Namespace,
     for key, value in sorted(vars(args).items()):
         if key not in skip:
             config[key] = value
-    write_manifest({"command": command, "config": config,
+    write_manifest({"command": args.command, "config": config,
                     "seed": args.seed, "dataset_checksum": checksum,
-                    "outputs": sorted(outputs)}, path)
+                    "outputs": sorted(output_names(args))}, path)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +479,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out = prepare_out(args)
     write_features_csv(gal, out / "gallery.csv")
     write_features_csv(probes, out / "probes.csv")
-    emit_manifest(out, "extract", args, corpus, ["gallery.csv", "probes.csv"])
+    emit_manifest(out, args, corpus)
     print(f"wrote {len(gal)} gallery + {len(probes)} probe vectors "
           f"(dim {gal.dim}) to {out}")
     return EXIT_OK
@@ -471,15 +491,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gal, probes = extract_split_features(split_first_k(corpus, args.train_k), **options)
     result = run_experiment(args.classifier, gal, probes, make_eval_config(args))
     out = prepare_out(args)
-    outputs = ["result.csv"]
     write_result_csv(result, out / "result.csv")
     for name, model in result.models.items():
-        stem = name.replace(":", "_")
-        save_model(model, out / f"model_{stem}.npz")
-        outputs.append(f"model_{stem}.npz")
+        save_model(model, out / f"model_{name}.npz")
         if isinstance(model, MLPModel):
             write_training_log(model.curve, out / "training_log.csv")
-            outputs.append("training_log.csv")
             print(f"{name}: SCG stopped after {model.curve.size - 1} epochs "
                   f"({model.stop_reason}), last lambda {model.last_lambda:.6g}",
                   file=sys.stderr)
@@ -491,8 +507,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                   f"{subjects}/{model.subject_ids.size} subjects", file=sys.stderr)
     if len(result.scores) > 1:
         write_fusion_report(result, out / "fusion_report.csv")
-        outputs.append("fusion_report.csv")
-    emit_manifest(out, "evaluate", args, corpus, outputs)
+    emit_manifest(out, args, corpus)
     print(f"identification rate: {result.rate:.1f}%")
     return EXIT_OK
 
@@ -520,7 +535,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                               make_eval_config(args))
     out = prepare_out(args)
     write_curve_csv(points, out / "curve.csv", "param" if args.axis == "dim" else "spread")
-    emit_manifest(out, "sweep", args, corpus, ["curve.csv"])
+    emit_manifest(out, args, corpus)
     best = max(points, key=lambda pt: pt.rate)
     print(f"{len(points)} points; best rate {best.rate:.1f}% at "
           f"{args.axis}={best.param:g}")
@@ -535,7 +550,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
                          rows_filter=args.rows, spreads=spreads)
     out = prepare_out(args)
     write_table_csv(rows, out / "table1.csv")
-    emit_manifest(out, "table1", args, corpus, ["table1.csv"])
+    emit_manifest(out, args, corpus)
     print(format_table(rows))
     return EXIT_OK
 
@@ -578,12 +593,12 @@ def main(argv: list[str] | None = None) -> int:
         command.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         resolve_options(args)
-        refuse_file_out(args.out)
+        refuse_taken_out(args)
         return COMMANDS[args.command][0](args)
     except DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InventoryError, PgmError, RankError, FileNotFoundError) as exc:
+    except (CorpusError, RankError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ValueError) as exc:

@@ -22,11 +22,15 @@ from pathlib import Path
 import numpy as np
 
 
-class PgmError(ValueError):
+class CorpusError(ValueError):
+    """Corpus files that are missing or malformed, or that do not form one corpus."""
+
+
+class PgmError(CorpusError):
     """Malformed or truncated PGM file."""
 
 
-class InventoryError(RuntimeError):
+class InventoryError(CorpusError):
     """Dataset tree is missing files; ``missing`` lists every gap."""
 
     def __init__(self, root: Path, missing: list[str]):
@@ -222,25 +226,34 @@ def _read_stack(paths: list) -> tuple[np.ndarray, np.ndarray]:
         if i == 0:
             stack = np.empty((len(paths), rows, cols), dtype=np.uint8)
         elif (rows, cols) != stack.shape[1:]:
-            raise ValueError(f"all corpus images must share dimensions: {path} is "
-                             f"{(rows, cols)}, not {stack.shape[1:]}")
+            raise CorpusError(f"all corpus images must share dimensions: {path} is "
+                              f"{(rows, cols)}, not {stack.shape[1:]}")
         stack[i] = raw.reshape(rows, cols)  # the parser bounds samples by maxval <= 255
     return stack, maxvals
+
+
+def _read_corpus(root: Path, entries: list[tuple], label: str = "") -> Corpus:
+    """The corpus of ``(subject, sample, name, path)`` entries, in (subject,
+    sample) order: one InventoryError under ``root`` names every missing file,
+    and any other fault in the files is a CorpusError led by ``label``."""
+    missing = [name for _, _, name, path in entries if not os.path.isfile(path)]
+    if missing:
+        raise InventoryError(root, missing)
+    subjects, samples, _, paths = zip(*sorted(entries, key=lambda entry: entry[:2]))
+    try:
+        levels, maxvals = _read_stack(paths)
+        return Corpus(levels, subjects, samples, maxvals)
+    except (OSError, ValueError) as exc:  # a PgmError stays one
+        raise (type(exc) if isinstance(exc, PgmError) else CorpusError)(f"{label}{exc}") from None
 
 
 def load_orl(root: str | Path, n_subjects: int = 40, samples_per_subject: int = 10) -> Corpus:
     """Load an ORL-layout tree ``root/s1..sN/1..K.pgm`` in (subject, sample) order."""
     root = Path(root)
-    subjects = np.repeat(np.arange(1, n_subjects + 1), samples_per_subject)
-    samples = np.tile(np.arange(1, samples_per_subject + 1), n_subjects)
-    names = [f"s{s}/{k}.pgm" for s, k in zip(subjects, samples)]
     stem = str(root / "s")[:-1]  # root's prefix, as pathlib spells root / name
-    paths = [stem + name for name in names]
-    missing = [name for name, path in zip(names, paths) if not os.path.isfile(path)]
-    if missing:
-        raise InventoryError(root, missing)
-    levels, maxvals = _read_stack(paths)
-    return Corpus(levels, subjects, samples, maxvals)
+    return _read_corpus(root, [(s, k, f"s{s}/{k}.pgm", f"{stem}s{s}/{k}.pgm")
+                               for s in range(1, n_subjects + 1)
+                               for k in range(1, samples_per_subject + 1)])
 
 
 def load_manifest(path: str | Path) -> Corpus:
@@ -250,30 +263,25 @@ def load_manifest(path: str | Path) -> Corpus:
     collection must be rectangular (same number of samples for every subject).
     """
     path = Path(path)
-    entries: list[tuple[int, int, Path]] = []
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:  # an OSError names the path
+        raise CorpusError(str(exc) if isinstance(exc, OSError) else f"{path}: {exc}") from None
+    entries = []
+    for ln, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{ln}: expected 'path subject_id sample_id', got {line!r}")
-        rel, subject, sample = parts[0], int(parts[1]), int(parts[2])
-        entries.append((subject, sample, path.parent / rel))
+        try:
+            rel, subject, sample = line.split()
+            file = str(path.parent / rel)
+            entries.append((int(subject), int(sample), file, file))
+        except ValueError:  # too few or many fields, or an id that is no integer
+            raise CorpusError(f"{path}:{ln}: expected 'path subject_id sample_id', "
+                              f"got {line!r}") from None
     if not entries:
-        raise ValueError(f"{path}: empty manifest")
-
-    missing = [str(p) for _, _, p in entries if not p.is_file()]
-    if missing:
-        raise InventoryError(path.parent, missing)
-
-    entries.sort(key=lambda e: e[:2])
-    subjects, samples, paths = zip(*entries)
-    try:
-        levels, maxvals = _read_stack(list(paths))
-        return Corpus(levels, subjects, samples, maxvals)
-    except ValueError as exc:  # a PgmError stays one: it is a data error
-        raise type(exc)(f"{path}: {exc}") from None
+        raise CorpusError(f"{path}: empty manifest")
+    return _read_corpus(path.parent, entries, f"{path}: ")
 
 
 def split_first_k(corpus: Corpus, k: int) -> Split:
@@ -304,14 +312,10 @@ def synth_corpus(seed: int, n_subjects: int, samples: int, rows: int, cols: int)
         atoms = [np.cos(np.pi * (2 * m + 1) * p / (2 * rows))
                  * np.cos(np.pi * (2 * n + 1) * q / (2 * cols))
                  for p, q in zip(f1, f2)]
-        base = np.zeros((rows, cols))
-        for a, atom in zip(amps, atoms):
-            base += a * atom
+        base = sum(a * atom for a, atom in zip(amps, atoms))
         for sample in range(1, samples + 1):
             jitter = rng.normal(0.0, 0.05, size=n_components)
-            wobble = np.zeros((rows, cols))
-            for a, e, atom in zip(amps, jitter, atoms):
-                wobble += a * e * atom
+            wobble = sum(a * e * atom for a, e, atom in zip(amps, jitter, atoms))
             noise = rng.normal(0.0, 0.01, size=(rows, cols))
             pixels[(subject - 1) * samples + sample - 1] = np.clip(
                 0.5 + 0.2 * (base + wobble) + noise, 0.0, 1.0)

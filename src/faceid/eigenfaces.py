@@ -130,7 +130,10 @@ def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False,
         m_prime = attainable
 
     _lift(phi, eigenvectors[:, :m_prime])
-    phi.resize((m_prime, pixels))  # refcheck on: nothing else holds the buffer
+    # refcheck off: phi is the fit's own buffer and no view of it outlives
+    # _lift; under a profiler the call holds one more reference to phi,
+    # which the check would refuse
+    phi.resize((m_prime, pixels), refcheck=False)
     for block in _blocks(m_prime, BLOCK):
         faces = phi[block]
         faces /= np.linalg.norm(faces, axis=1, keepdims=True)

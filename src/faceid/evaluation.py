@@ -51,6 +51,8 @@ RBF_NAME = "rbf"
 BASE_CLASSIFIERS = (NN_MAD, NN_MSE, MLP_NAME, PNN_NAME, RBF_NAME)
 # the classifiers whose activations take a spread
 KERNEL_CLASSIFIERS = (PNN_NAME, RBF_NAME)
+# the classifiers that train a model (nearest neighbor scores the gallery as is)
+LEARNERS = (MLP_NAME, *KERNEL_CLASSIFIERS)
 
 
 # ---------------------------------------------------------------------------

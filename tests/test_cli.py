@@ -24,7 +24,7 @@ from faceid.cli import (
     parse_radius_grid, parse_synth_spec, positive_float, positive_int, read_config_file,
     unit_float,
 )
-from faceid.dataset import split_first_k, synth_corpus
+from faceid.dataset import split_first_k, synth_corpus, write_pgm
 from faceid.evaluation import EvalConfig, sweep_dimension, write_curve_csv
 from faceid.transforms import SECTORIAL
 
@@ -936,6 +936,61 @@ def test_malformed_pgm_is_data_error_from_either_source(pgm_tree, tmp_path, caps
     assert not out.exists()
 
 
+def corpus_fault(root, fault):
+    """Lay one fault in the files under ``root`` (a 5 x 6 PGM tree): the
+    source flags that read it and the data error it must print."""
+    listed = [f"s{s}/{k}.pgm {s} {k}" for s in range(1, 6) for k in range(1, 7)]
+    inventory = root / "inventory.txt"
+    if fault == "directory":
+        return ["--manifest", str(root / "s1")], f"[Errno 21] Is a directory: '{root / 's1'}'"
+    if fault.startswith("sizes"):
+        write_pgm(np.zeros((5, 4)), root / "s3" / "2.pgm")
+        message = (f"all corpus images must share dimensions: {root / 's3' / '2.pgm'} "
+                   f"is (5, 4), not (16, 14)")
+        if fault == "sizes-data":
+            return ["--data", str(root), "--subjects", "5", "--samples", "6"], message
+        lines, message = listed, f"{inventory}: {message}"
+    else:
+        lines, message = {
+            "repeated": (listed + ["s1/1.pgm 5 6"],
+                         f"{inventory}: duplicate (subject_id, sample_id) pairs in corpus"),
+            "uneven": (listed[:-1], f"{inventory}: unequal samples per subject: "
+                                    "{1: 6, 2: 6, 3: 6, 4: 6, 5: 5}"),
+            "empty": (["# no images", ""], f"{inventory}: empty manifest"),
+            "non-integer": (["# header", "s1/1.pgm one 1", *listed],
+                            f"{inventory}:2: expected 'path subject_id sample_id', "
+                            "got 's1/1.pgm one 1'"),
+            "fields": ([*listed, "s1/1.pgm 1 1 1"],
+                       f"{inventory}:31: expected 'path subject_id sample_id', "
+                       "got 's1/1.pgm 1 1 1'"),
+        }[fault]
+    inventory.write_text("".join(f"{line}\n" for line in lines))
+    return ["--manifest", str(inventory)], message
+
+
+@pytest.mark.parametrize("fault", ["sizes-data", "sizes-manifest", "repeated", "uneven",
+                                   "empty", "non-integer", "fields", "directory"])
+def test_files_that_form_no_corpus_are_data_errors(pgm_tree, capsys, fault):
+    # each fault once exited 2 with a usage line, as if a flag were wrong, or
+    # crashed; each is a data error naming the file or the manifest line
+    root, _ = pgm_tree
+    argv, message = corpus_fault(root, fault)
+    out = root / "out"
+    assert run(["extract", *argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+
+
+def test_undecodable_manifest_is_data_error(tmp_path, capsys):
+    inventory = tmp_path / "inventory.txt"
+    inventory.write_bytes(b"\xff\xfe\x00 1 1\n")
+    out = tmp_path / "out"
+    assert run(["extract", "--manifest", str(inventory), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {inventory}: 'utf-8' codec can't decode")
+    assert "usage:" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["extract"], ["evaluate"], ["sweep", "--axis", "dim"],
                                   ["table1", "--rows", "nn"]])
 @pytest.mark.parametrize("under", [False, True])
@@ -953,6 +1008,32 @@ def test_out_naming_a_file_is_refused_before_the_corpus_is_read(tmp_path, capsys
     assert not any(line.startswith("error:") for line in err[1:])
     assert existing.read_bytes() == b"not a directory\n"
     assert list(tmp_path.iterdir()) == [existing]
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract"], ["evaluate", "--classifier", "fusion:mlp+pnn+rbf", "--epochs", "5"],
+    ["sweep", "--axis", "dim"], ["table1", "--rows", "nn"],
+], ids=["extract", "evaluate", "sweep", "table1"])
+def test_output_name_taken_by_a_directory_is_refused_before_the_corpus_is_read(
+        tmp_path, capsys, argv):
+    # the names refused are the names a run writes, all of them
+    written = tmp_path / "written"
+    assert run([*argv, "--synth", SYNTH, "--out", str(written)]) == 0
+    names = sorted(path.name for path in written.iterdir())
+    assert names == sorted(["manifest.json", *json.loads(
+        (written / "manifest.json").read_text())["outputs"]])
+    capsys.readouterr()
+    for name in names:
+        # the --data tree does not exist, so a run that read the corpus
+        # first would exit 3
+        out = tmp_path / name / "out"
+        (out / name).mkdir(parents=True)
+        assert run([*argv, "--data", str(tmp_path / "missing"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"error: --out {out}: {out / name} exists and is not a regular file"
+        assert err[1].startswith(f"usage: faceid {argv[0]} ")
+        assert not any(line.startswith("error:") for line in err[1:])
+        assert list(out.iterdir()) == [out / name]
 
 
 def test_rank_overflow_is_data_error(tmp_path, capsys):

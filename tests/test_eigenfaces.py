@@ -1,5 +1,6 @@
 """Eigenface decomposition checked against the full covariance eigenproblem."""
 
+import cProfile
 import os
 
 import numpy as np
@@ -210,6 +211,22 @@ def test_bit_equal_frozen_fit(larger_gallery, m_prime):
     assert np.array_equal(basis.eigenvalues, eigenvalues)
     # centring in place must not reach the caller's images
     assert np.array_equal(larger_gallery, pixels)
+
+
+def test_fit_under_a_profiler_keeps_its_bits(larger_gallery):
+    # a profiler's call holds one more reference to the fit's own buffer, so
+    # shrinking it in place must not check references
+    expected = train_eigenbasis(larger_gallery, 10)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        basis = train_eigenbasis(larger_gallery, 10)
+    finally:
+        profiler.disable()
+    for got, want in ((basis.mean_face, expected.mean_face),
+                      (basis.eigenfaces, expected.eigenfaces),
+                      (basis.eigenvalues, expected.eigenvalues)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_leading_components_do_not_depend_on_count(larger_gallery):
