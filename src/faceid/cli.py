@@ -401,13 +401,24 @@ def stated_samples(args: argparse.Namespace) -> int | None:
     return None
 
 
+def refuse_train_k(args: argparse.Namespace, samples: int | None) -> None:
+    """Refuse a --train-k that leaves no probe sample of ``samples`` per
+    subject (None: not known yet)."""
+    if "train_k" in vars(args) and samples is not None and args.train_k >= samples:
+        raise ConfigError(f"--train-k {args.train_k} leaves no probe sample of "
+                          f"the {samples} per subject")
+
+
 def load_source(args: argparse.Namespace) -> Corpus:
     """The corpus from the one source the run chose."""
     if "data" in vars(args):
         return load_orl(args.data, n_subjects=args.subjects,
                         samples_per_subject=args.samples)
     if "manifest" in vars(args):
-        return load_manifest(args.manifest)
+        # a manifest states its samples per subject only once it is read
+        corpus = load_manifest(args.manifest)
+        refuse_train_k(args, corpus.samples_per_subject)
+        return corpus
     return parse_synth_spec(args.synth, args.seed)
 
 
@@ -422,10 +433,7 @@ def feature_options(args: argparse.Namespace) -> dict:
     ``sweep_dimension``) keywords, checked before any corpus is read."""
     if "dim" in vars(args) and args.dim is None:  # dim is kept only under klt
         raise ConfigError("--transform klt requires --dim")
-    samples = stated_samples(args)
-    if samples is not None and args.train_k >= samples:
-        raise ConfigError(f"--train-k {args.train_k} leaves no probe sample of "
-                          f"the {samples} per subject")
+    refuse_train_k(args, stated_samples(args))
     # the options a transform rule governs are the feature keywords
     options = {option.dest: getattr(args, option.dest) for option in OPTIONS
                if option.transform is not None and option.dest in vars(args)}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -260,7 +261,9 @@ def load_manifest(path: str | Path) -> Corpus:
     """Load a corpus described by a text manifest with lines ``path subject_id sample_id``.
 
     Relative paths are resolved against the manifest's directory. The described
-    collection must be rectangular (same number of samples for every subject).
+    collection must be rectangular (same number of samples for every subject),
+    with each (subject_id, sample_id) pair listed once; both are checked on
+    the listing, before any file is read.
     """
     path = Path(path)
     try:
@@ -268,19 +271,28 @@ def load_manifest(path: str | Path) -> Corpus:
     except (OSError, UnicodeDecodeError) as exc:  # an OSError names the path
         raise CorpusError(str(exc) if isinstance(exc, OSError) else f"{path}: {exc}") from None
     entries = []
+    listed_at = {}  # (subject, sample) -> the line that lists it
     for ln, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             rel, subject, sample = line.split()
-            file = str(path.parent / rel)
-            entries.append((int(subject), int(sample), file, file))
+            pair = int(subject), int(sample)
         except ValueError:  # too few or many fields, or an id that is no integer
             raise CorpusError(f"{path}:{ln}: expected 'path subject_id sample_id', "
                               f"got {line!r}") from None
+        if pair in listed_at:
+            raise CorpusError(f"{path}:{ln}: subject {pair[0]} sample {pair[1]} "
+                              f"is already listed on line {listed_at[pair]}")
+        listed_at[pair] = ln
+        file = str(path.parent / rel)
+        entries.append((*pair, file, file))
     if not entries:
         raise CorpusError(f"{path}: empty manifest")
+    counts = Counter(subject for subject, _ in listed_at)
+    if len(set(counts.values())) > 1:
+        raise CorpusError(f"{path}: unequal samples per subject: {dict(sorted(counts.items()))}")
     return _read_corpus(path.parent, entries, f"{path}: ")
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import dctn
 
 DCT = "dct"
 DFT = "dft"
@@ -99,6 +98,14 @@ def zone_keeps(masks: Sequence[ZonalMask], shape: tuple[int, int],
 # Transforms
 
 
+def dctn(pixels: np.ndarray) -> np.ndarray:
+    """scipy's orthonormal type-II ``dctn(pixels)``. scipy.fft is imported on
+    the first call, so a run that takes no DCT (a DFT, log-DFT or KLT run)
+    never loads it."""
+    from scipy import fft
+    return fft.dctn(pixels, type=2, norm="ortho")
+
+
 def _leading_block(pixels: np.ndarray, kind: str, box: tuple[int, int],
                    log_offset: float) -> np.ndarray:
     """The leading ``box`` of one image's ``kind`` coefficients. ``fft2`` is a
@@ -107,7 +114,7 @@ def _leading_block(pixels: np.ndarray, kind: str, box: tuple[int, int],
     full and is cropped: a split DCT would round differently."""
     rows, cols = box
     if kind == DCT:
-        return dctn(pixels, type=2, norm="ortho")[:rows, :cols]
+        return dctn(pixels)[:rows, :cols]
     if kind == LOGDFT:
         pixels = np.log(pixels + log_offset)
     return np.fft.fft(np.fft.fft(pixels, axis=1)[:, :cols], axis=0)[:rows]

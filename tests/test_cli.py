@@ -319,21 +319,30 @@ def test_evaluate_mlp_writes_training_log(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,loads", [
-    (["evaluate", "--classifier", "mlp", "--epochs", "5"], False),
-    (["extract"], False),
-    (["evaluate", "--classifier", "nn:mad"], True),
-], ids=["mlp", "extract", "nn"])
-def test_only_a_run_that_computes_distances_loads_scipy_spatial(tmp_path, argv, loads):
-    # a fresh interpreter, since this one has imported scipy.spatial already
-    argv = [*argv, "--synth", SYNTH, "--out", str(tmp_path / "out")]
-    script = ("import sys\nfrom faceid.cli import main\n"
-              f"assert main({argv!r}) == 0\n"
-              "print('scipy.spatial' in sys.modules)")
+    (None, []),
+    (["extract", "--transform", "dft"], []),
+    (["evaluate", "--transform", "klt", "--dim", "20", "--classifier", "mlp",
+      "--epochs", "5"], []),
+    (["extract"], ["scipy.fft"]),
+    (["evaluate", "--classifier", "nn:mad"], ["scipy.fft", "scipy.spatial"]),
+], ids=["import", "extract-dft", "evaluate-klt-mlp", "extract", "nn"])
+def test_a_run_loads_only_the_scipy_modules_it_computes_with(tmp_path, argv, loads):
+    # a fresh interpreter, since this one has imported scipy already: scipy.fft
+    # loads on the first DCT and scipy.spatial on the first distance, so a
+    # bare import and a run that takes neither load no scipy module at all
+    script = "import json, sys\nfrom faceid.cli import main\n"
+    if argv is not None:
+        argv = [*argv, "--synth", SYNTH, "--out", str(tmp_path / "out")]
+        script += f"assert main({argv!r}) == 0\n"
+    script += "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     src = str(Path(faceid.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True,
                           timeout=120)
-    assert done.stdout.splitlines()[-1] == str(loads)
+    modules = json.loads(done.stdout.splitlines()[-1])
+    assert [name for name in ("scipy.fft", "scipy.spatial") if name in modules] == loads
+    if not loads:
+        assert modules == []
 
 
 @pytest.mark.parametrize("spread,at_bias,subjects", [
@@ -953,7 +962,7 @@ def corpus_fault(root, fault):
     else:
         lines, message = {
             "repeated": (listed + ["s1/1.pgm 5 6"],
-                         f"{inventory}: duplicate (subject_id, sample_id) pairs in corpus"),
+                         f"{inventory}:31: subject 5 sample 6 is already listed on line 30"),
             "uneven": (listed[:-1], f"{inventory}: unequal samples per subject: "
                                     "{1: 6, 2: 6, 3: 6, 4: 6, 5: 5}"),
             "empty": (["# no images", ""], f"{inventory}: empty manifest"),
@@ -964,6 +973,10 @@ def corpus_fault(root, fault):
                        f"{inventory}:31: expected 'path subject_id sample_id', "
                        "got 's1/1.pgm 1 1 1'"),
         }[fault]
+    if fault in ("repeated", "uneven"):
+        # found from the listing: a listed file that is no PGM would stop a
+        # run that read the files first
+        (root / "s3" / "2.pgm").write_bytes(b"P7\n")
     inventory.write_text("".join(f"{line}\n" for line in lines))
     return ["--manifest", str(inventory)], message
 
@@ -979,6 +992,25 @@ def test_files_that_form_no_corpus_are_data_errors(pgm_tree, capsys, fault):
     assert run(["extract", *argv, "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"data error: {message}\n"
     assert not out.exists()
+
+
+def test_train_k_is_checked_against_the_manifest(pgm_tree, capsys):
+    # a manifest states its samples per subject only once it is read: its
+    # 30 images relabelled as 6 subjects x 5 samples leave the default
+    # --train-k 5 no probe sample
+    root, _ = pgm_tree
+    inventory = root / "inventory.txt"
+    files = [f"s{s}/{k}.pgm" for s in range(1, 6) for k in range(1, 7)]
+    inventory.write_text("".join(f"{file} {i // 5 + 1} {i % 5 + 1}\n"
+                                 for i, file in enumerate(files)))
+    out = root / "out"
+    assert run(["extract", "--manifest", str(inventory), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: --train-k 5 leaves no probe sample of the 5 per subject"
+    assert err[1].startswith("usage: faceid extract ")
+    assert not out.exists()
+    assert run(["extract", "--manifest", str(inventory), "--train-k", "4",
+                "--out", str(out)]) == 0
 
 
 def test_undecodable_manifest_is_data_error(tmp_path, capsys):
