@@ -9,7 +9,7 @@ the ``faceid`` CLI reproduce the reference identification-rate experiments.
 from . import classifiers, dataset, eigenfaces, evaluation, fusion, transforms
 from .dataset import (
     Corpus, CorpusError, Image, InventoryError, PgmError, Split,
-    corpus_checksum, load_manifest, load_orl, split_first_k, synth_corpus,
+    corpus_checksum, load_manifest, load_orl, synth_corpus,
     write_pgm,
 )
 from .transforms import ZonalMask, mask_features, transform_corpus

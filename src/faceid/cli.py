@@ -18,13 +18,10 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .dataset import (
-    Corpus, CorpusError,
-    corpus_checksum, load_manifest, load_orl, split_first_k, synth_corpus,
-)
+from .dataset import CorpusError, Split, corpus_checksum, load_manifest, load_orl, synth_corpus
 from .transforms import (
     DCT, DFT, LOGDFT, KLT, MODULUS, INTERLEAVE, RECTANGULAR, SECTORIAL,
-    ZonalMask,
+    ZonalMask, ZoneError,
 )
 from .eigenfaces import RankError
 from .classifiers import (
@@ -152,7 +149,7 @@ OPTIONS = (
            help="MLP hidden neurons", classifier={MLP_NAME}),
     Option("fusion_mode", ("evaluate", "table1"), EvalConfig.fusion_mode,
            choices=list(MODES)),
-    Option("spread", ("evaluate",), EvalConfig.spread, finite_float, help="PNN/RBF spread",
+    Option("spread", ("evaluate",), EvalConfig.spread, positive_float, help="PNN/RBF spread",
            classifier=set(KERNEL_CLASSIFIERS)),
     Option("axis", ("sweep",), choices=["dim", "spread"], required=True),
     Option("classifier", ("evaluate", "sweep"), "nn:mad", axis={"spread"},
@@ -175,6 +172,14 @@ def flag(option: Option) -> str:
     return "--" + option.dest.replace("_", "-")
 
 
+def parsed(args: argparse.Namespace, dest: str, parse: Callable):
+    """``parse`` of option ``dest``'s value (None if unread), refused under its flag."""
+    try:
+        return parse(vars(args).get(dest))
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"--{dest.replace('_', '-')}: {exc}") from exc
+
+
 def read_config_file(path: str, options: dict) -> dict:
     """Lines of `key = value` (or `key value`); # starts a comment.
 
@@ -185,8 +190,8 @@ def read_config_file(path: str, options: dict) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read --config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -252,7 +257,7 @@ def _selector(args: argparse.Namespace, name: str) -> tuple[str, set] | None:
     if name not in vars(args):
         return None
     value = getattr(args, name)
-    return f"--{name} {value}", (set(parse_classifier_spec(value))
+    return f"--{name} {value}", (set(parsed(args, name, parse_classifier_spec))
                                  if name == "classifier" else {value})
 
 
@@ -368,58 +373,60 @@ def parse_radius_grid(spec: str) -> list[float]:
 
 
 def synth_params(spec: str, seed: int) -> dict:
-    """'subjects=8,samples=6,rows=24,cols=20' with all fields optional, as
-    ``synth_corpus`` keywords."""
-    params = {"subjects": 10, "samples": 6, "rows": 32, "cols": 28, "seed": seed}
+    """'subjects=8,samples=6,rows=24,cols=20' with all fields optional, in the
+    order of ``synth_corpus``'s arguments."""
+    params = {"seed": seed, "subjects": 10, "samples": 6, "rows": 32, "cols": 28}
     if spec.strip():
         for token in spec.split(","):
             key, eq, value = token.partition("=")
             key = key.strip()
             if not eq or key not in params:
-                raise ConfigError(f"bad synth spec token {token!r}")
+                raise ConfigError(f"bad --synth token {token!r}")
             try:
-                params[key] = int(value)
+                params[key] = (nonnegative_int if key == "seed" else positive_int)(value)
             except ValueError as exc:
-                raise ConfigError(f"bad synth spec token {token!r}") from exc
+                raise ConfigError(f"bad --synth token {token!r}: {exc}") from exc
     return params
 
 
-def parse_synth_spec(spec: str, seed: int) -> Corpus:
-    """The corpus of a --synth spec (see ``synth_params``)."""
-    params = synth_params(spec, seed)
-    return synth_corpus(params["seed"], params["subjects"], params["samples"],
-                        params["rows"], params["cols"])
+def read_spreads(spec: str | None) -> list[float]:
+    """--spreads (``SPREAD_GRID`` without it) ascending, positive, none repeated."""
+    return spread_grid(parse_float_grid(spec) if spec else SPREAD_GRID)
 
 
-def stated_samples(args: argparse.Namespace) -> int | None:
-    """Samples per subject as the source states them before it is read:
-    --samples under --data, the --synth spec's; None for a manifest."""
-    if "data" in vars(args):
-        return args.samples
-    if "synth" in vars(args):
-        return synth_params(args.synth, args.seed)["samples"]
-    return None
+def load_split(args: argparse.Namespace) -> Split:
+    """The run's split of the corpus from the one source it chose: the first
+    --train-k samples of every subject, or without that flag (table1) the
+    protocol's TRAIN_SAMPLES where a probe sample remains.
 
-
-def refuse_train_k(args: argparse.Namespace, samples: int | None) -> None:
-    """Refuse a --train-k that leaves no probe sample of ``samples`` per
-    subject (None: not known yet)."""
-    if "train_k" in vars(args) and samples is not None and args.train_k >= samples:
-        raise ConfigError(f"--train-k {args.train_k} leaves no probe sample of "
-                          f"the {samples} per subject")
-
-
-def load_source(args: argparse.Namespace) -> Corpus:
-    """The corpus from the one source the run chose."""
-    if "data" in vars(args):
-        return load_orl(args.data, n_subjects=args.subjects,
-                        samples_per_subject=args.samples)
-    if "manifest" in vars(args):
-        # a manifest states its samples per subject only once it is read
+    A corpus the run cannot split is refused, naming its source; identifying
+    needs two subjects, extracting one. A source that states its shape (--data
+    with --subjects and --samples, or a --synth spec) is checked before it is
+    read, a manifest once it is read.
+    """
+    name = next(name for name in SOURCES if name in vars(args))
+    source = f"--{name} {vars(args)[name]!r}"
+    if name == "manifest":
         corpus = load_manifest(args.manifest)
-        refuse_train_k(args, corpus.samples_per_subject)
-        return corpus
-    return parse_synth_spec(args.synth, args.seed)
+        subjects, samples, read = corpus.n_subjects, corpus.samples_per_subject, lambda: corpus
+    elif name == "data":
+        subjects, samples = args.subjects, args.samples
+        read = lambda: load_orl(args.data, subjects, samples)
+    else:
+        params = synth_params(args.synth, args.seed)
+        subjects, samples = params["subjects"], params["samples"]
+        read = lambda: synth_corpus(*params.values())
+    if subjects < 2 and args.command != "extract":
+        raise ConfigError(f"{source} has {subjects} subject(s); {args.command} "
+                          f"needs at least 2")
+    k = vars(args).get("train_k", min(TRAIN_SAMPLES, samples - 1))
+    if k < 1:
+        raise ConfigError(f"{source} has {samples} sample(s) per subject; "
+                          f"{args.command} needs at least 2")
+    if k >= samples:
+        raise ConfigError(f"--train-k {k} leaves no probe sample of the {samples} "
+                          f"per subject")
+    return Split(read(), k)
 
 
 def make_eval_config(args: argparse.Namespace) -> EvalConfig:
@@ -433,13 +440,12 @@ def feature_options(args: argparse.Namespace) -> dict:
     ``sweep_dimension``) keywords, checked before any corpus is read."""
     if "dim" in vars(args) and args.dim is None:  # dim is kept only under klt
         raise ConfigError("--transform klt requires --dim")
-    refuse_train_k(args, stated_samples(args))
     # the options a transform rule governs are the feature keywords
     options = {option.dest: getattr(args, option.dest) for option in OPTIONS
                if option.transform is not None and option.dest in vars(args)}
     options["kind"] = args.transform
     if "mask" in options:
-        options["mask"] = parse_mask_spec(args.mask)
+        options["mask"] = parsed(args, "mask", parse_mask_spec)
     if "mask_shape" in options:
         options["mask_shape"] = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
     return options
@@ -451,10 +457,10 @@ def prepare_out(args: argparse.Namespace) -> Path:
     return out
 
 
-def emit_manifest(out: Path, args: argparse.Namespace, corpus: Corpus) -> None:
+def emit_manifest(out: Path, args: argparse.Namespace, split: Split) -> None:
     """Write manifest.json, listing the run's outputs; warn (but proceed) if
     an earlier manifest in the same directory recorded a different dataset."""
-    checksum = corpus_checksum(corpus)
+    checksum = corpus_checksum(split.corpus)
     path = out / "manifest.json"
     if path.exists():
         try:
@@ -466,11 +472,8 @@ def emit_manifest(out: Path, args: argparse.Namespace, corpus: Corpus) -> None:
                 and previous.get("dataset_checksum") not in (None, checksum)):
             print(f"warning: dataset checksum differs from earlier manifest "
                   f"in {out}", file=sys.stderr)
-    config = {}
-    skip = {"config", "command"}
-    for key, value in sorted(vars(args).items()):
-        if key not in skip:
-            config[key] = value
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("config", "command")}
     write_manifest({"command": args.command, "config": config,
                     "seed": args.seed, "dataset_checksum": checksum,
                     "outputs": sorted(output_names(args))}, path)
@@ -482,12 +485,12 @@ def emit_manifest(out: Path, args: argparse.Namespace, corpus: Corpus) -> None:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     options = feature_options(args)
-    corpus = load_source(args)
-    gal, probes = extract_split_features(split_first_k(corpus, args.train_k), **options)
+    split = load_split(args)
+    gal, probes = extract_split_features(split, **options)
     out = prepare_out(args)
     write_features_csv(gal, out / "gallery.csv")
     write_features_csv(probes, out / "probes.csv")
-    emit_manifest(out, args, corpus)
+    emit_manifest(out, args, split)
     print(f"wrote {len(gal)} gallery + {len(probes)} probe vectors "
           f"(dim {gal.dim}) to {out}")
     return EXIT_OK
@@ -495,8 +498,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     options = feature_options(args)
-    corpus = load_source(args)
-    gal, probes = extract_split_features(split_first_k(corpus, args.train_k), **options)
+    split = load_split(args)
+    gal, probes = extract_split_features(split, **options)
     result = run_experiment(args.classifier, gal, probes, make_eval_config(args))
     out = prepare_out(args)
     write_result_csv(result, out / "result.csv")
@@ -515,7 +518,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                   f"{subjects}/{model.subject_ids.size} subjects", file=sys.stderr)
     if len(result.scores) > 1:
         write_fusion_report(result, out / "fusion_report.csv")
-    emit_manifest(out, args, corpus)
+    emit_manifest(out, args, split)
     print(f"identification rate: {result.rate:.1f}%")
     return EXIT_OK
 
@@ -527,23 +530,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         parse = (parse_radius_grid if options.get("mask_shape") == SECTORIAL
                  else parse_int_grid)
         # without --grid, the default grid follows the corpus shape
-        grid = dim_grid(args.transform, parse(args.grid)) if args.grid else None
-        corpus = load_source(args)
-        points = sweep_dimension(split_first_k(corpus, args.train_k), grid=grid,
-                                 metric=args.metric, **options)
+        grid = parsed(args, "grid",
+                      lambda spec: dim_grid(args.transform, parse(spec)) if spec else None)
+        split = load_split(args)
+        points = sweep_dimension(split, grid=grid, metric=args.metric, **options)
     else:
         if args.classifier not in KERNEL_CLASSIFIERS:
             raise ConfigError("--axis spread requires --classifier "
                               + " or ".join(KERNEL_CLASSIFIERS))
-        spreads = spread_grid(parse_float_grid(args.spreads) if args.spreads
-                              else SPREAD_GRID)
-        corpus = load_source(args)
-        gal, probes = extract_split_features(split_first_k(corpus, args.train_k), **options)
+        spreads = parsed(args, "spreads", read_spreads)
+        split = load_split(args)
+        gal, probes = extract_split_features(split, **options)
         points = sweep_spread(gal, probes, args.classifier, spreads,
                               make_eval_config(args))
     out = prepare_out(args)
     write_curve_csv(points, out / "curve.csv", "param" if args.axis == "dim" else "spread")
-    emit_manifest(out, args, corpus)
+    emit_manifest(out, args, split)
     best = max(points, key=lambda pt: pt.rate)
     print(f"{len(points)} points; best rate {best.rate:.1f}% at "
           f"{args.axis}={best.param:g}")
@@ -551,14 +553,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    spreads = spread_grid(parse_float_grid(args.spreads)
-                          if vars(args).get("spreads") else SPREAD_GRID)
-    corpus = load_source(args)
-    rows = table1_report(corpus, make_eval_config(args),
+    spreads = parsed(args, "spreads", read_spreads)
+    split = load_split(args)
+    rows = table1_report(split, make_eval_config(args),
                          rows_filter=args.rows, spreads=spreads)
     out = prepare_out(args)
     write_table_csv(rows, out / "table1.csv")
-    emit_manifest(out, args, corpus)
+    emit_manifest(out, args, split)
     print(format_table(rows))
     return EXIT_OK
 
@@ -610,6 +611,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ValueError) as exc:
+        if isinstance(exc, ZoneError):  # checked once the images are read
+            exc = " ".join(f"{flag(option)} {vars(args)[option.dest]}" for option in OPTIONS
+                           if option.dest in ("mask", "grid", "r_low")
+                           and vars(args).get(option.dest)) + f": {exc}"
         print(f"error: {exc}", file=sys.stderr)
         print(command.format_usage(), end="", file=sys.stderr)
         return EXIT_CONFIG

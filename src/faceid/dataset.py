@@ -117,7 +117,7 @@ class Corpus:
 @dataclass(frozen=True, eq=False)
 class Split:
     """Gallery (training) / probe (testing) partition of a corpus: the first
-    ``k`` samples of every subject, and the rest."""
+    ``k`` samples of every subject, and the rest (the paper's protocol)."""
 
     corpus: Corpus
     k: int
@@ -294,11 +294,6 @@ def load_manifest(path: str | Path) -> Corpus:
     if len(set(counts.values())) > 1:
         raise CorpusError(f"{path}: unequal samples per subject: {dict(sorted(counts.items()))}")
     return _read_corpus(path.parent, entries, f"{path}: ")
-
-
-def split_first_k(corpus: Corpus, k: int) -> Split:
-    """Gallery = samples 1..k of every subject, probes = the rest (paper protocol)."""
-    return Split(corpus, k)
 
 
 # ---------------------------------------------------------------------------

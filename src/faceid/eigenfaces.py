@@ -97,7 +97,7 @@ def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False,
     Zero-eigenvalue directions (the rank lost to mean removal, or worse for
     degenerate galleries) are excluded before counting ``m_prime``; asking for
     more raises :class:`RankError` carrying the attainable count, or with
-    ``clamp`` fits only that many.
+    ``clamp`` fits only that many, unless that is none.
     """
     if gallery.ndim < 3 or gallery.size == 0:
         raise ValueError(f"gallery must be a nonempty image stack, got shape {gallery.shape}")
@@ -125,7 +125,7 @@ def train_eigenbasis(gallery: np.ndarray, m_prime: int, clamp: bool = False,
     cutoff = max(eigenvalues[0], 0.0) * RANK_RTOL
     attainable = int(np.sum(eigenvalues > cutoff))
     if m_prime > attainable:
-        if not clamp:
+        if not clamp or attainable == 0:
             raise RankError(requested=m_prime, attainable=attainable)
         m_prime = attainable
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Corpus, Split, split_first_k
+from .dataset import Split
 from .transforms import (
     DCT, KLT, MODULUS, RECTANGULAR,
     ZonalMask,
@@ -181,8 +181,8 @@ class EvalConfig:
 
 def _member_scores(name: str, gallery: Features, probes: np.ndarray,
                    cfg: EvalConfig) -> tuple[np.ndarray, object | None]:
-    """Train one base classifier if it learns, then score the probes with it.
-    Returns (scores, trained model or None)."""
+    """Train one base classifier (a member of a checked spec) if it learns,
+    then score the probes with it. Returns (scores, trained model or None)."""
     if name in (NN_MAD, NN_MSE):
         return nn_scores(probes, gallery, MAD if name == NN_MAD else MSE), None
     if name == MLP_NAME:
@@ -192,10 +192,8 @@ def _member_scores(name: str, gallery: Features, probes: np.ndarray,
     if name == PNN_NAME:
         model = pnn_train(gallery, cfg.spread)
         return pnn_classify(model, probes), model
-    if name == RBF_NAME:
-        model = rbf_train(gallery, cfg.spread, min(cfg.max_centers, len(gallery)))
-        return rbf_scores(model, probes), model
-    raise ValueError(f"unknown classifier spec {name!r}")
+    model = rbf_train(gallery, cfg.spread, min(cfg.max_centers, len(gallery)))
+    return rbf_scores(model, probes), model
 
 
 def decide(member_scores: Sequence[np.ndarray], subject_ids: np.ndarray,
@@ -255,10 +253,13 @@ def spread_grid(spreads: Sequence[float]) -> list[float]:
 
 
 def dim_grid(kind: str, grid: Sequence) -> list:
-    """A dimension sweep's grid ascending; KLT counts must be at least 1."""
+    """A dimension sweep's grid ascending; KLT counts, mask sides and radii
+    must be positive (counts and sides are integers)."""
     grid = _sorted_grid(grid, "sweep")
     if kind == KLT and grid[0] < 1:
         raise ValueError(f"KLT component count must be >= 1, got {grid[0]}")
+    if not grid[0] > 0:
+        raise ValueError(f"mask sizes must be > 0, got {grid[0]}")
     return grid
 
 
@@ -378,7 +379,7 @@ def table_targets(rows_filter: str | None = None) -> list[tuple]:
             if rows_filter is None or row[2].startswith(rows_filter.lower())]
 
 
-def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
+def table1_report(split: Split, cfg: EvalConfig | None = None,
                   rows_filter: str | None = None,
                   spreads: Sequence[float] = SPREAD_GRID) -> list[TableRow]:
     """Reference-comparison table: every benchmark row, paper vs measured.
@@ -393,23 +394,17 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
     targets = table_targets(rows_filter)
     if not targets:
         return []
-    k = min(TRAIN_SAMPLES, corpus.samples_per_subject - 1)
-    split = split_first_k(corpus, k)
-    rows, cols = corpus.levels.shape[1:]
+    rows, cols = split.corpus.levels.shape[1:]
     side = min(DEFAULT_MASK_SIDE, rows, cols)
     mask = ZonalMask.rectangular(side)
     dct_gal, dct_probes = extract_split_features(split, DCT, mask=mask)
 
     # one eigenbasis at the largest dim, or at the gallery's rank when that is
-    # lower; smaller dims slice its projections (the leading eigenfaces do not
+    # lower; each row slices its projections (the leading eigenfaces do not
     # depend on how many are kept)
-    klt_wanted = {row[1] for row in targets if row[0] == "eigenfaces"}
-    klt_feats = {}
-    if klt_wanted:
-        full = extract_split_features(split, KLT, dim=max(klt_wanted), clamp=True)
-        for want in klt_wanted:
-            dim = min(want, full[0].dim)
-            klt_feats[want] = [replace(f, matrix=f.matrix[:, :dim]) for f in full]
+    klt_dims = [row[1] for row in targets if row[0] == "eigenfaces"]
+    if klt_dims:
+        klt = extract_split_features(split, KLT, dim=max(klt_dims), clamp=True)
     # spread sweeps only for the selected rows; fusion runs at RBF's best spread
     sweeps = {row[2] for row in targets} & set(KERNEL_CLASSIFIERS)
     if any(row[2].startswith("fusion:") for row in targets):
@@ -424,7 +419,7 @@ def table1_report(corpus: Corpus, cfg: EvalConfig | None = None,
     out = []
     for feature, want_dim, key, label, paper_rate in targets:
         if feature == "eigenfaces":
-            gal, probes = klt_feats[want_dim]
+            gal, probes = (replace(f, matrix=f.matrix[:, :want_dim]) for f in klt)
             rate = run_experiment(key, gal, probes, cfg).rate
             dim = gal.dim
         else:

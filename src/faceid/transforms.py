@@ -25,6 +25,10 @@ RECTANGULAR = "rectangular"
 SECTORIAL = "sectorial"
 
 
+class ZoneError(ValueError):
+    """A zonal mask that exceeds the coefficient matrix or keeps none of it."""
+
+
 @dataclass(frozen=True)
 class ZonalMask:
     """0/1 zone selector centered at the frequency origin (upper-left corner).
@@ -68,9 +72,7 @@ class ZonalMask:
         if self.shape == RECTANGULAR:
             side = int(self.size)
             if side > min(rows, cols):
-                raise ValueError(
-                    f"mask side {side} exceeds matrix dims {rows}x{cols}"
-                )
+                raise ZoneError(f"mask side {side} exceeds matrix dims {rows}x{cols}")
             keep = np.zeros((rows, cols), dtype=bool)
             keep[:side, :side] = True
         else:
@@ -78,7 +80,7 @@ class ZonalMask:
         if r_low > 0.0:
             keep &= radius >= r_low
         if not keep.any():
-            raise ValueError("mask retains no coefficients")
+            raise ZoneError("mask retains no coefficients")
         return keep
 
 

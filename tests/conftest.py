@@ -12,7 +12,7 @@ import pytest
 from faceid.classifiers import Features, MLPConfig, MLPModel, PNNModel, RBFModel
 from faceid.classifiers.mlp import GRAD_TOL
 from faceid.classifiers.store import FORMAT_VERSION, KIND_MLP, KIND_PNN, KIND_RBF
-from faceid.dataset import load_orl, split_first_k, synth_corpus, write_pgm
+from faceid.dataset import Split, load_orl, synth_corpus, write_pgm
 from faceid.evaluation import extract_split_features
 from faceid.fusion import MINMAX, ZSCORE
 from faceid.transforms import DCT, ZonalMask
@@ -46,14 +46,14 @@ def small_corpus():
 
 @pytest.fixture(scope="session")
 def small_split(small_corpus):
-    return split_first_k(small_corpus, 3)
+    return Split(small_corpus, 3)
 
 
 @pytest.fixture(scope="session")
 def orl_split():
     """ORL-shaped synthetic split: 40 subjects x 10 images of 112 x 92, 5/5."""
-    return split_first_k(synth_corpus(seed=0, n_subjects=40, samples=10,
-                                      rows=112, cols=92), 5)
+    return Split(synth_corpus(seed=0, n_subjects=40, samples=10,
+                              rows=112, cols=92), 5)
 
 
 @pytest.fixture(scope="session")

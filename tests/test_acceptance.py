@@ -17,7 +17,7 @@ from faceid.classifiers import (
     MLPConfig, mlp_train, msereg_gradient,
     msereg_loss, pnn_classify, pnn_train, rbf_train,
 )
-from faceid.dataset import split_first_k, synth_corpus
+from faceid.dataset import Split, synth_corpus
 from faceid.eigenfaces import train_eigenbasis
 from faceid.evaluation import (
     DCT, KLT, RECTANGULAR, SPREAD_GRID, TRAIN_SAMPLES, DEFAULT_MASK_SIDE,
@@ -36,7 +36,7 @@ from conftest import gallery_of
 
 @pytest.fixture(scope="module")
 def split(orl):
-    return split_first_k(orl, TRAIN_SAMPLES)
+    return Split(orl, TRAIN_SAMPLES)
 
 
 @pytest.fixture(scope="module")

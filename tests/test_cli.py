@@ -1,7 +1,9 @@
 """End-to-end command-line runs, option plumbing, and exit codes."""
 
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -10,21 +12,24 @@ import sys
 from argparse import Namespace
 from dataclasses import asdict
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faceid
-from faceid import evaluation
+from faceid import cli, evaluation
 from faceid.classifiers import MLPConfig, PNNModel, rbf_scores, rbf_train
 from faceid.cli import (
     _DEFAULTS, MAX_GRID_POINTS, OPTIONS, ConfigError, _subcommands, build_parser,
     config_options, finite_float, flag, int_at_least_2, main, make_eval_config,
     nonnegative_float, nonnegative_int, parse_float_grid, parse_int_grid, parse_mask_spec,
-    parse_radius_grid, parse_synth_spec, positive_float, positive_int, read_config_file,
-    unit_float,
+    parse_radius_grid, positive_float, positive_int, read_config_file,
+    synth_params, unit_float,
 )
-from faceid.dataset import split_first_k, synth_corpus, write_pgm
+from faceid.dataset import Split, synth_corpus, write_pgm
 from faceid.evaluation import EvalConfig, sweep_dimension, write_curve_csv
 from faceid.transforms import SECTORIAL
 
@@ -88,16 +93,17 @@ def test_parse_radius_grid():
             parse_radius_grid(bad)
 
 
-def test_parse_synth_spec():
-    corpus = parse_synth_spec("", seed=3)
-    assert (corpus.n_subjects, corpus.samples_per_subject) == (10, 6)
-    corpus = parse_synth_spec("subjects=3,rows=12", seed=3)
-    assert corpus.n_subjects == 3
+def test_synth_params():
+    # in synth_corpus's argument order
+    assert list(synth_params("", seed=3).values()) == [3, 10, 6, 32, 28]
+    params = synth_params("subjects=3,rows=12", seed=3)
+    corpus = synth_corpus(*params.values())
+    assert (corpus.n_subjects, corpus.samples_per_subject) == (3, 6)
     assert corpus.levels.shape[1:] == (12, 28)
-    with pytest.raises(ConfigError):
-        parse_synth_spec("subjects", seed=0)
-    with pytest.raises(ConfigError):
-        parse_synth_spec("depth=3", seed=0)
+    # a count below 1 or a negative seed is refused as the spec's, not by synth_corpus
+    for bad in ("subjects", "depth=3", "samples=x", "rows=0", "subjects=-2", "seed=-1"):
+        with pytest.raises(ConfigError, match=f"bad --synth token '{bad}'"):
+            synth_params(bad, seed=0)
 
 
 def test_read_config_file(tmp_path):
@@ -112,8 +118,11 @@ def test_read_config_file(tmp_path):
     cfg.write_text("seed = notanint\n")
     with pytest.raises(ConfigError):
         read_config_file(str(cfg), options)
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(ConfigError, match="cannot read --config file: "):
         read_config_file(str(tmp_path / "missing.cfg"), options)
+    cfg.write_bytes(b"seed = \xff\n")
+    with pytest.raises(ConfigError, match="cannot read --config file: 'utf-8' codec"):
+        read_config_file(str(cfg), options)
 
 
 def test_config_options_come_from_the_parser():
@@ -126,7 +135,7 @@ def test_config_options_come_from_the_parser():
         "dim": positive_int, "train_k": positive_int, "seed": nonnegative_int,
         "epochs": positive_int, "hidden": positive_int, "max_centers": positive_int,
         "subjects": positive_int, "samples": int_at_least_2,
-        "gamma": unit_float, "spread": finite_float, "r_low": nonnegative_float,
+        "gamma": unit_float, "spread": positive_float, "r_low": nonnegative_float,
         "log_offset": positive_float,
     }
     options = config_options()
@@ -645,7 +654,7 @@ def test_sector_sweep_takes_fractional_radii(tmp_path, grid):
     code = run(["sweep", "--axis", "dim", "--synth", synth, "--mask-shape", "sector",
                 "--grid", grid, "--out", str(out)])
     assert code == 0
-    split = split_first_k(synth_corpus(0, 4, 6, 24, 20), 5)
+    split = Split(synth_corpus(0, 4, 6, 24, 20), 5)
     write_curve_csv(sweep_dimension(split, "dct", SECTORIAL, grid=[2.5, 3.0, 5.5]),
                     tmp_path / "want.csv", "param")
     assert (out / "curve.csv").read_text() == (tmp_path / "want.csv").read_text()
@@ -830,7 +839,7 @@ UNDECLARED = {
     pytest.param(["table1", "--rows", "rbf", "--epochs", "3"],
                  "--rows rbf does not read --epochs", id="table1-rbf-epochs"),
     *[pytest.param(["evaluate", "--classifier", name, "--spread", "inf"],
-                   "argument --spread: invalid finite_float value: 'inf'",
+                   "argument --spread: invalid positive_float value: 'inf'",
                    id=f"{name}-spread-inf") for name in ("pnn", "rbf")],
     pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn",
                   "--spreads", "0.1:inf:0.1"],
@@ -865,6 +874,8 @@ UNDECLARED = {
                    f"argument {flag}: invalid {kind} value: '{value}'",
                    id=f"{flag[2:]}-{value}") for argv, flag, value, kind in (
         (["evaluate", "--classifier", "mlp"], "--epochs", "0", "positive_int"),
+        (["evaluate", "--classifier", "pnn"], "--spread", "0", "positive_float"),
+        (["evaluate", "--classifier", "rbf"], "--spread", "-1", "positive_float"),
         (["evaluate", "--classifier", "mlp"], "--hidden", "0", "positive_int"),
         (["evaluate", "--classifier", "rbf"], "--max-centers", "0", "positive_int"),
         (["extract", "--transform", "klt"], "--dim", "0", "positive_int"),
@@ -881,6 +892,10 @@ UNDECLARED = {
     pytest.param(["sweep", "--axis", "dim", "--samples", "4", "--train-k", "6"],
                  "--train-k 6 leaves no probe sample of the 4 per subject",
                  id="train-k-above-samples"),
+    pytest.param(["sweep", "--axis", "dim", "--grid", "0:3"],
+                 "error: --grid: mask sizes must be > 0, got 0", id="rect-grid-zero"),
+    pytest.param(["sweep", "--axis", "dim", "--mask-shape", "sector", "--grid", "0,2"],
+                 "error: --grid: mask sizes must be > 0, got 0.0", id="sector-grid-zero"),
     pytest.param(["sweep", "--axis", "dim", "--grid", "1:1000000"],
                  "bad grid '1:1000000': a range may span at most 10000 points",
                  id="dim-grid-range-too-long"),
@@ -1120,3 +1135,208 @@ def test_earlier_manifest_that_is_not_an_object_is_ignored(tmp_path, capsys, ear
     assert run(["extract", "--synth", SYNTH, "--out", str(out)]) == 0
     assert "checksum differs" not in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["command"] == "extract"
+
+
+# ---------------------------------------------------------------------------
+# corpora a run cannot split
+
+
+def shape_sources(root, subjects, samples, monkeypatch):
+    """Per kind of source, the flags of the first ``subjects`` x ``samples``
+    of the PGM tree at ``root`` (or a --synth corpus of that shape) and the
+    text a refusal names the source by. Each corpus a run reads or builds is
+    logged in the list returned with them."""
+    reads = []
+    for name in ("load_orl", "load_manifest", "synth_corpus"):
+        def logged(*args, _read=getattr(cli, name), **kwargs):
+            reads.append(_read)
+            return _read(*args, **kwargs)
+        monkeypatch.setattr(cli, name, logged)
+    spec = f"subjects={subjects},samples={samples},rows=16,cols=14"
+    inventory = root / "inventory.txt"
+    inventory.write_text("".join(f"s{s}/{k}.pgm {s} {k}\n" for s in range(1, subjects + 1)
+                                 for k in range(1, samples + 1)))
+    return reads, {
+        "synth": (["--synth", spec], f"--synth {spec!r}"),
+        "data": (["--data", str(root), "--subjects", str(subjects), "--samples", str(samples)],
+                 f"--data {str(root)!r}"),
+        "manifest": (["--manifest", str(inventory)], f"--manifest {str(inventory)!r}")}
+
+
+@pytest.mark.parametrize("source", ["synth", "data", "manifest"])
+def test_identifying_among_one_subject_is_refused(tmp_path, pgm_tree, capsys, monkeypatch,
+                                                  source):
+    # once refused after the read with "normalization needs a (k, S) matrix of
+    # at least 2 subjects", which named neither the corpus nor its count; a
+    # source that states its shape is refused before it is read
+    reads, sources = shape_sources(pgm_tree[0], 1, 3, monkeypatch)
+    flags, name = sources[source]
+    out = tmp_path / "out"
+    for argv in (["evaluate"], ["sweep", "--axis", "dim"],
+                 ["sweep", "--axis", "spread", "--classifier", "pnn"], ["table1", "--rows", "nn"]):
+        train_k = ["--train-k", "2"] if argv[0] != "table1" else []
+        assert run([*argv, *train_k, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"error: {name} has 1 subject(s); {argv[0]} needs at least 2"
+        assert err[1].startswith(f"usage: faceid {argv[0]} ")
+        assert not out.exists()
+    assert len(reads) == (4 if source == "manifest" else 0)
+    # extraction needs no second subject
+    assert run(["extract", "--train-k", "2", "--mask", "rect:4", *flags,
+                "--out", str(out)]) == 0
+    assert len(read_features_csv(out / "gallery.csv")) == 2
+    assert len(read_features_csv(out / "probes.csv")) == 1
+
+
+@pytest.mark.parametrize("source", ["synth", "manifest"])
+def test_table1_on_one_sample_per_subject_is_refused(tmp_path, pgm_tree, capsys,
+                                                     monkeypatch, source):
+    # table1 takes the protocol's 5 gallery samples, or one fewer than a
+    # subject has: none of one, which once exited with "k must be in 1..0,
+    # got 0"; --data refuses --samples 1 as a flag
+    reads, sources = shape_sources(pgm_tree[0], 3, 1, monkeypatch)
+    flags, name = sources[source]
+    out = tmp_path / "out"
+    assert run(["table1", "--rows", "nn", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: {name} has 1 sample(s) per subject; table1 needs at least 2"
+    assert err[1].startswith("usage: faceid table1 ")
+    assert not out.exists()
+    assert len(reads) == (source == "manifest")
+
+
+def test_a_gallery_of_rank_0_is_a_data_error(tmp_path, capsys):
+    # two subjects of one constant image each: the clamped eigenface fit has
+    # no component, which table1 once subscripted as None (a TypeError)
+    write_pgm(np.full((6, 5), 0.5), tmp_path / "flat.pgm")
+    inventory = tmp_path / "inventory.txt"
+    inventory.write_text("".join(f"flat.pgm {s} {k}\n" for s in (1, 2) for k in (1, 2)))
+    out = tmp_path / "out"
+    assert run(["table1", "--manifest", str(inventory), "--rows", "nn",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("data error: requested 200 eigenfaces but the gallery "
+                                       "supports only 0 (rank after mean removal)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["extract"], "--mask rect:10: mask side 10 exceeds matrix dims 6x8"),
+    (["evaluate", "--mask", "sector:2", "--r-low", "5"],
+     "--mask sector:2 --r-low 5.0: mask retains no coefficients"),
+    (["sweep", "--axis", "dim", "--grid", "1:9"], "--grid 1:9: mask side 7 exceeds matrix dims 6x8"),
+    (["sweep", "--axis", "spread", "--classifier", "rbf"],
+     "--mask rect:10: mask side 10 exceeds matrix dims 6x8"),
+])
+def test_a_mask_the_images_cannot_take_names_its_flags(tmp_path, capsys, argv, message):
+    # the masks are checked once the images are read; the refusal once named
+    # no flag
+    out = tmp_path / "out"
+    assert run([*argv, "--synth", "subjects=3,samples=6,rows=6,cols=8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: {message}"
+    assert err[1].startswith(f"usage: faceid {argv[0]} ")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand on a tiny --synth corpus (a few of them empty, or too
+    small to split), with options drawn from values that each command reads,
+    some of them refused, and maybe a --config file's text (None: no file).
+    A run that trains an MLP gets a few epochs."""
+    command = draw(st.sampled_from(["extract", "evaluate", "sweep", "table1"]))
+    # repeated values are drawn more often: most corpora can be split
+    shape = draw(st.tuples(st.sampled_from([3, 2, 4, 3, 2, 3, 4, 2, 3, 4, 1, 0]),
+                           st.sampled_from([4, 3, 6, 2, 5, 4, 3, 6, 4, 3, 6, 5, 1, 0]),
+                           st.sampled_from([12, 10, 7, 12, 4, 12, 1]),
+                           st.sampled_from([11, 10, 6, 11, 3, 11, 1])))
+    spec = ",".join(f"{key}={value}" for key, value in
+                    zip(("subjects", "samples", "rows", "cols"), shape))
+    argv = [command, "--synth", spec, "--seed", str(draw(st.integers(0, 2)))]
+
+    def maybe(flag, *values):
+        value = draw(st.sampled_from([None, *values]))
+        if value is not None:
+            argv.extend([flag, str(value)])
+        return value
+
+    classifier = None
+    if command == "table1":
+        rows = maybe("--rows", "nn", "mlp", "pnn", "rbf", "fusion:")
+        if rows not in ("nn", "mlp"):
+            maybe("--spreads", "0.5,1.5", "0.2:0.6:0.2", "0.9", "0.4,2", "2:1:0.5", "1,1")
+        mlp = rows in (None, "mlp")
+    else:
+        argv += ["--train-k", str(draw(st.sampled_from([2, 1, 3, 2, 5])))]
+        transform = draw(st.sampled_from(["dct", "dft", "logdft", "klt"]))
+        argv += ["--transform", transform]
+        axis = (draw(st.sampled_from(["dim", "spread"])) if command == "sweep" else None)
+        if axis:
+            argv += ["--axis", axis]
+        if axis == "dim":
+            maybe("--grid", "1:3", "2,4", "1:20", "0:2", "3,3", "2.5,3.5", "5:1")
+            maybe("--metric", "mad", "mse")
+        elif transform == "klt":
+            maybe("--dim", 0, 1, 3, 8, 30)
+        else:
+            maybe("--mask", "rect:1", "rect:3", "rect:4", "rect:8", "sector:0.5",
+                  "sector:2.5", "sector:4", "sector:9", "rect:0", "wedge:3")
+        if transform != "klt":
+            maybe("--r-low", 0, 0.5, 1, 2, 30)
+            if axis == "dim":
+                maybe("--mask-shape", "rect", "sector")
+        if transform in ("dft", "logdft"):
+            maybe("--complex-mode", "modulus", "interleave")
+        if command == "evaluate":
+            classifier = draw(st.sampled_from(["nn:mad", "nn:mse", "mlp", "pnn", "rbf",
+                                               "fusion:rbf+nn:mad", "fusion:mlp+pnn",
+                                               "fusion:pnn", "svm"]))
+        elif axis == "spread":
+            classifier = draw(st.sampled_from(["pnn", "rbf", "nn:mad"]))
+            maybe("--spreads", "0.5,1.5", "0.2:0.6:0.2", "0.9", "0,1")
+        if classifier:
+            argv += ["--classifier", classifier]
+            if command == "evaluate" and ("pnn" in classifier or "rbf" in classifier):
+                maybe("--spread", 0.01, 0.5, 3, 1e6)
+            if "rbf" in classifier:
+                maybe("--max-centers", 1, 4, 50)
+        mlp = command == "evaluate" and "mlp" in classifier
+    if mlp:
+        argv += ["--epochs", str(draw(st.integers(1, 4))), "--hidden", "3"]
+    config = (draw(st.sampled_from(["seed = 1", "mask rect:2", "r_low = -1", "bogus = 1",
+                                    "\udcff"])) if draw(st.integers(0, 4)) == 4 else None)
+    return argv, config
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(invocations())
+def test_every_run_keeps_the_exit_code_contract(invocation):
+    # exit 0, 2 (configuration), 3 (data) or 4 (numeric), and no traceback;
+    # a configuration error names a flag or a config-file line, and a refused
+    # run writes no --out
+    argv, config = invocation
+    command = argv[0]
+    with TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if config is not None:
+            # a text that is no UTF-8 stands for a file that cannot be read
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_bytes(config.encode("utf-8", "surrogateescape"))
+            argv = [*argv, "--config", str(cfg)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = run([*argv, "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert not out.exists()
+    lines = stderr.getvalue().splitlines()
+    if code == 2:
+        (message,) = [line for line in lines if "error: " in line]
+        flags = [flag(option) for option in OPTIONS if command in option.commands]
+        assert any(name in message for name in flags) or "config file line" in message
+    elif code:
+        assert lines[0].startswith("data error: " if code == 3 else "numeric failure: ")

@@ -7,7 +7,7 @@ import pytest
 
 from faceid.dataset import (
     Corpus, Image, InventoryError, PgmError, Split,
-    corpus_checksum, load_manifest, load_orl, split_first_k, synth_corpus,
+    corpus_checksum, load_manifest, load_orl, synth_corpus,
     write_pgm,
 )
 from faceid.dataset import _parse_pgm, _read_stack
@@ -320,7 +320,7 @@ def test_loaded_stacks_bit_equal_frozen_per_file_loop(tmp_path):
 
 
 def test_split_first_k(small_corpus):
-    split = split_first_k(small_corpus, 3)
+    split = Split(small_corpus, 3)
     gallery, probes = split.halves(small_corpus.sample_ids)
     assert gallery.size == probes.size == 8 * 3
     assert (gallery <= 3).all() and (probes > 3).all()
@@ -334,9 +334,9 @@ def test_split_first_k(small_corpus):
 
 def test_split_first_k_bounds(small_corpus):
     with pytest.raises(ValueError):
-        split_first_k(small_corpus, 0)
+        Split(small_corpus, 0)
     with pytest.raises(ValueError):
-        split_first_k(small_corpus, 6)
+        Split(small_corpus, 6)
 
 
 # ---------------------------------------------------------------------------

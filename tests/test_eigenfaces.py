@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from faceid.dataset import Corpus, split_first_k, synth_corpus
+from faceid.dataset import Corpus, Split, synth_corpus
 from faceid.eigenfaces import (
     BLOCK, COLUMNS, EigenBasis, RankError, _blocks, project, train_eigenbasis,
 )
@@ -124,7 +124,7 @@ def test_project_accepts_bare_arrays(gallery):
 
 def test_split_halves_fit_and_project_as_their_copies():
     # a split half is a strided (subjects, samples, R, C) view of the stack
-    split = split_first_k(synth_corpus(seed=4, n_subjects=6, samples=5, rows=9, cols=8), 3)
+    split = Split(synth_corpus(seed=4, n_subjects=6, samples=5, rows=9, cols=8), 3)
     gallery, probes = split.halves(split.corpus.levels)
     copies = [half.reshape(-1, 9, 8) for half in (gallery, probes)]
     basis = train_eigenbasis(gallery, 10)
@@ -141,8 +141,8 @@ def test_stored_levels_fit_and_project_as_their_pixels():
     float_corpus = synth_corpus(seed=4, n_subjects=6, samples=5, rows=9, cols=8)
     maxval = np.tile([255.0, 200.0, 13.0, 1.0, 100.0], 6)
     levels = np.rint(float_corpus.levels * maxval[:, None, None]).astype(np.uint8)
-    split = split_first_k(Corpus(levels, float_corpus.subject_ids,
-                                 float_corpus.sample_ids, maxval), 3)
+    split = Split(Corpus(levels, float_corpus.subject_ids,
+                         float_corpus.sample_ids, maxval), 3)
     halves, maxvals = split.halves(split.corpus.levels), split.halves(split.corpus.maxval)
     pixels = [half / m[..., None, None] for half, m in zip(halves, maxvals)]
     basis = train_eigenbasis(halves[0], 10, maxval=maxvals[0])
@@ -246,7 +246,7 @@ def test_fit_memory_is_bounded(peak_bytes):
     images = corpus.levels
     assert peak_bytes(train_eigenbasis, images, len(images) - 1) < 2.1 * images.nbytes
     # a split half is copied once, straight from its strided view
-    gallery = split_first_k(corpus, 3).halves(images)[0]
+    gallery = Split(corpus, 3).halves(images)[0]
     assert peak_bytes(train_eigenbasis, gallery, 35) < 2.1 * gallery.nbytes
     # uint8 levels: the one copy is the scaled gallery, at float64 size
     levels = np.rint(gallery * 255).astype(np.uint8)
@@ -280,8 +280,8 @@ def test_block_projection_memory_is_one_block(peak_bytes):
 
     assert peak_bytes(project, images, basis) < 1.05 * weights_and_block(60)
     # a split half is centred straight from its strided view
-    gallery = split_first_k(synth_corpus(seed=2, n_subjects=12, samples=5, rows=56,
-                                         cols=46), 3).halves(images)[0]
+    gallery = Split(synth_corpus(seed=2, n_subjects=12, samples=5, rows=56,
+                                 cols=46), 3).halves(images)[0]
     assert peak_bytes(project, gallery, basis) < 1.05 * weights_and_block(36)
     # uint8 levels are scaled into the block, which is centred in place
     levels = np.rint(gallery * 255).astype(np.uint8)
@@ -319,8 +319,8 @@ def orl_levels_split(orl_split):
     """The ORL-shaped split on the 8-bit levels a PGM tree of it would hold."""
     corpus = orl_split.corpus
     levels = np.rint(corpus.levels * 255).astype(np.uint8)
-    return split_first_k(Corpus(levels, corpus.subject_ids, corpus.sample_ids,
-                                np.full(len(levels), 255.0)), orl_split.k)
+    return Split(Corpus(levels, corpus.subject_ids, corpus.sample_ids,
+                        np.full(len(levels), 255.0)), orl_split.k)
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from faceid.classifiers import (
     MAD, MSE, Features, MLPModel, mlp_scores, nn_scores,
     pnn_classify, pnn_train, rbf_scores, rbf_train,
 )
-from faceid.dataset import split_first_k, synth_corpus
+from faceid.dataset import Corpus, Split, synth_corpus
 from faceid.eigenfaces import RankError
 from faceid.evaluation import (
     DCT, KLT, RECTANGULAR, EvalConfig, SweepPoint,
@@ -297,10 +297,10 @@ def test_spread_sweep_matches_one_experiment_per_spread(dct_features, classifier
 
 @pytest.fixture(scope="module")
 def table_rows():
-    corpus = synth_corpus(seed=19, n_subjects=6, samples=6, rows=16, cols=14)
+    split = Split(synth_corpus(seed=19, n_subjects=6, samples=6, rows=16, cols=14), 5)
     cfg = EvalConfig(epochs=80, hidden=8, max_centers=20)
-    rows = table1_report(corpus, cfg, spreads=[0.9, 2.0])
-    return corpus, cfg, rows
+    rows = table1_report(split, cfg, spreads=[0.9, 2.0])
+    return split, cfg, rows
 
 
 def test_table_has_every_benchmark_row(table_rows):
@@ -322,11 +322,11 @@ def test_table_dims_clamp_to_corpus(table_rows):
 
 
 def test_table_rows_filter(table_rows):
-    corpus, cfg, _ = table_rows
-    rows = table1_report(corpus, cfg, rows_filter="nn", spreads=[0.9])
+    split, cfg, _ = table_rows
+    rows = table1_report(split, cfg, rows_filter="nn", spreads=[0.9])
     assert [r.key for r in rows] == ["nn:mad", "nn:mse"] * 3
     assert [r.feature for r in rows] == ["eigenfaces"] * 4 + ["dct"] * 2
-    only_mlp = table1_report(corpus, cfg, rows_filter="mlp", spreads=[0.9])
+    only_mlp = table1_report(split, cfg, rows_filter="mlp", spreads=[0.9])
     assert [r.key for r in only_mlp] == ["mlp"]
 
 
@@ -336,7 +336,7 @@ def test_table_rows_filter(table_rows):
 ])
 def test_table_rows_filter_runs_only_needed_sweeps(table_rows, monkeypatch,
                                                    rows_filter, swept):
-    corpus, cfg, all_rows = table_rows
+    split, cfg, all_rows = table_rows
     calls = []
 
     def counted(gallery_feats, probe_feats, classifier, *args, **kwargs):
@@ -344,7 +344,7 @@ def test_table_rows_filter_runs_only_needed_sweeps(table_rows, monkeypatch,
         return sweep_spread(gallery_feats, probe_feats, classifier, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "sweep_spread", counted)
-    rows = table1_report(corpus, cfg, rows_filter=rows_filter, spreads=[0.9, 2.0])
+    rows = table1_report(split, cfg, rows_filter=rows_filter, spreads=[0.9, 2.0])
     assert calls == swept
     assert rows == [r for r in all_rows if r.key.startswith(rows_filter)]
 
@@ -372,15 +372,14 @@ def count_eigensolves(monkeypatch) -> dict:
 def test_table_fits_one_eigenbasis(monkeypatch, rows_filter, fits, dims):
     # 110 gallery images: rank 109, so the 200 and 100 rows want different dims;
     # the one basis fit's eigendecomposition also gives that rank
-    corpus = synth_corpus(seed=19, n_subjects=22, samples=6, rows=16, cols=14)
+    split = Split(synth_corpus(seed=19, n_subjects=22, samples=6, rows=16, cols=14), 5)
     calls = count_eigensolves(monkeypatch)
     cfg = EvalConfig(epochs=20, hidden=4)
-    rows = table1_report(corpus, cfg, rows_filter=rows_filter, spreads=[0.9])
+    rows = table1_report(split, cfg, rows_filter=rows_filter, spreads=[0.9])
     assert calls == {"eigh": fits, "eigvalsh": 0}
     assert [r.dim for r in rows] == dims
     monkeypatch.undo()
     # the sliced features decide as a separate fit at each dim does
-    split = split_first_k(corpus, 5)
     for row in rows:
         if row.feature == "eigenfaces":
             gal, probes = extract_split_features(split, KLT, dim=row.dim)
@@ -388,19 +387,28 @@ def test_table_fits_one_eigenbasis(monkeypatch, rows_filter, fits, dims):
 
 
 def test_table_rows_filter_matching_nothing_transforms_nothing(table_rows, monkeypatch):
-    corpus, cfg, _ = table_rows
+    split, cfg, _ = table_rows
 
     def refuse(*args, **kwargs):
         raise AssertionError("transformed before the rows filter was applied")
 
     monkeypatch.setattr(evaluation, "transform_corpus", refuse)
-    assert table1_report(corpus, cfg, rows_filter="xyz", spreads=[0.9]) == []
+    assert table1_report(split, cfg, rows_filter="xyz", spreads=[0.9]) == []
 
 
 def test_table_refuses_repeated_spreads(table_rows):
-    corpus, cfg, _ = table_rows
+    split, cfg, _ = table_rows
     with pytest.raises(ValueError, match="repeats"):
-        table1_report(corpus, cfg, rows_filter="nn", spreads=[0.9, 0.9])
+        table1_report(split, cfg, rows_filter="nn", spreads=[0.9, 0.9])
+
+
+def test_table_refuses_a_gallery_of_rank_0():
+    # every gallery image the same: the clamped eigenface fit keeps no
+    # component, and the eigenface rows must not run on an empty band
+    corpus = Corpus(np.full((4, 6, 5), 0.5), [1, 1, 2, 2], [1, 2, 1, 2])
+    with pytest.raises(RankError, match="requested 200 eigenfaces but the gallery "
+                                        "supports only 0"):
+        table1_report(Split(corpus, 1), EvalConfig(), rows_filter="nn:mse", spreads=[0.9])
 
 
 def test_format_table(table_rows):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.fft import idctn
 
 from faceid.classifiers import Features
-from faceid.dataset import split_first_k, synth_corpus
+from faceid.dataset import Split, synth_corpus
 from faceid.evaluation import extract_split_features, write_features_csv
 from faceid.transforms import (
     DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, ZonalMask,
@@ -118,7 +118,7 @@ def test_dct_linearity():
 
 
 def test_ids_propagate():
-    split = split_first_k(synth_corpus(seed=3, n_subjects=3, samples=3, rows=8, cols=8), 2)
+    split = Split(synth_corpus(seed=3, n_subjects=3, samples=3, rows=8, cols=8), 2)
     want = [([1, 1, 2, 2, 3, 3], [1, 2, 1, 2, 1, 2]), ([1, 2, 3], [3, 3, 3])]
     for feats, (labels, samples) in zip(
             extract_split_features(split, DCT, mask=ZonalMask.rectangular(4)), want):

@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 from faceid import cli, evaluation
 from faceid.classifiers import MAD, MSE, nearest, nn_scores
 from faceid.dataset import (
-    Corpus, _parse_pgm, corpus_checksum, load_orl, split_first_k, synth_corpus, write_pgm,
+    Corpus, Split, _parse_pgm, corpus_checksum, load_orl, synth_corpus, write_pgm,
 )
 from faceid.eigenfaces import project, train_eigenbasis
 from faceid.evaluation import (
@@ -180,7 +180,7 @@ def test_orl_shaped_sweep_bit_equal_frozen_path(orl_split, kind, mask_shape, gri
 @pytest.fixture()
 def pgm_split(pgm_tree):
     """The pgm_tree corpus as loaded (uint8 levels over maxval 255), split 3/3."""
-    return split_first_k(load_orl(pgm_tree[0], n_subjects=5, samples_per_subject=6), 3)
+    return Split(load_orl(pgm_tree[0], n_subjects=5, samples_per_subject=6), 3)
 
 
 @pytest.mark.parametrize("kind", [DCT, DFT, LOGDFT])
@@ -193,8 +193,8 @@ def test_loaded_split_bit_equal_frozen_path(pgm_split, kind):
 
 def test_loaded_split_features_equal_its_float_copy(pgm_split):
     corpus = pgm_split.corpus
-    floats = split_first_k(Corpus(corpus_pixels(corpus), corpus.subject_ids,
-                                  corpus.sample_ids), 3)
+    floats = Split(Corpus(corpus_pixels(corpus), corpus.subject_ids,
+                          corpus.sample_ids), 3)
     for kind, options in ((KLT, {"dim": 5}), (DCT, {"mask": ZonalMask.rectangular(5)}),
                           (LOGDFT, {"mask": ZonalMask.sectorial(4.5)})):
         for got, want in zip(extract_split_features(pgm_split, kind, **options),
@@ -523,7 +523,7 @@ def test_loaded_corpus_stays_below_its_float_stack(tmp_path, peak_bytes):
     def run():
         corpus = load_orl(tmp_path, n_subjects=10, samples_per_subject=6)
         corpus_checksum(corpus)
-        split = split_first_k(corpus, 3)
+        split = Split(corpus, 3)
         extract_split_features(split, DCT, mask=ZonalMask.rectangular(10))
         extract_split_features(split, KLT, dim=5)
 
