@@ -17,12 +17,12 @@ from .eigenfaces import EigenBasis, RankError, project, train_eigenbasis
 from .classifiers import (
     DivergenceError, Features, MLPConfig, MLPModel, PNNModel, RBFModel,
     mlp_scores, mlp_train, nn_scores,
-    pnn_classify, pnn_train, rbf_scores, rbf_train, save_model,
+    pnn_classify, pnn_train, rbf_scores, rbf_train,
 )
 from .fusion import fuse_mean, normalize_scores
 from .evaluation import (
     EvalConfig, ExperimentResult,
-    extract_split_features, identification_rate, run_experiment,
+    extract_split_features, identification_rate, run_experiment, save_model,
     sweep_dimension, sweep_spread, table1_report,
 )
 

@@ -12,11 +12,9 @@ on the model.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -270,12 +268,3 @@ def mlp_scores(model: MLPModel, probes: np.ndarray) -> np.ndarray:
     a1 = np.tanh(np.matmul(model.w1, z[..., None])[..., 0] + model.b1)
     a2 = np.tanh(np.matmul(model.w2, a1[..., None])[..., 0] + model.b2)
     return finite_scores(a2)
-
-
-def write_training_log(curve: np.ndarray, path: str | Path) -> None:
-    """CSV of the recorded loss trajectory, one row per epoch."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(curve):
-            writer.writerow([epoch, repr(float(loss))])

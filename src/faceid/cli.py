@@ -24,17 +24,14 @@ from .transforms import (
     ZonalMask, ZoneError,
 )
 from .eigenfaces import RankError
-from .classifiers import (
-    DivergenceError, MLPModel, RBFModel, collapse_counts, save_model,
-    write_training_log,
-)
+from .classifiers import DivergenceError, MLPModel, RBFModel, collapse_counts
 from .evaluation import (
     KERNEL_CLASSIFIERS, LEARNERS, MLP_NAME, RBF_NAME, SPREAD_GRID, TRAIN_SAMPLES,
     EvalConfig, dim_grid, extract_split_features, format_table,
-    parse_classifier_spec, run_experiment, spread_grid, sweep_dimension,
+    parse_classifier_spec, run_experiment, save_model, spread_grid, sweep_dimension,
     sweep_spread, table1_report, table_targets, write_curve_csv,
     write_features_csv, write_fusion_report, write_manifest, write_result_csv,
-    write_table_csv,
+    write_table_csv, write_training_log,
 )
 from .fusion import MODES
 

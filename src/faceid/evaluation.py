@@ -31,11 +31,12 @@ from .transforms import (
 from .eigenfaces import train_eigenbasis, project
 from .classifiers import (
     Features, MAD, MAX_CENTERS, MSE,
-    MLPConfig, mlp_train, mlp_scores,
-    pnn_train, pnn_classify,
-    rbf_train, rbf_scores,
+    MLPConfig, MLPModel, mlp_train, mlp_scores,
+    PNNModel, pnn_train, pnn_classify,
+    RBFModel, rbf_train, rbf_scores,
     nn_scores,
 )
+from .classifiers.mlp import GRAD_TOL
 from .fusion import MINMAX, fuse_mean, normalize_scores
 
 DEFAULT_SPREAD = 0.9
@@ -457,7 +458,9 @@ def write_manifest(config: dict, path: str | Path) -> None:
 
 
 def write_features_csv(features: Features, path: str | Path) -> None:
-    """Write features as CSV, one row per image: ``subject,sample,source,dim,c0,c1,...``."""
+    """Write features as CSV, one row per image: ``subject,sample,source,dim,c0,c1,...``.
+
+    Its rows end with LF, not :func:`_write_csv`'s CRLF."""
     header = "subject,sample,source,dim," + ",".join(f"c{i}" for i in range(features.dim))
     lines = [header]
     for subject, sample, row in zip(features.labels.tolist(),
@@ -465,6 +468,14 @@ def write_features_csv(features: Features, path: str | Path) -> None:
         coeffs = ",".join(map(repr, row.tolist()))
         lines.append(f"{subject},{sample},{features.source},{features.dim},{coeffs}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _write_csv(path: str | Path, header: list, rows) -> None:
+    """A header row, then the rows; ``csv.writer`` ends each with CRLF."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _probe_rows(result: ExperimentResult) -> list[list]:
@@ -475,36 +486,56 @@ def _probe_rows(result: ExperimentResult) -> list[list]:
 
 
 def write_result_csv(result: ExperimentResult, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe", "subject_true", "subject_pred"])
-        writer.writerows(_probe_rows(result))
+    _write_csv(path, ["probe", "subject_true", "subject_pred"], _probe_rows(result))
 
 
 def write_fusion_report(result: ExperimentResult, path: str | Path) -> None:
     """CSV of per-probe fusion outcomes: probe, truth, prediction, top fused score."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe", "subject_true", "subject_pred", "fused_score"])
-        for row, top in zip(_probe_rows(result), result.fused.max(axis=1).tolist()):
-            writer.writerow([*row, repr(top)])
+    _write_csv(path, ["probe", "subject_true", "subject_pred", "fused_score"],
+               ([*row, repr(top)] for row, top in
+                zip(_probe_rows(result), result.fused.max(axis=1).tolist())))
 
 
 def write_curve_csv(points: Sequence[SweepPoint], path: str | Path,
                     param_name: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([param_name, "dim", "rate"])
-        for pt in points:
-            writer.writerow([repr(pt.param), pt.dim, repr(pt.rate)])
+    _write_csv(path, [param_name, "dim", "rate"],
+               ([repr(pt.param), pt.dim, repr(pt.rate)] for pt in points))
 
 
 def write_table_csv(rows: Sequence[TableRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "dim", "classifier", "paper_rate",
-                         "measured_rate"])
-        for r in rows:
-            writer.writerow([r.feature, r.dim, r.classifier,
-                             f"{r.paper_rate:.1f}", f"{r.measured_rate:.1f}"])
+    _write_csv(path, ["feature", "dim", "classifier", "paper_rate", "measured_rate"],
+               ([r.feature, r.dim, r.classifier, f"{r.paper_rate:.1f}",
+                 f"{r.measured_rate:.1f}"] for r in rows))
 
+
+def write_training_log(curve: np.ndarray, path: str | Path) -> None:
+    """CSV of the recorded loss trajectory, one row per epoch."""
+    _write_csv(path, ["epoch", "loss"],
+               ([epoch, repr(float(loss))] for epoch, loss in enumerate(curve)))
+
+
+FORMAT_VERSION = 1
+KIND_MLP, KIND_PNN, KIND_RBF = "mlp", "pnn", "rbf"
+
+
+def save_model(model: MLPModel | PNNModel | RBFModel, path: str | Path) -> None:
+    """One npz per trained classifier: its kind, the format version, the
+    gallery's subject ids and z-score statistics, and the model's arrays."""
+    if isinstance(model, MLPModel):
+        cfg = model.config
+        kind, arrays = KIND_MLP, dict(
+            w1=model.w1, b1=model.b1, w2=model.w2, b2=model.b2, curve=model.curve,
+            config=np.array([cfg.hidden, cfg.epochs, cfg.gamma, cfg.seed, GRAD_TOL]))
+    elif isinstance(model, PNNModel):
+        kind, arrays = KIND_PNN, dict(centers=model.centers, labels=model.labels,
+                                      spread=model.spread)
+    elif isinstance(model, RBFModel):
+        kind, arrays = KIND_RBF, dict(
+            centers=model.centers, spread=model.spread, weights=model.weights,
+            biases=model.biases, center_indices=model.center_indices,
+            residuals=model.residuals)
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    np.savez(path, kind=kind, format_version=FORMAT_VERSION,
+             subject_ids=model.subject_ids,
+             norm_mean=model.norm_mean, norm_std=model.norm_std, **arrays)

@@ -11,9 +11,10 @@ import pytest
 
 from faceid.classifiers import Features, MLPConfig, MLPModel, PNNModel, RBFModel
 from faceid.classifiers.mlp import GRAD_TOL
-from faceid.classifiers.store import FORMAT_VERSION, KIND_MLP, KIND_PNN, KIND_RBF
 from faceid.dataset import Split, load_orl, synth_corpus, write_pgm
-from faceid.evaluation import extract_split_features
+from faceid.evaluation import (
+    FORMAT_VERSION, KIND_MLP, KIND_PNN, KIND_RBF, extract_split_features,
+)
 from faceid.fusion import MINMAX, ZSCORE
 from faceid.transforms import DCT, ZonalMask
 

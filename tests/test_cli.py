@@ -405,17 +405,22 @@ def test_evaluate_fusion_writes_report(tmp_path):
     assert "fusion_report.csv" in manifest["outputs"]
 
 
-# SHA-256 of the fused reports and spread curves on SYNTH, pinned across
-# commits: a refactor of the experiment path that moves any byte shows here.
-# The same at 1 and 2 BLAS threads.
+# SHA-256 of the fused reports, trained models, training log and spread
+# curves on SYNTH, pinned across commits: a refactor of the experiment path
+# or of a writer that moves any byte shows here. The same at 1 and 2 BLAS
+# threads.
 GOLDEN_DIGESTS = [
     (["evaluate", "--classifier", "fusion:rbf+nn:mad", "--spread", "2.0"], {
         "fusion_report.csv": "834e9c447c28abadf3f3b267cb5c77a83fbc0640cdb7ba3d838d8767fef4d508",
+        "model_rbf.npz": "6b36e1ea350b83d7b72baee7cfbd232be4c7451527f61bfe290710844cddad91",
         "result.csv": "d7ae9b0fbdcf671940f0b12e2965b76173b799ba0f9517e88157bea115c5c503"}),
     (["evaluate", "--classifier", "fusion:pnn+mlp+nn:mse", "--epochs", "50",
       "--spread", "1.0"], {
         "fusion_report.csv": "f591956ea242a4fd7f7a0a10d07494b61909beae3418a03effb1f0339269a29f",
-        "result.csv": "b1d657446f59d789df30b7d06fcf9483f5d1c814b663839ef59cbd89a4b230ac"}),
+        "model_mlp.npz": "05348c6b7d768d18ebcc063a07f778698f1285d88930a354d8f891be50ea47aa",
+        "model_pnn.npz": "6b8c76f315fc1238fce1ce87f4c7be2ac5a942d349c410c164d4e97d137dcf1b",
+        "result.csv": "b1d657446f59d789df30b7d06fcf9483f5d1c814b663839ef59cbd89a4b230ac",
+        "training_log.csv": "e8e06c7b6cc1c401725035181b7010d86ce78530519ddb1b033b93b141b7ed85"}),
     (["sweep", "--axis", "spread", "--classifier", "rbf", "--spreads", "0.5,1.0,2.0"], {
         "curve.csv": "df56d01bf74faca4b91944f7278d1f599ac9a5355319be67a901f2c4d6db1695"}),
     (["sweep", "--axis", "spread", "--classifier", "pnn", "--spreads", "0.5,1.0,2.0"], {
@@ -428,8 +433,33 @@ GOLDEN_DIGESTS = [
 def test_outputs_keep_their_digests(tmp_path, argv, digests):
     out = tmp_path / "out"
     assert run([*argv, "--synth", SYNTH, "--out", str(out)]) == 0
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+    got = {name: output_digest(out / name) for name in digests}
     assert got == digests
+
+
+def test_every_output_writer_comes_from_evaluation():
+    # bench/tracer.py times the writers where faceid.cli binds them, and the
+    # classifier package computes only
+    for name in ("save_model", "write_training_log", "write_result_csv",
+                 "write_fusion_report", "write_curve_csv", "write_table_csv",
+                 "write_features_csv", "write_manifest"):
+        assert getattr(cli, name) is getattr(evaluation, name), name
+    assert not hasattr(faceid.classifiers, "save_model")
+    assert not hasattr(faceid.classifiers, "write_training_log")
+    assert faceid.save_model is evaluation.save_model
+
+
+def output_digest(path: Path) -> str:
+    """SHA-256 of a file's bytes; of the arrays, by sorted name, for an npz,
+    whose zip headers carry write times."""
+    if path.suffix != ".npz":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with np.load(path) as data:
+        for key in sorted(data.files):
+            digest.update(key.encode())
+            digest.update(data[key].tobytes())
+    return digest.hexdigest()
 
 
 def test_evaluate_reruns_are_byte_identical(tmp_path):

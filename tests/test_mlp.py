@@ -8,12 +8,13 @@ import pytest
 from faceid.classifiers import (
     DivergenceError, MLPConfig, MLPModel, make_targets,
     mlp_scores, mlp_train, msereg_gradient,
-    msereg_loss, pack_params, save_model, unpack_params, write_training_log,
+    msereg_loss, pack_params, unpack_params,
 )
 from faceid.classifiers import mlp
 from faceid.classifiers.mlp import (
     GRAD_TOL, SCG_LAMBDA_INIT, SCG_SIGMA, STOP_BUDGET, STOP_GRAD_TOL, _init_params,
 )
+from faceid.evaluation import save_model, write_training_log
 from faceid.fusion import fuse_mean, normalize_scores
 
 from conftest import gallery_of, read_model

@@ -9,13 +9,12 @@ from scipy.spatial.distance import cdist
 from faceid.classifiers import (
     MLPConfig, PNNModel, RBFModel, make_targets,
     collapse_counts, mlp_train, pnn_classify, pnn_train, radbas_bias, rbf_scores,
-    rbf_train, save_model,
+    rbf_train,
 )
 from faceid.classifiers.common import z_distances
 from faceid.classifiers.pnn import radbas
 from faceid.classifiers.rbf import TIE_RTOL, _pick, _solve_linear
-from faceid.classifiers.store import FORMAT_VERSION
-from faceid.evaluation import SPREAD_GRID, extract_split_features
+from faceid.evaluation import FORMAT_VERSION, SPREAD_GRID, extract_split_features, save_model
 from faceid.fusion import fuse_mean, normalize_scores
 from faceid.transforms import DCT, ZonalMask
 
