@@ -9,8 +9,8 @@ nearest neighbor reports negated distances. Column j belongs to
 ``subject_ids[j]``, which are ascending, so the first best column of a row is
 the lowest subject id among tied subjects. Every z-space distance, of either
 kernel classifier or the gallery's cache, comes from :func:`z_distances`,
-and every distance, nearest neighbor's too, from :func:`cdist`, the only code
-that imports scipy.spatial.
+and every distance, nearest neighbor's too, from :func:`cdist`, on scipy's
+compiled distance kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .._kernels import kernel
 
 STD_FLOOR = 1e-8
 
@@ -87,11 +89,12 @@ class Features:
 
 
 def cdist(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
-    """scipy's ``cdist(x, y, metric)``. scipy.spatial is imported on the first
-    call, so a run that computes no distance (an extraction, an MLP) never
-    loads it."""
-    from scipy.spatial import distance
-    return distance.cdist(x, y, metric)
+    """scipy's ``cdist(x, y, metric)`` for ``cityblock`` or ``sqeuclidean``,
+    bit for bit: the compiled kernel that call runs, on its own, loaded on the
+    first call. Rows of a different width are a ``ValueError``."""
+    if metric not in ("cityblock", "sqeuclidean"):
+        raise ValueError(f"cdist has no metric {metric!r}")
+    return getattr(kernel("scipy.spatial._distance_pybind"), f"cdist_{metric}")(x, y)
 
 
 def z_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._kernels import kernel
+
 DCT = "dct"
 DFT = "dft"
 LOGDFT = "logdft"
@@ -101,11 +103,10 @@ def zone_keeps(masks: Sequence[ZonalMask], shape: tuple[int, int],
 
 
 def dctn(pixels: np.ndarray) -> np.ndarray:
-    """scipy's orthonormal type-II ``dctn(pixels)``. scipy.fft is imported on
-    the first call, so a run that takes no DCT (a DFT, log-DFT or KLT run)
-    never loads it."""
-    from scipy import fft
-    return fft.dctn(pixels, type=2, norm="ortho")
+    """``scipy.fft.dctn(pixels, type=2, norm="ortho")`` of a float64 image, bit
+    for bit: the same pocketfft call (inorm 1 is the orthonormal scale, on one
+    thread) on scipy's compiled kernel alone, loaded on the first call."""
+    return kernel("scipy.fft._pocketfft.pypocketfft").dct(pixels, 2, None, 1, None, 1)
 
 
 def _leading_block(pixels: np.ndarray, kind: str, box: tuple[int, int],

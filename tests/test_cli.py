@@ -327,31 +327,75 @@ def test_evaluate_mlp_writes_training_log(tmp_path, capsys):
     assert losses[-1] <= losses[0]
 
 
-@pytest.mark.parametrize("argv,loads", [
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+DISTANCE = "scipy.spatial._distance_pybind"
+
+
+def fresh_run(tmp_path, argv, script=""):
+    """The last stdout line of a fresh interpreter (this one has imported
+    scipy already) that runs ``faceid`` with ``argv`` (None: imports it
+    alone) and then ``script``."""
+    code = "import gc, json, sys, types\nfrom faceid.cli import main\n"
+    if argv is not None:
+        argv = [*argv, "--synth", SYNTH, "--out", str(tmp_path / "out")]
+        code += f"assert main({argv!r}) == 0\n"
+    src = str(Path(faceid.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code + script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+                          timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv,kernels", [
     (None, []),
     (["extract", "--transform", "dft"], []),
     (["evaluate", "--transform", "klt", "--dim", "20", "--classifier", "mlp",
       "--epochs", "5"], []),
-    (["extract"], ["scipy.fft"]),
-    (["evaluate", "--classifier", "nn:mad"], ["scipy.fft", "scipy.spatial"]),
+    (["extract"], [POCKETFFT]),
+    (["evaluate", "--classifier", "nn:mad"], [POCKETFFT, DISTANCE]),
 ], ids=["import", "extract-dft", "evaluate-klt-mlp", "extract", "nn"])
-def test_a_run_loads_only_the_scipy_modules_it_computes_with(tmp_path, argv, loads):
-    # a fresh interpreter, since this one has imported scipy already: scipy.fft
-    # loads on the first DCT and scipy.spatial on the first distance, so a
-    # bare import and a run that takes neither load no scipy module at all
-    script = "import json, sys\nfrom faceid.cli import main\n"
-    if argv is not None:
-        argv = [*argv, "--synth", SYNTH, "--out", str(tmp_path / "out")]
-        script += f"assert main({argv!r}) == 0\n"
-    script += "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
-    src = str(Path(faceid.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True,
-                          timeout=120)
-    modules = json.loads(done.stdout.splitlines()[-1])
-    assert [name for name in ("scipy.fft", "scipy.spatial") if name in modules] == loads
-    if not loads:
-        assert modules == []
+def test_a_run_loads_only_the_scipy_modules_it_computes_with(tmp_path, argv, kernels):
+    # the DCT and the distances run on scipy's compiled kernels, loaded alone on
+    # first use: no run imports a scipy package module (scipy, scipy.fft,
+    # scipy._lib, scipy.special, scipy.spatial), and each loads only the
+    # kernels it computes with
+    imported, live = fresh_run(tmp_path, argv, (
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+        " sorted(m.__name__ for m in gc.get_objects() if isinstance(m, types.ModuleType)"
+        " and m.__name__.split('.')[0] == 'scipy')]))"))
+    assert imported == []
+    assert live == kernels
+
+
+def test_public_scipy_imports_reuse_the_loaded_kernels(tmp_path):
+    # after a run has loaded both kernels, scipy's own modules import the same
+    # module objects, and its public calls give the bits faceid's wrappers give
+    same, equal = fresh_run(tmp_path, ["evaluate", "--classifier", "nn:mad"], f"""
+import numpy as np
+import scipy.fft
+from scipy.fft._pocketfft import realtransforms
+from scipy.spatial import distance
+from faceid._kernels import kernel
+from faceid.classifiers.common import cdist
+from faceid.transforms import dctn
+rng = np.random.default_rng(3)
+px, x, y = rng.random((16, 14)), rng.random((4, 9)), rng.random((6, 9))
+print(json.dumps([
+    [realtransforms.pfft is kernel({POCKETFFT!r}),
+     distance._distance_pybind is kernel({DISTANCE!r})],
+    [np.array_equal(dctn(px), scipy.fft.dctn(px, type=2, norm="ortho")),
+     *(np.array_equal(cdist(x, y, m), distance.cdist(x, y, m))
+       for m in ("cityblock", "sqeuclidean"))]]))
+""")
+    assert same == [True, True]
+    assert equal == [True, True, True]
+
+
+def test_a_missing_kernel_names_its_file_and_the_scipy_version():
+    import scipy
+    from faceid._kernels import kernel
+    with pytest.raises(ImportError, match=rf"/fft/_no_kernel\..* in scipy {scipy.__version__};"):
+        kernel("scipy.fft._no_kernel")
 
 
 @pytest.mark.parametrize("spread,at_bias,subjects", [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
-from faceid.classifiers import MAD, MSE, nn_scores
+from faceid.classifiers import MAD, MSE, common, nn_scores
 from faceid.evaluation import decide
 from faceid.fusion import MINMAX, ZSCORE, normalize_scores
 
@@ -186,6 +186,26 @@ def test_negated_scores_normalize_as_the_distances_did():
         for mode in (MINMAX, ZSCORE):
             assert np.array_equal(normalize_scores(scores, mode),
                                   frozen_normalize_scores(nearest, FROZEN_LOWER, mode))
+
+
+@pytest.mark.parametrize("metric", ["cityblock", "sqeuclidean"])
+@pytest.mark.parametrize("k,n,d", [(1, 7, 1), (1, 6, 100), (9, 1, 900), (13, 11, 100),
+                                   (5, 4, 1)])
+def test_cdist_is_bit_equal_to_scipy(metric, k, n, d):
+    # common.cdist runs the compiled kernel scipy's cdist runs, on C-ordered,
+    # strided and Fortran-ordered rows alike
+    rng = np.random.default_rng(k * 10000 + n * 1000 + d)
+    x, y = rng.normal(size=(k, d)), rng.normal(size=(n, d))
+    strided = rng.normal(size=(k, 2 * d))[:, ::2]
+    for a, b in ((x, y), (strided, np.asfortranarray(y)), (y, x)):
+        assert np.array_equal(common.cdist(a, b, metric), cdist(a, b, metric))
+
+
+def test_cdist_refuses_a_width_mismatch_and_other_metrics():
+    with pytest.raises(ValueError, match="columns"):
+        common.cdist(np.zeros((2, 3)), np.zeros((2, 4)), "cityblock")
+    with pytest.raises(ValueError, match="metric"):
+        common.cdist(np.zeros((2, 3)), np.zeros((2, 3)), "euclidean")
 
 
 def test_nonfinite_scores_rejected():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dctn as scipy_dctn
 from scipy.fft import idctn
 
 from faceid.classifiers import Features
@@ -13,7 +14,7 @@ from faceid.dataset import Split, synth_corpus
 from faceid.evaluation import extract_split_features, write_features_csv
 from faceid.transforms import (
     DCT, DFT, INTERLEAVE, LOGDFT, MODULUS, ZonalMask,
-    mask_features, transform_corpus,
+    dctn, mask_features, transform_corpus,
 )
 
 from conftest import read_features_csv
@@ -78,6 +79,16 @@ def test_dct_rectangular_input():
     rng = np.random.default_rng(1)
     px = rng.random((12, 9))
     assert np.abs(coeffs(px, DCT) - naive_dct2(px)).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(112, 92), (13, 7), (1, 9), (9, 1)])
+def test_dct_is_bit_equal_to_scipy_dctn(shape):
+    # dctn makes the pocketfft call scipy.fft.dctn makes, on the compiled
+    # kernel alone: every coefficient keeps scipy's bits
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for _ in range(3):
+        px = rng.random(shape)
+        assert np.array_equal(dctn(px), scipy_dctn(px, type=2, norm="ortho"))
 
 
 def test_dft_matches_direct_summation(face16):
