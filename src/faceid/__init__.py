@@ -15,7 +15,7 @@ from .dataset import (
 from .transforms import ZonalMask, mask_features, transform_corpus
 from .eigenfaces import EigenBasis, RankError, project, train_eigenbasis
 from .classifiers import (
-    DivergenceError, Features, MLPConfig, MLPModel, PNNModel, RBFModel,
+    DivergenceError, Features, MLPModel, PNNModel, RBFModel,
     mlp_scores, mlp_train, nn_scores,
     pnn_classify, pnn_train, rbf_scores, rbf_train,
 )

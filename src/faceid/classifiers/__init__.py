@@ -6,11 +6,10 @@ into decisions. The package reads and writes no file: ``faceid.evaluation``
 saves the trained models.
 """
 
-from .common import Features, STD_FLOOR, make_targets
+from .common import EvalConfig, Features, STD_FLOOR, make_targets
 from .nearest import MAD, MSE, METRICS, nn_scores
 from .mlp import (
     DivergenceError,
-    MLPConfig,
     MLPModel,
     mlp_scores,
     mlp_train,
@@ -20,14 +19,14 @@ from .mlp import (
     unpack_params,
 )
 from .pnn import PNNModel, pnn_classify, pnn_train, radbas_bias
-from .rbf import MAX_CENTERS, RBFModel, collapse_counts, rbf_scores, rbf_train
+from .rbf import RBFModel, collapse_counts, rbf_scores, rbf_train
 
 __all__ = [
-    "Features", "STD_FLOOR", "make_targets",
+    "EvalConfig", "Features", "STD_FLOOR", "make_targets",
     "MAD", "MSE", "METRICS", "nn_scores",
-    "DivergenceError", "MLPConfig", "MLPModel",
+    "DivergenceError", "MLPModel",
     "mlp_scores", "mlp_train",
     "msereg_gradient", "msereg_loss", "pack_params", "unpack_params",
     "PNNModel", "pnn_classify", "pnn_train", "radbas_bias",
-    "MAX_CENTERS", "RBFModel", "collapse_counts", "rbf_scores", "rbf_train",
+    "RBFModel", "collapse_counts", "rbf_scores", "rbf_train",
 ]

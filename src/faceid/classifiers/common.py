@@ -10,7 +10,8 @@ nearest neighbor reports negated distances. Column j belongs to
 the lowest subject id among tied subjects. Every z-space distance, of either
 kernel classifier or the gallery's cache, comes from :func:`z_distances`,
 and every distance, nearest neighbor's too, from :func:`cdist`, on scipy's
-compiled distance kernel.
+compiled distance kernel. :class:`EvalConfig` is the one record of the
+classifier knobs and their defaults.
 """
 
 from __future__ import annotations
@@ -21,8 +22,29 @@ from functools import cached_property
 import numpy as np
 
 from .._kernels import kernel
+from ..fusion import MINMAX
 
 STD_FLOOR = 1e-8
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The classifier knobs, with the protocol's defaults: the MLP's seed,
+    SCG epoch budget, hidden neurons and MSEREG ratio, the PNN/RBF spread,
+    the RBF center budget and the fusion normalization."""
+    seed: int = 0
+    epochs: int = 15000
+    hidden: int = 40
+    gamma: float = 0.9
+    spread: float = 0.9
+    max_centers: int = 100
+    fusion_mode: str = MINMAX
+
+    def __post_init__(self):
+        if self.hidden < 1 or self.epochs < 1:
+            raise ValueError("hidden and epochs must be positive")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +142,12 @@ def probe_block(probes: np.ndarray, dim: int) -> np.ndarray:
     if block.shape[1] != dim:
         raise ValueError(f"probe dim {block.shape[1]} != gallery dim {dim}")
     return block
+
+
+def zscore(probes: np.ndarray, model) -> np.ndarray:
+    """The probe block z-scored with a network model's gallery statistics;
+    its width must be theirs."""
+    return (probe_block(probes, model.norm_mean.size) - model.norm_mean) / model.norm_std
 
 
 def finite_scores(scores: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ its own subject's vectors and -1 on everyone else's. The regularized loss is
 
 with MSE averaged over examples x outputs and n the total parameter count
 (weights and biases). Inputs are z-scored with the gallery statistics stored
-on the model.
+on the model. The network's knobs are :class:`~.common.EvalConfig`'s
+``hidden``, ``epochs``, ``gamma`` and ``seed``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .common import Features, finite_scores, make_targets, probe_block
+from .common import EvalConfig, Features, finite_scores, make_targets, zscore
 
 SCG_SIGMA = 5e-5
 SCG_LAMBDA_INIT = 5e-7
@@ -39,20 +40,6 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-@dataclass
-class MLPConfig:
-    hidden: int = 40
-    epochs: int = 15000
-    gamma: float = 0.9
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.hidden < 1 or self.epochs < 1:
-            raise ValueError("hidden and epochs must be positive")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-
-
 @dataclass(eq=False)
 class MLPModel:
     w1: np.ndarray            # (hidden, dim)
@@ -62,7 +49,7 @@ class MLPModel:
     subject_ids: np.ndarray   # (n_out,) ascending
     norm_mean: np.ndarray
     norm_std: np.ndarray
-    config: MLPConfig
+    config: EvalConfig
     curve: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # training diagnostics, set by mlp_train and not saved with the model
     stop_reason: str | None = None
@@ -77,10 +64,6 @@ class MLPModel:
             raise ValueError("layer shapes are inconsistent")
         if self.b2.shape != (self.w2.shape[0],):
             raise ValueError("output bias shape mismatch")
-
-    @property
-    def dim(self) -> int:
-        return self.w1.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +220,8 @@ def _init_params(rng: np.random.Generator, dim: int, hidden: int, n_out: int):
     return pack_params(w1, b1, w2, b2)
 
 
-def mlp_train(gallery: Features, config: MLPConfig | None = None) -> MLPModel:
+def mlp_train(gallery: Features, cfg: EvalConfig = EvalConfig()) -> MLPModel:
     """Full-batch SCG on z-scored gallery vectors; deterministic per seed."""
-    cfg = config if config is not None else MLPConfig()
     x = gallery.normalized_matrix()
     t = make_targets(gallery)
     dim, n_out = gallery.dim, gallery.subject_ids.size
@@ -263,7 +245,7 @@ def mlp_train(gallery: Features, config: MLPConfig | None = None) -> MLPModel:
 
 def mlp_scores(model: MLPModel, probes: np.ndarray) -> np.ndarray:
     """(k, S) tanh outputs in (-1, 1); the probes are z-scored here."""
-    z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
+    z = zscore(probes, model)
     # one mat-vec per probe keeps the bits of a row-by-row `w @ a`
     a1 = np.tanh(np.matmul(model.w1, z[..., None])[..., 0] + model.b1)
     a2 = np.tanh(np.matmul(model.w2, a1[..., None])[..., 0] + model.b2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import Features, finite_scores, per_subject, probe_block, z_distances
+from .common import Features, finite_scores, per_subject, z_distances, zscore
 
 
 def radbas_bias(spread: float) -> float:
@@ -40,10 +40,6 @@ class PNNModel:
         if self.centers.shape[0] != self.labels.shape[0]:
             raise ValueError("one label per center required")
 
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]
-
 
 def pnn_train(gallery: Features, spread: float) -> PNNModel:
     """No fitting beyond storing every normalized gallery vector as a center."""
@@ -59,7 +55,7 @@ def pnn_classify(model: PNNModel, probes: np.ndarray) -> np.ndarray:
     A probe whose activations all underflow to zero degrades to a nearest
     neighbor decision on the unsquashed distances, reported as a one-hot row.
     """
-    z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
+    z = zscore(probes, model)
     dists = z_distances(z, model.centers)
     acts = radbas(dists, model.spread)
     class_sums = per_subject(acts, model.labels, model.subject_ids, np.sum)

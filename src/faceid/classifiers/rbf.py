@@ -28,15 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import Features, finite_scores, make_targets, probe_block, z_distances
+from .common import EvalConfig, Features, finite_scores, make_targets, z_distances, zscore
 from .pnn import radbas, radbas_bias
 
 # candidates whose error lies within this fraction of the largest error are
 # tied, and the lowest index among them is picked
 TIE_RTOL = 1e-9
-
-# the center budget when none is given
-MAX_CENTERS = 100
 
 
 @dataclass(eq=False)
@@ -57,10 +54,6 @@ class RBFModel:
         radbas_bias(self.spread)  # refuses a spread that is not positive and finite
         if self.weights.shape != (self.biases.size, self.centers.shape[0]):
             raise ValueError("linear layer shape mismatch")
-
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]
 
     @property
     def n_centers(self) -> int:
@@ -86,7 +79,8 @@ def _pick(row_err: np.ndarray, remaining: np.ndarray) -> tuple[int, bool]:
     return int(np.argmax(tied)), bool(np.count_nonzero(tied) > 1)
 
 
-def rbf_train(gallery: Features, spread: float, max_centers: int = MAX_CENTERS) -> RBFModel:
+def rbf_train(gallery: Features, spread: float,
+              max_centers: int = EvalConfig.max_centers) -> RBFModel:
     # column j = center candidate j; radbas refuses a spread that is not positive and finite
     all_acts = radbas(gallery.normalized_distances, spread)
     if not 1 <= max_centers <= len(gallery):
@@ -144,7 +138,7 @@ def rbf_train(gallery: Features, spread: float, max_centers: int = MAX_CENTERS) 
 
 def rbf_scores(model: RBFModel, probes: np.ndarray) -> np.ndarray:
     """(k, S) linear-layer outputs; the probes are z-scored here."""
-    z = (probe_block(probes, model.dim) - model.norm_mean) / model.norm_std
+    z = zscore(probes, model)
     acts = radbas(z_distances(z, model.centers), model.spread)
     # one mat-vec per probe keeps the bits of a row-by-row `weights @ a`
     outputs = np.matmul(model.weights, acts[..., None])[..., 0] + model.biases

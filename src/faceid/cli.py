@@ -532,7 +532,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         split = load_split(args)
         points = sweep_dimension(split, grid=grid, metric=args.metric, **options)
     else:
-        if args.classifier not in KERNEL_CLASSIFIERS:
+        members = parse_classifier_spec(args.classifier)
+        if len(members) > 1 or members[0] not in KERNEL_CLASSIFIERS:
             raise ConfigError("--axis spread requires --classifier "
                               + " or ".join(KERNEL_CLASSIFIERS))
         spreads = parsed(args, "spreads", read_spreads)

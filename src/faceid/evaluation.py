@@ -30,8 +30,8 @@ from .transforms import (
 )
 from .eigenfaces import train_eigenbasis, project
 from .classifiers import (
-    Features, MAD, MAX_CENTERS, MSE,
-    MLPConfig, MLPModel, mlp_train, mlp_scores,
+    EvalConfig, Features, MAD, MSE,
+    MLPModel, mlp_train, mlp_scores,
     PNNModel, pnn_train, pnn_classify,
     RBFModel, rbf_train, rbf_scores,
     nn_scores,
@@ -39,7 +39,6 @@ from .classifiers import (
 from .classifiers.mlp import GRAD_TOL
 from .fusion import MINMAX, fuse_mean, normalize_scores
 
-DEFAULT_SPREAD = 0.9
 SPREAD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
 DEFAULT_MASK_SIDE = 10
 TRAIN_SAMPLES = 5
@@ -168,18 +167,6 @@ def parse_classifier_spec(spec: str) -> list[str]:
     return [spec]
 
 
-@dataclass
-class EvalConfig:
-    """Knobs shared by the classifier runners; defaults follow the protocol."""
-    seed: int = MLPConfig.seed
-    epochs: int = MLPConfig.epochs
-    hidden: int = MLPConfig.hidden
-    gamma: float = MLPConfig.gamma
-    spread: float = DEFAULT_SPREAD
-    max_centers: int = MAX_CENTERS
-    fusion_mode: str = MINMAX
-
-
 def _member_scores(name: str, gallery: Features, probes: np.ndarray,
                    cfg: EvalConfig) -> tuple[np.ndarray, object | None]:
     """Train one base classifier (a member of a checked spec) if it learns,
@@ -187,8 +174,7 @@ def _member_scores(name: str, gallery: Features, probes: np.ndarray,
     if name in (NN_MAD, NN_MSE):
         return nn_scores(probes, gallery, MAD if name == NN_MAD else MSE), None
     if name == MLP_NAME:
-        model = mlp_train(gallery, MLPConfig(hidden=cfg.hidden, epochs=cfg.epochs,
-                                             gamma=cfg.gamma, seed=cfg.seed))
+        model = mlp_train(gallery, cfg)
         return mlp_scores(model, probes), model
     if name == PNN_NAME:
         model = pnn_train(gallery, cfg.spread)
@@ -208,13 +194,12 @@ def decide(member_scores: Sequence[np.ndarray], subject_ids: np.ndarray,
 
 
 def run_experiment(spec: str, gallery: Features, probes: Features,
-                   cfg: EvalConfig | None = None) -> ExperimentResult:
+                   cfg: EvalConfig = EvalConfig()) -> ExperimentResult:
     """Closed-set identification of every probe under one classifier spec:
     score the probe block with each member (training those that learn) and
     :func:`decide`. The result carries each member's scores and the trained
     models by name.
     """
-    cfg = cfg if cfg is not None else EvalConfig()
     scored = {name: _member_scores(name, gallery, probes.matrix, cfg)
               for name in parse_classifier_spec(spec)}
     scores = {name: member_scores for name, (member_scores, _) in scored.items()}
@@ -330,19 +315,19 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
 
 def sweep_spread(gallery: Features, probes: Features, classifier: str,
                  spreads: Sequence[float] = SPREAD_GRID,
-                 cfg: EvalConfig | None = None) -> list[SweepPoint]:
+                 cfg: EvalConfig = EvalConfig()) -> list[SweepPoint]:
     """Identification rate per spread value for the kernel classifiers: one
     :func:`run_experiment` per spread.
 
     One gallery serves every spread, so its z-space distance matrix is
     computed once.
     """
-    if classifier not in KERNEL_CLASSIFIERS:
+    members = parse_classifier_spec(classifier)
+    if len(members) > 1 or members[0] not in KERNEL_CLASSIFIERS:
         raise ValueError(f"spread sweeps apply to {' or '.join(KERNEL_CLASSIFIERS)} only")
-    base = cfg if cfg is not None else EvalConfig()
     return [SweepPoint(param=float(spread), dim=gallery.dim,
                        rate=run_experiment(classifier, gallery, probes,
-                                           replace(base, spread=float(spread))).rate)
+                                           replace(cfg, spread=float(spread))).rate)
             for spread in spread_grid(spreads)]
 
 
@@ -380,7 +365,7 @@ def table_targets(rows_filter: str | None = None) -> list[tuple]:
             if rows_filter is None or row[2].startswith(rows_filter.lower())]
 
 
-def table1_report(split: Split, cfg: EvalConfig | None = None,
+def table1_report(split: Split, cfg: EvalConfig = EvalConfig(),
                   rows_filter: str | None = None,
                   spreads: Sequence[float] = SPREAD_GRID) -> list[TableRow]:
     """Reference-comparison table: every benchmark row, paper vs measured.
@@ -390,7 +375,6 @@ def table1_report(split: Split, cfg: EvalConfig | None = None,
     dimensions clamp to what the corpus actually supports so small synthetic
     corpora can exercise the full path.
     """
-    cfg = cfg if cfg is not None else EvalConfig()
     spreads = spread_grid(spreads)
     targets = table_targets(rows_filter)
     if not targets:
@@ -515,22 +499,22 @@ def write_training_log(curve: np.ndarray, path: str | Path) -> None:
 
 
 FORMAT_VERSION = 1
-KIND_MLP, KIND_PNN, KIND_RBF = "mlp", "pnn", "rbf"
 
 
 def save_model(model: MLPModel | PNNModel | RBFModel, path: str | Path) -> None:
-    """One npz per trained classifier: its kind, the format version, the
-    gallery's subject ids and z-score statistics, and the model's arrays."""
+    """One npz per trained classifier: its name as the kind, the format
+    version, the gallery's subject ids and z-score statistics, and the
+    model's arrays."""
     if isinstance(model, MLPModel):
         cfg = model.config
-        kind, arrays = KIND_MLP, dict(
+        kind, arrays = MLP_NAME, dict(
             w1=model.w1, b1=model.b1, w2=model.w2, b2=model.b2, curve=model.curve,
             config=np.array([cfg.hidden, cfg.epochs, cfg.gamma, cfg.seed, GRAD_TOL]))
     elif isinstance(model, PNNModel):
-        kind, arrays = KIND_PNN, dict(centers=model.centers, labels=model.labels,
+        kind, arrays = PNN_NAME, dict(centers=model.centers, labels=model.labels,
                                       spread=model.spread)
     elif isinstance(model, RBFModel):
-        kind, arrays = KIND_RBF, dict(
+        kind, arrays = RBF_NAME, dict(
             centers=model.centers, spread=model.spread, weights=model.weights,
             biases=model.biases, center_indices=model.center_indices,
             residuals=model.residuals)

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faceid.classifiers import Features, MLPConfig, MLPModel, PNNModel, RBFModel
+from faceid.classifiers import EvalConfig, Features, MLPModel, PNNModel, RBFModel
 from faceid.classifiers.mlp import GRAD_TOL
 from faceid.dataset import Split, load_orl, synth_corpus, write_pgm
 from faceid.evaluation import (
-    FORMAT_VERSION, KIND_MLP, KIND_PNN, KIND_RBF, extract_split_features,
+    FORMAT_VERSION, MLP_NAME, PNN_NAME, RBF_NAME, extract_split_features,
 )
 from faceid.fusion import MINMAX, ZSCORE
 from faceid.transforms import DCT, ZonalMask
@@ -175,18 +175,18 @@ def read_model(path) -> MLPModel | PNNModel | RBFModel:
         kind = str(data["kind"])
         common = dict(subject_ids=data["subject_ids"],
                       norm_mean=data["norm_mean"], norm_std=data["norm_std"])
-        if kind == KIND_MLP:
+        if kind == MLP_NAME:
             hidden, epochs, gamma, seed, grad_tol = data["config"].tolist()
             if grad_tol != GRAD_TOL:
                 raise ValueError(f"model trained with grad_tol {grad_tol}, not {GRAD_TOL}")
-            cfg = MLPConfig(hidden=int(hidden), epochs=int(epochs), gamma=gamma,
-                            seed=int(seed))
+            cfg = EvalConfig(hidden=int(hidden), epochs=int(epochs), gamma=gamma,
+                             seed=int(seed))
             return MLPModel(w1=data["w1"], b1=data["b1"], w2=data["w2"], b2=data["b2"],
                             config=cfg, curve=data["curve"], **common)
-        if kind == KIND_PNN:
+        if kind == PNN_NAME:
             return PNNModel(centers=data["centers"], labels=data["labels"],
                             spread=float(data["spread"]), **common)
-        if kind == KIND_RBF:
+        if kind == RBF_NAME:
             return RBFModel(centers=data["centers"], spread=float(data["spread"]),
                             weights=data["weights"], biases=data["biases"],
                             center_indices=data["center_indices"],

@@ -14,7 +14,7 @@ import pytest
 from scipy.fft import idctn
 
 from faceid.classifiers import (
-    MLPConfig, mlp_train, msereg_gradient,
+    mlp_train, msereg_gradient,
     msereg_loss, pnn_classify, pnn_train, rbf_train,
 )
 from faceid.dataset import Split, synth_corpus
@@ -234,7 +234,7 @@ def test_criterion_8_property_battery():
         assert preds.tolist() == [3]
 
     # seeded runs are bit-reproducible
-    cfg = MLPConfig(hidden=4, epochs=40, seed=9)
+    cfg = EvalConfig(hidden=4, epochs=40, seed=9)
     m1 = mlp_train(gallery, cfg)
     m2 = mlp_train(gallery, cfg)
     assert np.array_equal(m1.w1, m2.w1) and np.array_equal(m1.curve, m2.curve)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import faceid
 from faceid import cli, evaluation
-from faceid.classifiers import MLPConfig, PNNModel, rbf_scores, rbf_train
+from faceid.classifiers import PNNModel, rbf_scores, rbf_train
 from faceid.cli import (
     _DEFAULTS, MAX_GRID_POINTS, OPTIONS, ConfigError, _subcommands, build_parser,
     config_options, finite_float, flag, int_at_least_2, main, make_eval_config,
@@ -190,8 +190,6 @@ def test_option_defaults_are_frozen():
     cfg = EvalConfig()
     assert asdict(cfg) == {key: frozen[key] for key in asdict(cfg)}
     assert make_eval_config(Namespace(**frozen)) == cfg
-    mlp = MLPConfig()
-    assert (mlp.seed, mlp.epochs, mlp.hidden, mlp.gamma) == (0, 15000, 40, 0.9)
     assert inspect.signature(rbf_train).parameters["max_centers"].default == 100
 
 
@@ -772,6 +770,26 @@ def test_sweep_spread_needs_kernel_classifier(tmp_path, capsys):
                 "--classifier", "nn:mad", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "pnn or rbf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given,name", [("PNN", "pnn"), (" rbf ", "rbf")])
+def test_sweep_spread_reads_the_classifier_as_evaluate_does(tmp_path, given, name):
+    # the spec is parsed as every --classifier is: case and padding do not count
+    curves = []
+    for i, classifier in enumerate((given, name)):
+        out = tmp_path / str(i)
+        assert run(["sweep", "--axis", "spread", "--synth", SYNTH, "--classifier",
+                    classifier, "--spreads", "0.5,1.0", "--out", str(out)]) == 0
+        curves.append((out / "curve.csv").read_bytes())
+    assert curves[0] == curves[1]
+
+
+def test_sweep_spread_refuses_a_fusion_of_kernel_classifiers(tmp_path, capsys):
+    code = run(["sweep", "--axis", "spread", "--synth", SYNTH,
+                "--classifier", "fusion:pnn+rbf", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --axis spread requires --classifier pnn or rbf\n" in err
 
 
 def test_table1_rows_filter(tmp_path, capsys):

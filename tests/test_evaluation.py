@@ -256,6 +256,9 @@ def test_spread_sweep(dct_features):
     assert all(pt.dim == 25 for pt in points)
     with pytest.raises(ValueError, match="pnn or rbf"):
         sweep_spread(gal, probes, "nn:mad", spreads=[1.0])
+    with pytest.raises(ValueError, match="pnn or rbf"):
+        sweep_spread(gal, probes, "fusion:pnn+rbf", spreads=[1.0])
+    assert sweep_spread(gal, probes, " PNN ", spreads=[2.0, 0.5, 1.0]) == points
     with pytest.raises(ValueError, match="positive"):
         sweep_spread(gal, probes, "pnn", spreads=[0.0, 1.0])
     with pytest.raises(ValueError, match="empty"):

@@ -1,12 +1,13 @@
 """MSEREG gradient correctness, SCG training behaviour, determinism."""
 
 import csv
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from faceid.classifiers import (
-    DivergenceError, MLPConfig, MLPModel, make_targets,
+    DivergenceError, EvalConfig, MLPModel, make_targets,
     mlp_scores, mlp_train, msereg_gradient,
     msereg_loss, pack_params, unpack_params,
 )
@@ -99,7 +100,7 @@ def separable_gallery():
 
 def test_training_reaches_low_error_on_separable_data():
     gallery = separable_gallery()
-    cfg = MLPConfig(hidden=8, epochs=500, gamma=1.0, seed=0)
+    cfg = EvalConfig(hidden=8, epochs=500, gamma=1.0, seed=0)
     model = mlp_train(gallery, cfg)
     x = gallery.normalized_matrix()
     t = make_targets(gallery)
@@ -110,7 +111,7 @@ def test_training_reaches_low_error_on_separable_data():
 def test_scg_beats_plain_gradient_descent():
     """Same start, same verified gradient: SCG must not lose to naive descent."""
     gallery = separable_gallery()
-    cfg = MLPConfig(hidden=8, epochs=300, gamma=0.9, seed=3)
+    cfg = EvalConfig(hidden=8, epochs=300, gamma=0.9, seed=3)
     model = mlp_train(gallery, cfg)
     x = gallery.normalized_matrix()
     t = make_targets(gallery)
@@ -210,7 +211,7 @@ def frozen_train(gallery, cfg):
 ])
 def test_training_bit_equal_frozen_scg(seed, epochs, reason):
     gallery = separable_gallery()
-    cfg = MLPConfig(hidden=5, epochs=epochs, gamma=0.9, seed=seed)
+    cfg = EvalConfig(hidden=5, epochs=epochs, gamma=0.9, seed=seed)
     want_theta, want_curve, events = frozen_train(gallery, cfg)
     # the run must exercise the rejected-step and restart branches
     assert events["rejected"] >= 1 and events["restarts"] >= 1
@@ -224,7 +225,7 @@ def test_training_bit_equal_frozen_scg(seed, epochs, reason):
 
 def test_at_most_two_forward_passes_per_epoch(monkeypatch):
     gallery = separable_gallery()
-    cfg = MLPConfig(hidden=5, epochs=200, gamma=0.9, seed=0)
+    cfg = EvalConfig(hidden=5, epochs=200, gamma=0.9, seed=0)
     calls = []
     forward = mlp._forward
     monkeypatch.setattr(mlp, "_forward",
@@ -241,7 +242,7 @@ def test_at_most_two_forward_passes_per_epoch(monkeypatch):
 
 def test_stop_reason_and_lambda_are_not_saved(tmp_path):
     gallery = separable_gallery()
-    model = mlp_train(gallery, MLPConfig(hidden=4, epochs=20, seed=0))
+    model = mlp_train(gallery, EvalConfig(hidden=4, epochs=20, seed=0))
     assert model.stop_reason == STOP_BUDGET
     assert model.last_lambda > 0.0
     save_model(model, tmp_path / "m.npz")
@@ -255,7 +256,7 @@ def test_stop_reason_and_lambda_are_not_saved(tmp_path):
 
 def test_curve_monotone_and_recorded():
     gallery = separable_gallery()
-    model = mlp_train(gallery, MLPConfig(hidden=6, epochs=100, seed=1))
+    model = mlp_train(gallery, EvalConfig(hidden=6, epochs=100, seed=1))
     assert model.curve.size >= 2
     assert np.all(np.diff(model.curve) <= 1e-15)  # failed steps repeat f
     # first entry is the untrained loss, which cannot be tiny
@@ -264,19 +265,19 @@ def test_curve_monotone_and_recorded():
 
 def test_training_is_deterministic_per_seed():
     gallery = separable_gallery()
-    cfg = MLPConfig(hidden=5, epochs=60, seed=42)
+    cfg = EvalConfig(hidden=5, epochs=60, seed=42)
     a = mlp_train(gallery, cfg)
     b = mlp_train(gallery, cfg)
     assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
     assert np.array_equal(a.b1, b.b1) and np.array_equal(a.b2, b.b2)
     assert np.array_equal(a.curve, b.curve)
-    c = mlp_train(gallery, MLPConfig(hidden=5, epochs=60, seed=43))
+    c = mlp_train(gallery, EvalConfig(hidden=5, epochs=60, seed=43))
     assert not np.array_equal(a.w1, c.w1)
 
 
 def test_trained_model_separates_genuine_from_impostor():
     gallery = separable_gallery()
-    model = mlp_train(gallery, MLPConfig(hidden=8, epochs=400, seed=0))
+    model = mlp_train(gallery, EvalConfig(hidden=8, epochs=400, seed=0))
     scores = mlp_scores(model, gallery.matrix)
     assert mlp_predict(model, gallery.matrix) == gallery.labels.tolist()
     for row, label in zip(scores, gallery.labels):
@@ -287,7 +288,7 @@ def test_trained_model_separates_genuine_from_impostor():
 
 def test_scores_polarity_and_range():
     gallery = separable_gallery()
-    model = mlp_train(gallery, MLPConfig(hidden=4, epochs=30, seed=0))
+    model = mlp_train(gallery, EvalConfig(hidden=4, epochs=30, seed=0))
     scores = mlp_scores(model, gallery.matrix[:3])
     assert scores.shape == (3, len(model.subject_ids))
     assert np.all(np.abs(scores) < 1.0)  # tanh outputs
@@ -300,7 +301,7 @@ def test_scores_polarity_and_range():
 def test_batch_scores_bit_equal_row_loop():
     # the batch forward pass must reproduce a row-by-row `w @ a` exactly
     gallery = separable_gallery()
-    model = mlp_train(gallery, MLPConfig(hidden=7, epochs=50, seed=2))
+    model = mlp_train(gallery, EvalConfig(hidden=7, epochs=50, seed=2))
     probes = np.random.default_rng(8).normal(size=(13, gallery.dim))
     batch = mlp_scores(model, probes)
     loop = []
@@ -317,7 +318,7 @@ def test_zero_weight_model_outputs_bias_only():
         w2=np.zeros((2, 4)), b2=np.array([0.3, -0.2]),
         subject_ids=np.array([1, 2]),
         norm_mean=np.zeros(3), norm_std=np.ones(3),
-        config=MLPConfig(hidden=4, epochs=1),
+        config=EvalConfig(hidden=4, epochs=1),
     )
     scores = mlp_scores(model, np.array([[9.0, -2.0, 4.0]]))
     assert scores[0] == pytest.approx(np.tanh([0.3, -0.2]))
@@ -330,7 +331,7 @@ def test_equal_outputs_tie_to_lowest_subject():
         w2=np.zeros((3, 2)), b2=np.zeros(3),
         subject_ids=np.array([2, 4, 9]),
         norm_mean=np.zeros(2), norm_std=np.ones(2),
-        config=MLPConfig(hidden=2, epochs=1),
+        config=EvalConfig(hidden=2, epochs=1),
     )
     assert mlp_predict(model, np.ones((2, 2))) == [2, 2]
 
@@ -339,15 +340,24 @@ def test_divergence_raises_with_epoch():
     # features do not check finiteness, so the poison goes in at construction
     gallery = gallery_of(np.array([[np.nan, 1.0], [0.0, 1.0]]), [1, 2])
     with pytest.raises(DivergenceError) as exc_info:
-        mlp_train(gallery, MLPConfig(hidden=2, epochs=5))
+        mlp_train(gallery, EvalConfig(hidden=2, epochs=5))
     assert exc_info.value.epoch == 0
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MLPConfig(hidden=0)
+        EvalConfig(hidden=0)
     with pytest.raises(ValueError):
-        MLPConfig(gamma=1.5)
+        EvalConfig(epochs=0)
+    with pytest.raises(ValueError):
+        EvalConfig(gamma=1.5)
+
+
+def test_config_is_frozen():
+    # the default instance the runners' signatures share cannot carry state
+    cfg = EvalConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.epochs = 1
 
 
 def test_training_log_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
-    MLPConfig, PNNModel, RBFModel, make_targets,
+    EvalConfig, PNNModel, RBFModel, make_targets,
     collapse_counts, mlp_train, pnn_classify, pnn_train, radbas_bias, rbf_scores,
     rbf_train,
 )
@@ -542,7 +542,7 @@ def assert_arrays_equal(a, b, names):
 
 def test_store_roundtrip_mlp(tmp_path):
     gallery = clustered_gallery(per_class=2)
-    model = mlp_train(gallery, MLPConfig(hidden=4, epochs=40, seed=3))
+    model = mlp_train(gallery, EvalConfig(hidden=4, epochs=40, seed=3))
     path = tmp_path / "m.npz"
     save_model(model, path)
     back = read_model(path)
