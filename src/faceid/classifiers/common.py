@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .._kernels import kernel
-from ..fusion import MINMAX
+from ..fusion import MINMAX, MODES
 
 STD_FLOOR = 1e-8
 
@@ -45,6 +45,12 @@ class EvalConfig:
             raise ValueError("hidden and epochs must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
+        if not 0.0 < self.spread < np.inf:
+            raise ValueError(f"spread must be finite and > 0, got {self.spread}")
+        if self.max_centers < 1:
+            raise ValueError(f"max_centers must be >= 1, got {self.max_centers}")
+        if self.fusion_mode not in MODES:
+            raise ValueError(f"fusion_mode must be one of {MODES}, got {self.fusion_mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +133,7 @@ def z_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def make_targets(gallery: Features) -> np.ndarray:
     """(n, S) matrix, +1 on the row's own subject column, -1 elsewhere."""
-    t = -np.ones((len(gallery), gallery.subject_ids.size))
-    col = {int(sid): j for j, sid in enumerate(gallery.subject_ids)}
-    for i, label in enumerate(gallery.labels):
-        t[i, col[int(label)]] = 1.0
-    return t
+    return np.where(gallery.labels[:, None] == gallery.subject_ids, 1.0, -1.0)
 
 
 def probe_block(probes: np.ndarray, dim: int) -> np.ndarray:

@@ -242,8 +242,9 @@ def dim_grid(kind: str, grid: Sequence) -> list:
     """A dimension sweep's grid ascending; KLT counts, mask sides and radii
     must be positive (counts and sides are integers)."""
     grid = _sorted_grid(grid, "sweep")
-    if kind == KLT and grid[0] < 1:
-        raise ValueError(f"KLT component count must be >= 1, got {grid[0]}")
+    bad = [n for n in grid if kind == KLT and not (n >= 1 and float(n).is_integer())]
+    if bad:
+        raise ValueError(f"KLT component count must be >= 1 and an integer, got {bad[0]}")
     if not grid[0] > 0:
         raise ValueError(f"mask sizes must be > 0, got {grid[0]}")
     return grid
@@ -365,58 +366,47 @@ def table_targets(rows_filter: str | None = None) -> list[tuple]:
             if rows_filter is None or row[2].startswith(rows_filter.lower())]
 
 
+def table_classifiers(targets: Sequence[tuple]) -> set[str]:
+    """The base classifiers the given table rows train: each row's classifier,
+    or each member of its fusion."""
+    return {member for row in targets for member in parse_classifier_spec(row[2])}
+
+
 def table1_report(split: Split, cfg: EvalConfig = EvalConfig(),
                   rows_filter: str | None = None,
                   spreads: Sequence[float] = SPREAD_GRID) -> list[TableRow]:
     """Reference-comparison table: every benchmark row, paper vs measured.
 
-    Kernel-classifier rows (PNN, RBF, fusion) report their best rate over
-    the spread grid, matching how the reference numbers were quoted. Vector
-    dimensions clamp to what the corpus actually supports so small synthetic
-    corpora can exercise the full path.
+    One rule serves every row. Each feature is extracted once: the DCT under
+    a rect mask of side ``DEFAULT_MASK_SIDE``, the eigenfaces under one basis
+    at the rows' largest dim, each clamped to what the corpus supports. Each
+    kernel classifier the rows train is swept over the spreads on the DCT
+    features once, and the rows run at RBF's first best spread. A row takes
+    its feature's leading ``dim`` columns: a kernel row reports its sweep's
+    best rate, as the reference numbers were quoted, and every other row is
+    one :func:`run_experiment`.
     """
     spreads = spread_grid(spreads)
     targets = table_targets(rows_filter)
     if not targets:
         return []
-    rows, cols = split.corpus.levels.shape[1:]
-    side = min(DEFAULT_MASK_SIDE, rows, cols)
-    mask = ZonalMask.rectangular(side)
-    dct_gal, dct_probes = extract_split_features(split, DCT, mask=mask)
-
-    # one eigenbasis at the largest dim, or at the gallery's rank when that is
-    # lower; each row slices its projections (the leading eigenfaces do not
-    # depend on how many are kept)
+    mask = ZonalMask.rectangular(min(DEFAULT_MASK_SIDE, *split.corpus.levels.shape[1:]))
+    features = {"dct": extract_split_features(split, DCT, mask=mask)}
+    # one basis serves each eigenface row: the leading eigenfaces do not depend on the count
     klt_dims = [row[1] for row in targets if row[0] == "eigenfaces"]
     if klt_dims:
-        klt = extract_split_features(split, KLT, dim=max(klt_dims), clamp=True)
-    # spread sweeps only for the selected rows; fusion runs at RBF's best spread
-    sweeps = {row[2] for row in targets} & set(KERNEL_CLASSIFIERS)
-    if any(row[2].startswith("fusion:") for row in targets):
-        sweeps.add(RBF_NAME)
-    best_spread = {}
-    for name in KERNEL_CLASSIFIERS:
-        if name in sweeps:
-            curve = sweep_spread(dct_gal, dct_probes, name, spreads, cfg)
-            best = max(curve, key=lambda pt: pt.rate)
-            best_spread[name] = (best.param, best.rate)
-
+        features["eigenfaces"] = extract_split_features(split, KLT, dim=max(klt_dims), clamp=True)
+    trained = table_classifiers(targets)
+    best = {name: max(sweep_spread(*features["dct"], name, spreads, cfg),
+                      key=lambda pt: pt.rate)
+            for name in KERNEL_CLASSIFIERS if name in trained}
+    if RBF_NAME in best:
+        cfg = replace(cfg, spread=best[RBF_NAME].param)
     out = []
-    for feature, want_dim, key, label, paper_rate in targets:
-        if feature == "eigenfaces":
-            gal, probes = (replace(f, matrix=f.matrix[:, :want_dim]) for f in klt)
-            rate = run_experiment(key, gal, probes, cfg).rate
-            dim = gal.dim
-        else:
-            dim = dct_gal.dim
-            if key in KERNEL_CLASSIFIERS:
-                rate = best_spread[key][1]
-            elif key.startswith("fusion:"):
-                run_cfg = replace(cfg, spread=best_spread[RBF_NAME][0])
-                rate = run_experiment(key, dct_gal, dct_probes, run_cfg).rate
-            else:
-                rate = run_experiment(key, dct_gal, dct_probes, cfg).rate
-        out.append(TableRow(key=key, feature=feature, dim=dim, classifier=label,
+    for feature, dim, key, label, paper_rate in targets:
+        gal, probes = (replace(f, matrix=f.matrix[:, :dim]) for f in features[feature])
+        rate = best[key].rate if key in best else run_experiment(key, gal, probes, cfg).rate
+        out.append(TableRow(key=key, feature=feature, dim=gal.dim, classifier=label,
                             paper_rate=paper_rate, measured_rate=rate))
     return out
 
@@ -436,9 +426,7 @@ def format_table(rows: Sequence[TableRow]) -> str:
 
 def write_manifest(config: dict, path: str | Path) -> None:
     """Deterministic JSON run description (no timestamps, sorted keys)."""
-    with open(path, "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
 
 def write_features_csv(features: Features, path: str | Path) -> None:

@@ -66,17 +66,18 @@ class ZonalMask:
 
         ``r_low`` > 0 additionally drops positions closer than that radius to
         the frequency origin (band-pass illumination removal; DC kept by
-        default). A mask that keeps nothing is refused.
+        default); it must be finite and >= 0. A mask that keeps nothing is
+        refused.
         """
-        f1 = np.arange(rows)[:, None]
-        f2 = np.arange(cols)[None, :]
+        if not 0.0 <= r_low < np.inf:
+            raise ValueError(f"r_low must be finite and >= 0, got {r_low}")
+        f1, f2 = np.ogrid[:rows, :cols]
         radius = np.sqrt(f1 * f1 + f2 * f2)
         if self.shape == RECTANGULAR:
             side = int(self.size)
             if side > min(rows, cols):
                 raise ZoneError(f"mask side {side} exceeds matrix dims {rows}x{cols}")
-            keep = np.zeros((rows, cols), dtype=bool)
-            keep[:side, :side] = True
+            keep = (f1 < side) & (f2 < side)
         else:
             keep = radius < self.size
         if r_low > 0.0:

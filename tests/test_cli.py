@@ -1,6 +1,7 @@
 """End-to-end command-line runs, option plumbing, and exit codes."""
 
 import contextlib
+import ctypes
 import hashlib
 import inspect
 import io
@@ -1432,3 +1433,31 @@ def test_every_run_keeps_the_exit_code_contract(invocation):
         assert any(name in message for name in flags) or "config file line" in message
     elif code:
         assert lines[0].startswith("data error: " if code == 3 else "numeric failure: ")
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def _mapped_bytes() -> int:
+    """The bytes glibc's malloc holds in blocks mapped on their own."""
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+    mallinfo2.restype = _MallInfo2
+    return mallinfo2().hblkhd
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and hasattr(ctypes.CDLL(None), "mallinfo2")),
+                    reason="glibc's malloc only")
+def test_pinned_malloc_thresholds_map_each_large_array():
+    # left to adjust, freeing a 16 MB block raises the mmap threshold past
+    # 4 MB, and the next 4 MB array would come from the heap and stay there
+    cli.pin_malloc_thresholds()
+    np.ones(16 << 20, np.uint8)
+    before = _mapped_bytes()
+    block = np.ones(4 << 20, np.uint8)
+    assert _mapped_bytes() - before >= 4 << 20
+    del block
+    assert _mapped_bytes() == before

@@ -193,7 +193,7 @@ def test_dimension_sweep_klt_rank_guard(small_split):
         sweep_dimension(small_split, KLT, grid=[24])  # 24 gallery images: rank 23
 
 
-@pytest.mark.parametrize("grid", [[-3, 2], [0, 1, 2], [0.5, 2]])
+@pytest.mark.parametrize("grid", [[-3, 2], [0, 1, 2], [0.5, 2], [2, 2.5, 3.7]])
 def test_dimension_sweep_klt_refuses_counts_below_one(small_split, monkeypatch, grid):
     # refused before the basis fit: no eigensolve runs
     calls = count_eigensolves(monkeypatch)
@@ -322,6 +322,26 @@ def test_table_dims_clamp_to_corpus(table_rows):
             assert r.dim == 29
         else:
             assert r.dim == 100
+
+
+def test_table_kernel_and_fusion_rows_follow_the_sweeps(table_rows):
+    # each PNN/RBF row is the best rate of its sweep over the table's spreads,
+    # on the DCT rect:10 features, and the fusion row runs at RBF's first best
+    split, cfg, rows = table_rows
+    gal, probes = extract_split_features(split, DCT, mask=ZonalMask.rectangular(10))
+    curves = {name: sweep_spread(gal, probes, name, [0.9, 2.0], cfg) for name in ("pnn", "rbf")}
+    by_key = {row.key: row.measured_rate for row in rows}
+    for name, curve in curves.items():
+        assert by_key[name] == max(pt.rate for pt in curve)
+    rbf_best = max(curves["rbf"], key=lambda pt: pt.rate).param
+    fused = run_experiment("fusion:rbf+nn:mad", gal, probes, replace(cfg, spread=rbf_best))
+    assert by_key["fusion:rbf+nn:mad"] == fused.rate
+    # where RBF's best spread (20) is not the default, the fused rate follows it
+    (row,) = table1_report(split, cfg, rows_filter="fusion:", spreads=[0.9, 20.0])
+    fused_at = {spread: run_experiment("fusion:rbf+nn:mad", gal, probes,
+                                       replace(cfg, spread=spread)).rate
+                for spread in (0.9, 20.0)}
+    assert row.measured_rate == fused_at[20.0] != fused_at[0.9]
 
 
 def test_table_rows_filter(table_rows):

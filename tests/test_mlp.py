@@ -351,6 +351,14 @@ def test_config_validation():
         EvalConfig(epochs=0)
     with pytest.raises(ValueError):
         EvalConfig(gamma=1.5)
+    # the kernel and fusion knobs are refused when built, not at first use
+    for spread in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="spread must be finite and > 0"):
+            EvalConfig(spread=spread)
+    with pytest.raises(ValueError, match="max_centers must be >= 1"):
+        EvalConfig(max_centers=0)
+    with pytest.raises(ValueError, match="fusion_mode must be one of"):
+        EvalConfig(fusion_mode="bogus")
 
 
 def test_config_is_frozen():

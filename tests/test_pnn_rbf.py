@@ -12,6 +12,7 @@ from faceid.classifiers import (
     rbf_train,
 )
 from faceid.classifiers.common import z_distances
+from faceid.classifiers.mlp import GRAD_TOL
 from faceid.classifiers.pnn import radbas
 from faceid.classifiers.rbf import TIE_RTOL, _pick, _solve_linear
 from faceid.evaluation import FORMAT_VERSION, SPREAD_GRID, extract_split_features, save_model
@@ -541,14 +542,20 @@ def assert_arrays_equal(a, b, names):
 
 
 def test_store_roundtrip_mlp(tmp_path):
+    # the file keeps the MLP's own knobs only: the spread and center budget it
+    # never reads are set away from their defaults and not written
     gallery = clustered_gallery(per_class=2)
-    model = mlp_train(gallery, EvalConfig(hidden=4, epochs=40, seed=3))
+    cfg = EvalConfig(hidden=4, epochs=40, gamma=0.8, seed=3, spread=2.0, max_centers=5)
+    model = mlp_train(gallery, cfg)
     path = tmp_path / "m.npz"
     save_model(model, path)
+    with np.load(path) as data:
+        assert data["config"].tolist() == [4, 40, 0.8, 3, GRAD_TOL]
     back = read_model(path)
     assert_arrays_equal(model, back, ["w1", "b1", "w2", "b2", "subject_ids",
                                       "norm_mean", "norm_std", "curve"])
-    assert back.config == model.config
+    knobs = ("hidden", "epochs", "gamma", "seed")
+    assert [getattr(back.config, k) for k in knobs] == [getattr(cfg, k) for k in knobs]
 
 
 def test_store_roundtrip_pnn(tmp_path):

@@ -173,6 +173,11 @@ def test_mask_validation():
     for radius in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="radius"):
             ZonalMask.sectorial(radius)
+    # a bad r_low is a plain ValueError, not a ZoneError: no mask keeps too little
+    for r_low in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="r_low must be finite and >= 0") as caught:
+            ZonalMask.rectangular(3).keep(3, 3, r_low)
+        assert type(caught.value) is ValueError
     with pytest.raises(ValueError, match="unknown mask shape"):
         ZonalMask(shape="oval", size=3)
 
