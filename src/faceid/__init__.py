@@ -21,8 +21,8 @@ from .classifiers import (
 )
 from .fusion import fuse_mean, normalize_scores
 from .evaluation import (
-    EvalConfig, ExperimentResult,
-    extract_split_features, identification_rate, run_experiment, save_model,
+    EvalConfig, ExperimentResult, Outcome,
+    extract_split_features, run_experiment, save_model,
     sweep_dimension, sweep_spread, table1_report,
 )
 

@@ -23,4 +23,4 @@ def kernel(name: str):
             return module
     from importlib.metadata import version
     raise ImportError(f"no compiled kernel {stem}{EXTENSION_SUFFIXES[0]} in scipy "
-                      f"{version('scipy')}; faceid needs scipy>=1.17")
+                      f"{version('scipy')}; faceid needs scipy>=1.17,<1.18")

@@ -41,14 +41,14 @@ class EvalConfig:
     fusion_mode: str = MINMAX
 
     def __post_init__(self):
-        if self.hidden < 1 or self.epochs < 1:
-            raise ValueError("hidden and epochs must be positive")
+        for name, low in (("seed", 0), ("hidden", 1), ("epochs", 1), ("max_centers", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 < self.spread < np.inf:
             raise ValueError(f"spread must be finite and > 0, got {self.spread}")
-        if self.max_centers < 1:
-            raise ValueError(f"max_centers must be >= 1, got {self.max_centers}")
         if self.fusion_mode not in MODES:
             raise ValueError(f"fusion_mode must be one of {MODES}, got {self.fusion_mode!r}")
 

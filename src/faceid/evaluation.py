@@ -59,27 +59,31 @@ LEARNERS = (MLP_NAME, *KERNEL_CLASSIFIERS)
 # results
 # ---------------------------------------------------------------------------
 
-def identification_rate(truth: Sequence[int], preds: Sequence[int]) -> float:
-    """Percentage of probes whose predicted subject equals the true one."""
-    truth, preds = np.asarray(truth), np.asarray(preds)
-    if truth.shape != preds.shape:
-        raise ValueError(f"{truth.size} true ids do not align with {preds.size} predictions")
-    if truth.size == 0:
-        raise ValueError("identification rate needs at least one probe")
-    return 100.0 * int(np.count_nonzero(truth == preds)) / truth.size
-
-
 @dataclass(eq=False)
-class ExperimentResult:
-    scores: dict           # (k, S) raw scores per member of the spec, by name, in order
-    probes: Features       # the probes scored; their labels are the truth
+class Outcome:
+    """Each probe's true and predicted subject ids: the one record every rate
+    is read from, so that any two rates can be compared probe by probe."""
+    truth: np.ndarray      # (k,) true subject id per probe
     preds: np.ndarray      # (k,) predicted subject id per probe
-    fused: np.ndarray      # (k, S) the decision rule's fused scores
-    models: dict           # trained model per learning classifier, by name
+
+    def __post_init__(self):
+        self.truth, self.preds = np.asarray(self.truth), np.asarray(self.preds)
+        if self.truth.shape != self.preds.shape or self.truth.size == 0:
+            raise ValueError(f"an outcome needs at least one probe and true ids aligned with "
+                             f"the predictions, got {self.truth.shape} and {self.preds.shape}")
 
     @property
     def rate(self) -> float:
-        return identification_rate(self.probes.labels, self.preds)
+        """Percentage of probes whose predicted subject equals the true one."""
+        return 100.0 * int(np.count_nonzero(self.truth == self.preds)) / self.truth.size
+
+
+@dataclass(eq=False)
+class ExperimentResult(Outcome):
+    scores: dict           # (k, S) raw scores per member of the spec, by name, in order
+    probes: Features       # the probes scored; their labels are the truth
+    fused: np.ndarray      # (k, S) the decision rule's fused scores
+    models: dict           # trained model per learning classifier, by name
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +209,18 @@ def run_experiment(spec: str, gallery: Features, probes: Features,
     scores = {name: member_scores for name, (member_scores, _) in scored.items()}
     preds, fused = decide(list(scores.values()), gallery.subject_ids, cfg.fusion_mode)
     models = {name: model for name, (_, model) in scored.items() if model is not None}
-    return ExperimentResult(scores=scores, probes=probes, preds=preds, fused=fused,
-                            models=models)
+    return ExperimentResult(truth=probes.labels, preds=preds, scores=scores, probes=probes,
+                            fused=fused, models=models)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepPoint:
+@dataclass(eq=False)
+class SweepPoint(Outcome):
     param: float     # grid value: mask side, sector radius, dim, or spread
     dim: int
-    rate: float
 
 
 def _sorted_grid(grid: Sequence, name: str) -> list:
@@ -275,8 +278,8 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
                     grid: Sequence | None = None, metric: str = MAD, *,
                     complex_mode: str = MODULUS, r_low: float = 0.0,
                     log_offset: float = 1e-4) -> list[SweepPoint]:
-    """Nearest-neighbor identification rate as the retained-coefficient
-    count grows.
+    """Nearest-neighbor predictions as the retained-coefficient count
+    grows.
 
     One point per grid entry, grid sorted ascending. Transform-domain kinds
     interpret the grid as mask sides (rectangular) or radii (sectorial);
@@ -309,16 +312,15 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
             preds, _ = decide([nn_scores(probes.matrix, gallery, metric, running=dists)],
                               gallery.subject_ids)
             dim += gallery.dim
-            rate = identification_rate(probe_labels, preds)
-        points.append(SweepPoint(param=float(value), dim=dim, rate=rate))
+        points.append(SweepPoint(probe_labels, preds, param=float(value), dim=dim))
     return points
 
 
 def sweep_spread(gallery: Features, probes: Features, classifier: str,
                  spreads: Sequence[float] = SPREAD_GRID,
                  cfg: EvalConfig = EvalConfig()) -> list[SweepPoint]:
-    """Identification rate per spread value for the kernel classifiers: one
-    :func:`run_experiment` per spread.
+    """One :func:`run_experiment` per spread value for a kernel classifier;
+    each point keeps its run's predictions.
 
     One gallery serves every spread, so its z-space distance matrix is
     computed once.
@@ -326,9 +328,9 @@ def sweep_spread(gallery: Features, probes: Features, classifier: str,
     members = parse_classifier_spec(classifier)
     if len(members) > 1 or members[0] not in KERNEL_CLASSIFIERS:
         raise ValueError(f"spread sweeps apply to {' or '.join(KERNEL_CLASSIFIERS)} only")
-    return [SweepPoint(param=float(spread), dim=gallery.dim,
-                       rate=run_experiment(classifier, gallery, probes,
-                                           replace(cfg, spread=float(spread))).rate)
+    return [SweepPoint(probes.labels, run_experiment(classifier, gallery, probes,
+                                                     replace(cfg, spread=float(spread))).preds,
+                       param=float(spread), dim=gallery.dim)
             for spread in spread_grid(spreads)]
 
 
@@ -336,14 +338,13 @@ def sweep_spread(gallery: Features, probes: Features, classifier: str,
 # summary table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TableRow:
+@dataclass(eq=False)
+class TableRow(Outcome):
     key: str          # machine name, e.g. "nn:mad" or "fusion:rbf+nn:mad"
     feature: str      # "dct" or "eigenfaces"
     dim: int
     classifier: str   # display label
     paper_rate: float
-    measured_rate: float
 
 
 TABLE_TARGETS = (
@@ -405,19 +406,17 @@ def table1_report(split: Split, cfg: EvalConfig = EvalConfig(),
     out = []
     for feature, dim, key, label, paper_rate in targets:
         gal, probes = (replace(f, matrix=f.matrix[:, :dim]) for f in features[feature])
-        rate = best[key].rate if key in best else run_experiment(key, gal, probes, cfg).rate
-        out.append(TableRow(key=key, feature=feature, dim=gal.dim, classifier=label,
-                            paper_rate=paper_rate, measured_rate=rate))
+        run = best[key] if key in best else run_experiment(key, gal, probes, cfg)
+        out.append(TableRow(run.truth, run.preds, key=key, feature=feature, dim=gal.dim,
+                            classifier=label, paper_rate=paper_rate))
     return out
 
 
 def format_table(rows: Sequence[TableRow]) -> str:
     header = f"{'feature':<12} {'dim':>4} {'classifier':<14} {'paper':>6} {'measured':>9}"
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(f"{r.feature:<12} {r.dim:>4} {r.classifier:<14} "
-                     f"{r.paper_rate:>6.1f} {r.measured_rate:>9.1f}")
-    return "\n".join(lines)
+    return "\n".join([header, "-" * len(header), *(
+        f"{r.feature:<12} {r.dim:>4} {r.classifier:<14} {r.paper_rate:>6.1f} {r.rate:>9.1f}"
+        for r in rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +476,7 @@ def write_curve_csv(points: Sequence[SweepPoint], path: str | Path,
 def write_table_csv(rows: Sequence[TableRow], path: str | Path) -> None:
     _write_csv(path, ["feature", "dim", "classifier", "paper_rate", "measured_rate"],
                ([r.feature, r.dim, r.classifier, f"{r.paper_rate:.1f}",
-                 f"{r.measured_rate:.1f}"] for r in rows))
+                 f"{r.rate:.1f}"] for r in rows))
 
 
 def write_training_log(curve: np.ndarray, path: str | Path) -> None:

@@ -134,6 +134,13 @@ def gallery_of(matrix, labels) -> Features:
     return Features(matrix, labels, np.arange(len(labels)), "test")
 
 
+def compared(record) -> dict:
+    """A sweep point's or table row's fields with its rate, its arrays as
+    lists: records hold arrays, so ``==`` on them is identity."""
+    return {**vars(record), "truth": record.truth.tolist(), "preds": record.preds.tolist(),
+            "rate": record.rate}
+
+
 def read_features_csv(path) -> Features:
     """Read back the features ``write_features_csv`` wrote (the oracle of its
     round trip), refusing rows whose ids or dims do not parse."""

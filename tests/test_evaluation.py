@@ -13,9 +13,9 @@ from faceid.classifiers import (
 from faceid.dataset import Corpus, Split, synth_corpus
 from faceid.eigenfaces import RankError
 from faceid.evaluation import (
-    DCT, KLT, RECTANGULAR, EvalConfig, SweepPoint,
+    DCT, KLT, RECTANGULAR, EvalConfig, Outcome, SweepPoint,
     TABLE_TARGETS, default_dim_grid,
-    extract_split_features, format_table, identification_rate,
+    extract_split_features, format_table,
     parse_classifier_spec, run_experiment, sweep_dimension, sweep_spread,
     table1_report, write_curve_csv, write_fusion_report, write_manifest,
     write_result_csv, write_table_csv,
@@ -23,31 +23,36 @@ from faceid.evaluation import (
 from faceid import evaluation
 from faceid.transforms import SECTORIAL, ZonalMask
 
+from conftest import compared
+
 
 # ---------------------------------------------------------------------------
 # identification rate
 
 
 def test_rate_trivial_cases():
-    assert identification_rate([1, 2], [1, 2]) == 100.0
-    assert identification_rate([1, 2], [2, 1]) == 0.0
-    assert identification_rate([1, 2], [1, 1]) == 50.0
+    assert Outcome([1, 2], [1, 2]).rate == 100.0
+    assert Outcome([1, 2], [2, 1]).rate == 0.0
+    assert Outcome([1, 2], [1, 1]).rate == 50.0
     # a plain float, so that the CSV writers print it as before
-    assert type(identification_rate(np.array([3, 4]), np.array([3, 9]))) is float
+    assert type(Outcome(np.array([3, 4]), np.array([3, 9])).rate) is float
 
 
 def test_rate_example_from_protocol():
-    assert identification_rate([1] * 200, [1] * 185 + [2] * 15) == 92.5
+    assert Outcome([1] * 200, [1] * 185 + [2] * 15).rate == 92.5
 
 
 def test_rate_empty():
     with pytest.raises(ValueError, match="at least one probe"):
-        identification_rate([], [])
+        Outcome([], [])
 
 
 def test_rate_refuses_misaligned_ids():
     with pytest.raises(ValueError, match="align"):
-        identification_rate([1, 2, 3], [1, 2])
+        Outcome([1, 2, 3], [1, 2])
+    # every record refuses them when built, not when its rate is read
+    with pytest.raises(ValueError, match="align"):
+        SweepPoint([1, 2, 3], [1, 2], param=1.0, dim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +93,8 @@ def test_nn_experiment_structure(dct_features):
     assert result.probes is probes
     assert result.preds.shape == (len(probes),)
     assert result.fused.shape == (len(probes), gal.subject_ids.size)
-    assert result.rate == identification_rate(probes.labels, result.preds)
+    assert result.truth is probes.labels
+    assert result.rate == Outcome(probes.labels, result.preds).rate
     assert 0.0 <= result.rate <= 100.0
 
 
@@ -184,8 +190,10 @@ def test_dimension_sweep_klt_slicing_matches_retraining(small_split):
     points = sweep_dimension(small_split, KLT, grid=grid)
     for pt in points:
         gal, probes = extract_split_features(small_split, KLT, dim=pt.dim)
-        want = run_experiment("nn:mad", gal, probes).rate
-        assert pt.rate == want
+        run = run_experiment("nn:mad", gal, probes)
+        assert pt.rate == run.rate
+        assert np.array_equal(pt.preds, run.preds)
+        assert np.array_equal(pt.truth, probes.labels)
 
 
 def test_dimension_sweep_klt_rank_guard(small_split):
@@ -258,7 +266,8 @@ def test_spread_sweep(dct_features):
         sweep_spread(gal, probes, "nn:mad", spreads=[1.0])
     with pytest.raises(ValueError, match="pnn or rbf"):
         sweep_spread(gal, probes, "fusion:pnn+rbf", spreads=[1.0])
-    assert sweep_spread(gal, probes, " PNN ", spreads=[2.0, 0.5, 1.0]) == points
+    again = sweep_spread(gal, probes, " PNN ", spreads=[2.0, 0.5, 1.0])
+    assert [compared(pt) for pt in again] == [compared(pt) for pt in points]
     with pytest.raises(ValueError, match="positive"):
         sweep_spread(gal, probes, "pnn", spreads=[0.0, 1.0])
     with pytest.raises(ValueError, match="empty"):
@@ -281,9 +290,12 @@ def test_spread_sweep_matches_one_experiment_per_spread(dct_features, classifier
     cfg = EvalConfig(max_centers=10)
     spreads = [0.5, 1.0, 3.0, 20.0]
     points = sweep_spread(gal, probes, classifier, spreads, cfg)
-    want = [run_experiment(classifier, gal, probes, replace(cfg, spread=s)).rate
-            for s in spreads]
-    assert [pt.rate for pt in points] == want
+    runs = [run_experiment(classifier, gal, probes, replace(cfg, spread=s)) for s in spreads]
+    assert [pt.rate for pt in points] == [run.rate for run in runs]
+    # each point keeps its run's predictions, and its truth is the probes' labels
+    for point, run in zip(points, runs):
+        assert np.array_equal(point.preds, run.preds)
+        assert np.array_equal(point.truth, probes.labels)
     # and each rate is the raw arg-max of a model trained at that spread alone
     for spread, point in zip(spreads, points):
         if classifier == "pnn":
@@ -291,7 +303,8 @@ def test_spread_sweep_matches_one_experiment_per_spread(dct_features, classifier
         else:
             scores = rbf_scores(rbf_train(gal, spread, cfg.max_centers), probes.matrix)
         preds = gal.subject_ids[np.argmax(scores, axis=1)]
-        assert point.rate == identification_rate(probes.labels, preds)
+        assert np.array_equal(point.preds, preds)
+        assert point.rate == Outcome(probes.labels, preds).rate
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +324,7 @@ def test_table_has_every_benchmark_row(table_rows):
     assert len(rows) == len(TABLE_TARGETS) == 10
     assert [r.key for r in rows] == [t[2] for t in TABLE_TARGETS]
     assert [r.paper_rate for r in rows] == [t[4] for t in TABLE_TARGETS]
-    assert all(0.0 <= r.measured_rate <= 100.0 for r in rows)
+    assert all(0.0 <= r.rate <= 100.0 for r in rows)
 
 
 def test_table_dims_clamp_to_corpus(table_rows):
@@ -330,7 +343,7 @@ def test_table_kernel_and_fusion_rows_follow_the_sweeps(table_rows):
     split, cfg, rows = table_rows
     gal, probes = extract_split_features(split, DCT, mask=ZonalMask.rectangular(10))
     curves = {name: sweep_spread(gal, probes, name, [0.9, 2.0], cfg) for name in ("pnn", "rbf")}
-    by_key = {row.key: row.measured_rate for row in rows}
+    by_key = {row.key: row.rate for row in rows}
     for name, curve in curves.items():
         assert by_key[name] == max(pt.rate for pt in curve)
     rbf_best = max(curves["rbf"], key=lambda pt: pt.rate).param
@@ -341,7 +354,25 @@ def test_table_kernel_and_fusion_rows_follow_the_sweeps(table_rows):
     fused_at = {spread: run_experiment("fusion:rbf+nn:mad", gal, probes,
                                        replace(cfg, spread=spread)).rate
                 for spread in (0.9, 20.0)}
-    assert row.measured_rate == fused_at[20.0] != fused_at[0.9]
+    assert row.rate == fused_at[20.0] != fused_at[0.9]
+
+
+def test_table_rows_keep_their_sources_predictions(table_rows):
+    # a PNN/RBF row keeps its sweep's first best point's predictions, and any
+    # other row those of its one run at RBF's first best spread
+    split, cfg, rows = table_rows
+    features = {"dct": extract_split_features(split, DCT, mask=ZonalMask.rectangular(10)),
+                "eigenfaces": extract_split_features(split, KLT, dim=200, clamp=True)}
+    best = {name: max(sweep_spread(*features["dct"], name, [0.9, 2.0], cfg),
+                      key=lambda pt: pt.rate) for name in ("pnn", "rbf")}
+    run_cfg = replace(cfg, spread=best["rbf"].param)
+    for row in rows:
+        gal, probes = features[row.feature]
+        source = (best[row.key] if row.key in best
+                  else run_experiment(row.key, gal, probes, run_cfg))
+        assert np.array_equal(row.preds, source.preds), row.key
+        assert np.array_equal(row.truth, probes.labels), row.key
+        assert row.rate == source.rate, row.key
 
 
 def test_table_rows_filter(table_rows):
@@ -369,7 +400,8 @@ def test_table_rows_filter_runs_only_needed_sweeps(table_rows, monkeypatch,
     monkeypatch.setattr(evaluation, "sweep_spread", counted)
     rows = table1_report(split, cfg, rows_filter=rows_filter, spreads=[0.9, 2.0])
     assert calls == swept
-    assert rows == [r for r in all_rows if r.key.startswith(rows_filter)]
+    assert [compared(r) for r in rows] == [compared(r) for r in all_rows
+                                           if r.key.startswith(rows_filter)]
 
 
 def count_eigensolves(monkeypatch) -> dict:
@@ -406,7 +438,9 @@ def test_table_fits_one_eigenbasis(monkeypatch, rows_filter, fits, dims):
     for row in rows:
         if row.feature == "eigenfaces":
             gal, probes = extract_split_features(split, KLT, dim=row.dim)
-            assert row.measured_rate == run_experiment(row.key, gal, probes, cfg).rate
+            run = run_experiment(row.key, gal, probes, cfg)
+            assert row.rate == run.rate
+            assert np.array_equal(row.preds, run.preds)
 
 
 def test_table_rows_filter_matching_nothing_transforms_nothing(table_rows, monkeypatch):
@@ -485,8 +519,9 @@ def test_fusion_report_csv(tmp_path, dct_features):
 
 
 def test_curve_csv(tmp_path):
-    points = [SweepPoint(param=1.0, dim=1, rate=50.0),
-              SweepPoint(param=2.0, dim=4, rate=75.5)]
+    # 1 of 2 probes right, then 151 of 200
+    points = [SweepPoint([1, 2], [1, 1], param=1.0, dim=1),
+              SweepPoint([1] * 200, [1] * 151 + [2] * 49, param=2.0, dim=4)]
     path = tmp_path / "curve.csv"
     write_curve_csv(points, path, "side")
     lines = path.read_text().splitlines()

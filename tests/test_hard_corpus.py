@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from faceid.dataset import Corpus, Split
-from faceid.evaluation import NN_MAD, NN_MSE, extract_split_features, run_experiment
+from faceid.evaluation import NN_MAD, NN_MSE, Outcome, extract_split_features, run_experiment
 from faceid.transforms import DCT, KLT, ZonalMask
 
 
@@ -64,14 +64,21 @@ PINNED = {
 
 @functools.lru_cache(maxsize=None)
 def nn_outcomes(seed: int) -> dict:
-    """Per NN metric, the per-probe correct vectors of DCT rect:10 and of
-    KLT-100 on the ORL-shaped corpus (40 x 10 of 112 x 92), split 5/5."""
+    """Per NN metric, the outcomes of DCT rect:10 and of KLT-100 on the
+    ORL-shaped corpus (40 x 10 of 112 x 92), split 5/5."""
     split = Split(hard_corpus(seed, 40, 10, 112, 92), 5)
     features = (extract_split_features(split, DCT, mask=ZonalMask.rectangular(10)),
                 extract_split_features(split, KLT, dim=100))
-    return {metric: tuple(run_experiment(metric, gallery, probes).preds == probes.labels
-                          for gallery, probes in features)
+    return {metric: tuple(run_experiment(metric, gallery, probes) for gallery, probes in features)
             for metric in (NN_MAD, NN_MSE)}
+
+
+def discordant(a: Outcome, b: Outcome) -> tuple[int, int]:
+    """The probes only ``a`` gets right, and those only ``b`` gets right:
+    the pairs McNemar's test counts. Both must score the same probes."""
+    assert np.array_equal(a.truth, b.truth)
+    right_a, right_b = a.truth == a.preds, b.truth == b.preds
+    return int(np.count_nonzero(right_a & ~right_b)), int(np.count_nonzero(right_b & ~right_a))
 
 
 def mcnemar_exact(b: int, c: int) -> float:
@@ -85,20 +92,17 @@ def mcnemar_exact(b: int, c: int) -> float:
 def test_hard_corpus_nn_rates_and_discordant_probes(seed):
     outcomes = nn_outcomes(seed)
     for metric in (NN_MAD, NN_MSE):
-        rates = tuple(100.0 * np.count_nonzero(correct) / correct.size
-                      for correct in outcomes[metric])
-        assert rates == PINNED[seed][metric], metric
+        assert tuple(run.rate for run in outcomes[metric]) == PINNED[seed][metric], metric
     dct, klt = outcomes[NN_MAD]
-    assert dct.size == 200
-    assert (int(np.count_nonzero(dct & ~klt)),
-            int(np.count_nonzero(klt & ~dct))) == PINNED[seed]["discordant"]
+    assert dct.truth.size == 200
+    assert discordant(dct, klt) == PINNED[seed]["discordant"]
 
 
 def test_hard_corpus_pooled_mcnemar_favours_dct():
     # DCT loses on seed 3, so the claim is pinned pooled, not per seed
-    pairs = [nn_outcomes(seed)[NN_MAD] for seed in PINNED]
-    dct_only = sum(int(np.count_nonzero(dct & ~klt)) for dct, klt in pairs)
-    klt_only = sum(int(np.count_nonzero(klt & ~dct)) for dct, klt in pairs)
+    counts = [discordant(*nn_outcomes(seed)[NN_MAD]) for seed in PINNED]
+    dct_only = sum(b for b, _ in counts)
+    klt_only = sum(c for _, c in counts)
     assert (dct_only, klt_only) == (92, 49)
     assert f"{mcnemar_exact(dct_only, klt_only):.1e}" == "3.7e-04"
 

@@ -359,6 +359,13 @@ def test_config_validation():
         EvalConfig(max_centers=0)
     with pytest.raises(ValueError, match="fusion_mode must be one of"):
         EvalConfig(fusion_mode="bogus")
+    # the seed and the counts are integers, the seed nonnegative
+    for knobs in (dict(seed=-1), dict(seed=1.5), dict(seed=2.0), dict(hidden=2.5),
+                  dict(epochs=2.5), dict(epochs=3.0), dict(max_centers=2.5)):
+        with pytest.raises(ValueError, match=f"{next(iter(knobs))} must be >= "):
+            EvalConfig(**knobs)
+    # numpy integers are integers
+    assert EvalConfig(seed=np.int64(3), epochs=np.int32(5)).epochs == 5
 
 
 def test_config_is_frozen():

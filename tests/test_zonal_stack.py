@@ -17,7 +17,7 @@ from faceid.dataset import (
 )
 from faceid.eigenfaces import project, train_eigenbasis
 from faceid.evaluation import (
-    decide, identification_rate, extract_split_features, sweep_dimension,
+    Outcome, decide, extract_split_features, sweep_dimension,
 )
 from faceid.fusion import MODES, normalize_scores
 from faceid.transforms import (
@@ -25,7 +25,9 @@ from faceid.transforms import (
     ZonalMask, mask_features, transform_corpus, zone_keeps,
 )
 
-from conftest import FROZEN_LOWER, corpus_pixels, frozen_normalize_scores, gallery_of
+from conftest import (
+    FROZEN_LOWER, compared, corpus_pixels, frozen_normalize_scores, gallery_of,
+)
 
 # ---------------------------------------------------------------------------
 # frozen copy of the per-image path: full transform of every image, the mask
@@ -97,8 +99,8 @@ def frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low):
         scores = nn_scores(frozen_matrix(probe_coeffs, mask, complex_mode, r_low),
                            gallery, MAD)
         preds, _ = decide([scores], gallery.subject_ids)
-        rate = identification_rate(probe_labels, preds)
-        points.append((float(value), gal.shape[1], rate))
+        points.append((float(value), gal.shape[1], Outcome(probe_labels, preds).rate,
+                       preds.tolist()))
     return points
 
 
@@ -121,7 +123,7 @@ def assert_sweep_equal(split, kind, mask_shape, grid, complex_mode, r_low):
     points = sweep_dimension(split, kind, mask_shape, grid,
                              complex_mode=complex_mode, r_low=r_low)
     want = frozen_sweep(split, kind, mask_shape, grid, complex_mode, r_low)
-    assert [(pt.param, pt.dim, pt.rate) for pt in points] == want
+    assert [(pt.param, pt.dim, pt.rate, pt.preds.tolist()) for pt in points] == want
     return points
 
 
@@ -200,8 +202,8 @@ def test_loaded_split_features_equal_its_float_copy(pgm_split):
         for got, want in zip(extract_split_features(pgm_split, kind, **options),
                              extract_split_features(floats, kind, **options)):
             assert np.array_equal(got.matrix, want.matrix)
-    assert (sweep_dimension(pgm_split, KLT, grid=[1, 2, 5, 9])
-            == sweep_dimension(floats, KLT, grid=[1, 2, 5, 9]))
+    assert ([compared(pt) for pt in sweep_dimension(pgm_split, KLT, grid=[1, 2, 5, 9])]
+            == [compared(pt) for pt in sweep_dimension(floats, KLT, grid=[1, 2, 5, 9])])
     assert corpus_checksum(corpus) == corpus_checksum(floats.corpus)
 
 
