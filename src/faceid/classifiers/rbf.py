@@ -138,8 +138,7 @@ def rbf_train(gallery: Features, spread: float,
 
 def rbf_scores(model: RBFModel, probes: np.ndarray) -> np.ndarray:
     """(k, S) linear-layer outputs; the probes are z-scored here."""
-    z = zscore(probes, model)
-    acts = radbas(z_distances(z, model.centers), model.spread)
+    acts = radbas(z_distances(zscore(probes, model), model.centers), model.spread)
     # one mat-vec per probe keeps the bits of a row-by-row `weights @ a`
     outputs = np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
     return finite_scores(outputs)

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -24,7 +25,7 @@ from .transforms import (
     ZonalMask, ZoneError,
 )
 from .eigenfaces import RankError
-from .classifiers import DivergenceError, MLPModel, RBFModel, collapse_counts
+from .classifiers import DivergenceError, MLPModel, RBFModel, collapse_counts, pnn_fallbacks
 from .evaluation import (
     DEFAULT_MASK_SIDE, KERNEL_CLASSIFIERS, LEARNERS, MLP_NAME, RBF_NAME, SPREAD_GRID,
     TRAIN_SAMPLES, EvalConfig, dim_grid, extract_split_features, format_table,
@@ -444,12 +445,6 @@ def feature_options(args: argparse.Namespace) -> dict:
     return options
 
 
-def prepare_out(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def emit_manifest(out: Path, args: argparse.Namespace, split: Split) -> None:
     """Write manifest.json, listing the run's outputs; warn (but proceed) if
     an earlier manifest in the same directory recorded a different dataset."""
@@ -476,30 +471,27 @@ def emit_manifest(out: Path, args: argparse.Namespace, split: Split) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_extract(args: argparse.Namespace) -> int:
+def cmd_extract(args: argparse.Namespace) -> tuple[Split, dict, str]:
     options = feature_options(args)
     split = load_split(args)
     gal, probes = extract_split_features(split, **options)
-    out = prepare_out(args)
-    write_features_csv(gal, out / "gallery.csv")
-    write_features_csv(probes, out / "probes.csv")
-    emit_manifest(out, args, split)
-    print(f"wrote {len(gal)} gallery + {len(probes)} probe vectors "
-          f"(dim {gal.dim}) to {out}")
-    return EXIT_OK
+    return split, {"gallery.csv": partial(write_features_csv, gal),
+                   "probes.csv": partial(write_features_csv, probes)}, (
+        f"wrote {len(gal)} gallery + {len(probes)} probe vectors "
+        f"(dim {gal.dim}) to {Path(args.out)}")
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> tuple[Split, dict, str]:
     options = feature_options(args)
     split = load_split(args)
     gal, probes = extract_split_features(split, **options)
     result = run_experiment(args.classifier, gal, probes, make_eval_config(args))
-    out = prepare_out(args)
-    write_result_csv(result, out / "result.csv")
+    writers = {"result.csv": partial(write_result_csv, result),
+               "fusion_report.csv": partial(write_fusion_report, result)}
     for name, model in result.models.items():
-        save_model(model, out / f"model_{name}.npz")
+        writers[f"model_{name}.npz"] = partial(save_model, model)
         if isinstance(model, MLPModel):
-            write_training_log(model.curve, out / "training_log.csv")
+            writers["training_log.csv"] = partial(write_training_log, model.curve)
             print(f"{name}: SCG stopped after {model.curve.size - 1} epochs "
                   f"({model.stop_reason}), last lambda {model.last_lambda:.6g}",
                   file=sys.stderr)
@@ -509,14 +501,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                   f"by the tie rule, final residual {model.residuals[-1]:.6g}, "
                   f"{at_bias}/{len(probes)} probes at the bias, predictions span "
                   f"{subjects}/{model.subject_ids.size} subjects", file=sys.stderr)
-    if len(result.scores) > 1:
-        write_fusion_report(result, out / "fusion_report.csv")
-    emit_manifest(out, args, split)
-    print(f"identification rate: {result.rate:.1f}%")
-    return EXIT_OK
+        else:  # PNN
+            print(f"{name}: {pnn_fallbacks(model, probes.matrix)}/{len(probes)} probes "
+                  f"took the nearest-neighbor fallback (every activation underflowed "
+                  f"at spread {model.spread:g})", file=sys.stderr)
+    return split, writers, f"identification rate: {result.rate:.1f}%"
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[Split, dict, str]:
     options = feature_options(args)
     if args.axis == "dim":
         # sector radii may be fractional; rect sides and KLT dims are integers
@@ -537,25 +529,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gal, probes = extract_split_features(split, **options)
         points = sweep_spread(gal, probes, args.classifier, spreads,
                               make_eval_config(args))
-    out = prepare_out(args)
-    write_curve_csv(points, out / "curve.csv", "param" if args.axis == "dim" else "spread")
-    emit_manifest(out, args, split)
     best = max(points, key=lambda pt: pt.rate)
-    print(f"{len(points)} points; best rate {best.rate:.1f}% at "
-          f"{args.axis}={best.param:g}")
-    return EXIT_OK
+    column = "param" if args.axis == "dim" else "spread"
+    return split, {"curve.csv": partial(write_curve_csv, points, param_name=column)}, (
+        f"{len(points)} points; best rate {best.rate:.1f}% at {args.axis}={best.param:g}")
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
+def cmd_table1(args: argparse.Namespace) -> tuple[Split, dict, str]:
     spreads = parsed(args, "spreads", read_spreads)
     split = load_split(args)
-    rows = table1_report(split, make_eval_config(args),
-                         rows_filter=args.rows, spreads=spreads)
-    out = prepare_out(args)
-    write_table_csv(rows, out / "table1.csv")
-    emit_manifest(out, args, split)
-    print(format_table(rows))
-    return EXIT_OK
+    rows = table1_report(split, make_eval_config(args), rows_filter=args.rows, spreads=spreads)
+    return split, {"table1.csv": partial(write_table_csv, rows)}, format_table(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +593,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         resolve_options(args)
         refuse_taken_out(args)
-        return COMMANDS[args.command][0](args)
+        # the command's split, a writer per output name it can produce, its summary
+        split, writers, summary = COMMANDS[args.command][0](args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name in output_names(args):
+            writers[name](out / name)
+        emit_manifest(out, args, split)
+        print(summary)
+        return EXIT_OK
     except DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -308,6 +308,20 @@ def test_evaluate_pnn_saves_model(tmp_path):
     assert model.spread == 1.5
 
 
+@pytest.mark.parametrize("spread,fallbacks", [("0.1", 10), ("0.9", 0)])
+def test_evaluate_pnn_reports_fallbacks_on_stderr(tmp_path, capsys, spread, fallbacks):
+    # the default corpus's z-space gallery distances lie far above 0.1 and
+    # reach 0.9: at 0.1 every probe takes the fallback, at 0.9 none does
+    out = tmp_path / "out"
+    assert run(["evaluate", "--synth", "", "--classifier", "pnn", "--spread", spread,
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        f"pnn: {fallbacks}/10 probes took the nearest-neighbor fallback (every "
+        f"activation underflowed at spread {spread})\n")
+    for path in out.iterdir():
+        assert b"fallback" not in path.read_bytes()
+
+
 def test_evaluate_mlp_writes_training_log(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["evaluate", "--synth", SYNTH, "--classifier", "mlp",
@@ -1148,6 +1162,33 @@ def test_out_naming_a_file_is_refused_before_the_corpus_is_read(tmp_path, capsys
     assert not any(line.startswith("error:") for line in err[1:])
     assert existing.read_bytes() == b"not a directory\n"
     assert list(tmp_path.iterdir()) == [existing]
+
+
+WRITERS = ("write_features_csv", "write_result_csv", "save_model", "write_training_log",
+           "write_fusion_report", "write_curve_csv", "write_table_csv", "write_manifest")
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract"], ["evaluate", "--classifier", "fusion:mlp+pnn+rbf", "--epochs", "5"],
+    ["evaluate", "--classifier", "nn:mse"],
+    ["sweep", "--axis", "spread", "--classifier", "rbf", "--spreads", "0.5,1"],
+    ["table1", "--rows", "nn"],
+], ids=["extract", "evaluate-fusion", "evaluate-nn", "sweep", "table1"])
+def test_main_writes_each_listed_output_once_then_the_manifest(tmp_path, monkeypatch, argv):
+    # every writer is the faceid.cli global, called with the file's path as its
+    # second positional argument (where bench/tracer.py reads the bytes written)
+    written = []
+    for name in WRITERS:
+        def record(*args, _write=getattr(cli, name), **kwargs):
+            written.append(Path(args[1]))
+            return _write(*args, **kwargs)
+        monkeypatch.setattr(cli, name, record)
+    out = tmp_path / "out"
+    assert run([*argv, "--synth", SYNTH, "--out", str(out)]) == 0
+    args = Namespace(**json.loads((out / "manifest.json").read_text())["config"],
+                     command=argv[0])
+    assert written == [out / name for name in [*cli.output_names(args), "manifest.json"]]
+    assert sorted(out.iterdir()) == sorted(written)
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,13 +8,14 @@ from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
     EvalConfig, PNNModel, RBFModel, make_targets,
-    collapse_counts, mlp_train, pnn_classify, pnn_train, radbas_bias, rbf_scores,
-    rbf_train,
+    collapse_counts, mlp_train, pnn_classify, pnn_fallbacks, pnn_train, radbas_bias,
+    rbf_scores, rbf_train,
 )
 from faceid.classifiers.common import z_distances
 from faceid.classifiers.mlp import GRAD_TOL
 from faceid.classifiers.pnn import radbas
 from faceid.classifiers.rbf import TIE_RTOL, _pick, _solve_linear
+from faceid.dataset import Split, synth_corpus
 from faceid.evaluation import FORMAT_VERSION, SPREAD_GRID, extract_split_features, save_model
 from faceid.fusion import fuse_mean, normalize_scores
 from faceid.transforms import DCT, ZonalMask
@@ -98,6 +99,7 @@ def test_pnn_total_underflow_falls_back_to_one_hot():
     scored = pnn_classify(model, np.array([[0.1], [0.9]]))
     assert np.array_equal(scored, [[1.0, 0.0], [0.0, 1.0]])
     assert decide(model, scored) == [1, 2]
+    assert pnn_fallbacks(model, np.array([[0.1], [0.9]])) == 2
 
 
 def test_pnn_underflow_fallback_is_per_probe():
@@ -107,6 +109,22 @@ def test_pnn_underflow_fallback_is_per_probe():
     scores = pnn_classify(model, np.array([[0.5], [200.0]]))
     assert np.array_equal(scores[0], [0.5, 0.5])
     assert np.array_equal(scores[1], [0.0, 1.0])
+    assert pnn_fallbacks(model, np.array([[0.5], [200.0]])) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pnn_fallbacks_on_orl_shaped_corpora(orl_split, seed):
+    # each probe's nearest DCT rect:10 center lies 3.34-13.5 away in z-space
+    # on seeds 0-2, and an activation underflows to 0 beyond 3.28 at spread
+    # 0.1 and beyond 29.5 at 0.9: every probe falls back at 0.1, none at 0.9
+    split = orl_split if seed == 0 else Split(synth_corpus(seed, 40, 10, 112, 92), 5)
+    gallery, probes = extract_split_features(split, DCT, mask=ZonalMask.rectangular(10))
+    z = (probes.matrix - gallery.mean) / gallery.std
+    for spread, fallbacks in ((0.1, 200), (0.9, 0)):
+        model = pnn_train(gallery, spread)
+        acts = np.exp(-(cdist(z, model.centers) * radbas_bias(spread)) ** 2)
+        assert pnn_fallbacks(model, probes.matrix) == np.all(acts == 0.0, axis=1).sum()
+        assert pnn_fallbacks(model, probes.matrix) == fallbacks
 
 
 def test_pnn_batch_matches_per_probe_loop():
