@@ -18,8 +18,8 @@ from .mlp import (
     pack_params,
     unpack_params,
 )
-from .pnn import PNNModel, pnn_classify, pnn_fallbacks, pnn_train, radbas_bias
-from .rbf import RBFModel, collapse_counts, rbf_scores, rbf_train
+from .pnn import PNNModel, pnn_classify, pnn_train, radbas_bias
+from .rbf import RBFModel, rbf_scores, rbf_train
 
 __all__ = [
     "EvalConfig", "Features", "STD_FLOOR", "make_targets",
@@ -27,6 +27,6 @@ __all__ = [
     "DivergenceError", "MLPModel",
     "mlp_scores", "mlp_train",
     "msereg_gradient", "msereg_loss", "pack_params", "unpack_params",
-    "PNNModel", "pnn_classify", "pnn_fallbacks", "pnn_train", "radbas_bias",
-    "RBFModel", "collapse_counts", "rbf_scores", "rbf_train",
+    "PNNModel", "pnn_classify", "pnn_train", "radbas_bias",
+    "RBFModel", "rbf_scores", "rbf_train",
 ]

@@ -49,28 +49,19 @@ def pnn_train(gallery: Features, spread: float) -> PNNModel:
                     norm_mean=gallery.mean.copy(), norm_std=gallery.std.copy())
 
 
-def _activation_sums(model: PNNModel, probes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(k, n) z-space distances to the centers, (k, S) per-subject sums, (k, 1) totals."""
-    dists = z_distances(zscore(probes, model), model.centers)
-    class_sums = per_subject(radbas(dists, model.spread), model.labels, model.subject_ids, np.sum)
-    return dists, class_sums, class_sums.sum(axis=1, keepdims=True)
-
-
-def pnn_fallbacks(model: PNNModel, probes: np.ndarray) -> int:
-    """How many probes :func:`pnn_classify` answers by its nearest-neighbor fallback."""
-    return int(np.count_nonzero(_activation_sums(model, probes)[2] == 0.0))
-
-
-def pnn_classify(model: PNNModel, probes: np.ndarray) -> np.ndarray:
-    """(k, S) class probabilities, each row summing to 1.
+def pnn_classify(model: PNNModel, probes: np.ndarray) -> tuple[np.ndarray, int]:
+    """(k, S) class probabilities, each row summing to 1, and how many probes
+    took the fallback.
 
     A probe whose activations all underflow to zero degrades to a nearest
     neighbor decision on the unsquashed distances, reported as a one-hot row.
     """
-    dists, class_sums, total = _activation_sums(model, probes)
+    dists = z_distances(zscore(probes, model), model.centers)
+    class_sums = per_subject(radbas(dists, model.spread), model.labels, model.subject_ids, np.sum)
+    total = class_sums.sum(axis=1, keepdims=True)
     underflow = total[:, 0] == 0.0
     probs = class_sums / np.where(underflow[:, None], 1.0, total)
     if underflow.any():
         nearest = per_subject(dists[underflow], model.labels, model.subject_ids, np.min)
         probs[underflow] = np.eye(model.subject_ids.size)[np.argmin(nearest, axis=1)]
-    return finite_scores(probs)
+    return finite_scores(probs), int(np.count_nonzero(underflow))

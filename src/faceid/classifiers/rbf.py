@@ -143,12 +143,3 @@ def rbf_scores(model: RBFModel, probes: np.ndarray) -> np.ndarray:
     outputs = np.matmul(model.weights, acts[..., None])[..., 0] + model.biases
     return finite_scores(outputs)
 
-
-def collapse_counts(model: RBFModel, scores: np.ndarray) -> tuple[int, int]:
-    """From the model's (k, S) probe scores: the probes whose outputs all
-    equal the biases (no center's activation reached them, so rounding
-    decides their arg-max), and the distinct subjects the network's own
-    arg-max gives the probes (one when it has collapsed, however few probes
-    sit exactly at the bias)."""
-    return (int(np.all(scores == model.biases, axis=1).sum()),
-            int(np.unique(np.argmax(scores, axis=1)).size))

@@ -25,12 +25,12 @@ from .transforms import (
     ZonalMask, ZoneError,
 )
 from .eigenfaces import RankError
-from .classifiers import DivergenceError, MLPModel, RBFModel, collapse_counts, pnn_fallbacks
+from .classifiers import DivergenceError, MLPModel, RBFModel
 from .evaluation import (
     DEFAULT_MASK_SIDE, KERNEL_CLASSIFIERS, LEARNERS, MLP_NAME, RBF_NAME, SPREAD_GRID,
     TRAIN_SAMPLES, EvalConfig, dim_grid, extract_split_features, format_table,
     parse_classifier_spec, run_experiment, save_model, spread_grid, sweep_dimension,
-    sweep_spread, table1_report, table_classifiers, table_targets, write_curve_csv,
+    stop_line, sweep_spread, table1_report, table_classifiers, table_targets, write_curve_csv,
     write_features_csv, write_fusion_report, write_manifest, write_result_csv,
     write_table_csv, write_training_log,
 )
@@ -492,17 +492,17 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[Split, dict, str]:
         writers[f"model_{name}.npz"] = partial(save_model, model)
         if isinstance(model, MLPModel):
             writers["training_log.csv"] = partial(write_training_log, model.curve)
-            print(f"{name}: SCG stopped after {model.curve.size - 1} epochs "
-                  f"({model.stop_reason}), last lambda {model.last_lambda:.6g}",
-                  file=sys.stderr)
+            print(stop_line(name, model), file=sys.stderr)
         elif isinstance(model, RBFModel):
-            at_bias, subjects = collapse_counts(model, result.scores[name])
+            # the network's own arg-max: one subject when it has collapsed,
+            # however few probes sit exactly at the bias
+            subjects = len(set(result.scores[name].argmax(axis=1).tolist()))
             print(f"{name}: {model.n_centers} centers, {model.tied_picks} picked "
                   f"by the tie rule, final residual {model.residuals[-1]:.6g}, "
-                  f"{at_bias}/{len(probes)} probes at the bias, predictions span "
-                  f"{subjects}/{model.subject_ids.size} subjects", file=sys.stderr)
+                  f"{result.collapsed[name]}/{len(probes)} probes at the bias, predictions "
+                  f"span {subjects}/{model.subject_ids.size} subjects", file=sys.stderr)
         else:  # PNN
-            print(f"{name}: {pnn_fallbacks(model, probes.matrix)}/{len(probes)} probes "
+            print(f"{name}: {result.collapsed[name]}/{len(probes)} probes "
                   f"took the nearest-neighbor fallback (every activation underflowed "
                   f"at spread {model.spread:g})", file=sys.stderr)
     return split, writers, f"identification rate: {result.rate:.1f}%"
@@ -528,7 +528,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Split, dict, str]:
         split = load_split(args)
         gal, probes = extract_split_features(split, **options)
         points = sweep_spread(gal, probes, args.classifier, spreads,
-                              make_eval_config(args))
+                              make_eval_config(args), partial(print, file=sys.stderr))
     best = max(points, key=lambda pt: pt.rate)
     column = "param" if args.axis == "dim" else "spread"
     return split, {"curve.csv": partial(write_curve_csv, points, param_name=column)}, (
@@ -538,7 +538,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Split, dict, str]:
 def cmd_table1(args: argparse.Namespace) -> tuple[Split, dict, str]:
     spreads = parsed(args, "spreads", read_spreads)
     split = load_split(args)
-    rows = table1_report(split, make_eval_config(args), rows_filter=args.rows, spreads=spreads)
+    rows = table1_report(split, make_eval_config(args), rows_filter=args.rows, spreads=spreads,
+                         log=partial(print, file=sys.stderr))
     return split, {"table1.csv": partial(write_table_csv, rows)}, format_table(rows)
 
 

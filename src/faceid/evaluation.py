@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,9 +62,12 @@ LEARNERS = (MLP_NAME, *KERNEL_CLASSIFIERS)
 @dataclass(eq=False)
 class Outcome:
     """Each probe's true and predicted subject ids: the one record every rate
-    is read from, so that any two rates can be compared probe by probe."""
+    is read from, so that any two rates can be compared probe by probe. Each
+    kernel member's collapse count travels with them: the probes no
+    activation reached (PNN's fallbacks, RBF's outputs all at the biases)."""
     truth: np.ndarray      # (k,) true subject id per probe
     preds: np.ndarray      # (k,) predicted subject id per probe
+    collapsed: dict = field(default_factory=dict, kw_only=True)  # count per kernel member
 
     def __post_init__(self):
         self.truth, self.preds = np.asarray(self.truth), np.asarray(self.preds)
@@ -172,19 +175,22 @@ def parse_classifier_spec(spec: str) -> list[str]:
 
 
 def _member_scores(name: str, gallery: Features, probes: np.ndarray,
-                   cfg: EvalConfig) -> tuple[np.ndarray, object | None]:
+                   cfg: EvalConfig) -> tuple[np.ndarray, object | None, int | None]:
     """Train one base classifier (a member of a checked spec) if it learns,
-    then score the probes with it. Returns (scores, trained model or None)."""
+    then score the probes with it. Returns (scores, trained model or None,
+    a kernel member's collapse count or None)."""
     if name in (NN_MAD, NN_MSE):
-        return nn_scores(probes, gallery, MAD if name == NN_MAD else MSE), None
+        return nn_scores(probes, gallery, MAD if name == NN_MAD else MSE), None, None
     if name == MLP_NAME:
         model = mlp_train(gallery, cfg)
-        return mlp_scores(model, probes), model
+        return mlp_scores(model, probes), model, None
     if name == PNN_NAME:
         model = pnn_train(gallery, cfg.spread)
-        return pnn_classify(model, probes), model
+        scores, fallbacks = pnn_classify(model, probes)
+        return scores, model, fallbacks
     model = rbf_train(gallery, cfg.spread, min(cfg.max_centers, len(gallery)))
-    return rbf_scores(model, probes), model
+    scores = rbf_scores(model, probes)
+    return scores, model, int(np.all(scores == model.biases, axis=1).sum())
 
 
 def decide(member_scores: Sequence[np.ndarray], subject_ids: np.ndarray,
@@ -201,16 +207,17 @@ def run_experiment(spec: str, gallery: Features, probes: Features,
                    cfg: EvalConfig = EvalConfig()) -> ExperimentResult:
     """Closed-set identification of every probe under one classifier spec:
     score the probe block with each member (training those that learn) and
-    :func:`decide`. The result carries each member's scores and the trained
-    models by name.
+    :func:`decide`. The result carries each member's scores, the trained
+    models and the kernel members' collapse counts by name.
     """
     scored = {name: _member_scores(name, gallery, probes.matrix, cfg)
               for name in parse_classifier_spec(spec)}
-    scores = {name: member_scores for name, (member_scores, _) in scored.items()}
+    scores = {name: member_scores for name, (member_scores, _, _) in scored.items()}
     preds, fused = decide(list(scores.values()), gallery.subject_ids, cfg.fusion_mode)
-    models = {name: model for name, (_, model) in scored.items() if model is not None}
+    models = {name: model for name, (_, model, _) in scored.items() if model is not None}
+    collapsed = {name: count for name, (_, _, count) in scored.items() if count is not None}
     return ExperimentResult(truth=probes.labels, preds=preds, scores=scores, probes=probes,
-                            fused=fused, models=models)
+                            fused=fused, models=models, collapsed=collapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +323,37 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     return points
 
 
+# what a kernel classifier's collapse count counts
+COLLAPSES = {PNN_NAME: "probes took the nearest-neighbor fallback",
+             RBF_NAME: "probes sat at the bias"}
+
+
+def _collapse_warning(name: str, gallery: Features,
+                     points: Sequence[SweepPoint]) -> str | None:
+    """The one warning for a spread sweep of kernel classifier ``name`` on
+    ``gallery`` in which some probe got no activation: the spreads affected,
+    the worst count, and the gallery's median nearest-neighbor z-distance (the
+    least off-diagonal entry of each row of its cached distances) against the
+    largest spread. None where every count is zero."""
+    hit = [pt for pt in points if pt.collapsed[name]]
+    if not hit:
+        return None
+    worst = max(hit, key=lambda pt: pt.collapsed[name])
+    off_self = np.where(np.eye(len(gallery), dtype=bool), np.inf, gallery.normalized_distances)
+    return (f"warning: {name}: {COLLAPSES[name]} at spread "
+            f"{', '.join(f'{pt.param:g}' for pt in hit)} (worst {worst.collapsed[name]}/"
+            f"{worst.truth.size} at {worst.param:g}); the gallery's median nearest-neighbor "
+            f"z-distance is {np.median(off_self.min(axis=1)):.4g} against a largest spread of "
+            f"{points[-1].param:g}")
+
+
 def sweep_spread(gallery: Features, probes: Features, classifier: str,
                  spreads: Sequence[float] = SPREAD_GRID,
-                 cfg: EvalConfig = EvalConfig()) -> list[SweepPoint]:
+                 cfg: EvalConfig = EvalConfig(),
+                 log: Callable[[str], object] = lambda line: None) -> list[SweepPoint]:
     """One :func:`run_experiment` per spread value for a kernel classifier;
-    each point keeps its run's predictions.
+    each point keeps its run's predictions and collapse count, and ``log``
+    takes the sweep's :func:`_collapse_warning`, if any.
 
     One gallery serves every spread, so its z-space distance matrix is
     computed once.
@@ -328,10 +361,15 @@ def sweep_spread(gallery: Features, probes: Features, classifier: str,
     members = parse_classifier_spec(classifier)
     if len(members) > 1 or members[0] not in KERNEL_CLASSIFIERS:
         raise ValueError(f"spread sweeps apply to {' or '.join(KERNEL_CLASSIFIERS)} only")
-    return [SweepPoint(probes.labels, run_experiment(classifier, gallery, probes,
-                                                     replace(cfg, spread=float(spread))).preds,
-                       param=float(spread), dim=gallery.dim)
-            for spread in spread_grid(spreads)]
+    points = []
+    for spread in map(float, spread_grid(spreads)):
+        run = run_experiment(classifier, gallery, probes, replace(cfg, spread=spread))
+        points.append(SweepPoint(run.truth, run.preds, param=spread, dim=gallery.dim,
+                                 collapsed=run.collapsed))
+    warning = _collapse_warning(members[0], gallery, points)
+    if warning:
+        log(warning)
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +413,8 @@ def table_classifiers(targets: Sequence[tuple]) -> set[str]:
 
 def table1_report(split: Split, cfg: EvalConfig = EvalConfig(),
                   rows_filter: str | None = None,
-                  spreads: Sequence[float] = SPREAD_GRID) -> list[TableRow]:
+                  spreads: Sequence[float] = SPREAD_GRID,
+                  log: Callable[[str], object] = lambda line: None) -> list[TableRow]:
     """Reference-comparison table: every benchmark row, paper vs measured.
 
     One rule serves every row. Each feature is extracted once: the DCT under
@@ -385,7 +424,8 @@ def table1_report(split: Split, cfg: EvalConfig = EvalConfig(),
     features once, and the rows run at RBF's first best spread. A row takes
     its feature's leading ``dim`` columns: a kernel row reports its sweep's
     best rate, as the reference numbers were quoted, and every other row is
-    one :func:`run_experiment`.
+    one :func:`run_experiment`. ``log`` takes each sweep's warning and the
+    MLP row's :func:`stop_line`.
     """
     spreads = spread_grid(spreads)
     targets = table_targets(rows_filter)
@@ -398,7 +438,7 @@ def table1_report(split: Split, cfg: EvalConfig = EvalConfig(),
     if klt_dims:
         features["eigenfaces"] = extract_split_features(split, KLT, dim=max(klt_dims), clamp=True)
     trained = table_classifiers(targets)
-    best = {name: max(sweep_spread(*features["dct"], name, spreads, cfg),
+    best = {name: max(sweep_spread(*features["dct"], name, spreads, cfg, log),
                       key=lambda pt: pt.rate)
             for name in KERNEL_CLASSIFIERS if name in trained}
     if RBF_NAME in best:
@@ -407,8 +447,10 @@ def table1_report(split: Split, cfg: EvalConfig = EvalConfig(),
     for feature, dim, key, label, paper_rate in targets:
         gal, probes = (replace(f, matrix=f.matrix[:, :dim]) for f in features[feature])
         run = best[key] if key in best else run_experiment(key, gal, probes, cfg)
+        if key == MLP_NAME:
+            log(stop_line(key, run.models[key]))
         out.append(TableRow(run.truth, run.preds, key=key, feature=feature, dim=gal.dim,
-                            classifier=label, paper_rate=paper_rate))
+                            classifier=label, paper_rate=paper_rate, collapsed=run.collapsed))
     return out
 
 
@@ -417,6 +459,12 @@ def format_table(rows: Sequence[TableRow]) -> str:
     return "\n".join([header, "-" * len(header), *(
         f"{r.feature:<12} {r.dim:>4} {r.classifier:<14} {r.paper_rate:>6.1f} {r.rate:>9.1f}"
         for r in rows)])
+
+
+def stop_line(name: str, model: MLPModel) -> str:
+    """Why SCG training stopped, and its last lambda."""
+    return (f"{name}: SCG stopped after {model.curve.size - 1} epochs "
+            f"({model.stop_reason}), last lambda {model.last_lambda:.6g}")
 
 
 # ---------------------------------------------------------------------------

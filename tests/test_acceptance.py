@@ -214,7 +214,7 @@ def test_criterion_8_property_battery():
         model = pnn_train(gallery, spread=spread)
         probes = np.stack([gallery.matrix[j] + rng.normal(scale=0.05, size=gallery.dim)
                            for j in (0, 4, 7, 11)])
-        preds, _ = fuse_mean([normalize_scores(pnn_classify(model, probes))],
+        preds, _ = fuse_mean([normalize_scores(pnn_classify(model, probes)[0])],
                              model.subject_ids)
         for probe, pred in zip(probes, preds):
             z = (probe - gallery.mean) / gallery.std

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 import faceid
 from faceid import cli, evaluation
-from faceid.classifiers import PNNModel, rbf_scores, rbf_train
+from faceid.classifiers import PNNModel, pnn, rbf_scores, rbf_train
+from faceid.classifiers.common import z_distances
 from faceid.cli import (
     _DEFAULTS, MAX_GRID_POINTS, OPTIONS, ConfigError, _subcommands, build_parser,
     config_options, finite_float, flag, int_at_least_2, main, make_eval_config,
@@ -320,6 +321,53 @@ def test_evaluate_pnn_reports_fallbacks_on_stderr(tmp_path, capsys, spread, fall
         f"activation underflowed at spread {spread})\n")
     for path in out.iterdir():
         assert b"fallback" not in path.read_bytes()
+
+
+def test_evaluate_pnn_computes_its_probe_distances_once(tmp_path, monkeypatch):
+    # the fallback count comes out of the pass that made the scores: one
+    # (probes, gallery) distance matrix, 5 probes against 25 centers
+    calls = []
+
+    def counted(x, y):
+        calls.append((x.shape[0], y.shape[0]))
+        return z_distances(x, y)
+
+    monkeypatch.setattr(pnn, "z_distances", counted)
+    assert run(["evaluate", "--synth", SYNTH, "--classifier", "pnn", "--spread", "0.1",
+                "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(5, 25)]
+
+
+PNN_COLLAPSE = ("warning: pnn: probes took the nearest-neighbor fallback at spread 0.1 "
+                "(worst 5/5 at 0.1); the gallery's median nearest-neighbor z-distance is "
+                "12.13 against a largest spread of {}\n")
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--axis", "spread", "--classifier", "pnn"],
+                                  ["table1", "--rows", "pnn"]])
+@pytest.mark.parametrize("spreads,err", [("0.1", PNN_COLLAPSE.format("0.1")),
+                                         ("0.1,0.9", PNN_COLLAPSE.format("0.9")),
+                                         ("0.9", "")])
+def test_spread_runs_warn_where_no_activation_reached_a_probe(tmp_path, capsys, argv,
+                                                               spreads, err):
+    # SYNTH's gallery rows lie 12.13 apart in z-space at the median: at 0.1
+    # every probe takes PNN's fallback, at 0.9 none does
+    out = tmp_path / "out"
+    assert run([*argv, "--synth", SYNTH, "--spreads", spreads, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == err
+    for path in out.iterdir():
+        assert b"warning" not in path.read_bytes()
+
+
+def test_table1_reports_why_mlp_training_stopped_as_evaluate_does(tmp_path, capsys):
+    # table1's MLP row trains on evaluate's default features and split
+    outs = {}
+    for argv in (["table1", "--rows", "mlp"], ["evaluate", "--classifier", "mlp"]):
+        assert run([*argv, "--synth", SYNTH, "--epochs", "30", "--out",
+                    str(tmp_path / argv[0])]) == 0
+        outs[argv[0]] = capsys.readouterr().err
+    assert outs["table1"] == outs["evaluate"]
+    assert outs["table1"].startswith("mlp: SCG stopped after 30 epochs (epoch budget), ")
 
 
 def test_evaluate_mlp_writes_training_log(tmp_path, capsys):

@@ -116,7 +116,7 @@ def test_single_member_decision_matches_raw_arg_best(dct_features):
     gallery, probes = dct_features
     block = probes.matrix
     cfg = EvalConfig(spread=2.0, max_centers=12, epochs=30, hidden=5)
-    scorers = {"mlp": mlp_scores, "pnn": pnn_classify, "rbf": rbf_scores}
+    scorers = {"mlp": mlp_scores, "pnn": lambda *a: pnn_classify(*a)[0], "rbf": rbf_scores}
     for spec in ("nn:mad", "nn:mse", "mlp", "pnn", "rbf"):
         result = run_experiment(spec, gallery, probes, cfg)
         # nearest neighbor trains nothing
@@ -292,14 +292,16 @@ def test_spread_sweep_matches_one_experiment_per_spread(dct_features, classifier
     points = sweep_spread(gal, probes, classifier, spreads, cfg)
     runs = [run_experiment(classifier, gal, probes, replace(cfg, spread=s)) for s in spreads]
     assert [pt.rate for pt in points] == [run.rate for run in runs]
-    # each point keeps its run's predictions, and its truth is the probes' labels
+    # each point keeps its run's predictions and collapse count, and its truth
+    # is the probes' labels
     for point, run in zip(points, runs):
         assert np.array_equal(point.preds, run.preds)
         assert np.array_equal(point.truth, probes.labels)
+        assert point.collapsed == run.collapsed and list(run.collapsed) == [classifier]
     # and each rate is the raw arg-max of a model trained at that spread alone
     for spread, point in zip(spreads, points):
         if classifier == "pnn":
-            scores = pnn_classify(pnn_train(gal, spread), probes.matrix)
+            scores, _ = pnn_classify(pnn_train(gal, spread), probes.matrix)
         else:
             scores = rbf_scores(rbf_train(gal, spread, cfg.max_centers), probes.matrix)
         preds = gal.subject_ids[np.argmax(scores, axis=1)]
@@ -373,6 +375,36 @@ def test_table_rows_keep_their_sources_predictions(table_rows):
         assert np.array_equal(row.preds, source.preds), row.key
         assert np.array_equal(row.truth, probes.labels), row.key
         assert row.rate == source.rate, row.key
+        assert row.collapsed == source.collapsed, row.key
+
+
+def test_table_logs_each_collapsed_sweep_and_the_mlp_stop(table_rows):
+    # at spread 0.01 no activation reaches any probe, at 20 every one is reached
+    split, cfg, rows = table_rows
+    lines = []
+    logged = table1_report(split, cfg, spreads=[0.01, 0.9, 20.0], log=lines.append)
+    gal, _ = extract_split_features(split, DCT, mask=ZonalMask.rectangular(10))
+    z = gal.normalized_matrix()
+    dists = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(dists, np.inf)
+    scale = f"{np.median(dists.min(axis=1)):.4g}"
+    collapsed = {row.key: row.collapsed for row in logged if row.key in ("pnn", "rbf")}
+    assert collapsed == {"pnn": {"pnn": 0}, "rbf": {"rbf": 0}}
+    assert lines[:2] == [
+        f"warning: pnn: probes took the nearest-neighbor fallback at spread 0.01 "
+        f"(worst 6/6 at 0.01); the gallery's median nearest-neighbor z-distance is "
+        f"{scale} against a largest spread of 20",
+        f"warning: rbf: probes sat at the bias at spread 0.01, 0.9 (worst 6/6 at 0.01); "
+        f"the gallery's median nearest-neighbor z-distance is {scale} against a "
+        f"largest spread of 20"]
+    mlp = run_experiment("mlp", *extract_split_features(
+        split, DCT, mask=ZonalMask.rectangular(10)), cfg).models["mlp"]
+    assert lines[2:] == [f"mlp: SCG stopped after {mlp.curve.size - 1} epochs "
+                         f"({mlp.stop_reason}), last lambda {mlp.last_lambda:.6g}"]
+    # where no probe collapses, only the MLP line is logged
+    lines.clear()
+    table1_report(split, cfg, spreads=[20.0], log=lines.append)
+    assert len(lines) == 1 and lines[0].startswith("mlp: SCG stopped after 80 epochs")
 
 
 def test_table_rows_filter(table_rows):

@@ -8,15 +8,16 @@ from scipy.spatial.distance import cdist
 
 from faceid.classifiers import (
     EvalConfig, PNNModel, RBFModel, make_targets,
-    collapse_counts, mlp_train, pnn_classify, pnn_fallbacks, pnn_train, radbas_bias,
-    rbf_scores, rbf_train,
+    mlp_train, pnn_classify, pnn_train, radbas_bias, rbf_scores, rbf_train,
 )
 from faceid.classifiers.common import z_distances
 from faceid.classifiers.mlp import GRAD_TOL
 from faceid.classifiers.pnn import radbas
 from faceid.classifiers.rbf import TIE_RTOL, _pick, _solve_linear
 from faceid.dataset import Split, synth_corpus
-from faceid.evaluation import FORMAT_VERSION, SPREAD_GRID, extract_split_features, save_model
+from faceid.evaluation import (
+    FORMAT_VERSION, SPREAD_GRID, extract_split_features, run_experiment, save_model,
+)
 from faceid.fusion import fuse_mean, normalize_scores
 from faceid.transforms import DCT, ZonalMask
 
@@ -58,7 +59,7 @@ def test_pnn_probabilities_hand_computed():
     # With spread 1 the activations are 2^(-d^2): [1, 1/16].
     gallery = gallery_of(np.array([[0.0], [2.0]]), [1, 2])
     model = pnn_train(gallery, spread=1.0)
-    scores = pnn_classify(model, np.array([[0.0]]))
+    scores, _ = pnn_classify(model, np.array([[0.0]]))
     assert scores[0] == pytest.approx([16 / 17, 1 / 17])
     assert decide(model, scores) == [1]
 
@@ -67,7 +68,7 @@ def test_pnn_scores_are_probabilities():
     gallery = clustered_gallery()
     model = pnn_train(gallery, spread=2.0)
     rng = np.random.default_rng(0)
-    scores = pnn_classify(model, rng.normal(scale=3.0, size=(5, gallery.dim)))
+    scores, _ = pnn_classify(model, rng.normal(scale=3.0, size=(5, gallery.dim)))
     assert scores.shape == (5, gallery.subject_ids.size)
     assert scores.sum(axis=1) == pytest.approx(np.ones(5))
     assert np.all(scores >= 0) and np.all(scores <= 1)
@@ -86,7 +87,7 @@ def test_pnn_small_spread_reduces_to_nearest_neighbor():
     z_gallery = gallery.normalized_matrix()
     rng = np.random.default_rng(1)
     probes = rng.normal(scale=3.0, size=(10, gallery.dim))
-    preds = decide(model, pnn_classify(model, probes))
+    preds = decide(model, pnn_classify(model, probes)[0])
     for probe, pred in zip(probes, preds):
         z = (probe - gallery.mean) / gallery.std
         nearest = int(np.argmin(np.linalg.norm(z_gallery - z, axis=1)))
@@ -96,20 +97,20 @@ def test_pnn_small_spread_reduces_to_nearest_neighbor():
 def test_pnn_total_underflow_falls_back_to_one_hot():
     gallery = gallery_of(np.array([[0.0], [1.0]]), [1, 2])
     model = pnn_train(gallery, spread=1e-8)
-    scored = pnn_classify(model, np.array([[0.1], [0.9]]))
+    scored, fallbacks = pnn_classify(model, np.array([[0.1], [0.9]]))
     assert np.array_equal(scored, [[1.0, 0.0], [0.0, 1.0]])
     assert decide(model, scored) == [1, 2]
-    assert pnn_fallbacks(model, np.array([[0.1], [0.9]])) == 2
+    assert fallbacks == 2
 
 
 def test_pnn_underflow_fallback_is_per_probe():
     # one probe halfway between the centers (live), one far away (underflow)
     gallery = gallery_of(np.array([[0.0], [1.0]]), [1, 2])
     model = pnn_train(gallery, spread=1.0)
-    scores = pnn_classify(model, np.array([[0.5], [200.0]]))
+    scores, fallbacks = pnn_classify(model, np.array([[0.5], [200.0]]))
     assert np.array_equal(scores[0], [0.5, 0.5])
     assert np.array_equal(scores[1], [0.0, 1.0])
-    assert pnn_fallbacks(model, np.array([[0.5], [200.0]])) == 1
+    assert fallbacks == 1
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -123,8 +124,8 @@ def test_pnn_fallbacks_on_orl_shaped_corpora(orl_split, seed):
     for spread, fallbacks in ((0.1, 200), (0.9, 0)):
         model = pnn_train(gallery, spread)
         acts = np.exp(-(cdist(z, model.centers) * radbas_bias(spread)) ** 2)
-        assert pnn_fallbacks(model, probes.matrix) == np.all(acts == 0.0, axis=1).sum()
-        assert pnn_fallbacks(model, probes.matrix) == fallbacks
+        _, counted = pnn_classify(model, probes.matrix)
+        assert counted == np.all(acts == 0.0, axis=1).sum() == fallbacks
 
 
 def test_pnn_batch_matches_per_probe_loop():
@@ -133,7 +134,7 @@ def test_pnn_batch_matches_per_probe_loop():
     model = pnn_train(gallery, spread=1.3)
     rng = np.random.default_rng(3)
     probes = rng.normal(scale=3.0, size=(8, gallery.dim))
-    scores = pnn_classify(model, probes)
+    scores, _ = pnn_classify(model, probes)
     b = radbas_bias(1.3)
     for probe, got in zip(probes, scores):
         z = (probe - gallery.mean) / gallery.std
@@ -149,7 +150,7 @@ def test_pnn_batch_matches_per_probe_loop():
 def test_pnn_equidistant_tie_takes_lowest_id():
     gallery = gallery_of(np.array([[-1.0], [1.0]]), [9, 4])
     model = pnn_train(gallery, spread=1.0)
-    scored = pnn_classify(model, np.array([[0.0]]))
+    scored, _ = pnn_classify(model, np.array([[0.0]]))
     assert scored[0, 0] == pytest.approx(scored[0, 1])
     assert decide(model, scored) == [4]
 
@@ -368,9 +369,15 @@ def assert_residuals_match(got, want):
 
 
 @pytest.fixture(scope="module")
-def orl_shaped_dct(orl_split):
-    """DCT rect:10 gallery and probe block of the ORL-shaped synthetic corpus."""
-    gal, probes = extract_split_features(orl_split, DCT, mask=ZonalMask.rectangular(10))
+def orl_shaped_features(orl_split):
+    """DCT rect:10 gallery and probe features of the ORL-shaped synthetic corpus."""
+    return extract_split_features(orl_split, DCT, mask=ZonalMask.rectangular(10))
+
+
+@pytest.fixture(scope="module")
+def orl_shaped_dct(orl_shaped_features):
+    """The same gallery, and the bare probe block."""
+    gal, probes = orl_shaped_features
     return gal, probes.matrix
 
 
@@ -396,35 +403,38 @@ def test_z_distances_match_difference_kernel(orl_shaped_dct):
 
 
 @pytest.mark.parametrize("spread,collapsed", [(20.0, False), (0.9, True)])
-def test_rbf_bit_equal_lstsq_oracle_on_cached_distances(orl_shaped_dct, spread, collapsed):
+def test_rbf_bit_equal_lstsq_oracle_on_cached_distances(orl_shaped_features, spread,
+                                                        collapsed):
     # spread 20 has no near-tie, so the frozen argmax loop still decides it;
     # in the collapse most picks are ties, decided by the tie-rule oracle
-    gallery, probes = orl_shaped_dct
-    model = rbf_train(gallery, spread)
+    gallery, probe_features = orl_shaped_features
+    probes = probe_features.matrix
+    run = run_experiment("rbf", gallery, probe_features, EvalConfig(spread=spread))
+    model = run.models["rbf"]
     chosen, weights, biases, residuals, tied_picks = _frozen_rbf_train(
         gallery, spread, 100, tie_rule=collapsed)
     assert np.array_equal(model.center_indices, chosen)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.biases, biases)
     assert_residuals_match(model.residuals, residuals)
-    scores = rbf_scores(model, probes)
+    scores = run.scores["rbf"]
     assert np.array_equal(scores, _cdist_rbf_scores(model, probes))
-    # spread 0.9 is the collapse of ROADMAP aim 3: every output is the bias
+    # spread 0.9 is the collapse of ROADMAP aim 3: every output is the bias,
+    # which the run counts from the scores it made
     assert np.all(scores == model.biases) == collapsed
-    at_bias, subjects = collapse_counts(model, scores)
-    assert at_bias == (probes.shape[0] if collapsed else 0)
-    assert (subjects == 1) == collapsed
+    assert run.collapsed == {"rbf": probes.shape[0] if collapsed else 0}
+    assert (np.unique(np.argmax(scores, axis=1)).size == 1) == collapsed
     if collapsed:
         assert model.tied_picks == tied_picks > 0
 
 
-def test_rbf_collapse_shows_in_subjects_predicted(orl_shaped_dct):
+def test_rbf_collapse_shows_in_subjects_predicted(orl_shaped_features):
     # at spread 1.5 most probes reach some center, so their outputs leave the
     # biases, yet the network still sends every probe to one subject
-    gallery, probes = orl_shaped_dct
-    model = rbf_train(gallery, 1.5)
-    at_bias, subjects = collapse_counts(model, rbf_scores(model, probes))
-    assert 0 < at_bias < probes.shape[0] and subjects == 1
+    gallery, probes = orl_shaped_features
+    run = run_experiment("rbf", gallery, probes, EvalConfig(spread=1.5))
+    subjects = np.unique(np.argmax(run.scores["rbf"], axis=1)).size
+    assert 0 < run.collapsed["rbf"] < len(probes) and subjects == 1
 
 
 def test_rbf_growth_matches_lstsq_oracle_over_spreads(orl_shaped_dct):
@@ -620,5 +630,6 @@ def test_loaded_models_predict_identically(tmp_path):
                            (rbf_train(gallery, 1.1, max_centers=5), "b.npz")):
         save_model(trained, tmp_path / fname)
         loaded = read_model(tmp_path / fname)
-        score = pnn_classify if isinstance(trained, PNNModel) else rbf_scores
+        score = (lambda model, x: pnn_classify(model, x)[0]) if isinstance(
+            trained, PNNModel) else rbf_scores
         assert np.array_equal(score(trained, probes), score(loaded, probes))
