@@ -49,7 +49,9 @@ class ConfigError(Exception):
     """Invalid flag, config-file entry, or option combination."""
 
 
-# the most points a range grid ('lo:hi' or 'lo:hi:step') may expand to
+# the one grammar of every --grid and --spreads (see ``parse_grid``), and the
+# most points a range may expand to
+GRID_FORMS = "'lo:hi' (the integers lo..hi), 'lo:hi:step' or 'a,b,c'"
 MAX_GRID_POINTS = 10_000
 
 
@@ -156,10 +158,10 @@ OPTIONS = (
     Option("metric", ("sweep",), "mad", choices=["mad", "mse"], axis={"dim"}),
     Option("mask_shape", ("sweep",), "rect", choices=["rect", "sector"], axis={"dim"},
            transform=ZONAL),
-    Option("grid", ("sweep",), None, axis={"dim"}, help="mask sides/radii or KLT dims: "
-           "'1:30' or '1,4,9'; sector radii also '2.5,3.5' or '2:6:0.5'"),
+    Option("grid", ("sweep",), None, axis={"dim"},
+           help=f"rect sides, sector radii or KLT dims: {GRID_FORMS}, e.g. '1:30'"),
     Option("rows", ("table1",), None, help="row filter prefix, e.g. nn or rbf"),
-    Option("spreads", ("sweep", "table1"), None, help="'0.1:2.0:0.1' or '0.5,0.9'",
+    Option("spreads", ("sweep", "table1"), None, help=f"{GRID_FORMS}, e.g. '0.1:2.0:0.1'",
            axis={"spread"}, classifier=set(KERNEL_CLASSIFIERS)),
 )
 _DEFAULTS = {option.dest: option.default for option in OPTIONS
@@ -322,48 +324,32 @@ def parse_mask_spec(spec: str) -> ZonalMask:
     raise ConfigError(f"bad mask spec {spec!r}: expected rect:N or sector:R")
 
 
-def refuse_long_range(spec: str, points: float) -> None:
-    """Refuse a range grid of more than ``MAX_GRID_POINTS`` points (an
-    uncountable one included) before any of it is built."""
-    if not points <= MAX_GRID_POINTS:
-        raise ConfigError(f"bad grid {spec!r}: a range may span at most "
-                          f"{MAX_GRID_POINTS} points")
-
-
-def parse_int_grid(spec: str) -> list[int]:
-    """'1:30' (inclusive range) or '1,4,9'."""
+def parse_grid(spec: str) -> list[float]:
+    """Every --grid and --spreads: 'lo:hi' counts the integers from lo to hi,
+    'lo:hi:step' steps from lo to hi (both inclusive), 'a,b,c' lists its
+    values. A range is counted from its ends, and one of more than
+    ``MAX_GRID_POINTS`` points refused, before any point is built. Which
+    values an axis takes is the library's check (``dim_grid``, ``spread_grid``)."""
     try:
-        if ":" in spec:
-            lo, hi = (int(tok) for tok in spec.split(":"))
-            refuse_long_range(spec, hi - lo + 1)
-            return list(range(lo, hi + 1))
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
+        if ":" not in spec:
+            return [finite_float(tok) for tok in spec.split(",") if tok.strip()]
+        ends = [finite_float(tok) for tok in spec.split(":")]
+        if len(ends) not in (2, 3):
+            raise ValueError("expected lo:hi, lo:hi:step or a comma list")
+        if len(ends) == 2 and not all(end.is_integer() for end in ends):
+            raise ValueError("lo:hi counts integers; give a step (lo:hi:step)")
+        lo, hi, step = ends if len(ends) == 3 else (*ends, 1.0)
+        if step <= 0:
+            raise ValueError("step must be positive")
+        # a descending range is empty; finite ends can still overflow n to +-inf
+        n = max((hi - lo) / step, -1.0)
+        count = round(n) + 1 if math.isfinite(n) else n
+        if not count <= MAX_GRID_POINTS:
+            raise ValueError(f"a range may span at most {MAX_GRID_POINTS} points")
+        grid = [round(lo + i * step, 10) for i in range(count)]
+        return [g for g in grid if g <= hi + 1e-12]
     except ValueError as exc:
         raise ConfigError(f"bad grid {spec!r}: {exc}") from exc
-
-
-def parse_float_grid(spec: str) -> list[float]:
-    """'0.1:2.0:0.1' (start:stop:step, inclusive) or '0.5,0.9'."""
-    try:
-        if ":" in spec:
-            lo, hi, step = (finite_float(tok) for tok in spec.split(":"))
-            if step <= 0:
-                raise ConfigError(f"bad grid {spec!r}: step must be positive")
-            n = (hi - lo) / step  # finite ends can still overflow it to inf
-            refuse_long_range(spec, round(n) + 1 if math.isfinite(n) else n)
-            n = int(round(n))
-            grid = [round(lo + i * step, 10) for i in range(n + 1)]
-            return [g for g in grid if g <= hi + 1e-12]
-        return [finite_float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad grid {spec!r}: {exc}") from exc
-
-
-def parse_radius_grid(spec: str) -> list[float]:
-    """Sector radii: '1:30' (inclusive, step 1), '2:6:0.5' or '2.5,3.5'."""
-    if spec.count(":") == 1:
-        return [float(r) for r in parse_int_grid(spec)]
-    return parse_float_grid(spec)
 
 
 def synth_params(spec: str, seed: int) -> dict:
@@ -385,7 +371,7 @@ def synth_params(spec: str, seed: int) -> dict:
 
 def read_spreads(spec: str | None) -> list[float]:
     """--spreads (``SPREAD_GRID`` without it) ascending, positive, none repeated."""
-    return spread_grid(parse_float_grid(spec) if spec else SPREAD_GRID)
+    return spread_grid(parse_grid(spec) if spec else SPREAD_GRID)
 
 
 def load_split(args: argparse.Namespace) -> Split:
@@ -511,12 +497,10 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[Split, dict, str]:
 def cmd_sweep(args: argparse.Namespace) -> tuple[Split, dict, str]:
     options = feature_options(args)
     if args.axis == "dim":
-        # sector radii may be fractional; rect sides and KLT dims are integers
-        parse = (parse_radius_grid if options.get("mask_shape") == SECTORIAL
-                 else parse_int_grid)
         # without --grid, the default grid follows the corpus shape
-        grid = parsed(args, "grid",
-                      lambda spec: dim_grid(args.transform, parse(spec)) if spec else None)
+        grid = parsed(args, "grid", lambda spec: dim_grid(
+            args.transform, parse_grid(spec), options.get("mask_shape", RECTANGULAR))
+            if spec else None)
         split = load_split(args)
         points = sweep_dimension(split, grid=grid, metric=args.metric, **options)
     else:

@@ -248,13 +248,17 @@ def spread_grid(spreads: Sequence[float]) -> list[float]:
     return spreads
 
 
-def dim_grid(kind: str, grid: Sequence) -> list:
-    """A dimension sweep's grid ascending; KLT counts, mask sides and radii
-    must be positive (counts and sides are integers)."""
+def dim_grid(kind: str, grid: Sequence, mask_shape: str = RECTANGULAR) -> list:
+    """A dimension sweep's grid ascending: KLT component counts (integers >= 1),
+    or the mask's rect sides (integers) or sector radii, each > 0."""
     grid = _sorted_grid(grid, "sweep")
-    bad = [n for n in grid if kind == KLT and not (n >= 1 and float(n).is_integer())]
-    if bad:
-        raise ValueError(f"KLT component count must be >= 1 and an integer, got {bad[0]}")
+    if kind == KLT or mask_shape == RECTANGULAR:
+        bad = [n for n in grid if not float(n).is_integer() or kind == KLT and n < 1]
+        if bad:
+            what = ("KLT component count must be >= 1 and" if kind == KLT
+                    else "rect mask side must be")
+            raise ValueError(f"{what} an integer, got {bad[0]:g}")
+        grid = [int(n) for n in grid]
     if not grid[0] > 0:
         raise ValueError(f"mask sizes must be > 0, got {grid[0]}")
     return grid
@@ -304,9 +308,8 @@ def sweep_dimension(split: Split, kind: str, mask_shape: str = RECTANGULAR,
     if grid is None:
         grid = default_dim_grid(kind, rows, cols, len(gallery_labels),
                                 mask_shape=mask_shape, r_low=r_low)
-    grid = dim_grid(kind, grid)
-    steps = ([int(d) for d in grid] if kind == KLT
-             else [ZonalMask(mask_shape, value) for value in grid])
+    grid = dim_grid(kind, grid, mask_shape)
+    steps = grid if kind == KLT else [ZonalMask(mask_shape, value) for value in grid]
     bands = _bands(split, kind, steps, complex_mode=complex_mode, r_low=r_low,
                    log_offset=log_offset)
     dists = np.zeros((len(probe_labels), len(gallery_labels)))

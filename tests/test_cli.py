@@ -17,7 +17,7 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import faceid
@@ -27,13 +27,15 @@ from faceid.classifiers.common import z_distances
 from faceid.cli import (
     _DEFAULTS, MAX_GRID_POINTS, OPTIONS, ConfigError, _subcommands, build_parser,
     config_options, finite_float, flag, int_at_least_2, main, make_eval_config,
-    nonnegative_float, nonnegative_int, parse_float_grid, parse_int_grid, parse_mask_spec,
-    parse_radius_grid, positive_float, positive_int, read_config_file,
+    nonnegative_float, nonnegative_int, parse_grid, parse_mask_spec,
+    positive_float, positive_int, read_config_file,
     synth_params, unit_float,
 )
 from faceid.dataset import Split, synth_corpus, write_pgm
-from faceid.evaluation import EvalConfig, sweep_dimension, write_curve_csv
-from faceid.transforms import SECTORIAL
+from faceid.evaluation import (
+    EvalConfig, dim_grid, spread_grid, sweep_dimension, write_curve_csv,
+)
+from faceid.transforms import DCT, KLT, RECTANGULAR, SECTORIAL
 
 from conftest import read_features_csv, read_model
 
@@ -62,37 +64,73 @@ def test_parse_mask_spec():
             parse_mask_spec(bad)
 
 
+def refuses_grid(bad, why):
+    """parse_grid refuses ``bad`` with ``why`` in the flag-free message."""
+    with pytest.raises(ConfigError, match=re.escape(f"bad grid {bad!r}: {why}")):
+        parse_grid(bad)
+
+
+TOO_LONG = f"a range may span at most {MAX_GRID_POINTS} points"
+NO_STEP = "lo:hi counts integers; give a step (lo:hi:step)"
+NOT_FINITE = "is not a finite number"
+
+
 def test_parse_int_grid():
-    assert parse_int_grid("1:5") == [1, 2, 3, 4, 5]
-    assert parse_int_grid("1,4,9") == [1, 4, 9]
+    # the rect side and KLT count forms; each axis's check gives ints, as the
+    # integer parser did, so every curve.csv keeps its bytes
+    frozen = {"1:30": list(range(1, 31)), "1:5": [1, 2, 3, 4, 5], "1,4,9": [1, 4, 9],
+              "2:10:2": [2, 4, 6, 8, 10], "10:30:10": [10, 20, 30]}
+    for spec, points in frozen.items():
+        assert parse_grid(spec) == points, spec
+    for kind, shape, spec in ((DCT, RECTANGULAR, "1:30"), (DCT, RECTANGULAR, "1,4,9"),
+                              (DCT, RECTANGULAR, "2:10:2"), (KLT, RECTANGULAR, "10:30:10"),
+                              (KLT, SECTORIAL, "1,4,9")):
+        grid = dim_grid(kind, parse_grid(spec), shape)
+        assert grid == frozen[spec] and all(type(n) is int for n in grid), spec
     # a range is counted from its ends and refused before it is built
-    assert len(parse_int_grid(f"1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
-    for bad in ("1:x", f"0:{MAX_GRID_POINTS}", "1:1000000000000"):
-        with pytest.raises(ConfigError):
-            parse_int_grid(bad)
+    assert len(parse_grid(f"1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+    refuses_grid("1:x", "could not convert string to float: 'x'")
+    refuses_grid(f"0:{MAX_GRID_POINTS}", TOO_LONG)
+    refuses_grid("1:1000000000000", TOO_LONG)
 
 
 def test_parse_float_grid():
-    assert parse_float_grid("0.5:1.0:0.25") == [0.5, 0.75, 1.0]
-    assert parse_float_grid("0.5,0.9") == [0.5, 0.9]
-    grid = parse_float_grid("0.1:2.0:0.1")
-    assert len(grid) == 20
-    assert grid[0] == 0.1 and grid[-1] == 2.0
-    for bad in ("0.1:2.0",  # step required in range form
-                "0.1:inf:0.1", "0.1:1:nan", "0.5,inf", "nan", "0:1e308:1e-300",
-                "0:10:0.001", "0.000001:1:0.000001"):
-        with pytest.raises(ConfigError):
-            parse_float_grid(bad)
-    assert len(parse_float_grid("0.001:10:0.001")) == MAX_GRID_POINTS
+    # the --spreads forms, read by spread_grid as the float parser read them
+    assert parse_grid("0.5:1.0:0.25") == [0.5, 0.75, 1.0]
+    assert parse_grid("0.5,0.9") == [0.5, 0.9]
+    grid = parse_grid("0.1:2.0:0.1")
+    assert grid == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
+                    1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0]
+    for spec in ("0.1:2.0:0.1", "0.5,0.9", "0.5:1.0:0.25"):
+        assert spread_grid(parse_grid(spec)) == parse_grid(spec), spec
+    assert len(parse_grid("0.001:10:0.001")) == MAX_GRID_POINTS
+    refuses_grid("0.1:2.0", NO_STEP)
+    for bad, token in (("0.1:inf:0.1", "inf"), ("0.1:1:nan", "nan"),
+                       ("0.5,inf", "inf"), ("nan", "nan")):
+        refuses_grid(bad, f"{token!r} {NOT_FINITE}")
+    for bad in ("0:1e308:1e-300", "0:10:0.001", "0.000001:1:0.000001"):
+        refuses_grid(bad, TOO_LONG)
 
 
 def test_parse_radius_grid():
-    assert parse_radius_grid("2.5,3.5") == [2.5, 3.5]
-    assert parse_radius_grid("2:4:0.5") == [2.0, 2.5, 3.0, 3.5, 4.0]
-    assert parse_radius_grid("1:3") == [1.0, 2.0, 3.0]
-    for bad in ("1:x", "2.5:4", "1:2:3:4"):
-        with pytest.raises(ConfigError):
-            parse_radius_grid(bad)
+    # the sector radius forms, fractions and all
+    frozen = {"2.5,3.5": [2.5, 3.5], "2:4:0.5": [2.0, 2.5, 3.0, 3.5, 4.0],
+              "2:6:0.5": [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0], "1:3": [1.0, 2.0, 3.0]}
+    for spec, points in frozen.items():
+        assert parse_grid(spec) == points, spec
+        assert dim_grid(DCT, parse_grid(spec), SECTORIAL) == points, spec
+    refuses_grid("1:x", "could not convert string to float: 'x'")
+    refuses_grid("2.5:4", NO_STEP)
+    refuses_grid("1:2:3:4", "expected lo:hi, lo:hi:step or a comma list")
+
+
+def test_parse_grid():
+    # what no one axis owns: a descending range is empty, also one whose
+    # length overflows to -inf, and a step must be positive
+    for spec in ("5:1", "2:1:0.5", "1e308:-1e308:1"):
+        assert parse_grid(spec) == [], spec
+    assert spread_grid(parse_grid("1:3")) == [1.0, 2.0, 3.0]
+    refuses_grid("1:2:0", "step must be positive")
 
 
 def test_synth_params():
@@ -804,6 +842,19 @@ def test_sector_sweep_takes_a_radius_range(tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["1.5", "2.0", "2.5", "3.0"]
 
 
+@pytest.mark.parametrize("argv,params", [
+    (["--axis", "dim", "--grid", "2:10:2"], ["2.0", "4.0", "6.0", "8.0", "10.0"]),
+    (["--axis", "dim", "--transform", "klt", "--grid", "10:30:10"], ["10.0", "20.0", "30.0"]),
+    (["--axis", "spread", "--classifier", "pnn", "--spreads", "1:3"], ["1.0", "2.0", "3.0"]),
+])
+def test_every_axis_reads_every_grid_form(tmp_path, argv, params):
+    # one grammar: a step on a rect or KLT grid, and lo:hi on the spreads
+    out = tmp_path / "out"
+    assert run(["sweep", *argv, "--synth", "", "--out", str(out)]) == 0
+    lines = (out / "curve.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == params
+
+
 @pytest.mark.parametrize("argv", [
     ["--grid", "2.5,3.5"],
     ["--grid", "2:4:0.5"],
@@ -814,7 +865,9 @@ def test_rect_and_klt_grids_refuse_fractions(tmp_path, capsys, argv):
     code = run(["sweep", "--axis", "dim", "--synth", SYNTH, *argv,
                 "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "bad grid" in capsys.readouterr().err
+    what = ("KLT component count must be >= 1 and" if "klt" in argv
+            else "rect mask side must be")
+    assert f"error: --grid: {what} an integer, got 2.5" in capsys.readouterr().err
 
 
 def test_sweep_spread(tmp_path):
@@ -942,8 +995,16 @@ UNDECLARED = {
     pytest.param(["evaluate", "--mask", "bogus"], "bad mask spec 'bogus'", id="mask"),
     pytest.param(["table1", "--spreads", "2:1:0.5"], "spread grid is empty",
                  id="table1-spreads"),
-    pytest.param(["sweep", "--axis", "dim", "--grid", "2.5,3.5"], "bad grid",
-                 id="dim-grid"),
+    pytest.param(["table1", "--spreads=1e308:-1e308:1"], "spread grid is empty",
+                 id="table1-spreads-overflowing-range"),
+    pytest.param(["sweep", "--axis", "dim", "--grid", "2.5,3.5"],
+                 "error: --grid: rect mask side must be an integer, got 2.5", id="dim-grid"),
+    pytest.param(["sweep", "--axis", "dim", "--mask-shape", "sector", "--grid", "1.5:4"],
+                 "error: --grid: bad grid '1.5:4': lo:hi counts integers; give a step "
+                 "(lo:hi:step)", id="dim-grid-fractional-range"),
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "rbf", "--spreads", "0.1:2.0"],
+                 "error: --spreads: bad grid '0.1:2.0': lo:hi counts integers; give a step "
+                 "(lo:hi:step)", id="spreads-fractional-range"),
     pytest.param(["table1", "--rows", "svm"], "matches no table rows", id="table1-rows"),
     pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn", "--spreads", "0,1"],
                  "spreads must be positive", id="spread-grid"),
@@ -1450,7 +1511,8 @@ def invocations(draw):
     if command == "table1":
         rows = maybe("--rows", "nn", "mlp", "pnn", "rbf", "fusion:")
         if rows not in ("nn", "mlp"):
-            maybe("--spreads", "0.5,1.5", "0.2:0.6:0.2", "0.9", "0.4,2", "2:1:0.5", "1,1")
+            maybe("--spreads", "0.5,1.5", "0.2:0.6:0.2", "0.9", "0.4,2", "2:1:0.5", "1,1",
+                  "1:3")
         mlp = rows in (None, "mlp")
     else:
         argv += ["--train-k", str(draw(st.sampled_from([2, 1, 3, 2, 5])))]
@@ -1460,7 +1522,8 @@ def invocations(draw):
         if axis:
             argv += ["--axis", axis]
         if axis == "dim":
-            maybe("--grid", "1:3", "2,4", "1:20", "0:2", "3,3", "2.5,3.5", "5:1")
+            maybe("--grid", "1:3", "2,4", "1:20", "0:2", "3,3", "2.5,3.5", "5:1", "2:10:2",
+                  "1:3:0.5", "1.5:4")
             maybe("--metric", "mad", "mse")
         elif transform == "klt":
             maybe("--dim", 0, 1, 3, 8, 30)
@@ -1479,7 +1542,7 @@ def invocations(draw):
                                                "fusion:pnn", "svm"]))
         elif axis == "spread":
             classifier = draw(st.sampled_from(["pnn", "rbf", "nn:mad"]))
-            maybe("--spreads", "0.5,1.5", "0.2:0.6:0.2", "0.9", "0,1")
+            maybe("--spreads", "0.5,1.5", "0.2:0.6:0.2", "0.9", "0,1", "1:3")
         if classifier:
             argv += ["--classifier", classifier]
             if command == "evaluate" and ("pnn" in classifier or "rbf" in classifier):
@@ -1494,8 +1557,21 @@ def invocations(draw):
     return argv, config
 
 
+TINY = ["--synth", "subjects=3,samples=4,rows=12,cols=11", "--seed", "0"]
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(invocations())
+# each grid form on each axis, whatever the draws above reach
+@example(([*"sweep --axis dim --train-k 2 --grid 2:10:2".split(), *TINY], None))
+@example(([*"sweep --axis dim --train-k 2 --mask-shape sector --grid 1:3:0.5".split(),
+           *TINY], None))
+@example(([*"sweep --axis dim --train-k 2 --transform klt --grid 1:5:2".split(), *TINY], None))
+@example(([*"sweep --axis dim --train-k 2 --transform klt --grid 1:3:0.5".split(), *TINY],
+          None))
+@example(([*"sweep --axis spread --train-k 2 --classifier pnn --spreads 1:3".split(), *TINY],
+          None))
+@example(([*"table1 --rows rbf --spreads 1:3".split(), *TINY], None))
 def test_every_run_keeps_the_exit_code_contract(invocation):
     # exit 0, 2 (configuration), 3 (data) or 4 (numeric), and no traceback;
     # a configuration error names a flag or a config-file line, and a refused

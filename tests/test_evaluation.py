@@ -24,6 +24,7 @@ from faceid import evaluation
 from faceid.transforms import SECTORIAL, ZonalMask
 
 from conftest import compared
+from test_hard_corpus import hard_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +358,30 @@ def test_table_kernel_and_fusion_rows_follow_the_sweeps(table_rows):
                                        replace(cfg, spread=spread)).rate
                 for spread in (0.9, 20.0)}
     assert row.rate == fused_at[20.0] != fused_at[0.9]
+
+
+def test_table_rows_run_at_the_spreads_their_rule_picks():
+    # on the table_rows fixture RBF sits at chance at every spread; here each
+    # kernel and fusion rate moves with the spread, so each row's rate is
+    # read at one spread only: a kernel row's first best point of its own
+    # sweep, and the fusion row at RBF's first best spread
+    split = Split(hard_corpus(0, 8, 8, 24, 20), 4)
+    cfg = EvalConfig(epochs=20, hidden=8, max_centers=20)
+    spreads = [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
+    rows = {row.key: row for row in table1_report(split, cfg, spreads=spreads)}
+    gal, probes = extract_split_features(split, DCT, mask=ZonalMask.rectangular(10))
+    rates = {name: [pt.rate for pt in sweep_spread(gal, probes, name, spreads, cfg)]
+             for name in ("pnn", "rbf")}
+    rates["fusion:rbf+nn:mad"] = [run_experiment("fusion:rbf+nn:mad", gal, probes,
+                                                 replace(cfg, spread=spread)).rate
+                                  for spread in spreads]
+    assert rates == {"pnn": [50.0, 46.875, 46.875, 46.875, 40.625, 31.25],
+                     "rbf": [12.5, 12.5, 12.5, 12.5, 25.0, 21.875],
+                     "fusion:rbf+nn:mad": [31.25, 28.125, 28.125, 31.25, 50.0, 53.125]}
+    rbf_best = spreads[rates["rbf"].index(max(rates["rbf"]))]
+    for key, spread in (("pnn", 1.0), ("rbf", rbf_best), ("fusion:rbf+nn:mad", rbf_best)):
+        assert [at for at, rate in zip(spreads, rates[key])
+                if rate == rows[key].rate] == [spread], key
 
 
 def test_table_rows_keep_their_sources_predictions(table_rows):

@@ -1,5 +1,5 @@
-"""A synthetic corpus that does not saturate, and the paper's DCT-over-
-eigenfaces claim on it as a paired test.
+"""A synthetic corpus that does not saturate, every classifier's rate on it,
+and the paper's DCT-over-eigenfaces claim on it as a paired test.
 
 On ``synth_corpus`` every NN and eigenfaces row of ``table1`` reads 100, so
 no accuracy claim or regression can show there. ``hard_corpus`` adds what
@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 from faceid.dataset import Corpus, Split
-from faceid.evaluation import NN_MAD, NN_MSE, Outcome, extract_split_features, run_experiment
+from faceid.evaluation import (
+    KERNEL_CLASSIFIERS, MLP_NAME, NN_MAD, NN_MSE, PNN_NAME, RBF_NAME, SPREAD_GRID, EvalConfig,
+    Outcome, extract_split_features, run_experiment, sweep_spread,
+)
 from faceid.transforms import DCT, KLT, ZonalMask
 
 
@@ -62,14 +65,31 @@ PINNED = {
 }
 
 
+# per seed: the MLP's rate (1200 epochs) and the first best (rate, spread)
+# of PNN and of RBF over SPREAD_GRID, all on DCT rect:10
+PINNED_LEARNERS = {
+    0: {MLP_NAME: 93.5, PNN_NAME: (80.5, 1.7), RBF_NAME: (14.5, 2.0)},
+    1: {MLP_NAME: 94.0, PNN_NAME: (83.0, 0.1), RBF_NAME: (10.5, 2.0)},
+    2: {MLP_NAME: 95.0, PNN_NAME: (73.0, 0.1), RBF_NAME: (9.5, 2.0)},
+    3: {MLP_NAME: 93.0, PNN_NAME: (75.0, 0.1), RBF_NAME: (7.0, 1.9)},
+    4: {MLP_NAME: 89.0, PNN_NAME: (78.0, 0.1), RBF_NAME: (12.5, 2.0)},
+}
+
+
 @functools.lru_cache(maxsize=None)
-def nn_outcomes(seed: int) -> dict:
-    """Per NN metric, the outcomes of DCT rect:10 and of KLT-100 on the
+def features(seed: int) -> tuple:
+    """The (gallery, probes) features of DCT rect:10 and of KLT-100 on the
     ORL-shaped corpus (40 x 10 of 112 x 92), split 5/5."""
     split = Split(hard_corpus(seed, 40, 10, 112, 92), 5)
-    features = (extract_split_features(split, DCT, mask=ZonalMask.rectangular(10)),
-                extract_split_features(split, KLT, dim=100))
-    return {metric: tuple(run_experiment(metric, gallery, probes) for gallery, probes in features)
+    return (extract_split_features(split, DCT, mask=ZonalMask.rectangular(10)),
+            extract_split_features(split, KLT, dim=100))
+
+
+@functools.lru_cache(maxsize=None)
+def nn_outcomes(seed: int) -> dict:
+    """Per NN metric, the outcomes of DCT rect:10 and of KLT-100."""
+    return {metric: tuple(run_experiment(metric, gallery, probes)
+                          for gallery, probes in features(seed))
             for metric in (NN_MAD, NN_MSE)}
 
 
@@ -96,6 +116,16 @@ def test_hard_corpus_nn_rates_and_discordant_probes(seed):
     dct, klt = outcomes[NN_MAD]
     assert dct.truth.size == 200
     assert discordant(dct, klt) == PINNED[seed]["discordant"]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LEARNERS))
+def test_hard_corpus_learner_rates(seed):
+    gallery, probes = features(seed)[0]
+    cfg = EvalConfig(epochs=1200)
+    assert run_experiment(MLP_NAME, gallery, probes, cfg).rate == PINNED_LEARNERS[seed][MLP_NAME]
+    for name in KERNEL_CLASSIFIERS:
+        best = max(sweep_spread(gallery, probes, name, SPREAD_GRID, cfg), key=lambda pt: pt.rate)
+        assert (best.rate, best.param) == PINNED_LEARNERS[seed][name], name
 
 
 def test_hard_corpus_pooled_mcnemar_favours_dct():
