@@ -6,7 +6,7 @@ into decisions. The package reads and writes no file: ``faceid.evaluation``
 saves the trained models.
 """
 
-from .common import EvalConfig, Features, STD_FLOOR, make_targets
+from .common import EvalConfig, Features, STD_FLOOR, check_spread, make_targets
 from .nearest import MAD, MSE, METRICS, nn_scores
 from .mlp import (
     DivergenceError,
@@ -22,7 +22,7 @@ from .pnn import PNNModel, pnn_classify, pnn_train, radbas_bias
 from .rbf import RBFModel, rbf_scores, rbf_train
 
 __all__ = [
-    "EvalConfig", "Features", "STD_FLOOR", "make_targets",
+    "EvalConfig", "Features", "STD_FLOOR", "check_spread", "make_targets",
     "MAD", "MSE", "METRICS", "nn_scores",
     "DivergenceError", "MLPModel",
     "mlp_scores", "mlp_train",

@@ -27,6 +27,13 @@ from ..fusion import MINMAX, MODES
 STD_FLOOR = 1e-8
 
 
+def check_spread(spread: float) -> float:
+    """The one rule of a PNN/RBF spread, a run's or a sweep point's: finite, > 0."""
+    if not 0.0 < spread < np.inf:
+        raise ValueError(f"spread must be finite and > 0, got {spread}")
+    return spread
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """The classifier knobs, with the protocol's defaults: the MLP's seed,
@@ -47,8 +54,7 @@ class EvalConfig:
                 raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if not 0.0 < self.spread < np.inf:
-            raise ValueError(f"spread must be finite and > 0, got {self.spread}")
+        check_spread(self.spread)
         if self.fusion_mode not in MODES:
             raise ValueError(f"fusion_mode must be one of {MODES}, got {self.fusion_mode!r}")
 

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import Features, finite_scores, per_subject, z_distances, zscore
+from .common import Features, check_spread, finite_scores, per_subject, z_distances, zscore
 
 
 def radbas_bias(spread: float) -> float:
-    if not 0 < spread < np.inf:
-        raise ValueError(f"spread must be positive and finite, got {spread}")
-    return float(np.sqrt(-np.log(0.5)) / spread)
+    return float(np.sqrt(-np.log(0.5)) / check_spread(spread))
 
 
 def radbas(dists: np.ndarray, spread: float) -> np.ndarray:

@@ -60,28 +60,32 @@ MAX_GRID_POINTS = 10_000
 # ---------------------------------------------------------------------------
 
 def checked(name: str, parse: Callable, test: Callable, bound: str) -> Callable:
-    """An option type: ``parse(text)``, refused with "TEXT is not BOUND"
-    unless ``test`` holds of it; argparse calls the type ``name`` when it
-    refuses a flag's value."""
+    """An option type: ``parse(text)`` (``int``, ``float`` or a checked type,
+    which refuses in its own words), refused with "TEXT is not BOUND" unless it
+    reads and ``test`` holds of it; argparse calls a refused flag's type ``name``."""
     def convert(text: str):
-        value = parse(text)
-        if not test(value):
-            raise ValueError(f"{text.strip()!r} is not {bound}")
-        return value
+        try:
+            if test(value := parse(text)):
+                return value
+        except ValueError:
+            if parse not in (int, float):
+                raise
+        raise ValueError(f"{text.strip()!r} is not {bound}")
     convert.__name__ = convert.__qualname__ = name
     return convert
 
 
-# every float option, grid value and sector radius: NaN and the infinities
-# are refused, as any other value that is not a number
+# every number read from text; a float's NaN and infinities are refused as
+# any other text that is not a number
+integer = checked("integer", int, lambda v: True, "an integer")
 finite_float = checked("finite_float", float, math.isfinite, "a finite number")
 unit_float = checked("unit_float", finite_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 positive_float = checked("positive_float", finite_float, lambda v: v > 0.0, "> 0")
 nonnegative_float = checked("nonnegative_float", finite_float, lambda v: v >= 0.0, ">= 0")
-positive_int = checked("positive_int", int, lambda v: v >= 1, ">= 1")
-nonnegative_int = checked("nonnegative_int", int, lambda v: v >= 0, ">= 0")
+positive_int = checked("positive_int", integer, lambda v: v >= 1, ">= 1")
+nonnegative_int = checked("nonnegative_int", integer, lambda v: v >= 0, ">= 0")
 # samples per subject: a split keeps at least one gallery and one probe sample
-int_at_least_2 = checked("int_at_least_2", int, lambda v: v >= 2, ">= 2")
+int_at_least_2 = checked("int_at_least_2", integer, lambda v: v >= 2, ">= 2")
 
 
 FLAG_ONLY = object()  # the default of an option only its flag sets
@@ -109,6 +113,7 @@ class Option(NamedTuple):
 
 
 ALL = ("extract", "evaluate", "sweep", "table1")
+MASK_SHAPES = {"rect": RECTANGULAR, "sector": SECTORIAL}  # --mask-shape -> ZonalMask shape
 FEATURED = ALL[:3]          # the commands that build features
 ZONAL = {DCT, DFT, LOGDFT}  # the transforms a zonal mask crops
 
@@ -156,7 +161,7 @@ OPTIONS = (
            help="nn:mad, nn:mse, mlp, pnn, rbf, or fusion:a+b (pnn or rbf for "
            "sweep --axis spread)"),
     Option("metric", ("sweep",), "mad", choices=["mad", "mse"], axis={"dim"}),
-    Option("mask_shape", ("sweep",), "rect", choices=["rect", "sector"], axis={"dim"},
+    Option("mask_shape", ("sweep",), "rect", choices=list(MASK_SHAPES), axis={"dim"},
            transform=ZONAL),
     Option("grid", ("sweep",), None, axis={"dim"},
            help=f"rect sides, sector radii or KLT dims: {GRID_FORMS}, e.g. '1:30'"),
@@ -311,17 +316,16 @@ def refuse_taken_out(args: argparse.Namespace) -> None:
 
 
 def parse_mask_spec(spec: str) -> ZonalMask:
-    """'rect:10' or 'sector:8.5'."""
+    """'rect:10' or 'sector:8.5'; ``ZonalMask`` judges the size."""
     kind, _, size = spec.partition(":")
     kind = kind.strip().lower()
+    shape = MASK_SHAPES.get(kind, kind)
+    if shape not in (RECTANGULAR, SECTORIAL):
+        raise ConfigError(f"bad mask spec {spec!r}: expected rect:N or sector:R")
     try:
-        if kind in ("rect", RECTANGULAR):
-            return ZonalMask.rectangular(int(size))
-        if kind in ("sector", SECTORIAL):
-            return ZonalMask.sectorial(finite_float(size))
+        return ZonalMask(shape, finite_float(size))
     except ValueError as exc:
         raise ConfigError(f"bad mask spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"bad mask spec {spec!r}: expected rect:N or sector:R")
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -353,15 +357,19 @@ def parse_grid(spec: str) -> list[float]:
 
 
 def synth_params(spec: str, seed: int) -> dict:
-    """'subjects=8,samples=6,rows=24,cols=20' with all fields optional, in the
-    order of ``synth_corpus``'s arguments."""
+    """'subjects=8,samples=6,rows=24,cols=20' with all fields optional, none
+    given twice, in the order of ``synth_corpus``'s arguments."""
     params = {"seed": seed, "subjects": 10, "samples": 6, "rows": 32, "cols": 28}
+    given = set()
     if spec.strip():
         for token in spec.split(","):
             key, eq, value = token.partition("=")
             key = key.strip()
             if not eq or key not in params:
                 raise ConfigError(f"bad --synth token {token!r}")
+            if key in given:
+                raise ConfigError(f"bad --synth token {token!r}: {key} is given twice")
+            given.add(key)
             try:
                 params[key] = (nonnegative_int if key == "seed" else positive_int)(value)
             except ValueError as exc:
@@ -427,7 +435,7 @@ def feature_options(args: argparse.Namespace) -> dict:
     if "mask" in options:
         options["mask"] = parsed(args, "mask", parse_mask_spec)
     if "mask_shape" in options:
-        options["mask_shape"] = {"rect": RECTANGULAR, "sector": SECTORIAL}[args.mask_shape]
+        options["mask_shape"] = MASK_SHAPES[args.mask_shape]
     return options
 
 
@@ -515,8 +523,12 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Split, dict, str]:
                               make_eval_config(args), partial(print, file=sys.stderr))
     best = max(points, key=lambda pt: pt.rate)
     column = "param" if args.axis == "dim" else "spread"
+    # the grid value's name: a KLT count is the point's dim
+    name = ("spread" if args.axis == "spread" else "dim" if args.transform == KLT
+            else {RECTANGULAR: "side", SECTORIAL: "radius"}[options["mask_shape"]])
+    at = f"{name} {best.param:g}" + ("" if name == "dim" else f" (dim {best.dim})")
     return split, {"curve.csv": partial(write_curve_csv, points, param_name=column)}, (
-        f"{len(points)} points; best rate {best.rate:.1f}% at {args.axis}={best.param:g}")
+        f"{len(points)} points; best rate {best.rate:.1f}% at {at}")
 
 
 def cmd_table1(args: argparse.Namespace) -> tuple[Split, dict, str]:

@@ -34,7 +34,7 @@ from .classifiers import (
     MLPModel, mlp_train, mlp_scores,
     PNNModel, pnn_train, pnn_classify,
     RBFModel, rbf_train, rbf_scores,
-    nn_scores,
+    check_spread, nn_scores,
 )
 from .classifiers.mlp import GRAD_TOL
 from .fusion import MINMAX, fuse_mean, normalize_scores
@@ -241,27 +241,20 @@ def _sorted_grid(grid: Sequence, name: str) -> list:
 
 
 def spread_grid(spreads: Sequence[float]) -> list[float]:
-    """The spreads ascending, each positive and none repeated."""
-    spreads = _sorted_grid(spreads, "spread")
-    if spreads[0] <= 0:
-        raise ValueError("spreads must be positive")
-    return spreads
+    """The spreads ascending, each a spread (see ``check_spread``), none repeated."""
+    return [check_spread(spread) for spread in _sorted_grid(spreads, "spread")]
 
 
 def dim_grid(kind: str, grid: Sequence, mask_shape: str = RECTANGULAR) -> list:
     """A dimension sweep's grid ascending: KLT component counts (integers >= 1),
-    or the mask's rect sides (integers) or sector radii, each > 0."""
+    or the sizes of the ``mask_shape`` masks that ``ZonalMask`` takes."""
     grid = _sorted_grid(grid, "sweep")
-    if kind == KLT or mask_shape == RECTANGULAR:
-        bad = [n for n in grid if not float(n).is_integer() or kind == KLT and n < 1]
-        if bad:
-            what = ("KLT component count must be >= 1 and" if kind == KLT
-                    else "rect mask side must be")
-            raise ValueError(f"{what} an integer, got {bad[0]:g}")
-        grid = [int(n) for n in grid]
-    if not grid[0] > 0:
-        raise ValueError(f"mask sizes must be > 0, got {grid[0]}")
-    return grid
+    if kind != KLT:
+        return [ZonalMask(mask_shape, size).size for size in grid]
+    bad = [n for n in grid if not float(n).is_integer() or n < 1]
+    if bad:
+        raise ValueError(f"KLT component count must be >= 1 and an integer, got {bad[0]:g}")
+    return [int(n) for n in grid]
 
 
 def default_dim_grid(kind: str, rows: int, cols: int, n_gallery: int, *,

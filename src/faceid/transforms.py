@@ -44,9 +44,9 @@ class ZonalMask:
 
     def __post_init__(self):
         if self.shape == RECTANGULAR:
-            if not (np.isfinite(self.size) and float(self.size).is_integer()
-                    and self.size >= 1):
+            if not (float(self.size).is_integer() and self.size >= 1):
                 raise ValueError(f"rectangular side must be an integer >= 1, got {self.size}")
+            object.__setattr__(self, "size", int(self.size))  # 10.0 is side 10
         elif self.shape == SECTORIAL:
             if not 0 < self.size < np.inf:
                 raise ValueError(f"sectorial radius must be finite and > 0, got {self.size}")
@@ -74,10 +74,9 @@ class ZonalMask:
         f1, f2 = np.ogrid[:rows, :cols]
         radius = np.sqrt(f1 * f1 + f2 * f2)
         if self.shape == RECTANGULAR:
-            side = int(self.size)
-            if side > min(rows, cols):
-                raise ZoneError(f"mask side {side} exceeds matrix dims {rows}x{cols}")
-            keep = (f1 < side) & (f2 < side)
+            if self.size > min(rows, cols):
+                raise ZoneError(f"mask side {self.size} exceeds matrix dims {rows}x{cols}")
+            keep = (f1 < self.size) & (f2 < self.size)
         else:
             keep = radius < self.size
         if r_low > 0.0:

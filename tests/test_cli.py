@@ -35,7 +35,7 @@ from faceid.dataset import Split, synth_corpus, write_pgm
 from faceid.evaluation import (
     EvalConfig, dim_grid, spread_grid, sweep_dimension, write_curve_csv,
 )
-from faceid.transforms import DCT, KLT, RECTANGULAR, SECTORIAL
+from faceid.transforms import DCT, KLT, RECTANGULAR, SECTORIAL, ZonalMask
 
 from conftest import read_features_csv, read_model
 
@@ -59,8 +59,18 @@ def test_parse_mask_spec():
     assert (mask.shape, mask.size) == ("rectangular", 10)
     mask = parse_mask_spec("sector:8.5")
     assert (mask.shape, mask.size) == ("sectorial", 8.5)
+    # a rect side is read as a --grid point is: 10.0 is side 10
+    assert parse_mask_spec("rect:10.0") == ZonalMask.rectangular(10)
+    assert type(parse_mask_spec("rect:10.0").size) is int
     for bad in ("oval:3", "rect:x", "rect", "sector:-1", "sector:inf", "sector:nan"):
         with pytest.raises(ConfigError):
+            parse_mask_spec(bad)
+    # ZonalMask judges the size, in the words it gives a grid point
+    for bad, rule in (("rect:2.5", "rectangular side must be an integer >= 1, got 2.5"),
+                      ("rect:0", "rectangular side must be an integer >= 1, got 0.0"),
+                      ("sector:0", "sectorial radius must be finite and > 0, got 0.0"),
+                      ("rect:x", f"'x' {NOT_FINITE}"), ("sector:abc", f"'abc' {NOT_FINITE}")):
+        with pytest.raises(ConfigError, match=re.escape(f"bad mask spec {bad!r}: {rule}")):
             parse_mask_spec(bad)
 
 
@@ -89,7 +99,7 @@ def test_parse_int_grid():
         assert grid == frozen[spec] and all(type(n) is int for n in grid), spec
     # a range is counted from its ends and refused before it is built
     assert len(parse_grid(f"1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
-    refuses_grid("1:x", "could not convert string to float: 'x'")
+    refuses_grid("1:x", f"'x' {NOT_FINITE}")
     refuses_grid(f"0:{MAX_GRID_POINTS}", TOO_LONG)
     refuses_grid("1:1000000000000", TOO_LONG)
 
@@ -119,7 +129,7 @@ def test_parse_radius_grid():
     for spec, points in frozen.items():
         assert parse_grid(spec) == points, spec
         assert dim_grid(DCT, parse_grid(spec), SECTORIAL) == points, spec
-    refuses_grid("1:x", "could not convert string to float: 'x'")
+    refuses_grid("1:x", f"'x' {NOT_FINITE}")
     refuses_grid("2.5:4", NO_STEP)
     refuses_grid("1:2:3:4", "expected lo:hi, lo:hi:step or a comma list")
 
@@ -144,6 +154,13 @@ def test_synth_params():
     for bad in ("subjects", "depth=3", "samples=x", "rows=0", "subjects=-2", "seed=-1"):
         with pytest.raises(ConfigError, match=f"bad --synth token '{bad}'"):
             synth_params(bad, seed=0)
+    # a value is read as every integer option's is
+    with pytest.raises(ConfigError, match="'x' is not an integer"):
+        synth_params("samples=x", seed=0)
+    # a key given twice is refused, not overwritten by its last value
+    with pytest.raises(ConfigError, match="bad --synth token 'subjects=4': subjects is given "
+                                          "twice"):
+        synth_params("subjects=3,subjects=4", seed=0)
 
 
 def test_read_config_file(tmp_path):
@@ -808,6 +825,18 @@ def test_config_file_values_obey_flag_choices(tmp_path, capsys):
 # sweep and table1
 
 
+@pytest.mark.parametrize("argv,where", [
+    (["--axis", "dim", "--grid", "3"], "side 3 (dim 9)"),
+    (["--axis", "dim", "--mask-shape", "sector", "--grid", "2.5"], "radius 2.5 (dim 8)"),
+    (["--axis", "dim", "--transform", "klt", "--grid", "3"], "dim 3"),
+    (["--axis", "spread", "--classifier", "pnn", "--spreads", "0.5"], "spread 0.5 (dim 100)"),
+], ids=["rect", "sector", "klt", "spread"])
+def test_sweep_summary_names_its_grid_value(tmp_path, capsys, argv, where):
+    # the best point's grid value under its own name, and the point's dim
+    assert run(["sweep", *argv, "--synth", SYNTH, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.endswith(f"% at {where}\n")
+
+
 def test_sweep_dim(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["sweep", "--axis", "dim", "--synth", SYNTH,
@@ -865,9 +894,9 @@ def test_rect_and_klt_grids_refuse_fractions(tmp_path, capsys, argv):
     code = run(["sweep", "--axis", "dim", "--synth", SYNTH, *argv,
                 "--out", str(tmp_path / "o")])
     assert code == 2
-    what = ("KLT component count must be >= 1 and" if "klt" in argv
-            else "rect mask side must be")
-    assert f"error: --grid: {what} an integer, got 2.5" in capsys.readouterr().err
+    what = ("KLT component count must be >= 1 and an integer" if "klt" in argv
+            else "rectangular side must be an integer >= 1")
+    assert f"error: --grid: {what}, got 2.5" in capsys.readouterr().err
 
 
 def test_sweep_spread(tmp_path):
@@ -998,7 +1027,8 @@ UNDECLARED = {
     pytest.param(["table1", "--spreads=1e308:-1e308:1"], "spread grid is empty",
                  id="table1-spreads-overflowing-range"),
     pytest.param(["sweep", "--axis", "dim", "--grid", "2.5,3.5"],
-                 "error: --grid: rect mask side must be an integer, got 2.5", id="dim-grid"),
+                 "error: --grid: rectangular side must be an integer >= 1, got 2.5",
+                 id="dim-grid"),
     pytest.param(["sweep", "--axis", "dim", "--mask-shape", "sector", "--grid", "1.5:4"],
                  "error: --grid: bad grid '1.5:4': lo:hi counts integers; give a step "
                  "(lo:hi:step)", id="dim-grid-fractional-range"),
@@ -1007,7 +1037,7 @@ UNDECLARED = {
                  "(lo:hi:step)", id="spreads-fractional-range"),
     pytest.param(["table1", "--rows", "svm"], "matches no table rows", id="table1-rows"),
     pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn", "--spreads", "0,1"],
-                 "spreads must be positive", id="spread-grid"),
+                 "error: --spreads: spread must be finite and > 0, got 0.0", id="spread-grid"),
     pytest.param(["sweep", "--axis", "dim", "--transform", "klt", "--grid", "0:3"],
                  "KLT component count must be >= 1", id="klt-grid"),
     pytest.param(["sweep", "--axis", "dim", "--grid", "3,3"],
@@ -1109,9 +1139,11 @@ UNDECLARED = {
                  "--train-k 6 leaves no probe sample of the 4 per subject",
                  id="train-k-above-samples"),
     pytest.param(["sweep", "--axis", "dim", "--grid", "0:3"],
-                 "error: --grid: mask sizes must be > 0, got 0", id="rect-grid-zero"),
+                 "error: --grid: rectangular side must be an integer >= 1, got 0.0",
+                 id="rect-grid-zero"),
     pytest.param(["sweep", "--axis", "dim", "--mask-shape", "sector", "--grid", "0,2"],
-                 "error: --grid: mask sizes must be > 0, got 0.0", id="sector-grid-zero"),
+                 "error: --grid: sectorial radius must be finite and > 0, got 0.0",
+                 id="sector-grid-zero"),
     pytest.param(["sweep", "--axis", "dim", "--grid", "1:1000000"],
                  "bad grid '1:1000000': a range may span at most 10000 points",
                  id="dim-grid-range-too-long"),
@@ -1132,6 +1164,61 @@ def test_option_errors_are_refused_before_the_corpus_is_read(tmp_path, capsys,
     # the refusal shows its own subcommand's usage line
     assert f"\nusage: faceid {argv[0]} " in f"\n{err}"
     assert not out.exists()
+
+
+MASK_RULE = "rectangular side must be an integer >= 1, got 2.5"
+PYTHON_TEXT = ("invalid literal", "could not convert")
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    pytest.param(["extract", "--mask", "rect:2.5"], None,
+                 f"error: --mask: bad mask spec 'rect:2.5': {MASK_RULE}", id="mask-rect"),
+    pytest.param(["extract", "--mask", "sector:abc"], None,
+                 f"error: --mask: bad mask spec 'sector:abc': 'abc' {NOT_FINITE}",
+                 id="mask-sector"),
+    pytest.param(["sweep", "--axis", "dim", "--grid", "a,b"], None,
+                 f"error: --grid: bad grid 'a,b': 'a' {NOT_FINITE}", id="grid"),
+    pytest.param(["sweep", "--axis", "spread", "--classifier", "pnn", "--spreads", "0.1,zz"],
+                 None, f"error: --spreads: bad grid '0.1,zz': 'zz' {NOT_FINITE}", id="spreads"),
+    pytest.param(["extract", "--synth", "subjects=x"], None,
+                 "error: bad --synth token 'subjects=x': 'x' is not an integer", id="synth"),
+    pytest.param(["evaluate", "--classifier", "mlp"], "epochs = 1.5",
+                 "error: config file line 1: '1.5' is not an integer", id="config-epochs"),
+    pytest.param(["extract"], "r_low = abc",
+                 f"error: config file line 1: 'abc' {NOT_FINITE}", id="config-r-low"),
+    pytest.param(["extract"], "mask = rect:2.5",
+                 f"error: --mask: bad mask spec 'rect:2.5': {MASK_RULE}", id="config-mask"),
+])
+def test_a_number_that_is_refused_is_refused_in_its_rules_words(tmp_path, capsys, argv,
+                                                               config, message):
+    # every number read from text (a flag, a config line, a --synth token, a
+    # mask size, a grid point) is read by one checked type
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    source = [] if "--synth" in argv else ["--synth", SYNTH]
+    out = tmp_path / "out"
+    assert run([*argv, *source, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err.splitlines()
+    assert not any(text in err for text in PYTHON_TEXT)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mask,grid", [
+    ("rect:2.5", ["--grid", "2.5"]),
+    ("rect:0", ["--grid", "0"]),
+    ("sector:0", ["--mask-shape", "sector", "--grid", "0"]),
+])
+def test_a_mask_and_a_grid_point_are_refused_by_one_rule(tmp_path, capsys, mask, grid):
+    rules = []
+    for argv, prefix in ((["extract", "--mask", mask], f"error: --mask: bad mask spec {mask!r}: "),
+                         (["sweep", "--axis", "dim", *grid], "error: --grid: ")):
+        assert run([*argv, "--synth", SYNTH, "--out", str(tmp_path / "o")]) == 2
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
+        assert line.startswith(prefix)
+        rules.append(line[len(prefix):])
+    assert rules[0] == rules[1]
 
 
 def test_train_k_is_checked_against_the_synth_spec(tmp_path, capsys):
@@ -1499,6 +1586,9 @@ def invocations(draw):
                            st.sampled_from([11, 10, 6, 11, 3, 11, 1])))
     spec = ",".join(f"{key}={value}" for key, value in
                     zip(("subjects", "samples", "rows", "cols"), shape))
+    # now and then a malformed token, or one that repeats a key
+    spec += draw(st.sampled_from(["", "", "", "", ",subjects=x", ",rows=1.5", ",seed=",
+                                  ",samples=3"]))
     argv = [command, "--synth", spec, "--seed", str(draw(st.integers(0, 2)))]
 
     def maybe(flag, *values):
@@ -1512,7 +1602,7 @@ def invocations(draw):
         rows = maybe("--rows", "nn", "mlp", "pnn", "rbf", "fusion:")
         if rows not in ("nn", "mlp"):
             maybe("--spreads", "0.5,1.5", "0.2:0.6:0.2", "0.9", "0.4,2", "2:1:0.5", "1,1",
-                  "1:3")
+                  "1:3", "0.1,zz")
         mlp = rows in (None, "mlp")
     else:
         argv += ["--train-k", str(draw(st.sampled_from([2, 1, 3, 2, 5])))]
@@ -1523,13 +1613,14 @@ def invocations(draw):
             argv += ["--axis", axis]
         if axis == "dim":
             maybe("--grid", "1:3", "2,4", "1:20", "0:2", "3,3", "2.5,3.5", "5:1", "2:10:2",
-                  "1:3:0.5", "1.5:4")
+                  "1:3:0.5", "1.5:4", "a,b", "1:x", "2,inf")
             maybe("--metric", "mad", "mse")
         elif transform == "klt":
             maybe("--dim", 0, 1, 3, 8, 30)
         else:
             maybe("--mask", "rect:1", "rect:3", "rect:4", "rect:8", "sector:0.5",
-                  "sector:2.5", "sector:4", "sector:9", "rect:0", "wedge:3")
+                  "sector:2.5", "sector:4", "sector:9", "rect:0", "wedge:3", "rect:2.5",
+                  "rect:3.0", "sector:abc", "rect:")
         if transform != "klt":
             maybe("--r-low", 0, 0.5, 1, 2, 30)
             if axis == "dim":
@@ -1542,7 +1633,8 @@ def invocations(draw):
                                                "fusion:pnn", "svm"]))
         elif axis == "spread":
             classifier = draw(st.sampled_from(["pnn", "rbf", "nn:mad"]))
-            maybe("--spreads", "0.5,1.5", "0.2:0.6:0.2", "0.9", "0,1", "1:3")
+            maybe("--spreads", "0.5,1.5", "0.2:0.6:0.2", "0.9", "0,1", "1:3", "0.1,zz",
+                  "x:2:1")
         if classifier:
             argv += ["--classifier", classifier]
             if command == "evaluate" and ("pnn" in classifier or "rbf" in classifier):
@@ -1553,7 +1645,9 @@ def invocations(draw):
     if mlp:
         argv += ["--epochs", str(draw(st.integers(1, 4))), "--hidden", "3"]
     config = (draw(st.sampled_from(["seed = 1", "mask rect:2", "r_low = -1", "bogus = 1",
-                                    "\udcff"])) if draw(st.integers(0, 4)) == 4 else None)
+                                    "\udcff", "epochs = 1.5", "mask = rect:2.5",
+                                    "r_low = abc", "mask = rect:2.0"]))
+              if draw(st.integers(0, 4)) == 4 else None)
     return argv, config
 
 
@@ -1574,8 +1668,9 @@ TINY = ["--synth", "subjects=3,samples=4,rows=12,cols=11", "--seed", "0"]
 @example(([*"table1 --rows rbf --spreads 1:3".split(), *TINY], None))
 def test_every_run_keeps_the_exit_code_contract(invocation):
     # exit 0, 2 (configuration), 3 (data) or 4 (numeric), and no traceback;
-    # a configuration error names a flag or a config-file line, and a refused
-    # run writes no --out
+    # a configuration error names a flag or a config-file line, in the words
+    # of the rule it breaks and never in Python's conversion text, and a
+    # refused run writes no --out
     argv, config = invocation
     command = argv[0]
     with TemporaryDirectory() as tmp:
@@ -1596,6 +1691,7 @@ def test_every_run_keeps_the_exit_code_contract(invocation):
         (message,) = [line for line in lines if "error: " in line]
         flags = [flag(option) for option in OPTIONS if command in option.commands]
         assert any(name in message for name in flags) or "config file line" in message
+        assert not any(text in message for text in PYTHON_TEXT)
     elif code:
         assert lines[0].startswith("data error: " if code == 3 else "numeric failure: ")
 

@@ -1,6 +1,8 @@
 """Experiment harness: rates, sweeps, the benchmark table, exports."""
 
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +16,9 @@ from faceid.dataset import Corpus, Split, synth_corpus
 from faceid.eigenfaces import RankError
 from faceid.evaluation import (
     DCT, KLT, RECTANGULAR, EvalConfig, Outcome, SweepPoint,
-    TABLE_TARGETS, default_dim_grid,
+    TABLE_TARGETS, default_dim_grid, dim_grid,
     extract_split_features, format_table,
-    parse_classifier_spec, run_experiment, sweep_dimension, sweep_spread,
+    parse_classifier_spec, run_experiment, spread_grid, sweep_dimension, sweep_spread,
     table1_report, write_curve_csv, write_fusion_report, write_manifest,
     write_result_csv, write_table_csv,
 )
@@ -258,6 +260,35 @@ def test_default_dim_grid():
         list(range(5, 21))
 
 
+def refusal(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_every_grid_point_meets_the_one_rule_of_its_value(value):
+    # a mask grid point is refused as its ZonalMask is, a spread as a run's
+    # or a PNN's spread is, in the same words
+    for shape in (RECTANGULAR, SECTORIAL):
+        assert refusal(lambda: dim_grid(DCT, [value], shape)) == \
+            refusal(lambda: ZonalMask(shape, value))
+    gallery = Features(np.eye(2), labels=[0, 1], sample_ids=[0, 0], source=DCT)
+    assert (refusal(lambda: spread_grid([value])) == refusal(lambda: EvalConfig(spread=value))
+            == refusal(lambda: pnn_train(gallery, value))
+            == refusal(lambda: rbf_train(gallery, value))
+            == f"spread must be finite and > 0, got {value}")
+    assert refusal(lambda: dim_grid(KLT, [value])).startswith(
+        "KLT component count must be >= 1 and an integer")
+
+
+def test_mask_grids_take_what_zonal_mask_takes():
+    assert refusal(lambda: dim_grid(DCT, [2.5])) == refusal(lambda: ZonalMask.rectangular(2.5))
+    assert dim_grid(DCT, [2.5, 1.0], SECTORIAL) == [1.0, 2.5]
+    # a whole rect side is an int, as a rect grid's points have always been
+    assert [type(n) for n in dim_grid(DCT, [3.0, 1.0])] == [int, int]
+
+
 def test_spread_sweep(dct_features):
     gal, probes = dct_features
     points = sweep_spread(gal, probes, "pnn", spreads=[2.0, 0.5, 1.0])
@@ -269,7 +300,7 @@ def test_spread_sweep(dct_features):
         sweep_spread(gal, probes, "fusion:pnn+rbf", spreads=[1.0])
     again = sweep_spread(gal, probes, " PNN ", spreads=[2.0, 0.5, 1.0])
     assert [compared(pt) for pt in again] == [compared(pt) for pt in points]
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=re.escape("spread must be finite and > 0, got 0.0")):
         sweep_spread(gal, probes, "pnn", spreads=[0.0, 1.0])
     with pytest.raises(ValueError, match="empty"):
         sweep_spread(gal, probes, "rbf", spreads=[])
